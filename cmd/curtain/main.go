@@ -20,6 +20,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -175,7 +177,9 @@ flags (report/exp/simulate):
   -format F           simulate only: output codec, jsonl or binary
                       (default jsonl; binary is the compact curtainbin
                       form, DESIGN.md §15)
-  -out PATH           simulate only: output dataset path`)
+  -out PATH           simulate only: output dataset path
+  -cpuprofile FILE    simulate only: write a pprof CPU profile of the run
+  -memprofile FILE    simulate only: write a pprof allocation profile at exit`)
 }
 
 // optionFlags registers the full campaign flag set (dataset-determining
@@ -345,6 +349,8 @@ func runSimulate(args []string) error {
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
 	formatName := fs.String("format", "", "output codec: jsonl or binary (default jsonl)")
 	runStats := fs.Bool("stats", false, "report run time, output bytes/experiment and peak RSS on stderr")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	opts := optionFlags(fs)
 	fs.Parse(args)
 	f, err := dataset.ParseFormat(*formatName)
@@ -355,6 +361,11 @@ func runSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 	cfg := o.CampaignConfig()
 	verb := "running"
 	if o.Resume {
@@ -424,6 +435,46 @@ func runSimulate(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "curtain: wrote %d experiments to %s (%s)\n", n, *out, f)
 	return nil
+}
+
+// startProfiles begins a CPU profile into cpuPath and returns a stop
+// function that ends it and writes the allocation profile (every
+// allocation since process start, pprof's "allocs") into memPath. Either
+// path may be empty. Profile write failures are reported on stderr: they
+// must not turn a finished campaign into a failed one.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err = pprof.StartCPUProfile(cpuFile); err != nil {
+			_ = cpuFile.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "curtain: cpuprofile:", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		memFile, err := os.Create(memPath)
+		if err == nil {
+			runtime.GC() // fold the last cycle's allocations into the profile
+			err = pprof.Lookup("allocs").WriteTo(memFile, 0)
+			if cerr := memFile.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "curtain: memprofile:", err)
+		}
+	}, nil
 }
 
 // flagEcho reconstructs the explicitly-set flags of a parsed FlagSet so

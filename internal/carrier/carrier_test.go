@@ -462,3 +462,31 @@ func TestSpillDisabledWhenFullyConsistent(t *testing.T) {
 		}
 	}
 }
+
+// T-Mobile's 45 egresses sit in 31 cities, so some share one: every
+// ranking must list equidistant egresses in index order, whichever sort
+// produced it.
+func TestRankEgressesBreaksTiesByIndex(t *testing.T) {
+	n, _ := buildCarrier(t, "tmobile")
+	ties := 0
+	for _, city := range geo.CitiesIn("US") {
+		ranked, dist := n.rankEgresses(city.Loc, nil, nil)
+		if len(ranked) != len(n.Egresses) {
+			t.Fatalf("ranking lists %d of %d egresses", len(ranked), len(n.Egresses))
+		}
+		for k := 1; k < len(ranked); k++ {
+			switch {
+			case dist[k-1] > dist[k]:
+				t.Fatalf("from %s: rank %d is farther than rank %d", city.Name, k-1, k)
+			case dist[k-1] == dist[k]:
+				ties++
+				if ranked[k-1] > ranked[k] {
+					t.Fatalf("from %s: equidistant egresses %d, %d out of index order", city.Name, ranked[k-1], ranked[k])
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equidistant egresses: the test no longer exercises the tie-break")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
 	"time"
 
 	"cellcurtain/internal/geo"
@@ -46,6 +45,9 @@ type Network struct {
 	clients       []*Client
 	ownPrefixes   []netip.Prefix
 	extSiteOf     []int // external index -> resolver site index
+	extIndex      map[netip.Addr]int
+	siteScope     [][]int // resolver site -> externals there (anycastScope)
+	coreBase      stats.Dist
 	siteCity      []geo.City
 	egressSite    []int // egress index -> nearest resolver site
 	pingClientOK  map[netip.Addr]bool
@@ -84,10 +86,15 @@ func Build(f *vnet.Fabric, reg *zone.Registry, p Profile, seed uint64) (*Network
 		rng:           stats.NewRNG(seed ^ hash64(p.Name)),
 		clientPool:    vnet.NewPool(fmt.Sprintf("10.%d.0.0/16", p.ClientNetOctet)),
 		clientsByAddr: make(map[netip.Addr]*Client),
+		extIndex:      make(map[netip.Addr]int),
 		pingClientOK:  make(map[netip.Addr]bool),
 		pingOutside:   make(map[netip.Addr]bool),
 	}
 	n.ownPrefixes = append(n.ownPrefixes, n.clientPool.Prefix())
+	n.coreBase = stats.LogNormal{
+		Med:   time.Duration(p.CoreMs * float64(time.Millisecond)),
+		Sigma: 0.35, Floor: 500 * time.Microsecond,
+	}
 
 	// Egress points spread across the country's cities.
 	for i := 0; i < p.EgressCount; i++ {
@@ -136,10 +143,16 @@ func Build(f *vnet.Fabric, reg *zone.Registry, p Profile, seed uint64) (*Network
 			Addr: addr, Egress: site % len(n.Egresses), Loc: n.siteCity[site].Loc,
 		})
 		n.extSiteOf = append(n.extSiteOf, site)
+		n.extIndex[addr] = i
 		n.pingClientOK[addr] = n.rng.Bool(p.ClientPingFrac)
 		n.pingOutside[addr] = n.rng.Bool(p.OutsidePingFrac)
 		ep := f.AddEndpoint(fmt.Sprintf("%s/ext%d", p.Name, i), n.siteCity[site].Loc, p.ExternalASN, addr)
 		ep.SetPingPolicy(n.externalPingPolicy(addr))
+	}
+
+	n.siteScope = make([][]int, len(n.siteCity))
+	for i, site := range n.extSiteOf {
+		n.siteScope[site] = append(n.siteScope[site], i)
 	}
 
 	// Client-facing resolvers. Anycast styles expose few configured
@@ -250,19 +263,12 @@ func (n *Network) allExternals() []int {
 }
 
 // anycastScope returns the externals at the resolver site serving an
-// egress.
+// egress. The slice is shared; callers only index it.
 func (n *Network) anycastScope(egress int) []int {
-	site := n.egressSite[egress%len(n.egressSite)]
-	var out []int
-	for i, s := range n.extSiteOf {
-		if s == site {
-			out = append(out, i)
-		}
+	if scope := n.siteScope[n.egressSite[egress%len(n.egressSite)]]; len(scope) > 0 {
+		return scope
 	}
-	if len(out) == 0 {
-		out = append(out, 0)
-	}
-	return out
+	return []int{0}
 }
 
 // calibrateAnycastStick bisects the StickModal parameter until a
@@ -273,20 +279,7 @@ func (n *Network) calibrateAnycastStick() float64 {
 	// Precompute egress rankings for synthetic clients, one per city.
 	rankings := make([][]int, len(cities))
 	for ci, city := range cities {
-		type ed struct {
-			idx int
-			d   float64
-		}
-		eds := make([]ed, len(n.Egresses))
-		for i, eg := range n.Egresses {
-			eds[i] = ed{i, geo.DistanceKm(city.Loc, eg.City.Loc)}
-		}
-		sort.Slice(eds, func(a, b int) bool { return eds[a].d < eds[b].d })
-		r := make([]int, len(eds))
-		for i, e := range eds {
-			r[i] = e.idx
-		}
-		rankings[ci] = r
+		rankings[ci], _ = n.rankEgresses(city.Loc, nil, nil)
 	}
 	measure := func(stick float64) float64 {
 		pairing := ldns.EpochPairing{
@@ -352,6 +345,25 @@ func hash64(s string) uint64 {
 	return h
 }
 
+// rankEgresses fills ranked with the carrier's egress indices, nearest to
+// p first and equidistant ones in index order, and dist with their
+// distances. Both must come in empty; their capacity is reused
+// (insertion sort: a pooled Client is re-ranked once per experiment).
+func (n *Network) rankEgresses(p geo.Point, ranked []int, dist []float64) ([]int, []float64) {
+	for i, eg := range n.Egresses {
+		d := geo.DistanceKm(p, eg.City.Loc)
+		ranked = append(ranked, i)
+		dist = append(dist, d)
+		j := len(ranked) - 1
+		for j > 0 && dist[j-1] > d {
+			ranked[j], dist[j] = ranked[j-1], dist[j-1]
+			j--
+		}
+		ranked[j], dist[j] = i, d
+	}
+	return ranked, dist
+}
+
 // fillClient populates c as device id homed at home with internal
 // address addr, recomputing every derived field in place. The ranked
 // slices are reused when capacity allows, so a pooled Client can be
@@ -364,21 +376,7 @@ func (n *Network) fillClient(c *Client, id string, home geo.Point, addr netip.Ad
 	c.Loc = home
 	c.Tech = radio.LTE
 	c.net = n
-	// Rank egresses by distance from home (insertion sort: egress counts
-	// are single digits and the scratch slices are reused).
-	ranked, dist := c.rankedEgress[:0], c.egressDist[:0]
-	for i, eg := range n.Egresses {
-		d := geo.DistanceKm(home, eg.City.Loc)
-		ranked = append(ranked, i)
-		dist = append(dist, d)
-		j := len(ranked) - 1
-		for j > 0 && dist[j-1] > d {
-			ranked[j], dist[j] = ranked[j-1], dist[j-1]
-			j--
-		}
-		ranked[j], dist[j] = i, d
-	}
-	c.rankedEgress, c.egressDist = ranked, dist
+	c.rankedEgress, c.egressDist = n.rankEgresses(home, c.rankedEgress[:0], c.egressDist[:0])
 	if n.Style == StyleTiered {
 		// Tiered carriers provision the regional resolver: the frontend
 		// nearest the subscriber's home (and through the fixed pairing,
@@ -401,8 +399,8 @@ func (n *Network) fillClient(c *Client, id string, home geo.Point, addr netip.Ad
 func (n *Network) NewClient(id string, home geo.Point) *Client {
 	c := &Client{}
 	n.fillClient(c, id, home, n.clientPool.Next())
-	n.clientsByAddr[c.Addr] = c
 	n.clients = append(n.clients, c)
+	n.Subscribe(c)
 	return c
 }
 
@@ -417,11 +415,19 @@ func (n *Network) FillClientAt(dst *Client, id string, home geo.Point, idx int) 
 
 // Subscribe attaches a materialized device to the carrier's routing and
 // resolver lookup for the duration of an experiment. Unlike NewClient it
-// does not join the permanent population.
-func (n *Network) Subscribe(c *Client) { n.clientsByAddr[c.Addr] = c }
+// does not join the permanent population. Routes from the device's
+// address change with it, so the fabric's route memo is dropped; set the
+// device's Loc and Tech before the experiment's BeginExperiment.
+func (n *Network) Subscribe(c *Client) {
+	n.clientsByAddr[c.Addr] = c
+	n.fabric.InvalidateRoutes()
+}
 
 // Unsubscribe detaches a device attached with Subscribe.
-func (n *Network) Unsubscribe(c *Client) { delete(n.clientsByAddr, c.Addr) }
+func (n *Network) Unsubscribe(c *Client) {
+	delete(n.clientsByAddr, c.Addr)
+	n.fabric.InvalidateRoutes()
+}
 
 // Clients returns the carrier's subscribed measurement devices.
 func (n *Network) Clients() []*Client { return n.clients }
@@ -454,12 +460,8 @@ func (n *Network) OwnsAddr(addr netip.Addr) bool {
 // IsExternalResolver reports whether addr is one of the carrier's
 // external-facing resolvers.
 func (n *Network) IsExternalResolver(addr netip.Addr) bool {
-	for _, e := range n.Externals {
-		if e.Addr == addr {
-			return true
-		}
-	}
-	return false
+	_, ok := n.extIndex[addr]
+	return ok
 }
 
 // IsClientFacing reports whether addr is a configured client resolver.
@@ -471,6 +473,9 @@ func (n *Network) IsClientFacing(addr netip.Addr) bool {
 	}
 	return false
 }
+
+// Network returns the carrier the device is subscribed to.
+func (c *Client) Network() *Network { return c.net }
 
 // ConfiguredResolver returns the client-facing resolver the client's
 // device is provisioned with.

@@ -13,10 +13,7 @@ import (
 // wanOneWay models one direction of a wide-area path between two points:
 // propagation over inflated fiber paths plus per-hop queueing jitter.
 func wanOneWay(a, b geo.Point) stats.Dist {
-	return stats.Shifted{
-		Base: stats.LogNormal{Med: 1200 * time.Microsecond, Sigma: 0.6, Floor: 200 * time.Microsecond},
-		Off:  geo.PropagationRTT(a, b) / 2,
-	}
+	return stats.Shifted{Base: wanBase, Off: geo.PropagationRTT(a, b) / 2}
 }
 
 // WANSegment builds a plain wide-area segment revealing hop (use the zero
@@ -24,6 +21,16 @@ func wanOneWay(a, b geo.Point) stats.Dist {
 func WANSegment(label string, a, b geo.Point, hop netip.Addr) vnet.Segment {
 	return vnet.Segment{Label: label, Latency: wanOneWay(a, b), HopAddr: hop}
 }
+
+// Fixed hop models shared by every route: boxing them into stats.Dist once
+// keeps route construction from allocating a copy per segment.
+var (
+	intraBase  stats.Dist = stats.LogNormal{Med: 800 * time.Microsecond, Sigma: 0.4, Floor: 200 * time.Microsecond}
+	borderHop  stats.Dist = stats.Constant{V: 150 * time.Microsecond} // egress or ingress router
+	transitHop stats.Dist = stats.Constant{V: 400 * time.Microsecond}
+	blockedHop stats.Dist = stats.Constant{V: time.Millisecond} // the core hop no inbound packet survives
+	wanBase    stats.Dist = stats.LogNormal{Med: 1200 * time.Microsecond, Sigma: 0.6, Floor: 200 * time.Microsecond}
+)
 
 // radioSegment is the client's access hop: one-way radio latency for the
 // currently active technology. Tunneled — never visible to traceroute.
@@ -36,13 +43,9 @@ func (n *Network) radioSegment(c *Client) vnet.Segment {
 // egress: carrier-specific base latency plus geographic distance. All
 // carriers tunnel their cores (VPN/MPLS, §4.2), so the hop is silent.
 func (n *Network) coreSegment(c *Client, eg Egress) vnet.Segment {
-	base := stats.LogNormal{
-		Med:   time.Duration(n.CoreMs * float64(time.Millisecond)),
-		Sigma: 0.35, Floor: 500 * time.Microsecond,
-	}
 	return vnet.Segment{
 		Label:   "core",
-		Latency: stats.Shifted{Base: base, Off: geo.PropagationRTT(c.Loc, eg.City.Loc) / 2},
+		Latency: stats.Shifted{Base: n.coreBase, Off: geo.PropagationRTT(c.Loc, eg.City.Loc) / 2},
 	}
 }
 
@@ -50,11 +53,8 @@ func (n *Network) coreSegment(c *Client, eg Egress) vnet.Segment {
 // inside the carrier.
 func (n *Network) intraSegment(from geo.Point, to geo.Point) vnet.Segment {
 	return vnet.Segment{
-		Label: "intra",
-		Latency: stats.Shifted{
-			Base: stats.LogNormal{Med: 800 * time.Microsecond, Sigma: 0.4, Floor: 200 * time.Microsecond},
-			Off:  geo.PropagationRTT(from, to) / 2,
-		},
+		Label:   "intra",
+		Latency: stats.Shifted{Base: intraBase, Off: geo.PropagationRTT(from, to) / 2},
 	}
 }
 
@@ -67,18 +67,11 @@ func (n *Network) RouteFromClient(c *Client, dst netip.Addr, dstLoc geo.Point, n
 		// Served by the anycast/local instance at the client's egress.
 		return vnet.NewRoute(n.radioSegment(c), n.coreSegment(c, eg))
 	}
-	if n.IsExternalResolver(dst) {
-		var extLoc geo.Point
-		for _, e := range n.Externals {
-			if e.Addr == dst {
-				extLoc = e.Loc
-				break
-			}
-		}
+	if i, ok := n.extIndex[dst]; ok {
 		return vnet.NewRoute(
 			n.radioSegment(c),
 			n.coreSegment(c, eg),
-			n.intraSegment(eg.City.Loc, extLoc),
+			n.intraSegment(eg.City.Loc, n.Externals[i].Loc),
 		)
 	}
 	// Leaving the network: egress router is the last carrier-owned hop,
@@ -87,8 +80,8 @@ func (n *Network) RouteFromClient(c *Client, dst netip.Addr, dstLoc geo.Point, n
 	return vnet.NewRoute(
 		n.radioSegment(c),
 		n.coreSegment(c, eg),
-		vnet.Segment{Label: "egress", Latency: stats.Constant{V: 150 * time.Microsecond}, HopAddr: eg.RouterAddr},
-		vnet.Segment{Label: "transit", Latency: stats.Constant{V: 400 * time.Microsecond}, HopAddr: eg.TransitAddr},
+		vnet.Segment{Label: "egress", Latency: borderHop, HopAddr: eg.RouterAddr},
+		vnet.Segment{Label: "transit", Latency: transitHop, HopAddr: eg.TransitAddr},
 		WANSegment("wan", eg.City.Loc, dstLoc, netip.Addr{}),
 	).WithNAT(c.NATAddrAt(now))
 }
@@ -96,18 +89,18 @@ func (n *Network) RouteFromClient(c *Client, dst netip.Addr, dstLoc geo.Point, n
 // RouteFromExternal builds the route for upstream queries issued by one
 // of the carrier's external resolvers.
 func (n *Network) RouteFromExternal(src netip.Addr, dstLoc geo.Point) (vnet.Route, bool) {
-	for i, e := range n.Externals {
-		if e.Addr == src {
-			eg := n.Egresses[e.Egress]
-			return vnet.NewRoute(
-				n.intraSegment(e.Loc, eg.City.Loc),
-				vnet.Segment{Label: "egress", Latency: stats.Constant{V: 150 * time.Microsecond}, HopAddr: eg.RouterAddr},
-				vnet.Segment{Label: "transit", Latency: stats.Constant{V: 400 * time.Microsecond}, HopAddr: eg.TransitAddr},
-				WANSegment("wan", n.siteCity[n.extSiteOf[i]].Loc, dstLoc, netip.Addr{}),
-			), true
-		}
+	i, ok := n.extIndex[src]
+	if !ok {
+		return vnet.Route{}, false
 	}
-	return vnet.Route{}, false
+	e := n.Externals[i]
+	eg := n.Egresses[e.Egress]
+	return vnet.NewRoute(
+		n.intraSegment(e.Loc, eg.City.Loc),
+		vnet.Segment{Label: "egress", Latency: borderHop, HopAddr: eg.RouterAddr},
+		vnet.Segment{Label: "transit", Latency: transitHop, HopAddr: eg.TransitAddr},
+		WANSegment("wan", n.siteCity[n.extSiteOf[i]].Loc, dstLoc, netip.Addr{}),
+	), true
 }
 
 // RouteInbound builds the route for probes arriving from the public
@@ -117,24 +110,19 @@ func (n *Network) RouteFromExternal(src netip.Addr, dstLoc geo.Point) (vnet.Rout
 // traceroute ever penetrates past it (§4.4).
 func (n *Network) RouteInbound(srcLoc geo.Point, dst netip.Addr) vnet.Route {
 	ingress := n.Egresses[0]
-	if n.IsExternalResolver(dst) {
-		for _, e := range n.Externals {
-			if e.Addr == dst {
-				ingress = n.Egresses[e.Egress]
-				break
-			}
-		}
+	if i, ok := n.extIndex[dst]; ok {
+		ingress = n.Egresses[n.Externals[i].Egress]
 		r := vnet.NewRoute(
 			WANSegment("wan", srcLoc, ingress.City.Loc, ingress.TransitAddr),
-			vnet.Segment{Label: "ingress", Latency: stats.Constant{V: 150 * time.Microsecond}, HopAddr: ingress.RouterAddr},
+			vnet.Segment{Label: "ingress", Latency: borderHop, HopAddr: ingress.RouterAddr},
 			n.intraSegment(ingress.City.Loc, ingress.City.Loc),
 		)
 		return r.TracerouteOpaque(1)
 	}
 	r := vnet.NewRoute(
 		WANSegment("wan", srcLoc, ingress.City.Loc, ingress.TransitAddr),
-		vnet.Segment{Label: "ingress", Latency: stats.Constant{V: 150 * time.Microsecond}, HopAddr: ingress.RouterAddr},
-		vnet.Segment{Label: "core", Latency: stats.Constant{V: time.Millisecond}},
+		vnet.Segment{Label: "ingress", Latency: borderHop, HopAddr: ingress.RouterAddr},
+		vnet.Segment{Label: "core", Latency: blockedHop},
 	)
 	return r.Blocked(1)
 }

@@ -13,10 +13,11 @@
 package cdn
 
 import (
+	"bytes"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/netip"
+	"strconv"
 	"strings"
 	"time"
 
@@ -80,6 +81,19 @@ type Provider struct {
 	// cellular resolver /24; the provider's geo guess draws from it.
 	egressHint map[netip.Prefix]geo.Point
 	country    map[netip.Prefix]string
+	// guessCities holds the candidate cities of a wrong geolocation guess
+	// per country code ("" = the whole database), shared by all providers.
+	guessCities map[string][]geo.City
+	// mapped memoises mappedClusters for one experiment: the mapping is a
+	// pure function of its key and the world's structure. Cleared by the
+	// fabric's experiment reset and whenever a hint is registered.
+	mapped map[mappingKey][2]int
+}
+
+type mappingKey struct {
+	domain string
+	prefix netip.Prefix
+	epoch  uint64
 }
 
 // Domain is one measured hostname hosted on a provider.
@@ -188,6 +202,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 	kr := geo.CitiesIn("KR")
 	c := &CDN{}
 	byName := map[string]*Provider{}
+	guessCities := map[string][]geo.City{"": geo.Cities()}
 
 	for pi, spec := range providerSpecs {
 		if spec.usCities > len(us) || spec.krCities > len(kr) {
@@ -211,7 +226,10 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 			domains:           map[string]dnswire.Name{},
 			egressHint:        map[netip.Prefix]geo.Point{},
 			country:           map[netip.Prefix]string{},
+			guessCities:       guessCities,
+			mapped:            map[mappingKey][2]int{},
 		}
+		f.OnExperimentReset(func() { clear(p.mapped) })
 		cities := append(append([]geo.City{}, us[:spec.usCities]...), kr[:spec.krCities]...)
 		for ci, city := range cities {
 			pool := vnet.NewPool(fmt.Sprintf("23.%d.%d.0/24", spec.basePrefix+pi, ci))
@@ -261,6 +279,10 @@ func (c *CDN) RegisterEgressHint(prefix netip.Prefix, loc geo.Point, country str
 	for _, p := range c.Providers {
 		p.egressHint[prefix] = loc
 		p.country[prefix] = country
+		if _, ok := p.guessCities[country]; !ok {
+			p.guessCities[country] = geo.CitiesIn(country)
+		}
+		clear(p.mapped)
 	}
 }
 
@@ -278,33 +300,36 @@ func (p *Provider) mapPrefix(src netip.Addr) netip.Prefix {
 	return pref
 }
 
-// mapKey is the deterministic seed for one (domain, resolver /24) mapping.
+// mapKey is the deterministic seed for one (domain, resolver /24)
+// mapping: 64-bit FNV-1a over name, NUL, domain, NUL, prefix address and
+// length. domain must already be lower-case.
 func (p *Provider) mapKey(domain string, prefix netip.Prefix) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(p.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(strings.ToLower(domain)))
-	h.Write([]byte{0})
-	b := prefix.Addr().As4()
-	h.Write(b[:])
-	var bits [1]byte
-	bits[0] = byte(prefix.Bits())
-	h.Write(bits[:])
-	return h.Sum64()
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < len(p.Name); i++ {
+		h = (h ^ uint64(p.Name[i])) * prime
+	}
+	h *= prime // NUL
+	for i := 0; i < len(domain); i++ {
+		h = (h ^ uint64(domain[i])) * prime
+	}
+	h *= prime // NUL
+	for _, b := range prefix.Addr().As4() {
+		h = (h ^ uint64(b)) * prime
+	}
+	return (h ^ uint64(byte(prefix.Bits()))) * prime
 }
 
 // anchor decides where the provider believes a resolver prefix is.
 // Unlocated (cellular) prefixes are re-guessed every remap epoch.
-func (p *Provider) anchor(prefix netip.Prefix, key uint64, now time.Time) geo.Point {
+func (p *Provider) anchor(prefix netip.Prefix, key, epoch uint64) geo.Point {
 	if loc, ok := p.locator.ResolverLocation(prefix); ok {
 		return loc
 	}
 	if p.RemapEpoch > 0 {
-		epoch := uint64(now.UnixNano() / int64(p.RemapEpoch))
 		key = mixKey(key, epoch)
 	}
 	hint, hasHint := p.egressHint[vnet.Slash24(prefix.Addr())]
-	country := p.country[vnet.Slash24(prefix.Addr())]
 	// Derive a stable pseudo-random draw from the key.
 	draw := float64(key%1e6) / 1e6
 	if hasHint && draw < p.GoodGuessProb {
@@ -312,10 +337,7 @@ func (p *Provider) anchor(prefix netip.Prefix, key uint64, now time.Time) geo.Po
 	}
 	// Wrong guess: a stable random city in the resolver's country (or
 	// anywhere, if the country is unknown).
-	cities := geo.Cities()
-	if country != "" {
-		cities = geo.CitiesIn(country)
-	}
+	cities := p.guessCities[p.country[vnet.Slash24(prefix.Addr())]]
 	return cities[int((key>>20)%uint64(len(cities)))].Loc
 }
 
@@ -327,10 +349,17 @@ func mixKey(a, b uint64) uint64 {
 }
 
 // mappedClusters returns the primary and secondary cluster indices for a
-// (domain, resolver /24) pair at a point in time.
+// (domain, resolver /24) pair at a point in time. domain must already be
+// lower-case.
 func (p *Provider) mappedClusters(domain string, prefix netip.Prefix, now time.Time) (int, int) {
-	key := p.mapKey(domain, prefix)
-	a := p.anchor(prefix, key, now)
+	mk := mappingKey{domain: domain, prefix: prefix}
+	if p.RemapEpoch > 0 {
+		mk.epoch = uint64(now.UnixNano() / int64(p.RemapEpoch))
+	}
+	if m, ok := p.mapped[mk]; ok {
+		return m[0], m[1]
+	}
+	a := p.anchor(prefix, p.mapKey(domain, prefix), mk.epoch)
 	best, second := -1, -1
 	bestD, secondD := math.Inf(1), math.Inf(1)
 	for i, cl := range p.Clusters {
@@ -346,13 +375,15 @@ func (p *Provider) mappedClusters(domain string, prefix netip.Prefix, now time.T
 	if second < 0 {
 		second = best
 	}
+	p.mapped[mk] = [2]int{best, second}
 	return best, second
 }
 
-// ReplicaAnswer selects the replica addresses for a query from resolver
-// src (already reduced to its /24 by the caller when desired). Load
-// balancing draws from rng — the serving fabric's active experiment
-// stream — so the choice is independent of global query ordering.
+// ReplicaAnswer selects the replica addresses for a lower-case domain
+// queried from resolver src (already reduced to its /24 by the caller
+// when desired). Load balancing draws from rng — the serving fabric's
+// active experiment stream — so the choice is independent of global query
+// ordering.
 func (p *Provider) ReplicaAnswer(rng *stats.RNG, domain string, src netip.Addr, now time.Time) []netip.Addr {
 	prefix := p.mapPrefix(src)
 	primary, secondary := p.mappedClusters(domain, prefix, now)
@@ -412,6 +443,7 @@ func (p *Provider) answer(rng *stats.RNG, src netip.Addr, query *dnswire.Message
 	}
 
 	lower := strings.ToLower(string(q.Name))
+	resp.Answers = make([]dnswire.Record, 0, 1+p.ReplicasPerAnswer)
 	if cname, ok := p.domains[lower]; ok {
 		resp.Answers = append(resp.Answers, dnswire.Record{
 			Name: q.Name, Class: dnswire.ClassIN, TTL: p.TTL,
@@ -464,14 +496,27 @@ type replicaHTTP struct {
 // response identifies the serving replica.
 func (h *replicaHTTP) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 	rng := req.Fabric.RNG()
-	line, _, _ := strings.Cut(string(req.Payload), "\r\n")
-	fields := strings.Fields(line)
-	if len(fields) < 3 || fields[0] != "GET" {
+	line, _, _ := bytes.Cut(req.Payload, []byte("\r\n"))
+	fields := bytes.Fields(line)
+	if len(fields) < 3 || string(fields[0]) != "GET" {
 		return []byte("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"),
 			h.processing.Sample(rng), nil
 	}
-	body := fmt.Sprintf("served-by: %s/%s\npath: %s\n", h.provider, h.city, fields[1])
-	resp := fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: %s\r\nContent-Length: %d\r\nContent-Type: text/plain\r\n\r\n%s",
-		h.provider, len(body), body)
-	return []byte(resp), h.processing.Sample(rng), nil
+	// One buffer for head and body; the body is
+	// "served-by: <provider>/<city>\npath: <path>\n".
+	path := fields[1]
+	bodyLen := len("served-by: /\npath: \n") + len(h.provider) + len(h.city) + len(path)
+	resp := make([]byte, 0, 96+len(h.provider)+bodyLen)
+	resp = append(resp, "HTTP/1.1 200 OK\r\nServer: "...)
+	resp = append(resp, h.provider...)
+	resp = append(resp, "\r\nContent-Length: "...)
+	resp = strconv.AppendInt(resp, int64(bodyLen), 10)
+	resp = append(resp, "\r\nContent-Type: text/plain\r\n\r\nserved-by: "...)
+	resp = append(resp, h.provider...)
+	resp = append(resp, '/')
+	resp = append(resp, h.city...)
+	resp = append(resp, "\npath: "...)
+	resp = append(resp, path...)
+	resp = append(resp, '\n')
+	return resp, h.processing.Sample(rng), nil
 }

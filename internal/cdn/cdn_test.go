@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -282,6 +283,10 @@ func TestReplicaHTTP(t *testing.T) {
 	s := string(resp)
 	if !strings.HasPrefix(s, "HTTP/1.1 200 OK") || !strings.Contains(s, "served-by: edgecast/") {
 		t.Fatalf("response:\n%s", s)
+	}
+	head, body, _ := strings.Cut(s, "\r\n\r\n")
+	if want := fmt.Sprintf("Content-Length: %d\r\n", len(body)); !strings.Contains(head, want) || !strings.HasSuffix(body, "\npath: /\n") {
+		t.Fatalf("head does not carry %q for body %q:\n%s", want, body, head)
 	}
 	// Malformed request.
 	bad, _, err := f.RoundTrip(src, replica, 80, []byte("BREW /pot HTCPCP/1.0\r\n\r\n"))

@@ -104,7 +104,40 @@ func unpackFlags(f uint16) Header {
 // Append serializes the message, appending to buf (which is usually nil).
 // Domain names in question and answer sections are compressed.
 func (m *Message) Append(buf []byte) ([]byte, error) {
-	return m.appendPacked(buf, compressionMap{})
+	var cm compressionMap
+	if len(m.Questions)+len(m.Answers)+len(m.Authorities)+len(m.Additionals) > 1 {
+		// A lone question has nothing to point back to: skip the map.
+		cm = compressionMap{}
+	}
+	return m.appendPacked(buf, cm)
+}
+
+// sizeHint estimates the packed size: exact without compression for
+// address and single-name records, RDATA of other types not counted
+// (append grows the buffer for those).
+func (m *Message) sizeHint() int {
+	n := headerLen
+	for _, q := range m.Questions {
+		n += len(q.Name) + 2 + 4
+	}
+	for _, sec := range [][]Record{m.Answers, m.Authorities, m.Additionals} {
+		for _, rr := range sec {
+			n += len(rr.Name) + 2 + 10
+			switch d := rr.Data.(type) {
+			case A:
+				n += 4
+			case AAAA:
+				n += 16
+			case CNAME:
+				n += len(d.Target) + 2
+			case NS:
+				n += len(d.Host) + 2
+			case PTR:
+				n += len(d.Target) + 2
+			}
+		}
+	}
+	return n
 }
 
 // Encoder amortizes message encoding across packets: it owns a reusable
@@ -164,8 +197,8 @@ func (m *Message) appendPacked(buf []byte, cm compressionMap) ([]byte, error) {
 	return buf, nil
 }
 
-// Pack is Append with a fresh buffer.
-func (m *Message) Pack() ([]byte, error) { return m.Append(nil) }
+// Pack is Append with a fresh buffer sized from the message.
+func (m *Message) Pack() ([]byte, error) { return m.Append(make([]byte, 0, m.sizeHint())) }
 
 func appendRecord(buf []byte, rr Record, cm compressionMap) ([]byte, error) {
 	var err error
@@ -236,6 +269,10 @@ func Parse(msg []byte) (*Message, error) {
 		dest *[]Record
 	}{{an, &out.Answers}, {ns, &out.Authorities}, {ar, &out.Additionals}}
 	for _, sec := range sections {
+		if sec.n > 0 {
+			// The sanity bound above caps n by the message size.
+			*sec.dest = make([]Record, 0, sec.n)
+		}
 		for i := 0; i < sec.n; i++ {
 			var rr Record
 			if rr, off, err = parseRecord(msg, off); err != nil {

@@ -259,10 +259,13 @@ func decodeName(msg []byte, off int, dst []byte) ([]byte, int, error) {
 	}
 }
 
-// parseName is decodeName materialized into an immutable Name. The one
-// []byte→string conversion here is the only allocation of the decode path.
+// parseName is decodeName materialized into an immutable Name. It decodes
+// into a stack scratch sized so that no legal name (and no label that
+// tips one over the limit) outgrows it; the one []byte→string conversion
+// here is the only allocation of the decode path.
 func parseName(msg []byte, off int) (Name, int, error) {
-	b, end, err := decodeName(msg, off, nil)
+	var scratch [maxNameWire + maxLabelWire]byte
+	b, end, err := decodeName(msg, off, scratch[:0])
 	if err != nil {
 		return "", 0, err
 	}

@@ -205,8 +205,8 @@ func NewEngine(carrier string, reg *zone.Registry, externals []External, pairing
 // leaks into another (which would make results depend on execution
 // order); population-level warmth is modeled by BackgroundQPS instead.
 func (e *Engine) Reset() {
-	for i := range e.caches {
-		e.caches[i] = NewCache()
+	for _, c := range e.caches {
+		clear(c.entries)
 	}
 	e.nextID = 0
 }

@@ -90,7 +90,7 @@ func (r *Runner) RunAt(c *carrier.Client, now time.Time, seq int, stream *stats.
 	f := w.Fabric
 	f.BeginExperiment(now, stream)
 
-	cn := clientNetwork(w, c)
+	cn := c.Network()
 	exp := &dataset.Experiment{
 		Seq:        seq,
 		ClientID:   c.ID,
@@ -233,15 +233,6 @@ func FailedExperiment(c *carrier.Client, cn *carrier.Network, now time.Time, seq
 		Failed:     true,
 		FailReason: reason,
 	}
-}
-
-func clientNetwork(w *sim.World, c *carrier.Client) *carrier.Network {
-	for _, cn := range w.Carriers {
-		if _, ok := cn.ClientByAddr(c.Addr); ok {
-			return cn
-		}
-	}
-	panic("measure: client does not belong to any carrier")
 }
 
 // roundCoarse snaps a coordinate to a ~100 m grid, matching the paper's

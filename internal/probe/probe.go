@@ -4,7 +4,6 @@
 package probe
 
 import (
-	"fmt"
 	"net/netip"
 	"strings"
 	"time"
@@ -88,8 +87,8 @@ type HTTPResult struct {
 // HTTPGet fetches the index page at dst with the given Host header and
 // measures time-to-first-byte.
 func HTTPGet(f *vnet.Fabric, src, dst netip.Addr, host string) HTTPResult {
-	req := fmt.Sprintf("GET / HTTP/1.1\r\nHost: %s\r\nUser-Agent: cellcurtain/1.0\r\nConnection: close\r\n\r\n", host)
-	resp, rtt, err := f.RoundTrip(src, dst, 80, []byte(req))
+	req := []byte("GET / HTTP/1.1\r\nHost: " + host + "\r\nUser-Agent: cellcurtain/1.0\r\nConnection: close\r\n\r\n")
+	resp, rtt, err := f.RoundTrip(src, dst, 80, req)
 	out := HTTPResult{Target: dst, TTFB: rtt}
 	if err != nil {
 		return out
@@ -100,12 +99,14 @@ func HTTPGet(f *vnet.Fabric, src, dst netip.Addr, host string) HTTPResult {
 	}
 	out.OK = strings.HasPrefix(line, "HTTP/1.1 2")
 	out.Status = strings.TrimPrefix(line, "HTTP/1.1 ")
-	for _, h := range strings.Split(rest, "\r\n") {
-		if v, found := strings.CutPrefix(h, "Server: "); found {
-			out.Server = v
-		}
+	for rest != "" {
+		var h string
+		h, rest, _ = strings.Cut(rest, "\r\n")
 		if h == "" {
 			break
+		}
+		if v, found := strings.CutPrefix(h, "Server: "); found {
+			out.Server = v
 		}
 	}
 	return out

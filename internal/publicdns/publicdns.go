@@ -62,8 +62,12 @@ type Service struct {
 	registry *zone.Registry
 	egress   EgressInfo
 	caches   []*cacheShard
-	seed     uint64
-	nextID   uint16
+	// ranked memoises rankedClusters per client location for the life of
+	// the service: Clusters is fixed once Build returns, and the egress
+	// locations clients emerge from are a small fixed set.
+	ranked map[geo.Point][]int
+	seed   uint64
+	nextID uint16
 }
 
 type cacheShard struct{ entries map[string]time.Time }
@@ -122,6 +126,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, egress EgressInfo, spec Spec) (*S
 		Processing:      stats.LogNormal{Med: 800 * time.Microsecond, Sigma: 0.3, Floor: 200 * time.Microsecond},
 		registry:        reg,
 		egress:          egress,
+		ranked:          map[geo.Point][]int{},
 		seed:            spec.Seed,
 	}
 	for i, city := range cities {
@@ -148,8 +153,8 @@ func Build(f *vnet.Fabric, reg *zone.Registry, egress EgressInfo, spec Spec) (*S
 // upstream query-ID counter); registered as a fabric experiment-reset
 // hook. Population-level warmth is modeled by HitPrior.
 func (s *Service) Reset() {
-	for i := range s.caches {
-		s.caches[i] = &cacheShard{entries: map[string]time.Time{}}
+	for _, c := range s.caches {
+		clear(c.entries)
 	}
 	s.nextID = 0
 }
@@ -183,21 +188,26 @@ func (s *Service) ClusterFor(src netip.Addr, now time.Time) int {
 	return ranked[0]
 }
 
-// rankedClusters returns cluster indices sorted by distance to loc.
+// rankedClusters returns cluster indices sorted by distance to loc,
+// equidistant clusters in index order. The slice is shared between calls;
+// callers only index it.
 func (s *Service) rankedClusters(loc geo.Point) []int {
-	type cd struct {
-		idx int
-		d   float64
+	if out, ok := s.ranked[loc]; ok {
+		return out
 	}
-	ds := make([]cd, len(s.Clusters))
+	dist := make([]float64, len(s.Clusters))
+	out := make([]int, len(s.Clusters))
 	for i, cl := range s.Clusters {
-		ds[i] = cd{i, geo.DistanceKm(loc, cl.City.Loc)}
+		dist[i] = geo.DistanceKm(loc, cl.City.Loc)
+		out[i] = i
 	}
-	sort.Slice(ds, func(a, b int) bool { return ds[a].d < ds[b].d })
-	out := make([]int, len(ds))
-	for i, x := range ds {
-		out[i] = x.idx
-	}
+	sort.Slice(out, func(a, b int) bool {
+		if dist[out[a]] != dist[out[b]] {
+			return dist[out[a]] < dist[out[b]]
+		}
+		return out[a] < out[b]
+	})
+	s.ranked[loc] = out
 	return out
 }
 

@@ -233,3 +233,42 @@ func TestNXDomain(t *testing.T) {
 		t.Fatalf("rcode = %v", resp.Header.RCode)
 	}
 }
+
+// Equidistant sites must rank by index, not by the sort's internals: with
+// only two cities in the footprint, each city's clusters stay in index
+// order.
+func TestRankedClustersBreaksTiesByIndex(t *testing.T) {
+	s, _ := buildService(t, GoogleSpec(1))
+	near, far := s.Clusters[len(s.Clusters)-1].City, s.Clusters[0].City // a KR site, a US site
+	var want []int
+	for _, city := range []geo.City{near, far} {
+		for i := range s.Clusters {
+			if (i%3 == 1) == (city == near) {
+				s.Clusters[i].City = city
+				want = append(want, i)
+			}
+		}
+	}
+	got := s.rankedClusters(near.Loc)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ranking %v, want %v: equidistant clusters must keep index order", got, want)
+		}
+	}
+}
+
+func TestRankedClustersMemoisedPerLocation(t *testing.T) {
+	s, _ := buildService(t, GoogleSpec(1))
+	chicago, _ := geo.CityByName("chicago")
+	seoul, _ := geo.CityByName("seoul")
+	a, b := s.rankedClusters(chicago.Loc), s.rankedClusters(chicago.Loc)
+	if &a[0] != &b[0] {
+		t.Fatal("second ranking from one location was recomputed")
+	}
+	if s.Clusters[a[0]].City.Name != "chicago" {
+		t.Fatalf("nearest to chicago is %s", s.Clusters[a[0]].City.Name)
+	}
+	if k := s.rankedClusters(seoul.Loc); s.Clusters[k[0]].City.Country != "KR" {
+		t.Fatalf("nearest to seoul is %s: a second location must not reuse the first's ranking", s.Clusters[k[0]].City.Name)
+	}
+}

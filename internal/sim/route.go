@@ -7,7 +7,6 @@ import (
 
 	"cellcurtain/internal/carrier"
 	"cellcurtain/internal/geo"
-	"cellcurtain/internal/publicdns"
 	"cellcurtain/internal/stats"
 	"cellcurtain/internal/vnet"
 )
@@ -85,8 +84,12 @@ func (w *World) Route(src, dst netip.Addr) (vnet.Route, error) {
 
 // isVIP reports whether dst is a public DNS anycast VIP.
 func (w *World) isVIP(dst netip.Addr) bool {
-	return (w.Google != nil && dst == w.Google.VIP) ||
-		(w.OpenDNS != nil && dst == w.OpenDNS.VIP)
+	for _, svc := range w.public {
+		if dst == svc.VIP {
+			return true
+		}
+	}
+	return false
 }
 
 // sourceLoc finds the location a non-cellular source transmits from.
@@ -101,8 +104,8 @@ func (w *World) sourceLoc(src netip.Addr) (geo.Point, error) {
 // resolve to the cluster that will serve this particular source at this
 // time, so path latency and handler behaviour agree.
 func (w *World) destinationLoc(dst netip.Addr, observedSrc netip.Addr) (geo.Point, error) {
-	for _, svc := range []*publicdns.Service{w.Google, w.OpenDNS} {
-		if svc != nil && dst == svc.VIP {
+	for _, svc := range w.public {
+		if dst == svc.VIP {
 			ci := svc.ClusterFor(observedSrc, w.Fabric.Now())
 			return svc.Clusters[ci].City.Loc, nil
 		}

@@ -52,7 +52,10 @@ type World struct {
 	UniversityAddr netip.Addr
 	UniversityLoc  geo.Point
 
-	byName    map[string]*carrier.Network
+	byName map[string]*carrier.Network
+	// public lists the anycast services the router and the CDN locator
+	// consult on every call.
+	public    []*publicdns.Service
 	egressOf  map[netip.Prefix]egressRef // NAT /24 -> owning egress
 	whoamiSeq uint64
 }
@@ -136,6 +139,7 @@ func New(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: building opendns: %w", err)
 	}
+	w.public = []*publicdns.Service{w.Google, w.OpenDNS}
 	return w, nil
 }
 
@@ -200,10 +204,7 @@ func (w *World) egressInfo(src netip.Addr) (geo.Point, uint64, bool) {
 // cluster prefixes and ordinary wired hosts, but not cellular resolver
 // prefixes (§4.4 opaqueness).
 func (w *World) ResolverLocation(prefix netip.Prefix) (geo.Point, bool) {
-	for _, svc := range []*publicdns.Service{w.Google, w.OpenDNS} {
-		if svc == nil {
-			continue
-		}
+	for _, svc := range w.public {
 		if ci := svc.ClusterOf(prefix.Addr()); ci >= 0 {
 			return svc.Clusters[ci].City.Loc, true
 		}

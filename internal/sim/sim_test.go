@@ -2,11 +2,13 @@ package sim
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"cellcurtain/internal/dnswire"
 	"cellcurtain/internal/geo"
+	"cellcurtain/internal/radio"
 	"cellcurtain/internal/vnet"
 )
 
@@ -289,4 +291,65 @@ func TestUnroutableAddresses(t *testing.T) {
 		t.Fatal("unknown src/dst must be unroutable")
 	}
 	_ = vnet.Slash24
+}
+
+// recordingRouter forwards to the world and keeps what it returned; the
+// fabric reaches it only when its route memo does not answer.
+type recordingRouter struct {
+	w     *World
+	calls int
+	last  vnet.Route
+}
+
+func (r *recordingRouter) Route(src, dst netip.Addr) (vnet.Route, error) {
+	r.calls++
+	rt, err := r.w.Route(src, dst)
+	r.last = rt
+	return rt, err
+}
+
+// TestRouteMemoFollowsClientState pins the two carrier-side edges of the
+// route memo's contract: a device's Loc and Tech are read at the first
+// lookup after BeginExperiment (so a new experiment sees new values), and
+// subscribing or unsubscribing a device drops the memo at once.
+func TestRouteMemoFollowsClientState(t *testing.T) {
+	w := buildWorld(t)
+	cn, _ := w.Carrier("att")
+	atlanta, _ := geo.CityByName("atlanta")
+	seattle, _ := geo.CityByName("seattle")
+	c := cn.NewClient("memo-dev", atlanta.Loc)
+	c.Tech = radio.LTE
+	rec := &recordingRouter{w: w}
+	w.Fabric.SetRouter(rec)
+	resolver := c.ConfiguredResolver()
+	now := time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC)
+
+	w.Fabric.BeginExperiment(now, nil)
+	w.Fabric.Ping(c.Addr, resolver)
+	w.Fabric.Ping(c.Addr, resolver)
+	if rec.calls != 1 {
+		t.Fatalf("router asked %d times inside one experiment, want 1", rec.calls)
+	}
+	lte := rec.last
+
+	c.Loc, c.Tech = seattle.Loc, radio.GPRS
+	w.Fabric.BeginExperiment(now, nil)
+	w.Fabric.Ping(c.Addr, resolver)
+	if rec.calls != 2 {
+		t.Fatalf("router asked %d times after a new BeginExperiment, want 2", rec.calls)
+	}
+	if reflect.DeepEqual(rec.last, lte) {
+		t.Fatal("route after moving the device and dropping to GPRS equals the LTE route from Atlanta")
+	}
+	if got, want := rec.last.Segments[0].Latency, radio.MustLookup(radio.GPRS).HalfRTT(); got != want {
+		t.Fatalf("radio segment = %v, want the GPRS model %v", got, want)
+	}
+
+	cn.Unsubscribe(c)
+	cn.Subscribe(c)
+	w.Fabric.Ping(c.Addr, resolver)
+	w.Fabric.Ping(c.Addr, resolver)
+	if rec.calls != 4 {
+		t.Fatalf("router asked %d times after Unsubscribe/Subscribe, want 4 (memo off until BeginExperiment)", rec.calls)
+	}
 }

@@ -208,6 +208,10 @@ type Fabric struct {
 	router    Router
 	endpoints map[netip.Addr]*Endpoint
 	now       time.Time
+	// routes memoises router.Route for the experiment opened by
+	// BeginExperiment; routesLive is false outside one (see route).
+	routes     map[routeKey]Route
+	routesLive bool
 	// resetHooks run at each BeginExperiment, clearing per-experiment
 	// state (resolver caches, query-ID counters) in attached services.
 	resetHooks []func()
@@ -226,6 +230,7 @@ func New(rng *stats.RNG, router Router) *Fabric {
 		rng:          rng,
 		router:       router,
 		endpoints:    make(map[netip.Addr]*Endpoint),
+		routes:       make(map[routeKey]Route),
 		now:          time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC),
 		ProbeTimeout: time.Second,
 		MaxTTL:       30,
@@ -234,13 +239,48 @@ func New(rng *stats.RNG, router Router) *Fabric {
 
 // SetRouter replaces the fabric's router (used when topology is built in
 // stages).
-func (f *Fabric) SetRouter(r Router) { f.router = r }
+func (f *Fabric) SetRouter(r Router) {
+	f.router = r
+	f.InvalidateRoutes()
+}
 
 // Now returns the current virtual time.
 func (f *Fabric) Now() time.Time { return f.now }
 
 // SetNow sets the virtual clock; campaigns advance it between experiments.
-func (f *Fabric) SetNow(t time.Time) { f.now = t }
+func (f *Fabric) SetNow(t time.Time) {
+	f.now = t
+	f.InvalidateRoutes()
+}
+
+type routeKey struct{ src, dst netip.Addr }
+
+// route is the fabric's one route lookup. Inside an experiment the
+// router is asked once per (src, dst): BeginExperiment's contract makes
+// Route a pure function of the pair there — it draws nothing from the
+// experiment stream, and the clock and every client's location and radio
+// technology are fixed until the next BeginExperiment. Outside an
+// experiment every call reaches the router. Memoised routes share their
+// Segments slice; callers only read it.
+func (f *Fabric) route(src, dst netip.Addr) (Route, error) {
+	key := routeKey{src, dst}
+	if f.routesLive {
+		if r, ok := f.routes[key]; ok {
+			return r, nil
+		}
+	}
+	r, err := f.router.Route(src, dst)
+	if err == nil && f.routesLive {
+		f.routes[key] = r
+	}
+	return r, err
+}
+
+// InvalidateRoutes ends route memoisation until the next BeginExperiment.
+// The fabric calls it whenever an input of Router.Route that it owns
+// changes (clock, router, endpoints); routers whose own tables change
+// mid-experiment (a carrier subscribing a device) must call it too.
+func (f *Fabric) InvalidateRoutes() { f.routesLive = false }
 
 // RNG exposes the fabric's deterministic generator for components that
 // need coherent randomness.
@@ -276,6 +316,8 @@ func (f *Fabric) Injector() Injector { return f.injector }
 // to serial execution.
 func (f *Fabric) BeginExperiment(now time.Time, stream *stats.RNG) {
 	f.now = now
+	clear(f.routes)
+	f.routesLive = true
 	if stream != nil {
 		f.rng = stream
 	}
@@ -300,11 +342,15 @@ func (f *Fabric) AddEndpoint(id string, loc geo.Point, asn uint32, addrs ...neti
 	for _, a := range addrs {
 		f.endpoints[a] = ep
 	}
+	f.InvalidateRoutes()
 	return ep
 }
 
 // Attach binds an existing endpoint to an additional address.
-func (f *Fabric) Attach(ep *Endpoint, addr netip.Addr) { f.endpoints[addr] = ep }
+func (f *Fabric) Attach(ep *Endpoint, addr netip.Addr) {
+	f.endpoints[addr] = ep
+	f.InvalidateRoutes()
+}
 
 // Endpoint looks up the endpoint at an address.
 func (f *Fabric) Endpoint(addr netip.Addr) (*Endpoint, bool) {
@@ -350,7 +396,7 @@ func (f *Fabric) routeLatency(r Route) (time.Duration, bool) {
 // blocked packets return ErrTimeout with RTT equal to ProbeTimeout,
 // matching what a real prober records.
 func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]byte, time.Duration, error) {
-	route, err := f.router.Route(src, dst)
+	route, err := f.route(src, dst)
 	if err != nil {
 		return nil, f.ProbeTimeout, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
@@ -414,7 +460,7 @@ func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]
 // ErrNoRoute (with the same ProbeTimeout RTT) so world-configuration bugs
 // stay distinguishable from lossy paths.
 func (f *Fabric) Ping(src, dst netip.Addr) (time.Duration, error) {
-	route, err := f.router.Route(src, dst)
+	route, err := f.route(src, dst)
 	if err != nil {
 		return f.ProbeTimeout, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
@@ -462,7 +508,7 @@ func (h Hop) Responded() bool { return h.Addr.IsValid() }
 // walk stops at a firewall block, exactly as the paper's probes behaved
 // inside cellular carriers (§4.2, §4.4).
 func (f *Fabric) Traceroute(src, dst netip.Addr) ([]Hop, error) {
-	route, err := f.router.Route(src, dst)
+	route, err := f.route(src, dst)
 	if err != nil {
 		return nil, ErrNoRoute
 	}

@@ -33,6 +33,9 @@ go test -count=1 -run '^TestHotPathAllocs' ./internal/dnsserver/
 echo "==> curtainbin codec zero-alloc proof (per-record encode/decode)"
 go test -count=1 -run '^TestHotPathAllocs' ./internal/dataset/
 
+echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt)"
+go test -count=1 -run '^TestExperimentAllocBudget$' ./internal/measure/
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -44,6 +47,9 @@ go test -race -count=1 -run '^TestWorkerCountInvarianceWithFaults$' ./internal/t
 
 echo "==> fault smoke (AVAIL report under resolver-outage)"
 go run ./cmd/curtain exp -id AVAIL -faults resolver-outage -days 2 -scale 0.05 >/dev/null
+
+echo "==> pinned campaign digests (paper + resolver-outage bytes == constants recorded before memoisation)"
+go test -count=1 -run '^TestPinned' ./internal/trace/
 
 echo "==> kill-and-resume invariance (abort + resume -> byte-identical dataset)"
 go test -race -count=1 -run '^TestKillResumeInvariance$' ./internal/trace/
@@ -68,6 +74,16 @@ for mode in "-parallel 4" "-parallel 8" "-legacy"; do
 	"$ckbin" analyze -in "$ckds" $mode > "$ckb"
 	cmp "$cka" "$ckb" || { echo "check.sh: analyze $mode diverges from -parallel 1" >&2; exit 1; }
 done
+
+echo "==> profile smoke (simulate -cpuprofile/-memprofile write non-empty pprof files)"
+pfdir="$(mktemp -d)"
+trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb"; rm -rf "$pfdir"' EXIT
+"$ckbin" simulate -days 1 -scale 0.05 -seed 7 -format binary -out "$pfdir/ds.bin" \
+	-cpuprofile "$pfdir/cpu.pprof" -memprofile "$pfdir/mem.pprof" >/dev/null 2>&1
+for pf in cpu.pprof mem.pprof; do
+	[ -s "$pfdir/$pf" ] || { echo "check.sh: simulate left no $pf" >&2; exit 1; }
+done
+rm -rf "$pfdir"
 
 echo "==> codec round-trip (jsonl -> binary -> jsonl via convert, byte-identical; analyze agrees on both)"
 cvbin="$(mktemp)"
