@@ -13,17 +13,11 @@ package cellcurtain
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"net/netip"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
-	"cellcurtain/internal/analysis"
-	"cellcurtain/internal/analysis/engine"
-	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/dnswire"
 	"cellcurtain/internal/geo"
 	"cellcurtain/internal/measure"
@@ -248,154 +242,6 @@ func BenchmarkFullExperiment(b *testing.B) {
 			b.Fatal("empty experiment")
 		}
 	}
-}
-
-// BenchmarkCampaign measures parallel campaign execution: two simulated
-// days of the full 158-device population, sharded across 1, 4 and 8
-// workers. scripts/bench.sh records the results (and the host's core
-// count, which bounds the achievable speedup) in BENCH_campaign.json.
-func BenchmarkCampaign(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w, err := sim.New(sim.Config{Seed: 2014})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := trace.DefaultConfig(2014)
-				cfg.End = cfg.Start.AddDate(0, 0, 2)
-				cfg.Workers = workers
-				cfg.WorldFactory = func() (*sim.World, error) {
-					return sim.New(sim.Config{Seed: 2014})
-				}
-				camp, err := trace.NewCampaign(w, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				ds := camp.Collect()
-				if ds.Len() == 0 {
-					b.Fatal("empty campaign")
-				}
-				b.ReportMetric(float64(ds.Len())/float64(b.N), "experiments")
-			}
-		})
-	}
-}
-
-var (
-	analyzeDSOnce sync.Once
-	analyzeDSPath string
-	analyzeDSLen  int
-	analyzeDSErr  error
-)
-
-// benchAnalyzeDataset writes the 21-day full-population dataset (the
-// EXPERIMENTS.md reference workload) to a temp JSONL file, once.
-func benchAnalyzeDataset(b *testing.B) (string, int) {
-	analyzeDSOnce.Do(func() {
-		w, err := sim.New(sim.Config{Seed: 2014})
-		if err != nil {
-			analyzeDSErr = err
-			return
-		}
-		cfg := trace.DefaultConfig(2014)
-		cfg.End = cfg.Start.AddDate(0, 0, 21)
-		cfg.Interval = 12 * time.Hour
-		camp, err := trace.NewCampaign(w, cfg)
-		if err != nil {
-			analyzeDSErr = err
-			return
-		}
-		ds := camp.Collect()
-		f, err := os.CreateTemp("", "curtain-bench-analyze-*.jsonl")
-		if err != nil {
-			analyzeDSErr = err
-			return
-		}
-		if err := ds.WriteJSONL(f); err != nil {
-			analyzeDSErr = err
-			f.Close()
-			return
-		}
-		analyzeDSErr = f.Close()
-		analyzeDSPath, analyzeDSLen = f.Name(), ds.Len()
-	})
-	if analyzeDSErr != nil {
-		b.Fatal(analyzeDSErr)
-	}
-	return analyzeDSPath, analyzeDSLen
-}
-
-// analyzeQuerySweep mirrors `curtain analyze`'s report queries so the
-// benchmark times scan plus a representative query load.
-func analyzeQuerySweep(b *testing.B, m analysis.Measures) {
-	if m.ExperimentCount() == 0 {
-		b.Fatal("empty dataset")
-	}
-	sink := 0.0
-	for _, name := range m.Carriers() {
-		ps := m.Pairs(name)
-		sink += ps.Consistency
-		for _, kind := range dataset.Kinds() {
-			sink += m.ResolutionSample([]string{name}, kind, "LTE").Median()
-		}
-		sink += m.InflationCDF(name, "").Percentile(90)
-		sink += m.RelativeReplicaPerf(name, dataset.KindGoogle).FracBelow(0)
-		sink += m.Availability([]string{name}, "").Rate()
-		id := m.BusiestClient(name)
-		sink += float64(len(m.ResolverTimeline(name, id, dataset.KindLocal)))
-	}
-	sink += m.MissFraction(nil, dataset.KindLocal, 18*time.Millisecond)
-	if math.IsNaN(sink) {
-		b.Fatal("NaN query sweep")
-	}
-}
-
-// BenchmarkAnalyze measures offline analysis of the on-disk 21-day
-// dataset: the streaming one-pass engine at 1/4/8 shard scanners versus
-// the legacy materialize-then-slice path (which re-walks the experiment
-// slice once per metric). scripts/bench.sh records the results together
-// with each mode's subprocess peak RSS in BENCH_analyze.json.
-func BenchmarkAnalyze(b *testing.B) {
-	path, n := benchAnalyzeDataset(b)
-	for _, parallel := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				suite := analysis.NewSuite(analysis.SuiteConfig{})
-				shards, err := dataset.FileShards(path, parallel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				scanners := make([]engine.Scanner, len(shards))
-				for j, s := range shards {
-					s := s
-					scanners[j] = func(yield dataset.ScanFunc) error {
-						return dataset.ScanShard(s, yield)
-					}
-				}
-				if err := suite.RunShards(scanners); err != nil {
-					b.Fatal(err)
-				}
-				analyzeQuerySweep(b, suite)
-			}
-			b.ReportMetric(float64(n), "experiments")
-		})
-	}
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var ds dataset.Dataset
-			if err := dataset.ScanFile(path, func(e *dataset.Experiment) error {
-				ds.Add(e)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			analyzeQuerySweep(b, analysis.NewSliceMeasures(&ds, analysis.SuiteConfig{}))
-		}
-		b.ReportMetric(float64(n), "experiments")
-	})
 }
 
 func BenchmarkCampaignDay(b *testing.B) {

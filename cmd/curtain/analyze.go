@@ -17,11 +17,12 @@ import (
 	"cellcurtain/internal/dataset"
 )
 
-// runAnalyze reads a dataset written by `curtain simulate` (a JSONL file
-// or a campaign checkpoint directory) and prints the dataset-derivable
-// analyses without rebuilding the simulation world. It is the offline
-// half of the pipeline: the paper's own workflow of collecting in the
-// field and analyzing later.
+// runAnalyze reads a dataset written by `curtain simulate` (a JSONL or
+// curtainbin file, or a campaign checkpoint directory; the codec is
+// auto-detected) and prints the dataset-derivable analyses without
+// rebuilding the simulation world. It is the offline half of the
+// pipeline: the paper's own workflow of collecting in the field and
+// analyzing later.
 //
 // By default the dataset is streamed through the one-pass aggregation
 // engine in constant memory; -parallel shards the scan, -legacy
@@ -29,8 +30,8 @@ import (
 // three produce byte-identical reports.
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	in := fs.String("in", "dataset.jsonl", "input JSONL dataset or checkpoint directory")
-	parallel := fs.Int("parallel", 1, "concurrent shard scanners (JSONL input only)")
+	in := fs.String("in", "dataset.jsonl", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")
+	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; a checkpoint directory is always scanned serially")
 	legacy := fs.Bool("legacy", false, "materialize the dataset and use the slice metric path")
 	progress := fs.Bool("progress", false, "report scan progress on stderr")
 	runStats := fs.Bool("stats", false, "report scan time and peak RSS on stderr")
@@ -59,23 +60,9 @@ func runAnalyze(args []string) error {
 	}
 
 	start := time.Now()
-	var m analysis.Measures
-	if *legacy {
-		var ds dataset.Dataset
-		err := scanInput(*in, wrap(func(e *dataset.Experiment) error {
-			ds.Add(e)
-			return nil
-		}))
-		if err != nil {
-			return fmt.Errorf("analyze: scan %s: %w", *in, err)
-		}
-		m = analysis.NewSliceMeasures(&ds, analysis.SuiteConfig{})
-	} else {
-		suite := analysis.NewSuite(analysis.SuiteConfig{})
-		if err := runStreaming(suite, *in, *parallel, wrap); err != nil {
-			return fmt.Errorf("analyze: scan %s: %w", *in, err)
-		}
-		m = suite
+	m, err := loadMeasures(*in, *parallel, *legacy, wrap)
+	if err != nil {
+		return fmt.Errorf("analyze: scan %s: %w", *in, err)
 	}
 	scanTime := time.Since(start)
 	if *progress {
@@ -94,9 +81,31 @@ func runAnalyze(args []string) error {
 	return nil
 }
 
+// loadMeasures scans the input into the metric source the report reads:
+// the streaming suite, or with legacy the materialized dataset behind the
+// slice metric path.
+func loadMeasures(in string, parallel int, legacy bool, wrap func(dataset.ScanFunc) dataset.ScanFunc) (analysis.Measures, error) {
+	if legacy {
+		var ds dataset.Dataset
+		err := scanInput(in, wrap(func(e *dataset.Experiment) error {
+			ds.Add(e)
+			return nil
+		}))
+		if err != nil {
+			return nil, err
+		}
+		return analysis.NewSliceMeasures(&ds, analysis.SuiteConfig{}), nil
+	}
+	suite := analysis.NewSuite(analysis.SuiteConfig{})
+	if err := runStreaming(suite, in, parallel, wrap); err != nil {
+		return nil, err
+	}
+	return suite, nil
+}
+
 // scanInput streams the input serially: checkpoint segments (tolerating
-// a torn tail) when path is a checkpoint directory, the JSONL file
-// otherwise.
+// a torn tail) when path is a checkpoint directory, the dataset file of
+// either codec otherwise.
 func scanInput(path string, fn dataset.ScanFunc) error {
 	if dataset.IsCheckpointDir(path) {
 		_, err := dataset.ScanCheckpoint(path, fn)
@@ -105,9 +114,10 @@ func scanInput(path string, fn dataset.ScanFunc) error {
 	return dataset.ScanFile(path, fn)
 }
 
-// runStreaming drives the suite's engine over the input. JSONL files
-// honor -parallel via contiguous file shards merged in index order —
-// byte-identical to a serial scan; checkpoint directories scan serially.
+// runStreaming drives the suite's engine over the input. Dataset files
+// honor -parallel via contiguous shards (JSONL byte ranges, curtainbin
+// segment runs) merged in index order — byte-identical to a serial scan;
+// checkpoint directories scan serially whatever parallel says.
 func runStreaming(suite *analysis.Suite, in string, parallel int, wrap func(dataset.ScanFunc) dataset.ScanFunc) error {
 	if parallel == 1 || dataset.IsCheckpointDir(in) {
 		return suite.Run(func(yield dataset.ScanFunc) error {

@@ -12,9 +12,7 @@ import (
 	"io"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"cellcurtain"
@@ -24,8 +22,8 @@ import (
 	"cellcurtain/internal/trace"
 )
 
-// campaignFlags registers the dataset-determining campaign flags shared
-// by coordinate and worker, returning a closure that resolves them into
+// campaignFlags registers the dataset-determining campaign flags every
+// campaign subcommand shares, returning a closure that resolves them into
 // Options. Execution flags (workers, checkpoints) are deliberately per
 // subcommand — they never affect the dataset.
 func campaignFlags(fs *flag.FlagSet) func() cellcurtain.Options {
@@ -147,16 +145,8 @@ func runCoordinate(args []string) error {
 		total, hash, ln.Addr(), len(prior))
 	coord.Start(ln)
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintf(os.Stderr, "curtain: interrupt — flushing checkpoint %s and stopping (again to abort)\n", *ckDir)
-		coord.Interrupt()
-		<-sig
-		fmt.Fprintln(os.Stderr, "curtain: aborting")
-		os.Exit(130)
-	}()
+	onInterrupt(fmt.Sprintf("curtain: interrupt — flushing checkpoint %s and stopping (again to abort)", *ckDir),
+		coord.Interrupt)
 
 	ds, st, err := coord.Wait()
 	if *jsonOut && (err == nil || errors.Is(err, controlplane.ErrInterrupted)) {
@@ -251,16 +241,8 @@ func runWorker(args []string) error {
 	// then leave. A second signal aborts — the coordinator reassigns the
 	// abandoned lease the moment the socket dies.
 	interrupt := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "curtain: interrupt — finishing the current range, then leaving (again to abort)")
-		close(interrupt)
-		<-sig
-		fmt.Fprintln(os.Stderr, "curtain: aborting")
-		os.Exit(130)
-	}()
+	onInterrupt("curtain: interrupt — finishing the current range, then leaving (again to abort)",
+		func() { close(interrupt) })
 
 	st, err := controlplane.RunWorker(controlplane.WorkerConfig{
 		ID: name, Addr: *addr, ConfigHash: claim,

@@ -70,8 +70,8 @@ type loadgenConfig struct {
 	timeout  time.Duration
 }
 
-// loadgenResult is the JSON report consumed by scripts/bench.sh and the
-// check.sh smoke gate.
+// loadgenResult is the -json report; the check.sh smoke, chaos and loss
+// gates read it.
 type loadgenResult struct {
 	Target       string  `json:"target"`
 	TargetQPS    int     `json:"target_qps"`

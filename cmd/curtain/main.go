@@ -120,8 +120,10 @@ flags (convert):
 flags (analyze):
   -in PATH            dataset file (jsonl or binary, auto-detected) or
                       campaign checkpoint directory (default dataset.jsonl)
-  -parallel N         concurrent shard scanners over a dataset file; output
-                      is byte-identical for any N (default 1)
+  -parallel N         concurrent shard scanners over a dataset file of
+                      either codec; output is byte-identical for any N; a
+                      checkpoint directory is always scanned serially
+                      (default 1)
   -legacy             materialize the dataset and use the slice metric
                       path instead of the streaming engine (same output)
   -progress           report scan progress on stderr
@@ -182,17 +184,13 @@ flags (report/exp/simulate):
   -memprofile FILE    simulate only: write a pprof allocation profile at exit`)
 }
 
-// optionFlags registers the full campaign flag set (dataset-determining
-// and execution flags alike) and returns a closure resolving them into
-// Options, with the interrupt-to-drain signal handler installed when the
-// run is checkpointed.
+// optionFlags registers the full campaign flag set — campaignFlags'
+// dataset-determining flags plus the execution flags — and returns a
+// closure resolving them into Options, with the interrupt-to-drain signal
+// handler installed when the run is checkpointed.
 func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
-	seed := fs.Uint64("seed", 2014, "RNG seed")
-	days := fs.Int("days", 0, "campaign days (0 = full five months)")
-	interval := fs.Int("interval-hours", 0, "experiment period in hours")
-	scale := fs.Float64("scale", 0, "client population scale")
+	campaign := campaignFlags(fs)
 	workers := fs.Int("workers", 0, "parallel campaign workers (0 = serial)")
-	faults := fs.String("faults", "", "fault scenario (preset name or DSL)")
 	ckDir := fs.String("checkpoint-dir", "", "durable checkpoint directory (empty = no checkpointing)")
 	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
 	ckFormat := fs.String("checkpoint-format", "", "checkpoint segment codec: jsonl or binary (default jsonl)")
@@ -204,16 +202,20 @@ func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 		if _, err := dataset.ParseFormat(*ckFormat); err != nil {
 			return cellcurtain.Options{}, err
 		}
-		var interrupt <-chan struct{}
+		var interrupt chan struct{}
 		if *ckDir != "" {
-			interrupt = notifyInterrupt(*ckDir)
+			// Workers drain their in-flight experiment and the checkpoint is
+			// flushed before the process exits; an abort loses at most the
+			// experiments since the last fsync — what -resume recovers from.
+			interrupt = make(chan struct{})
+			onInterrupt(fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", *ckDir),
+				func() { close(interrupt) })
 		}
-		return cellcurtain.Options{
-			Seed: *seed, Days: *days, IntervalHours: *interval, ClientScale: *scale,
-			Workers: *workers, Faults: *faults,
-			CheckpointDir: *ckDir, CheckpointEvery: *ckEvery, CheckpointFormat: *ckFormat,
-			Resume: *resume, Interrupt: interrupt,
-		}, nil
+		o := campaign()
+		o.Workers = *workers
+		o.CheckpointDir, o.CheckpointEvery, o.CheckpointFormat = *ckDir, *ckEvery, *ckFormat
+		o.Resume, o.Interrupt = *resume, interrupt
+		return o, nil
 	}
 }
 
@@ -239,25 +241,20 @@ func studyFlags(fs *flag.FlagSet) func() (*cellcurtain.Study, error) {
 	}
 }
 
-// notifyInterrupt converts the first SIGINT/SIGTERM into a graceful
-// campaign stop: workers drain their in-flight experiment and the
-// checkpoint in ckDir is flushed before the process exits. A second
-// signal aborts immediately (the checkpoint loses at most the experiments
-// since the last fsync — exactly what -resume recovers from).
-func notifyInterrupt(ckDir string) <-chan struct{} {
-	interrupt := make(chan struct{})
-	sig := make(chan os.Signal, 2)
+// onInterrupt installs the two-stage stop simulate, coordinate and worker
+// share: the first SIGINT/SIGTERM prints msg and runs first (the graceful
+// drain), a second aborts the process immediately.
+func onInterrupt(msg string, first func()) {
+	sig := make(chan os.Signal, 2) // one slot per stage, so neither signal is dropped
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		fmt.Fprintf(os.Stderr,
-			"curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)\n", ckDir)
-		close(interrupt)
+		fmt.Fprintln(os.Stderr, msg)
+		first()
 		<-sig
 		fmt.Fprintln(os.Stderr, "curtain: aborting")
 		os.Exit(130)
 	}()
-	return interrupt
 }
 
 func runList() error {
@@ -420,9 +417,8 @@ func runSimulate(args []string) error {
 		return werr
 	}
 	if *runStats && n > 0 {
-		// key=value so scripts/bench.sh can parse the line without
-		// guessing at prose; the timer covers run + encode, which stream
-		// together, and VmHWM is the whole process — world build included.
+		// The timer covers run + encode, which stream together, and VmHWM
+		// is the whole process — world build included.
 		elapsed := time.Since(start)
 		size := int64(0)
 		if info, err := os.Stat(*out); err == nil {

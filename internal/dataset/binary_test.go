@@ -359,40 +359,6 @@ func TestBinaryFileShardsEquivalence(t *testing.T) {
 	}
 }
 
-func TestBinaryScanFileParallel(t *testing.T) {
-	d := sampleDataset(200)
-	var bin bytes.Buffer
-	bw := NewBinaryWriter(&bin)
-	bw.SegmentRecords = 16
-	for _, e := range d.Experiments {
-		if err := bw.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ds.bin")
-	if err := os.WriteFile(path, bin.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var seqs []int
-	if err := ScanFileParallel(path, 4, func(e *Experiment) error {
-		seqs = append(seqs, e.Seq)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seqs {
-		if s != i+1 {
-			t.Fatalf("parallel scan order broken at %d: seq %d", i, s)
-		}
-	}
-	if len(seqs) != d.Len() {
-		t.Fatalf("parallel scan yielded %d, want %d", len(seqs), d.Len())
-	}
-}
-
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := Manifest{Format: FormatBinary, Seed: 7, ConfigHash: "abc", Total: 50}

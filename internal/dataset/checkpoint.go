@@ -124,7 +124,8 @@ func CreateCheckpoint(dir string, m Manifest, every int) (*Checkpoint, error) {
 
 // OpenCheckpoint loads an existing checkpoint for resumption: it reads
 // the manifest, loads every durable experiment from the segment
-// (dropping a torn final line — the expected state after a hard kill),
+// in the manifest's codec (dropping a torn final JSONL line or incomplete
+// curtainbin segment — the expected state after a hard kill),
 // truncates the segment back to its durable prefix and reopens it for
 // append. It returns the prior experiments and how many torn bytes were
 // discarded. The caller must verify the manifest's Seed and ConfigHash

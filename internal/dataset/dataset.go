@@ -194,19 +194,22 @@ func (d *Dataset) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSONL loads a dataset written by WriteJSONL. It is strict: any
-// malformed line — including a truncated final line — is an error.
+// ReadJSONL loads a dataset written by WriteJSONL or WriteBinary (the
+// name predates the binary codec; the input is auto-detected by magic, as
+// in Scan). It is strict: any malformed line or truncated segment —
+// including a torn tail — is an error.
 func ReadJSONL(r io.Reader) (*Dataset, error) {
 	d, _, err := readJSONL(r, false)
 	return d, err
 }
 
-// ReadJSONLTorn loads a dataset tolerating a torn final line — the
-// expected state of an append-only segment after a hard kill mid-write.
-// A final line that does not parse (and has no trailing newline) is
-// dropped; the returned count is how many trailing bytes were discarded.
-// Torn or malformed lines anywhere else remain errors: a tear can only
-// be a suffix of the file.
+// ReadJSONLTorn loads a dataset of either codec tolerating a torn tail —
+// the expected state of an append-only segment after a hard kill
+// mid-write. A final JSONL line that does not parse (and has no trailing
+// newline), or an incomplete final curtainbin segment, is dropped; the
+// returned count is how many trailing bytes were discarded. Tears or
+// corruption anywhere else remain errors: a tear can only be a suffix of
+// the file.
 func ReadJSONLTorn(r io.Reader) (*Dataset, int, error) {
 	return readJSONL(r, true)
 }

@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // ScanFunc receives experiments one at a time during a streaming scan.
@@ -88,8 +87,9 @@ func scanJSONL(br *bufio.Reader, tolerateTorn bool, fn ScanFunc) (int, error) {
 	}
 }
 
-// ScanFile streams the JSONL dataset at path. A missing file is reported
-// as a clear error naming the path.
+// ScanFile streams the dataset file at path, JSONL or curtainbin
+// (auto-detected by magic, as in Scan). A missing file is reported as a
+// clear error naming the path.
 func ScanFile(path string, fn ScanFunc) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -130,7 +130,7 @@ func ScanCheckpoint(dir string, fn ScanFunc) (int, error) {
 
 // IsCheckpointDir reports whether path looks like a checkpoint directory
 // (a directory holding a manifest), so CLI tools can accept either a
-// JSONL file or a checkpoint directory as dataset input.
+// dataset file or a checkpoint directory as dataset input.
 func IsCheckpointDir(path string) bool {
 	if info, err := os.Stat(path); err != nil || !info.IsDir() {
 		return false
@@ -416,88 +416,3 @@ func scanShard(f *os.File, s Shard, fn ScanFunc) error {
 	}
 	return nil
 }
-
-// scanBatch is how many experiments a parallel shard scanner hands over
-// per channel send: large enough to amortize synchronization, small
-// enough to bound per-shard buffering.
-const scanBatch = 256
-
-// ScanFileParallel streams the JSONL file at path using n concurrent
-// shard scanners while yielding experiments to fn in exactly serial file
-// order: shard parsing overlaps, but delivery drains shard 0 to
-// completion before shard 1, and so on. fn runs on the calling
-// goroutine. Memory is bounded by n scanners' in-flight batches, not by
-// the file size.
-func ScanFileParallel(path string, n int, fn ScanFunc) error {
-	shards, err := FileShards(path, n)
-	if err != nil {
-		return err
-	}
-	if len(shards) == 1 {
-		return ScanShard(shards[0], fn)
-	}
-
-	type stream struct {
-		ch  chan []*Experiment
-		err error
-	}
-	done := make(chan struct{})
-	streams := make([]*stream, len(shards))
-	var wg sync.WaitGroup
-	// Unblock any producer stalled on a full channel before waiting for
-	// the pool, or an early consumer exit would deadlock the Wait.
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
-	for i, sh := range shards {
-		st := &stream{ch: make(chan []*Experiment, 4)}
-		streams[i] = st
-		wg.Add(1)
-		go func(sh Shard, st *stream) {
-			defer wg.Done()
-			defer close(st.ch)
-			batch := make([]*Experiment, 0, scanBatch)
-			flush := func() bool {
-				if len(batch) == 0 {
-					return true
-				}
-				select {
-				case st.ch <- batch:
-					batch = make([]*Experiment, 0, scanBatch)
-					return true
-				case <-done:
-					return false
-				}
-			}
-			st.err = ScanShard(sh, func(e *Experiment) error {
-				batch = append(batch, e)
-				if len(batch) >= scanBatch && !flush() {
-					return errScanAborted
-				}
-				return nil
-			})
-			if st.err == nil {
-				flush()
-			}
-		}(sh, st)
-	}
-
-	for _, st := range streams {
-		for batch := range st.ch {
-			for _, e := range batch {
-				if ferr := fn(e); ferr != nil {
-					return ferr
-				}
-			}
-		}
-		if st.err != nil && st.err != errScanAborted {
-			return st.err
-		}
-	}
-	return nil
-}
-
-// errScanAborted is the sentinel a parallel shard scanner returns
-// internally when the consumer went away; it never escapes the package.
-var errScanAborted = fmt.Errorf("dataset: scan aborted")

@@ -147,60 +147,6 @@ func TestFileShardsEmptyFile(t *testing.T) {
 	}
 }
 
-func TestScanFileParallelOrder(t *testing.T) {
-	path, d := writeSampleFile(t, 101)
-	for _, n := range []int{1, 2, 4, 8} {
-		var seqs []int
-		if err := ScanFileParallel(path, n, func(e *Experiment) error {
-			seqs = append(seqs, e.Seq)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(seqs) != d.Len() {
-			t.Fatalf("n=%d: parallel scan yielded %d, want %d", n, len(seqs), d.Len())
-		}
-		for i, s := range seqs {
-			if s != i+1 {
-				t.Fatalf("n=%d: parallel order broken at %d: seq %d", n, i, s)
-			}
-		}
-	}
-}
-
-func TestScanFileParallelEarlyStop(t *testing.T) {
-	path, _ := writeSampleFile(t, 400)
-	sentinel := errors.New("enough")
-	n := 0
-	err := ScanFileParallel(path, 8, func(*Experiment) error {
-		n++
-		if n == 5 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-}
-
-func TestScanFileParallelBadLine(t *testing.T) {
-	path, _ := writeSampleFile(t, 40)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(b, []byte("\n"))
-	lines[20] = []byte(`{"seq": broken`)
-	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = ScanFileParallel(path, 4, func(*Experiment) error { return nil })
-	if err == nil {
-		t.Fatal("parallel scan must surface a malformed mid-file line")
-	}
-}
-
 func TestScanCheckpointStreams(t *testing.T) {
 	dir := t.TempDir()
 	ck, err := CreateCheckpoint(dir, Manifest{Seed: 7, ConfigHash: "h", Total: 6}, 2)
@@ -284,15 +230,21 @@ func TestShardsNoTrailingNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		count := 0
-		if err := ScanFileParallel(path, n, func(e *Experiment) error {
-			if e.Seq != count+1 {
-				return fmt.Errorf("order broken: seq %d at index %d", e.Seq, count)
-			}
-			count++
-			return nil
-		}); err != nil {
+		shards, err := FileShards(path, n)
+		if err != nil {
 			t.Fatal(err)
+		}
+		count := 0
+		for _, sh := range shards {
+			if err := ScanShard(sh, func(e *Experiment) error {
+				if e.Seq != count+1 {
+					return fmt.Errorf("order broken: seq %d at index %d", e.Seq, count)
+				}
+				count++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if count != d.Len() {
 			t.Fatalf("n=%d: %d experiments, want %d", n, count, d.Len())

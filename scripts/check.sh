@@ -12,6 +12,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every temp file lives under $work and every background daemon's PID is
+# appended to $pids, so one trap cleans up however the script exits — a
+# failing gate must not leave a daemon bound to its port for the next run.
+work="$(mktemp -d)"
+pids=""
+cleanup() {
+	for pid in $pids; do
+		kill -9 "$pid" 2>/dev/null || true
+	done
+	rm -rf "$work"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+
 echo "==> go build ./..."
 go build ./...
 
@@ -58,64 +72,50 @@ echo "==> dnswire fuzz smoke (5s per target, seed corpus in testdata/fuzz)"
 go test -count=1 -run '^$' -fuzz '^FuzzParseMessage$' -fuzztime=5s ./internal/dnswire/
 go test -count=1 -run '^$' -fuzz '^FuzzDecodeName$' -fuzztime=5s ./internal/dnswire/
 
-echo "==> benchmark smoke (1 iteration of BenchmarkCampaign/workers=1)"
-go test -run '^$' -bench '^BenchmarkCampaign/workers=1$' -benchtime 1x .
-
-echo "==> analyze equivalence (streaming -parallel 1/4/8 + -legacy -> byte-identical report)"
-ckbin="$(mktemp)"
-ckds="$(mktemp)"
-cka="$(mktemp)"
-ckb="$(mktemp)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb"' EXIT
-go build -o "$ckbin" ./cmd/curtain
-"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -out "$ckds" >/dev/null 2>&1
-"$ckbin" analyze -in "$ckds" -parallel 1 > "$cka"
-for mode in "-parallel 4" "-parallel 8" "-legacy"; do
-	"$ckbin" analyze -in "$ckds" $mode > "$ckb"
-	cmp "$cka" "$ckb" || { echo "check.sh: analyze $mode diverges from -parallel 1" >&2; exit 1; }
-done
+echo "==> bench module (vet + tests: all five ledger workloads smoked with their output checks)"
+go vet -C bench ./...
+go test -C bench ./...
 
 echo "==> profile smoke (simulate -cpuprofile/-memprofile write non-empty pprof files)"
-pfdir="$(mktemp -d)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb"; rm -rf "$pfdir"' EXIT
+ckbin="$work/curtain"
+go build -o "$ckbin" ./cmd/curtain
+pfdir="$work/prof"
+mkdir "$pfdir"
 "$ckbin" simulate -days 1 -scale 0.05 -seed 7 -format binary -out "$pfdir/ds.bin" \
 	-cpuprofile "$pfdir/cpu.pprof" -memprofile "$pfdir/mem.pprof" >/dev/null 2>&1
 for pf in cpu.pprof mem.pprof; do
 	[ -s "$pfdir/$pf" ] || { echo "check.sh: simulate left no $pf" >&2; exit 1; }
 done
-rm -rf "$pfdir"
 
-echo "==> codec round-trip (jsonl -> binary -> jsonl via convert, byte-identical; analyze agrees on both)"
-cvbin="$(mktemp)"
-cvjsonl="$(mktemp)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb" "$cvbin" "$cvjsonl"' EXIT
+echo "==> codec round-trip (jsonl -> binary -> jsonl via convert, byte-identical)"
+ckds="$work/ds.jsonl"
+ckb="$work/ds-rerun.jsonl"
+cvbin="$work/ds.bin"
+cvjsonl="$work/ds-roundtrip.jsonl"
+"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -out "$ckds" >/dev/null 2>&1
 "$ckbin" convert -in "$ckds" -out "$cvbin" 2>/dev/null
 "$ckbin" convert -in "$cvbin" -out "$cvjsonl" 2>/dev/null
 cmp "$ckds" "$cvjsonl" || { echo "check.sh: jsonl -> binary -> jsonl round trip diverges" >&2; exit 1; }
-"$ckbin" analyze -in "$cvbin" -parallel 4 > "$ckb"
-cmp "$cka" "$ckb" || { echo "check.sh: analyze over the binary codec diverges from JSONL" >&2; exit 1; }
 
 echo "==> binary checkpoint kill-resume invariance (torn segment tail + -resume -> byte-identical)"
 # A durable binary-checkpoint run, then a simulated hard kill mid-append
 # (chop the segment tail mid-record) and a resume: the resumed dataset
 # must equal the serial JSONL reference byte for byte.
-bkdir="$(mktemp -d)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb" "$cvbin" "$cvjsonl"; rm -rf "$bkdir"' EXIT
-"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkdir/ck" \
+bkck="$work/bk-ck"
+"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkck" \
 	-checkpoint-format binary -out "$ckb" >/dev/null 2>&1
 cmp "$ckds" "$ckb" || { echo "check.sh: binary-checkpoint run diverges from plain run" >&2; exit 1; }
-bkseg="$bkdir/ck/experiments.bin"
+bkseg="$bkck/experiments.bin"
 [ -f "$bkseg" ] || { echo "check.sh: no binary segment at $bkseg" >&2; exit 1; }
 bksize="$(wc -c < "$bkseg")"
 dd if=/dev/null of="$bkseg" bs=1 seek="$((bksize - 17))" 2>/dev/null # tear the tail mid-record
-"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkdir/ck" \
+"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkck" \
 	-resume -out "$ckb" >/dev/null 2>&1
 cmp "$ckds" "$ckb" || { echo "check.sh: binary kill-resume diverges from serial bytes" >&2; exit 1; }
 
 echo "==> codec bench smoke (10^4-client single-step campaign; binary >= 5x smaller than JSONL)"
-c4j="$(mktemp)"
-c4b="$(mktemp)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb" "$cvbin" "$cvjsonl" "$c4j" "$c4b"; rm -rf "$bkdir"' EXIT
+c4j="$work/c4.jsonl"
+c4b="$work/c4.bin"
 "$ckbin" simulate -days 1 -interval-hours 24 -scale 63.3 -seed 2014 -format jsonl -out "$c4j" >/dev/null 2>&1
 "$ckbin" simulate -days 1 -interval-hours 24 -scale 63.3 -seed 2014 -format binary -out "$c4b" >/dev/null 2>&1
 jsz="$(wc -c < "$c4j")"
@@ -124,15 +124,12 @@ echo "  10^4 clients: jsonl $jsz bytes, binary $bsz bytes ($(awk "BEGIN{printf \
 awk "BEGIN{exit !($jsz >= 5 * $bsz)}" || {
 	echo "check.sh: binary dataset not >= 5x smaller than JSONL ($jsz vs $bsz bytes)" >&2; exit 1; }
 
-echo "==> analyze benchmark smoke (1 iteration of BenchmarkAnalyze/parallel=1)"
-go test -run '^$' -bench '^BenchmarkAnalyze/parallel=1$' -benchtime 1x -timeout 900s .
-
 echo "==> loadgen smoke (adnsd answers; nonzero completed QPS, zero parse errors)"
-lgsrv="$(mktemp)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb" "$cvbin" "$cvjsonl" "$c4j" "$c4b" "$lgsrv"; rm -rf "$bkdir"' EXIT
+lgsrv="$work/adnsd"
 go build -o "$lgsrv" ./cmd/adnsd
 "$lgsrv" -listen 127.0.0.1:19533 -quiet -zone loadgen.example &
 lgpid=$!
+pids="$pids $lgpid"
 sleep 0.5
 lgout="$("$ckbin" loadgen -target 127.0.0.1:19533 -qps 2000 -duration 1s -conns 2 -timeout 500ms -json)"
 kill "$lgpid" 2>/dev/null || true
@@ -155,17 +152,18 @@ echo "==> chaos smoke (fwdns vs scripted upstream outage; serve-stale keeps answ
 # prefix of the warmed ones). Serve-stale must keep the answered rate
 # near 1.0, and the drain report must show the breaker opened and stale
 # serves happened.
-fwbin="$(mktemp)"
-flbin="$(mktemp)"
-fwlog="$(mktemp)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb" "$cvbin" "$cvjsonl" "$c4j" "$c4b" "$lgsrv" "$fwbin" "$flbin" "$fwlog"; rm -rf "$bkdir"' EXIT
+fwbin="$work/fwdns"
+flbin="$work/flakydns"
+fwlog="$work/fwdns.log"
 go build -o "$fwbin" ./cmd/fwdns
 go build -o "$flbin" ./cmd/flakydns
 "$flbin" -listen 127.0.0.1:19541 -script ok:3s,down:600s -ttl 1 -quiet 2>/dev/null &
 flpid=$!
+pids="$pids $flpid"
 "$fwbin" -listen 127.0.0.1:19540 -upstream 127.0.0.1:19541,127.0.0.1:19542 \
 	-serve-stale 1h -probe 250ms -break-after 2 -hedge adaptive -stats 0 2> "$fwlog" &
 fwpid=$!
+pids="$pids $fwpid"
 sleep 0.5
 "$ckbin" loadgen -target 127.0.0.1:19540 -qps 600 -duration 1s -conns 2 -names 64 -seed 42 -timeout 500ms -json >/dev/null
 sleep 2.5 # flakydns goes dark; the warm entries' 1s TTLs expire
@@ -193,6 +191,7 @@ echo "==> loss-phase smoke (flakydns loss=0.5; loadgen sees roughly half answere
 # near 0.5 — well away from both the healthy 1.0 and the outage 0.0.
 "$flbin" -listen 127.0.0.1:19543 -script loss=0.5:600s -quiet 2>/dev/null &
 flpid2=$!
+pids="$pids $flpid2"
 sleep 0.3
 lsout="$("$ckbin" loadgen -target 127.0.0.1:19543 -qps 400 -duration 1s -conns 2 -names 32 -seed 9 -timeout 300ms -json)"
 kill "$flpid2" 2>/dev/null || true
@@ -210,23 +209,26 @@ echo "==> distributed campaign chaos (coordinator + 3 workers, one SIGKILLed mid
 # late-joining replacement must merge to bytes identical to the serial
 # run. The campaign is sized (~1300 experiments) so the kill reliably
 # lands mid-run.
-dcdir="$(mktemp -d)"
-dcser="$(mktemp)"
-dcdist="$(mktemp)"
-dclog="$(mktemp)"
-dcvlog="$(mktemp)"
-trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb" "$cvbin" "$cvjsonl" "$c4j" "$c4b" "$lgsrv" "$fwbin" "$flbin" "$fwlog" "$dcser" "$dcdist" "$dclog" "$dcvlog"; rm -rf "$bkdir" "$dcdir"' EXIT
+dcck="$work/dc-ck"
+dcser="$work/dc-serial.jsonl"
+dcdist="$work/dc-distributed.jsonl"
+dclog="$work/dc-coordinator.log"
+dcvlog="$work/dc-victim.log"
 "$ckbin" simulate -days 8 -scale 0.5 -seed 7 -out "$dcser" >/dev/null 2>&1
-"$ckbin" coordinate -listen 127.0.0.1:19550 -checkpoint-dir "$dcdir/ck" \
+"$ckbin" coordinate -listen 127.0.0.1:19550 -checkpoint-dir "$dcck" \
 	-days 8 -scale 0.5 -seed 7 -lease 16 -out "$dcdist" 2> "$dclog" &
 dcpid=$!
+pids="$pids $dcpid"
 sleep 0.3
 "$ckbin" worker -addr 127.0.0.1:19550 -id victim 2> "$dcvlog" &
 dcvpid=$!
+pids="$pids $dcvpid"
 "$ckbin" worker -addr 127.0.0.1:19550 -id steady-a 2>/dev/null &
 dcwa=$!
+pids="$pids $dcwa"
 "$ckbin" worker -addr 127.0.0.1:19550 -id steady-b 2>/dev/null &
 dcwb=$!
+pids="$pids $dcwb"
 i=0
 while [ "$i" -lt 200 ]; do
 	grep -q delivered "$dcvlog" 2>/dev/null && break
@@ -238,6 +240,7 @@ kill -9 "$dcvpid" 2>/dev/null || true
 # coordinator verifies it at handshake.
 "$ckbin" worker -addr 127.0.0.1:19550 -id replacement -days 8 -scale 0.5 -seed 7 2>/dev/null &
 dcwr=$!
+pids="$pids $dcwr"
 wait "$dcpid" || { echo "check.sh: coordinator failed" >&2; cat "$dclog" >&2; exit 1; }
 wait "$dcvpid" 2>/dev/null || true
 wait "$dcwa" 2>/dev/null || true
