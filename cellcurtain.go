@@ -66,12 +66,6 @@ type Options struct {
 	// CheckpointEvery is the checkpoint fsync cadence in experiments
 	// (0 = the default, 64).
 	CheckpointEvery int
-	// CheckpointFormat selects the checkpoint segment codec: "jsonl"
-	// (the default, and the empty value) or "binary" (curtainbin, the
-	// compact format for large campaigns). Like the other checkpoint
-	// fields it never affects what the campaign produces, only how it
-	// persists, so resumes are codec-agnostic.
-	CheckpointFormat string
 	// Resume continues a checkpointed campaign from CheckpointDir after
 	// verifying its seed and config hash. The resumed dataset is
 	// byte-identical to an uninterrupted run.
@@ -85,12 +79,8 @@ type Options struct {
 // CampaignConfig resolves the options into the trace configuration they
 // denote — the same mapping NewStudy applies. The distributed
 // coordinator/worker subcommands use it to compute the campaign
-// fingerprint (trace.Config.Hash) and the wire config pushed to workers.
+// fingerprint (trace.Spec.Hash) and the spec pushed to workers.
 func (o Options) CampaignConfig() trace.Config {
-	return o.campaignConfig()
-}
-
-func (o Options) campaignConfig() trace.Config {
 	seed := o.Seed
 	if seed == 0 {
 		seed = 2014
@@ -119,9 +109,6 @@ func (o Options) campaignConfig() trace.Config {
 	cfg.Faults = o.Faults
 	cfg.CheckpointDir = o.CheckpointDir
 	cfg.CheckpointEvery = o.CheckpointEvery
-	if f, err := dataset.ParseFormat(o.CheckpointFormat); err == nil {
-		cfg.CheckpointFormat = f
-	}
 	cfg.Resume = o.Resume
 	cfg.Interrupt = o.Interrupt
 	return cfg
@@ -150,10 +137,7 @@ type Study struct {
 // A full-scale five-month study takes a couple of minutes; use Days to
 // shorten it.
 func NewStudy(opts Options) (*Study, error) {
-	if _, err := dataset.ParseFormat(opts.CheckpointFormat); err != nil {
-		return nil, fmt.Errorf("cellcurtain: %w", err)
-	}
-	ctx, err := repro.NewContext(opts.campaignConfig())
+	ctx, err := repro.NewContext(opts.CampaignConfig())
 	if err != nil {
 		return nil, fmt.Errorf("cellcurtain: %w", err)
 	}

@@ -91,18 +91,18 @@ func TestDatasetRoundTripThroughAPI(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	cfg := Options{}.campaignConfig()
+	cfg := Options{}.CampaignConfig()
 	if cfg.Seed != 2014 {
 		t.Fatalf("default seed = %d", cfg.Seed)
 	}
 	if cfg.End.Sub(cfg.Start).Hours() != 153*24 {
 		t.Fatalf("default window = %v", cfg.End.Sub(cfg.Start))
 	}
-	cfg = Options{TravelProb: -1}.campaignConfig()
+	cfg = Options{TravelProb: -1}.CampaignConfig()
 	if cfg.TravelProb != 0 {
 		t.Fatal("negative TravelProb should disable mobility")
 	}
-	cfg = Options{Days: 7, IntervalHours: 6, ClientScale: 0.5}.campaignConfig()
+	cfg = Options{Days: 7, IntervalHours: 6, ClientScale: 0.5}.CampaignConfig()
 	if cfg.End.Sub(cfg.Start).Hours() != 7*24 || cfg.Interval.Hours() != 6 || cfg.ClientScale != 0.5 {
 		t.Fatalf("overrides not applied: %+v", cfg)
 	}

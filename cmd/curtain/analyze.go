@@ -24,15 +24,13 @@ import (
 // pipeline: the paper's own workflow of collecting in the field and
 // analyzing later.
 //
-// By default the dataset is streamed through the one-pass aggregation
-// engine in constant memory; -parallel shards the scan, -legacy
-// materializes the dataset and uses the slice metric path instead. All
-// three produce byte-identical reports.
+// The dataset is streamed through the one-pass aggregation engine in
+// constant memory; -parallel shards the scan and produces a
+// byte-identical report.
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	in := fs.String("in", "dataset.jsonl", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")
 	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; a checkpoint directory is always scanned serially")
-	legacy := fs.Bool("legacy", false, "materialize the dataset and use the slice metric path")
 	progress := fs.Bool("progress", false, "report scan progress on stderr")
 	runStats := fs.Bool("stats", false, "report scan time and peak RSS on stderr")
 	fs.Parse(args)
@@ -60,7 +58,7 @@ func runAnalyze(args []string) error {
 	}
 
 	start := time.Now()
-	m, err := loadMeasures(*in, *parallel, *legacy, wrap)
+	m, err := loadMeasures(*in, *parallel, wrap)
 	if err != nil {
 		return fmt.Errorf("analyze: scan %s: %w", *in, err)
 	}
@@ -81,52 +79,21 @@ func runAnalyze(args []string) error {
 	return nil
 }
 
-// loadMeasures scans the input into the metric source the report reads:
-// the streaming suite, or with legacy the materialized dataset behind the
-// slice metric path.
-func loadMeasures(in string, parallel int, legacy bool, wrap func(dataset.ScanFunc) dataset.ScanFunc) (analysis.Measures, error) {
-	if legacy {
-		var ds dataset.Dataset
-		err := scanInput(in, wrap(func(e *dataset.Experiment) error {
-			ds.Add(e)
-			return nil
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return analysis.NewSliceMeasures(&ds, analysis.SuiteConfig{}), nil
-	}
+// loadMeasures streams the input through a fresh analysis suite. Dataset
+// files honor -parallel via contiguous shards (JSONL byte ranges,
+// curtainbin segment runs) merged in index order — byte-identical to a
+// serial scan; checkpoint directories scan serially whatever parallel
+// says.
+func loadMeasures(in string, parallel int, wrap func(dataset.ScanFunc) dataset.ScanFunc) (*analysis.Suite, error) {
 	suite := analysis.NewSuite(analysis.SuiteConfig{})
-	if err := runStreaming(suite, in, parallel, wrap); err != nil {
-		return nil, err
-	}
-	return suite, nil
-}
-
-// scanInput streams the input serially: checkpoint segments (tolerating
-// a torn tail) when path is a checkpoint directory, the dataset file of
-// either codec otherwise.
-func scanInput(path string, fn dataset.ScanFunc) error {
-	if dataset.IsCheckpointDir(path) {
-		_, err := dataset.ScanCheckpoint(path, fn)
-		return err
-	}
-	return dataset.ScanFile(path, fn)
-}
-
-// runStreaming drives the suite's engine over the input. Dataset files
-// honor -parallel via contiguous shards (JSONL byte ranges, curtainbin
-// segment runs) merged in index order — byte-identical to a serial scan;
-// checkpoint directories scan serially whatever parallel says.
-func runStreaming(suite *analysis.Suite, in string, parallel int, wrap func(dataset.ScanFunc) dataset.ScanFunc) error {
 	if parallel == 1 || dataset.IsCheckpointDir(in) {
-		return suite.Run(func(yield dataset.ScanFunc) error {
+		return suite, suite.Run(func(yield dataset.ScanFunc) error {
 			return scanInput(in, wrap(yield))
 		})
 	}
 	shards, err := dataset.FileShards(in, parallel)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	scanners := make([]engine.Scanner, len(shards))
 	for i, s := range shards {
@@ -135,12 +102,11 @@ func runStreaming(suite *analysis.Suite, in string, parallel int, wrap func(data
 			return dataset.ScanShard(s, wrap(yield))
 		}
 	}
-	return suite.RunShards(scanners)
+	return suite, suite.RunShards(scanners)
 }
 
 // renderAnalysis prints the offline report from any Measures
-// implementation; the streaming and legacy paths share it, which is what
-// makes their outputs byte-identical.
+// implementation.
 func renderAnalysis(w io.Writer, m analysis.Measures) {
 	carriers := m.Carriers()
 	fmt.Fprintf(w, "dataset: %d experiments, %d carriers\n\n", m.ExperimentCount(), len(carriers))

@@ -9,6 +9,7 @@ import (
 
 	"cellcurtain"
 	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/trace"
 )
 
 // analyzeInputs writes one small campaign three ways — a JSONL file, a
@@ -16,7 +17,7 @@ import (
 // real), and a binary checkpoint directory — and returns the paths.
 func analyzeInputs(t *testing.T) map[string]string {
 	t.Helper()
-	camp, err := streamCampaign(cellcurtain.Options{Seed: 7, Days: 2, ClientScale: 0.1}.CampaignConfig())
+	camp, err := trace.New(cellcurtain.Options{Seed: 7, Days: 2, ClientScale: 0.1}.CampaignConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +69,16 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 	modes := []struct {
 		name     string
 		parallel int
-		legacy   bool
 	}{
-		{"serial", 1, false},
-		{"parallel4", 4, false},
-		{"parallel8", 8, false},
-		{"legacy", 1, true},
+		{"serial", 1},
+		{"parallel4", 4},
+		{"parallel8", 8},
 	}
 	noWrap := func(fn dataset.ScanFunc) dataset.ScanFunc { return fn }
 	var want []byte
 	for _, input := range []string{"jsonl", "binary", "checkpoint"} {
 		for _, mode := range modes {
-			m, err := loadMeasures(paths[input], mode.parallel, mode.legacy, noWrap)
+			m, err := loadMeasures(paths[input], mode.parallel, noWrap)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", input, mode.name, err)
 			}
@@ -109,7 +108,7 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 	if err := os.WriteFile(paths["jsonl"], bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadMeasures(paths["jsonl"], 4, false, noWrap); err == nil {
+	if _, err := loadMeasures(paths["jsonl"], 4, noWrap); err == nil {
 		t.Error("4 shards over a file with a malformed mid-file line: no error")
 	}
 }
@@ -127,5 +126,28 @@ func TestAnalyzeRejectsBadArguments(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestConvertReadsCheckpointDir: `convert -in <checkpoint dir>` is how a
+// checkpoint is read by eye, so it must render exactly the dataset the
+// directory holds — here the same bytes as the campaign's JSONL file —
+// defaulting to the opposite codec like any binary input.
+func TestConvertReadsCheckpointDir(t *testing.T) {
+	paths := analyzeInputs(t)
+	out := filepath.Join(t.TempDir(), "from-ck.jsonl")
+	if err := runConvert([]string{"-in", paths["checkpoint"], "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(paths["jsonl"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("convert -in <checkpoint dir> differs from the campaign's JSONL")
 	}
 }

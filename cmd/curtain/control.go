@@ -18,42 +18,29 @@ import (
 	"cellcurtain"
 	"cellcurtain/internal/controlplane"
 	"cellcurtain/internal/dataset"
-	"cellcurtain/internal/sim"
 	"cellcurtain/internal/trace"
 )
 
 // campaignFlags registers the dataset-determining campaign flags every
 // campaign subcommand shares, returning a closure that resolves them into
-// Options. Execution flags (workers, checkpoints) are deliberately per
-// subcommand — they never affect the dataset.
-func campaignFlags(fs *flag.FlagSet) func() cellcurtain.Options {
-	seed := fs.Uint64("seed", 2014, "RNG seed")
-	days := fs.Int("days", 0, "campaign days (0 = full five months)")
-	interval := fs.Int("interval-hours", 0, "experiment period in hours")
-	scale := fs.Float64("scale", 0, "client population scale")
-	faults := fs.String("faults", "", "fault scenario (preset name or DSL)")
-	return func() cellcurtain.Options {
-		return cellcurtain.Options{
-			Seed: *seed, Days: *days, IntervalHours: *interval,
-			ClientScale: *scale, Faults: *faults,
-		}
+// Options and reports whether any of them was given explicitly (what
+// turns a worker's flags into a fingerprint claim). Execution flags
+// (workers, checkpoints) are deliberately per subcommand — they never
+// affect the dataset.
+func campaignFlags(fs *flag.FlagSet) func() (o cellcurtain.Options, set bool) {
+	var o cellcurtain.Options
+	own := map[string]bool{}
+	name := func(n string) string { own[n] = true; return n }
+	fs.Uint64Var(&o.Seed, name("seed"), 2014, "RNG seed")
+	fs.IntVar(&o.Days, name("days"), 0, "campaign days (0 = full five months)")
+	fs.IntVar(&o.IntervalHours, name("interval-hours"), 0, "experiment period in hours")
+	fs.Float64Var(&o.ClientScale, name("scale"), 0, "client population scale")
+	fs.StringVar(&o.Faults, name("faults"), "", "fault scenario (preset name or DSL)")
+	return func() (cellcurtain.Options, bool) {
+		set := false
+		fs.Visit(func(f *flag.Flag) { set = set || own[f.Name] })
+		return o, set
 	}
-}
-
-// buildCampaign builds a fresh world and single-shard campaign for cfg:
-// exactly what one worker process executes, and what the coordinator
-// uses to size the experiment space. Execution fields are stripped —
-// durability lives with the coordinator's checkpoint, not here.
-func buildCampaign(cfg trace.Config) (*trace.Campaign, error) {
-	cfg.Workers = 1
-	cfg.WorldFactory = nil
-	cfg.CheckpointDir, cfg.Resume = "", false
-	cfg.Interrupt = nil
-	w, err := sim.New(sim.Config{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewCampaign(w, cfg)
 }
 
 // listenNetwork picks tcp vs unix from the address shape: anything with
@@ -69,7 +56,7 @@ func runCoordinate(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:9290", "address workers connect to (host:port, or a unix socket path)")
 	out := fs.String("out", "dataset.jsonl", "output path for the merged dataset")
-	formatName := fs.String("format", "", "merged output and checkpoint segment codec: jsonl or binary (default jsonl)")
+	formatName := fs.String("format", "", "merged output codec: jsonl or binary (default jsonl)")
 	jsonOut := fs.Bool("json", false, "one-line JSON status report on stdout after the drain (for scripts)")
 	ckDir := fs.String("checkpoint-dir", "", "durable segment directory (required; the exactly-once merge substrate)")
 	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
@@ -86,49 +73,25 @@ func runCoordinate(args []string) error {
 		return err
 	}
 
-	cfg := opts().CampaignConfig()
+	o, _ := opts()
+	o.CheckpointDir, o.CheckpointEvery, o.Resume = *ckDir, *ckEvery, *resume
+	cfg := o.CampaignConfig()
 	fmt.Fprintln(os.Stderr, "curtain: coordinator building world to size the campaign...")
-	camp, err := buildCampaign(cfg)
+	camp, err := trace.New(cfg)
 	if err != nil {
 		return err
 	}
 	total := camp.Total()
 	hash := cfg.Hash()
-
-	var (
-		ck    *dataset.Checkpoint
-		prior map[int]*dataset.Experiment
-	)
-	if *resume {
-		opened, priorDS, torn, err := dataset.OpenCheckpoint(*ckDir)
-		if err != nil {
-			return err
-		}
-		if err := trace.VerifyManifest(*ckDir, opened.Manifest(), cfg, total); err != nil {
-			_ = opened.Close()
-			//lint:ignore errwrap ConfigMismatchError already names the checkpoint and both hashes
-			return err
-		}
-		opened.SetEvery(*ckEvery)
-		prior = make(map[int]*dataset.Experiment, priorDS.Len())
-		for _, e := range priorDS.Experiments {
-			prior[e.Seq] = e
-		}
-		if torn > 0 {
-			fmt.Fprintf(os.Stderr, "curtain: discarded %d bytes of torn segment tail\n", torn)
-		}
-		ck = opened
-	} else {
-		created, err := dataset.CreateCheckpoint(*ckDir, dataset.Manifest{
-			Format: format,
-			Seed:   cfg.Seed, ConfigHash: hash, Total: total,
-		}, *ckEvery)
-		if err != nil {
-			return err
-		}
-		ck = created
+	ck, prior, torn, err := camp.AdoptCheckpoint()
+	if err != nil {
+		//lint:ignore errwrap AdoptCheckpoint errors already name the checkpoint and what is wrong with it
+		return err
 	}
 	defer ck.Close()
+	if torn > 0 {
+		fmt.Fprintf(os.Stderr, "curtain: discarded %d bytes of torn segment tail\n", torn)
+	}
 
 	coord := controlplane.NewCoordinator(controlplane.CoordinatorConfig{
 		Seed: cfg.Seed, ConfigHash: hash, Total: total,
@@ -221,16 +184,9 @@ func runWorker(args []string) error {
 	// fingerprint claim the coordinator verifies — a worker pointed at
 	// the wrong campaign is rejected at handshake instead of computing a
 	// spliced dataset.
-	claimed := false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed", "days", "interval-hours", "scale", "faults":
-			claimed = true
-		}
-	})
 	claim := ""
-	if claimed {
-		claim = opts().CampaignConfig().Hash()
+	if o, claimed := opts(); claimed {
+		claim = o.CampaignConfig().Hash()
 	}
 	name := *id
 	if name == "" {
@@ -249,9 +205,10 @@ func runWorker(args []string) error {
 		HeartbeatEvery: *heartbeat,
 		Interrupt:      interrupt,
 		Build: func(wc controlplane.WireConfig, total int) (controlplane.RunRange, error) {
-			cfg := wc.Config()
-			fmt.Fprintf(os.Stderr, "curtain: %s building world (seed %d)...\n", name, cfg.Seed)
-			camp, err := buildCampaign(cfg)
+			fmt.Fprintf(os.Stderr, "curtain: %s building world (seed %d)...\n", name, wc.Seed)
+			// Single shard, no checkpoint: durability lives with the
+			// coordinator, workers only run experiments.
+			camp, err := trace.New(trace.Config{Spec: wc})
 			if err != nil {
 				return nil, err
 			}

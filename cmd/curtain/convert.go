@@ -2,7 +2,8 @@
 // debug/interchange form and the compact curtainbin form (DESIGN.md
 // §15). The input codec is auto-detected from the file magic, records
 // stream one at a time, and a jsonl -> binary -> jsonl round trip is
-// byte-identical.
+// byte-identical. The input may also be a campaign checkpoint directory:
+// `convert -in ck/ -out x.jsonl` is how a checkpoint is read by eye.
 package main
 
 import (
@@ -16,14 +17,14 @@ import (
 
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "dataset.jsonl", "input dataset (codec auto-detected by magic)")
+	in := fs.String("in", "dataset.jsonl", "input dataset file (codec auto-detected by magic) or checkpoint directory")
 	out := fs.String("out", "", "output path (required)")
 	formatName := fs.String("format", "", "output codec: jsonl or binary (default: the opposite of the input)")
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("convert requires -out")
 	}
-	inf, err := dataset.FileFormat(*in)
+	inf, err := inputFormat(*in)
 	if err != nil {
 		return err
 	}
@@ -41,8 +42,8 @@ func runConvert(args []string) error {
 	// half-converted file at -out.
 	n := 0
 	if err := dataset.WriteFileAtomic(*out, func(w io.Writer) error {
-		sink, flush := datasetSink(w, f)
-		if err := dataset.ScanFile(*in, func(e *dataset.Experiment) error {
+		sink, flush := dataset.NewWriter(w, f)
+		if err := scanInput(*in, func(e *dataset.Experiment) error {
 			n++
 			return sink(e)
 		}); err != nil {

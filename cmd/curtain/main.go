@@ -12,8 +12,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,7 +26,6 @@ import (
 	"cellcurtain"
 	"cellcurtain/internal/controlplane"
 	"cellcurtain/internal/dataset"
-	"cellcurtain/internal/sim"
 	"cellcurtain/internal/trace"
 )
 
@@ -90,8 +87,9 @@ commands:
   exp        regenerate one artifact: curtain exp -id F14
   simulate   run a campaign and stream the raw dataset to disk
              (JSONL or compact curtainbin; bounded memory)
-  convert    transcode a dataset between jsonl and binary (auto-detects
-             the input codec; round trips are byte-identical)
+  convert    transcode a dataset file or checkpoint directory between
+             jsonl and binary (auto-detects the input codec; round trips
+             are byte-identical)
   analyze    offline analysis of a dataset file or checkpoint directory
              (jsonl or binary, auto-detected; no simulation)
   loadgen    hammer a DNS resolver at a target QPS and report latency
@@ -113,7 +111,8 @@ flags (loadgen):
   -json               one-line JSON report on stdout (for scripts)
 
 flags (convert):
-  -in PATH            input dataset, jsonl or binary (auto-detected)
+  -in PATH            input dataset file, jsonl or binary (auto-detected),
+                      or a campaign checkpoint directory (binary)
   -out PATH           output path (required)
   -format F           output codec (default: the opposite of the input)
 
@@ -124,8 +123,6 @@ flags (analyze):
                       either codec; output is byte-identical for any N; a
                       checkpoint directory is always scanned serially
                       (default 1)
-  -legacy             materialize the dataset and use the slice metric
-                      path instead of the streaming engine (same output)
   -progress           report scan progress on stderr
   -stats              report scan time and peak RSS on stderr
 
@@ -139,8 +136,8 @@ flags (coordinate):
   -lease-timeout D    reassign a lease after this long without a
                       heartbeat (default 10s)
   -out PATH           merged dataset path (default dataset.jsonl)
-  -format F           merged output and checkpoint segment codec:
-                      jsonl or binary (default jsonl)
+  -format F           merged output codec: jsonl or binary (default
+                      jsonl; the checkpoint segment is always curtainbin)
   -json               one-line JSON status report on stdout after the
                       drain: lease grants/reassignments, dedup counts,
                       grant-to-merge latency p50/p95 (for scripts)
@@ -166,13 +163,11 @@ flags (report/exp/simulate):
                       "outage:target=local,start=25%,dur=50%,mode=servfail"
                       (deterministic in -seed; see internal/fault)
   -checkpoint-dir D   durable campaign checkpoint directory: completed
-                      experiments are fsync'd there as the run progresses,
+                      experiments are fsync'd there (as curtainbin; read
+                      one with convert -in D) as the run progresses,
                       and SIGINT/SIGTERM drains in-flight experiments and
                       flushes the checkpoint before exiting
   -checkpoint-every N checkpoint fsync cadence in experiments (default 64)
-  -checkpoint-format F  checkpoint segment codec: jsonl or binary
-                      (default jsonl; resumes auto-detect, and the dataset
-                      is identical either way)
   -resume             continue the campaign checkpointed in -checkpoint-dir
                       (verified against -seed and the other campaign flags);
                       the result is byte-identical to an uninterrupted run
@@ -193,14 +188,10 @@ func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 	workers := fs.Int("workers", 0, "parallel campaign workers (0 = serial)")
 	ckDir := fs.String("checkpoint-dir", "", "durable checkpoint directory (empty = no checkpointing)")
 	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
-	ckFormat := fs.String("checkpoint-format", "", "checkpoint segment codec: jsonl or binary (default jsonl)")
 	resume := fs.Bool("resume", false, "resume the campaign checkpointed in -checkpoint-dir")
 	return func() (cellcurtain.Options, error) {
 		if *resume && *ckDir == "" {
 			return cellcurtain.Options{}, fmt.Errorf("-resume requires -checkpoint-dir")
-		}
-		if _, err := dataset.ParseFormat(*ckFormat); err != nil {
-			return cellcurtain.Options{}, err
 		}
 		var interrupt chan struct{}
 		if *ckDir != "" {
@@ -211,9 +202,9 @@ func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 			onInterrupt(fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", *ckDir),
 				func() { close(interrupt) })
 		}
-		o := campaign()
+		o, _ := campaign()
 		o.Workers = *workers
-		o.CheckpointDir, o.CheckpointEvery, o.CheckpointFormat = *ckDir, *ckEvery, *ckFormat
+		o.CheckpointDir, o.CheckpointEvery = *ckDir, *ckEvery
 		o.Resume, o.Interrupt = *resume, interrupt
 		return o, nil
 	}
@@ -239,6 +230,25 @@ func studyFlags(fs *flag.FlagSet) func() (*cellcurtain.Study, error) {
 			s.ExperimentCount(), s.ClientCount())
 		return s, nil
 	}
+}
+
+// scanInput streams a dataset input serially, for analyze and convert
+// alike: checkpoint segments (tolerating a torn tail) when path is a
+// checkpoint directory, the dataset file of either codec otherwise.
+func scanInput(path string, fn dataset.ScanFunc) error {
+	if dataset.IsCheckpointDir(path) {
+		_, err := dataset.ScanCheckpoint(path, fn)
+		return err
+	}
+	return dataset.ScanFile(path, fn)
+}
+
+// inputFormat is the codec scanInput will find at path.
+func inputFormat(path string) (dataset.Format, error) {
+	if dataset.IsCheckpointDir(path) {
+		return dataset.FormatBinary, nil
+	}
+	return dataset.FileFormat(path)
 }
 
 // onInterrupt installs the two-stage stop simulate, coordinate and worker
@@ -305,42 +315,6 @@ func runExp(args []string) error {
 	return nil
 }
 
-// streamCampaign builds the world and campaign for cfg, honoring its
-// worker and checkpoint configuration (unlike the control plane's
-// buildCampaign, which strips execution state). Used by the streaming
-// subcommands that never materialize a dataset.
-func streamCampaign(cfg trace.Config) (*trace.Campaign, error) {
-	w, err := sim.New(sim.Config{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.WorldFactory == nil {
-		seed := cfg.Seed
-		cfg.WorldFactory = func() (*sim.World, error) { return sim.New(sim.Config{Seed: seed}) }
-	}
-	return trace.NewCampaign(w, cfg)
-}
-
-// datasetSink returns an append function and a flush function writing
-// experiments to w in codec f, byte-identical to Dataset.Write over the
-// same records — which is what lets the streaming subcommands replace
-// the materialized write path without changing a single output byte.
-func datasetSink(w io.Writer, f dataset.Format) (func(*dataset.Experiment) error, func() error) {
-	if f == dataset.FormatBinary {
-		b := dataset.NewBinaryWriter(w)
-		return b.Append, b.Flush
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	add := func(e *dataset.Experiment) error {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("encode experiment %d: %w", e.Seq, err)
-		}
-		return nil
-	}
-	return add, bw.Flush
-}
-
 func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
@@ -369,7 +343,7 @@ func runSimulate(args []string) error {
 		verb = "resuming"
 	}
 	fmt.Fprintf(os.Stderr, "curtain: building world and %s campaign...\n", verb)
-	camp, err := streamCampaign(cfg)
+	camp, err := trace.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -384,7 +358,7 @@ func runSimulate(args []string) error {
 	n := 0
 	start := time.Now()
 	werr := dataset.WriteFileAtomic(*out, func(w io.Writer) error {
-		sink, flush := datasetSink(w, f)
+		sink, flush := dataset.NewWriter(w, f)
 		var sinkErr error
 		record := func(e *dataset.Experiment) {
 			if sinkErr == nil {

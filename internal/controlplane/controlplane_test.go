@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -52,7 +53,7 @@ func startCoordinator(t *testing.T, clk *fakeClock, cfg CoordinatorConfig) (*Coo
 	if cfg.ConfigHash == "" {
 		// The pushed config's true fingerprint: RunWorker re-verifies the
 		// wire round-trip, so a made-up hash would turn every worker away.
-		cfg.ConfigHash = cfg.Wire.Config().Hash()
+		cfg.ConfigHash = cfg.Wire.Hash()
 	}
 	if cfg.Now == nil && clk != nil {
 		cfg.Now = clk.Now
@@ -321,7 +322,7 @@ func TestLateDuplicateSegment(t *testing.T) {
 // TestFingerprintMismatchRejected refuses a worker configured for a
 // different campaign at handshake, naming both hashes.
 func TestFingerprintMismatchRejected(t *testing.T) {
-	realHash := WireConfig{}.Config().Hash()
+	realHash := WireConfig{}.Hash()
 	clk := newFakeClock()
 	c, addr := startCoordinator(t, clk, CoordinatorConfig{Total: 4})
 
@@ -395,13 +396,13 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatalf("close checkpoint: %v", err)
 	}
 
-	reopened, priorDS, _, err := dataset.OpenCheckpoint(dir)
+	prior := map[int]*dataset.Experiment{}
+	reopened, _, err := dataset.OpenCheckpoint(dir, 0, func(e *dataset.Experiment) error {
+		prior[e.Seq] = e
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("reopen checkpoint: %v", err)
-	}
-	prior := map[int]*dataset.Experiment{}
-	for _, e := range priorDS.Experiments {
-		prior[e.Seq] = e
 	}
 	if len(prior) != 5 {
 		t.Fatalf("prior has %d experiments, want 5", len(prior))
@@ -469,15 +470,31 @@ func TestWorkerDrainOnInterrupt(t *testing.T) {
 	}
 }
 
-// TestWireConfigRoundTrip guards against wire schema drift: a pushed
-// config must rebuild to the exact fingerprint of the original.
+// TestWireConfigRoundTrip guards against wire schema drift. The config
+// push is pinned byte for byte — these are ProtoVersion 2's field names,
+// recorded before WireConfig became trace.Spec, so renaming a Spec field
+// or its tag fails here instead of silently speaking a new protocol under
+// the old version number — and the decoded push must rebuild the exact
+// fingerprint of the original.
 func TestWireConfigRoundTrip(t *testing.T) {
 	cfg := trace.DefaultConfig(77)
 	cfg.End = cfg.Start.Add(48 * time.Hour)
 	cfg.ClientScale = 0.25
 	cfg.Faults = "resolver-outage"
 	wc := WireFromConfig(cfg)
-	if got := wc.Config().Hash(); got != cfg.Hash() {
+	push, err := json.Marshal(&Message{Type: MsgConfig, Config: &wc, ConfigHash: cfg.Hash(), Total: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"type":"config","config_hash":"c88704dea3a5fa17","config":{"seed":77,"start":"2014-03-01T00:00:00Z","end":"2014-03-03T00:00:00Z","interval":43200000000000,"lte_share":0.72,"travel_prob":0.06,"client_scale":0.25,"traceroute_every":1,"faults":"resolver-outage"},"total":16}`
+	if string(push) != want {
+		t.Fatalf("config push moved (ProtoVersion is still %d):\n got %s\nwant %s", ProtoVersion, push, want)
+	}
+	var back Message
+	if err := json.Unmarshal(push, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Config.Hash(); got != cfg.Hash() {
 		t.Fatalf("round-tripped hash %s != original %s (WireConfig lost a field?)", got, cfg.Hash())
 	}
 }

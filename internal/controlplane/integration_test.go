@@ -44,7 +44,7 @@ func realWorker(t *testing.T, id, addr string) WorkerConfig {
 		ID: id, Addr: addr,
 		HeartbeatEvery: 50 * time.Millisecond,
 		Build: func(wc WireConfig, total int) (RunRange, error) {
-			camp := realCampaign(t, wc.Config())
+			camp := realCampaign(t, trace.Config{Spec: wc})
 			if camp.Total() != total {
 				return nil, fmt.Errorf("local campaign sizes to %d, coordinator says %d", camp.Total(), total)
 			}

@@ -100,53 +100,15 @@ type Message struct {
 	Records []byte `json:"records,omitempty"`
 }
 
-// WireConfig is the serializable subset of trace.Config the coordinator
-// pushes at handshake: every dataset-determining field and nothing about
-// execution (worker counts, checkpoints, interrupts are per-process
-// concerns). Round-tripping through it preserves trace.Config.Hash().
-type WireConfig struct {
-	Seed            uint64        `json:"seed"`
-	Start           time.Time     `json:"start"`
-	End             time.Time     `json:"end"`
-	Interval        time.Duration `json:"interval"`
-	LTEShare        float64       `json:"lte_share"`
-	TravelProb      float64       `json:"travel_prob"`
-	ClientScale     float64       `json:"client_scale"`
-	TracerouteEvery int           `json:"traceroute_every"`
-	Faults          string        `json:"faults,omitempty"`
-}
+// WireConfig is the campaign configuration the coordinator pushes at
+// handshake. It is trace.Spec itself — every dataset-determining field
+// and nothing about execution (worker counts, checkpoints, interrupts are
+// per-process concerns) — so the wire schema is Spec's JSON form and
+// cannot lag behind the fingerprint.
+type WireConfig = trace.Spec
 
-// WireFromConfig extracts the pushable fields of a campaign config.
-func WireFromConfig(cfg trace.Config) WireConfig {
-	return WireConfig{
-		Seed:            cfg.Seed,
-		Start:           cfg.Start,
-		End:             cfg.End,
-		Interval:        cfg.Interval,
-		LTEShare:        cfg.LTEShare,
-		TravelProb:      cfg.TravelProb,
-		ClientScale:     cfg.ClientScale,
-		TracerouteEvery: cfg.TracerouteEvery,
-		Faults:          cfg.Faults,
-	}
-}
-
-// Config rebuilds the trace configuration a worker must execute:
-// single-shard, no checkpointing — durability lives with the
-// coordinator, workers only run experiments.
-func (wc WireConfig) Config() trace.Config {
-	return trace.Config{
-		Seed:            wc.Seed,
-		Start:           wc.Start,
-		End:             wc.End,
-		Interval:        wc.Interval,
-		LTEShare:        wc.LTEShare,
-		TravelProb:      wc.TravelProb,
-		ClientScale:     wc.ClientScale,
-		TracerouteEvery: wc.TracerouteEvery,
-		Faults:          wc.Faults,
-	}
-}
+// WireFromConfig extracts the pushable part of a campaign config.
+func WireFromConfig(cfg trace.Config) WireConfig { return cfg.Spec }
 
 // wallDeadline converts a relative I/O timeout into the absolute
 // wall-clock deadline the socket API wants; zero means no deadline.

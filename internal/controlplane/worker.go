@@ -186,10 +186,12 @@ func (w *worker) run() error {
 	if reply.Config == nil || reply.Total <= 0 {
 		return fmt.Errorf("controlplane: config push missing campaign (total=%d)", reply.Total)
 	}
-	// Wire-drift guard: the pushed config must round-trip to the hash the
-	// coordinator claims, else WireConfig has silently lost a field and
-	// this worker would compute a different dataset.
-	if got := reply.Config.Config().Hash(); got != reply.ConfigHash {
+	// Wire-drift guard: the config as decoded here must hash to what the
+	// coordinator claims. It fails for a coordinator from a build whose
+	// trace.Spec has a field this one lacks (the JSON decode drops it
+	// silently) and for one handed a hash that was never its config's —
+	// either way this worker would compute a different dataset.
+	if got := reply.Config.Hash(); got != reply.ConfigHash {
 		return fmt.Errorf("controlplane: pushed config hashes to %s but coordinator claims %s (wire schema drift)", got, reply.ConfigHash)
 	}
 	run, err := w.cfg.Build(*reply.Config, reply.Total)

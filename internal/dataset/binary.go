@@ -8,7 +8,7 @@ package dataset
 // length-prefixed records with varint/delta-encoded fields; the payload
 // is optionally flate-compressed. Segments are the torn-tail unit: a
 // hard kill mid-append leaves at most one incomplete trailing segment,
-// which resume drops exactly like a torn JSONL line.
+// which a checkpoint resume drops (ScanTorn).
 //
 // The per-record encode/decode primitives are //lint:hotpath and proven
 // zero-alloc by TestHotPathAllocs: every byte goes through caller-owned
@@ -917,23 +917,4 @@ func UnmarshalExperiments(b []byte) ([]*Experiment, error) {
 		return nil, err
 	}
 	return es, nil
-}
-
-// WriteBinary streams the dataset in curtainbin format.
-func (d *Dataset) WriteBinary(w io.Writer) error {
-	bw := NewBinaryWriter(w)
-	for _, e := range d.Experiments {
-		if err := bw.Append(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Write streams the dataset in the requested format.
-func (d *Dataset) Write(w io.Writer, f Format) error {
-	if f == FormatBinary {
-		return d.WriteBinary(w)
-	}
-	return d.WriteJSONL(w)
 }

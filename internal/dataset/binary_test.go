@@ -117,12 +117,12 @@ func TestBinaryUncompressedRoundTrip(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(bytes.NewReader(bin.Bytes())) // auto-detects
+	back, err := readAll(bytes.NewReader(bin.Bytes())) // auto-detects
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != d.Len() {
-		t.Fatalf("read %d experiments, want %d", back.Len(), d.Len())
+	if len(back) != d.Len() {
+		t.Fatalf("read %d experiments, want %d", len(back), d.Len())
 	}
 }
 
@@ -361,7 +361,7 @@ func TestBinaryFileShardsEquivalence(t *testing.T) {
 
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := Manifest{Format: FormatBinary, Seed: 7, ConfigHash: "abc", Total: 50}
+	m := Manifest{Seed: 7, ConfigHash: "abc", Total: 50}
 	ck, err := CreateCheckpoint(dir, m, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -380,12 +380,12 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Resume: reopen, verify the prior records, append the rest.
-	re, prior, discarded, err := OpenCheckpoint(dir)
+	re, prior, discarded, err := openCollect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if discarded != 0 || prior.Len() != 30 {
-		t.Fatalf("reopen: %d prior, %d discarded", prior.Len(), discarded)
+	if discarded != 0 || len(prior) != 30 {
+		t.Fatalf("reopen: %d prior, %d discarded", len(prior), discarded)
 	}
 	for _, e := range d.Experiments[30:] {
 		if err := re.Append(e); err != nil {
@@ -414,7 +414,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 
 func TestBinaryCheckpointTornResume(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := CreateCheckpoint(dir, Manifest{Format: FormatBinary, Seed: 7, ConfigHash: "h", Total: 40}, 10)
+	ck, err := CreateCheckpoint(dir, Manifest{Seed: 7, ConfigHash: "h", Total: 40}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,18 +435,18 @@ func TestBinaryCheckpointTornResume(t *testing.T) {
 	if err := os.WriteFile(seg, b[:len(b)-11], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, prior, discarded, err := OpenCheckpoint(dir)
+	re, prior, discarded, err := openCollect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if discarded == 0 {
 		t.Fatal("torn tail not reported")
 	}
-	if prior.Len()%10 != 0 || prior.Len() >= 40 {
-		t.Fatalf("prior = %d records after tear, want durable multiple of sync cadence", prior.Len())
+	if len(prior)%10 != 0 || len(prior) >= 40 {
+		t.Fatalf("prior = %d records after tear, want durable multiple of sync cadence", len(prior))
 	}
 	// Re-append the lost suffix; the file must scan clean afterwards.
-	for _, e := range d.Experiments[prior.Len():] {
+	for _, e := range d.Experiments[len(prior):] {
 		if err := re.Append(e); err != nil {
 			t.Fatal(err)
 		}

@@ -10,19 +10,18 @@ import (
 	"sync"
 )
 
-// Checkpoint file layout: dir/experiments.jsonl (JSONL) or
-// dir/experiments.bin (curtainbin) is an append-only segment of
-// completed experiments (fsync'd every Every appends), and
-// dir/manifest.json identifies the campaign the segment belongs to —
-// including which codec the segment uses. The manifest is always written
-// via temp file + rename, so it is either the old or the new version —
-// never torn. The segment may end in a torn tail (a partial JSONL line
-// or an incomplete curtainbin segment) after a hard kill; resume drops
-// the tail and re-runs those experiments.
+// Checkpoint file layout: dir/experiments.bin is an append-only
+// curtainbin stream of completed experiments (one segment cut and fsync'd
+// every Every appends), and dir/manifest.json identifies the campaign it
+// belongs to. The manifest is always written via temp file + rename, so
+// it is either the old or the new version — never torn. The stream may
+// end in a torn tail (an incomplete curtainbin segment, or a partial file
+// magic) after a hard kill; resume drops the tail and re-runs those
+// experiments. Checkpoints are an internal recovery artefact with exactly
+// one codec; `curtain convert -in dir` renders one as JSONL to read by eye.
 const (
-	segmentFile    = "experiments.jsonl"
-	segmentFileBin = "experiments.bin"
-	manifestFile   = "manifest.json"
+	segmentFile  = "experiments.bin"
+	manifestFile = "manifest.json"
 
 	// ManifestVersion is bumped on incompatible layout changes, and on
 	// any change to how trace derives client populations from (seed,
@@ -36,32 +35,15 @@ const (
 	DefaultCheckpointEvery = 64
 )
 
-// checkpointSegmentPath locates a checkpoint's segment file: the binary
-// segment when present, the JSONL segment otherwise.
-func checkpointSegmentPath(dir string) string {
-	bin := filepath.Join(dir, segmentFileBin)
-	if _, err := os.Stat(bin); err == nil {
-		return bin
-	}
-	return filepath.Join(dir, segmentFile)
-}
-
-// segmentFileFor maps a manifest format to its segment file name.
-func segmentFileFor(f Format) string {
-	if f == FormatBinary {
-		return segmentFileBin
-	}
-	return segmentFile
-}
-
 // Manifest identifies the campaign a checkpoint belongs to. A resume
 // must verify Seed and ConfigHash before trusting the segment: replaying
 // a checkpoint into a differently-configured campaign would silently mix
 // two datasets.
 type Manifest struct {
 	Version int `json:"version"`
-	// Format is the segment codec ("" or "jsonl" for JSONL,
-	// "binary" for curtainbin).
+	// Format tags the segment codec on disk. CreateCheckpoint always
+	// writes "binary"; version-2 manifests from when the codec was a
+	// choice may say "" or "jsonl", which ReadManifest refuses.
 	Format Format `json:"format,omitempty"`
 	// Seed is the campaign RNG seed.
 	Seed uint64 `json:"seed"`
@@ -71,8 +53,31 @@ type Manifest struct {
 	// Total is the number of experiments in the full campaign.
 	Total int `json:"total"`
 	// Completed is the durable-experiment watermark: at least this many
-	// complete experiment lines precede any possible tear in the segment.
+	// complete experiments precede any possible tear in the segment.
 	Completed int `json:"completed"`
+}
+
+// ReadManifest loads a checkpoint directory's manifest. A manifest whose
+// segment codec is not curtainbin — a JSONL checkpoint from before the
+// codec was fixed — is refused here, by name, so no reader ever mis-parses
+// its segment.
+func ReadManifest(dir string) (Manifest, error) {
+	mb, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		return Manifest{}, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(mb, &m); err != nil {
+		return Manifest{}, fmt.Errorf("dataset: checkpoint %s: manifest: %w", dir, err)
+	}
+	if m.Format != FormatBinary {
+		codec := m.Format
+		if codec == "" {
+			codec = FormatJSONL // what an absent tag meant when it was written
+		}
+		return Manifest{}, fmt.Errorf("dataset: checkpoint %s: segment codec %q is not supported: checkpoints are %s only (an old JSONL segment can still be read as a plain dataset file, not resumed)", dir, codec, FormatBinary)
+	}
+	return m, nil
 }
 
 // Checkpoint appends completed experiments durably. It is safe for
@@ -84,36 +89,24 @@ type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
 	bw       *bufio.Writer
-	enc      *json.Encoder // JSONL segments
-	bin      *BinaryWriter // curtainbin segments
+	bin      *BinaryWriter
 	pending  int
 	manifest Manifest
 }
 
 // CreateCheckpoint initializes a fresh checkpoint directory, truncating
-// any previous segment (of either codec), and durably records the
-// manifest before any experiment is appended. m.Format selects the
-// segment codec.
+// any previous segment, and durably records the manifest before any
+// experiment is appended. The manifest's Version, Format and Completed
+// are set here; the caller supplies the campaign identity.
 func CreateCheckpoint(dir string, m Manifest, every int) (*Checkpoint, error) {
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
 	}
-	// Drop the other codec's segment so a format switch cannot leave a
-	// stale segment that a later resume would prefer.
-	for _, name := range []string{segmentFile, segmentFileBin} {
-		if name != segmentFileFor(m.Format) {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segmentFileFor(m.Format)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, segmentFile), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
 	}
-	m.Version = ManifestVersion
-	m.Completed = 0
+	m.Version, m.Format, m.Completed = ManifestVersion, FormatBinary, 0
 	ck := newCheckpoint(dir, every, f, m, true)
 	if err := ck.writeManifestLocked(); err != nil {
 		_ = f.Close() // the manifest write error is the one to report
@@ -122,92 +115,69 @@ func CreateCheckpoint(dir string, m Manifest, every int) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// OpenCheckpoint loads an existing checkpoint for resumption: it reads
-// the manifest, loads every durable experiment from the segment
-// in the manifest's codec (dropping a torn final JSONL line or incomplete
-// curtainbin segment — the expected state after a hard kill),
+// OpenCheckpoint reopens an existing checkpoint for resumption: it reads
+// the manifest, streams every durable experiment of the segment to prior
+// (dropping a torn tail — the expected state after a hard kill),
 // truncates the segment back to its durable prefix and reopens it for
-// append. It returns the prior experiments and how many torn bytes were
-// discarded. The caller must verify the manifest's Seed and ConfigHash
-// against the campaign it is about to resume.
-func OpenCheckpoint(dir string) (*Checkpoint, *Dataset, int, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, manifestFile))
+// append at the given fsync cadence. It returns how many torn bytes were
+// discarded. An error from prior refuses the checkpoint before anything
+// on disk is touched. The caller must verify the manifest's Seed and
+// ConfigHash against the campaign it is about to resume.
+func OpenCheckpoint(dir string, every int, prior ScanFunc) (*Checkpoint, int, error) {
+	m, err := ReadManifest(dir)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(mb, &m); err != nil {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: manifest: %w", dir, err)
+		//lint:ignore errwrap ReadManifest errors already name the checkpoint and what is wrong with it
+		return nil, 0, err
 	}
 	if m.Version != ManifestVersion {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: manifest version %d, want %d", dir, m.Version, ManifestVersion)
-	}
-
-	seg := filepath.Join(dir, segmentFileFor(m.Format))
-	sf, err := os.Open(seg)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
-	}
-	prior, discarded, err := ReadJSONLTorn(sf)
-	cerr := sf.Close()
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: segment: %w", dir, err)
-	}
-	if cerr != nil {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: segment: %w", dir, cerr)
-	}
-	size := int64(0)
-	if info, err := os.Stat(seg); err != nil {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
-	} else {
-		size = info.Size()
-	}
-	if discarded > 0 {
-		// Cut the segment back to its durable prefix so the next append
-		// starts on a clean record boundary.
-		size -= int64(discarded)
-		if err := os.Truncate(seg, size); err != nil {
-			return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: truncate torn tail: %w", dir, err)
-		}
-	}
-
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
+		return nil, 0, fmt.Errorf("dataset: checkpoint %s: manifest version %d, want %d", dir, m.Version, ManifestVersion)
 	}
 	// The segment, not the manifest, is the source of truth for what
 	// completed: appends past the watermark are durable once their bytes
 	// hit disk, even if the process died before the manifest advanced.
-	m.Completed = prior.Len()
-	// A binary segment that never made it to disk (killed before the
-	// first sync, or torn inside the magic) restarts from an empty file
-	// and needs its header rewritten.
-	return newCheckpoint(dir, DefaultCheckpointEvery, f, m, size == 0), prior, discarded, nil
+	m.Completed = 0
+	discarded, err := scanSegment(dir, func(e *Experiment) error {
+		m.Completed++
+		return prior(e)
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("dataset: checkpoint %s: segment: %w", dir, err)
+	}
+	seg := filepath.Join(dir, segmentFile)
+	info, err := os.Stat(seg)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
+	}
+	size := info.Size() - int64(discarded)
+	if discarded > 0 {
+		// Cut the segment back to its durable prefix so the next append
+		// starts on a clean segment boundary.
+		if err := os.Truncate(seg, size); err != nil {
+			return nil, 0, fmt.Errorf("dataset: checkpoint %s: truncate torn tail: %w", dir, err)
+		}
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
+	}
+	// A segment that never made it to disk (killed before the first sync,
+	// or torn inside the magic) restarts from an empty file and needs its
+	// header rewritten.
+	return newCheckpoint(dir, every, f, m, size == 0), discarded, nil
 }
 
 func newCheckpoint(dir string, every int, f *os.File, m Manifest, fresh bool) *Checkpoint {
-	bw := bufio.NewWriter(f)
-	ck := &Checkpoint{dir: dir, every: every, f: f, bw: bw, manifest: m}
-	if m.Format == FormatBinary {
-		if fresh {
-			ck.bin = NewBinaryWriter(bw)
-		} else {
-			ck.bin = NewBinaryAppender(bw)
-		}
-	} else {
-		ck.enc = json.NewEncoder(bw)
-	}
-	return ck
-}
-
-// SetEvery overrides the fsync cadence (appends between syncs).
-func (c *Checkpoint) SetEvery(every int) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
-	c.mu.Lock()
-	c.every = every
-	c.mu.Unlock()
+	bw := bufio.NewWriter(f)
+	ck := &Checkpoint{dir: dir, every: every, f: f, bw: bw, manifest: m}
+	if fresh {
+		ck.bin = NewBinaryWriter(bw)
+	} else {
+		ck.bin = NewBinaryAppender(bw)
+	}
+	return ck
 }
 
 // Manifest returns a snapshot of the checkpoint's manifest.
@@ -225,11 +195,7 @@ func (c *Checkpoint) Dir() string { return c.dir }
 func (c *Checkpoint) Append(e *Experiment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.bin != nil {
-		if err := c.bin.Append(e); err != nil {
-			return fmt.Errorf("dataset: checkpoint append experiment %d: %w", e.Seq, err)
-		}
-	} else if err := c.enc.Encode(e); err != nil {
+	if err := c.bin.Append(e); err != nil {
 		return fmt.Errorf("dataset: checkpoint append experiment %d: %w", e.Seq, err)
 	}
 	c.manifest.Completed++
@@ -265,12 +231,10 @@ func (c *Checkpoint) Close() error {
 }
 
 func (c *Checkpoint) syncLocked() error {
-	if c.bin != nil {
-		// Cut the open curtainbin segment so every appended record is in
-		// the bufio stream (a record is durable only once its segment is).
-		if err := c.bin.Flush(); err != nil {
-			return fmt.Errorf("dataset: checkpoint %s: flush segment: %w", c.dir, err)
-		}
+	// Cut the open curtainbin segment so every appended record is in the
+	// bufio stream (a record is durable only once its segment is).
+	if err := c.bin.Flush(); err != nil {
+		return fmt.Errorf("dataset: checkpoint %s: flush segment: %w", c.dir, err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("dataset: checkpoint %s: flush segment: %w", c.dir, err)

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,60 +8,30 @@ import (
 	"testing"
 )
 
-func TestReadJSONLTornTail(t *testing.T) {
-	var buf bytes.Buffer
-	ds := &Dataset{}
-	ds.Add(sampleExperiment(1, "att"))
-	ds.Add(sampleExperiment(2, "att"))
-	if err := ds.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	torn := `{"seq":3,"client_id":"att-0` // killed mid-append, no newline
-	buf.WriteString(torn)
+// openCollect reopens a checkpoint, collecting the prior experiments the
+// way a resuming campaign does.
+func openCollect(dir string) (*Checkpoint, []*Experiment, int, error) {
+	var prior []*Experiment
+	ck, discarded, err := OpenCheckpoint(dir, 0, func(e *Experiment) error {
+		prior = append(prior, e)
+		return nil
+	})
+	return ck, prior, discarded, err
+}
 
-	got, discarded, err := ReadJSONLTorn(bytes.NewReader(buf.Bytes()))
+// scanAll strictly scans a dataset file into a slice.
+func scanAll(t *testing.T, path string) []*Experiment {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 {
-		t.Fatalf("experiments = %d, want 2 (torn line dropped)", got.Len())
+	defer func() { _ = f.Close() }()
+	es, err := readAll(f)
+	if err != nil {
+		t.Fatalf("scan %s: %v", path, err)
 	}
-	if discarded != len(torn) {
-		t.Fatalf("discarded = %d, want %d", discarded, len(torn))
-	}
-
-	// Strict mode must reject the same input loudly.
-	if _, err := ReadJSONL(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("strict ReadJSONL accepted a torn tail")
-	}
-}
-
-func TestReadJSONLTornRejectsMidFileCorruption(t *testing.T) {
-	// A broken line that is NOT the unterminated tail is real corruption:
-	// tolerating it would silently drop arbitrary experiments.
-	input := `{"seq":1}` + "\n" + `{broken` + "\n" + `{"seq":2}` + "\n"
-	if _, _, err := ReadJSONLTorn(strings.NewReader(input)); err == nil {
-		t.Fatal("mid-file corruption accepted")
-	}
-	// Even a broken final line is corruption when newline-terminated: the
-	// append completed, so the bytes were written that way.
-	input = `{"seq":1}` + "\n" + `{broken` + "\n"
-	if _, _, err := ReadJSONLTorn(strings.NewReader(input)); err == nil {
-		t.Fatal("newline-terminated corruption accepted")
-	}
-}
-
-func TestReadJSONLTornCleanInput(t *testing.T) {
-	var buf bytes.Buffer
-	ds := &Dataset{}
-	ds.Add(sampleExperiment(1, "att"))
-	if err := ds.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, discarded, err := ReadJSONLTorn(bytes.NewReader(buf.Bytes()))
-	if err != nil || discarded != 0 || got.Len() != 1 {
-		t.Fatalf("clean input: len=%d discarded=%d err=%v", got.Len(), discarded, err)
-	}
+	return es
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -81,7 +50,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, prior, discarded, err := OpenCheckpoint(dir)
+	reopened, prior, discarded, err := openCollect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +59,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("clean checkpoint reported %d torn bytes", discarded)
 	}
 	got := reopened.Manifest()
-	if got.Seed != 7 || got.ConfigHash != "00c0ffee" || got.Total != 4 {
+	if got.Seed != 7 || got.ConfigHash != "00c0ffee" || got.Total != 4 || got.Format != FormatBinary {
 		t.Fatalf("manifest identity lost: %+v", got)
 	}
-	if got.Completed != 3 || prior.Len() != 3 {
-		t.Fatalf("completed = %d (prior %d), want 3", got.Completed, prior.Len())
+	if got.Completed != 3 || len(prior) != 3 {
+		t.Fatalf("completed = %d (prior %d), want 3", got.Completed, len(prior))
 	}
-	for i, e := range prior.Experiments {
+	for i, e := range prior {
 		if e.Seq != i+1 {
 			t.Fatalf("prior[%d].Seq = %d", i, e.Seq)
 		}
@@ -126,8 +95,13 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A kill mid-append leaves the head of the next segment behind.
+	next, err := MarshalExperiments([]*Experiment{sampleExperiment(2, "att")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := next[len(binMagic) : len(binMagic)+13]
 	seg := filepath.Join(dir, segmentFile)
-	torn := []byte(`{"seq":2,"cli`)
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +117,12 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, prior, discarded, err := OpenCheckpoint(dir)
+	reopened, prior, discarded, err := openCollect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if discarded != len(torn) || prior.Len() != 1 {
-		t.Fatalf("discarded=%d prior=%d, want %d and 1", discarded, prior.Len(), len(torn))
+	if discarded != len(torn) || len(prior) != 1 {
+		t.Fatalf("discarded=%d prior=%d, want %d and 1", discarded, len(prior), len(torn))
 	}
 	// The segment file itself must be cut back to the durable prefix.
 	after, err := os.Stat(seg)
@@ -158,37 +132,88 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 	if after.Size() != before.Size()-int64(len(torn)) {
 		t.Fatalf("segment size %d, want %d", after.Size(), before.Size()-int64(len(torn)))
 	}
-	// And the next append must land on a clean line boundary.
+	// And the next append must land on a clean segment boundary.
 	if err := reopened.Append(sampleExperiment(2, "att")); err != nil {
 		t.Fatal(err)
 	}
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sf, err := os.Open(seg)
-	if err != nil {
-		t.Fatal(err)
+	if final := scanAll(t, seg); len(final) != 2 || final[1].Seq != 2 {
+		t.Fatalf("recovered segment = %d experiments", len(final))
 	}
-	defer func() { _ = sf.Close() }()
-	final, err := ReadJSONL(sf)
-	if err != nil {
-		t.Fatalf("segment unreadable after torn-tail recovery: %v", err)
-	}
-	if final.Len() != 2 || final.Experiments[1].Seq != 2 {
-		t.Fatalf("recovered segment = %d experiments", final.Len())
+}
+
+// TestOpenCheckpointBeforeFirstSync: a run killed before its first fsync
+// leaves an empty segment file, or one torn inside the 8-byte magic. Both
+// resume as "nothing durable", report the torn bytes, and rewrite the
+// header so the resumed segment is a well-formed curtainbin stream.
+func TestOpenCheckpointBeforeFirstSync(t *testing.T) {
+	for _, keep := range []int{0, 1, len(binMagic) - 1} {
+		dir := filepath.Join(t.TempDir(), "ck")
+		ck, err := CreateCheckpoint(dir, Manifest{Seed: 1, Total: 2}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Close(); err != nil { // syncs the bare magic
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, segmentFile)
+		if err := os.Truncate(seg, int64(keep)); err != nil {
+			t.Fatal(err)
+		}
+
+		reopened, prior, discarded, err := openCollect(dir)
+		if err != nil {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		if len(prior) != 0 || discarded != keep || reopened.Manifest().Completed != 0 {
+			t.Fatalf("keep %d: prior=%d discarded=%d completed=%d, want 0, %d, 0",
+				keep, len(prior), discarded, reopened.Manifest().Completed, keep)
+		}
+		if err := reopened.Append(sampleExperiment(1, "att")); err != nil {
+			t.Fatal(err)
+		}
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if final := scanAll(t, seg); len(final) != 1 || final[0].Seq != 1 {
+			t.Fatalf("keep %d: resumed segment holds %d experiments, want 1", keep, len(final))
+		}
 	}
 }
 
 func TestOpenCheckpointRejectsBadManifest(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, _, err := OpenCheckpoint(dir); err == nil {
+	if _, _, _, err := openCollect(dir); err == nil {
 		t.Fatal("missing manifest accepted")
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(`{"version":99}`), 0o644); err != nil {
+	manifest := filepath.Join(dir, manifestFile)
+	if err := os.WriteFile(manifest, []byte(`{"version":99,"format":"binary"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenCheckpoint(dir); err == nil {
+	if _, _, _, err := openCollect(dir); err == nil {
 		t.Fatal("future manifest version accepted")
+	}
+
+	// A JSONL checkpoint (explicitly tagged, or untagged as the old default
+	// wrote it) is refused by directory and codec — for resume and for
+	// read-only scans alike — even with a well-formed JSONL segment there.
+	if err := os.WriteFile(filepath.Join(dir, "experiments.jsonl"), []byte(`{"seq":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []string{``, `"format":"jsonl",`} {
+		body := `{"version":2,` + tag + `"seed":1,"config_hash":"h","total":1,"completed":1}`
+		if err := os.WriteFile(manifest, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, openErr := openCollect(dir)
+		_, scanErr := ScanCheckpoint(dir, func(*Experiment) error { return nil })
+		for _, err := range []error{openErr, scanErr} {
+			if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), `"jsonl"`) {
+				t.Fatalf("manifest %s: err = %v, want a refusal naming %s and the jsonl codec", body, err, dir)
+			}
+		}
 	}
 }
 

@@ -182,46 +182,39 @@ func (d *Dataset) ByCarrier() []CarrierGroup {
 	return groups
 }
 
-// WriteJSONL streams the dataset as one JSON object per line.
-func (d *Dataset) WriteJSONL(w io.Writer) error {
+// NewWriter returns the append and flush halves of a streaming encoder
+// writing experiments to w in codec f: every dataset this repository
+// writes, materialized (Dataset.Write) or streamed (simulate, convert),
+// goes through it, so the two cannot drift apart by a byte. Nothing is
+// complete until flush returns nil.
+func NewWriter(w io.Writer, f Format) (add func(*Experiment) error, flush func() error) {
+	if f == FormatBinary {
+		b := NewBinaryWriter(w)
+		return b.Append, b.Flush
+	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range d.Experiments {
+	return func(e *Experiment) error {
 		if err := enc.Encode(e); err != nil {
 			return fmt.Errorf("dataset: encode experiment %d: %w", e.Seq, err)
 		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL loads a dataset written by WriteJSONL or WriteBinary (the
-// name predates the binary codec; the input is auto-detected by magic, as
-// in Scan). It is strict: any malformed line or truncated segment —
-// including a torn tail — is an error.
-func ReadJSONL(r io.Reader) (*Dataset, error) {
-	d, _, err := readJSONL(r, false)
-	return d, err
-}
-
-// ReadJSONLTorn loads a dataset of either codec tolerating a torn tail —
-// the expected state of an append-only segment after a hard kill
-// mid-write. A final JSONL line that does not parse (and has no trailing
-// newline), or an incomplete final curtainbin segment, is dropped; the
-// returned count is how many trailing bytes were discarded. Tears or
-// corruption anywhere else remain errors: a tear can only be a suffix of
-// the file.
-func ReadJSONLTorn(r io.Reader) (*Dataset, int, error) {
-	return readJSONL(r, true)
-}
-
-func readJSONL(r io.Reader, tolerateTorn bool) (*Dataset, int, error) {
-	d := &Dataset{}
-	discarded, err := scanAny(r, tolerateTorn, func(e *Experiment) error {
-		d.Add(e)
 		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, discarded, nil
+	}, bw.Flush
 }
+
+// Write streams the dataset in the requested format.
+func (d *Dataset) Write(w io.Writer, f Format) error {
+	add, flush := NewWriter(w, f)
+	for _, e := range d.Experiments {
+		if err := add(e); err != nil {
+			return err
+		}
+	}
+	return flush()
+}
+
+// WriteJSONL streams the dataset as one JSON object per line.
+func (d *Dataset) WriteJSONL(w io.Writer) error { return d.Write(w, FormatJSONL) }
+
+// WriteBinary streams the dataset in curtainbin format.
+func (d *Dataset) WriteBinary(w io.Writer) error { return d.Write(w, FormatBinary) }

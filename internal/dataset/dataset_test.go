@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"net/netip"
 	"strings"
 	"testing"
@@ -83,6 +84,16 @@ func TestByCarrier(t *testing.T) {
 	}
 }
 
+// readAll strictly scans a stream of either codec into a slice.
+func readAll(r io.Reader) ([]*Experiment, error) {
+	var es []*Experiment
+	err := Scan(r, func(e *Experiment) error {
+		es = append(es, e)
+		return nil
+	})
+	return es, err
+}
+
 func TestJSONLRoundTripFidelity(t *testing.T) {
 	d := &Dataset{}
 	for i := 0; i < 10; i++ {
@@ -95,14 +106,14 @@ func TestJSONLRoundTripFidelity(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != 10 {
 		t.Fatalf("lines = %d", got)
 	}
-	back, err := ReadJSONL(&buf)
+	back, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 10 {
-		t.Fatalf("read back %d", back.Len())
+	if len(back) != 10 {
+		t.Fatalf("read back %d", len(back))
 	}
-	a, b := d.Experiments[3], back.Experiments[3]
+	a, b := d.Experiments[3], back[3]
 	if a.Seq != b.Seq || !a.Time.Equal(b.Time) || a.NATAddr != b.NATAddr {
 		t.Fatal("metadata corrupted")
 	}
@@ -119,14 +130,14 @@ func TestJSONLRoundTripFidelity(t *testing.T) {
 }
 
 func TestReadJSONLSkipsBlankAndRejectsGarbage(t *testing.T) {
-	d, err := ReadJSONL(strings.NewReader("\n\n"))
-	if err != nil || d.Len() != 0 {
-		t.Fatalf("blank lines: %v %d", err, d.Len())
+	d, err := readAll(strings.NewReader("\n\n"))
+	if err != nil || len(d) != 0 {
+		t.Fatalf("blank lines: %v %d", err, len(d))
 	}
-	if _, err := ReadJSONL(strings.NewReader("{valid json this is not\n")); err == nil {
+	if _, err := readAll(strings.NewReader("{valid json this is not\n")); err == nil {
 		t.Fatal("garbage must error")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"seq": "not-an-int"}` + "\n")); err == nil {
+	if _, err := readAll(strings.NewReader(`{"seq": "not-an-int"}` + "\n")); err == nil {
 		t.Fatal("type mismatch must error")
 	}
 }

@@ -20,69 +20,71 @@ type ScanFunc func(*Experiment) error
 
 // Scan streams a dataset written by WriteJSONL or WriteBinary, yielding
 // one experiment at a time without materializing the dataset. The codec
-// is auto-detected by magic bytes. It is strict: any malformed line or
-// truncated segment — including a torn tail — is an error.
+// is auto-detected by magic bytes: anything that does not open with the
+// curtainbin magic — including the empty stream — is JSONL. It is strict:
+// any malformed line or truncated segment — including a torn tail — is an
+// error.
 func Scan(r io.Reader, fn ScanFunc) error {
-	_, err := scanAny(r, false, fn)
+	_, err := scan(r, false, fn)
 	return err
 }
 
-// ScanTorn streams a dataset tolerating a torn tail — the expected state
-// of an append-only segment after a hard kill mid-write. A final JSONL
-// line that does not parse (or an incomplete final curtainbin segment)
-// is dropped; the returned count is how many trailing bytes were
-// discarded. Tears or corruption anywhere else remain errors: a tear can
-// only be a suffix of the file.
+// ScanTorn streams a curtainbin stream tolerating a torn tail — the
+// expected state of an append-only checkpoint segment after a hard kill
+// mid-write. An incomplete final segment is dropped, as is a file killed
+// before its first sync (empty, or a strict prefix of the magic); the
+// returned count is how many trailing bytes were discarded. Tears or
+// corruption anywhere else remain errors: a tear can only be a suffix of
+// the file. Torn-tail tolerance exists for checkpoints, which have one
+// codec, so a stream that is not curtainbin is refused.
 func ScanTorn(r io.Reader, fn ScanFunc) (int, error) {
-	return scanAny(r, true, fn)
+	return scan(r, true, fn)
 }
 
-// scanAny sniffs the stream's magic bytes and dispatches to the right
-// codec. Anything that does not open with the curtainbin magic —
-// including the empty stream and files shorter than the magic — is
-// treated as JSONL, whose torn-line handling subsumes those cases.
-func scanAny(r io.Reader, tolerateTorn bool, fn ScanFunc) (int, error) {
+// scan sniffs the stream's magic bytes and dispatches on them.
+func scan(r io.Reader, torn bool, fn ScanFunc) (int, error) {
 	cr := &countReader{r: r}
 	br := bufio.NewReaderSize(cr, 1<<20)
 	magic, err := br.Peek(len(binMagic))
 	if err != nil && err != io.EOF {
 		return 0, fmt.Errorf("dataset: read: %w", err)
 	}
-	if bytes.Equal(magic, binMagic[:]) {
+	switch {
+	case bytes.Equal(magic, binMagic[:]):
 		if _, err := br.Discard(len(binMagic)); err != nil {
 			return 0, fmt.Errorf("dataset: read: %w", err)
 		}
-		return scanBinary(cr, br, tolerateTorn, fn)
+		return scanBinary(cr, br, torn, fn)
+	case !torn:
+		return 0, scanJSONL(br, fn)
+	case bytes.HasPrefix(binMagic[:], magic):
+		return len(magic), nil // killed before the magic was whole
+	default:
+		return 0, fmt.Errorf("dataset: not a curtainbin stream (opens with %q)", magic)
 	}
-	return scanJSONL(br, tolerateTorn, fn)
 }
 
-func scanJSONL(br *bufio.Reader, tolerateTorn bool, fn ScanFunc) (int, error) {
+func scanJSONL(br *bufio.Reader, fn ScanFunc) error {
 	line := 0
 	for {
 		raw, err := br.ReadBytes('\n')
 		if err != nil && err != io.EOF {
-			return 0, fmt.Errorf("dataset: read: %w", err)
+			return fmt.Errorf("dataset: read: %w", err)
 		}
-		atEOF := err == io.EOF
 		trimmed := bytes.TrimSuffix(raw, []byte("\n"))
 		if len(trimmed) > 0 {
 			line++
 			e := new(Experiment)
 			if jerr := json.Unmarshal(trimmed, e); jerr != nil {
-				if atEOF && tolerateTorn {
-					// The tail never made it to disk whole; drop it.
-					return len(raw), nil
-				}
-				return 0, fmt.Errorf("dataset: line %d: %w", line, jerr)
+				return fmt.Errorf("dataset: line %d: %w", line, jerr)
 			}
 			if ferr := fn(e); ferr != nil {
 				//lint:ignore errwrap the yield callback's error belongs to the caller unwrapped
-				return 0, ferr
+				return ferr
 			}
 		}
-		if atEOF {
-			return 0, nil
+		if err == io.EOF {
+			return nil
 		}
 	}
 }
@@ -109,23 +111,24 @@ func ScanFile(path string, fn ScanFunc) error {
 
 // ScanCheckpoint streams the experiments durably recorded in a campaign
 // checkpoint directory (see CreateCheckpoint), tolerating the torn tail
-// a hard kill can leave. The segment's codec (JSONL or curtainbin) is
-// auto-detected. It returns how many torn trailing bytes were skipped.
+// a hard kill can leave. It returns how many torn trailing bytes were
+// skipped.
 func ScanCheckpoint(dir string, fn ScanFunc) (int, error) {
-	f, err := os.Open(checkpointSegmentPath(dir))
+	if _, err := ReadManifest(dir); err != nil {
+		return 0, err
+	}
+	return scanSegment(dir, fn)
+}
+
+// scanSegment is ScanCheckpoint once the manifest has vouched for the
+// segment's codec.
+func scanSegment(dir string, fn ScanFunc) (int, error) {
+	f, err := os.Open(filepath.Join(dir, segmentFile))
 	if err != nil {
 		return 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
 	}
-	discarded, serr := ScanTorn(f, fn)
-	cerr := f.Close()
-	if serr != nil {
-		//lint:ignore errwrap ScanTorn errors are already contextual, and serr may be the caller's own ScanFunc error
-		return 0, serr
-	}
-	if cerr != nil {
-		return 0, fmt.Errorf("dataset: checkpoint %s: close segment: %w", dir, cerr)
-	}
-	return discarded, nil
+	defer f.Close()
+	return ScanTorn(f, fn)
 }
 
 // IsCheckpointDir reports whether path looks like a checkpoint directory

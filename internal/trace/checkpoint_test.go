@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,20 +145,20 @@ func TestKillResumeInvariance(t *testing.T) {
 }
 
 func TestResumeAfterTornSegmentTail(t *testing.T) {
-	// A kill -9 mid-append leaves a torn final line. Resume must drop it,
-	// report the discarded bytes, re-run that experiment, and still match
+	// A kill -9 mid-append leaves a torn final segment. Resume must drop it,
+	// report the discarded bytes, re-run its experiments, and still match
 	// the uninterrupted bytes.
 	want := uninterrupted(t, 1, "")
 	dir := filepath.Join(t.TempDir(), "ck")
 	cfg := ckConfig(t, 1, "", dir)
 	abortAfter(t, cfg, 3)
 
-	seg := filepath.Join(dir, "experiments.jsonl")
+	seg := filepath.Join(dir, "experiments.bin")
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the tail mid-line: chop the trailing newline plus some JSON.
+	// Tear the tail mid-segment.
 	if err := os.Truncate(seg, fi.Size()-40); err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +218,52 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 		if _, _, err := c.CollectDurable(); err == nil {
 			t.Fatalf("%s-mutated resume accepted a foreign checkpoint", name)
 		}
+	}
+}
+
+// TestResumeRejectsOutOfRangeSeq: a checkpoint whose manifest matches but
+// whose segment holds a seq outside the campaign is refused by the one
+// adoption routine — and so by RunDurable and `curtain coordinate -resume`
+// alike — naming the directory and the seq. Skipping the record instead
+// would leave it in the segment for `analyze -in DIR` to count.
+func TestResumeRejectsOutOfRangeSeq(t *testing.T) {
+	total := ckCampaign(t, ckConfig(t, 1, "", "")).Total()
+	for _, tc := range []struct {
+		name string
+		seq  int
+	}{
+		{"past the end", total + 1},
+		{"zero", 0},
+		{"negative", -3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ck")
+			cfg := ckConfig(t, 1, "", dir)
+			ck, err := dataset.CreateCheckpoint(dir, dataset.Manifest{
+				Seed: cfg.Seed, ConfigHash: cfg.Hash(), Total: total,
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seq := range []int{1, tc.seq} {
+				if err := ck.Append(&dataset.Experiment{Seq: seq, ClientID: "stray"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ck.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.Resume = true
+			_, _, _, adoptErr := ckCampaign(t, cfg).AdoptCheckpoint()
+			_, _, runErr := ckCampaign(t, cfg).CollectDurable()
+			for _, err := range []error{adoptErr, runErr} {
+				if err == nil || !strings.Contains(err.Error(), dir) ||
+					!strings.Contains(err.Error(), fmt.Sprintf("seq %d outside 1..%d", tc.seq, total)) {
+					t.Fatalf("err = %v, want a refusal naming %s and seq %d", err, dir, tc.seq)
+				}
+			}
+		})
 	}
 }
 

@@ -72,3 +72,28 @@ func TestPinnedFaultCampaignDigest(t *testing.T) {
 		t.Fatalf("resolver-outage campaign bytes moved: sha256 %s, pinned %s", got, pinnedOutageDigest)
 	}
 }
+
+// TestPinnedConfigHash holds the campaign fingerprint to literals recorded
+// before Spec was split out of Config: the hash is what manifests on disk
+// and workers' claims on the wire carry, so a refactor that reorders or
+// reformats a hashed field must show up here, not as a refused resume.
+func TestPinnedConfigHash(t *testing.T) {
+	variant := DefaultConfig(77)
+	variant.End = variant.Start.Add(48 * time.Hour)
+	variant.ClientScale = 0.25
+	variant.Faults = "resolver-outage"
+	variant.Workers, variant.CheckpointDir, variant.Resume = 8, "ck", true // execution fields never hash
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"paper default, seed 2014", DefaultConfig(2014), "d9733100fca2c864"},
+		{"two days, quarter scale, resolver-outage, seed 77", variant, "c88704dea3a5fa17"},
+		{"zero value takes the defaults", Config{}, "49449347c1b98f13"},
+	} {
+		if got := tc.cfg.Hash(); got != tc.want {
+			t.Errorf("%s: Hash() = %s, pinned %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -29,28 +29,91 @@ func worldBook(w *sim.World) fault.AddressBook {
 	}
 }
 
-// Config parameterizes a campaign.
-type Config struct {
+// Spec is a campaign's identity: the nine fields that determine every
+// byte of its dataset, and nothing about how a run executes. It is the
+// one definition of that list — Config embeds it, Hash fingerprints it,
+// and the control plane pushes it to workers verbatim (its JSON form is
+// the wire schema, controlplane.ProtoVersion 2), so a field added here is
+// hashed, pushed and adopted without a second edit.
+type Spec struct {
 	// Seed drives population and schedule randomness.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Start and End bound the campaign window. Zero values default to the
 	// paper's five months.
-	Start, End time.Time
+	Start time.Time `json:"start"`
+	End   time.Time `json:"end"`
 	// Interval is the experiment period per device. The paper ran
 	// hourly; the default here is 12h to keep the full-window campaign
 	// tractable — the longitudinal shapes are interval-invariant.
-	Interval time.Duration
+	Interval time.Duration `json:"interval"`
 	// LTEShare is the fraction of experiments on LTE (the paper's focus);
 	// the remainder exercises the carrier's 2G/3G family for Fig 3.
-	LTEShare float64
+	LTEShare float64 `json:"lte_share"`
 	// TravelProb is the per-experiment probability a client measures away
 	// from home (mobility).
-	TravelProb float64
+	TravelProb float64 `json:"travel_prob"`
 	// ClientScale scales the Table 1 population (1.0 = the paper's 158
 	// clients; smaller values for quick runs, at least 1 per carrier).
-	ClientScale float64
+	ClientScale float64 `json:"client_scale"`
 	// TracerouteEvery thins replica traceroutes (1 = every experiment).
-	TracerouteEvery int
+	TracerouteEvery int `json:"traceroute_every"`
+	// Faults, when non-empty, is a fault scenario — a preset name or
+	// internal/fault DSL text — compiled against each shard's world and
+	// installed on its fabric. Injections draw from the per-experiment
+	// stream, so a fault campaign stays worker-count invariant.
+	Faults string `json:"faults,omitempty"`
+}
+
+// Hash fingerprints the spec. Everything outside it — Config's worker,
+// checkpoint and interrupt fields — shapes how a run executes but never
+// what it produces, so it stays out of the fingerprint. A resume refuses
+// a checkpoint whose recorded hash differs: continuing it would splice
+// two different datasets together.
+func (s Spec) Hash() string {
+	s = s.withDefaults()
+	return fmt.Sprintf("%016x", stats.Fingerprint(
+		strconv.FormatUint(s.Seed, 10),
+		s.Start.UTC().Format(time.RFC3339Nano),
+		s.End.UTC().Format(time.RFC3339Nano),
+		s.Interval.String(),
+		strconv.FormatFloat(s.LTEShare, 'g', -1, 64),
+		strconv.FormatFloat(s.TravelProb, 'g', -1, 64),
+		strconv.FormatFloat(s.ClientScale, 'g', -1, 64),
+		strconv.Itoa(s.TracerouteEvery),
+		s.Faults,
+	))
+}
+
+func (s Spec) withDefaults() Spec {
+	d := DefaultConfig(s.Seed).Spec
+	if s.Start.IsZero() {
+		s.Start = d.Start
+	}
+	if s.End.IsZero() {
+		s.End = d.End
+	}
+	if s.Interval <= 0 {
+		s.Interval = d.Interval
+	}
+	if s.LTEShare <= 0 {
+		s.LTEShare = d.LTEShare
+	}
+	if s.TravelProb < 0 {
+		s.TravelProb = d.TravelProb
+	}
+	if s.ClientScale <= 0 {
+		s.ClientScale = d.ClientScale
+	}
+	if s.TracerouteEvery <= 0 {
+		s.TracerouteEvery = d.TracerouteEvery
+	}
+	return s
+}
+
+// Config parameterizes a campaign: the Spec that identifies its dataset
+// plus how this process executes it.
+type Config struct {
+	Spec
 	// Workers is the number of parallel execution shards (<= 1 = serial).
 	// Experiments are independent — each runs on a per-experiment random
 	// stream derived from (Seed, client, seq) — so the collected dataset
@@ -61,26 +124,16 @@ type Config struct {
 	// fabric state. Required when Workers > 1, and must be deterministic
 	// (same seed/config as the campaign's primary world).
 	WorldFactory func() (*sim.World, error)
-	// Faults, when non-empty, is a fault scenario — a preset name or
-	// internal/fault DSL text — compiled against each shard's world and
-	// installed on its fabric. Injections draw from the per-experiment
-	// stream, so a fault campaign stays worker-count invariant.
-	Faults string
-	// CheckpointDir, when non-empty, makes CollectDurable append every
-	// completed experiment to a fsync'd segment under this directory,
-	// with a manifest recording the campaign's identity. A run killed at
-	// any point resumes from the durable prefix.
+	// CheckpointDir, when non-empty, makes RunDurable append every
+	// completed experiment to a fsync'd curtainbin segment under this
+	// directory, with a manifest recording the campaign's identity. A run
+	// killed at any point resumes from the durable prefix.
 	CheckpointDir string
-	// CheckpointFormat selects the checkpoint segment codec (JSONL by
-	// default, curtainbin with dataset.FormatBinary). Like the other
-	// checkpoint fields it shapes how results persist, never what they
-	// contain, so it is excluded from Hash.
-	CheckpointFormat dataset.Format
 	// CheckpointEvery is the fsync cadence in experiments (0 = the
 	// dataset package default). Smaller values bound the re-run window
 	// after a hard kill at the cost of more fsyncs.
 	CheckpointEvery int
-	// Resume makes CollectDurable load the checkpoint in CheckpointDir,
+	// Resume makes RunDurable load the checkpoint in CheckpointDir,
 	// verify its seed/config hash, skip every durable experiment and run
 	// only the remainder. Per-experiment RNG streams keyed by
 	// (Seed, client, seq) make the continuation byte-identical to an
@@ -88,13 +141,13 @@ type Config struct {
 	Resume bool
 	// Interrupt, when non-nil, requests a graceful stop once closed:
 	// workers finish their in-flight experiment (drain), the checkpoint
-	// is flushed, and CollectDurable returns ErrInterrupted.
+	// is flushed, and RunDurable returns ErrInterrupted.
 	Interrupt <-chan struct{}
 }
 
 // DefaultConfig returns the paper-shaped campaign configuration.
 func DefaultConfig(seed uint64) Config {
-	return Config{
+	return Config{Spec: Spec{
 		Seed:            seed,
 		Start:           time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC),
 		End:             time.Date(2014, 8, 1, 0, 0, 0, 0, time.UTC),
@@ -103,57 +156,15 @@ func DefaultConfig(seed uint64) Config {
 		TravelProb:      0.06,
 		ClientScale:     1.0,
 		TracerouteEvery: 1,
-	}
+	}}
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig(c.Seed)
-	if c.Start.IsZero() {
-		c.Start = d.Start
-	}
-	if c.End.IsZero() {
-		c.End = d.End
-	}
-	if c.Interval <= 0 {
-		c.Interval = d.Interval
-	}
-	if c.LTEShare <= 0 {
-		c.LTEShare = d.LTEShare
-	}
-	if c.TravelProb < 0 {
-		c.TravelProb = d.TravelProb
-	}
-	if c.ClientScale <= 0 {
-		c.ClientScale = d.ClientScale
-	}
-	if c.TracerouteEvery <= 0 {
-		c.TracerouteEvery = d.TracerouteEvery
-	}
+	c.Spec = c.Spec.withDefaults()
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
 	return c
-}
-
-// Hash fingerprints every configuration field that determines the
-// dataset. Workers is deliberately excluded (the dataset is worker-count
-// invariant), as are the checkpoint/interrupt fields, which shape how a
-// run executes but never what it produces. A resume refuses a checkpoint
-// whose recorded hash differs: continuing it would splice two different
-// datasets together.
-func (c Config) Hash() string {
-	c = c.withDefaults()
-	return fmt.Sprintf("%016x", stats.Fingerprint(
-		strconv.FormatUint(c.Seed, 10),
-		c.Start.UTC().Format(time.RFC3339Nano),
-		c.End.UTC().Format(time.RFC3339Nano),
-		c.Interval.String(),
-		strconv.FormatFloat(c.LTEShare, 'g', -1, 64),
-		strconv.FormatFloat(c.TravelProb, 'g', -1, 64),
-		strconv.FormatFloat(c.ClientScale, 'g', -1, 64),
-		strconv.Itoa(c.TracerouteEvery),
-		c.Faults,
-	))
 }
 
 // Campaign is a scheduled measurement study over one world.
@@ -194,6 +205,23 @@ const (
 	clientSalt  = 0x51AA7
 	prepareSalt = 0x93E1
 )
+
+// New builds the simulation world for cfg.Seed and the campaign over it,
+// with a WorldFactory that rebuilds the same world for worker shards —
+// what simulate, coordinate and worker each need before they can size or
+// run anything. Callers with a differently configured world (the
+// ablations) build it themselves and use NewCampaign.
+func New(cfg Config) (*Campaign, error) {
+	simCfg := sim.Config{Seed: cfg.Seed}
+	w, err := sim.New(simCfg)
+	if err != nil {
+		return nil, fmt.Errorf("trace: build world: %w", err)
+	}
+	if cfg.WorldFactory == nil {
+		cfg.WorldFactory = func() (*sim.World, error) { return sim.New(simCfg) }
+	}
+	return NewCampaign(w, cfg)
+}
 
 // NewCampaign sizes the client population and prepares the runner.
 func NewCampaign(w *sim.World, cfg Config) (*Campaign, error) {
@@ -620,75 +648,75 @@ func (e *ConfigMismatchError) Error() string {
 		e.Hash, e.Seed, e.Total)
 }
 
-// VerifyManifest checks that a checkpoint manifest matches the campaign
-// that wants to adopt it — same seed, same Config.Hash fingerprint, same
-// experiment count — and returns a *ConfigMismatchError naming both
-// identities otherwise. Both the serial resume path (CollectDurable) and
-// the distributed coordinator use this before trusting a segment.
-func VerifyManifest(dir string, m dataset.Manifest, cfg Config, total int) error {
-	if m.Seed != cfg.Seed || m.ConfigHash != cfg.Hash() || m.Total != total {
-		return &ConfigMismatchError{
-			Dir: dir, Manifest: m,
-			Seed: cfg.Seed, Hash: cfg.Hash(), Total: total,
+// AdoptCheckpoint opens the checkpoint in Config.CheckpointDir for this
+// campaign — the one routine behind every durable run, local (RunDurable)
+// or distributed (curtain coordinate). Without Config.Resume it creates a
+// fresh checkpoint recording the campaign's identity. With it, the
+// existing checkpoint is adopted only if its manifest names this campaign
+// (same seed, Spec.Hash and experiment count; a *ConfigMismatchError
+// naming both identities otherwise) and every durable experiment's seq
+// lies inside the campaign: a record outside 1..Total would survive in
+// the segment for later analysis to count, so it is refused, not skipped.
+// It returns the checkpoint open for append at Config.CheckpointEvery's
+// fsync cadence, the durable experiments keyed by seq, and the size of
+// the torn segment tail that was dropped (nonzero only after a hard kill
+// mid-append). The caller closes the checkpoint.
+func (c *Campaign) AdoptCheckpoint() (*dataset.Checkpoint, map[int]*dataset.Experiment, int, error) {
+	cfg, hash, total := c.Config, c.Config.Hash(), c.Total()
+	if cfg.CheckpointDir == "" {
+		return nil, nil, 0, fmt.Errorf("trace: a durable campaign requires Config.CheckpointDir")
+	}
+	if !cfg.Resume {
+		ck, err := dataset.CreateCheckpoint(cfg.CheckpointDir, dataset.Manifest{
+			Seed: cfg.Seed, ConfigHash: hash, Total: total,
+		}, cfg.CheckpointEvery)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("trace: checkpoint: %w", err)
+		}
+		return ck, nil, 0, nil
+	}
+	// Identity before contents: a foreign checkpoint is refused before its
+	// segment is scanned (or its torn tail cut).
+	m, err := dataset.ReadManifest(cfg.CheckpointDir)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("trace: resume: %w", err)
+	}
+	if m.Seed != cfg.Seed || m.ConfigHash != hash || m.Total != total {
+		return nil, nil, 0, &ConfigMismatchError{
+			Dir: cfg.CheckpointDir, Manifest: m,
+			Seed: cfg.Seed, Hash: hash, Total: total,
 		}
 	}
-	return nil
+	prior := map[int]*dataset.Experiment{}
+	ck, torn, err := dataset.OpenCheckpoint(cfg.CheckpointDir, cfg.CheckpointEvery, func(e *dataset.Experiment) error {
+		if e.Seq < 1 || e.Seq > total {
+			return fmt.Errorf("experiment seq %d outside 1..%d", e.Seq, total)
+		}
+		prior[e.Seq] = e
+		return nil
+	})
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("trace: resume: %w", err)
+	}
+	return ck, prior, torn, nil
 }
 
 // RunDurable runs the campaign with durable checkpointing in
 // Config.CheckpointDir, streaming every experiment to record in
 // canonical order as the contiguous prefix completes — like Run, but
 // durable. Completed experiments are appended to the checkpoint segment
-// (in Config.CheckpointFormat's codec) as they finish; with
-// Config.Resume the durable prefix of a previous run is verified against
-// the campaign's seed and config hash, reused, and only the remainder
+// as they finish; with Config.Resume the durable prefix of a previous run
+// is adopted (see AdoptCheckpoint), reused, and only the remainder
 // executes. On a fresh run, memory is bounded by the workers'
 // out-of-order window regardless of campaign size. On interrupt it
 // returns ErrInterrupted with the checkpoint flushed; record has then
 // seen only a canonical prefix, which the caller must discard.
 func (c *Campaign) RunDurable(record func(*dataset.Experiment)) (RunStatus, error) {
-	cfg := c.Config
-	if cfg.CheckpointDir == "" {
-		return RunStatus{}, fmt.Errorf("trace: RunDurable requires Config.CheckpointDir")
+	ck, prior, discarded, err := c.AdoptCheckpoint()
+	if err != nil {
+		//lint:ignore errwrap AdoptCheckpoint errors name the checkpoint, and ConfigMismatchError must stay errors.As-matchable
+		return RunStatus{}, err
 	}
-	total := c.Steps() * c.total
-	var (
-		ck        *dataset.Checkpoint
-		prior     map[int]*dataset.Experiment
-		discarded int
-	)
-	if cfg.Resume {
-		opened, priorDS, torn, err := dataset.OpenCheckpoint(cfg.CheckpointDir)
-		if err != nil {
-			return RunStatus{}, fmt.Errorf("trace: resume: %w", err)
-		}
-		if err := VerifyManifest(cfg.CheckpointDir, opened.Manifest(), cfg, total); err != nil {
-			_ = opened.Close()
-			//lint:ignore errwrap ConfigMismatchError is returned typed so callers can errors.As it
-			return RunStatus{}, err
-		}
-		opened.SetEvery(cfg.CheckpointEvery)
-		prior = make(map[int]*dataset.Experiment, priorDS.Len())
-		for _, e := range priorDS.Experiments {
-			if e.Seq < 1 || e.Seq > total {
-				_ = opened.Close()
-				return RunStatus{}, fmt.Errorf("trace: checkpoint %s: experiment seq %d outside 1..%d",
-					cfg.CheckpointDir, e.Seq, total)
-			}
-			prior[e.Seq] = e
-		}
-		ck, discarded = opened, torn
-	} else {
-		created, err := dataset.CreateCheckpoint(cfg.CheckpointDir, dataset.Manifest{
-			Format: cfg.CheckpointFormat,
-			Seed:   cfg.Seed, ConfigHash: cfg.Hash(), Total: total,
-		}, cfg.CheckpointEvery)
-		if err != nil {
-			return RunStatus{}, fmt.Errorf("trace: checkpoint: %w", err)
-		}
-		ck = created
-	}
-
 	st, runErr := c.run(prior, ck, record)
 	st.DiscardedBytes = discarded
 	cerr := ck.Close()
@@ -702,7 +730,7 @@ func (c *Campaign) RunDurable(record func(*dataset.Experiment)) (RunStatus, erro
 	}
 	if st.Interrupted {
 		return st, fmt.Errorf("%w: %d/%d experiments durable in %s",
-			ErrInterrupted, st.Completed, st.Total, cfg.CheckpointDir)
+			ErrInterrupted, st.Completed, st.Total, c.Config.CheckpointDir)
 	}
 	return st, nil
 }

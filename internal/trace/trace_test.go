@@ -173,8 +173,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := ds.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dataset.ReadJSONL(&buf)
-	if err != nil {
+	got := &dataset.Dataset{}
+	if err := dataset.Scan(&buf, func(e *dataset.Experiment) error {
+		got.Add(e)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != ds.Len() {

@@ -97,21 +97,26 @@ cvjsonl="$work/ds-roundtrip.jsonl"
 "$ckbin" convert -in "$cvbin" -out "$cvjsonl" 2>/dev/null
 cmp "$ckds" "$cvjsonl" || { echo "check.sh: jsonl -> binary -> jsonl round trip diverges" >&2; exit 1; }
 
-echo "==> binary checkpoint kill-resume invariance (torn segment tail + -resume -> byte-identical)"
-# A durable binary-checkpoint run, then a simulated hard kill mid-append
-# (chop the segment tail mid-record) and a resume: the resumed dataset
-# must equal the serial JSONL reference byte for byte.
+echo "==> checkpoint gate (durable run == plain run; torn segment tail + -resume -> byte-identical; convert -in <dir> == dataset)"
+# A durable run, then a simulated hard kill mid-append (chop the segment
+# tail mid-record) and a resume: the resumed dataset must equal the serial
+# JSONL reference byte for byte. A serial run's checkpoint must also hold
+# exactly the dataset, in order — read back through convert, the way a
+# checkpoint is inspected by eye.
 bkck="$work/bk-ck"
+bkcv="$work/bk-ck.jsonl"
 "$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkck" \
-	-checkpoint-format binary -out "$ckb" >/dev/null 2>&1
-cmp "$ckds" "$ckb" || { echo "check.sh: binary-checkpoint run diverges from plain run" >&2; exit 1; }
+	-out "$ckb" >/dev/null 2>&1
+cmp "$ckds" "$ckb" || { echo "check.sh: checkpointed run diverges from plain run" >&2; exit 1; }
 bkseg="$bkck/experiments.bin"
-[ -f "$bkseg" ] || { echo "check.sh: no binary segment at $bkseg" >&2; exit 1; }
+[ -f "$bkseg" ] || { echo "check.sh: no checkpoint segment at $bkseg" >&2; exit 1; }
 bksize="$(wc -c < "$bkseg")"
 dd if=/dev/null of="$bkseg" bs=1 seek="$((bksize - 17))" 2>/dev/null # tear the tail mid-record
 "$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkck" \
 	-resume -out "$ckb" >/dev/null 2>&1
-cmp "$ckds" "$ckb" || { echo "check.sh: binary kill-resume diverges from serial bytes" >&2; exit 1; }
+cmp "$ckds" "$ckb" || { echo "check.sh: kill-resume diverges from serial bytes" >&2; exit 1; }
+"$ckbin" convert -in "$bkck" -out "$bkcv" 2>/dev/null
+cmp "$ckds" "$bkcv" || { echo "check.sh: convert -in <checkpoint dir> diverges from the serial dataset" >&2; exit 1; }
 
 echo "==> codec bench smoke (10^4-client single-step campaign; binary >= 5x smaller than JSONL)"
 c4j="$work/c4.jsonl"
