@@ -2,10 +2,16 @@ package controlplane
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -143,15 +149,52 @@ func (r *rawClient) lease() *Message {
 }
 
 func segmentFor(m *Message) *Message {
-	var exps []*dataset.Experiment
+	var seqs []int
 	for seq := m.From; seq <= m.To; seq++ {
+		seqs = append(seqs, seq)
+	}
+	return segmentOf(m.Lease, seqs...)
+}
+
+// segmentOf hand-builds a segment frame for a lease out of any seqs, in
+// any order — what a zombie or a misbehaving worker might send.
+func segmentOf(lease int, seqs ...int) *Message {
+	var exps []*dataset.Experiment
+	for _, seq := range seqs {
 		exps = append(exps, testExp(seq))
 	}
 	records, err := dataset.MarshalExperiments(exps)
 	if err != nil {
 		panic(err)
 	}
-	return &Message{Type: MsgSegment, Lease: m.Lease, Records: records}
+	return &Message{Type: MsgSegment, Lease: lease, Records: records}
+}
+
+// testCheckpoint creates a real checkpoint that syncs on every append, so
+// the segment file's size is meaningful after each ack.
+func testCheckpoint(t *testing.T, total int) *dataset.Checkpoint {
+	t.Helper()
+	ck, err := dataset.CreateCheckpoint(t.TempDir(), dataset.Manifest{Seed: 11, ConfigHash: "feedfacefeedface", Total: total}, 1)
+	if err != nil {
+		t.Fatalf("create checkpoint: %v", err)
+	}
+	return ck
+}
+
+// checkpointJSONL scans a checkpoint directory and renders what it holds in
+// seq order — every stored copy, so a seq held twice shows up as a
+// divergence from the serial bytes.
+func checkpointJSONL(t *testing.T, dir string) []byte {
+	t.Helper()
+	ds := &dataset.Dataset{}
+	if torn, err := dataset.ScanCheckpoint(dir, func(e *dataset.Experiment) error {
+		ds.Add(e)
+		return nil
+	}); err != nil || torn != 0 {
+		t.Fatalf("scan checkpoint: %v (%d torn bytes)", err, torn)
+	}
+	sort.SliceStable(ds.Experiments, func(i, j int) bool { return ds.Experiments[i].Seq < ds.Experiments[j].Seq })
+	return jsonl(t, ds)
 }
 
 func jsonl(t *testing.T, ds *dataset.Dataset) []byte {
@@ -178,12 +221,22 @@ func TestCoordinatedMatchesSerial(t *testing.T) {
 	const total = 100
 	clk := newFakeClock()
 	c, addr := startCoordinator(t, clk, CoordinatorConfig{Total: total, LeaseSize: 7})
-	var wg sync.WaitGroup
+	// No worker leases before all three have joined: a hundred fake
+	// experiments are quick enough for the first to finish the campaign —
+	// and the coordinator to stop listening — while the others still dial.
+	var wg, joined sync.WaitGroup
+	joined.Add(3)
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := RunWorker(testWorker(fmt.Sprintf("w%d", i), addr)); err != nil {
+			w := testWorker(fmt.Sprintf("w%d", i), addr)
+			w.Build = func(WireConfig, int) (RunRange, error) {
+				joined.Done()
+				joined.Wait()
+				return CampaignRunner(testRunSeq), nil
+			}
+			if _, err := RunWorker(w); err != nil {
 				t.Errorf("worker %d: %v", i, err)
 			}
 		}(i)
@@ -319,6 +372,129 @@ func TestLateDuplicateSegment(t *testing.T) {
 	}
 }
 
+// TestPartialDuplicateSegment delivers a segment that straddles merged
+// seqs — three already durable, three fresh. The coordinator cannot append
+// those bytes as they are: it must count the three, re-seal the other
+// three, and leave a checkpoint that holds every seq exactly once.
+func TestPartialDuplicateSegment(t *testing.T) {
+	const total = 9
+	ck := testCheckpoint(t, total)
+	c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: total, LeaseSize: 3, Checkpoint: ck})
+
+	w := dialRaw(t, addr)
+	w.handshake("straddler")
+	w.send(segmentFor(w.lease())) // seq 1-3, verbatim
+	if ack := w.recv(); ack.Dups != 0 {
+		t.Fatalf("first ack dups = %d, want 0", ack.Dups)
+	}
+	second := w.lease() // seq 4-6
+	w.send(segmentOf(second.Lease, 2, 4, 1, 5, 3, 6))
+	if ack := w.recv(); ack.Type != MsgAck || ack.Dups != 3 {
+		t.Fatalf("straddling ack = %+v, want 3 dups", ack)
+	}
+	w.send(segmentFor(w.lease())) // seq 7-9
+	w.recv()
+
+	_, st, err := c.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatalf("close checkpoint: %v", err)
+	}
+	if st.DupSeqs != 3 || st.Completed != total {
+		t.Fatalf("status = %+v, want 3 dup seqs and %d completed", st, total)
+	}
+	if got := ck.Manifest().Completed; got != total {
+		t.Fatalf("manifest completed = %d, want %d", got, total)
+	}
+	if !bytes.Equal(checkpointJSONL(t, ck.Dir()), serialJSONL(t, total)) {
+		t.Fatal("checkpoint does not hold each seq exactly once after a straddling segment")
+	}
+}
+
+// TestRepeatedSeqInsideSegment: a segment that carries one seq twice is a
+// duplicate against itself. One copy is stored, one is counted.
+func TestRepeatedSeqInsideSegment(t *testing.T) {
+	const total = 4
+	ck := testCheckpoint(t, total)
+	c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: total, LeaseSize: 4, Checkpoint: ck})
+
+	w := dialRaw(t, addr)
+	w.handshake("stutterer")
+	w.send(segmentOf(w.lease().Lease, 1, 2, 2, 3, 4))
+	if ack := w.recv(); ack.Type != MsgAck || ack.Dups != 1 {
+		t.Fatalf("ack = %+v, want 1 dup", ack)
+	}
+	ds, st, err := c.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatalf("close checkpoint: %v", err)
+	}
+	if st.DupSeqs != 1 || st.Completed != total {
+		t.Fatalf("status = %+v, want 1 dup seq and %d completed", st, total)
+	}
+	want := serialJSONL(t, total)
+	if !bytes.Equal(jsonl(t, ds), want) || !bytes.Equal(checkpointJSONL(t, ck.Dir()), want) {
+		t.Fatal("a seq repeated inside one segment was stored twice (or not at all)")
+	}
+}
+
+// TestRefusedSegmentIsAllOrNothing: a segment the coordinator refuses —
+// one seq out of range behind good ones, a corrupt payload, bytes after the
+// stream, a stream cut short — must leave the checkpoint exactly as the
+// last good segment left it. Merging record by record used to make the
+// in-range head of such a segment durable before the bad seq stopped it.
+func TestRefusedSegmentIsAllOrNothing(t *testing.T) {
+	const total = 8
+	good := segmentOf(0, 5, 6, 7, 8).Records
+	corrupt := bytes.Clone(good)
+	corrupt[len(corrupt)-5] ^= 0xFF
+	for name, records := range map[string][]byte{
+		"seq out of range":  segmentOf(0, 5, 6, total+1, 8).Records,
+		"corrupt payload":   corrupt,
+		"trailing bytes":    append(bytes.Clone(good), "junk"...),
+		"truncated stream":  good[:len(good)-1],
+		"not a curtainbin":  []byte(`{"seq":5}` + "\n"),
+		"no records at all": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ck := testCheckpoint(t, total)
+			c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: total, LeaseSize: 4, Checkpoint: ck})
+			w := dialRaw(t, addr)
+			w.handshake("hostile")
+			w.send(segmentFor(w.lease())) // seq 1-4: good, durable
+			w.recv()
+			seg := filepath.Join(ck.Dir(), "experiments.bin")
+			before, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			w.send(&Message{Type: MsgSegment, Lease: w.lease().Lease, Records: records})
+			w.recv()
+			if _, st, err := c.Wait(); err == nil || !strings.Contains(err.Error(), "refused") || st.Completed != 4 {
+				t.Fatalf("Wait = (%+v, %v), want a refusal with 4 completed", st, err)
+			}
+			if err := ck.Close(); err != nil {
+				t.Fatalf("close checkpoint: %v", err)
+			}
+			after, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != before.Size() {
+				t.Fatalf("refused segment grew the checkpoint from %d to %d bytes", before.Size(), after.Size())
+			}
+			if !bytes.Equal(checkpointJSONL(t, ck.Dir()), serialJSONL(t, 4)) {
+				t.Fatal("checkpoint no longer holds exactly seq 1-4")
+			}
+		})
+	}
+}
+
 // TestFingerprintMismatchRejected refuses a worker configured for a
 // different campaign at handshake, naming both hashes.
 func TestFingerprintMismatchRejected(t *testing.T) {
@@ -354,18 +530,22 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 }
 
 // TestProtocolVersionRejected refuses a peer speaking a different
-// protocol version before any work is leased.
+// protocol version before any work is leased — one from the future, and
+// version 2, whose segments carry their records base64'd inside the JSON
+// body where this coordinator would not find them.
 func TestProtocolVersionRejected(t *testing.T) {
 	clk := newFakeClock()
 	c, addr := startCoordinator(t, clk, CoordinatorConfig{Total: 2})
-	raw := dialRaw(t, addr)
-	raw.send(&Message{Type: MsgHello, Proto: ProtoVersion + 1, Worker: "future"})
-	if m := raw.recv(); m.Type != MsgReject || !strings.Contains(m.Reason, "protocol version") {
-		t.Fatalf("reply = %+v, want protocol-version reject", m)
+	for _, proto := range []int{ProtoVersion + 1, 2} {
+		raw := dialRaw(t, addr)
+		raw.send(&Message{Type: MsgHello, Proto: proto, Worker: "other-build"})
+		if m := raw.recv(); m.Type != MsgReject || !strings.Contains(m.Reason, fmt.Sprintf("protocol version %d,", proto)) {
+			t.Fatalf("hello proto %d: reply = %+v, want a reject naming the version", proto, m)
+		}
 	}
 	c.Interrupt()
-	if _, _, err := c.Wait(); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("Wait = %v, want ErrInterrupted", err)
+	if _, st, err := c.Wait(); !errors.Is(err, ErrInterrupted) || st.Rejected != 2 {
+		t.Fatalf("Wait = (%+v, %v), want ErrInterrupted with 2 rejected", st, err)
 	}
 }
 
@@ -496,5 +676,91 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	}
 	if got := back.Config.Hash(); got != cfg.Hash() {
 		t.Fatalf("round-tripped hash %s != original %s (WireConfig lost a field?)", got, cfg.Hash())
+	}
+}
+
+// TestSegmentFrame pins the version-3 frame: length, JSON header, and for
+// a segment one separator byte and the records as they are — whatever
+// bytes they hold, the separator's own value included. Every other message
+// is framed as it always was.
+func TestSegmentFrame(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	records := []byte("CURTBIN\x01\n{\"not\":\"json\"}\n\x00\xff")
+	sent := []*Message{
+		{Type: MsgSegment, Lease: 7, Records: records},
+		{Type: MsgHeartbeat, Lease: 7, Done: 3},
+	}
+	go func() {
+		for _, m := range sent {
+			if err := writeMsg(a, time.Minute, m); err != nil {
+				t.Errorf("write %s: %v", m.Type, err)
+			}
+		}
+	}()
+	var prefix [4]byte
+	if _, err := io.ReadFull(b, prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, binary.BigEndian.Uint32(prefix[:]))
+	if _, err := io.ReadFull(b, body); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"type":"segment","lease":7}` + "\n" + string(records); string(body) != want {
+		t.Fatalf("segment frame body = %q, want %q", body, want)
+	}
+	m, err := readMsg(b, time.Minute)
+	if err != nil || m.Type != MsgHeartbeat || m.Lease != 7 || m.Done != 3 || m.Records != nil {
+		t.Fatalf("heartbeat after a segment read back as %+v, %v", m, err)
+	}
+
+	go func() {
+		if err := writeMsg(a, time.Minute, sent[0]); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	}()
+	if m, err := readMsg(b, time.Minute); err != nil || m.Lease != 7 || !bytes.Equal(m.Records, records) {
+		t.Fatalf("segment read back as %+v, %v", m, err)
+	}
+}
+
+// TestReadMsgAllocatesWhatArrives: the length prefix is four bytes from a
+// peer that has proven nothing yet. One that declares the largest legal
+// frame, sends ten bytes and goes away must cost the reader the ten bytes'
+// worth of buffer growth, not the 64 MB it announced.
+func TestReadMsgAllocatesWhatArrives(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		var prefix [4]byte
+		binary.BigEndian.PutUint32(prefix[:], maxMessage)
+		_, _ = a.Write(prefix[:])
+		_, _ = a.Write([]byte("0123456789"))
+		_ = a.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readMsg(b, time.Minute)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame cut after ten bytes was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("reading ten bytes behind a %d-byte length prefix allocated %d bytes", maxMessage, got)
+	}
+
+	// A frame longer than the first step still arrives whole.
+	big := bytes.Repeat([]byte("segment!"), 3*readStep/8)
+	a, b = net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		if err := writeMsg(a, time.Minute, &Message{Type: MsgSegment, Records: big}); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	}()
+	if m, err := readMsg(b, time.Minute); err != nil || !bytes.Equal(m.Records, big) {
+		t.Fatalf("a %d-byte frame did not survive stepwise growth: %v", len(big), err)
 	}
 }

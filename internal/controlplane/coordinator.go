@@ -49,8 +49,9 @@ type CoordinatorConfig struct {
 	// expiry, which is the intended liveness signal.
 	IOTimeout time.Duration
 	// Checkpoint, when non-nil, receives every first-seen experiment —
-	// the durable merge segment. Duplicates from reassigned ranges are
-	// filtered before they reach it.
+	// the durable merge segment — as the sealed segment its worker sent,
+	// once every record in it has been decoded and checked. Duplicates
+	// from reassigned ranges are filtered before they reach it.
 	Checkpoint *dataset.Checkpoint
 	// Prior seeds the merge with already-durable experiments keyed by
 	// seq (coordinator resume); their ranges are never leased.
@@ -413,46 +414,64 @@ func (c *Coordinator) beat(sess *session, m *Message) {
 	c.mu.Unlock()
 }
 
-// ingest merges a completed segment exactly once: experiments whose seq
-// is already durable — prior checkpoint contents or a faster replacement
-// worker's results — are counted and dropped, everything else is
-// appended to the checkpoint. This is where at-least-once execution
-// becomes an exactly-once dataset.
+// ingest merges a completed segment exactly once, as a verified
+// pass-through. Before the lock, every record is decoded and every seq
+// range-checked; one bad byte or seq refuses the whole segment, so nothing
+// of it reaches the checkpoint (and the campaign stops: a worker that
+// computes a different dataset has no business in it). Under the lock,
+// records whose seq is already durable — prior checkpoint contents, a
+// faster replacement worker's results, or a repeat inside this segment —
+// are counted and dropped, and the rest become durable through the one
+// append there is: the worker's sealed bytes as they arrived, or, when
+// some records were dropped (a zombie's or a misbehaving worker's
+// segment), the survivors re-sealed into a stream of their own. This is
+// where at-least-once execution becomes an exactly-once dataset.
 func (c *Coordinator) ingest(sess *session, m *Message) *Message {
-	exps, decodeErr := dataset.UnmarshalExperiments(m.Records)
-	c.mu.Lock()
-	dups := 0
-	appendErr := decodeErr
-	if decodeErr != nil {
-		appendErr = fmt.Errorf("controlplane: worker %s segment: %w", sess.worker, decodeErr)
-		exps = nil
-	}
+	exps, err := dataset.UnmarshalExperiments(m.Records)
 	for _, e := range exps {
-		if e == nil || e.Seq < 1 || e.Seq > c.cfg.Total {
-			appendErr = fmt.Errorf("controlplane: worker %s returned experiment seq outside 1..%d", sess.worker, c.cfg.Total)
+		if e.Seq < 1 || e.Seq > c.cfg.Total {
+			err = fmt.Errorf("experiment seq %d outside 1..%d", e.Seq, c.cfg.Total)
 			break
 		}
-		if c.exps[e.Seq] != nil {
-			dups++
-			continue
-		}
-		if c.cfg.Checkpoint != nil {
-			if err := c.cfg.Checkpoint.Append(e); err != nil {
-				appendErr = err
-				break
-			}
-		}
-		c.exps[e.Seq] = e
-		c.doneCount++
 	}
+	if err != nil {
+		exps = nil
+		err = fmt.Errorf("controlplane: worker %s segment refused: %w", sess.worker, err)
+	}
+
+	c.mu.Lock()
+	fresh := exps[:0]
+	for _, e := range exps {
+		if c.exps[e.Seq] == nil {
+			c.exps[e.Seq] = e
+			fresh = append(fresh, e)
+		}
+	}
+	dups := len(exps) - len(fresh)
+	if c.cfg.Checkpoint != nil && len(fresh) > 0 {
+		sealed := m.Records
+		if dups > 0 {
+			sealed, err = dataset.MarshalExperiments(fresh)
+		}
+		if err == nil {
+			err = c.cfg.Checkpoint.AppendSegment(sealed, len(fresh))
+		}
+		if err != nil {
+			for _, e := range fresh {
+				delete(c.exps, e.Seq)
+			}
+			fresh = nil
+		}
+	}
+	c.doneCount += len(fresh)
 	if l := c.leases[m.Lease]; l != nil && l.sess == sess {
 		delete(c.leases, m.Lease)
 		delete(sess.leases, m.Lease)
 		c.leaseSecs.Add(c.now().Sub(l.grantedAt).Seconds())
 	}
 	c.status.DupSeqs += dups
-	if appendErr != nil && c.fatalErr == nil {
-		c.fatalErr = appendErr
+	if err != nil && c.fatalErr == nil {
+		c.fatalErr = err
 	}
 	complete := c.doneCount >= c.cfg.Total
 	done := c.doneCount
@@ -460,8 +479,8 @@ func (c *Coordinator) ingest(sess *session, m *Message) *Message {
 	if dups > 0 {
 		c.logf("controlplane: dropped %d duplicate experiment(s) from worker %s (range already merged)", dups, sess.worker)
 	}
-	if appendErr != nil {
-		c.Interrupt() // checkpoint failure: stop leasing, surface via Wait
+	if err != nil {
+		c.Interrupt() // refused segment or checkpoint failure: stop leasing, surface via Wait
 		return &Message{Type: MsgAck, Dups: dups}
 	}
 	c.logf("controlplane: %d/%d experiments durable", done, c.cfg.Total)

@@ -56,8 +56,9 @@ func realWorker(t *testing.T, id, addr string) WorkerConfig {
 // TestDistributedCampaignByteIdentical is the acceptance scenario at
 // package level: a real campaign under a coordinator with one worker
 // crashing mid-lease (socket cut, as after SIGKILL) and a replacement
-// joining must merge to bytes identical to the serial campaign — plain
-// and under an injected fault scenario.
+// joining must merge to bytes identical to the serial campaign — in the
+// returned dataset and in the checkpoint file — plain and under an
+// injected fault scenario.
 func TestDistributedCampaignByteIdentical(t *testing.T) {
 	for _, faults := range []string{"", "resolver-outage"} {
 		name := "plain"
@@ -109,6 +110,12 @@ func TestDistributedCampaignByteIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(jsonl(t, ds), serial) {
 				t.Fatal("distributed campaign with a killed worker diverges from the serial bytes")
+			}
+			// The durable merge is the file, not the dataset Wait returns: the
+			// workers' segments as they arrived, so in no particular order, but
+			// record for record the serial campaign, each exactly once.
+			if !bytes.Equal(checkpointJSONL(t, ck.Dir()), serial) {
+				t.Fatal("the checkpoint's records are not the serial campaign's, each once")
 			}
 		})
 	}

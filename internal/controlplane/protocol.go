@@ -2,7 +2,8 @@
 // N worker processes (DESIGN.md §14). The coordinator owns the campaign
 // identity — seed, trace.Config fingerprint, fault scenario — carves the
 // experiment space into seq-keyed ranges and leases them to workers over
-// a small length-prefixed protocol:
+// a small length-prefixed protocol (every frame a JSON header; a segment's
+// sealed records ride behind theirs as raw bytes):
 //
 //	worker                          coordinator
 //	  hello{worker, config_hash} ->
@@ -10,7 +11,7 @@
 //	  lease{}                    ->
 //	                              <- range{lease, from, to}  (or wait / done)
 //	  heartbeat{lease, done}     ->                          (no reply)
-//	  segment{lease, exps}       ->
+//	  segment{lease} + records   ->
 //	                              <- ack{dups}
 //	  bye{}                      ->
 //
@@ -19,13 +20,14 @@
 // healthy worker. Execution is therefore at-least-once; the merge is
 // exactly-once because every completed experiment is deduplicated by its
 // canonical sequence number against the coordinator's checkpoint state
-// before it is appended. Per-experiment RNG streams keyed by
-// (seed, client, seq) make re-execution bit-identical, so the merged
-// dataset is byte-identical to a serial run no matter how many workers
-// ran, died, or joined late.
+// before the worker's sealed bytes are appended to it as they are.
+// Per-experiment RNG streams keyed by (seed, client, seq) make
+// re-execution bit-identical, so the merged dataset is byte-identical to a
+// serial run no matter how many workers ran, died, or joined late.
 package controlplane
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -39,14 +41,27 @@ import (
 // ProtoVersion is bumped on incompatible protocol changes; the hello
 // handshake rejects mismatched peers before any work is leased.
 // Version 2 replaced the segment's per-experiment JSON array with a
-// curtainbin records payload.
-const ProtoVersion = 2
+// curtainbin records payload; version 3 moved that payload out of the
+// JSON body (where it travelled as base64) into a raw trailer.
+const ProtoVersion = 3
 
 // maxMessage bounds one frame. The largest legitimate message is a
 // segment of LeaseSize experiments (a few KB each); 64 MB leaves two
 // orders of magnitude of headroom while still rejecting garbage frames
 // from a stray client before allocating.
 const maxMessage = 64 << 20
+
+// readStep is the most readMsg allocates ahead of the bytes a peer has
+// actually sent: a frame's length prefix is four unauthenticated bytes, so
+// the body buffer starts at min(declared, readStep) and doubles only as it
+// fills.
+const readStep = 1 << 20
+
+// recordsSep separates a segment frame's JSON header from its raw records
+// trailer. json.Marshal writes no whitespace and escapes newlines inside
+// strings, so the first 0x0A of a frame body, if there is one, is the
+// separator.
+const recordsSep = '\n'
 
 // Message types.
 const (
@@ -93,11 +108,12 @@ type Message struct {
 	// Dups is how many of a segment's experiments were already durable —
 	// the visible face of the exactly-once merge (ack only).
 	Dups int `json:"dups,omitempty"`
-	// Records carries a completed range's results as one curtainbin
-	// payload (segment only): delta/varint-encoded, string-interned and
-	// compressed, so a segment frame costs a fraction of the equivalent
-	// JSON array. JSON framing base64s it on the wire.
-	Records []byte `json:"records,omitempty"`
+	// Records carries a completed range's results as one sealed curtainbin
+	// stream (segment only). It is not part of the JSON header: the frame
+	// carries it as raw bytes after the header, so the coordinator can
+	// append exactly these bytes to its checkpoint. A Message returned by
+	// readMsg shares Records with the frame buffer.
+	Records []byte `json:"-"`
 }
 
 // WireConfig is the campaign configuration the coordinator pushes at
@@ -122,48 +138,74 @@ func wallDeadline(timeout time.Duration) time.Time {
 	return time.Now().Add(timeout)
 }
 
-// writeMsg frames one message as 4-byte big-endian length + JSON and
-// writes it in a single Write under a write deadline.
+// writeMsg frames one message as a 4-byte big-endian length, the JSON
+// header and — when the message carries records — recordsSep and the
+// records as they are, written under a write deadline (one writev on a
+// socket; the records are never copied into the frame).
 func writeMsg(conn net.Conn, timeout time.Duration, m *Message) error {
-	body, err := json.Marshal(m)
+	hdr, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("controlplane: encode %s: %w", m.Type, err)
 	}
-	if len(body) > maxMessage {
-		return fmt.Errorf("controlplane: %s message is %d bytes, over the %d frame bound", m.Type, len(body), maxMessage)
+	n := len(hdr)
+	if len(m.Records) > 0 {
+		n += 1 + len(m.Records)
+	}
+	if n > maxMessage {
+		return fmt.Errorf("controlplane: %s message is %d bytes, over the %d frame bound", m.Type, n, maxMessage)
 	}
 	if err := conn.SetWriteDeadline(wallDeadline(timeout)); err != nil {
 		return fmt.Errorf("controlplane: set write deadline: %w", err)
 	}
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	copy(frame[4:], body)
-	if _, err := conn.Write(frame); err != nil {
+	frame := make([]byte, 4, 4+len(hdr)+1)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame = append(frame, hdr...)
+	bufs := net.Buffers{frame}
+	if len(m.Records) > 0 {
+		bufs = net.Buffers{append(frame, recordsSep), m.Records}
+	}
+	if _, err := bufs.WriteTo(conn); err != nil {
 		return fmt.Errorf("controlplane: write %s: %w", m.Type, err)
 	}
 	return nil
 }
 
-// readMsg reads one length-prefixed frame under a read deadline.
+// readMsg reads one length-prefixed frame under a read deadline. The body
+// buffer grows with the bytes that arrive, not with what the length prefix
+// claims.
 func readMsg(conn net.Conn, timeout time.Duration) (*Message, error) {
 	if err := conn.SetReadDeadline(wallDeadline(timeout)); err != nil {
 		return nil, fmt.Errorf("controlplane: set read deadline: %w", err)
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	var prefix [4]byte
+	if _, err := io.ReadFull(conn, prefix[:]); err != nil {
 		return nil, fmt.Errorf("controlplane: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxMessage {
-		return nil, fmt.Errorf("controlplane: frame length %d outside 1..%d", n, maxMessage)
+	declared := binary.BigEndian.Uint32(prefix[:])
+	if declared == 0 || declared > maxMessage {
+		return nil, fmt.Errorf("controlplane: frame length %d outside 1..%d", declared, maxMessage)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return nil, fmt.Errorf("controlplane: read frame body: %w", err)
+	n := int(declared)
+	body := make([]byte, min(n, readStep))
+	for got := 0; ; {
+		if _, err := io.ReadFull(conn, body[got:]); err != nil {
+			return nil, fmt.Errorf("controlplane: read frame body: %w", err)
+		}
+		if got = len(body); got == n {
+			break
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, body)
+		body = grown
+	}
+	hdr, records := body, []byte(nil)
+	if i := bytes.IndexByte(body, recordsSep); i >= 0 {
+		hdr, records = body[:i], body[i+1:]
 	}
 	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := json.Unmarshal(hdr, &m); err != nil {
 		return nil, fmt.Errorf("controlplane: decode frame: %w", err)
 	}
+	m.Records = records
 	return &m, nil
 }

@@ -250,6 +250,8 @@ func (w *worker) runRange(run RunRange, m *Message) error {
 	if err := run(m.From, m.To, emit); err != nil {
 		return fmt.Errorf("controlplane: range %d-%d: %w", m.From, m.To, err)
 	}
+	// Sealed once, here: the coordinator checks these bytes and appends
+	// them to its checkpoint as they are.
 	records, err := dataset.MarshalExperiments(buf)
 	if err != nil {
 		return fmt.Errorf("controlplane: range %d-%d: encode segment: %w", m.From, m.To, err)

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"net/netip"
+	"sync"
 	"time"
 )
 
@@ -74,6 +75,13 @@ const (
 // errCorrupt is the hot-path decode failure sentinel; the segment reader
 // wraps it with file context.
 var errCorrupt = errors.New("dataset: corrupt curtainbin record")
+
+// errTorn reports that the bytes end inside a segment's header or stored
+// payload — the only shape a hard kill mid-append can leave. It is a
+// private sentinel rather than io.ErrUnexpectedEOF so that a complete
+// segment whose deflate stream ends early (corruption) is never mistaken
+// for a tear.
+var errTorn = errors.New("dataset: curtainbin: stream ends inside a segment")
 
 // stringTable interns the strings of one segment being encoded. Index 0
 // is always the empty string so absent fields cost one byte.
@@ -458,7 +466,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.Resolutions = growResolutions(e.Resolutions, n)
+	e.Resolutions = growSlice(e.Resolutions, n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeResolution(&e.Resolutions[i])
 	}
@@ -466,7 +474,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.Discoveries = growDiscoveries(e.Discoveries, n)
+	e.Discoveries = growSlice(e.Discoveries, n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeDiscovery(&e.Discoveries[i])
 	}
@@ -474,7 +482,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.ResolverProbes = growResolverProbes(e.ResolverProbes, n)
+	e.ResolverProbes = growSlice(e.ResolverProbes, n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeResolverProbe(&e.ResolverProbes[i])
 	}
@@ -482,7 +490,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.ReplicaProbes = growReplicaProbes(e.ReplicaProbes, n)
+	e.ReplicaProbes = growSlice(e.ReplicaProbes, n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeReplicaProbe(&e.ReplicaProbes[i])
 	}
@@ -565,55 +573,18 @@ func (d *binDecoder) decodeReplicaProbe(p *ReplicaProbe) {
 	p.HTTPOK = flags&2 != 0
 }
 
-// growResolutions resizes s to n elements, reusing capacity (and each
-// element's nested slice capacity) when possible.
-//
-//lint:hotpath
-func growResolutions(s []Resolution, n int) []Resolution {
+// growSlice resizes s to n elements, reusing capacity (and each
+// element's nested slice capacity) when possible. The cold arm allocates
+// exactly n once rather than appending its way up; it is the one
+// allocation site of the decode path, which is why this helper — unlike
+// its callers — is not //lint:hotpath.
+func growSlice[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]
 	}
-	s = s[:cap(s)]
-	for len(s) < n {
-		s = append(s, Resolution{})
-	}
-	return s
-}
-
-//lint:hotpath
-func growDiscoveries(s []Discovery, n int) []Discovery {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	s = s[:cap(s)]
-	for len(s) < n {
-		s = append(s, Discovery{})
-	}
-	return s
-}
-
-//lint:hotpath
-func growResolverProbes(s []ResolverProbe, n int) []ResolverProbe {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	s = s[:cap(s)]
-	for len(s) < n {
-		s = append(s, ResolverProbe{})
-	}
-	return s
-}
-
-//lint:hotpath
-func growReplicaProbes(s []ReplicaProbe, n int) []ReplicaProbe {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	s = s[:cap(s)]
-	for len(s) < n {
-		s = append(s, ReplicaProbe{})
-	}
-	return s
+	g := make([]T, n)
+	copy(g, s[:cap(s)])
+	return g
 }
 
 // BinaryWriter streams experiments as a curtainbin file: records
@@ -629,7 +600,9 @@ type BinaryWriter struct {
 
 	enc           *binEncoder
 	headerWritten bool
-	scratch       []byte
+	scratch       []byte       // the open segment's raw payload
+	comp          bytes.Buffer // its deflated form
+	hdr           []byte       // its header
 	fw            *flate.Writer
 	written       int64
 }
@@ -687,16 +660,15 @@ func (b *BinaryWriter) Flush() error {
 	stored := payload
 	var flags byte
 	if b.Compress {
-		var cb bytes.Buffer
-		cb.Grow(len(payload) / 2)
+		b.comp.Reset()
 		if b.fw == nil {
-			fw, err := flate.NewWriter(&cb, flate.BestSpeed)
+			fw, err := flate.NewWriter(&b.comp, flate.BestSpeed)
 			if err != nil {
 				return fmt.Errorf("dataset: curtainbin flate: %w", err)
 			}
 			b.fw = fw
 		} else {
-			b.fw.Reset(&cb)
+			b.fw.Reset(&b.comp)
 		}
 		if _, err := b.fw.Write(payload); err != nil {
 			return fmt.Errorf("dataset: curtainbin compress: %w", err)
@@ -704,16 +676,16 @@ func (b *BinaryWriter) Flush() error {
 		if err := b.fw.Close(); err != nil {
 			return fmt.Errorf("dataset: curtainbin compress: %w", err)
 		}
-		stored = cb.Bytes()
+		stored = b.comp.Bytes()
 		flags |= segFlagFlate
 	}
 
-	var hdr []byte
-	hdr = append(hdr, segMagic[:]...)
+	hdr := append(b.hdr[:0], segMagic[:]...)
 	hdr = append(hdr, flags)
 	hdr = binary.AppendUvarint(hdr, uint64(b.enc.count))
 	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
 	hdr = binary.AppendUvarint(hdr, uint64(len(stored)))
+	b.hdr = hdr
 	n, err := b.w.Write(hdr)
 	b.written += int64(n)
 	if err != nil {
@@ -725,6 +697,165 @@ func (b *BinaryWriter) Flush() error {
 		return fmt.Errorf("dataset: curtainbin segment payload: %w", err)
 	}
 	b.enc.reset()
+	return nil
+}
+
+// segHeader is a decoded segment header: the flags byte, the record
+// count, and the payload's raw (inflated) and stored (on-the-wire) sizes.
+type segHeader struct {
+	flags                    byte
+	count, rawLen, storedLen uint64
+}
+
+// maxSegHeader is the longest encodable segment header: magic, flags and
+// three uvarints.
+const maxSegHeader = len(segMagic) + 1 + 3*binary.MaxVarintLen64
+
+// parseSegHeader decodes the segment header at the front of b and returns
+// its encoded length. It is the only header parser: the stream scanner,
+// the shard index and, through walkStream, the slice decoder and
+// Checkpoint.AppendSegment all go through it. A b that ends before the header does is errTorn — a torn
+// tail to the callers that tolerate one.
+func parseSegHeader(b []byte) (segHeader, int, error) {
+	var h segHeader
+	if len(b) <= len(segMagic) {
+		return h, 0, errTorn
+	}
+	if !bytes.Equal(b[:len(segMagic)], segMagic[:]) {
+		return h, 0, fmt.Errorf("dataset: curtainbin: bad segment magic %02x%02x%02x%02x", b[0], b[1], b[2], b[3])
+	}
+	h.flags = b[len(segMagic)]
+	pos := len(segMagic) + 1
+	for _, field := range []*uint64{&h.count, &h.rawLen, &h.storedLen} {
+		v, n := binary.Uvarint(b[pos:])
+		if n == 0 {
+			return h, 0, errTorn
+		}
+		if n < 0 {
+			return h, 0, fmt.Errorf("dataset: curtainbin: segment header varint overflows 64 bits")
+		}
+		*field = v
+		pos += n
+	}
+	if h.rawLen > maxSegmentPayload || h.storedLen > maxSegmentPayload {
+		return h, 0, fmt.Errorf("dataset: curtainbin: segment payload %d/%d exceeds limit", h.rawLen, h.storedLen)
+	}
+	return h, pos, nil
+}
+
+// walkStream calls fn with the header and stored payload (a sub-slice of
+// b, not a copy) of each segment of b, which must be exactly one complete
+// curtainbin stream: the magic, then segments that tile b to its last
+// byte. Each header is checked against the bytes actually behind it before
+// fn — or anything sized from it — sees it.
+func walkStream(b []byte, fn func(h segHeader, stored []byte) error) error {
+	if !bytes.HasPrefix(b, binMagic[:]) {
+		return fmt.Errorf("dataset: not a curtainbin stream (%d bytes)", len(b))
+	}
+	for pos := len(binMagic); pos < len(b); {
+		h, n, err := parseSegHeader(b[pos:])
+		if err == nil && h.storedLen > uint64(len(b)-pos-n) {
+			err = errTorn
+		}
+		if err == errTorn {
+			return fmt.Errorf("dataset: curtainbin: truncated segment at byte %d", pos)
+		}
+		if err != nil {
+			return err
+		}
+		end := pos + n + int(h.storedLen)
+		if err := fn(h, b[pos+n:end]); err != nil {
+			return err
+		}
+		pos = end
+	}
+	return nil
+}
+
+// maxInflateRatio bounds what deflate can expand one stored byte to: a
+// 258-byte match costs at least two bits. A header declaring more raw
+// bytes than that is corrupt, and is refused before the raw buffer is
+// allocated.
+const maxInflateRatio = 1032
+
+// segDecoder decodes segment payloads. Its inflate buffer, flate reader
+// and string-table backing array are reused from segment to segment (and,
+// through segDecoders, from call to call); nothing it yields aliases them.
+type segDecoder struct {
+	rawB []byte
+	strs []string
+	src  bytes.Reader
+	fr   io.ReadCloser
+}
+
+// segDecoders recycles decoder state across UnmarshalExperiments calls, so
+// a lease-sized decode does not pay for a fresh inflater and raw buffer.
+var segDecoders = sync.Pool{New: func() any { return new(segDecoder) }}
+
+// decode yields the records of the segment whose header is h and whose
+// stored payload is stored (read, never retained). It is the one segment
+// decoder: file scans hand it the bytes they read, slice decodes a
+// sub-slice of the caller's buffer.
+func (s *segDecoder) decode(h segHeader, stored []byte, fn ScanFunc) error {
+	raw := stored
+	if h.flags&segFlagFlate != 0 {
+		if h.rawLen > maxInflateRatio*(uint64(len(stored))+1) {
+			return fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes, more than %d stored bytes can inflate to", h.rawLen, len(stored))
+		}
+		if uint64(cap(s.rawB)) < h.rawLen {
+			s.rawB = make([]byte, h.rawLen)
+		}
+		raw = s.rawB[:h.rawLen]
+		s.src.Reset(stored)
+		defer s.src.Reset(nil) // a pooled decoder must not pin the caller's buffer
+		if s.fr == nil {
+			s.fr = flate.NewReader(&s.src)
+		} else if err := s.fr.(flate.Resetter).Reset(&s.src, nil); err != nil {
+			return fmt.Errorf("dataset: curtainbin: flate reset: %w", err)
+		}
+		if _, err := io.ReadFull(s.fr, raw); err != nil {
+			return fmt.Errorf("dataset: curtainbin: decompress segment: %w", err)
+		}
+		// The stream must be exhausted: a payload inflating past rawLen
+		// would otherwise be silently truncated, hiding the corruption
+		// from the trailing-bytes check below.
+		if n, err := io.CopyN(io.Discard, s.fr, 1); n != 0 || err != io.EOF {
+			return fmt.Errorf("dataset: curtainbin: segment inflates past declared %d raw bytes", h.rawLen)
+		}
+	} else if uint64(len(raw)) != h.rawLen {
+		return fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes but stores %d", h.rawLen, len(stored))
+	}
+
+	d := binDecoder{buf: raw}
+	nstr, n := binary.Uvarint(raw)
+	if n <= 0 || nstr > h.rawLen {
+		return fmt.Errorf("dataset: curtainbin: corrupt string table")
+	}
+	d.pos = n
+	s.strs = s.strs[:0]
+	for i := uint64(0); i < nstr; i++ {
+		l := d.uvarint()
+		if d.bad || l > uint64(len(d.buf)-d.pos) {
+			return fmt.Errorf("dataset: curtainbin: corrupt string table")
+		}
+		s.strs = append(s.strs, string(d.buf[d.pos:d.pos+int(l)]))
+		d.pos += int(l)
+	}
+	d.tbl = s.strs
+
+	for i := uint64(0); i < h.count; i++ {
+		e := new(Experiment)
+		if !d.decodeExperiment(e) {
+			return fmt.Errorf("dataset: curtainbin: corrupt record %d of segment: %w", i, errCorrupt)
+		}
+		if err := fn(e); err != nil {
+			//lint:ignore errwrap the yield callback's error belongs to the caller unwrapped
+			return err
+		}
+	}
+	if d.pos != len(raw) {
+		return fmt.Errorf("dataset: curtainbin: %d trailing payload bytes after %d records", len(raw)-d.pos, h.count)
+	}
 	return nil
 }
 
@@ -745,10 +876,8 @@ func (c *countReader) Read(p []byte) (int, error) {
 type binScanner struct {
 	cr   *countReader
 	br   *bufio.Reader
-	rawB []byte
 	stoB []byte
-	strs []string
-	fr   io.ReadCloser
+	dec  segDecoder
 }
 
 // consumed reports the stream offset of the scanner: bytes taken from
@@ -769,7 +898,7 @@ func scanBinary(cr *countReader, br *bufio.Reader, tolerateTorn bool, fn ScanFun
 			return 0, nil // clean EOF at a segment boundary
 		}
 		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			if err == errTorn {
 				if tolerateTorn {
 					return int(s.consumed() - segStart), nil
 				}
@@ -781,138 +910,96 @@ func scanBinary(cr *countReader, br *bufio.Reader, tolerateTorn bool, fn ScanFun
 }
 
 // readSegment reads one segment and yields its records. It returns
-// (0, nil) on clean EOF before any header byte.
+// (0, nil) on clean EOF before any header byte. A stream that ends inside
+// the segment is errTorn, with every byte up to the end consumed so the
+// caller can size the torn tail.
 func (s *binScanner) readSegment(fn ScanFunc) (int, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(s.br, hdr[:1]); err == io.EOF {
+	peek, err := s.br.Peek(maxSegHeader)
+	if err != nil && err != io.EOF {
+		return 1, fmt.Errorf("dataset: read: %w", err)
+	}
+	if len(peek) == 0 {
 		return 0, nil
+	}
+	h, n, err := parseSegHeader(peek)
+	if err != nil {
+		n = len(peek) // a torn header: the tail is all there is
+	}
+	if _, derr := s.br.Discard(n); derr != nil {
+		return 1, fmt.Errorf("dataset: read: %w", derr)
+	}
+	if err != nil {
+		//lint:ignore errwrap the caller matches errTorn bare; other header errors are already contextual
+		return 1, err
+	}
+	if uint64(cap(s.stoB)) < h.storedLen {
+		s.stoB = make([]byte, h.storedLen)
+	}
+	stored := s.stoB[:h.storedLen]
+	if _, err := io.ReadFull(s.br, stored); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return 1, errTorn
 	} else if err != nil {
-		//lint:ignore errwrap the caller classifies EOFs for torn-tail handling
-		return 1, err
+		return 1, fmt.Errorf("dataset: read: %w", err)
 	}
-	if _, err := io.ReadFull(s.br, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		//lint:ignore errwrap the caller classifies EOFs for torn-tail handling
-		return 1, err
-	}
-	if hdr[0] != segMagic[0] || hdr[1] != segMagic[1] || hdr[2] != segMagic[2] || hdr[3] != segMagic[3] {
-		return 1, fmt.Errorf("dataset: curtainbin: bad segment magic %02x%02x%02x%02x", hdr[0], hdr[1], hdr[2], hdr[3])
-	}
-	flags := hdr[4]
-	count, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return 1, eofAsTorn(err)
-	}
-	rawLen, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return 1, eofAsTorn(err)
-	}
-	storedLen, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return 1, eofAsTorn(err)
-	}
-	if rawLen > maxSegmentPayload || storedLen > maxSegmentPayload {
-		return 1, fmt.Errorf("dataset: curtainbin: segment payload %d/%d exceeds limit", rawLen, storedLen)
-	}
-	if cap(s.stoB) < int(storedLen) {
-		s.stoB = make([]byte, storedLen)
-	}
-	stored := s.stoB[:storedLen]
-	if _, err := io.ReadFull(s.br, stored); err != nil {
-		return 1, eofAsTorn(err)
-	}
-
-	raw := stored
-	if flags&segFlagFlate != 0 {
-		if cap(s.rawB) < int(rawLen) {
-			s.rawB = make([]byte, rawLen)
-		}
-		raw = s.rawB[:rawLen]
-		if s.fr == nil {
-			s.fr = flate.NewReader(bytes.NewReader(stored))
-		} else if err := s.fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
-			return 1, fmt.Errorf("dataset: curtainbin: flate reset: %w", err)
-		}
-		if _, err := io.ReadFull(s.fr, raw); err != nil {
-			return 1, fmt.Errorf("dataset: curtainbin: decompress segment: %w", err)
-		}
-		// The stream must be exhausted: a payload inflating past rawLen
-		// would otherwise be silently truncated, hiding the corruption
-		// from the trailing-bytes check below.
-		if n, err := io.CopyN(io.Discard, s.fr, 1); n != 0 || err != io.EOF {
-			return 1, fmt.Errorf("dataset: curtainbin: segment inflates past declared %d raw bytes", rawLen)
-		}
-	} else if uint64(len(raw)) != rawLen {
-		return 1, fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes but stores %d", rawLen, storedLen)
-	}
-
-	d := binDecoder{buf: raw}
-	nstr, n := binary.Uvarint(raw)
-	if n <= 0 || nstr > rawLen {
-		return 1, fmt.Errorf("dataset: curtainbin: corrupt string table")
-	}
-	d.pos = n
-	s.strs = s.strs[:0]
-	for i := uint64(0); i < nstr; i++ {
-		l := d.uvarint()
-		if d.bad || l > uint64(len(d.buf)-d.pos) {
-			return 1, fmt.Errorf("dataset: curtainbin: corrupt string table")
-		}
-		s.strs = append(s.strs, string(d.buf[d.pos:d.pos+int(l)]))
-		d.pos += int(l)
-	}
-	d.tbl = s.strs
-
-	for i := uint64(0); i < count; i++ {
-		e := new(Experiment)
-		if !d.decodeExperiment(e) {
-			return 1, fmt.Errorf("dataset: curtainbin: corrupt record %d of segment: %w", i, errCorrupt)
-		}
-		if err := fn(e); err != nil {
-			//lint:ignore errwrap the yield callback's error belongs to the caller unwrapped
-			return 1, err
-		}
-	}
-	if d.pos != len(raw) {
-		return 1, fmt.Errorf("dataset: curtainbin: %d trailing payload bytes after %d records", len(raw)-d.pos, count)
-	}
-	return 1, nil
+	//lint:ignore errwrap decode errors are already contextual; callback errors pass through unwrapped
+	return 1, s.dec.decode(h, stored, fn)
 }
 
-// eofAsTorn maps a bare EOF inside a segment to ErrUnexpectedEOF so the
-// torn-tail classifier treats mid-header and mid-payload tears alike.
-func eofAsTorn(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	//lint:ignore errwrap pass-through classification helper
-	return err
+// marshalState is the reusable codec state behind MarshalExperiments: the
+// encoder with its string table, the flate writer (over a megabyte of
+// compressor state) and the scratch and output buffers.
+type marshalState struct {
+	out bytes.Buffer
+	bw  *BinaryWriter
 }
+
+var marshalStates = sync.Pool{New: func() any {
+	st := new(marshalState)
+	st.bw = NewBinaryWriter(&st.out)
+	return st
+}}
 
 // MarshalExperiments encodes experiments as one self-contained
-// curtainbin stream (the control plane's segment payload).
+// curtainbin stream (the control plane's segment payload). The returned
+// slice is the caller's own; the codec state that built it is recycled.
 func MarshalExperiments(es []*Experiment) ([]byte, error) {
-	var buf bytes.Buffer
-	bw := NewBinaryWriter(&buf)
-	for _, e := range es {
-		if err := bw.Append(e); err != nil {
+	st := marshalStates.Get().(*marshalState)
+	defer marshalStates.Put(st)
+	// Start clean whatever the previous call left behind — a call that
+	// failed mid-stream must not leak records into this one.
+	st.out.Reset()
+	st.bw.enc.reset()
+	st.bw.headerWritten = false
+	for i, e := range es {
+		if e == nil {
+			return nil, fmt.Errorf("dataset: marshal: experiment %d of %d is nil", i, len(es))
+		}
+		if err := st.bw.Append(e); err != nil {
 			return nil, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err := st.bw.Flush(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(st.out.Bytes()), nil
 }
 
-// UnmarshalExperiments decodes a MarshalExperiments stream.
+// UnmarshalExperiments decodes a MarshalExperiments stream straight from
+// b: stored payloads are inflated (or, uncompressed, decoded) in place,
+// and b is not retained. It is strict — b must be exactly one curtainbin
+// stream, with no torn or trailing bytes — and bounds every allocation by
+// what b can actually hold, because the coordinator feeds it bytes a
+// worker supplied.
 func UnmarshalExperiments(b []byte) ([]*Experiment, error) {
+	dec := segDecoders.Get().(*segDecoder)
+	defer segDecoders.Put(dec)
 	var es []*Experiment
-	if err := Scan(bytes.NewReader(b), func(e *Experiment) error {
+	collect := func(e *Experiment) error {
 		es = append(es, e)
 		return nil
+	}
+	if err := walkStream(b, func(h segHeader, stored []byte) error {
+		return dec.decode(h, stored, collect)
 	}); err != nil {
 		return nil, err
 	}

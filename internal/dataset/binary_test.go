@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -265,6 +269,82 @@ func TestBinaryFlateOverInflation(t *testing.T) {
 	}
 }
 
+// allocatedBy reports how many heap bytes f allocated.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBinaryHeaderCannotDemandAllocation: a segment header is a few
+// worker-supplied bytes, so what it declares must be checked against the
+// bytes actually present before any buffer is sized from it. A header
+// declaring a gigabyte of raw payload over a handful of stored bytes (more
+// than deflate can expand them to), and one declaring more stored bytes
+// than the stream holds, are both refused without allocating for them.
+func TestBinaryHeaderCannotDemandAllocation(t *testing.T) {
+	stored := []byte{0x03, 0x00} // an empty final deflate block
+	// frameSegment sizes storedLen from the bytes it is given; this header
+	// claims a gigabyte it does not have.
+	lying := append([]byte{}, binMagic[:]...)
+	lying = append(lying, segMagic[:]...)
+	lying = append(lying, 0, 1) // flags, one record
+	lying = binary.AppendUvarint(lying, 1<<30)
+	lying = binary.AppendUvarint(lying, 1<<30)
+	lying = append(lying, stored...)
+	for _, tc := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"1 GB raw over 2 stored bytes", "can inflate to", frameSegment(segFlagFlate, 1, 1<<30, stored)},
+		{"raw one past the inflate bound", "can inflate to", frameSegment(segFlagFlate, 1, maxInflateRatio*(len(stored)+1)+1, stored)},
+		{"1 GB stored, 2 bytes present", "truncated", lying},
+	} {
+		if len(tc.frame) > 30 {
+			t.Fatalf("%s: crafted frame is %d bytes, want a header-sized input", tc.name, len(tc.frame))
+		}
+		var err error
+		got := allocatedBy(func() { _, err = UnmarshalExperiments(tc.frame) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want a refusal saying %q", tc.name, err, tc.want)
+		}
+		if got >= 2<<20 {
+			t.Fatalf("%s: refusing a %d-byte input allocated %d bytes", tc.name, len(tc.frame), got)
+		}
+	}
+}
+
+// TestBinaryShortDeflateIsNotTorn: a complete segment whose deflate stream
+// ends early is corruption. The inflater reports it as an unexpected EOF,
+// which must not be taken for the torn tail a hard kill leaves — ScanTorn
+// would drop the segment and whatever follows it.
+func TestBinaryShortDeflateIsNotTorn(t *testing.T) {
+	d := sampleDataset(8)
+	var bin bytes.Buffer
+	bw := NewBinaryWriter(&bin)
+	bw.SegmentRecords = 4
+	for _, e := range d.Experiments {
+		if err := bw.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, hlen, err := parseSegHeader(bin.Bytes()[len(binMagic):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-frame the first segment over the front half of its deflate stream;
+	// the second segment follows untouched.
+	first := len(binMagic) + hlen
+	half := bin.Bytes()[first : first+int(h.storedLen)/2]
+	b := frameSegment(h.flags, int(h.count), int(h.rawLen), half)
+	b = append(b, bin.Bytes()[first+int(h.storedLen):]...)
+	if _, err := ScanTorn(bytes.NewReader(b), func(*Experiment) error { return nil }); err == nil {
+		t.Fatal("a short deflate stream mid-file was taken for a torn tail")
+	}
+}
+
 // TestFileShardsTruncatedTrailer: a kill that tears the file inside the
 // next segment's fixed header (1-4 trailing bytes) must surface as the
 // truncation error, not a slice-bounds panic in offset discovery.
@@ -287,28 +367,63 @@ func TestFileShardsTruncatedTrailer(t *testing.T) {
 }
 
 func TestMarshalUnmarshalExperiments(t *testing.T) {
-	d := sampleDataset(33)
-	b, err := MarshalExperiments(d.Experiments)
-	if err != nil {
+	roundTrip := func(d *Dataset) error {
+		b, err := MarshalExperiments(d.Experiments)
+		if err != nil {
+			return err
+		}
+		es, err := UnmarshalExperiments(b)
+		if err != nil {
+			return err
+		}
+		var a, bb bytes.Buffer
+		if err := d.WriteJSONL(&a); err != nil {
+			return err
+		}
+		if err := (&Dataset{Experiments: es}).WriteJSONL(&bb); err != nil {
+			return err
+		}
+		if len(es) != d.Len() || !bytes.Equal(a.Bytes(), bb.Bytes()) {
+			return errors.New("marshal round trip is not byte-identical")
+		}
+		return nil
+	}
+	if err := roundTrip(sampleDataset(33)); err != nil {
 		t.Fatal(err)
 	}
-	es, err := UnmarshalExperiments(b)
-	if err != nil {
-		t.Fatal(err)
+
+	// Both directions keep codec state between calls. Eight goroutines
+	// round-trip datasets of different sizes at once (run under -race), and
+	// every other call is one that fails half-way — a nil experiment after
+	// real ones on the encode side, a stream cut inside its segment on the
+	// decode side — so state handed back by a failed call, or shared between
+	// two calls in flight, shows up as a wrong byte in somebody's result.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			d := sampleDataset(20 + 7*g)
+			sealed, err := MarshalExperiments(d.Experiments)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			poisoned := append(append([]*Experiment{}, d.Experiments[:5]...), nil)
+			for i := 0; i < 20; i++ {
+				if _, err := MarshalExperiments(poisoned); err == nil || !strings.Contains(err.Error(), "nil") {
+					t.Errorf("goroutine %d: nil experiment: err = %v", g, err)
+				}
+				if _, err := UnmarshalExperiments(sealed[:len(sealed)-3]); err == nil {
+					t.Errorf("goroutine %d: truncated stream accepted", g)
+				}
+				if err := roundTrip(d); err != nil {
+					t.Errorf("goroutine %d round %d: %v", g, i, err)
+				}
+			}
+		}(g)
 	}
-	if len(es) != d.Len() {
-		t.Fatalf("unmarshal returned %d, want %d", len(es), d.Len())
-	}
-	var a, bb bytes.Buffer
-	if err := d.WriteJSONL(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := (&Dataset{Experiments: es}).WriteJSONL(&bb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), bb.Bytes()) {
-		t.Fatal("marshal round trip is not byte-identical")
-	}
+	wg.Wait()
 }
 
 func TestBinaryFileShardsEquivalence(t *testing.T) {

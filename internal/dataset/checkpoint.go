@@ -11,14 +11,16 @@ import (
 )
 
 // Checkpoint file layout: dir/experiments.bin is an append-only
-// curtainbin stream of completed experiments (one segment cut and fsync'd
-// every Every appends), and dir/manifest.json identifies the campaign it
-// belongs to. The manifest is always written via temp file + rename, so
-// it is either the old or the new version — never torn. The stream may
-// end in a torn tail (an incomplete curtainbin segment, or a partial file
-// magic) after a hard kill; resume drops the tail and re-runs those
-// experiments. Checkpoints are an internal recovery artefact with exactly
-// one codec; `curtain convert -in dir` renders one as JSONL to read by eye.
+// curtainbin stream of completed experiments (Append cuts and fsyncs one
+// segment every Every records; AppendSegment adds already-sealed segments
+// as they are and fsyncs at the same cadence), and dir/manifest.json
+// identifies the campaign it belongs to. The manifest is always written
+// via temp file + rename, so it is either the old or the new version —
+// never torn. The stream may end in a torn tail (an incomplete curtainbin
+// segment, or a partial file magic) after a hard kill; resume drops the
+// tail and re-runs those experiments. Checkpoints are an internal recovery
+// artefact with exactly one codec; `curtain convert -in dir` renders one
+// as JSONL to read by eye.
 const (
 	segmentFile  = "experiments.bin"
 	manifestFile = "manifest.json"
@@ -200,6 +202,44 @@ func (c *Checkpoint) Append(e *Experiment) error {
 	}
 	c.manifest.Completed++
 	c.pending++
+	if c.pending >= c.every {
+		return c.syncLocked()
+	}
+	return nil
+}
+
+// AppendSegment records the n experiments of stream — one complete
+// curtainbin stream, as MarshalExperiments seals it — by writing its
+// segments to the file verbatim: no decode, no second deflate. Records the
+// caller has not decoded and checked must not be passed here; all this
+// verifies is the framing (the magic, then segment headers that tile the
+// stream exactly and declare n records between them), so that no torn or
+// foreign byte and no wrong count can reach the file. It keeps Append's
+// durability contract: fsync and manifest advance at least every Every
+// records.
+func (c *Checkpoint) AppendSegment(stream []byte, n int) error {
+	var declared uint64
+	if err := walkStream(stream, func(h segHeader, _ []byte) error {
+		declared += h.count
+		return nil
+	}); err != nil {
+		return fmt.Errorf("dataset: checkpoint %s: append segment: %w", c.dir, err)
+	}
+	if n < 0 || declared != uint64(n) {
+		return fmt.Errorf("dataset: checkpoint %s: append segment: headers declare %d records, caller %d", c.dir, declared, n)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Cut the open segment first so earlier Appends precede these bytes
+	// (on a fresh file this is also what writes the magic).
+	if err := c.bin.Flush(); err != nil {
+		return fmt.Errorf("dataset: checkpoint %s: flush segment: %w", c.dir, err)
+	}
+	if _, err := c.bw.Write(stream[len(binMagic):]); err != nil {
+		return fmt.Errorf("dataset: checkpoint %s: append segment: %w", c.dir, err)
+	}
+	c.manifest.Completed += n
+	c.pending += n
 	if c.pending >= c.every {
 		return c.syncLocked()
 	}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -180,6 +181,118 @@ func TestOpenCheckpointBeforeFirstSync(t *testing.T) {
 		if final := scanAll(t, seg); len(final) != 1 || final[0].Seq != 1 {
 			t.Fatalf("keep %d: resumed segment holds %d experiments, want 1", keep, len(final))
 		}
+	}
+}
+
+// TestAppendSegmentInterleaved mixes the two append paths on one
+// checkpoint — record-at-a-time Append, and AppendSegment handing over a
+// stream sealed elsewhere — and requires a file a strict Scan accepts with
+// every record once, in append order. It then tears the file in the middle
+// of the last verbatim segment: a resume must drop exactly that segment,
+// count what precedes it, and append cleanly after it.
+func TestAppendSegmentInterleaved(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	ck, err := CreateCheckpoint(dir, Manifest{Seed: 3, ConfigHash: "h", Total: 12}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(seqs ...int) []byte {
+		var es []*Experiment
+		for _, seq := range seqs {
+			es = append(es, sampleExperiment(seq, "att"))
+		}
+		b, err := MarshalExperiments(es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// A verbatim segment onto the empty file (it must come out with one
+	// magic, the file's), two single appends left open, a verbatim segment
+	// that has to wait for them to be cut, one more append, and a last
+	// verbatim segment.
+	if err := ck.AppendSegment(seal(1, 2, 3), 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []int{4, 5} {
+		if err := ck.Append(sampleExperiment(seq, "att")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.AppendSegment(seal(6, 7), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Append(sampleExperiment(8, "att")); err != nil {
+		t.Fatal(err)
+	}
+	last := seal(9, 10, 11)
+	if err := ck.AppendSegment(last, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := ck.Manifest().Completed; got != 11 {
+		t.Fatalf("completed = %d, want 11", got)
+	}
+
+	// What AppendSegment will not write: a count the headers do not bear
+	// out, a torn stream, a stream with bytes after its last segment.
+	seg := filepath.Join(dir, segmentFile)
+	if err := ck.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]struct {
+		stream []byte
+		n      int
+	}{
+		"wrong count":    {last, 2},
+		"no magic":       {last[len(binMagic):], 3},
+		"torn":           {last[:len(last)-1], 3},
+		"trailing bytes": {append(bytes.Clone(last), 'x'), 3},
+	} {
+		if err := ck.AppendSegment(bad.stream, bad.n); err == nil {
+			t.Fatalf("AppendSegment accepted a stream with %s", name)
+		}
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() || ck.Manifest().Completed != 11 {
+		t.Fatalf("refused streams moved the file (%d -> %d bytes) or the watermark (%d)", before.Size(), after.Size(), ck.Manifest().Completed)
+	}
+
+	for i, e := range scanAll(t, seg) {
+		if e.Seq != i+1 {
+			t.Fatalf("position %d holds seq %d, want append order", i, e.Seq)
+		}
+	}
+
+	// Tear the file half-way through the last verbatim segment.
+	if err := os.Truncate(seg, after.Size()-int64(len(last)-len(binMagic))/2); err != nil {
+		t.Fatal(err)
+	}
+	re, prior, discarded, err := openCollect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prior) != 8 || re.Manifest().Completed != 8 || discarded == 0 {
+		t.Fatalf("resume after a tear inside the last segment: prior=%d completed=%d discarded=%d, want 8, 8 and the torn bytes",
+			len(prior), re.Manifest().Completed, discarded)
+	}
+	if err := re.AppendSegment(last, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if final := scanAll(t, seg); len(final) != 11 || final[10].Seq != 11 {
+		t.Fatalf("resumed file holds %d records, want 11 ending in seq 11", len(final))
 	}
 }
 

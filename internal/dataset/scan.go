@@ -3,9 +3,7 @@ package dataset
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -266,48 +264,26 @@ func binaryShards(f *os.File, path string, size int64, n int) ([]Shard, error) {
 // curtainbin file by reading headers and seeking over payloads.
 func binarySegmentOffsets(f *os.File, path string, size int64) ([]int64, error) {
 	var offsets []int64
-	pos := int64(len(binMagic))
-	var hdr [5]byte
-	var vbuf [3 * binary.MaxVarintLen64]byte
-	for pos < size {
+	var hbuf [maxSegHeader]byte
+	for pos := int64(len(binMagic)); pos < size; {
 		offsets = append(offsets, pos)
-		// A tail shorter than the fixed header (1-4 trailing bytes after
-		// the last whole segment) leaves no varint bytes to read; the
-		// header ReadAt below then reports the truncation.
-		vlen := min64(int64(len(vbuf)), size-pos-int64(len(hdr)))
-		if vlen < 0 {
-			vlen = 0
+		n, err := f.ReadAt(hbuf[:min(int64(len(hbuf)), size-pos)], pos)
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("dataset: read %s: %w", path, err)
 		}
-		vn, err := f.ReadAt(vbuf[:vlen], pos+int64(len(hdr)))
-		if _, herr := f.ReadAt(hdr[:], pos); herr != nil || (err != nil && err != io.EOF) || !bytes.Equal(hdr[:4], segMagic[:]) {
-			return nil, fmt.Errorf("dataset: %s: corrupt or truncated segment header at byte %d", path, pos)
+		h, hlen, err := parseSegHeader(hbuf[:n])
+		if err == nil && int64(h.storedLen) > size-pos-int64(hlen) {
+			err = errTorn
 		}
-		v := vbuf[:vn]
-		_, n1 := binary.Uvarint(v) // record count
-		if n1 <= 0 {
-			return nil, fmt.Errorf("dataset: %s: corrupt segment header at byte %d", path, pos)
+		if err == errTorn {
+			return nil, fmt.Errorf("dataset: %s: truncated segment at byte %d", path, pos)
 		}
-		_, n2 := binary.Uvarint(v[n1:]) // raw payload length
-		if n2 <= 0 {
-			return nil, fmt.Errorf("dataset: %s: corrupt segment header at byte %d", path, pos)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: %s: corrupt segment header at byte %d: %w", path, pos, err)
 		}
-		storedLen, n3 := binary.Uvarint(v[n1+n2:])
-		if n3 <= 0 || storedLen > maxSegmentPayload {
-			return nil, fmt.Errorf("dataset: %s: corrupt segment header at byte %d", path, pos)
-		}
-		pos += int64(len(hdr)) + int64(n1+n2+n3) + int64(storedLen)
-		if pos > size {
-			return nil, fmt.Errorf("dataset: %s: truncated segment at byte %d", path, offsets[len(offsets)-1])
-		}
+		pos += int64(hlen) + int64(h.storedLen)
 	}
 	return offsets, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ScanShard streams the experiments whose records start inside the
@@ -359,7 +335,7 @@ func scanBinaryShard(f *os.File, s Shard, fn ScanFunc) error {
 	sc := &binScanner{cr: cr, br: bufio.NewReaderSize(cr, 1<<20)}
 	for sc.consumed() < s.End {
 		if n, err := sc.readSegment(fn); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			if err == errTorn {
 				return fmt.Errorf("dataset: %s: truncated segment in shard [%d,%d)", s.Path, s.Start, s.End)
 			}
 			//lint:ignore errwrap segment errors already carry file context; callback errors pass through unwrapped

@@ -50,6 +50,9 @@ go test -count=1 -run '^TestHotPathAllocs' ./internal/dataset/
 echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt)"
 go test -count=1 -run '^TestExperimentAllocBudget$' ./internal/measure/
 
+echo "==> segment round-trip allocation budget (Marshal+UnmarshalExperiments of a 64-record lease: no per-call reader or compressor)"
+go test -count=1 -run '^TestSegmentRoundTripAllocBudget$' ./internal/dataset/
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -208,7 +211,7 @@ if [ -z "$lrate" ] || ! awk "BEGIN{exit !($lrate >= 0.3 && $lrate <= 0.7)}"; the
 	exit 1
 fi
 
-echo "==> distributed campaign chaos (coordinator + 3 workers, one SIGKILLed mid-run; bytes == serial)"
+echo "==> distributed campaign chaos (coordinator + 3 workers, one SIGKILLed mid-run; -out bytes == serial, checkpoint records == serial)"
 # The acceptance scenario for the control plane: a coordinated campaign
 # with a worker SIGKILLed after its first delivered range and a
 # late-joining replacement must merge to bytes identical to the serial
@@ -253,6 +256,19 @@ wait "$dcwb" 2>/dev/null || true
 wait "$dcwr" 2>/dev/null || true
 cmp "$dcser" "$dcdist" || {
 	echo "check.sh: distributed campaign with a killed worker diverges from serial bytes" >&2
+	cat "$dclog" >&2
+	exit 1
+}
+# -out is rendered from the coordinator's memory; the durable merge is the
+# checkpoint file. Its segments are the workers' own bytes in arrival
+# order, so compare as a multiset: exactly the serial records, each once.
+dcckj="$work/dc-ck.jsonl"
+"$ckbin" convert -in "$dcck" -out "$dcckj" 2>/dev/null \
+	|| { echo "check.sh: the coordinator's checkpoint does not scan" >&2; cat "$dclog" >&2; exit 1; }
+LC_ALL=C sort "$dcser" > "$work/dc-serial.sorted"
+LC_ALL=C sort "$dcckj" > "$work/dc-ck.sorted"
+cmp "$work/dc-serial.sorted" "$work/dc-ck.sorted" || {
+	echo "check.sh: the coordinator's checkpoint does not hold exactly the serial records" >&2
 	cat "$dclog" >&2
 	exit 1
 }
