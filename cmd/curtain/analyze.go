@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cellcurtain/internal/analysis"
-	"cellcurtain/internal/analysis/engine"
 	"cellcurtain/internal/dataset"
 )
 
@@ -24,7 +23,7 @@ import (
 // pipeline: the paper's own workflow of collecting in the field and
 // analyzing later.
 //
-// The dataset is streamed through the one-pass aggregation engine in
+// The dataset is streamed through the one-pass analysis.Suite in
 // constant memory; -parallel shards the scan and produces a
 // byte-identical report.
 func runAnalyze(args []string) error {
@@ -95,7 +94,7 @@ func loadMeasures(in string, parallel int, wrap func(dataset.ScanFunc) dataset.S
 	if err != nil {
 		return nil, err
 	}
-	scanners := make([]engine.Scanner, len(shards))
+	scanners := make([]analysis.Scanner, len(shards))
 	for i, s := range shards {
 		s := s
 		scanners[i] = func(yield dataset.ScanFunc) error {

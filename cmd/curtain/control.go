@@ -58,14 +58,16 @@ func runCoordinate(args []string) error {
 	out := fs.String("out", "dataset.jsonl", "output path for the merged dataset")
 	formatName := fs.String("format", "", "merged output codec: jsonl or binary (default jsonl)")
 	jsonOut := fs.Bool("json", false, "one-line JSON status report on stdout after the drain (for scripts)")
-	ckDir := fs.String("checkpoint-dir", "", "durable segment directory (required; the exactly-once merge substrate)")
-	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
-	resume := fs.Bool("resume", false, "adopt the checkpoint in -checkpoint-dir and lease only the missing experiments")
+	checkpoint := checkpointFlags(fs,
+		"durable segment directory (required; the exactly-once merge substrate)",
+		"adopt the checkpoint in -checkpoint-dir and lease only the missing experiments")
 	leaseSize := fs.Int("lease", 64, "experiments per leased range (smaller = finer crash re-run granularity)")
 	leaseTimeout := fs.Duration("lease-timeout", 10*time.Second, "reassign a lease after this long without a heartbeat")
 	opts := campaignFlags(fs)
 	fs.Parse(args)
-	if *ckDir == "" {
+	o, _ := opts()
+	checkpoint(&o)
+	if o.CheckpointDir == "" {
 		return fmt.Errorf("coordinate requires -checkpoint-dir (durable segments are what make worker crashes harmless)")
 	}
 	format, err := dataset.ParseFormat(*formatName)
@@ -73,8 +75,6 @@ func runCoordinate(args []string) error {
 		return err
 	}
 
-	o, _ := opts()
-	o.CheckpointDir, o.CheckpointEvery, o.Resume = *ckDir, *ckEvery, *resume
 	cfg := o.CampaignConfig()
 	fmt.Fprintln(os.Stderr, "curtain: coordinator building world to size the campaign...")
 	camp, err := trace.New(cfg)
@@ -108,7 +108,7 @@ func runCoordinate(args []string) error {
 		total, hash, ln.Addr(), len(prior))
 	coord.Start(ln)
 
-	onInterrupt(fmt.Sprintf("curtain: interrupt — flushing checkpoint %s and stopping (again to abort)", *ckDir),
+	onInterrupt(fmt.Sprintf("curtain: interrupt — flushing checkpoint %s and stopping (again to abort)", o.CheckpointDir),
 		coord.Interrupt)
 
 	ds, st, err := coord.Wait()

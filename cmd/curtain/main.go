@@ -7,8 +7,15 @@
 //	curtain report [flags]                regenerate every table and figure
 //	curtain exp -id F14 [flags]           regenerate one artifact
 //	curtain simulate -out data.jsonl      run a campaign, dump the dataset
+//	curtain convert -in A -out B          transcode a dataset between codecs
+//	curtain analyze -in data.jsonl        offline analysis, no simulation
+//	curtain loadgen -target ADDR          load-test a DNS resolver
+//	curtain coordinate -checkpoint-dir D  lease a campaign to worker processes
+//	curtain worker -addr ADDR             execute ranges a coordinator leases
 //
-// Common flags: -seed, -days, -interval-hours, -scale, -workers.
+// Campaign flags: -seed, -days, -interval-hours, -scale, -faults (plus
+// -workers and the checkpoint flags where a campaign runs locally); run
+// curtain help for every subcommand's flags.
 package main
 
 import (
@@ -175,6 +182,8 @@ flags (report/exp/simulate):
                       (default jsonl; binary is the compact curtainbin
                       form, DESIGN.md §15)
   -out PATH           simulate only: output dataset path
+  -stats              simulate only: report run time, output bytes per
+                      experiment and peak RSS on stderr
   -cpuprofile FILE    simulate only: write a pprof CPU profile of the run
   -memprofile FILE    simulate only: write a pprof allocation profile at exit`)
 }
@@ -186,28 +195,51 @@ flags (report/exp/simulate):
 func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 	campaign := campaignFlags(fs)
 	workers := fs.Int("workers", 0, "parallel campaign workers (0 = serial)")
-	ckDir := fs.String("checkpoint-dir", "", "durable checkpoint directory (empty = no checkpointing)")
-	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
-	resume := fs.Bool("resume", false, "resume the campaign checkpointed in -checkpoint-dir")
+	checkpoint := checkpointFlags(fs,
+		"durable checkpoint directory (empty = no checkpointing)",
+		"resume the campaign checkpointed in -checkpoint-dir")
 	return func() (cellcurtain.Options, error) {
-		if *resume && *ckDir == "" {
+		o, _ := campaign()
+		o.Workers = *workers
+		checkpoint(&o)
+		if o.Resume && o.CheckpointDir == "" {
 			return cellcurtain.Options{}, fmt.Errorf("-resume requires -checkpoint-dir")
 		}
-		var interrupt chan struct{}
-		if *ckDir != "" {
+		if o.CheckpointDir != "" {
 			// Workers drain their in-flight experiment and the checkpoint is
 			// flushed before the process exits; an abort loses at most the
 			// experiments since the last fsync — what -resume recovers from.
-			interrupt = make(chan struct{})
-			onInterrupt(fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", *ckDir),
+			interrupt := make(chan struct{})
+			onInterrupt(fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", o.CheckpointDir),
 				func() { close(interrupt) })
+			o.Interrupt = interrupt
 		}
-		o, _ := campaign()
-		o.Workers = *workers
-		o.CheckpointDir, o.CheckpointEvery = *ckDir, *ckEvery
-		o.Resume, o.Interrupt = *resume, interrupt
 		return o, nil
 	}
+}
+
+// checkpointFlags registers -checkpoint-dir, -checkpoint-every and
+// -resume for every subcommand that runs a durable campaign, and returns
+// a closure storing the parsed values into Options. Only the wording of
+// what the directory and a resume mean differs between running a
+// campaign locally and coordinating one.
+func checkpointFlags(fs *flag.FlagSet, dirUsage, resumeUsage string) func(*cellcurtain.Options) {
+	dir := fs.String("checkpoint-dir", "", dirUsage)
+	every := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
+	resume := fs.Bool("resume", false, resumeUsage)
+	return func(o *cellcurtain.Options) {
+		o.CheckpointDir, o.CheckpointEvery, o.Resume = *dir, *every, *resume
+	}
+}
+
+// announceCampaign prints the banner every locally-run campaign starts
+// with; building the world is the silent first few seconds.
+func announceCampaign(o cellcurtain.Options) {
+	verb := "running"
+	if o.Resume {
+		verb = "resuming"
+	}
+	fmt.Fprintf(os.Stderr, "curtain: building world and %s campaign...\n", verb)
 }
 
 func studyFlags(fs *flag.FlagSet) func() (*cellcurtain.Study, error) {
@@ -217,11 +249,7 @@ func studyFlags(fs *flag.FlagSet) func() (*cellcurtain.Study, error) {
 		if err != nil {
 			return nil, err
 		}
-		verb := "running"
-		if o.Resume {
-			verb = "resuming"
-		}
-		fmt.Fprintf(os.Stderr, "curtain: building world and %s campaign...\n", verb)
+		announceCampaign(o)
 		s, err := cellcurtain.NewStudy(o)
 		if err != nil {
 			return nil, err
@@ -338,11 +366,7 @@ func runSimulate(args []string) error {
 	}
 	defer stopProfiles()
 	cfg := o.CampaignConfig()
-	verb := "running"
-	if o.Resume {
-		verb = "resuming"
-	}
-	fmt.Fprintf(os.Stderr, "curtain: building world and %s campaign...\n", verb)
+	announceCampaign(o)
 	camp, err := trace.New(cfg)
 	if err != nil {
 		return err

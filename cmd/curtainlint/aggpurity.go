@@ -5,12 +5,12 @@ import (
 	"go/types"
 )
 
-// The aggpurity analyzer enforces the streaming-engine aggregator
-// contract (DESIGN.md §10/§11) on every type shaped like an
-// engine.Aggregator — a named type with Observe(one pointer-to-record
-// parameter), Merge(one parameter) and Result() methods. Detection is
-// structural, not interface-based, so fixtures and future aggregators
-// in other packages are covered without importing the engine.
+// The aggpurity analyzer enforces the streaming aggregator contract
+// (DESIGN.md §10/§11) on every type shaped like one of analysis.Suite's
+// aggregators — a named type with Observe(one pointer-to-record
+// parameter) and Merge(one parameter) methods. Detection is structural,
+// not interface-based, so fixtures and future aggregators in other
+// packages are covered without importing anything.
 //
 // Three invariants:
 //
@@ -23,23 +23,27 @@ import (
 //  2. No package-level mutable state: Observe and Merge run concurrently
 //     across shards; reading or writing a package-level variable breaks
 //     shard independence and replay determinism.
-//  3. Sorted result iteration: Result — and every method on the same
-//     type it transitively calls — iterates maps only via sorted keys.
-//     Exempt: the key-collection loop feeding a sort (append of the key
-//     to a slice), and pure scalar reductions over integers/booleans,
-//     which are order-exact.
+//  3. Sorted query iteration: every other method declared on the type
+//     answers (part of) a query, so it — and any method of the same type
+//     it calls, Observe and Merge included once a query reaches them —
+//     iterates maps only via sorted keys. Callees are resolved through
+//     the type checker: s.Merge(x) on a field of another type is that
+//     type's Merge, not the aggregator's. Exempt: the key-collection
+//     loop feeding a sort (append of the key to a slice), and pure
+//     scalar reductions over integers/booleans, which are order-exact.
 var analyzerAggPurity = &Analyzer{
 	Name:     "aggpurity",
-	Doc:      "aggregators must not retain scanned records or touch package state in Observe/Merge; Result iterates maps via sorted keys",
+	Doc:      "aggregators must not retain scanned records or touch package state in Observe/Merge; their query methods iterate maps via sorted keys",
 	Severity: "error",
 	URL:      "DESIGN.md#11-static-analysis-v2",
 	Run:      runAggPurity,
 }
 
-// aggType is one aggregator-shaped named type's method set.
+// aggType is one aggregator-shaped named type: its feed methods, and
+// every method declared on it in source order.
 type aggType struct {
-	observe, merge, result *ast.FuncDecl
-	methods                map[string]*ast.FuncDecl
+	observe, merge *ast.FuncDecl
+	methods        []*ast.FuncDecl
 }
 
 func runAggPurity(pass *Pass) {
@@ -49,13 +53,13 @@ func runAggPurity(pass *Pass) {
 		checkNoRetention(pass, agg.merge)
 		checkNoPackageState(pass, agg.observe)
 		checkNoPackageState(pass, agg.merge)
-		checkSortedResult(pass, agg, fix)
+		checkSortedQueries(pass, agg, fix)
 	}
 }
 
-// collectAggTypes finds aggregator-shaped types: all three of
-// Observe(1 arg), Merge(1 arg) and Result() (no args) declared as
-// methods of the same base type in this package.
+// collectAggTypes finds aggregator-shaped types: both Observe(1 arg) and
+// Merge(1 arg) declared as methods of the same base type in this
+// package.
 func collectAggTypes(pass *Pass) []*aggType {
 	byRecv := map[string]*aggType{}
 	order := []string{}
@@ -71,35 +75,25 @@ func collectAggTypes(pass *Pass) []*aggType {
 			}
 			at := byRecv[recv]
 			if at == nil {
-				at = &aggType{methods: map[string]*ast.FuncDecl{}}
+				at = &aggType{}
 				byRecv[recv] = at
 				order = append(order, recv)
 			}
-			at.methods[fd.Name.Name] = fd
-			np := 0
-			if fd.Type.Params != nil {
-				for _, p := range fd.Type.Params.List {
-					if n := len(p.Names); n > 0 {
-						np += n
-					} else {
-						np++
-					}
-				}
+			at.methods = append(at.methods, fd)
+			if fd.Type.Params.NumFields() != 1 {
+				continue
 			}
-			switch {
-			case fd.Name.Name == "Observe" && np == 1:
+			switch fd.Name.Name {
+			case "Observe":
 				at.observe = fd
-			case fd.Name.Name == "Merge" && np == 1:
+			case "Merge":
 				at.merge = fd
-			case fd.Name.Name == "Result" && np == 0:
-				at.result = fd
 			}
 		}
 	}
 	var out []*aggType
 	for _, recv := range order {
-		at := byRecv[recv]
-		if at.observe != nil && at.merge != nil && at.result != nil {
+		if at := byRecv[recv]; at.observe != nil && at.merge != nil {
 			out = append(out, at)
 		}
 	}
@@ -312,13 +306,23 @@ func checkNoPackageState(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// checkSortedResult walks Result and every same-type method reachable
-// from it, flagging map ranges that are neither key-collection loops nor
-// pure scalar reductions.
-func checkSortedResult(pass *Pass, agg *aggType, fix *sortFixState) {
-	visited := map[string]bool{}
-	queue := []*ast.FuncDecl{agg.result}
-	visited["Result"] = true
+// checkSortedQueries walks every method of the aggregator other than
+// Observe and Merge, plus whatever methods of the same type those call,
+// flagging map ranges that are neither key-collection loops nor pure
+// scalar reductions.
+func checkSortedQueries(pass *Pass, agg *aggType, fix *sortFixState) {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	visited := map[*ast.FuncDecl]bool{}
+	var queue []*ast.FuncDecl
+	for _, m := range agg.methods {
+		if fn, ok := pass.Info.Defs[m.Name].(*types.Func); ok {
+			decls[fn] = m
+		}
+		if m != agg.observe && m != agg.merge {
+			visited[m] = true
+			queue = append(queue, m)
+		}
+	}
 	for len(queue) > 0 {
 		fd := queue[0]
 		queue = queue[1:]
@@ -328,12 +332,12 @@ func checkSortedResult(pass *Pass, agg *aggType, fix *sortFixState) {
 			if !ok {
 				return true
 			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
+			fn := calleeFunc(pass.Info, call)
+			if fn == nil {
 				return true
 			}
-			if m, ok := agg.methods[sel.Sel.Name]; ok && !visited[sel.Sel.Name] {
-				visited[sel.Sel.Name] = true
+			if m := decls[fn.Origin()]; m != nil && !visited[m] {
+				visited[m] = true
 				queue = append(queue, m)
 			}
 			return true
@@ -359,7 +363,7 @@ func checkSortedRanges(pass *Pass, fd *ast.FuncDecl, fix *sortFixState) {
 			return true
 		}
 		edits := sortedKeysFix(pass, rng, fix)
-		pass.ReportFix(rng.Pos(), edits, "map iteration in %s (reachable from Result) must go via sorted keys; collect and sort them first", name)
+		pass.ReportFix(rng.Pos(), edits, "map iteration in %s (on an aggregator's query path) must go via sorted keys; collect and sort them first", name)
 		return true
 	})
 }

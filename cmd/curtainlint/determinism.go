@@ -11,8 +11,8 @@ import (
 // all break that.
 var determinismDirs = []string{
 	"internal/sim", "internal/vnet", "internal/carrier",
-	"internal/cdn", "internal/analysis", "internal/analysis/engine",
-	"internal/stats", "internal/fault", "internal/controlplane",
+	"internal/cdn", "internal/analysis", "internal/stats",
+	"internal/fault", "internal/controlplane",
 }
 
 // forbiddenTimeFuncs are the time package's wall-clock entry points.

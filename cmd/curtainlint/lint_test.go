@@ -54,6 +54,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"hotpath_clean", []*Analyzer{analyzerHotPath}},
 		{"aggpurity_bad", []*Analyzer{analyzerAggPurity}},
 		{"aggpurity_clean", []*Analyzer{analyzerAggPurity}},
+		{"aggpurity_query_bad", []*Analyzer{analyzerAggPurity}},
+		{"aggpurity_query_clean", []*Analyzer{analyzerAggPurity}},
 		{"goroutine_bad", []*Analyzer{analyzerGoroutine}},
 		{"goroutine_clean", []*Analyzer{analyzerGoroutine}},
 	}

@@ -1,6 +1,6 @@
 // Package fixture violates the aggregator contract three ways: it
 // retains references reachable from the scanned record, it touches
-// package-level state in Observe/Merge, and its Result path iterates
+// package-level state in Observe/Merge, and its query methods iterate
 // maps in randomized order.
 package fixture
 
@@ -42,7 +42,7 @@ func (a *badAgg) Result() any {
 	return out
 }
 
-// mean is reachable from Result, so its float accumulation over an
+// mean is a query method like Result, so its float accumulation over an
 // unsorted map range is order-sensitive output.
 func (a *badAgg) mean() float64 {
 	var sum float64

@@ -1,7 +1,9 @@
 // Package fixture follows the aggregator contract: values copied out of
 // the record, no package state, and Result iterating via sorted keys —
 // plus the two sanctioned exemptions (key-collection loops and integer
-// scalar reductions).
+// scalar reductions). Result also calls a Merge that belongs to another
+// type: that must not put goodAgg's own Merge, with its unordered map
+// range, on the query path.
 package fixture
 
 import "sort"
@@ -12,10 +14,16 @@ type Record struct {
 	Addrs []string
 }
 
+// tally is a foreign type with a Merge of its own.
+type tally struct{ n int }
+
+func (t *tally) Merge(o *tally) { t.n += o.n }
+
 type goodAgg struct {
 	count int
 	names []string
 	seen  map[string]int
+	extra tally
 }
 
 func (a *goodAgg) Observe(r *Record) {
@@ -48,5 +56,7 @@ func (a *goodAgg) Result() any {
 		out = append(out, a.seen[k])
 	}
 	_ = total
+	var sum tally
+	sum.Merge(&a.extra)
 	return out
 }

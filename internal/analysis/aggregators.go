@@ -1,23 +1,27 @@
 package analysis
 
 import (
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
-	"cellcurtain/internal/analysis/engine"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/stats"
 	"cellcurtain/internal/vnet"
 )
 
-// This file ports every slice metric to a streaming engine.Aggregator.
-// Each aggregator holds only reduced state (sets, counters, integer
-// sums, metric samples) — never experiments — so a full analysis run is
-// one dataset pass in memory bounded by metric cardinality, not corpus
-// size. Merge implementations are non-consuming deep merges: the
-// receiver owns all of its containers afterwards and the argument is
-// left untouched, so shard instances stay independently usable.
+// This file ports every slice metric to a streaming aggregator: a type
+// with Observe(*dataset.Experiment) and a typed Merge, instantiated once
+// per carrier (carrierAggs, at the end of the file). Each aggregator
+// holds only reduced state (sets, counters, integer sums, metric
+// samples) — never experiments — so a full analysis run is one dataset
+// pass in memory bounded by metric cardinality, not corpus size. Merge
+// implementations are non-consuming deep merges: the receiver owns all
+// of its containers afterwards and the argument is left untouched, so
+// shard instances stay independently usable.
 
 // kindIndex gives the three resolver kinds dense indices for fixed-size
 // per-observation records.
@@ -32,14 +36,42 @@ func kindIndex(k dataset.ResolverKind) int {
 	}
 }
 
-// ---------------------------------------------------------------------
-// countAgg: experiment counting (dataset size, per carrier).
+// kindsFor expands the "" wildcard to every resolver kind.
+func kindsFor(kind dataset.ResolverKind) []dataset.ResolverKind {
+	if kind == "" {
+		return dataset.Kinds()
+	}
+	return []dataset.ResolverKind{kind}
+}
 
-type countAgg struct{ n int }
+// entry returns m[k], storing a fresh zero V there on first use.
+func entry[K comparable, V any](m map[K]*V, k K) *V {
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
+	}
+	return v
+}
 
-func (c *countAgg) Observe(*dataset.Experiment)  { c.n++ }
-func (c *countAgg) Merge(other engine.Aggregator) { c.n += other.(*countAgg).n }
-func (c *countAgg) Result() any                   { return c.n }
+// mergeSamples folds src's samples into dst's key by key; dst ends up
+// owning every sample it holds.
+func mergeSamples[K comparable](dst, src map[K]*stats.Sample) {
+	for k, s := range src {
+		entry(dst, k).Merge(s)
+	}
+}
+
+// sortedKeys returns m's keys in ascending cmp order — how the query
+// methods walk a map (aggpurity rule 3, DESIGN.md §11).
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmp)
+	return keys
+}
 
 // ---------------------------------------------------------------------
 // pairsAgg: Table 3 LDNS pair statistics.
@@ -47,6 +79,13 @@ func (c *countAgg) Result() any                   { return c.n }
 type pairGroup struct {
 	client     string
 	configured netip.Addr
+}
+
+func comparePairGroups(a, b pairGroup) int {
+	if c := strings.Compare(a.client, b.client); c != 0 {
+		return c
+	}
+	return a.configured.Compare(b.configured)
 }
 
 type pairsAgg struct {
@@ -83,17 +122,10 @@ func (p *pairsAgg) Observe(e *dataset.Experiment) {
 	p.pairs[[2]netip.Addr{e.Configured, external}]++
 }
 
-func (p *pairsAgg) Merge(other engine.Aggregator) {
-	o := other.(*pairsAgg)
-	for a := range o.cf {
-		p.cf[a] = true
-	}
-	for a := range o.ext {
-		p.ext[a] = true
-	}
-	for a := range o.ext24 {
-		p.ext24[a] = true
-	}
+func (p *pairsAgg) Merge(o *pairsAgg) {
+	maps.Copy(p.cf, o.cf)
+	maps.Copy(p.ext, o.ext)
+	maps.Copy(p.ext24, o.ext24)
 	for g, externals := range o.groups {
 		if p.groups[g] == nil {
 			p.groups[g] = make(map[netip.Addr]int, len(externals))
@@ -107,46 +139,20 @@ func (p *pairsAgg) Merge(other engine.Aggregator) {
 	}
 }
 
-func (p *pairsAgg) Result() any { return p.stats() }
-
 func (p *pairsAgg) stats() PairStats {
 	ps := PairStats{
 		ClientFacing:     len(p.cf),
 		External:         len(p.ext),
 		ExternalSlash24s: len(p.ext24),
-		Pairs:            make(map[[2]netip.Addr]int, len(p.pairs)),
-	}
-	pairKeys := make([][2]netip.Addr, 0, len(p.pairs))
-	for k := range p.pairs {
-		pairKeys = append(pairKeys, k)
-	}
-	sort.Slice(pairKeys, func(i, j int) bool {
-		if pairKeys[i][0] != pairKeys[j][0] {
-			return pairKeys[i][0].Less(pairKeys[j][0])
-		}
-		return pairKeys[i][1].Less(pairKeys[j][1])
-	})
-	for _, k := range pairKeys {
-		ps.Pairs[k] = p.pairs[k]
+		Pairs:            maps.Clone(p.pairs),
 	}
 	// Integer counts summed through floats stay exact in any group order,
 	// but the aggpurity sorted-iteration invariant keeps the accumulation
 	// replay-stable even if the arithmetic ever stops being exact.
-	groupKeys := make([]pairGroup, 0, len(p.groups))
-	for g := range p.groups {
-		groupKeys = append(groupKeys, g)
-	}
-	sort.Slice(groupKeys, func(i, j int) bool {
-		if groupKeys[i].client != groupKeys[j].client {
-			return groupKeys[i].client < groupKeys[j].client
-		}
-		return groupKeys[i].configured.Less(groupKeys[j].configured)
-	})
 	var weighted, total float64
-	for _, g := range groupKeys {
-		externals := p.groups[g]
+	for _, g := range sortedKeys(p.groups, comparePairGroups) {
 		sum, max := 0, 0
-		for _, n := range externals {
+		for _, n := range p.groups[g] {
 			sum += n
 			if n > max {
 				max = n
@@ -172,8 +178,8 @@ type kindRadio struct {
 }
 
 type resolutionsAgg struct {
-	first    map[kindRadio]*stats.Sample
-	second   map[kindRadio]*stats.Sample
+	first  map[kindRadio]*stats.Sample
+	second map[kindRadio]*stats.Sample
 	// missDiff holds RTT1-RTT2 (ms) per paired row; the miss fraction at
 	// any threshold is a rank query on it.
 	missDiff map[dataset.ResolverKind]*stats.Sample
@@ -193,56 +199,20 @@ func (ra *resolutionsAgg) Observe(e *dataset.Experiment) {
 			continue
 		}
 		k := kindRadio{r.Kind, r.Radio}
-		s := ra.first[k]
-		if s == nil {
-			s = &stats.Sample{}
-			ra.first[k] = s
-		}
-		s.AddDuration(r.RTT1)
+		entry(ra.first, k).AddDuration(r.RTT1)
 		if !secondLookupOK(r) {
 			continue
 		}
-		s2 := ra.second[k]
-		if s2 == nil {
-			s2 = &stats.Sample{}
-			ra.second[k] = s2
-		}
-		s2.AddDuration(r.RTT2)
-		d := ra.missDiff[r.Kind]
-		if d == nil {
-			d = &stats.Sample{}
-			ra.missDiff[r.Kind] = d
-		}
-		d.AddDuration(r.RTT1 - r.RTT2)
+		entry(ra.second, k).AddDuration(r.RTT2)
+		entry(ra.missDiff, r.Kind).AddDuration(r.RTT1 - r.RTT2)
 	}
 }
 
-func (ra *resolutionsAgg) Merge(other engine.Aggregator) {
-	o := other.(*resolutionsAgg)
-	mergeKRSamples(ra.first, o.first)
-	mergeKRSamples(ra.second, o.second)
-	for k, s := range o.missDiff {
-		dst := ra.missDiff[k]
-		if dst == nil {
-			dst = &stats.Sample{}
-			ra.missDiff[k] = dst
-		}
-		dst.Merge(s)
-	}
+func (ra *resolutionsAgg) Merge(o *resolutionsAgg) {
+	mergeSamples(ra.first, o.first)
+	mergeSamples(ra.second, o.second)
+	mergeSamples(ra.missDiff, o.missDiff)
 }
-
-func mergeKRSamples(dst, src map[kindRadio]*stats.Sample) {
-	for k, s := range src {
-		d := dst[k]
-		if d == nil {
-			d = &stats.Sample{}
-			dst[k] = d
-		}
-		d.Merge(s)
-	}
-}
-
-func (ra *resolutionsAgg) Result() any { return ra }
 
 // addFirst merges this aggregator's first-lookup observations for one
 // kind/radio filter ("" radio = all radios, merged in sorted radio
@@ -268,6 +238,13 @@ func addKRSample(out *stats.Sample, m map[kindRadio]*stats.Sample, kind dataset.
 		}
 		return
 	}
+	for _, r := range radiosOf(m, kind) {
+		out.Merge(m[kindRadio{kind, r}])
+	}
+}
+
+// radiosOf returns the radios m holds a sample for under kind, sorted.
+func radiosOf(m map[kindRadio]*stats.Sample, kind dataset.ResolverKind) []string {
 	radios := make([]string, 0, len(m))
 	for k := range m {
 		if k.kind == kind {
@@ -275,22 +252,15 @@ func addKRSample(out *stats.Sample, m map[kindRadio]*stats.Sample, kind dataset.
 		}
 	}
 	sort.Strings(radios)
-	for _, r := range radios {
-		out.Merge(m[kindRadio{kind, r}])
-	}
+	return radios
 }
 
 // radioGroups returns fresh per-radio copies of the local first-lookup
 // samples (Fig 3).
 func (ra *resolutionsAgg) radioGroups() map[string]*stats.Sample {
 	out := map[string]*stats.Sample{}
-	for k, s := range ra.first {
-		if k.kind != dataset.KindLocal {
-			continue
-		}
-		c := &stats.Sample{}
-		c.Merge(s)
-		out[k.radio] = c
+	for _, radio := range radiosOf(ra.first, dataset.KindLocal) {
+		entry(out, radio).Merge(ra.first[kindRadio{dataset.KindLocal, radio}])
 	}
 	return out
 }
@@ -318,26 +288,13 @@ func (p *pingsAgg) Observe(e *dataset.Experiment) {
 		p.attempts[key]++
 		if pr.OK {
 			p.answered[key]++
-			s := p.samples[key]
-			if s == nil {
-				s = &stats.Sample{}
-				p.samples[key] = s
-			}
-			s.AddDuration(pr.RTT)
+			entry(p.samples, key).AddDuration(pr.RTT)
 		}
 	}
 }
 
-func (p *pingsAgg) Merge(other engine.Aggregator) {
-	o := other.(*pingsAgg)
-	for k, s := range o.samples {
-		d := p.samples[k]
-		if d == nil {
-			d = &stats.Sample{}
-			p.samples[k] = d
-		}
-		d.Merge(s)
-	}
+func (p *pingsAgg) Merge(o *pingsAgg) {
+	mergeSamples(p.samples, o.samples)
 	for k, n := range o.attempts {
 		p.attempts[k] += n
 	}
@@ -346,18 +303,14 @@ func (p *pingsAgg) Merge(other engine.Aggregator) {
 	}
 }
 
-func (p *pingsAgg) Result() any { return p }
-
 func (p *pingsAgg) pings() (map[string]*stats.Sample, map[string]float64) {
 	samples := make(map[string]*stats.Sample, len(p.samples))
-	for k, s := range p.samples {
-		c := &stats.Sample{}
-		c.Merge(s)
-		samples[k] = c
+	for _, k := range sortedKeys(p.samples, strings.Compare) {
+		entry(samples, k).Merge(p.samples[k])
 	}
 	reach := make(map[string]float64, len(p.attempts))
-	for k, n := range p.attempts {
-		reach[k] = float64(p.answered[k]) / float64(n)
+	for _, k := range sortedKeys(p.attempts, strings.Compare) {
+		reach[k] = float64(p.answered[k]) / float64(p.attempts[k])
 	}
 	return samples, reach
 }
@@ -376,8 +329,7 @@ func newInflationAgg() *inflationAgg {
 
 func (ia *inflationAgg) Observe(e *dataset.Experiment) { observeInflation(ia.sums, e) }
 
-func (ia *inflationAgg) Merge(other engine.Aggregator) {
-	o := other.(*inflationAgg)
+func (ia *inflationAgg) Merge(o *inflationAgg) {
 	for k, replicas := range o.sums {
 		m := ia.sums[k]
 		if m == nil {
@@ -385,18 +337,12 @@ func (ia *inflationAgg) Merge(other engine.Aggregator) {
 			ia.sums[k] = m
 		}
 		for addr, acc := range replicas {
-			dst := m[addr]
-			if dst == nil {
-				dst = &inflationAcc{}
-				m[addr] = dst
-			}
+			dst := entry(m, addr)
 			dst.sumNs += acc.sumNs
 			dst.n += acc.n
 		}
 	}
 }
-
-func (ia *inflationAgg) Result() any { return ia }
 
 func (ia *inflationAgg) sample(domain string) *stats.Sample {
 	return inflationSample(ia.sums, domain)
@@ -409,6 +355,13 @@ func (ia *inflationAgg) sample(domain string) *stats.Sample {
 type domainExt struct {
 	domain string
 	ext    netip.Addr
+}
+
+func compareDomainExts(a, b domainExt) int {
+	if c := strings.Compare(a.domain, b.domain); c != 0 {
+		return c
+	}
+	return a.ext.Compare(b.ext)
 }
 
 type vectorsAgg struct {
@@ -442,8 +395,7 @@ func (va *vectorsAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (va *vectorsAgg) Merge(other engine.Aggregator) {
-	o := other.(*vectorsAgg)
+func (va *vectorsAgg) Merge(o *vectorsAgg) {
 	for k, m := range o.counts {
 		dst := va.counts[k]
 		if dst == nil {
@@ -459,16 +411,14 @@ func (va *vectorsAgg) Merge(other engine.Aggregator) {
 	}
 }
 
-func (va *vectorsAgg) Result() any { return va }
-
 func (va *vectorsAgg) vectors(domain string, minObs int) map[netip.Addr]map[string]float64 {
 	counts := map[netip.Addr]map[string]float64{}
 	obs := map[netip.Addr]int{}
-	for k, m := range va.counts {
+	for _, k := range sortedKeys(va.counts, compareDomainExts) {
 		if k.domain != domain {
 			continue
 		}
-		counts[k.ext] = m
+		counts[k.ext] = va.counts[k]
 		obs[k.ext] = va.obs[k]
 	}
 	return normalizeVectors(counts, obs, minObs)
@@ -502,27 +452,20 @@ func (xa *externalsAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (xa *externalsAgg) Merge(other engine.Aggregator) {
-	o := other.(*externalsAgg)
+func (xa *externalsAgg) Merge(o *externalsAgg) {
 	for kind, set := range o.ips {
 		if xa.ips[kind] == nil {
 			xa.ips[kind] = map[netip.Addr]bool{}
 		}
-		for a := range set {
-			xa.ips[kind][a] = true
-		}
+		maps.Copy(xa.ips[kind], set)
 	}
 	for kind, set := range o.p24 {
 		if xa.p24[kind] == nil {
 			xa.p24[kind] = map[netip.Prefix]bool{}
 		}
-		for p := range set {
-			xa.p24[kind][p] = true
-		}
+		maps.Copy(xa.p24[kind], set)
 	}
 }
-
-func (xa *externalsAgg) Result() any { return xa }
 
 func (xa *externalsAgg) unique(kind dataset.ResolverKind) (ips, slash24s int) {
 	return len(xa.ips[kind]), len(xa.p24[kind])
@@ -565,8 +508,7 @@ func (ca *churnAgg) Observe(e *dataset.Experiment) {
 	ca.obs[e.ClientID] = append(ca.obs[e.ClientID], o)
 }
 
-func (ca *churnAgg) Merge(other engine.Aggregator) {
-	o := other.(*churnAgg)
+func (ca *churnAgg) Merge(o *churnAgg) {
 	for id, n := range o.counts {
 		ca.counts[id] += n
 	}
@@ -575,17 +517,8 @@ func (ca *churnAgg) Merge(other engine.Aggregator) {
 	}
 }
 
-func (ca *churnAgg) Result() any { return ca }
-
 // clientIDs returns the observed clients, sorted.
-func (ca *churnAgg) clientIDs() []string {
-	ids := make([]string, 0, len(ca.counts))
-	for id := range ca.counts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+func (ca *churnAgg) clientIDs() []string { return sortedKeys(ca.counts, strings.Compare) }
 
 // busiest returns the client with the most experiments; ties break to
 // the lexicographically first id.
@@ -638,8 +571,8 @@ func (ca *churnAgg) staticTimeline(clientID string, radiusKm float64, kind datas
 }
 
 // ---------------------------------------------------------------------
-// egressAgg: §5.2 egress-point extraction. The ownership predicate comes
-// from the carrier the group key names, via the GroupBy key factory.
+// egressAgg: §5.2 egress-point extraction. The ownership predicate is
+// that of the carrier whose experiments this instance sees.
 
 type egressAgg struct {
 	owns func(netip.Addr) bool
@@ -663,27 +596,13 @@ func (ea *egressAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (ea *egressAgg) Merge(other engine.Aggregator) {
-	o := other.(*egressAgg)
+func (ea *egressAgg) Merge(o *egressAgg) {
 	for a, n := range o.pts {
 		ea.pts[a] += n
 	}
 }
 
-func (ea *egressAgg) Result() any { return ea.points() }
-
-func (ea *egressAgg) points() map[netip.Addr]int {
-	addrs := make([]netip.Addr, 0, len(ea.pts))
-	for a := range ea.pts {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-	out := make(map[netip.Addr]int, len(ea.pts))
-	for _, a := range addrs {
-		out[a] = ea.pts[a]
-	}
-	return out
-}
+func (ea *egressAgg) points() map[netip.Addr]int { return maps.Clone(ea.pts) }
 
 // ---------------------------------------------------------------------
 // availabilityAgg: resolution outcomes (AVAIL report) — per kind, per
@@ -716,42 +635,22 @@ func newAvailabilityAgg(tlStart, tlEnd time.Time, tlBucket time.Duration) *avail
 	}
 }
 
-func (aa *availabilityAgg) kindCounter(kind dataset.ResolverKind) *Availability {
-	a := aa.perKind[kind]
-	if a == nil {
-		a = &Availability{}
-		aa.perKind[kind] = a
-	}
-	return a
-}
-
 func (aa *availabilityAgg) Observe(e *dataset.Experiment) {
 	tlIdx := -1
 	if aa.tlBucket > 0 && !e.Time.Before(aa.tlStart) && e.Time.Before(aa.tlEnd) {
 		tlIdx = int(e.Time.Sub(aa.tlStart) / aa.tlBucket)
 	}
 	for _, r := range e.Resolutions {
-		aa.kindCounter("").observe(r)
-		aa.kindCounter(r.Kind).observe(r)
-
-		byServer := aa.perResolver[r.Kind]
-		if byServer == nil {
-			byServer = map[netip.Addr]*Availability{}
-			aa.perResolver[r.Kind] = byServer
-		}
-		sa := byServer[r.Server]
-		if sa == nil {
-			sa = &Availability{}
-			byServer[r.Server] = sa
-		}
-		sa.observe(r)
+		entry(aa.perKind, "").observe(r)
+		entry(aa.perKind, r.Kind).observe(r)
+		entry(aa.serverCounters(r.Kind), r.Server).observe(r)
 
 		ck := costKey{r.Kind, outcomeOf(r)}
 		switch {
 		case r.Cost > 0:
-			aa.costSample(ck).AddDuration(r.Cost)
+			entry(aa.cost, ck).AddDuration(r.Cost)
 		case r.OK:
-			aa.costSample(ck).AddDuration(r.RTT1)
+			entry(aa.cost, ck).AddDuration(r.RTT1)
 		}
 		if tlIdx >= 0 {
 			aa.timelineBuckets(r.Kind)[tlIdx].observe(r)
@@ -760,13 +659,13 @@ func (aa *availabilityAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (aa *availabilityAgg) costSample(ck costKey) *stats.Sample {
-	s := aa.cost[ck]
-	if s == nil {
-		s = &stats.Sample{}
-		aa.cost[ck] = s
+func (aa *availabilityAgg) serverCounters(kind dataset.ResolverKind) map[netip.Addr]*Availability {
+	byServer := aa.perResolver[kind]
+	if byServer == nil {
+		byServer = map[netip.Addr]*Availability{}
+		aa.perResolver[kind] = byServer
 	}
-	return s
+	return byServer
 }
 
 func (aa *availabilityAgg) timelineBuckets(kind dataset.ResolverKind) []AvailabilityBucket {
@@ -778,45 +677,36 @@ func (aa *availabilityAgg) timelineBuckets(kind dataset.ResolverKind) []Availabi
 	return tl
 }
 
-func (aa *availabilityAgg) Merge(other engine.Aggregator) {
-	o := other.(*availabilityAgg)
+func (aa *availabilityAgg) Merge(o *availabilityAgg) {
 	for kind, a := range o.perKind {
-		aa.kindCounter(kind).add(*a)
+		entry(aa.perKind, kind).add(*a)
 	}
 	for kind, byServer := range o.perResolver {
-		dst := aa.perResolver[kind]
-		if dst == nil {
-			dst = make(map[netip.Addr]*Availability, len(byServer))
-			aa.perResolver[kind] = dst
-		}
-		for server, a := range byServer {
-			da := dst[server]
-			if da == nil {
-				da = &Availability{}
-				dst[server] = da
-			}
-			da.add(*a)
-		}
+		addResolverCounters(aa.serverCounters(kind), byServer)
 	}
-	for ck, s := range o.cost {
-		d := aa.cost[ck]
-		if d == nil {
-			d = &stats.Sample{}
-			aa.cost[ck] = d
-		}
-		d.Merge(s)
-	}
+	mergeSamples(aa.cost, o.cost)
 	for kind, tl := range o.timeline {
-		dst := aa.timelineBuckets(kind)
-		for i := range tl {
-			if i < len(dst) {
-				dst[i].Availability.add(tl[i].Availability)
-			}
-		}
+		addTimelineBuckets(aa.timelineBuckets(kind), tl)
 	}
 }
 
-func (aa *availabilityAgg) Result() any { return aa }
+// addResolverCounters folds src's per-server counters into dst's, in
+// server address order.
+func addResolverCounters(dst, src map[netip.Addr]*Availability) {
+	for _, server := range sortedKeys(src, netip.Addr.Compare) {
+		entry(dst, server).add(*src[server])
+	}
+}
+
+// addTimelineBuckets folds src's buckets into dst's index by index (both
+// are laid out by the same window config).
+func addTimelineBuckets(dst, src []AvailabilityBucket) {
+	for i, b := range src {
+		if i < len(dst) {
+			dst[i].Availability.add(b.Availability)
+		}
+	}
+}
 
 func (aa *availabilityAgg) availability(kind dataset.ResolverKind) Availability {
 	if a := aa.perKind[kind]; a != nil {
@@ -828,44 +718,23 @@ func (aa *availabilityAgg) availability(kind dataset.ResolverKind) Availability 
 // addPerResolver folds this carrier's per-resolver counters into dst.
 // kind "" sums each server across kinds, like the slice path's match-all.
 func (aa *availabilityAgg) addPerResolver(dst map[netip.Addr]*Availability, kind dataset.ResolverKind) {
-	kinds := []dataset.ResolverKind{kind}
-	if kind == "" {
-		kinds = dataset.Kinds()
-	}
-	for _, k := range kinds {
-		for server, a := range aa.perResolver[k] {
-			da := dst[server]
-			if da == nil {
-				da = &Availability{}
-				dst[server] = da
-			}
-			da.add(*a)
-		}
+	for _, k := range kindsFor(kind) {
+		addResolverCounters(dst, aa.perResolver[k])
 	}
 }
 
 func (aa *availabilityAgg) addCost(out *stats.Sample, kind dataset.ResolverKind, outcome string) {
-	if kind == "" {
-		for _, k := range dataset.Kinds() {
-			if s := aa.cost[costKey{k, outcome}]; s != nil {
-				out.Merge(s)
-			}
+	for _, k := range kindsFor(kind) {
+		if s := aa.cost[costKey{k, outcome}]; s != nil {
+			out.Merge(s)
 		}
-		return
-	}
-	if s := aa.cost[costKey{kind, outcome}]; s != nil {
-		out.Merge(s)
 	}
 }
 
 // addTimeline folds this carrier's timeline for a kind into dst (sized
 // by the shared window config).
 func (aa *availabilityAgg) addTimeline(dst []AvailabilityBucket, kind dataset.ResolverKind) {
-	for i, b := range aa.timeline[kind] {
-		if i < len(dst) {
-			dst[i].Availability.add(b.Availability)
-		}
-	}
+	addTimelineBuckets(dst, aa.timeline[kind])
 }
 
 // ---------------------------------------------------------------------
@@ -883,31 +752,82 @@ func newRelPerfAgg() *relPerfAgg {
 
 func (rp *relPerfAgg) Observe(e *dataset.Experiment) {
 	for _, kind := range dataset.Kinds() {
-		s := rp.samples[kind]
-		if s == nil {
-			s = &stats.Sample{}
-			rp.samples[kind] = s
-		}
-		addRelativePerf(e, kind, s)
+		addRelativePerf(e, kind, entry(rp.samples, kind))
 	}
 }
 
-func (rp *relPerfAgg) Merge(other engine.Aggregator) {
-	o := other.(*relPerfAgg)
-	for kind, s := range o.samples {
-		d := rp.samples[kind]
-		if d == nil {
-			d = &stats.Sample{}
-			rp.samples[kind] = d
-		}
-		d.Merge(s)
-	}
-}
-
-func (rp *relPerfAgg) Result() any { return rp }
+func (rp *relPerfAgg) Merge(o *relPerfAgg) { mergeSamples(rp.samples, o.samples) }
 
 func (rp *relPerfAgg) addSample(out *stats.Sample, kind dataset.ResolverKind) {
 	if s := rp.samples[kind]; s != nil {
 		out.Merge(s)
 	}
+}
+
+// ---------------------------------------------------------------------
+// carrierAggs: one carrier's instance of every aggregator above plus its
+// experiment count — everything a Suite holds per carrier.
+
+type carrierAggs struct {
+	count        int
+	pairs        *pairsAgg
+	resolutions  *resolutionsAgg
+	pings        *pingsAgg
+	inflation    *inflationAgg
+	vectors      *vectorsAgg
+	externals    *externalsAgg
+	churn        *churnAgg
+	egress       *egressAgg
+	availability *availabilityAgg
+	relPerf      *relPerfAgg
+}
+
+// newCarrierAggs builds the named carrier's empty aggregator set: the
+// name selects the egress ownership predicate, the rest of cfg lays out
+// the availability timeline.
+func newCarrierAggs(cfg SuiteConfig, carrier string) *carrierAggs {
+	var owns func(netip.Addr) bool
+	if cfg.Owns != nil {
+		owns = cfg.Owns(carrier)
+	}
+	return &carrierAggs{
+		pairs:        newPairsAgg(),
+		resolutions:  newResolutionsAgg(),
+		pings:        newPingsAgg(),
+		inflation:    newInflationAgg(),
+		vectors:      newVectorsAgg(),
+		externals:    newExternalsAgg(),
+		churn:        newChurnAgg(),
+		egress:       newEgressAgg(owns),
+		availability: newAvailabilityAgg(cfg.TimelineStart, cfg.TimelineEnd, cfg.TimelineBucket),
+		relPerf:      newRelPerfAgg(),
+	}
+}
+
+func (c *carrierAggs) Observe(e *dataset.Experiment) {
+	c.count++
+	c.pairs.Observe(e)
+	c.resolutions.Observe(e)
+	c.pings.Observe(e)
+	c.inflation.Observe(e)
+	c.vectors.Observe(e)
+	c.externals.Observe(e)
+	c.churn.Observe(e)
+	c.egress.Observe(e)
+	c.availability.Observe(e)
+	c.relPerf.Observe(e)
+}
+
+func (c *carrierAggs) Merge(o *carrierAggs) {
+	c.count += o.count
+	c.pairs.Merge(o.pairs)
+	c.resolutions.Merge(o.resolutions)
+	c.pings.Merge(o.pings)
+	c.inflation.Merge(o.inflation)
+	c.vectors.Merge(o.vectors)
+	c.externals.Merge(o.externals)
+	c.churn.Merge(o.churn)
+	c.egress.Merge(o.egress)
+	c.availability.Merge(o.availability)
+	c.relPerf.Merge(o.relPerf)
 }

@@ -4,15 +4,16 @@ import (
 	"math"
 	"net/netip"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
-	"cellcurtain/internal/analysis/engine"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/stats"
 )
 
 // Measures is every metric the reproduction harnesses and the analyze
-// CLI consume, behind one interface so the streaming engine path and the
+// CLI consume, behind one interface so the streaming Suite and the
 // legacy slice path are interchangeable — and comparable byte-for-byte.
 //
 // Scope semantics: metrics taking a scope list merge the named carriers
@@ -85,150 +86,186 @@ type SuiteConfig struct {
 	TimelineBucket time.Duration
 }
 
-// Registered aggregator names on a Suite's engine.
-const (
-	aggCount        = "count"
-	aggPairs        = "pairs"
-	aggResolutions  = "resolutions"
-	aggPings        = "pings"
-	aggInflation    = "inflation"
-	aggVectors      = "vectors"
-	aggExternals    = "externals"
-	aggChurn        = "churn"
-	aggEgress       = "egress"
-	aggAvailability = "availability"
-	aggRelPerf      = "relperf"
-)
+// Scanner feeds experiments to a yield function — the Suite's source
+// abstraction over JSONL files, checkpoint segments and in-memory
+// slices. The scan stops (and returns the yield error) as soon as yield
+// fails.
+type Scanner func(yield dataset.ScanFunc) error
 
-// Suite is the streaming Measures implementation: one engine pass over
-// the experiments feeds every registered aggregator, and the metric
-// methods answer from reduced state without touching the dataset again.
-type Suite struct {
-	cfg SuiteConfig
-	en  *engine.Engine
-}
-
-// NewSuite builds a Suite with every metric aggregator registered,
-// grouped by carrier. Drive it with Run/RunShards/Observe, then query.
-func NewSuite(cfg SuiteConfig) *Suite {
-	s := &Suite{cfg: cfg, en: engine.New()}
-	byCarrier := func(name string, mk func(key string) engine.Aggregator) {
-		s.en.Register(name, func() engine.Aggregator {
-			return engine.GroupBy(func(e *dataset.Experiment) string { return e.Carrier }, mk)
-		})
-	}
-	byCarrier(aggCount, func(string) engine.Aggregator { return &countAgg{} })
-	byCarrier(aggPairs, func(string) engine.Aggregator { return newPairsAgg() })
-	byCarrier(aggResolutions, func(string) engine.Aggregator { return newResolutionsAgg() })
-	byCarrier(aggPings, func(string) engine.Aggregator { return newPingsAgg() })
-	byCarrier(aggInflation, func(string) engine.Aggregator { return newInflationAgg() })
-	byCarrier(aggVectors, func(string) engine.Aggregator { return newVectorsAgg() })
-	byCarrier(aggExternals, func(string) engine.Aggregator { return newExternalsAgg() })
-	byCarrier(aggChurn, func(string) engine.Aggregator { return newChurnAgg() })
-	byCarrier(aggEgress, func(key string) engine.Aggregator {
-		if cfg.Owns == nil {
-			return newEgressAgg(nil)
+// SliceScanner adapts an in-memory experiment slice to a Scanner.
+func SliceScanner(exps []*dataset.Experiment) Scanner {
+	return func(yield dataset.ScanFunc) error {
+		for _, e := range exps {
+			if err := yield(e); err != nil {
+				return err
+			}
 		}
-		return newEgressAgg(cfg.Owns(key))
-	})
-	byCarrier(aggAvailability, func(string) engine.Aggregator {
-		return newAvailabilityAgg(cfg.TimelineStart, cfg.TimelineEnd, cfg.TimelineBucket)
-	})
-	byCarrier(aggRelPerf, func(string) engine.Aggregator { return newRelPerfAgg() })
-	return s
+		return nil
+	}
 }
 
-// Engine exposes the underlying engine (for Run/RunShards/Observe and
-// pass accounting).
-func (s *Suite) Engine() *engine.Engine { return s.en }
+// Suite is the streaming Measures implementation: one pass over the
+// experiments feeds every aggregator of the experiment's carrier, and
+// the metric methods answer from that reduced state without touching the
+// dataset again. A Suite that was never fed answers like an empty
+// dataset.
+//
+// The contract that makes a sharded pass byte-identical to a serial one:
+// shards are contiguous ranges of the dataset in its canonical (seq)
+// order, each shard feeds its own Suite, and the shard Suites are merged
+// in shard index order. An aggregator whose Merge appends the other
+// side's observations after its own therefore sees exactly the serial
+// observation order; counter-valued aggregators are order-free by
+// construction.
+type Suite struct {
+	cfg       SuiteConfig
+	byCarrier map[string]*carrierAggs
+	passes    int
+}
+
+// NewSuite builds an empty Suite. Drive it with Run/RunShards/Observe,
+// then query.
+func NewSuite(cfg SuiteConfig) *Suite {
+	return &Suite{cfg: cfg, byCarrier: map[string]*carrierAggs{}}
+}
+
+// carrier returns the named carrier's aggregators, building them on
+// first sight of the name.
+func (s *Suite) carrier(name string) *carrierAggs {
+	c := s.byCarrier[name]
+	if c == nil {
+		c = newCarrierAggs(s.cfg, name)
+		s.byCarrier[name] = c
+	}
+	return c
+}
+
+// Observe feeds one experiment directly — the mode a running campaign
+// streams into without materializing a dataset. The first Observe of a
+// Suite that was never Run counts as one pass.
+func (s *Suite) Observe(e *dataset.Experiment) {
+	if s.passes == 0 {
+		s.passes = 1
+	}
+	s.carrier(e.Carrier).Observe(e)
+}
 
 // Run streams every experiment the scanner yields through all
 // aggregators — the one pass.
-func (s *Suite) Run(scan engine.Scanner) error { return s.en.Run(scan) }
-
-// RunShards runs one scanner per shard concurrently and merges in shard
-// order; with contiguous shards the result is identical to Run.
-func (s *Suite) RunShards(shards []engine.Scanner) error { return s.en.RunShards(shards) }
-
-// Observe feeds one experiment directly (streaming collection).
-func (s *Suite) Observe(e *dataset.Experiment) { s.en.Observe(e) }
-
-func (s *Suite) grouped(name string) *engine.Grouped {
-	return s.en.Agg(name).(*engine.Grouped)
+func (s *Suite) Run(scan Scanner) error {
+	s.passes++
+	return scan(func(e *dataset.Experiment) error {
+		s.Observe(e)
+		return nil
+	})
 }
 
-// group returns one carrier's aggregator, or nil if the carrier was
-// never observed.
-func (s *Suite) group(name, carrier string) engine.Aggregator {
-	return s.grouped(name).Group(carrier)
-}
-
-// scopeCarriers resolves a scope list: explicit order, or all sorted.
-func (s *Suite) scopeCarriers(scope []string) []string {
-	if len(scope) > 0 {
-		return scope
+// RunShards runs one scanner per shard concurrently, each into its own
+// fresh Suite, and merges those into the receiver in shard index order;
+// with contiguous shards the result is identical to Run, and the whole
+// sweep counts as one pass. A failed scan returns its error with nothing
+// merged.
+func (s *Suite) RunShards(shards []Scanner) error {
+	if len(shards) == 1 {
+		return s.Run(shards[0])
 	}
-	return s.Carriers()
+	subs := make([]*Suite, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, scan := range shards {
+		subs[i] = NewSuite(s.cfg)
+		wg.Add(1)
+		go func(i int, scan Scanner) {
+			defer wg.Done()
+			errs[i] = subs[i].Run(scan)
+		}(i, scan)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	s.passes++
+	for _, sub := range subs {
+		s.merge(sub)
+	}
+	return nil
+}
+
+// merge folds o into the receiver carrier by carrier, in sorted order. A
+// carrier the receiver has not seen gets a fresh aggregator set of its
+// own, so the receiver never aliases o's state and o stays usable.
+func (s *Suite) merge(o *Suite) {
+	for _, name := range o.Carriers() {
+		s.carrier(name).Merge(o.byCarrier[name])
+	}
+}
+
+// Passes returns how many dataset passes fed the Suite — the one-pass
+// guarantee's probe. A RunShards sweep counts as one pass.
+func (s *Suite) Passes() int { return s.passes }
+
+// scoped resolves a scope list to aggregator sets: the named carriers in
+// the given order (unseen ones skipped), or every carrier sorted.
+func (s *Suite) scoped(scope []string) []*carrierAggs {
+	if len(scope) == 0 {
+		scope = s.Carriers()
+	}
+	out := make([]*carrierAggs, 0, len(scope))
+	for _, name := range scope {
+		if c := s.byCarrier[name]; c != nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// of returns one carrier's aggregators; a carrier that was never
+// observed answers from a fresh, empty set.
+func (s *Suite) of(carrier string) *carrierAggs {
+	if c := s.byCarrier[carrier]; c != nil {
+		return c
+	}
+	return newCarrierAggs(s.cfg, carrier)
 }
 
 func (s *Suite) ExperimentCount() int {
-	g := s.grouped(aggCount)
 	n := 0
-	for _, k := range g.Keys() {
-		n += g.Group(k).(*countAgg).n
+	for _, c := range s.byCarrier {
+		n += c.count
 	}
 	return n
 }
 
-func (s *Suite) Carriers() []string { return s.grouped(aggCount).Keys() }
+func (s *Suite) Carriers() []string { return sortedKeys(s.byCarrier, strings.Compare) }
 
-func (s *Suite) ClientIDs(carrier string) []string {
-	if g := s.group(aggChurn, carrier); g != nil {
-		return g.(*churnAgg).clientIDs()
-	}
-	return []string{}
-}
+func (s *Suite) ClientIDs(carrier string) []string { return s.of(carrier).churn.clientIDs() }
 
-func (s *Suite) BusiestClient(carrier string) string {
-	if g := s.group(aggChurn, carrier); g != nil {
-		return g.(*churnAgg).busiest()
-	}
-	return ""
-}
+func (s *Suite) BusiestClient(carrier string) string { return s.of(carrier).churn.busiest() }
 
-func (s *Suite) Pairs(carrier string) PairStats {
-	if g := s.group(aggPairs, carrier); g != nil {
-		return g.(*pairsAgg).stats()
-	}
-	return newPairsAgg().stats()
-}
+func (s *Suite) Pairs(carrier string) PairStats { return s.of(carrier).pairs.stats() }
 
 func (s *Suite) ResolutionSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample {
 	out := &stats.Sample{}
-	for _, c := range s.scopeCarriers(scope) {
-		if g := s.group(aggResolutions, c); g != nil {
-			g.(*resolutionsAgg).addFirst(out, kind, radio)
-		}
+	for _, c := range s.scoped(scope) {
+		c.resolutions.addFirst(out, kind, radio)
 	}
 	return out
 }
 
 func (s *Suite) SecondLookupSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample {
 	out := &stats.Sample{}
-	for _, c := range s.scopeCarriers(scope) {
-		if g := s.group(aggResolutions, c); g != nil {
-			g.(*resolutionsAgg).addSecond(out, kind, radio)
-		}
+	for _, c := range s.scoped(scope) {
+		c.resolutions.addSecond(out, kind, radio)
 	}
 	return out
 }
 
 func (s *Suite) MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration) float64 {
 	diff := &stats.Sample{}
-	for _, c := range s.scopeCarriers(scope) {
-		if g := s.group(aggResolutions, c); g != nil {
-			g.(*resolutionsAgg).addMissDiff(diff, kind)
-		}
+	for _, c := range s.scoped(scope) {
+		c.resolutions.addMissDiff(diff, kind)
 	}
 	return missFractionOf(diff, threshold)
 }
@@ -249,77 +286,49 @@ func missFractionOf(diff *stats.Sample, threshold time.Duration) float64 {
 }
 
 func (s *Suite) RadioGroups(carrier string) map[string]*stats.Sample {
-	if g := s.group(aggResolutions, carrier); g != nil {
-		return g.(*resolutionsAgg).radioGroups()
-	}
-	return map[string]*stats.Sample{}
+	return s.of(carrier).resolutions.radioGroups()
 }
 
 func (s *Suite) ResolverPings(carrier string) (map[string]*stats.Sample, map[string]float64) {
-	if g := s.group(aggPings, carrier); g != nil {
-		return g.(*pingsAgg).pings()
-	}
-	return map[string]*stats.Sample{}, map[string]float64{}
+	return s.of(carrier).pings.pings()
 }
 
 func (s *Suite) InflationCDF(carrier, domain string) *stats.Sample {
-	if g := s.group(aggInflation, carrier); g != nil {
-		return g.(*inflationAgg).sample(domain)
-	}
-	return &stats.Sample{}
+	return s.of(carrier).inflation.sample(domain)
 }
 
 func (s *Suite) ReplicaVectors(carrier, domain string, minObs int) map[netip.Addr]map[string]float64 {
-	if g := s.group(aggVectors, carrier); g != nil {
-		return g.(*vectorsAgg).vectors(domain, minObs)
-	}
-	return map[netip.Addr]map[string]float64{}
+	return s.of(carrier).vectors.vectors(domain, minObs)
 }
 
 func (s *Suite) UniqueExternals(carrier string, kind dataset.ResolverKind) (ips, slash24s int) {
-	if g := s.group(aggExternals, carrier); g != nil {
-		return g.(*externalsAgg).unique(kind)
-	}
-	return 0, 0
+	return s.of(carrier).externals.unique(kind)
 }
 
 func (s *Suite) ResolverTimeline(carrier, clientID string, kind dataset.ResolverKind) []TimelinePoint {
-	if g := s.group(aggChurn, carrier); g != nil {
-		return g.(*churnAgg).timeline(clientID, kind)
-	}
-	return nil
+	return s.of(carrier).churn.timeline(clientID, kind)
 }
 
 func (s *Suite) StaticTimeline(carrier, clientID string, radiusKm float64, kind dataset.ResolverKind) []TimelinePoint {
-	if g := s.group(aggChurn, carrier); g != nil {
-		return g.(*churnAgg).staticTimeline(clientID, radiusKm, kind)
-	}
-	return nil
+	return s.of(carrier).churn.staticTimeline(clientID, radiusKm, kind)
 }
 
 func (s *Suite) EgressPoints(carrier string) map[netip.Addr]int {
-	if g := s.group(aggEgress, carrier); g != nil {
-		return g.(*egressAgg).points()
-	}
-	return map[netip.Addr]int{}
+	return s.of(carrier).egress.points()
 }
 
 func (s *Suite) Availability(scope []string, kind dataset.ResolverKind) Availability {
 	var out Availability
-	for _, c := range s.scopeCarriers(scope) {
-		if g := s.group(aggAvailability, c); g != nil {
-			out.add(g.(*availabilityAgg).availability(kind))
-		}
+	for _, c := range s.scoped(scope) {
+		out.add(c.availability.availability(kind))
 	}
 	return out
 }
 
 func (s *Suite) PerResolverAvailability(kind dataset.ResolverKind) []ResolverAvailability {
 	byServer := map[netip.Addr]*Availability{}
-	for _, c := range s.Carriers() {
-		if g := s.group(aggAvailability, c); g != nil {
-			g.(*availabilityAgg).addPerResolver(byServer, kind)
-		}
+	for _, c := range s.scoped(nil) {
+		c.availability.addPerResolver(byServer, kind)
 	}
 	return sortResolverAvailability(byServer)
 }
@@ -329,29 +338,23 @@ func (s *Suite) AvailabilityTimeline(kind dataset.ResolverKind) []AvailabilityBu
 	if out == nil {
 		return nil
 	}
-	for _, c := range s.Carriers() {
-		if g := s.group(aggAvailability, c); g != nil {
-			g.(*availabilityAgg).addTimeline(out, kind)
-		}
+	for _, c := range s.scoped(nil) {
+		c.availability.addTimeline(out, kind)
 	}
 	return out
 }
 
 func (s *Suite) OutcomeCostSample(kind dataset.ResolverKind, outcome string) *stats.Sample {
 	out := &stats.Sample{}
-	for _, c := range s.Carriers() {
-		if g := s.group(aggAvailability, c); g != nil {
-			g.(*availabilityAgg).addCost(out, kind, outcome)
-		}
+	for _, c := range s.scoped(nil) {
+		c.availability.addCost(out, kind, outcome)
 	}
 	return out
 }
 
 func (s *Suite) RelativeReplicaPerf(carrier string, kind dataset.ResolverKind) *stats.Sample {
 	out := &stats.Sample{}
-	if g := s.group(aggRelPerf, carrier); g != nil {
-		g.(*relPerfAgg).addSample(out, kind)
-	}
+	s.of(carrier).relPerf.addSample(out, kind)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"cellcurtain/internal/analysis/engine"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/stats"
 )
@@ -165,8 +165,8 @@ func compareMeasures(t *testing.T, got, want Measures) {
 	if g, w := got.ExperimentCount(), want.ExperimentCount(); g != w {
 		t.Fatalf("ExperimentCount: %d vs %d", g, w)
 	}
-	if g, w := got.Carriers(), want.Carriers(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("Carriers: %v vs %v", g, w)
+	if g, w := got.Carriers(), want.Carriers(); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
+		t.Fatalf("Carriers: %v vs %v", g, w) // nil and empty both mean no carriers
 	}
 	kinds := dataset.Kinds()
 	scopes := [][]string{nil, {"att"}, {"sprint", "att"}, {"att", "verizon", "sprint"}}
@@ -274,69 +274,196 @@ func compareMeasures(t *testing.T, got, want Measures) {
 }
 
 // TestSuiteMatchesSliceMeasures is the core equivalence gate at the
-// metric layer: the streaming engine Suite must agree exactly with the
-// legacy slice implementation on every metric of a mixed dataset.
+// metric layer: the streaming Suite must agree exactly with the legacy
+// slice implementation on every metric of a mixed dataset.
 func TestSuiteMatchesSliceMeasures(t *testing.T) {
 	ds := genDataset(42, 400)
 	cfg := testSuiteConfig()
 	suite := NewSuite(cfg)
-	if err := suite.Run(engine.SliceScanner(ds.Experiments)); err != nil {
+	if err := suite.Run(SliceScanner(ds.Experiments)); err != nil {
 		t.Fatal(err)
 	}
 	compareMeasures(t, suite, NewSliceMeasures(ds, cfg))
-	if suite.Engine().Passes() != 1 {
-		t.Fatalf("suite used %d passes, want 1", suite.Engine().Passes())
+	if suite.Passes() != 1 {
+		t.Fatalf("suite used %d passes, want 1", suite.Passes())
 	}
+}
+
+// TestSuiteDirectFeed feeds the Suite one Observe at a time — the mode a
+// running campaign streams into — and requires the same metrics as the
+// slice path, every experiment routed to its own carrier's aggregators,
+// and the whole feed counted as one pass.
+func TestSuiteDirectFeed(t *testing.T) {
+	ds := genDataset(42, 400)
+	cfg := testSuiteConfig()
+	suite := NewSuite(cfg)
+	for _, e := range ds.Experiments {
+		suite.Observe(e)
+	}
+	compareMeasures(t, suite, NewSliceMeasures(ds, cfg))
+	if suite.Passes() != 1 {
+		t.Fatalf("direct feed counted %d passes, want 1", suite.Passes())
+	}
+	for _, g := range ds.ByCarrier() {
+		if got := suite.byCarrier[g.Carrier].count; got != len(g.Experiments) {
+			t.Fatalf("%s saw %d experiments, want %d", g.Carrier, got, len(g.Experiments))
+		}
+	}
+}
+
+// shardSuite splits exps at the given ascending offsets (a repeated
+// offset is an empty shard) and runs the pieces through RunShards.
+func shardSuite(t *testing.T, cfg SuiteConfig, exps []*dataset.Experiment, cuts ...int) *Suite {
+	t.Helper()
+	var scanners []Scanner
+	lo := 0
+	for _, hi := range append(cuts, len(exps)) {
+		scanners = append(scanners, SliceScanner(exps[lo:hi]))
+		lo = hi
+	}
+	sharded := NewSuite(cfg)
+	if err := sharded.RunShards(scanners); err != nil {
+		t.Fatal(err)
+	}
+	if sharded.Passes() != 1 {
+		t.Fatalf("sharded sweep must count as one pass, got %d", sharded.Passes())
+	}
+	return sharded
 }
 
 // TestSuiteShardEquivalence runs the same dataset through shard-split
 // suites and requires exact agreement with the serial suite at every
-// shard count the CLI exposes.
+// shard count the CLI exposes, and on lopsided and empty shards.
 func TestSuiteShardEquivalence(t *testing.T) {
 	ds := genDataset(7, 300)
 	cfg := testSuiteConfig()
 	serial := NewSuite(cfg)
-	if err := serial.Run(engine.SliceScanner(ds.Experiments)); err != nil {
+	if err := serial.Run(SliceScanner(ds.Experiments)); err != nil {
 		t.Fatal(err)
 	}
 	for _, nshards := range []int{1, 2, 4, 8} {
-		sharded := NewSuite(cfg)
-		var scanners []engine.Scanner
-		for i := 0; i < nshards; i++ {
-			lo := len(ds.Experiments) * i / nshards
-			hi := len(ds.Experiments) * (i + 1) / nshards
-			scanners = append(scanners, engine.SliceScanner(ds.Experiments[lo:hi]))
+		var cuts []int
+		for i := 1; i < nshards; i++ {
+			cuts = append(cuts, len(ds.Experiments)*i/nshards)
 		}
-		if err := sharded.RunShards(scanners); err != nil {
-			t.Fatal(err)
-		}
+		sharded := shardSuite(t, cfg, ds.Experiments, cuts...)
 		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
 			compareMeasures(t, sharded, serial)
 		})
 	}
+
+	// 31 experiments: a one-experiment head, a one-experiment tail (shards
+	// that never see most carriers) and a shard with nothing in it.
+	small := ds.Experiments[:31]
+	serialSmall := NewSuite(cfg)
+	if err := serialSmall.Run(SliceScanner(small)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cuts []int
+	}{{"cut=1of31", []int{1}}, {"cut=10of31", []int{10}}, {"cut=30of31", []int{30}}, {"empty-shard", []int{10, 10}}} {
+		sharded := shardSuite(t, cfg, small, c.cuts...)
+		t.Run(c.name, func(t *testing.T) {
+			compareMeasures(t, sharded, serialSmall)
+			// The merge appends shard after shard, so each client's
+			// observation series is in serial order, not merely equal as a set.
+			for _, c := range serialSmall.Carriers() {
+				if !reflect.DeepEqual(sharded.byCarrier[c].churn.obs, serialSmall.byCarrier[c].churn.obs) {
+					t.Fatalf("%s: merged observation order differs from the serial pass", c)
+				}
+			}
+		})
+	}
+}
+
+// TestSuiteScanErrorPropagates: a failing scan surfaces from Run and from
+// RunShards as the scanner's own error, and a failed sharded sweep merges
+// nothing.
+func TestSuiteScanErrorPropagates(t *testing.T) {
+	boom := errors.New("scan failed")
+	failing := func(dataset.ScanFunc) error { return boom }
+	if err := NewSuite(testSuiteConfig()).Run(failing); err != boom {
+		t.Fatalf("Run err = %v, want the scan error", err)
+	}
+	exps := genDataset(3, 20).Experiments
+	suite := NewSuite(testSuiteConfig())
+	err := suite.RunShards([]Scanner{SliceScanner(exps[:10]), failing, SliceScanner(exps[10:])})
+	if err != boom {
+		t.Fatalf("RunShards err = %v, want the scan error", err)
+	}
+	if n := suite.ExperimentCount(); n != 0 {
+		t.Fatalf("failed sweep merged %d experiments", n)
+	}
+}
+
+// TestSuiteMergeNoAliasing: merge builds the receiver's state out of
+// containers the receiver owns — including for a carrier only the other
+// side has seen — so the merged Suite does not move when the shard keeps
+// accumulating, and the shard stays a correct Suite of its own.
+func TestSuiteMergeNoAliasing(t *testing.T) {
+	cfg := testSuiteConfig()
+	all := genDataset(11, 120).Experiments
+	var head []*dataset.Experiment // no verizon: merge must create it in a
+	for _, e := range all[:40] {
+		if e.Carrier != "verizon" {
+			head = append(head, e)
+		}
+	}
+	mid, tail := all[40:80], all[80:]
+	feed := func(groups ...[]*dataset.Experiment) *Suite {
+		s := NewSuite(cfg)
+		for _, g := range groups {
+			for _, e := range g {
+				s.Observe(e)
+			}
+		}
+		return s
+	}
+
+	a, b := feed(head), feed(mid)
+	a.merge(b)
+	compareMeasures(t, a, feed(head, mid))
+
+	for _, e := range tail {
+		b.Observe(e)
+	}
+	compareMeasures(t, a, feed(head, mid)) // a did not adopt b's containers
+	compareMeasures(t, b, feed(mid, tail)) // b kept working after the merge
 }
 
 // TestSuiteEmpty checks the streaming path degrades like the slice path
-// on an empty dataset instead of panicking.
+// on an empty dataset instead of panicking — whether the Suite scanned
+// nothing or was never fed at all — and that every per-carrier method
+// answers an unseen carrier the way the slice path does.
 func TestSuiteEmpty(t *testing.T) {
 	cfg := testSuiteConfig()
-	suite := NewSuite(cfg)
-	if err := suite.Run(engine.SliceScanner(nil)); err != nil {
+	scanned := NewSuite(cfg)
+	if err := scanned.Run(SliceScanner(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if n := suite.ExperimentCount(); n != 0 {
-		t.Fatalf("count = %d", n)
+	for i, suite := range []*Suite{scanned, NewSuite(cfg)} {
+		name := []string{"empty scan", "never run"}[i]
+		if n := suite.ExperimentCount(); n != 0 {
+			t.Fatalf("%s: count = %d", name, n)
+		}
+		if got := suite.Carriers(); len(got) != 0 {
+			t.Fatalf("%s: carriers = %v", name, got)
+		}
+		if s := suite.ResolutionSample(nil, dataset.KindLocal, ""); s.Len() != 0 {
+			t.Fatalf("%s: sample len = %d", name, s.Len())
+		}
+		if f := suite.MissFraction(nil, dataset.KindLocal, 0); !math.IsNaN(f) {
+			t.Fatalf("%s: miss fraction = %v, want NaN", name, f)
+		}
+		if g := suite.Pairs("att"); g.ClientFacing != 0 || len(g.Pairs) != 0 {
+			t.Fatalf("%s: pairs = %+v", name, g)
+		}
+		// compareMeasures queries every per-carrier method for a carrier
+		// neither side has seen.
+		compareMeasures(t, suite, NewSliceMeasures(&dataset.Dataset{}, cfg))
 	}
-	if got := suite.Carriers(); len(got) != 0 {
-		t.Fatalf("carriers = %v", got)
-	}
-	if s := suite.ResolutionSample(nil, dataset.KindLocal, ""); s.Len() != 0 {
-		t.Fatalf("sample len = %d", s.Len())
-	}
-	if f := suite.MissFraction(nil, dataset.KindLocal, 0); !math.IsNaN(f) {
-		t.Fatalf("miss fraction = %v, want NaN", f)
-	}
-	if g := suite.Pairs("att"); g.ClientFacing != 0 || len(g.Pairs) != 0 {
-		t.Fatalf("pairs = %+v", g)
+	if got := NewSuite(cfg).Passes(); got != 0 {
+		t.Fatalf("never-run suite reports %d passes", got)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cellcurtain/internal/analysis"
-	"cellcurtain/internal/analysis/engine"
 	"cellcurtain/internal/carrier"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/sim"
@@ -73,7 +72,7 @@ func NewContextWorld(cfg trace.Config, simCfg sim.Config) (*Context, error) {
 		byCarrier[g.Carrier] = g.Experiments
 	}
 	suite := analysis.NewSuite(SuiteConfig(w, cfg))
-	if err := suite.Run(engine.SliceScanner(data.Experiments)); err != nil {
+	if err := suite.Run(analysis.SliceScanner(data.Experiments)); err != nil {
 		return nil, err
 	}
 	return &Context{

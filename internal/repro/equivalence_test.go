@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cellcurtain/internal/analysis"
-	"cellcurtain/internal/analysis/engine"
 )
 
 var (
@@ -88,8 +87,8 @@ func compareArtifacts(t *testing.T, label string, got, want map[string]Result) {
 
 // TestArtifactEquivalenceStreamingVsLegacy is the end-to-end equivalence
 // gate: every rendered figure, table and the availability report must be
-// byte-identical whether the metrics come from the streaming engine
-// suite or the legacy slice functions.
+// byte-identical whether the metrics come from the streaming suite or
+// the legacy slice functions.
 func TestArtifactEquivalenceStreamingVsLegacy(t *testing.T) {
 	c := equivalenceContext(t)
 	streaming := allArtifacts(c)
@@ -99,7 +98,7 @@ func TestArtifactEquivalenceStreamingVsLegacy(t *testing.T) {
 }
 
 // TestArtifactEquivalenceSharded re-derives every artifact from
-// shard-parallel engine runs at the parallelism levels the CLI exposes
+// shard-parallel suite runs at the parallelism levels the CLI exposes
 // and requires byte-identical output.
 func TestArtifactEquivalenceSharded(t *testing.T) {
 	c := equivalenceContext(t)
@@ -108,11 +107,11 @@ func TestArtifactEquivalenceSharded(t *testing.T) {
 	exps := c.Data.Experiments
 	for _, nshards := range []int{1, 4, 8} {
 		suite := analysis.NewSuite(cfg)
-		var shards []engine.Scanner
+		var shards []analysis.Scanner
 		for i := 0; i < nshards; i++ {
 			lo := len(exps) * i / nshards
 			hi := len(exps) * (i + 1) / nshards
-			shards = append(shards, engine.SliceScanner(exps[lo:hi]))
+			shards = append(shards, analysis.SliceScanner(exps[lo:hi]))
 		}
 		if err := suite.RunShards(shards); err != nil {
 			t.Fatal(err)
@@ -123,7 +122,7 @@ func TestArtifactEquivalenceSharded(t *testing.T) {
 }
 
 // TestReproOnePass proves the full artifact run needs exactly one pass
-// over the dataset: the engine's pass counter stays at one, and no
+// over the dataset: the suite's pass counter stays at one, and no
 // artifact reaches for the raw experiments (regenerating everything with
 // the dataset index removed must not panic).
 func TestReproOnePass(t *testing.T) {
@@ -132,17 +131,17 @@ func TestReproOnePass(t *testing.T) {
 	if !ok {
 		t.Fatalf("context measures is %T, want streaming suite", c.M)
 	}
-	if got := suite.Engine().Passes(); got != 1 {
-		t.Fatalf("engine passes = %d, want 1", got)
+	if got := suite.Passes(); got != 1 {
+		t.Fatalf("suite passes = %d, want 1", got)
 	}
-	if got, want := suite.Engine().Observed(), len(c.Data.Experiments); got != want {
-		t.Fatalf("engine observed %d experiments, dataset has %d", got, want)
+	if got, want := suite.ExperimentCount(), len(c.Data.Experiments); got != want {
+		t.Fatalf("suite observed %d experiments, dataset has %d", got, want)
 	}
 	blind := *c
 	blind.Data = nil
 	blind.byCarrier = nil
 	_ = allArtifacts(&blind)
-	if got := suite.Engine().Passes(); got != 1 {
+	if got := suite.Passes(); got != 1 {
 		t.Fatalf("artifact run re-scanned: passes = %d", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cellcurtain/internal/analysis"
-	"cellcurtain/internal/analysis/engine"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/sim"
 	"cellcurtain/internal/stats"
@@ -47,7 +46,7 @@ func samplesEqual(a, b *stats.Sample) bool {
 }
 
 // TestStreamingIntoEngineMatchesCollect proves a campaign can stream its
-// results straight into an analysis engine — Run(suite.Observe) with no
+// results straight into an analysis suite — Run(suite.Observe) with no
 // dataset materialized in between — and produce exactly the aggregates of
 // the collect-then-scan path, even with a parallel worker pool emitting
 // results out of order.
@@ -61,7 +60,7 @@ func TestStreamingIntoEngineMatchesCollect(t *testing.T) {
 		t.Fatal("empty campaign")
 	}
 	want := analysis.NewSuite(analysis.SuiteConfig{})
-	if err := want.Run(engine.SliceScanner(ds.Experiments)); err != nil {
+	if err := want.Run(analysis.SliceScanner(ds.Experiments)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,9 +68,9 @@ func TestStreamingIntoEngineMatchesCollect(t *testing.T) {
 		got := analysis.NewSuite(analysis.SuiteConfig{})
 		streamCampaign(t, workers).Run(got.Observe)
 
-		if got.Engine().Observed() != ds.Len() {
-			t.Fatalf("workers=%d: engine observed %d experiments, campaign produced %d",
-				workers, got.Engine().Observed(), ds.Len())
+		if got.ExperimentCount() != ds.Len() {
+			t.Fatalf("workers=%d: suite observed %d experiments, campaign produced %d",
+				workers, got.ExperimentCount(), ds.Len())
 		}
 		if g, w := got.ExperimentCount(), want.ExperimentCount(); g != w {
 			t.Fatalf("workers=%d: experiment count %d vs %d", workers, g, w)

@@ -440,7 +440,7 @@ type RunStatus struct {
 //
 // record is invoked while the campaign is still running, as soon as the
 // canonical prefix up to an experiment is complete — so results can
-// stream straight into an analysis engine (record = suite.Observe)
+// stream straight into an analysis suite (record = suite.Observe)
 // without ever materializing the dataset. Memory is bounded by the
 // workers' out-of-order window, not the campaign size.
 func (c *Campaign) Run(record func(*dataset.Experiment)) {
