@@ -128,14 +128,15 @@ type Artifact struct {
 }
 
 // Study is a completed measurement campaign over the simulated world,
-// ready to regenerate the paper's artifacts.
+// reduced to the metrics that regenerate the paper's artifacts. It holds
+// no experiment records; curtain simulate is the dataset writer.
 type Study struct {
 	ctx *repro.Context
 }
 
-// NewStudy builds the world, runs the campaign and indexes the dataset.
-// A full-scale five-month study takes a couple of minutes; use Days to
-// shorten it.
+// NewStudy builds the world and streams the campaign into the analysis
+// suite. A full-scale five-month study takes a couple of minutes; use
+// Days to shorten it.
 func NewStudy(opts Options) (*Study, error) {
 	ctx, err := repro.NewContext(opts.CampaignConfig())
 	if err != nil {
@@ -173,8 +174,8 @@ func (s *Study) ReproduceAll() []Artifact {
 	return out
 }
 
-// ExperimentCount returns the number of experiments in the dataset.
-func (s *Study) ExperimentCount() int { return s.ctx.Data.Len() }
+// ExperimentCount returns the number of experiments the campaign ran.
+func (s *Study) ExperimentCount() int { return s.ctx.M.ExperimentCount() }
 
 // ClientCount returns the measurement population size.
 func (s *Study) ClientCount() int { return s.ctx.Campaign.ClientCount() }
@@ -197,36 +198,12 @@ func (s *Study) Domains() []string {
 	return out
 }
 
-// WriteDataset streams the raw campaign dataset as JSONL, one experiment
-// per line, for offline analysis.
-func (s *Study) WriteDataset(w io.Writer) error {
-	return s.ctx.Data.WriteJSONL(w)
-}
-
-// WriteDatasetAs streams the raw campaign dataset in the named codec:
-// "jsonl" (or "", the debug/interchange form) or "binary" (curtainbin,
-// ~an order of magnitude smaller). Both encode the same records in the
-// same order; ReadDataset accepts either.
-func (s *Study) WriteDatasetAs(w io.Writer, format string) error {
-	f, err := dataset.ParseFormat(format)
-	if err != nil {
-		return fmt.Errorf("cellcurtain: %w", err)
-	}
-	return s.ctx.Data.Write(w, f)
-}
-
 // Summary returns per-carrier experiment counts.
-func (s *Study) Summary() map[string]int {
-	out := map[string]int{}
-	for _, g := range s.ctx.Data.ByCarrier() {
-		out[g.Carrier] = len(g.Experiments)
-	}
-	return out
-}
+func (s *Study) Summary() map[string]int { return s.ctx.Summary() }
 
-// ReadDataset counts the experiments in a dataset previously written by
-// WriteDataset or WriteDatasetAs; the codec is auto-detected from the
-// stream's leading bytes.
+// ReadDataset counts the experiments in a dataset written by curtain
+// simulate (or convert); the codec, JSONL or curtainbin, is auto-detected
+// from the stream's leading bytes.
 func ReadDataset(r io.Reader) (int, error) {
 	n := 0
 	if err := dataset.Scan(r, func(e *dataset.Experiment) error {

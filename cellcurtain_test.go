@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/trace"
 )
+
+var smallOptions = Options{Seed: 3, Days: 3, ClientScale: 0.05}
 
 func smallStudy(t *testing.T) *Study {
 	t.Helper()
-	s, err := NewStudy(Options{Seed: 3, Days: 3, ClientScale: 0.05})
+	s, err := NewStudy(smallOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,18 +80,36 @@ func TestReproduceAllAndReport(t *testing.T) {
 	}
 }
 
+// TestDatasetRoundTripThroughAPI: ReadDataset counts what a campaign with
+// the study's options streams through the dataset writer (the path curtain
+// simulate takes), in either codec, and a Study of those options counts
+// the same experiments without holding them.
 func TestDatasetRoundTripThroughAPI(t *testing.T) {
-	s := smallStudy(t)
-	var buf bytes.Buffer
-	if err := s.WriteDataset(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != s.ExperimentCount() {
-		t.Fatalf("dataset round trip: %d != %d", n, s.ExperimentCount())
+	want := smallStudy(t).ExperimentCount()
+	for _, f := range []dataset.Format{dataset.FormatJSONL, dataset.FormatBinary} {
+		camp, err := trace.New(smallOptions.CampaignConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		sink, flush := dataset.NewWriter(&buf, f)
+		if _, err := camp.Run(func(e *dataset.Experiment) {
+			if err := sink(e); err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := flush(); err != nil {
+			t.Fatal(err)
+		}
+		n, err := ReadDataset(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			t.Fatalf("%s dataset round trip: read %d experiments, study ran %d", f, n, want)
+		}
 	}
 }
 

@@ -23,8 +23,10 @@ import (
 // pipeline: the paper's own workflow of collecting in the field and
 // analyzing later.
 //
-// The dataset is streamed through the one-pass analysis.Suite in
-// constant memory; -parallel shards the scan and produces a
+// The dataset is streamed through the one-pass analysis.Suite: no record
+// is retained, so memory is the aggregates' — it grows with clients,
+// resolvers and retained samples (a few KB per experiment today), not
+// with record size. -parallel shards the scan and produces a
 // byte-identical report.
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)

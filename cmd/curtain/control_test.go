@@ -4,9 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cellcurtain"
 	"cellcurtain/internal/dataset"
@@ -68,4 +70,57 @@ func TestCoordinateResumeRefusesOutOfRangeSeq(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), fmt.Sprintf("seq %d outside", stray)) {
 		t.Fatalf("coordinate -resume err = %v, want a refusal naming %s and seq %d", err, dir, stray)
 	}
+}
+
+// TestFlagEchoReparses: the resume command an interrupted run prints must
+// survive being pasted into a shell — booleans, a value with spaces and a
+// multi-clause -faults with ';' included. The echo is split by sh itself
+// and re-parsed through the same flag set; every value must come back.
+func TestFlagEchoReparses(t *testing.T) {
+	sh, err := exec.LookPath("sh")
+	if err != nil {
+		t.Skip("no sh to split the echoed command line")
+	}
+	build := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("coordinate", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.String("listen", "127.0.0.1:9290", "")
+		fs.String("out", "dataset.jsonl", "")
+		fs.Bool("json", false, "")
+		fs.Bool("stats", false, "")
+		fs.Int("lease", 64, "")
+		fs.Duration("lease-timeout", 10*time.Second, "")
+		checkpointFlags(fs, "", "")
+		campaignFlags(fs)
+		return fs
+	}
+	args := []string{"-json", "-stats=true", "-resume", "-lease", "16", "-lease-timeout", "1m30s",
+		"-listen", "/tmp/coord.sock", "-out", "my data's.jsonl", "-checkpoint-dir", "ck",
+		"-seed", "7", "-scale", "0.5",
+		"-faults", "latency:target=local,add=200ms;loss:target=google,rate=0.1"}
+	orig := build()
+	if err := orig.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	echo := flagEcho(orig)
+	split, err := exec.Command(sh, "-c", `printf '%s\n' `+echo).Output()
+	if err != nil {
+		t.Fatalf("sh refused %q: %v", echo, err)
+	}
+	again := build()
+	if err := again.Parse(strings.Split(strings.TrimSuffix(string(split), "\n"), "\n")); err != nil {
+		t.Fatalf("re-parsing %q: %v", echo, err)
+	}
+	if again.NArg() != 0 {
+		t.Fatalf("re-parsing %q left arguments unparsed: %q", echo, again.Args())
+	}
+	orig.VisitAll(func(f *flag.Flag) {
+		want := f.Value.String()
+		if f.Name == "resume" {
+			want = "false" // the caller re-adds -resume itself
+		}
+		if got := again.Lookup(f.Name).Value.String(); got != want {
+			t.Errorf("echo %q: -%s came back %q, want %q", echo, f.Name, got, want)
+		}
+	})
 }

@@ -27,6 +27,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -365,9 +366,8 @@ func runSimulate(args []string) error {
 		return err
 	}
 	defer stopProfiles()
-	cfg := o.CampaignConfig()
 	announceCampaign(o)
-	camp, err := trace.New(cfg)
+	camp, err := trace.New(o.CampaignConfig())
 	if err != nil {
 		return err
 	}
@@ -393,12 +393,8 @@ func runSimulate(args []string) error {
 				n++
 			}
 		}
-		if cfg.CheckpointDir != "" {
-			if _, err := camp.RunDurable(record); err != nil {
-				return err
-			}
-		} else {
-			camp.Run(record)
+		if _, err := camp.Run(record); err != nil {
+			return err
 		}
 		if sinkErr != nil {
 			return sinkErr
@@ -472,21 +468,25 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 }
 
 // flagEcho reconstructs the explicitly-set flags of a parsed FlagSet so
-// interrupt messages can print a copy-pasteable resume command.
+// interrupt messages can print a copy-pasteable resume command. Every
+// flag is rendered -name=value: the flag package stops parsing at the
+// bare word a boolean's "-name value" form would leave behind.
 func flagEcho(fs *flag.FlagSet) string {
 	var parts []string
 	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "resume" {
-			return
+		if f.Name != "resume" {
+			parts = append(parts, "-"+f.Name+"="+shellQuote(f.Value.String()))
 		}
-		parts = append(parts, fmt.Sprintf("-%s %s", f.Name, f.Value.String()))
 	})
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
+	return strings.Join(parts, " ")
+}
+
+// shellQuote renders s as one POSIX shell word: as is when every
+// character is inert unquoted, single-quoted otherwise.
+func shellQuote(s string) string {
+	const inert = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_./:,=%+@"
+	if s != "" && strings.Trim(s, inert) == "" {
+		return s
 	}
-	return out
+	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
 }

@@ -71,8 +71,8 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	// Severity is "error" (breaks the invariants the reproduction depends
-	// on) or "warning" (hygiene). Both fail the run; the JSON output and
-	// baselines carry the distinction.
+	// on) or "warning" (hygiene). Both fail the run; the JSON output
+	// carries the distinction.
 	Severity string
 	// URL points at the analyzer's contract documentation.
 	URL string

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,81 +80,6 @@ func Alloc2() []byte {
 	}
 	if f := findings[0]; f.Analyzer != "hotpath" || f.Pos.Line != 11 {
 		t.Errorf("finding landed at %s:%d [%s], want line 11 [hotpath]", f.Pos.Filename, f.Pos.Line, f.Analyzer)
-	}
-}
-
-// TestBaselineSemantics pins the multiset rules: baselined findings are
-// accepted, duplicates need one entry each, unknown findings are fresh,
-// and unmatched entries come back stale.
-func TestBaselineSemantics(t *testing.T) {
-	mk := func(file, analyzer, msg string) Finding {
-		return Finding{Pos: token.Position{Filename: "/mod/" + file, Line: 3}, Analyzer: analyzer, Message: msg}
-	}
-	b := &baselineFile{Version: baselineVersion, Findings: []baselineEntry{
-		{File: "a.go", Analyzer: "errwrap", Message: "m1"},
-		{File: "a.go", Analyzer: "errwrap", Message: "m1"}, // two entries = two accepted findings
-		{File: "b.go", Analyzer: "hotpath", Message: "gone"},
-	}}
-	findings := []Finding{
-		mk("a.go", "errwrap", "m1"),
-		mk("a.go", "errwrap", "m1"),
-		mk("a.go", "errwrap", "m1"), // third occurrence exceeds the multiset
-		mk("c.go", "goroutine", "new finding"),
-	}
-	fresh, stale := applyBaseline(b, findings, "/mod")
-	if len(fresh) != 2 {
-		t.Fatalf("want 2 fresh findings (3rd duplicate + new), got %d: %+v", len(fresh), fresh)
-	}
-	if fresh[0].Message != "m1" || fresh[1].Message != "new finding" {
-		t.Errorf("unexpected fresh set: %+v", fresh)
-	}
-	if len(stale) != 1 || stale[0].File != "b.go" {
-		t.Fatalf("want the b.go entry stale, got %+v", stale)
-	}
-
-	// Round-trip through disk.
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := writeBaseline(path, findings, "/mod"); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, stale = applyBaseline(loaded, findings, "/mod")
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Errorf("self-baseline must fully cancel: fresh=%v stale=%v", fresh, stale)
-	}
-}
-
-// TestBaselineCLI drives the flag surface end to end: write a baseline,
-// pass against it, then fail on a stale entry after the debt is paid.
-func TestBaselineCLI(t *testing.T) {
-	bad := `package fixmod
-
-import "fmt"
-
-func wrap(err error) error {
-	return fmt.Errorf("doing thing: %v", err)
-}
-`
-	root := writeTree(t, map[string]string{"go.mod": fixGoMod, "w.go": bad})
-	base := filepath.Join(root, "base.json")
-
-	if code, _, errOut := runIn(t, root, "-write-baseline", base, "./..."); code != 0 {
-		t.Fatalf("write-baseline exited %d: %s", code, errOut)
-	}
-	if code, _, errOut := runIn(t, root, "-baseline", base, "./..."); code != 0 {
-		t.Fatalf("baselined run exited %d, want 0: %s", code, errOut)
-	}
-	// Pay the debt: the accepted finding disappears, its entry goes stale.
-	fixed := strings.Replace(bad, "%v", "%w", 1)
-	if err := os.WriteFile(filepath.Join(root, "w.go"), []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, errOut := runIn(t, root, "-baseline", base, "./...")
-	if code != 1 || !strings.Contains(errOut, "stale baseline entry") {
-		t.Fatalf("stale baseline must fail: exit=%d stderr=%s", code, errOut)
 	}
 }
 

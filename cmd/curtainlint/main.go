@@ -7,8 +7,7 @@
 //
 // Usage:
 //
-//	curtainlint [-json] [-tests] [-analyzers a,b] [-fix]
-//	            [-baseline file] [-write-baseline file] [packages]
+//	curtainlint [-json] [-tests] [-analyzers a,b] [-fix] [packages]
 //
 // Packages default to ./... relative to the working directory. The exit
 // status is 0 when clean, 1 when findings were reported, 2 on load or
@@ -25,11 +24,6 @@
 // replacement, aggpurity's sorted-key iteration rewrite) and then
 // re-lints, reporting only what remains. A second -fix run is a no-op:
 // fixed sites no longer produce findings, so no edits are generated.
-//
-// -baseline loads an accepted-findings file (see baseline.go): findings
-// in the baseline pass, findings outside it fail, and baseline entries
-// that no longer occur fail as stale. -write-baseline snapshots the
-// current findings to a file and exits 0.
 //
 // JSON output is an array sorted by (file, line, analyzer, column):
 //
@@ -71,8 +65,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	fix := fs.Bool("fix", false, "apply available autofixes, then re-lint and report what remains")
-	baselinePath := fs.String("baseline", "", "accepted-findings file: baselined findings pass, new and stale ones fail")
-	writeBaselinePath := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -141,35 +133,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	if *writeBaselinePath != "" {
-		if err := writeBaseline(*writeBaselinePath, findings, modRoot); err != nil {
-			fmt.Fprintln(stderr, "curtainlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "curtainlint: wrote %d finding(s) to %s\n", len(findings), *writeBaselinePath)
-		return 0
-	}
-
-	var stale []baselineEntry
-	if *baselinePath != "" {
-		b, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "curtainlint:", err)
-			return 2
-		}
-		findings, stale = applyBaseline(b, findings, modRoot)
-	}
-
 	printFindings(stdout, stderr, findings, *jsonOut, cwd)
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "curtainlint: stale baseline entry: %s [%s] %s\n", e.File, e.Analyzer, e.Message)
-	}
-	switch {
-	case len(findings) > 0:
+	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "curtainlint: %d finding(s)\n", len(findings))
-		return 1
-	case len(stale) > 0:
-		fmt.Fprintf(stderr, "curtainlint: %d stale baseline entr(ies); regenerate with -write-baseline\n", len(stale))
 		return 1
 	}
 	return 0

@@ -169,12 +169,24 @@ func (p *pairsAgg) stats() PairStats {
 
 // ---------------------------------------------------------------------
 // resolutionsAgg: resolution-time samples (Figs 3/5/6/7/13), paired
-// cache differencing (Fig 7) — per (kind, radio) so any filter the
-// figures use is a lookup, not a rescan.
+// cache differencing (Fig 7, ABL-TTL) — per (kind, radio) and per (kind,
+// domain) so any filter the figures use is a lookup, not a rescan.
 
 type kindRadio struct {
 	kind  dataset.ResolverKind
 	radio string
+}
+
+type kindDomain struct {
+	kind   dataset.ResolverKind
+	domain string
+}
+
+func compareKindDomains(a, b kindDomain) int {
+	if c := strings.Compare(string(a.kind), string(b.kind)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.domain, b.domain)
 }
 
 type resolutionsAgg struct {
@@ -182,14 +194,14 @@ type resolutionsAgg struct {
 	second map[kindRadio]*stats.Sample
 	// missDiff holds RTT1-RTT2 (ms) per paired row; the miss fraction at
 	// any threshold is a rank query on it.
-	missDiff map[dataset.ResolverKind]*stats.Sample
+	missDiff map[kindDomain]*stats.Sample
 }
 
 func newResolutionsAgg() *resolutionsAgg {
 	return &resolutionsAgg{
 		first:    map[kindRadio]*stats.Sample{},
 		second:   map[kindRadio]*stats.Sample{},
-		missDiff: map[dataset.ResolverKind]*stats.Sample{},
+		missDiff: map[kindDomain]*stats.Sample{},
 	}
 }
 
@@ -204,7 +216,7 @@ func (ra *resolutionsAgg) Observe(e *dataset.Experiment) {
 			continue
 		}
 		entry(ra.second, k).AddDuration(r.RTT2)
-		entry(ra.missDiff, r.Kind).AddDuration(r.RTT1 - r.RTT2)
+		entry(ra.missDiff, kindDomain{r.Kind, r.Domain}).AddDuration(r.RTT1 - r.RTT2)
 	}
 }
 
@@ -225,9 +237,14 @@ func (ra *resolutionsAgg) addSecond(out *stats.Sample, kind dataset.ResolverKind
 	addKRSample(out, ra.second, kind, radio)
 }
 
-func (ra *resolutionsAgg) addMissDiff(out *stats.Sample, kind dataset.ResolverKind) {
-	if s := ra.missDiff[kind]; s != nil {
-		out.Merge(s)
+// addMissDiff merges this aggregator's paired differences for one kind —
+// every domain's when domains is empty, else the named domains' — into
+// out, in sorted domain order.
+func (ra *resolutionsAgg) addMissDiff(out *stats.Sample, kind dataset.ResolverKind, domains []string) {
+	for _, k := range sortedKeys(ra.missDiff, compareKindDomains) {
+		if k.kind == kind && (len(domains) == 0 || slices.Contains(domains, k.domain)) {
+			out.Merge(ra.missDiff[k])
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package analysis
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -159,12 +160,16 @@ func SecondLookupSample(exps []*dataset.Experiment, kind dataset.ResolverKind, r
 // PairedMissFraction estimates the cache-miss rate the way the paper did
 // (§4.3): back-to-back lookups, "measuring the difference between the
 // first and second DNS queries". A first lookup exceeding its immediate
-// re-lookup by more than threshold paid an upstream fetch.
-func PairedMissFraction(exps []*dataset.Experiment, kind dataset.ResolverKind, threshold time.Duration) float64 {
+// re-lookup by more than threshold paid an upstream fetch. Naming domains
+// restricts the estimate to lookups of those names.
+func PairedMissFraction(exps []*dataset.Experiment, kind dataset.ResolverKind, threshold time.Duration, domains ...string) float64 {
 	total, miss := 0, 0
 	for _, e := range exps {
 		for _, r := range e.Resolutions {
 			if r.Kind != kind || !r.OK || !secondLookupOK(r) {
+				continue
+			}
+			if len(domains) > 0 && !slices.Contains(domains, r.Domain) {
 				continue
 			}
 			total++

@@ -318,19 +318,19 @@ func TestRelativeReplicaPerf(t *testing.T) {
 }
 
 func TestPairedMissFraction(t *testing.T) {
-	mk := func(rtt1, rtt2 int) dataset.Resolution {
+	mk := func(domain string, rtt1, rtt2 int) dataset.Resolution {
 		return dataset.Resolution{
-			Kind: dataset.KindLocal, OK: true,
+			Domain: domain, Kind: dataset.KindLocal, OK: true,
 			RTT1: time.Duration(rtt1) * time.Millisecond,
 			RTT2: time.Duration(rtt2) * time.Millisecond,
 		}
 	}
 	exps := []*dataset.Experiment{{
 		Resolutions: []dataset.Resolution{
-			mk(80, 40),  // miss: +40ms
-			mk(42, 40),  // hit
-			mk(45, 44),  // hit
-			mk(100, 50), // miss
+			mk("a.example", 80, 40),  // miss: +40ms
+			mk("a.example", 42, 40),  // hit
+			mk("b.example", 45, 44),  // hit
+			mk("c.example", 100, 50), // miss
 			{Kind: dataset.KindLocal, OK: true, RTT1: 200 * time.Millisecond}, // no RTT2: excluded
 			{Kind: dataset.KindGoogle, OK: true, RTT1: 90 * time.Millisecond,
 				RTT2: 40 * time.Millisecond}, // other kind: excluded
@@ -339,6 +339,22 @@ func TestPairedMissFraction(t *testing.T) {
 	got := PairedMissFraction(exps, dataset.KindLocal, 18*time.Millisecond)
 	if got != 0.5 {
 		t.Fatalf("miss fraction = %v, want 0.5", got)
+	}
+	// The domain filter keeps only the named domains' pairs.
+	for _, tc := range []struct {
+		domains []string
+		want    float64
+	}{
+		{[]string{"a.example"}, 0.5},
+		{[]string{"b.example"}, 0},
+		{[]string{"a.example", "c.example"}, 2.0 / 3},
+	} {
+		if got := PairedMissFraction(exps, dataset.KindLocal, 18*time.Millisecond, tc.domains...); got != tc.want {
+			t.Fatalf("miss fraction over %v = %v, want %v", tc.domains, got, tc.want)
+		}
+	}
+	if !math.IsNaN(PairedMissFraction(exps, dataset.KindLocal, 18*time.Millisecond, "unseen.example")) {
+		t.Fatal("a filter matching nothing must be NaN")
 	}
 	if !math.IsNaN(PairedMissFraction(nil, dataset.KindLocal, time.Millisecond)) {
 		t.Fatal("empty input must be NaN")

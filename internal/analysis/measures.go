@@ -37,9 +37,10 @@ type Measures interface {
 	ResolutionSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample
 	// SecondLookupSample collects immediate re-lookup times (ms).
 	SecondLookupSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample
-	// MissFraction is the paired-differencing cache-miss estimate (§4.3);
-	// NaN when no usable pairs exist.
-	MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration) float64
+	// MissFraction is the paired-differencing cache-miss estimate (§4.3),
+	// over every domain or only the named ones; NaN when no usable pairs
+	// exist.
+	MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration, domains ...string) float64
 	// RadioGroups splits one carrier's local resolution times by radio.
 	RadioGroups(carrier string) map[string]*stats.Sample
 	// ResolverPings returns one carrier's "<kind>/<which>" ping samples
@@ -238,6 +239,15 @@ func (s *Suite) ExperimentCount() int {
 	return n
 }
 
+// CarrierCounts returns the number of experiments observed per carrier.
+func (s *Suite) CarrierCounts() map[string]int {
+	out := make(map[string]int, len(s.byCarrier))
+	for _, name := range s.Carriers() {
+		out[name] = s.byCarrier[name].count
+	}
+	return out
+}
+
 func (s *Suite) Carriers() []string { return sortedKeys(s.byCarrier, strings.Compare) }
 
 func (s *Suite) ClientIDs(carrier string) []string { return s.of(carrier).churn.clientIDs() }
@@ -262,10 +272,10 @@ func (s *Suite) SecondLookupSample(scope []string, kind dataset.ResolverKind, ra
 	return out
 }
 
-func (s *Suite) MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration) float64 {
+func (s *Suite) MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration, domains ...string) float64 {
 	diff := &stats.Sample{}
 	for _, c := range s.scoped(scope) {
-		c.resolutions.addMissDiff(diff, kind)
+		c.resolutions.addMissDiff(diff, kind, domains)
 	}
 	return missFractionOf(diff, threshold)
 }
@@ -431,8 +441,8 @@ func (m *SliceMeasures) SecondLookupSample(scope []string, kind dataset.Resolver
 	return SecondLookupSample(m.scoped(scope), kind, radio)
 }
 
-func (m *SliceMeasures) MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration) float64 {
-	return PairedMissFraction(m.scoped(scope), kind, threshold)
+func (m *SliceMeasures) MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration, domains ...string) float64 {
+	return PairedMissFraction(m.scoped(scope), kind, threshold, domains...)
 }
 
 func (m *SliceMeasures) RadioGroups(carrier string) map[string]*stats.Sample {

@@ -182,6 +182,16 @@ func compareMeasures(t *testing.T, got, want Measures) {
 			for _, thr := range []time.Duration{0, 18 * time.Millisecond, time.Second} {
 				floatEq(t, "MissFraction "+label,
 					got.MissFraction(scope, kind, thr), want.MissFraction(scope, kind, thr))
+				// The domain filter: one name, several (one repeated, one
+				// never observed), and a set matching nothing.
+				for _, domains := range [][]string{
+					{"cdn.example"},
+					{"video.example", "buzzfeed.com", "video.example", "unseen.example"},
+					{"unseen.example"},
+				} {
+					floatEq(t, fmt.Sprintf("MissFraction %s %v", label, domains),
+						got.MissFraction(scope, kind, thr, domains...), want.MissFraction(scope, kind, thr, domains...))
+				}
 			}
 			if g, w := got.Availability(scope, kind), want.Availability(scope, kind); g != w {
 				t.Fatalf("Availability %s/%s: %+v vs %+v", label, kind, g, w)

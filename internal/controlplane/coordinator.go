@@ -44,10 +44,6 @@ type CoordinatorConfig struct {
 	// workers to pick up their done reply before connections are force
 	// closed (default 3s).
 	DrainTimeout time.Duration
-	// IOTimeout is the per-message socket deadline (default 60s). A conn
-	// silent past it is treated as dead — strictly later than any lease
-	// expiry, which is the intended liveness signal.
-	IOTimeout time.Duration
 	// Checkpoint, when non-nil, receives every first-seen experiment —
 	// the durable merge segment — as the sealed segment its worker sent,
 	// once every record in it has been decoded and checked. Duplicates
@@ -91,12 +87,10 @@ func (c CoordinatorConfig) drainTimeout() time.Duration {
 	return 3 * time.Second
 }
 
-func (c CoordinatorConfig) ioTimeout() time.Duration {
-	if c.IOTimeout > 0 {
-		return c.IOTimeout
-	}
-	return time.Minute
-}
+// ioTimeout is the per-message socket deadline, coordinator and worker
+// side. A conn silent past it is treated as dead — strictly later than
+// any lease expiry, which is the intended liveness signal.
+const ioTimeout = time.Minute
 
 // Status reports how a coordinated campaign went.
 type Status struct {
@@ -265,23 +259,23 @@ func (c *Coordinator) Interrupt() {
 func (c *Coordinator) serveConn(conn net.Conn) {
 	defer c.wg.Done()
 	defer c.dropConn(conn)
-	hello, err := readMsg(conn, c.cfg.ioTimeout())
+	hello, err := readMsg(conn, ioTimeout)
 	if err != nil || hello.Type != MsgHello {
 		return
 	}
 	if reason := c.admit(hello); reason != "" {
-		_ = writeMsg(conn, c.cfg.ioTimeout(), &Message{Type: MsgReject, Reason: reason})
+		_ = writeMsg(conn, ioTimeout, &Message{Type: MsgReject, Reason: reason})
 		return
 	}
 	sess := &session{worker: hello.Worker, leases: map[int]bool{}}
 	defer c.releaseSession(sess)
 	c.logf("controlplane: worker %s joined", sess.worker)
 	push := &Message{Type: MsgConfig, Config: &c.cfg.Wire, ConfigHash: c.cfg.ConfigHash, Total: c.cfg.Total}
-	if err := writeMsg(conn, c.cfg.ioTimeout(), push); err != nil {
+	if err := writeMsg(conn, ioTimeout, push); err != nil {
 		return
 	}
 	for {
-		m, err := readMsg(conn, c.cfg.ioTimeout())
+		m, err := readMsg(conn, ioTimeout)
 		if err != nil {
 			return
 		}
@@ -299,7 +293,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			return
 		}
 		if reply != nil {
-			if err := writeMsg(conn, c.cfg.ioTimeout(), reply); err != nil {
+			if err := writeMsg(conn, ioTimeout, reply); err != nil {
 				return
 			}
 		}

@@ -40,8 +40,6 @@ type WorkerConfig struct {
 	// HeartbeatEvery paces liveness reports while a range runs (default
 	// 2s); it must be comfortably under the coordinator's LeaseTimeout.
 	HeartbeatEvery time.Duration
-	// IOTimeout is the per-message socket deadline (default 60s).
-	IOTimeout time.Duration
 	// Interrupt, when non-nil and closed, drains the worker: it finishes
 	// and delivers the range it is running, then says bye instead of
 	// leasing another.
@@ -69,13 +67,6 @@ func (c WorkerConfig) heartbeatEvery() time.Duration {
 		return c.HeartbeatEvery
 	}
 	return 2 * time.Second
-}
-
-func (c WorkerConfig) ioTimeout() time.Duration {
-	if c.IOTimeout > 0 {
-		return c.IOTimeout
-	}
-	return time.Minute
 }
 
 // WorkerStats reports what one worker session accomplished.
@@ -167,11 +158,11 @@ func (w *worker) interrupted() bool {
 
 func (w *worker) run() error {
 	hello := &Message{Type: MsgHello, Proto: ProtoVersion, Worker: w.cfg.id(), ConfigHash: w.cfg.ConfigHash}
-	if err := writeMsg(w.conn, w.cfg.ioTimeout(), hello); err != nil {
+	if err := writeMsg(w.conn, ioTimeout, hello); err != nil {
 		//lint:ignore errwrap writeMsg errors already say which frame failed and why
 		return err
 	}
-	reply, err := readMsg(w.conn, w.cfg.ioTimeout())
+	reply, err := readMsg(w.conn, ioTimeout)
 	if err != nil {
 		//lint:ignore errwrap readMsg errors already carry the frame context
 		return err
@@ -205,11 +196,11 @@ func (w *worker) run() error {
 			w.st.Drained = true
 			return w.bye()
 		}
-		if err := writeMsg(w.conn, w.cfg.ioTimeout(), &Message{Type: MsgLease}); err != nil {
+		if err := writeMsg(w.conn, ioTimeout, &Message{Type: MsgLease}); err != nil {
 			//lint:ignore errwrap writeMsg errors already say which frame failed and why
 			return err
 		}
-		m, err := readMsg(w.conn, w.cfg.ioTimeout())
+		m, err := readMsg(w.conn, ioTimeout)
 		if err != nil {
 			//lint:ignore errwrap readMsg errors already carry the frame context
 			return err
@@ -245,7 +236,7 @@ func (w *worker) runRange(run RunRange, m *Message) error {
 			return nil
 		}
 		lastBeat = now
-		return writeMsg(w.conn, w.cfg.ioTimeout(), &Message{Type: MsgHeartbeat, Lease: m.Lease, Done: len(buf)})
+		return writeMsg(w.conn, ioTimeout, &Message{Type: MsgHeartbeat, Lease: m.Lease, Done: len(buf)})
 	}
 	if err := run(m.From, m.To, emit); err != nil {
 		return fmt.Errorf("controlplane: range %d-%d: %w", m.From, m.To, err)
@@ -257,11 +248,11 @@ func (w *worker) runRange(run RunRange, m *Message) error {
 		return fmt.Errorf("controlplane: range %d-%d: encode segment: %w", m.From, m.To, err)
 	}
 	seg := &Message{Type: MsgSegment, Lease: m.Lease, Records: records}
-	if err := writeMsg(w.conn, w.cfg.ioTimeout(), seg); err != nil {
+	if err := writeMsg(w.conn, ioTimeout, seg); err != nil {
 		//lint:ignore errwrap writeMsg errors already say which frame failed and why
 		return err
 	}
-	ack, err := readMsg(w.conn, w.cfg.ioTimeout())
+	ack, err := readMsg(w.conn, ioTimeout)
 	if err != nil {
 		//lint:ignore errwrap readMsg errors already carry the frame context
 		return err
@@ -280,7 +271,7 @@ func (w *worker) runRange(run RunRange, m *Message) error {
 // rather than a crash. Write errors are irrelevant — the conn is closing
 // either way.
 func (w *worker) bye() error {
-	_ = writeMsg(w.conn, w.cfg.ioTimeout(), &Message{Type: MsgBye})
+	_ = writeMsg(w.conn, ioTimeout, &Message{Type: MsgBye})
 	return nil
 }
 

@@ -319,7 +319,7 @@ func (s *Server) writeBatchLoop(conn *net.UDPConn, writeq <-chan packet, batch i
 				break gather
 			}
 		}
-		if err := conn.SetWriteDeadline(time.Now().Add(s.writeTimeout())); err != nil {
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			s.logf("dnsserver: set write deadline: %v", err)
 		}
 		b.flush(s, s.bufs)

@@ -15,7 +15,6 @@ package dnsserver
 
 import (
 	"fmt"
-	"log"
 	"net"
 	"net/netip"
 	"runtime"
@@ -66,9 +65,6 @@ type Server struct {
 	Handler Handler
 	// Logf, when set, receives per-query diagnostics.
 	Logf func(format string, args ...any)
-	// WriteTimeout bounds each response send (default 5 s) so a full
-	// socket buffer cannot wedge the write loop forever.
-	WriteTimeout time.Duration
 	// Workers bounds the number of concurrent handler goroutines
 	// (default 2×GOMAXPROCS). The pool is fixed for the lifetime of one
 	// Serve call: a packet burst queues up to Queue packets and then
@@ -373,7 +369,7 @@ func (s *Server) writeLoop(conn *net.UDPConn, writeq <-chan packet, batch int) {
 		// Batch setup failed; fall through to the portable writer.
 	}
 	for p := range writeq {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.writeTimeout())); err != nil {
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			s.logf("dnsserver: %s: set write deadline: %v", p.raddr, err)
 		} else if _, err := conn.WriteToUDPAddrPort((*p.buf)[:p.n], p.raddr); err != nil {
 			s.logf("dnsserver: %s: send: %v", p.raddr, err)
@@ -382,12 +378,9 @@ func (s *Server) writeLoop(conn *net.UDPConn, writeq <-chan packet, batch int) {
 	}
 }
 
-func (s *Server) writeTimeout() time.Duration {
-	if s.WriteTimeout > 0 {
-		return s.WriteTimeout
-	}
-	return 5 * time.Second
-}
+// writeTimeout bounds each response send so a full socket buffer cannot
+// wedge the write loop forever.
+const writeTimeout = 5 * time.Second
 
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
@@ -421,7 +414,7 @@ func (s *Server) Shutdown() {
 // responses leave through the same UDP socket queries arrive on. It
 // reports whether the drain completed; on false, the pipeline was still
 // busy at the deadline (each send is individually bounded by
-// WriteTimeout, so the writer cannot leak forever) and the socket is
+// writeTimeout, so the writer cannot leak forever) and the socket is
 // closed under it.
 func (s *Server) Drain(timeout time.Duration) bool {
 	s.mu.Lock()
@@ -446,10 +439,4 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	case <-deadline.C:
 		return false
 	}
-}
-
-// LogTo returns a Logf implementation writing to the standard logger,
-// convenient for the cmd/ tools.
-func LogTo(l *log.Logger) func(string, ...any) {
-	return func(format string, args ...any) { l.Printf(format, args...) }
 }

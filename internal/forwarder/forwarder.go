@@ -80,12 +80,9 @@ type Forwarder struct {
 	// NegativeTTL caches NXDOMAIN/errors briefly; 0 means 30 s.
 	NegativeTTL time.Duration
 	// MaxStale is the serve-stale window (RFC 8767): an expired entry no
-	// older than expiry+MaxStale is served with StaleTTL while a
+	// older than expiry+MaxStale is served with staleTTL while a
 	// background refresh runs. 0 disables serve-stale.
 	MaxStale time.Duration
-	// StaleTTL is the TTL put on stale answers (0 means 30 s, the
-	// RFC 8767 §5.2 recommendation).
-	StaleTTL time.Duration
 	// MaxEntries bounds the cache; the least-recently-used entry is
 	// evicted past it. 0 means unbounded.
 	MaxEntries int
@@ -133,12 +130,9 @@ func cacheKey(q dnswire.Question) string {
 	return strings.ToLower(string(q.Name)) + "/" + q.Type.String()
 }
 
-func (f *Forwarder) staleTTL() uint32 {
-	if f.StaleTTL > 0 {
-		return uint32(f.StaleTTL / time.Second)
-	}
-	return 30
-}
+// staleTTL is the TTL in seconds put on stale answers, the RFC 8767 §5.2
+// recommendation.
+const staleTTL = 30
 
 // resolve performs one upstream resolution through the pool when
 // configured, the plain client otherwise.
@@ -192,7 +186,7 @@ func (f *Forwarder) ServeDNS(_ netip.AddrPort, query *dnswire.Message) *dnswire.
 			}
 			f.mu.Unlock()
 			resp.Header.RCode = rcode
-			resp.Answers = clampTTLs(answers, f.staleTTL())
+			resp.Answers = clampTTLs(answers, staleTTL)
 			return resp
 		}
 		// Too stale to serve: drop it and fall through to a plain miss.

@@ -18,23 +18,25 @@ import (
 	"cellcurtain/internal/trace"
 )
 
-// Context carries one world, its campaign and the collected dataset; all
-// harnesses read from it.
+// Context carries one world, its campaign and the metrics reduced from
+// it; all harnesses read from it. No experiment record outlives the
+// campaign run: memory is the suite's aggregates, not the dataset.
 type Context struct {
 	World    *sim.World
 	Campaign *trace.Campaign
-	Data     *dataset.Dataset
 
-	// M answers every metric query of the harnesses. By default it is a
-	// streaming analysis.Suite fed with exactly one pass over the
-	// dataset; the equivalence tests swap in the legacy slice
-	// implementation to prove the artifacts are byte-identical.
+	// M answers every metric query of the harnesses: the streaming
+	// analysis.Suite the campaign ran into. The equivalence tests swap in
+	// the slice reference implementation to prove the artifacts are
+	// byte-identical.
 	M analysis.Measures
 
-	byCarrier map[string][]*dataset.Experiment
+	// suite is the Suite the campaign streamed into (M, unless a test
+	// swapped M); Summary reads its per-carrier counts.
+	suite *analysis.Suite
 }
 
-// NewContext builds a world, runs the campaign and indexes the dataset.
+// NewContext builds a world and runs the campaign into the analysis suite.
 func NewContext(cfg trace.Config) (*Context, error) {
 	return NewContextWorld(cfg, sim.Config{Seed: cfg.Seed})
 }
@@ -42,6 +44,14 @@ func NewContext(cfg trace.Config) (*Context, error) {
 // NewContextWorld is NewContext with explicit world configuration (used
 // by the ablation experiments to rebuild modified worlds).
 func NewContextWorld(cfg trace.Config, simCfg sim.Config) (*Context, error) {
+	return newContext(cfg, simCfg, nil)
+}
+
+// newContext streams the campaign straight into the suite — the one pass,
+// end to end. With cfg.CheckpointDir set the run is durable, and an
+// interrupted one surfaces trace.ErrInterrupted instead of a Context.
+// tap, when non-nil (tests), sees every experiment before the suite does.
+func newContext(cfg trace.Config, simCfg sim.Config, tap func(*dataset.Experiment)) (*Context, error) {
 	w, err := sim.New(simCfg)
 	if err != nil {
 		return nil, err
@@ -55,33 +65,18 @@ func NewContextWorld(cfg trace.Config, simCfg sim.Config) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	var data *dataset.Dataset
-	if cfg.CheckpointDir != "" {
-		// Durable path: completed experiments are checkpointed as they
-		// finish, and an interrupted run surfaces trace.ErrInterrupted
-		// instead of a dataset.
-		data, _, err = camp.CollectDurable()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		data = camp.Collect()
-	}
-	byCarrier := map[string][]*dataset.Experiment{}
-	for _, g := range data.ByCarrier() {
-		byCarrier[g.Carrier] = g.Experiments
-	}
 	suite := analysis.NewSuite(SuiteConfig(w, cfg))
-	if err := suite.Run(analysis.SliceScanner(data.Experiments)); err != nil {
+	record := suite.Observe
+	if tap != nil {
+		record = func(e *dataset.Experiment) {
+			tap(e)
+			suite.Observe(e)
+		}
+	}
+	if _, err := camp.Run(record); err != nil {
 		return nil, err
 	}
-	return &Context{
-		World:     w,
-		Campaign:  camp,
-		Data:      data,
-		M:         suite,
-		byCarrier: byCarrier,
-	}, nil
+	return &Context{World: w, Campaign: camp, M: suite, suite: suite}, nil
 }
 
 // availabilityBuckets is the timeline resolution of the AVAIL report.
@@ -129,24 +124,8 @@ func (c *Context) Carriers() []*carrier.Network {
 	return c.World.Carriers
 }
 
-// Exps returns one carrier's experiments.
-func (c *Context) Exps(name string) []*dataset.Experiment {
-	return c.byCarrier[name]
-}
-
-// AllExps returns every experiment.
-func (c *Context) AllExps() []*dataset.Experiment {
-	return c.Data.Experiments
-}
-
-// USExps returns all experiments from the four US carriers combined.
-func (c *Context) USExps() []*dataset.Experiment {
-	var out []*dataset.Experiment
-	for _, name := range carrier.USCarriers() {
-		out = append(out, c.byCarrier[name]...)
-	}
-	return out
-}
+// Summary returns per-carrier experiment counts.
+func (c *Context) Summary() map[string]int { return c.suite.CarrierCounts() }
 
 // table is a small helper for aligned text rendering.
 type table struct {

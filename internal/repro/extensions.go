@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"time"
 
-	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/carrier"
 	"cellcurtain/internal/cdn"
 	"cellcurtain/internal/dataset"
@@ -117,10 +116,10 @@ func (c *Context) adnsAnswer(src netip.Addr, d cdn.Domain, q *dnswire.Message) [
 // natPrefix reduces a NAT address to its announced /24.
 func natPrefix(a netip.Addr) netip.Prefix { return vnet.Slash24(a) }
 
-// ABLTTL derives the miss-rate-vs-TTL relationship from the campaign
-// dataset: the three CDN providers use 20, 30 and 60 second TTLs, and the
-// cache-miss fraction should fall as the TTL grows — the paper's §4.3
-// observation that short CDN TTLs drive the miss tail.
+// ABLTTL derives the miss-rate-vs-TTL relationship from the campaign: the
+// three CDN providers use 20, 30 and 60 second TTLs, and the cache-miss
+// fraction should fall as the TTL grows — the paper's §4.3 observation
+// that short CDN TTLs drive the miss tail.
 func (c *Context) ABLTTL() Result {
 	t := newTable("Ablation: cache-miss fraction vs CDN TTL (paired back-to-back lookups)")
 	t.row("ttl(s)", "domains", "miss fraction")
@@ -134,29 +133,11 @@ func (c *Context) ABLTTL() Result {
 		if !ok {
 			continue
 		}
-		miss := missFractionFor(c.USExps(), domains)
+		miss := c.M.MissFraction(carrier.USCarriers(), dataset.KindLocal, 18*time.Millisecond, domains...)
 		t.row(ttl, len(domains), fmt.Sprintf("%.2f", miss))
 		m[fmt.Sprintf("miss_ttl%d", ttl)] = miss
 	}
 	return Result{ID: "ABL-TTL", Title: "TTL vs miss rate", Text: t.String(), Metrics: m}
-}
-
-func missFractionFor(exps []*dataset.Experiment, domains []string) float64 {
-	set := map[string]bool{}
-	for _, d := range domains {
-		set[d] = true
-	}
-	var filtered []*dataset.Experiment
-	for _, e := range exps {
-		fe := &dataset.Experiment{ClientID: e.ClientID}
-		for _, r := range e.Resolutions {
-			if set[r.Domain] {
-				fe.Resolutions = append(fe.Resolutions, r)
-			}
-		}
-		filtered = append(filtered, fe)
-	}
-	return analysis.PairedMissFraction(filtered, dataset.KindLocal, 18*time.Millisecond)
 }
 
 // ABLConsistency rebuilds the world with perfectly stable resolver
@@ -166,27 +147,14 @@ func (c *Context) ABLConsistency() Result {
 	t := newTable("Ablation: replica inflation with vs without resolver churn")
 	t.row("carrier", "baseline p90 %", "stable-pairing p90 %", "reduction")
 	m := map[string]float64{}
-
-	// The ablation world keeps the baseline's seed so the CDN mapping
-	// draws match; only the pairing churn is removed. Both sides are
-	// compared over the same (possibly shortened) window.
-	cfg := ablationConfig(c.Campaign.Config)
-	simCfg := sim.Config{
-		Seed: cfg.Seed,
-		ProfileOverride: func(p carrier.Profile) carrier.Profile {
-			p.Consistency = 1.0
-			p.EgressChurnEpoch = 10 * 365 * 24 * time.Hour
-			return p
-		},
-	}
-	stableCtx, err := NewContextWorld(cfg, simCfg)
+	baseCtx, stableCtx, err := c.consistencySides()
 	if err != nil {
 		return Result{ID: "ABL-CONSISTENCY", Title: "Consistency ablation",
 			Text: "ablation failed: " + err.Error(), Metrics: m}
 	}
 	for _, cn := range c.Carriers() {
-		base := analysis.InflationCDF(windowed(c.Exps(cn.Name), cfg.End), "")
-		stable := analysis.InflationCDF(stableCtx.Exps(cn.Name), "")
+		base := baseCtx.M.InflationCDF(cn.Name, "")
+		stable := stableCtx.M.InflationCDF(cn.Name, "")
 		if base.Len() == 0 {
 			continue
 		}
@@ -203,6 +171,36 @@ func (c *Context) ABLConsistency() Result {
 	return Result{ID: "ABL-CONSISTENCY", Title: "Consistency ablation", Text: t.String(), Metrics: m}
 }
 
+// consistencySides builds ABL-CONSISTENCY's two contexts. Both run the
+// same campaign config — seed (so the CDN mapping draws match),
+// population, the possibly shortened window and with it one fault
+// schedule, since fault presets are placed relative to the window — and
+// differ only in the pairing churn. When the window was shortened the
+// baseline is re-run over it: fault-free, a shorter campaign is byte for
+// byte the prefix of a longer one, so this equals cutting the context's
+// own campaign at the shortened end.
+func (c *Context) consistencySides() (base, stable *Context, err error) {
+	cfg := ablationConfig(c.Campaign.Config)
+	base = c
+	if !cfg.End.Equal(c.Campaign.Config.End) {
+		if base, err = NewContextWorld(cfg, sim.Config{Seed: cfg.Seed}); err != nil {
+			return nil, nil, err
+		}
+	}
+	stable, err = NewContextWorld(cfg, sim.Config{
+		Seed: cfg.Seed,
+		ProfileOverride: func(p carrier.Profile) carrier.Profile {
+			p.Consistency = 1.0
+			p.EgressChurnEpoch = 10 * 365 * 24 * time.Hour
+			return p
+		},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return base, stable, nil
+}
+
 func safeRatio(a, b float64) float64 {
 	if b == 0 {
 		return 0
@@ -211,24 +209,17 @@ func safeRatio(a, b float64) float64 {
 }
 
 // ablationConfig derives a bounded-length campaign for the ablation
-// world, keeping the baseline's seed and population.
+// worlds, keeping the baseline's seed and population. Sub-campaigns are
+// never durable (they would overwrite the baseline's checkpoint) and
+// their worker shards rebuild the ablated world, not the baseline's.
 func ablationConfig(base trace.Config) trace.Config {
 	cfg := base
 	if cfg.End.Sub(cfg.Start) > 14*24*time.Hour {
 		cfg.End = cfg.Start.Add(14 * 24 * time.Hour)
 	}
+	cfg.WorldFactory = nil
+	cfg.CheckpointDir, cfg.Resume = "", false
 	return cfg
-}
-
-// windowed filters experiments to those before end.
-func windowed(exps []*dataset.Experiment, end time.Time) []*dataset.Experiment {
-	var out []*dataset.Experiment
-	for _, e := range exps {
-		if e.Time.Before(end) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // ABLGranularity sweeps the CDN's replica-mapping granularity — exact
@@ -249,8 +240,13 @@ func (c *Context) ABLGranularity() Result {
 			return Result{ID: "ABL-GRANULARITY", Title: "Mapping granularity ablation",
 				Text: "ablation failed: " + err.Error(), Metrics: m}
 		}
-		infl := analysis.InflationCDF(ctx.AllExps(), "")
-		rel := analysis.RelativeReplicaPerf(ctx.AllExps(), dataset.KindGoogle)
+		// Percentiles and FracBelow are order-free, so the all-carrier
+		// samples are the per-carrier ones merged.
+		var infl, rel stats.Sample
+		for _, name := range ctx.M.Carriers() {
+			infl.Merge(ctx.M.InflationCDF(name, ""))
+			rel.Merge(ctx.M.RelativeReplicaPerf(name, dataset.KindGoogle))
+		}
 		zero := rel.FracBelow(0) - rel.FracBelow(-1e-9)
 		t.row(fmt.Sprintf("/%d", bits),
 			fmt.Sprintf("%.0f", infl.Percentile(50)),

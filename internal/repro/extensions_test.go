@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"cellcurtain/internal/carrier"
+	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/sim"
 )
 
 func TestECSWhatIf(t *testing.T) {
@@ -83,6 +85,68 @@ func TestABLConsistency(t *testing.T) {
 	}
 	if improved < counted-1 {
 		t.Errorf("stable pairings should reduce p90 inflation for nearly all carriers (%d/%d)", improved, counted)
+	}
+}
+
+// TestABLConsistencySidesShareFaultSchedule: fault presets are placed
+// relative to the campaign window, so when the ablation shortens the
+// window both sides must be campaigns over the shortened one — the same
+// Spec, hence one fault schedule — and show the outage in the same
+// timeline buckets. Cutting the long campaign's records at the short end
+// instead compared an outage at 25-75 % of the full window against one at
+// 25-75 % of the 14-day window.
+func TestABLConsistencySidesShareFaultSchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation rebuilds worlds; skipped in -short mode")
+	}
+	cfg := QuickConfig(7) // three weeks: longer than the ablation window
+	cfg.ClientScale = 0.05
+	cfg.Faults = "resolver-outage"
+	c, err := NewContext(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, stable, err := c.consistencySides()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ablationConfig(c.Campaign.Config).Hash()
+	if want == c.Campaign.Config.Hash() {
+		t.Fatal("the ablation did not shorten a three-week window")
+	}
+	if b, s := base.Campaign.Config.Hash(), stable.Campaign.Config.Hash(); b != want || s != want {
+		t.Fatalf("sides run campaigns %s (baseline) and %s (stable), want both %s", b, s, want)
+	}
+	outage := func(side *Context) (buckets []int) {
+		for i, b := range side.M.AvailabilityTimeline(dataset.KindLocal) {
+			if b.Total > 0 && b.Rate() < 0.5 {
+				buckets = append(buckets, i)
+			}
+		}
+		return buckets
+	}
+	bo, so := outage(base), outage(stable)
+	if len(bo) == 0 || fmt.Sprint(bo) != fmt.Sprint(so) {
+		t.Fatalf("outage buckets: baseline %v, stable %v — want the same non-empty set", bo, so)
+	}
+}
+
+// TestAblationConfig: an ablation sub-campaign is bounded to two weeks,
+// never writes into the baseline's checkpoint, and lets NewContextWorld
+// install a shard factory for its own (modified) world.
+func TestAblationConfig(t *testing.T) {
+	base := QuickConfig(7)
+	base.CheckpointDir, base.Resume = t.TempDir(), true
+	base.WorldFactory = func() (*sim.World, error) { return sim.New(sim.Config{Seed: 7}) }
+	cfg := ablationConfig(base)
+	if got := cfg.End.Sub(cfg.Start).Hours(); got != 14*24 {
+		t.Errorf("window = %vh, want 14 days", got)
+	}
+	if cfg.CheckpointDir != "" || cfg.Resume {
+		t.Errorf("sub-campaign is durable: dir %q resume %v", cfg.CheckpointDir, cfg.Resume)
+	}
+	if cfg.WorldFactory != nil {
+		t.Error("sub-campaign kept the baseline's world factory for its worker shards")
 	}
 }
 

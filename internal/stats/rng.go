@@ -131,16 +131,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 

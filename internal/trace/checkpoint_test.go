@@ -44,6 +44,14 @@ func ckCampaign(t *testing.T, cfg Config) *Campaign {
 	return c
 }
 
+// collect runs c into a fresh dataset like Collect, handing back Run's
+// status and error as well.
+func collect(c *Campaign) (*dataset.Dataset, RunStatus, error) {
+	ds := &dataset.Dataset{}
+	st, err := c.Run(ds.Add)
+	return ds, st, err
+}
+
 func jsonlBytes(t *testing.T, ds *dataset.Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -76,7 +84,7 @@ func abortAfter(t *testing.T, cfg Config, n int) int {
 			once.Do(func() { close(interrupt) })
 		}
 	}
-	_, st, err := c.CollectDurable()
+	_, st, err := collect(c)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("aborted run returned %v, want ErrInterrupted", err)
 	}
@@ -91,7 +99,7 @@ func resume(t *testing.T, cfg Config) (*dataset.Dataset, RunStatus) {
 	cfg.Resume = true
 	cfg.Interrupt = nil
 	c := ckCampaign(t, cfg)
-	ds, st, err := c.CollectDurable()
+	ds, st, err := collect(c)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -178,7 +186,7 @@ func TestResumeCompletedCheckpointRunsNothing(t *testing.T) {
 	cfg := ckConfig(t, 1, "", dir)
 
 	c := ckCampaign(t, cfg)
-	ds, st, err := c.CollectDurable()
+	ds, st, err := collect(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +223,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 		// The campaign itself must build (the mutated config is valid);
 		// only the resume handshake rejects it.
 		c := ckCampaign(t, bad)
-		if _, _, err := c.CollectDurable(); err == nil {
+		if _, _, err := collect(c); err == nil {
 			t.Fatalf("%s-mutated resume accepted a foreign checkpoint", name)
 		}
 	}
@@ -223,7 +231,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 
 // TestResumeRejectsOutOfRangeSeq: a checkpoint whose manifest matches but
 // whose segment holds a seq outside the campaign is refused by the one
-// adoption routine — and so by RunDurable and `curtain coordinate -resume`
+// adoption routine — and so by Run and `curtain coordinate -resume`
 // alike — naming the directory and the seq. Skipping the record instead
 // would leave it in the segment for `analyze -in DIR` to count.
 func TestResumeRejectsOutOfRangeSeq(t *testing.T) {
@@ -256,7 +264,7 @@ func TestResumeRejectsOutOfRangeSeq(t *testing.T) {
 
 			cfg.Resume = true
 			_, _, _, adoptErr := ckCampaign(t, cfg).AdoptCheckpoint()
-			_, _, runErr := ckCampaign(t, cfg).CollectDurable()
+			_, _, runErr := collect(ckCampaign(t, cfg))
 			for _, err := range []error{adoptErr, runErr} {
 				if err == nil || !strings.Contains(err.Error(), dir) ||
 					!strings.Contains(err.Error(), fmt.Sprintf("seq %d outside 1..%d", tc.seq, total)) {
@@ -267,12 +275,16 @@ func TestResumeRejectsOutOfRangeSeq(t *testing.T) {
 	}
 }
 
-func TestCollectDurableRequiresDir(t *testing.T) {
-	cfg := ckConfig(t, 1, "", "")
-	cfg.CheckpointDir = ""
-	c := ckCampaign(t, cfg)
-	if _, _, err := c.CollectDurable(); err == nil {
-		t.Fatal("CollectDurable without CheckpointDir should fail")
+// TestInterruptWithoutCheckpoint: the one Run reports an interrupt the
+// same way whether or not it checkpoints.
+func TestInterruptWithoutCheckpoint(t *testing.T) {
+	abortAfter(t, ckConfig(t, 1, "", ""), 3)
+}
+
+func TestAdoptCheckpointRequiresDir(t *testing.T) {
+	c := ckCampaign(t, ckConfig(t, 1, "", ""))
+	if _, _, _, err := c.AdoptCheckpoint(); err == nil {
+		t.Fatal("AdoptCheckpoint without CheckpointDir should fail")
 	}
 }
 
@@ -360,7 +372,7 @@ func TestPanicContainmentSurvivesResume(t *testing.T) {
 			once.Do(func() { close(interrupt) })
 		}
 	}
-	if _, _, err := c.CollectDurable(); !errors.Is(err, ErrInterrupted) {
+	if _, _, err := collect(c); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("aborted run returned %v, want ErrInterrupted", err)
 	}
 
@@ -368,7 +380,7 @@ func TestPanicContainmentSurvivesResume(t *testing.T) {
 	cfg.Interrupt = nil
 	rc := panicCampaign(t, 1, 2)
 	rc.Config = cfg
-	ds, st, err := rc.CollectDurable()
+	ds, st, err := collect(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,14 +54,14 @@ func TestRunSeqMatchesCampaign(t *testing.T) {
 func TestResumeMismatchNamesBothHashes(t *testing.T) {
 	dir := t.TempDir()
 	orig := ckConfig(t, 1, "", dir)
-	if _, _, err := ckCampaign(t, orig).CollectDurable(); err != nil {
+	if _, _, err := collect(ckCampaign(t, orig)); err != nil {
 		t.Fatalf("seed run: %v", err)
 	}
 
 	wrong := orig
 	wrong.Faults = "resolver-outage"
 	wrong.Resume = true
-	_, _, err := ckCampaign(t, wrong).CollectDurable()
+	_, _, err := collect(ckCampaign(t, wrong))
 	if err == nil {
 		t.Fatal("resume with a different fault scenario succeeded")
 	}

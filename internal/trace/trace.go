@@ -124,24 +124,24 @@ type Config struct {
 	// fabric state. Required when Workers > 1, and must be deterministic
 	// (same seed/config as the campaign's primary world).
 	WorldFactory func() (*sim.World, error)
-	// CheckpointDir, when non-empty, makes RunDurable append every
-	// completed experiment to a fsync'd curtainbin segment under this
-	// directory, with a manifest recording the campaign's identity. A run
-	// killed at any point resumes from the durable prefix.
+	// CheckpointDir, when non-empty, makes Run append every completed
+	// experiment to a fsync'd curtainbin segment under this directory, with
+	// a manifest recording the campaign's identity. A run killed at any
+	// point resumes from the durable prefix.
 	CheckpointDir string
 	// CheckpointEvery is the fsync cadence in experiments (0 = the
 	// dataset package default). Smaller values bound the re-run window
 	// after a hard kill at the cost of more fsyncs.
 	CheckpointEvery int
-	// Resume makes RunDurable load the checkpoint in CheckpointDir,
-	// verify its seed/config hash, skip every durable experiment and run
-	// only the remainder. Per-experiment RNG streams keyed by
+	// Resume makes Run load the checkpoint in CheckpointDir, verify its
+	// seed/config hash, skip every durable experiment and run only the
+	// remainder. Per-experiment RNG streams keyed by
 	// (Seed, client, seq) make the continuation byte-identical to an
 	// uninterrupted run, for any worker count and under faults.
 	Resume bool
 	// Interrupt, when non-nil, requests a graceful stop once closed:
 	// workers finish their in-flight experiment (drain), the checkpoint
-	// is flushed, and RunDurable returns ErrInterrupted.
+	// (if any) is flushed, and Run returns ErrInterrupted.
 	Interrupt <-chan struct{}
 }
 
@@ -410,11 +410,11 @@ func (c *Campaign) Steps() int {
 const postCampaignLabel = 0x90D7
 
 // ErrInterrupted reports a campaign stopped early on Config.Interrupt.
-// Every completed experiment is durable in the checkpoint; a later run
-// with Config.Resume continues from exactly that point.
+// With a checkpoint, every completed experiment is durable in it and a
+// later run with Config.Resume continues from exactly that point.
 var ErrInterrupted = errors.New("trace: campaign interrupted")
 
-// RunStatus reports how a durable campaign run ended.
+// RunStatus reports how a campaign run ended.
 type RunStatus struct {
 	// Total is the number of experiments in the full campaign.
 	Total int
@@ -432,21 +432,57 @@ type RunStatus struct {
 	Interrupted bool
 }
 
-// Run executes the full campaign, invoking record for every experiment
-// in canonical (time, client, seq) order. Each experiment runs on its
-// own random stream derived from (Seed, client, seq), so the recorded
-// dataset is byte-identical whether the campaign runs serially or
-// sharded across workers.
+// Run executes the full campaign — the single run entry — invoking record
+// for every experiment in canonical (time, client, seq) order. Each
+// experiment runs on its own random stream derived from (Seed, client,
+// seq), so the recorded dataset is byte-identical whether the campaign
+// runs serially or sharded across workers.
 //
 // record is invoked while the campaign is still running, as soon as the
 // canonical prefix up to an experiment is complete — so results can
 // stream straight into an analysis suite (record = suite.Observe)
-// without ever materializing the dataset. Memory is bounded by the
-// workers' out-of-order window, not the campaign size.
-func (c *Campaign) Run(record func(*dataset.Experiment)) {
-	// Without a checkpoint there is no error source; the status is the
-	// trivial "everything ran" unless Config.Interrupt fired.
-	_, _ = c.run(nil, nil, record)
+// without ever materializing the dataset. On a fresh run, memory is
+// bounded by the workers' out-of-order window, not the campaign size.
+//
+// The run is durable exactly when Config.CheckpointDir is set: completed
+// experiments are appended to the checkpoint segment as they finish, and
+// with Config.Resume the durable prefix of a previous run is adopted (see
+// AdoptCheckpoint), reused, and only the remainder executes. Without a
+// checkpoint the only error is ErrInterrupted. On interrupt the
+// checkpoint is flushed first; record has then seen only a canonical
+// prefix, which the caller must discard.
+func (c *Campaign) Run(record func(*dataset.Experiment)) (RunStatus, error) {
+	var (
+		ck        *dataset.Checkpoint
+		prior     map[int]*dataset.Experiment
+		discarded int
+	)
+	if c.Config.CheckpointDir != "" {
+		var err error
+		if ck, prior, discarded, err = c.AdoptCheckpoint(); err != nil {
+			//lint:ignore errwrap AdoptCheckpoint errors name the checkpoint, and ConfigMismatchError must stay errors.As-matchable
+			return RunStatus{}, err
+		}
+	}
+	st, err := c.run(prior, ck, record)
+	st.DiscardedBytes = discarded
+	if ck != nil {
+		if cerr := ck.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		//lint:ignore errwrap checkpoint Append/Close errors already name the checkpoint
+		return st, err
+	}
+	if st.Interrupted {
+		if ck == nil {
+			return st, fmt.Errorf("%w: %d/%d experiments completed", ErrInterrupted, st.Completed, st.Total)
+		}
+		return st, fmt.Errorf("%w: %d/%d experiments durable in %s",
+			ErrInterrupted, st.Completed, st.Total, c.Config.CheckpointDir)
+	}
+	return st, nil
 }
 
 // run is the shared execution engine: worker w of W handles clients
@@ -619,10 +655,11 @@ func (c *Campaign) RunSeq(seq int) (*dataset.Experiment, error) {
 	return c.runExperiment((seq-1)/c.total, (seq-1)%c.total), nil
 }
 
-// Collect runs the campaign into a fresh in-memory dataset.
+// Collect runs the campaign into a fresh in-memory dataset — the tests'
+// collector, for campaigns configured without a checkpoint or interrupt.
 func (c *Campaign) Collect() *dataset.Dataset {
 	d := &dataset.Dataset{}
-	c.Run(d.Add)
+	_, _ = c.Run(d.Add) // no checkpoint, no interrupt: no error source
 	return d
 }
 
@@ -649,8 +686,8 @@ func (e *ConfigMismatchError) Error() string {
 }
 
 // AdoptCheckpoint opens the checkpoint in Config.CheckpointDir for this
-// campaign — the one routine behind every durable run, local (RunDurable)
-// or distributed (curtain coordinate). Without Config.Resume it creates a
+// campaign — the one routine behind every durable run, local (Run) or
+// distributed (curtain coordinate). Without Config.Resume it creates a
 // fresh checkpoint recording the campaign's identity. With it, the
 // existing checkpoint is adopted only if its manifest names this campaign
 // (same seed, Spec.Hash and experiment count; a *ConfigMismatchError
@@ -699,50 +736,4 @@ func (c *Campaign) AdoptCheckpoint() (*dataset.Checkpoint, map[int]*dataset.Expe
 		return nil, nil, 0, fmt.Errorf("trace: resume: %w", err)
 	}
 	return ck, prior, torn, nil
-}
-
-// RunDurable runs the campaign with durable checkpointing in
-// Config.CheckpointDir, streaming every experiment to record in
-// canonical order as the contiguous prefix completes — like Run, but
-// durable. Completed experiments are appended to the checkpoint segment
-// as they finish; with Config.Resume the durable prefix of a previous run
-// is adopted (see AdoptCheckpoint), reused, and only the remainder
-// executes. On a fresh run, memory is bounded by the workers'
-// out-of-order window regardless of campaign size. On interrupt it
-// returns ErrInterrupted with the checkpoint flushed; record has then
-// seen only a canonical prefix, which the caller must discard.
-func (c *Campaign) RunDurable(record func(*dataset.Experiment)) (RunStatus, error) {
-	ck, prior, discarded, err := c.AdoptCheckpoint()
-	if err != nil {
-		//lint:ignore errwrap AdoptCheckpoint errors name the checkpoint, and ConfigMismatchError must stay errors.As-matchable
-		return RunStatus{}, err
-	}
-	st, runErr := c.run(prior, ck, record)
-	st.DiscardedBytes = discarded
-	cerr := ck.Close()
-	if runErr != nil {
-		//lint:ignore errwrap run errors keep ErrInterrupted and friends matchable as-is
-		return st, runErr
-	}
-	if cerr != nil {
-		//lint:ignore errwrap Checkpoint.Close errors already name the checkpoint
-		return st, cerr
-	}
-	if st.Interrupted {
-		return st, fmt.Errorf("%w: %d/%d experiments durable in %s",
-			ErrInterrupted, st.Completed, st.Total, c.Config.CheckpointDir)
-	}
-	return st, nil
-}
-
-// CollectDurable is RunDurable materialized: it collects the streamed
-// experiments into a fresh dataset and returns it on a completed run —
-// byte-identical to an uninterrupted one.
-func (c *Campaign) CollectDurable() (*dataset.Dataset, RunStatus, error) {
-	ds := &dataset.Dataset{}
-	st, err := c.RunDurable(ds.Add)
-	if err != nil {
-		return nil, st, err
-	}
-	return ds, st, nil
 }

@@ -214,6 +214,24 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
+// TestShorterCampaignIsPrefixOfLonger: a fault-free D-day campaign is,
+// byte for byte, the first Total(D) records of a longer campaign at the
+// same seed and scale — what lets the ablations rebuild a shortened
+// baseline instead of windowing stored records. Window-relative fault
+// presets break this by design: resolver-outage sits at 25-75 % of
+// whatever window it is compiled against.
+func TestShorterCampaignIsPrefixOfLonger(t *testing.T) {
+	short, shortDS := smallCampaign(t, 1, 0.05)
+	_, longDS := smallCampaign(t, 2, 0.05)
+	if longDS.Len() <= shortDS.Len() || shortDS.Len() != short.Total() {
+		t.Fatalf("campaign sizes: short %d (total %d), long %d", shortDS.Len(), short.Total(), longDS.Len())
+	}
+	prefix := &dataset.Dataset{Experiments: longDS.Experiments[:short.Total()]}
+	if !bytes.Equal(jsonlBytes(t, shortDS), jsonlBytes(t, prefix)) {
+		t.Fatal("a 1-day campaign is not the prefix of the 2-day campaign at the same seed and scale")
+	}
+}
+
 func workerCampaign(t *testing.T, workers, days int, scale float64) *dataset.Dataset {
 	t.Helper()
 	w, err := sim.New(sim.Config{Seed: 7})

@@ -37,12 +37,8 @@ type Config struct {
 	OpenTimeout time.Duration
 	// HedgeDelay is the fixed wait before hedging a query to the
 	// next-healthiest upstream; 0 selects the adaptive delay (the
-	// primary's tracked p95, clamped to [HedgeMin, HedgeMax]).
+	// primary's tracked p95, clamped to [hedgeMin, hedgeMax]).
 	HedgeDelay time.Duration
-	// HedgeMin / HedgeMax clamp the adaptive hedge delay (defaults 1 ms
-	// and 250 ms). HedgeMax is also the delay used before any latency
-	// sample exists.
-	HedgeMin, HedgeMax time.Duration
 	// DisableHedge turns hedged queries off entirely; failures still
 	// fail over to the next upstream.
 	DisableHedge bool
@@ -50,9 +46,16 @@ type Config struct {
 	// retries spend one token each, successes refund BudgetRefund
 	// (defaults 10 and 0.1). An empty bucket suppresses extra attempts.
 	BudgetTokens, BudgetRefund float64
-	// EWMAAlpha is the latency smoothing factor in (0, 1] (default 0.25).
-	EWMAAlpha float64
 }
+
+const (
+	// hedgeMin / hedgeMax clamp the adaptive hedge delay. hedgeMax is also
+	// the delay used before any latency sample exists.
+	hedgeMin = time.Millisecond
+	hedgeMax = 250 * time.Millisecond
+	// ewmaAlpha is the latency smoothing factor in (0, 1].
+	ewmaAlpha = 0.25
+)
 
 func (c Config) failureThreshold() int {
 	if c.FailureThreshold > 0 {
@@ -66,27 +69,6 @@ func (c Config) openTimeout() time.Duration {
 		return c.OpenTimeout
 	}
 	return 5 * time.Second
-}
-
-func (c Config) hedgeMin() time.Duration {
-	if c.HedgeMin > 0 {
-		return c.HedgeMin
-	}
-	return time.Millisecond
-}
-
-func (c Config) hedgeMax() time.Duration {
-	if c.HedgeMax > 0 {
-		return c.HedgeMax
-	}
-	return 250 * time.Millisecond
-}
-
-func (c Config) alpha() float64 {
-	if c.EWMAAlpha > 0 && c.EWMAAlpha <= 1 {
-		return c.EWMAAlpha
-	}
-	return 0.25
 }
 
 // Counters are the pool's lifetime counts, surfaced at drain.
@@ -155,17 +137,6 @@ func New(query QueryFunc, addrs []netip.AddrPort, cfg Config) (*Pool, error) {
 		p.members = append(p.members, &member{addr: a})
 	}
 	return p, nil
-}
-
-// NewWithClient routes a dnsclient through the pool: callers that used
-// Client.QueryFailover with a fixed server list get health-aware
-// ordering, breakers and hedging instead of strict list order. Ports are
-// carried by the client's transport, so every addr should use the same
-// port (use New with per-port QueryFuncs otherwise).
-func NewWithClient(c *dnsclient.Client, addrs []netip.AddrPort, cfg Config) (*Pool, error) {
-	return New(func(addr netip.AddrPort, name dnswire.Name, t dnswire.Type) (*dnsclient.Result, error) {
-		return c.Query(addr.Addr(), name, t)
-	}, addrs, cfg)
 }
 
 func (p *Pool) now() time.Time {
@@ -291,7 +262,7 @@ func (p *Pool) record(m *member, rtt time.Duration, ok bool) {
 			m.state = StateClosed
 			p.c.BreakerCloses++
 		}
-		m.observe(rtt, p.cfg.alpha())
+		m.observe(rtt, ewmaAlpha)
 		p.bud.success()
 		return
 	}
@@ -358,11 +329,11 @@ func (p *Pool) Resolve(name dnswire.Name, t dnswire.Type) (*dnsclient.Result, er
 	if hedgeDelay <= 0 {
 		hedgeDelay = primary.p95()
 		if hedgeDelay == 0 {
-			hedgeDelay = p.cfg.hedgeMax()
-		} else if hedgeDelay < p.cfg.hedgeMin() {
-			hedgeDelay = p.cfg.hedgeMin()
-		} else if hedgeDelay > p.cfg.hedgeMax() {
-			hedgeDelay = p.cfg.hedgeMax()
+			hedgeDelay = hedgeMax
+		} else if hedgeDelay < hedgeMin {
+			hedgeDelay = hedgeMin
+		} else if hedgeDelay > hedgeMax {
+			hedgeDelay = hedgeMax
 		}
 	}
 	canHedge := !p.cfg.DisableHedge && len(cands) > 1
