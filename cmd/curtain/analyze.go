@@ -34,6 +34,8 @@ func runAnalyze(args []string) error {
 	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; a checkpoint directory is always scanned serially")
 	progress := fs.Bool("progress", false, "report scan progress on stderr")
 	runStats := fs.Bool("stats", false, "report scan time and peak RSS on stderr")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the scan and report to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	fs.Parse(args)
 	if *parallel < 1 {
 		return fmt.Errorf("analyze: -parallel must be >= 1, got %d", *parallel)
@@ -41,6 +43,11 @@ func runAnalyze(args []string) error {
 	if _, err := os.Stat(*in); err != nil {
 		return fmt.Errorf("analyze: no dataset at %s (run `curtain simulate` first?): %w", *in, err)
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fmt.Errorf("analyze: %w", err)
+	}
+	defer stopProfiles()
 
 	// The progress counter wraps every scanner's yield; shard scanners
 	// bump it concurrently, so it is atomic and only the goroutine

@@ -129,6 +129,46 @@ func TestAnalyzeRejectsBadArguments(t *testing.T) {
 	}
 }
 
+// TestAnalyzeProfiles: -cpuprofile and -memprofile leave two non-empty
+// pprof files and do not change a byte of the report.
+func TestAnalyzeProfiles(t *testing.T) {
+	in := analyzeInputs(t)["binary"]
+	report := func(args ...string) []byte {
+		t.Helper()
+		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		stdout := os.Stdout
+		os.Stdout = out
+		err = runAnalyze(append([]string{"-in", in}, args...))
+		os.Stdout = stdout
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	plain := report()
+	if len(plain) == 0 {
+		t.Fatal("analyze printed nothing")
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if profiled := report("-cpuprofile", cpu, "-memprofile", mem); !bytes.Equal(profiled, plain) {
+		t.Errorf("report changed under profiling:\n--- got\n%s--- want\n%s", profiled, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", filepath.Base(path), err)
+		}
+	}
+}
+
 // TestConvertReadsCheckpointDir: `convert -in <checkpoint dir>` is how a
 // checkpoint is read by eye, so it must render exactly the dataset the
 // directory holds — here the same bytes as the campaign's JSONL file —

@@ -185,8 +185,8 @@ flags (report/exp/simulate):
   -out PATH           simulate only: output dataset path
   -stats              simulate only: report run time, output bytes per
                       experiment and peak RSS on stderr
-  -cpuprofile FILE    simulate only: write a pprof CPU profile of the run
-  -memprofile FILE    simulate only: write a pprof allocation profile at exit`)
+  -cpuprofile FILE    simulate, analyze: write a pprof CPU profile of the run
+  -memprofile FILE    simulate, analyze: write a pprof allocation profile at exit`)
 }
 
 // optionFlags registers the full campaign flag set — campaignFlags'

@@ -23,17 +23,20 @@ import (
 // of its containers afterwards and the argument is left untouched, so
 // shard instances stay independently usable.
 
-// kindIndex gives the three resolver kinds dense indices for fixed-size
-// per-observation records.
-func kindIndex(k dataset.ResolverKind) int {
+// kindIndex gives the three resolver kinds dense indices (the order of
+// dataset.Kinds) for fixed-size per-observation records. Any other kind
+// has no slot: records carrying one are skipped and queries for one
+// answer empty, like the slice path's filter-by-kind.
+func kindIndex(k dataset.ResolverKind) (int, bool) {
 	switch k {
 	case dataset.KindLocal:
-		return 0
+		return 0, true
 	case dataset.KindGoogle:
-		return 1
-	default:
-		return 2
+		return 1, true
+	case dataset.KindOpenDNS:
+		return 2, true
 	}
+	return 0, false
 }
 
 // kindsFor expands the "" wildcard to every resolver kind.
@@ -337,27 +340,22 @@ func (p *pingsAgg) pings() (map[string]*stats.Sample, map[string]float64) {
 // see analysis.go's inflationAcc).
 
 type inflationAgg struct {
-	sums map[clientDomain]map[netip.Addr]*inflationAcc
+	sums map[clientDomain][]inflationAcc
 }
 
 func newInflationAgg() *inflationAgg {
-	return &inflationAgg{sums: map[clientDomain]map[netip.Addr]*inflationAcc{}}
+	return &inflationAgg{sums: map[clientDomain][]inflationAcc{}}
 }
 
 func (ia *inflationAgg) Observe(e *dataset.Experiment) { observeInflation(ia.sums, e) }
 
 func (ia *inflationAgg) Merge(o *inflationAgg) {
 	for k, replicas := range o.sums {
-		m := ia.sums[k]
-		if m == nil {
-			m = make(map[netip.Addr]*inflationAcc, len(replicas))
-			ia.sums[k] = m
+		dst := ia.sums[k]
+		for _, acc := range replicas {
+			dst = addInflation(dst, acc)
 		}
-		for addr, acc := range replicas {
-			dst := entry(m, addr)
-			dst.sumNs += acc.sumNs
-			dst.n += acc.n
-		}
+		ia.sums[k] = dst
 	}
 }
 
@@ -381,13 +379,16 @@ func compareDomainExts(a, b domainExt) int {
 	return a.ext.Compare(b.ext)
 }
 
+// vectorsAgg counts answers per replica /24; the cluster's printed form —
+// the key of the vectors a query returns — is made at query time, not once
+// per answer observed.
 type vectorsAgg struct {
-	counts map[domainExt]map[string]float64
+	counts map[domainExt]map[netip.Prefix]float64
 	obs    map[domainExt]int
 }
 
 func newVectorsAgg() *vectorsAgg {
-	return &vectorsAgg{counts: map[domainExt]map[string]float64{}, obs: map[domainExt]int{}}
+	return &vectorsAgg{counts: map[domainExt]map[netip.Prefix]float64{}, obs: map[domainExt]int{}}
 }
 
 func (va *vectorsAgg) Observe(e *dataset.Experiment) {
@@ -402,12 +403,12 @@ func (va *vectorsAgg) Observe(e *dataset.Experiment) {
 		k := domainExt{r.Domain, ext}
 		m := va.counts[k]
 		if m == nil {
-			m = map[string]float64{}
+			m = map[netip.Prefix]float64{}
 			va.counts[k] = m
 		}
 		va.obs[k]++
 		for _, ip := range r.Answers {
-			m[vnet.Slash24(ip).String()]++
+			m[vnet.Slash24(ip)]++
 		}
 	}
 }
@@ -416,7 +417,7 @@ func (va *vectorsAgg) Merge(o *vectorsAgg) {
 	for k, m := range o.counts {
 		dst := va.counts[k]
 		if dst == nil {
-			dst = make(map[string]float64, len(m))
+			dst = make(map[netip.Prefix]float64, len(m))
 			va.counts[k] = dst
 		}
 		for cluster, n := range m {
@@ -435,11 +436,20 @@ func (va *vectorsAgg) vectors(domain string, minObs int) map[netip.Addr]map[stri
 		if k.domain != domain {
 			continue
 		}
-		counts[k.ext] = va.counts[k]
+		byCluster := va.counts[k]
+		named := make(map[string]float64, len(byCluster))
+		for _, p := range sortedKeys(byCluster, comparePrefixes) {
+			named[p.String()] = byCluster[p]
+		}
+		counts[k.ext] = named
 		obs[k.ext] = va.obs[k]
 	}
 	return normalizeVectors(counts, obs, minObs)
 }
+
+// comparePrefixes orders /24s by network address — Slash24 yields one
+// prefix length, so the address alone is a total order.
+func comparePrefixes(a, b netip.Prefix) int { return a.Addr().Compare(b.Addr()) }
 
 // ---------------------------------------------------------------------
 // externalsAgg: distinct external resolver identities per kind (Table 5).
@@ -516,11 +526,8 @@ func (ca *churnAgg) Observe(e *dataset.Experiment) {
 	var o churnObs
 	o.time = e.Time
 	o.lat, o.lon = e.Lat, e.Lon
-	for _, kind := range dataset.Kinds() {
-		if ext, ok := e.DiscoveredExternal(kind); ok {
-			i := kindIndex(kind)
-			o.ext[i], o.ok[i] = ext, true
-		}
+	for i, kind := range dataset.Kinds() { // kindIndex order
+		o.ext[i], o.ok[i] = e.DiscoveredExternal(kind)
 	}
 	ca.obs[e.ClientID] = append(ca.obs[e.ClientID], o)
 }
@@ -552,7 +559,10 @@ func (ca *churnAgg) busiest() string {
 // timeline returns one client's external-resolver observations for a
 // kind, time-sorted like the slice path.
 func (ca *churnAgg) timeline(clientID string, kind dataset.ResolverKind) []TimelinePoint {
-	i := kindIndex(kind)
+	i, known := kindIndex(kind)
+	if !known {
+		return nil
+	}
 	var out []TimelinePoint
 	for _, o := range ca.obs[clientID] {
 		if o.ok[i] {
@@ -567,13 +577,16 @@ func (ca *churnAgg) timeline(clientID string, kind dataset.ResolverKind) []Timel
 // of the client's modal location — the aggregator form of StaticOnly
 // followed by ResolverTimeline.
 func (ca *churnAgg) staticTimeline(clientID string, radiusKm float64, kind dataset.ResolverKind) []TimelinePoint {
+	i, known := kindIndex(kind)
+	if !known {
+		return nil
+	}
 	obs := ca.obs[clientID]
 	counts := map[locationCell]int{}
 	for _, o := range obs {
 		counts[cellOf(o.lat, o.lon)]++
 	}
 	centerLat, centerLon := modalCellCenter(counts)
-	i := kindIndex(kind)
 	var out []TimelinePoint
 	for _, o := range obs {
 		if !withinKm(o.lat, o.lon, centerLat, centerLon, radiusKm) {
@@ -755,29 +768,141 @@ func (aa *availabilityAgg) addTimeline(dst []AvailabilityBucket, kind dataset.Re
 }
 
 // ---------------------------------------------------------------------
-// relPerfAgg: Fig 14 public-vs-local replica performance. Each
-// experiment's contribution is computed atomically inside Observe via
-// the same helpers as the slice path, so values are bit-identical.
+// relPerfAgg: Fig 14 public-vs-local replica performance. Observe folds
+// an experiment's replica probes once into scratch it owns — per domain
+// and kind, one cell per replica /24 (kept in address order) — and emits
+// all three kinds' comparisons from that fold, domain by domain in name
+// order. Every float stays within the experiment and is summed in the
+// slice path's order (a cell's TTFBs in probe order, a mean's cells in
+// /24 order), so the values are bit-identical to addRelativePerf's. The
+// scratch is rewritten by every Observe and is no part of the aggregate:
+// Merge ignores it.
+
+// relCell sums the TTFBs (ms) of one (domain, kind)'s probes in one /24.
+type relCell struct {
+	prefix netip.Prefix
+	sum, n float64
+}
+
+// relDomain is one domain's cells per kindIndex.
+type relDomain struct {
+	name  string
+	cells [3][]relCell
+}
 
 type relPerfAgg struct {
-	samples map[dataset.ResolverKind]*stats.Sample
+	samples [3]stats.Sample // by kindIndex
+
+	// doms is the scratch of the Observe in progress; doms[:cap] keeps the
+	// cell slices of earlier experiments for their capacity.
+	doms []relDomain
 }
 
-func newRelPerfAgg() *relPerfAgg {
-	return &relPerfAgg{samples: map[dataset.ResolverKind]*stats.Sample{}}
-}
+func newRelPerfAgg() *relPerfAgg { return &relPerfAgg{} }
 
 func (rp *relPerfAgg) Observe(e *dataset.Experiment) {
-	for _, kind := range dataset.Kinds() {
-		addRelativePerf(e, kind, entry(rp.samples, kind))
+	rp.doms = rp.doms[:0]
+	for i := range e.ReplicaProbes {
+		p := &e.ReplicaProbes[i]
+		k, known := kindIndex(p.Kind)
+		if !p.HTTPOK || !known {
+			continue
+		}
+		cells := &rp.domain(p.Domain).cells[k]
+		*cells = addRelCell(*cells, vnet.Slash24(p.Replica), float64(p.TTFB)/float64(time.Millisecond))
+	}
+	slices.SortFunc(rp.doms, func(a, b relDomain) int { return strings.Compare(a.name, b.name) })
+	for i := range rp.doms {
+		d := &rp.doms[i]
+		local := d.cells[0]
+		if len(local) == 0 {
+			continue
+		}
+		for k, pub := range d.cells {
+			if len(pub) == 0 {
+				continue
+			}
+			if samePrefixes(local, pub) {
+				rp.samples[k].Add(0)
+				continue
+			}
+			if lm := relMean(local); lm > 0 {
+				rp.samples[k].Add((relMean(pub) - lm) / lm * 100)
+			}
+		}
 	}
 }
 
-func (rp *relPerfAgg) Merge(o *relPerfAgg) { mergeSamples(rp.samples, o.samples) }
+// domain returns the scratch entry of the named domain, adding an empty
+// one on first sight. The script probes domain by domain, so the search
+// starts at the newest entry.
+func (rp *relPerfAgg) domain(name string) *relDomain {
+	for i := len(rp.doms) - 1; i >= 0; i-- {
+		if rp.doms[i].name == name {
+			return &rp.doms[i]
+		}
+	}
+	n := len(rp.doms)
+	if n < cap(rp.doms) {
+		rp.doms = rp.doms[:n+1] // recycle the slot, and with it its cell capacity
+	} else {
+		rp.doms = append(rp.doms, relDomain{})
+	}
+	d := &rp.doms[n]
+	d.name = name
+	for k := range d.cells {
+		d.cells[k] = d.cells[k][:0]
+	}
+	return d
+}
+
+// addRelCell adds one TTFB to prefix's cell, inserting the cell at its
+// address-ordered position when the prefix is new.
+func addRelCell(cells []relCell, prefix netip.Prefix, ttfbMs float64) []relCell {
+	i := 0
+	for ; i < len(cells); i++ {
+		if cells[i].prefix == prefix {
+			cells[i].sum += ttfbMs
+			cells[i].n++
+			return cells
+		}
+		if comparePrefixes(cells[i].prefix, prefix) > 0 {
+			break
+		}
+	}
+	return slices.Insert(cells, i, relCell{prefix: prefix, sum: ttfbMs, n: 1})
+}
+
+func samePrefixes(a, b []relCell) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].prefix != b[i].prefix {
+			return false
+		}
+	}
+	return true
+}
+
+func relMean(cells []relCell) float64 {
+	var sum, n float64
+	for _, c := range cells {
+		sum += c.sum
+		n += c.n
+	}
+	return sum / n
+}
+
+func (rp *relPerfAgg) Merge(o *relPerfAgg) {
+	for k := range rp.samples {
+		rp.samples[k].Merge(&o.samples[k])
+	}
+}
 
 func (rp *relPerfAgg) addSample(out *stats.Sample, kind dataset.ResolverKind) {
-	if s := rp.samples[kind]; s != nil {
-		out.Merge(s)
+	if k, known := kindIndex(kind); known {
+		out.Merge(&rp.samples[k])
 	}
 }
 

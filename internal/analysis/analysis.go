@@ -237,12 +237,28 @@ func ResolverPings(exps []*dataset.Experiment) (samples map[string]*stats.Sample
 // shard-merged, any grouping — can never shift a rounding: the only
 // float operations happen once, at mean time.
 type inflationAcc struct {
-	sumNs int64
-	n     int64
+	replica netip.Addr
+	sumNs   int64
+	n       int64
 }
 
-func (a *inflationAcc) meanMs() float64 {
+func (a inflationAcc) meanMs() float64 {
 	return float64(a.sumNs) / float64(time.Millisecond) / float64(a.n)
+}
+
+// addInflation folds acc into the group's accumulator for the same
+// replica, appending a copy when the group has none. A group is the
+// handful of replicas one client saw for one domain, so it is a slice
+// searched linearly, not a map.
+func addInflation(group []inflationAcc, acc inflationAcc) []inflationAcc {
+	for i := range group {
+		if group[i].replica == acc.replica {
+			group[i].sumNs += acc.sumNs
+			group[i].n += acc.n
+			return group
+		}
+	}
+	return append(group, acc)
 }
 
 // clientDomain keys per-(client, domain) replica groups.
@@ -253,7 +269,7 @@ type clientDomain struct {
 // inflationSample converts accumulated replica groups into the Fig 2
 // sample: each replica's percent increase in mean TTFB over the group's
 // best. domain == "" aggregates all domains.
-func inflationSample(sums map[clientDomain]map[netip.Addr]*inflationAcc, domain string) *stats.Sample {
+func inflationSample(sums map[clientDomain][]inflationAcc, domain string) *stats.Sample {
 	out := &stats.Sample{}
 	for k, replicas := range sums {
 		if domain != "" && k.domain != domain {
@@ -277,24 +293,13 @@ func inflationSample(sums map[clientDomain]map[netip.Addr]*inflationAcc, domain 
 }
 
 // observeInflation folds one experiment's replica probes into sums.
-func observeInflation(sums map[clientDomain]map[netip.Addr]*inflationAcc, e *dataset.Experiment) {
+func observeInflation(sums map[clientDomain][]inflationAcc, e *dataset.Experiment) {
 	for _, rp := range e.ReplicaProbes {
 		if rp.Kind != dataset.KindLocal || !rp.HTTPOK {
 			continue
 		}
 		k := clientDomain{e.ClientID, rp.Domain}
-		m, ok := sums[k]
-		if !ok {
-			m = map[netip.Addr]*inflationAcc{}
-			sums[k] = m
-		}
-		acc, ok := m[rp.Replica]
-		if !ok {
-			acc = &inflationAcc{}
-			m[rp.Replica] = acc
-		}
-		acc.sumNs += int64(rp.TTFB)
-		acc.n++
+		sums[k] = addInflation(sums[k], inflationAcc{replica: rp.Replica, sumNs: int64(rp.TTFB), n: 1})
 	}
 }
 
@@ -302,7 +307,7 @@ func observeInflation(sums map[clientDomain]map[netip.Addr]*inflationAcc, e *dat
 // replica's percent increase in mean TTFB over the client's best replica.
 // domain == "" aggregates all domains.
 func InflationCDF(exps []*dataset.Experiment, domain string) *stats.Sample {
-	sums := map[clientDomain]map[netip.Addr]*inflationAcc{}
+	sums := map[clientDomain][]inflationAcc{}
 	for _, e := range exps {
 		observeInflation(sums, e)
 	}

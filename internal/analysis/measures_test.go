@@ -48,7 +48,7 @@ func genDataset(seed int64, n int) *dataset.Dataset {
 			e.Lat += 2
 		}
 		for _, kind := range dataset.Kinds() {
-			ki := int(kindIdx(kind))
+			ki := kindIdx(kind)
 			if rng.Intn(10) > 0 { // occasionally no discovery
 				e.Discoveries = append(e.Discoveries, dataset.Discovery{
 					Kind:     kind,
@@ -117,7 +117,10 @@ func genDataset(seed int64, n int) *dataset.Dataset {
 	return ds
 }
 
-func kindIdx(k dataset.ResolverKind) int { return kindIndex(k) }
+func kindIdx(k dataset.ResolverKind) int {
+	i, _ := kindIndex(k)
+	return i
+}
 
 func testSuiteConfig() SuiteConfig {
 	start := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -264,6 +267,19 @@ func compareMeasures(t *testing.T, got, want Measures) {
 			if g, w := got.StaticTimeline(carrier, client, 1.0, kind), want.StaticTimeline(carrier, client, 1.0, kind); !reflect.DeepEqual(g, w) {
 				t.Fatalf("StaticTimeline %s/%s/%s differs", carrier, client, kind)
 			}
+		}
+		// A kind that is none of the three (a typo, "", a future vantage) has
+		// no data under it: neither side may answer with another kind's.
+		for _, kind := range []dataset.ResolverKind{"", "quad9"} {
+			client := want.BusiestClient(carrier)
+			if g, w := got.ResolverTimeline(carrier, client, kind), want.ResolverTimeline(carrier, client, kind); len(g)+len(w) != 0 {
+				t.Fatalf("ResolverTimeline %s/%s kind %q: %d vs %d points, want none", carrier, client, kind, len(g), len(w))
+			}
+			if g, w := got.StaticTimeline(carrier, client, 1.0, kind), want.StaticTimeline(carrier, client, 1.0, kind); len(g)+len(w) != 0 {
+				t.Fatalf("StaticTimeline %s/%s kind %q: %d vs %d points, want none", carrier, client, kind, len(g), len(w))
+			}
+			sampleEq(t, "RelativeReplicaPerf "+carrier+"/"+string(kind),
+				got.RelativeReplicaPerf(carrier, kind), want.RelativeReplicaPerf(carrier, kind))
 		}
 		if g, w := got.EgressPoints(carrier), want.EgressPoints(carrier); !reflect.DeepEqual(g, w) {
 			t.Fatalf("EgressPoints %s: %v vs %v", carrier, g, w)

@@ -10,9 +10,12 @@ package dataset
 // hard kill mid-append leaves at most one incomplete trailing segment,
 // which a checkpoint resume drops (ScanTorn).
 //
-// The per-record encode/decode primitives are //lint:hotpath and proven
-// zero-alloc by TestHotPathAllocs: every byte goes through caller-owned
-// buffers, every string through the segment table.
+// The per-record encode/decode primitives are //lint:hotpath: every byte
+// goes through caller-owned buffers, every string through the segment
+// table, and decoded records are carved out of the segment decoder's slabs
+// (decodeSlabs). TestHotPathAllocs proves the encode side allocates
+// nothing per record; TestScanAllocBudget holds a whole Scan to a few
+// allocations per record.
 
 import (
 	"bufio"
@@ -26,6 +29,7 @@ import (
 	"net/netip"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Format selects a dataset serialization codec.
@@ -315,14 +319,67 @@ func (enc *binEncoder) appendReplicaProbe(rec []byte, p *ReplicaProbe) []byte {
 	return rec
 }
 
+// slab hands out never-before-used, zeroed []T windows of chunks it
+// allocates as decoding proceeds: one allocation serves many records. A
+// window's capacity is its length, so appending to one reallocates instead
+// of writing into the next record's window.
+type slab[T any] struct{ free []T }
+
+// slabChunkBytes sizes a slab chunk. A record the paper's script produces
+// decodes to ~13 KB, most of it in two of the five slabs, so a chunk
+// serves a dozen records and loses ~4 % to the tail too short for the next
+// one; whoever keeps one decoded record keeps the chunks it was carved
+// from.
+const slabChunkBytes = 64 << 10
+
+// take returns a window of n elements, nil for none. A request of a chunk
+// or more gets an allocation of its own: count() has already bounded n by
+// the payload bytes left, and the open chunk stays open.
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(s.free) {
+		var zero T
+		chunk := slabChunkBytes / int(unsafe.Sizeof(zero))
+		if n >= chunk {
+			return make([]T, n)
+		}
+		s.free = make([]T, chunk)
+	}
+	w := s.free[:n:n]
+	s.free = s.free[n:]
+	return w
+}
+
+// experimentChunk is how many Experiments are allocated together. The
+// open chunk is reachable from the decoder, and with it every record
+// already decoded into it and everything those records point to; a small
+// chunk is what lets the collector have a record soon after its consumer
+// drops it.
+const experimentChunk = 16
+
+// decodeSlabs is the memory decoded records are carved from: Experiments
+// a few at a time, their slices from one slab per element type. Chunks are
+// made on demand and never sized from a segment header, so a header's
+// record count cannot demand an allocation.
+type decodeSlabs struct {
+	experiments    []Experiment
+	resolutions    slab[Resolution]
+	discoveries    slab[Discovery]
+	resolverProbes slab[ResolverProbe]
+	replicaProbes  slab[ReplicaProbe]
+	addrs          slab[netip.Addr]
+}
+
 // binDecoder decodes the record bytes of one segment. The hot-path
-// methods never allocate: strings come interned from the segment table,
-// and record slices grow through the caller's *Experiment, whose
-// capacity is reused across records when the caller recycles it.
+// methods never allocate: strings come interned from the segment table
+// and every slice of a record is a window of mem.
 type binDecoder struct {
 	buf      []byte
 	pos      int
 	tbl      []string
+	mem      *decodeSlabs
 	prevSeq  int64
 	prevTime int64
 	bad      bool
@@ -421,19 +478,19 @@ func (d *binDecoder) addr() netip.Addr {
 	}
 }
 
-// appendAddrs decodes n addresses into dst, reusing its capacity.
+// addrs decodes n addresses.
 //
 //lint:hotpath
-func (d *binDecoder) appendAddrs(dst []netip.Addr, n int) []netip.Addr {
-	dst = dst[:0]
+func (d *binDecoder) addrs(n int) []netip.Addr {
+	dst := d.mem.addrs.take(n)
 	for i := 0; i < n && !d.bad; i++ {
-		dst = append(dst, d.addr())
+		dst[i] = d.addr()
 	}
 	return dst
 }
 
-// decodeExperiment decodes one length-prefixed record into e, reusing
-// e's slice capacity. It reports false on corrupt input.
+// decodeExperiment decodes one length-prefixed record into the zero
+// Experiment e. It reports false on corrupt input.
 //
 //lint:hotpath
 func (d *binDecoder) decodeExperiment(e *Experiment) bool {
@@ -466,7 +523,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.Resolutions = growSlice(e.Resolutions, n)
+	e.Resolutions = d.mem.resolutions.take(n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeResolution(&e.Resolutions[i])
 	}
@@ -474,7 +531,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.Discoveries = growSlice(e.Discoveries, n)
+	e.Discoveries = d.mem.discoveries.take(n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeDiscovery(&e.Discoveries[i])
 	}
@@ -482,7 +539,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.ResolverProbes = growSlice(e.ResolverProbes, n)
+	e.ResolverProbes = d.mem.resolverProbes.take(n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeResolverProbe(&e.ResolverProbes[i])
 	}
@@ -490,7 +547,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.ReplicaProbes = growSlice(e.ReplicaProbes, n)
+	e.ReplicaProbes = d.mem.replicaProbes.take(n)
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeReplicaProbe(&e.ReplicaProbes[i])
 	}
@@ -498,10 +555,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	if d.bad {
 		return false
 	}
-	e.EgressTrace = d.appendAddrs(e.EgressTrace, n)
-	if len(e.EgressTrace) == 0 {
-		e.EgressTrace = nil
-	}
+	e.EgressTrace = d.addrs(n)
 
 	if d.bad || d.pos != end {
 		d.bad = true
@@ -512,8 +566,6 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 
 //lint:hotpath
 func (d *binDecoder) decodeResolution(r *Resolution) {
-	answers := r.Answers[:0]
-	*r = Resolution{}
 	r.Domain = d.str()
 	r.Kind = ResolverKind(d.str())
 	r.Server = d.addr()
@@ -528,10 +580,7 @@ func (d *binDecoder) decodeResolution(r *Resolution) {
 	if d.bad {
 		return
 	}
-	r.Answers = d.appendAddrs(answers, n)
-	if len(r.Answers) == 0 {
-		r.Answers = nil
-	}
+	r.Answers = d.addrs(n)
 	r.CNAME = d.str()
 	r.TTL = uint32(d.uvarint())
 	r.Radio = d.str()
@@ -542,7 +591,6 @@ func (d *binDecoder) decodeResolution(r *Resolution) {
 
 //lint:hotpath
 func (d *binDecoder) decodeDiscovery(dc *Discovery) {
-	*dc = Discovery{}
 	dc.Kind = ResolverKind(d.str())
 	dc.Queried = d.addr()
 	dc.External = d.addr()
@@ -552,7 +600,6 @@ func (d *binDecoder) decodeDiscovery(dc *Discovery) {
 
 //lint:hotpath
 func (d *binDecoder) decodeResolverProbe(p *ResolverProbe) {
-	*p = ResolverProbe{}
 	p.Kind = ResolverKind(d.str())
 	p.Which = d.str()
 	p.Target = d.addr()
@@ -562,7 +609,6 @@ func (d *binDecoder) decodeResolverProbe(p *ResolverProbe) {
 
 //lint:hotpath
 func (d *binDecoder) decodeReplicaProbe(p *ReplicaProbe) {
-	*p = ReplicaProbe{}
 	p.Domain = d.str()
 	p.Kind = ResolverKind(d.str())
 	p.Replica = d.addr()
@@ -571,20 +617,6 @@ func (d *binDecoder) decodeReplicaProbe(p *ReplicaProbe) {
 	flags := d.byte()
 	p.PingOK = flags&1 != 0
 	p.HTTPOK = flags&2 != 0
-}
-
-// growSlice resizes s to n elements, reusing capacity (and each
-// element's nested slice capacity) when possible. The cold arm allocates
-// exactly n once rather than appending its way up; it is the one
-// allocation site of the decode path, which is why this helper — unlike
-// its callers — is not //lint:hotpath.
-func growSlice[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	g := make([]T, n)
-	copy(g, s[:cap(s)])
-	return g
 }
 
 // BinaryWriter streams experiments as a curtainbin file: records
@@ -781,11 +813,14 @@ const maxInflateRatio = 1032
 // segDecoder decodes segment payloads. Its inflate buffer, flate reader
 // and string-table backing array are reused from segment to segment (and,
 // through segDecoders, from call to call); nothing it yields aliases them.
+// What it yields is carved from mem, whose open chunks carry over the same
+// way but are never handed out twice.
 type segDecoder struct {
 	rawB []byte
 	strs []string
 	src  bytes.Reader
 	fr   io.ReadCloser
+	mem  decodeSlabs
 }
 
 // segDecoders recycles decoder state across UnmarshalExperiments calls, so
@@ -826,7 +861,7 @@ func (s *segDecoder) decode(h segHeader, stored []byte, fn ScanFunc) error {
 		return fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes but stores %d", h.rawLen, len(stored))
 	}
 
-	d := binDecoder{buf: raw}
+	d := binDecoder{buf: raw, mem: &s.mem}
 	nstr, n := binary.Uvarint(raw)
 	if n <= 0 || nstr > h.rawLen {
 		return fmt.Errorf("dataset: curtainbin: corrupt string table")
@@ -844,7 +879,11 @@ func (s *segDecoder) decode(h segHeader, stored []byte, fn ScanFunc) error {
 	d.tbl = s.strs
 
 	for i := uint64(0); i < h.count; i++ {
-		e := new(Experiment)
+		if len(s.mem.experiments) == 0 {
+			s.mem.experiments = make([]Experiment, experimentChunk)
+		}
+		e := &s.mem.experiments[0]
+		s.mem.experiments = s.mem.experiments[1:]
 		if !d.decodeExperiment(e) {
 			return fmt.Errorf("dataset: curtainbin: corrupt record %d of segment: %w", i, errCorrupt)
 		}

@@ -229,16 +229,26 @@ func TestBinaryHugeCollectionCount(t *testing.T) {
 	if es, err := UnmarshalExperiments(frameSegment(0, 1, len(sane), sane)); err != nil || len(es) != 1 {
 		t.Fatalf("minimal crafted record must decode (got %d, %v)", len(es), err)
 	}
+	for i, frame := range hugeCountFrames() {
+		if _, err := UnmarshalExperiments(frame); err == nil {
+			t.Fatalf("huge-count frame %d accepted", i)
+		}
+	}
+}
+
+// hugeCountFrames is the matrix of one-record streams in which one of the
+// five collection counts claims 2^40, 2^63 or 2^64-1 elements.
+func hugeCountFrames() [][]byte {
+	var frames [][]byte
 	for i := 0; i < 5; i++ {
 		for _, huge := range []uint64{1 << 40, 1 << 63, ^uint64(0)} {
 			var counts [5]uint64
 			counts[i] = huge
 			raw := craftSegmentPayload(counts)
-			if _, err := UnmarshalExperiments(frameSegment(0, 1, len(raw), raw)); err == nil {
-				t.Fatalf("count[%d]=%d accepted", i, huge)
-			}
+			frames = append(frames, frameSegment(0, 1, len(raw), raw))
 		}
 	}
+	return frames
 }
 
 // TestBinaryFlateOverInflation: a compressed payload that inflates past
@@ -314,6 +324,99 @@ func TestBinaryHeaderCannotDemandAllocation(t *testing.T) {
 			t.Fatalf("%s: refusing a %d-byte input allocated %d bytes", tc.name, len(tc.frame), got)
 		}
 	}
+
+	// The record count is header too. Records are carved from chunks made
+	// as decoding proceeds, so 2^40 declared records over one real one fail
+	// at the second without more than a chunk of each kind being made.
+	raw := craftSegmentPayload([5]uint64{})
+	var err error
+	got := allocatedBy(func() { _, err = UnmarshalExperiments(frameSegment(0, 1<<40, len(raw), raw)) })
+	if err == nil || !strings.Contains(err.Error(), "corrupt record 1") {
+		t.Fatalf("2^40 declared records: err = %v, want record 1 refused", err)
+	}
+	if got > 5*slabChunkBytes+64<<10 {
+		t.Fatalf("2^40 declared records over a %d-byte payload allocated %d bytes, more than one chunk of each kind", len(raw), got)
+	}
+}
+
+// TestDecodedRecordsOwnTheirWindows: decoded records are windows of shared
+// slab chunks, which must not show. Appending to any slice of a record
+// reallocates instead of writing into the record decoded next, and a
+// record kept by the callback still reads as written after the scan has
+// gone on through later segments.
+func TestDecodedRecordsOwnTheirWindows(t *testing.T) {
+	d := sampleDataset(24)
+	var bin bytes.Buffer
+	bw := NewBinaryWriter(&bin)
+	bw.SegmentRecords = 8
+	for _, e := range d.Experiments {
+		if err := bw.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	jsonl := func(es []*Experiment) string {
+		var b bytes.Buffer
+		if err := (&Dataset{Experiments: es}).WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := jsonl(d.Experiments)
+
+	var kept []*Experiment
+	if err := Scan(bytes.NewReader(bin.Bytes()), func(e *Experiment) error {
+		kept = append(kept, e)
+		if e.Seq == 17 { // the third segment: the first is two segments back
+			if got, want := jsonl(kept[:1]), jsonl(d.Experiments[:1]); got != want {
+				t.Fatalf("record 1 read back two segments later:\n got %s\nwant %s", got, want)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := jsonl(kept); got != want {
+		t.Fatal("kept records differ from the encoded ones")
+	}
+
+	junkAddr := netip.MustParseAddr("255.255.255.255")
+	for _, e := range kept {
+		e.Resolutions = append(e.Resolutions, Resolution{Domain: "junk"})
+		e.Discoveries = append(e.Discoveries, Discovery{Outcome: "junk"})
+		e.ResolverProbes = append(e.ResolverProbes, ResolverProbe{Which: "junk"})
+		e.ReplicaProbes = append(e.ReplicaProbes, ReplicaProbe{Domain: "junk"})
+		e.EgressTrace = append(e.EgressTrace, junkAddr)
+		for i := range e.Resolutions {
+			e.Resolutions[i].Answers = append(e.Resolutions[i].Answers, junkAddr)
+		}
+	}
+	for _, e := range kept {
+		e.Resolutions = e.Resolutions[:len(e.Resolutions)-1]
+		e.Discoveries = e.Discoveries[:len(e.Discoveries)-1]
+		e.ResolverProbes = e.ResolverProbes[:len(e.ResolverProbes)-1]
+		e.ReplicaProbes = e.ReplicaProbes[:len(e.ReplicaProbes)-1]
+		e.EgressTrace = e.EgressTrace[:len(e.EgressTrace)-1]
+		for i := range e.Resolutions {
+			a := e.Resolutions[i].Answers
+			e.Resolutions[i].Answers = a[:len(a)-1]
+		}
+	}
+	// Slices that were nil are now empty, which JSONL tells apart; compare
+	// the binary encoding, which does not.
+	gotBin, err := MarshalExperiments(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBin, err := MarshalExperiments(d.Experiments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBin, wantBin) {
+		t.Fatal("appending to one decoded record's slices changed a neighbouring record")
+	}
 }
 
 // TestBinaryShortDeflateIsNotTorn: a complete segment whose deflate stream
@@ -321,28 +424,32 @@ func TestBinaryHeaderCannotDemandAllocation(t *testing.T) {
 // which must not be taken for the torn tail a hard kill leaves — ScanTorn
 // would drop the segment and whatever follows it.
 func TestBinaryShortDeflateIsNotTorn(t *testing.T) {
+	if _, err := ScanTorn(bytes.NewReader(shortDeflateStream(t)), func(*Experiment) error { return nil }); err == nil {
+		t.Fatal("a short deflate stream mid-file was taken for a torn tail")
+	}
+}
+
+// shortDeflateStream is a two-segment stream whose first segment is
+// re-framed over the front half of its deflate stream; the second follows
+// untouched.
+func shortDeflateStream(tb testing.TB) []byte {
 	d := sampleDataset(8)
 	var bin bytes.Buffer
 	bw := NewBinaryWriter(&bin)
 	bw.SegmentRecords = 4
 	for _, e := range d.Experiments {
 		if err := bw.Append(e); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	h, hlen, err := parseSegHeader(bin.Bytes()[len(binMagic):])
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Re-frame the first segment over the front half of its deflate stream;
-	// the second segment follows untouched.
 	first := len(binMagic) + hlen
 	half := bin.Bytes()[first : first+int(h.storedLen)/2]
 	b := frameSegment(h.flags, int(h.count), int(h.rawLen), half)
-	b = append(b, bin.Bytes()[first+int(h.storedLen):]...)
-	if _, err := ScanTorn(bytes.NewReader(b), func(*Experiment) error { return nil }); err == nil {
-		t.Fatal("a short deflate stream mid-file was taken for a torn tail")
-	}
+	return append(b, bin.Bytes()[first+int(h.storedLen):]...)
 }
 
 // TestFileShardsTruncatedTrailer: a kill that tears the file inside the
@@ -578,8 +685,9 @@ func TestBinaryCheckpointTornResume(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocs proves the per-record encode and decode primitives
-// allocate nothing once buffers and the string table are warm.
+// TestHotPathAllocs proves the per-record encode primitives allocate
+// nothing once buffers and the string table are warm. (The decode side is
+// gated where it is used: TestScanAllocBudget.)
 func TestHotPathAllocs(t *testing.T) {
 	e := sampleExperiment(12345, "verizon")
 	enc := newBinEncoder()
@@ -593,29 +701,6 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 	if encAllocs != 0 {
 		t.Fatalf("encode hot path allocates %.1f per record, want 0", encAllocs)
-	}
-
-	// Build one decodable record body with its table.
-	tbl := make([]string, len(enc.tbl.strs))
-	copy(tbl, enc.tbl.strs)
-	rec := bytes.Clone(enc.buf)
-	dst := new(Experiment)
-	d := &binDecoder{buf: rec, tbl: tbl}
-	if !d.decodeExperiment(dst) {
-		t.Fatal("warmup decode failed")
-	}
-	decAllocs := testing.AllocsPerRun(200, func() {
-		d.buf = rec
-		d.pos = 0
-		d.prevSeq = 0
-		d.prevTime = 0
-		d.bad = false
-		if !d.decodeExperiment(dst) {
-			t.Fatal("decode failed")
-		}
-	})
-	if decAllocs != 0 {
-		t.Fatalf("decode hot path allocates %.1f per record, want 0", decAllocs)
 	}
 }
 

@@ -12,8 +12,12 @@ import (
 
 // ScanFunc receives experiments one at a time during a streaming scan.
 // Returning an error stops the scan and propagates the error to the
-// caller. The *Experiment is owned by the callback once yielded; the
-// scanner never touches it again.
+// caller. The *Experiment is the callback's once yielded — to keep, read
+// and modify; the scanner never touches it again. A curtainbin scan carves
+// the records of a stream out of shared chunks, so keeping one experiment
+// keeps the chunks (64 KB each, one per kind of slice) it shares with the
+// dozen records decoded around it; a consumer that keeps a few of many
+// should copy them.
 type ScanFunc func(*Experiment) error
 
 // Scan streams a dataset written by WriteJSONL or WriteBinary, yielding

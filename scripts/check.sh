@@ -44,13 +44,16 @@ go test -count=1 -run '^TestHotPathAllocs' ./internal/dnswire/
 echo "==> serving hot-path zero-alloc proof (dispatch, servfail, batch read loop)"
 go test -count=1 -run '^TestHotPathAllocs' ./internal/dnsserver/
 
-echo "==> curtainbin codec zero-alloc proof (per-record encode/decode)"
+echo "==> curtainbin codec zero-alloc proof (per-record encode)"
 go test -count=1 -run '^TestHotPathAllocs' ./internal/dataset/
+
+echo "==> curtainbin scan allocation budget (Scan of 640 paper-campaign records: <= 8 allocations per record, dropped records not pinned)"
+go test -count=1 -run '^TestScanAllocBudget$' ./internal/dataset/
 
 echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt)"
 go test -count=1 -run '^TestExperimentAllocBudget$' ./internal/measure/
 
-echo "==> segment round-trip allocation budget (Marshal+UnmarshalExperiments of a 64-record lease: no per-call reader or compressor)"
+echo "==> segment round-trip allocation budget (Marshal+UnmarshalExperiments of a 64-record lease: no per-call reader or compressor, <= 12 allocations per record)"
 go test -count=1 -run '^TestSegmentRoundTripAllocBudget$' ./internal/dataset/
 
 echo "==> go test -race ./..."
@@ -74,6 +77,9 @@ go test -race -count=1 -run '^TestKillResumeInvariance$' ./internal/trace/
 echo "==> dnswire fuzz smoke (5s per target, seed corpus in testdata/fuzz)"
 go test -count=1 -run '^$' -fuzz '^FuzzParseMessage$' -fuzztime=5s ./internal/dnswire/
 go test -count=1 -run '^$' -fuzz '^FuzzDecodeName$' -fuzztime=5s ./internal/dnswire/
+
+echo "==> curtainbin fuzz smoke (5s; worker-supplied segment bytes: no panic, round trip, allocation bounded by input length)"
+go test -count=1 -run '^$' -fuzz '^FuzzUnmarshalExperiments$' -fuzztime=5s ./internal/dataset/
 
 echo "==> bench module (vet + tests: all five ledger workloads smoked with their output checks)"
 go vet -C bench ./...
