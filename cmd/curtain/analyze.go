@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -135,6 +136,9 @@ func renderAnalysis(w io.Writer, m analysis.Measures) {
 	for _, name := range carriers {
 		scope := []string{name}
 		l := m.ResolutionSample(scope, dataset.KindLocal, "LTE")
+		if l.Len() == 0 {
+			continue // e.g. a dnsprobe dataset: sockets know no radio
+		}
 		g := m.ResolutionSample(scope, dataset.KindGoogle, "LTE")
 		o := m.ResolutionSample(scope, dataset.KindOpenDNS, "LTE")
 		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.0f\t%.0f\n",
@@ -143,8 +147,9 @@ func renderAnalysis(w io.Writer, m analysis.Measures) {
 	tw.Flush()
 
 	fmt.Fprintln(w, "\ncache effect (Fig 7; paired back-to-back lookups)")
-	fmt.Fprintf(tw, "all carriers\tmiss fraction\t%.2f\n",
-		m.MissFraction(nil, dataset.KindLocal, 18*time.Millisecond))
+	if mf := m.MissFraction(nil, dataset.KindLocal, 18*time.Millisecond); !math.IsNaN(mf) {
+		fmt.Fprintf(tw, "all carriers\tmiss fraction\t%.2f\n", mf)
+	}
 	tw.Flush()
 
 	fmt.Fprintln(w, "\nreplica inflation over each user's best, percent (Fig 2)")

@@ -161,6 +161,19 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 //lint:hotpath
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// The fewest bytes one element of each collection can encode to — every
+// varint, string reference, flags byte and address length is at least one
+// byte. The append* functions below define these; the decoder's count()
+// divides the bytes a record has left by them, so a collection header
+// cannot claim more elements than its record could hold.
+const (
+	minAddrBytes          = 1  // appendAddr: the length byte of an invalid address
+	minResolutionBytes    = 14 // appendResolution: 14 fields
+	minDiscoveryBytes     = 5  // appendDiscovery: 5 fields
+	minResolverProbeBytes = 5  // appendResolverProbe: 5 fields
+	minReplicaProbeBytes  = 6  // appendReplicaProbe: 6 fields
+)
+
 // appendAddr encodes a netip.Addr as a 1-byte length (0 = invalid, 4 or
 // 16) plus the raw address bytes — exact, including IPv4-in-IPv6 forms.
 //
@@ -334,7 +347,8 @@ const slabChunkBytes = 64 << 10
 
 // take returns a window of n elements, nil for none. A request of a chunk
 // or more gets an allocation of its own: count() has already bounded n by
-// the payload bytes left, and the open chunk stays open.
+// what the record's remaining bytes can encode, and the open chunk stays
+// open.
 func (s *slab[T]) take(n int) []T {
 	if n == 0 {
 		return nil
@@ -378,6 +392,7 @@ type decodeSlabs struct {
 type binDecoder struct {
 	buf      []byte
 	pos      int
+	end      int // where the record being decoded stops; count() bounds collections by it
 	tbl      []string
 	mem      *decodeSlabs
 	prevSeq  int64
@@ -399,16 +414,16 @@ func (d *binDecoder) uvarint() uint64 {
 //lint:hotpath
 func (d *binDecoder) varint() int64 { return unzigzag(d.uvarint()) }
 
-// count decodes a collection length and bounds it by the remaining
-// payload: every element consumes at least one byte, so a larger count
-// is corrupt regardless of element type. The uint64 comparison also
-// rejects counts that would overflow int, which would otherwise turn
-// into negative slice bounds downstream.
+// count decodes the length of a collection whose elements encode to at
+// least minBytes each and bounds it by what is left of the record: a
+// larger count is corrupt, and is refused before anything is sized from
+// it. The uint64 comparison also rejects counts that would overflow int,
+// which would otherwise turn into negative slice bounds downstream.
 //
 //lint:hotpath
-func (d *binDecoder) count() int {
+func (d *binDecoder) count(minBytes int) int {
 	n := d.uvarint()
-	if d.bad || n > uint64(len(d.buf)-d.pos) {
+	if d.bad || d.pos > d.end || n > uint64(d.end-d.pos)/uint64(minBytes) {
 		d.bad = true
 		return 0
 	}
@@ -499,7 +514,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 		d.bad = true
 		return false
 	}
-	end := d.pos + int(bodyLen)
+	d.end = d.pos + int(bodyLen)
 
 	e.Seq = int(d.prevSeq + d.varint())
 	d.prevSeq = int64(e.Seq)
@@ -519,7 +534,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	e.Failed = flags&2 != 0
 	e.FailReason = d.str()
 
-	n := d.count()
+	n := d.count(minResolutionBytes)
 	if d.bad {
 		return false
 	}
@@ -527,7 +542,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeResolution(&e.Resolutions[i])
 	}
-	n = d.count()
+	n = d.count(minDiscoveryBytes)
 	if d.bad {
 		return false
 	}
@@ -535,7 +550,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeDiscovery(&e.Discoveries[i])
 	}
-	n = d.count()
+	n = d.count(minResolverProbeBytes)
 	if d.bad {
 		return false
 	}
@@ -543,7 +558,7 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeResolverProbe(&e.ResolverProbes[i])
 	}
-	n = d.count()
+	n = d.count(minReplicaProbeBytes)
 	if d.bad {
 		return false
 	}
@@ -551,13 +566,13 @@ func (d *binDecoder) decodeExperiment(e *Experiment) bool {
 	for i := 0; i < n && !d.bad; i++ {
 		d.decodeReplicaProbe(&e.ReplicaProbes[i])
 	}
-	n = d.count()
+	n = d.count(minAddrBytes)
 	if d.bad {
 		return false
 	}
 	e.EgressTrace = d.addrs(n)
 
-	if d.bad || d.pos != end {
+	if d.bad || d.pos != d.end {
 		d.bad = true
 		return false
 	}
@@ -576,7 +591,7 @@ func (d *binDecoder) decodeResolution(r *Resolution) {
 	r.OK = flags&1 != 0
 	r.OK2 = flags&2 != 0
 	r.FailedOver = flags&4 != 0
-	n := d.count()
+	n := d.count(minAddrBytes)
 	if d.bad {
 		return
 	}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,18 +32,26 @@ func unmarshalSeeds(tb testing.TB) [][]byte {
 // Marshal/Unmarshal unchanged; and accepted or not, what it allocates is
 // bounded by the input's length, not by anything the input declares.
 //
-// The bound: a stored byte inflates to at most maxInflateRatio raw bytes;
-// count() admits a collection of at most as many elements as raw bytes
-// are left, so the worst a raw byte buys is one element of the largest
-// type at each of the two nesting levels (a Resolution, and an address
-// inside it) before the decode runs out of bytes and fails — twice the
-// largest element covers both, with the inflate buffer, the string table
-// and the records that were paid for in full in the slack. The constant
-// is the decoder's fixed state: a chunk per slab, the inflater.
+// The bound: a stored byte inflates to at most maxInflateRatio raw bytes.
+// count() admits a collection only if the bytes its record has left could
+// encode that many elements, so a raw byte buys at most sizeof(element) /
+// min-encoded-size bytes of slab: 24 for an address (1 byte encodes an
+// invalid one), 15 to 18 for the four record types. The worst
+// a record's bytes can do is be claimed twice, once per nesting level — a
+// Resolutions header sized for all of them, then an Answers header inside
+// its first element sized for all of them again — before the decode runs
+// off the record and fails. A slab chunk abandons a tail shorter than the
+// request that did not fit, which at worst doubles that. The inflate
+// buffer (1 B per raw byte), the string table (a 16 B header per 1-byte
+// entry, for bytes that are then not record bytes) and the Experiment
+// structs (~8 B per record byte) fit in the rounding. The constant is the
+// decoder's fixed state: a chunk per slab, the inflater.
 func FuzzUnmarshalExperiments(f *testing.F) {
 	const (
-		perByte = maxInflateRatio * 2 * uint64(unsafe.Sizeof(Resolution{}))
-		fixed   = 5*slabChunkBytes + 1<<20
+		addrPerByte       = uint64(unsafe.Sizeof(netip.Addr{})) / minAddrBytes
+		resolutionPerByte = (uint64(unsafe.Sizeof(Resolution{})) + minResolutionBytes - 1) / minResolutionBytes
+		perByte           = maxInflateRatio * 2 * (resolutionPerByte + 2*addrPerByte)
+		fixed             = 5*slabChunkBytes + 1<<20
 	)
 	for _, seed := range unmarshalSeeds(f) {
 		f.Add(seed)

@@ -2,9 +2,11 @@
 // construction, transport with retries and timeouts, and response
 // validation.
 //
-// The client is transport-agnostic: the same logic drives real UDP
-// sockets (cmd/dnsprobe) and the simulated fabric (internal/probe), so the
-// measurement pipeline is identical in both settings.
+// The client is transport-agnostic: the same logic drives real UDP/TCP
+// sockets (UDPTransport, TCPTransport; cmd/dnsprobe, cmd/fwdns) and the
+// simulated fabric (probe.Host). One layer up the same holds for the
+// measurement script: measure.Script takes its client from whichever
+// vantage runs it.
 package dnsclient
 
 import (

@@ -2,6 +2,7 @@ package dnsclient
 
 import (
 	"errors"
+	"syscall"
 
 	"cellcurtain/internal/dnswire"
 )
@@ -30,7 +31,8 @@ const (
 // Classify maps a (Result, error) pair from Query/QueryFailover to its
 // Outcome. Transport errors are inspected through the net.Error-style
 // Timeout()/Refused() marker interfaces so the same code classifies both
-// real-socket and simulated failures without importing either transport.
+// real-socket and simulated failures without importing either transport;
+// a socket's refusal carries no such marker and is recognised by its errno.
 func Classify(res *Result, err error) Outcome {
 	if err != nil {
 		var to interface{ Timeout() bool }
@@ -38,7 +40,7 @@ func Classify(res *Result, err error) Outcome {
 			return OutcomeTimeout
 		}
 		var rf interface{ Refused() bool }
-		if errors.As(err, &rf) && rf.Refused() {
+		if errors.As(err, &rf) && rf.Refused() || errors.Is(err, syscall.ECONNREFUSED) {
 			return OutcomeRefused
 		}
 		return OutcomeError

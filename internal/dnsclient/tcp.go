@@ -35,17 +35,19 @@ func (t *TCPTransport) Exchange(server netip.Addr, payload []byte) ([]byte, time
 	start := time.Now()
 	conn, err := net.DialTimeout("tcp", netip.AddrPortFrom(server, port).String(), timeout)
 	if err != nil {
-		return nil, 0, fmt.Errorf("dnsclient: tcp dial: %w", err)
+		// A failed exchange still cost the caller the time it burned: a
+		// dial that times out is the most expensive outcome there is.
+		return nil, time.Since(start), fmt.Errorf("dnsclient: tcp dial: %w", err)
 	}
 	defer conn.Close()
 	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
-		return nil, 0, fmt.Errorf("dnsclient: set deadline: %w", err)
+		return nil, time.Since(start), fmt.Errorf("dnsclient: set deadline: %w", err)
 	}
 	framed := make([]byte, 2+len(payload))
 	binary.BigEndian.PutUint16(framed, uint16(len(payload)))
 	copy(framed[2:], payload)
 	if _, err := conn.Write(framed); err != nil {
-		return nil, 0, fmt.Errorf("dnsclient: tcp send: %w", err)
+		return nil, time.Since(start), fmt.Errorf("dnsclient: tcp send: %w", err)
 	}
 	var lenBuf [2]byte
 	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {

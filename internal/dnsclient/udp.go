@@ -40,10 +40,10 @@ func (u *UDPTransport) Exchange(server netip.Addr, payload []byte) ([]byte, time
 
 	start := time.Now()
 	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
-		return nil, 0, fmt.Errorf("dnsclient: set deadline: %w", err)
+		return nil, time.Since(start), fmt.Errorf("dnsclient: set deadline: %w", err)
 	}
 	if _, err := conn.Write(payload); err != nil {
-		return nil, 0, fmt.Errorf("dnsclient: send: %w", err)
+		return nil, time.Since(start), fmt.Errorf("dnsclient: send: %w", err)
 	}
 	// Even on a connected socket, the first datagram back is not
 	// necessarily the answer: under load, late responses to earlier

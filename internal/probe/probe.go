@@ -1,6 +1,9 @@
-// Package probe provides the active measurement primitives the paper's
-// experiment uses from each device: DNS resolution (through dnsclient
-// over the fabric), ICMP ping, traceroute and HTTP GET time-to-first-byte.
+// Package probe is the simulated vantage: a Host is one source address on
+// the fabric, and its methods are the active measurements the paper's
+// experiment takes from a device — DNS resolution (a dnsclient whose
+// transport is the Host), ICMP ping, traceroute and HTTP GET
+// time-to-first-byte. *Host supplies the probing half of measure.Vantage;
+// the real-socket counterpart lives in cmd/dnsprobe.
 package probe
 
 import (
@@ -12,16 +15,17 @@ import (
 	"cellcurtain/internal/vnet"
 )
 
-// VNetTransport adapts the fabric to dnsclient.Transport so the exact
-// same client logic runs over real UDP sockets and the simulation.
-type VNetTransport struct {
+// Host is a measuring device on the fabric: everything it sends is
+// sourced at Addr.
+type Host struct {
 	Fabric *vnet.Fabric
-	Src    netip.Addr
+	Addr   netip.Addr
 }
 
-// Exchange implements dnsclient.Transport.
-func (t *VNetTransport) Exchange(server netip.Addr, payload []byte) ([]byte, time.Duration, error) {
-	return t.Fabric.RoundTrip(t.Src, server, 53, payload)
+// Exchange implements dnsclient.Transport, so the exact same client logic
+// runs over real UDP sockets and the simulation.
+func (h *Host) Exchange(server netip.Addr, payload []byte) ([]byte, time.Duration, error) {
+	return h.Fabric.RoundTrip(h.Addr, server, 53, payload)
 }
 
 // jitterStreamLabel derives the backoff-jitter stream from the fabric
@@ -29,20 +33,30 @@ func (t *VNetTransport) Exchange(server netip.Addr, payload []byte) ([]byte, tim
 // stream.
 const jitterStreamLabel = 0xBACC
 
-// NewResolverClient builds a DNS client sourced at src on the fabric,
-// configured like a resilient stub resolver: three attempts per server
-// with exponential backoff and deterministic jitter. Backoff is virtual
-// time — accounted in Result.Wait, never slept.
-func NewResolverClient(f *vnet.Fabric, src netip.Addr) *dnsclient.Client {
-	c := dnsclient.New(&VNetTransport{Fabric: f, Src: src}, nil)
+// StubResolver builds a DNS client over t configured like a resilient
+// stub resolver — three attempts per server with exponential backoff —
+// the one retry policy both vantages measure with. ids may be nil (see
+// dnsclient.New).
+func StubResolver(t dnsclient.Transport, ids func() uint16) *dnsclient.Client {
+	c := dnsclient.New(t, ids)
 	c.Retries = 3
 	c.Backoff = 800 * time.Millisecond
 	c.BackoffMax = 3200 * time.Millisecond
-	c.Jitter = f.RNG().Derive(jitterStreamLabel).Float64
 	return c
 }
 
-// PingResult is one ping outcome.
+// Resolver builds the stub resolver sourced at the host, with
+// deterministic backoff jitter derived from the fabric generator's state
+// at the time of the call. Backoff is virtual time — accounted in
+// Result.Wait, never slept.
+func (h *Host) Resolver() *dnsclient.Client {
+	c := StubResolver(h, nil)
+	c.Jitter = h.Fabric.RNG().Derive(jitterStreamLabel).Float64
+	return c
+}
+
+// PingResult is one ping outcome. The zero value (not OK, no RTT) is how
+// a vantage that cannot send ICMP reports the probe.
 type PingResult struct {
 	Target netip.Addr
 	RTT    time.Duration
@@ -50,30 +64,31 @@ type PingResult struct {
 }
 
 // Ping issues one echo request.
-func Ping(f *vnet.Fabric, src, dst netip.Addr) PingResult {
-	rtt, err := f.Ping(src, dst)
+func (h *Host) Ping(dst netip.Addr) PingResult {
+	rtt, err := h.Fabric.Ping(h.Addr, dst)
 	return PingResult{Target: dst, RTT: rtt, OK: err == nil}
 }
 
-// Traceroute walks the path and returns the hops. A failure (no route to
-// the destination) comes back as an error, so callers can tell
-// "traceroute failed" from "no hop responded" and record it.
-func Traceroute(f *vnet.Fabric, src, dst netip.Addr) ([]vnet.Hop, error) {
-	return f.Traceroute(src, dst)
-}
-
-// RespondingHops filters a traceroute to the hops that answered.
-func RespondingHops(hops []vnet.Hop) []netip.Addr {
+// Traceroute walks the path to dst and returns the hops that answered. A
+// failure (no route to the destination) comes back as an error, so
+// callers can tell "traceroute failed" from "no hop responded" and record
+// it.
+func (h *Host) Traceroute(dst netip.Addr) ([]netip.Addr, error) {
+	hops, err := h.Fabric.Traceroute(h.Addr, dst)
+	if err != nil {
+		return nil, err
+	}
 	var out []netip.Addr
-	for _, h := range hops {
-		if h.Responded() {
-			out = append(out, h.Addr)
+	for _, hop := range hops {
+		if hop.Responded() {
+			out = append(out, hop.Addr)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// HTTPResult is one HTTP GET outcome.
+// HTTPResult is one HTTP GET outcome; the zero value reports a GET the
+// vantage could not attempt.
 type HTTPResult struct {
 	Target netip.Addr
 	// TTFB is the time to first byte of the response — the paper's
@@ -86,9 +101,9 @@ type HTTPResult struct {
 
 // HTTPGet fetches the index page at dst with the given Host header and
 // measures time-to-first-byte.
-func HTTPGet(f *vnet.Fabric, src, dst netip.Addr, host string) HTTPResult {
+func (h *Host) HTTPGet(dst netip.Addr, host string) HTTPResult {
 	req := []byte("GET / HTTP/1.1\r\nHost: " + host + "\r\nUser-Agent: cellcurtain/1.0\r\nConnection: close\r\n\r\n")
-	resp, rtt, err := f.RoundTrip(src, dst, 80, req)
+	resp, rtt, err := h.Fabric.RoundTrip(h.Addr, dst, 80, req)
 	out := HTTPResult{Target: dst, TTFB: rtt}
 	if err != nil {
 		return out
@@ -100,12 +115,12 @@ func HTTPGet(f *vnet.Fabric, src, dst netip.Addr, host string) HTTPResult {
 	out.OK = strings.HasPrefix(line, "HTTP/1.1 2")
 	out.Status = strings.TrimPrefix(line, "HTTP/1.1 ")
 	for rest != "" {
-		var h string
-		h, rest, _ = strings.Cut(rest, "\r\n")
-		if h == "" {
+		var hdr string
+		hdr, rest, _ = strings.Cut(rest, "\r\n")
+		if hdr == "" {
 			break
 		}
-		if v, found := strings.CutPrefix(h, "Server: "); found {
+		if v, found := strings.CutPrefix(hdr, "Server: "); found {
 			out.Server = v
 		}
 	}

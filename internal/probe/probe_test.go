@@ -41,13 +41,16 @@ func testFabric() *vnet.Fabric {
 	return f
 }
 
+func testHost() *Host { return &Host{Fabric: testFabric(), Addr: src} }
+
 func TestPing(t *testing.T) {
-	f := testFabric()
-	res := Ping(f, src, dst)
+	h := testHost()
+	f := h.Fabric
+	res := h.Ping(dst)
 	if !res.OK || res.RTT != 20*time.Millisecond {
 		t.Fatalf("ping = %+v", res)
 	}
-	res = Ping(f, src, netip.MustParseAddr("203.0.113.9"))
+	res = h.Ping(netip.MustParseAddr("203.0.113.9"))
 	if res.OK {
 		t.Fatal("ping to unknown endpoint must fail")
 	}
@@ -57,30 +60,24 @@ func TestPing(t *testing.T) {
 }
 
 func TestTracerouteHelpers(t *testing.T) {
-	f := testFabric()
-	hops, err := Traceroute(f, src, dst)
+	responding, err := testHost().Traceroute(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hops) != 3 {
-		t.Fatalf("hops = %+v", hops)
-	}
-	responding := RespondingHops(hops)
-	// Segment b is silent, so: hop, then destination.
+	// Three hops walked; segment b is silent, so: hop, then destination.
 	if len(responding) != 2 || responding[0] != hop || responding[1] != dst {
 		t.Fatalf("responding = %v", responding)
 	}
 	bad := vnet.New(stats.NewRNG(2), vnet.RouterFunc(func(s, d netip.Addr) (vnet.Route, error) {
 		return vnet.Route{}, vnet.ErrNoRoute
 	}))
-	if _, err := Traceroute(bad, src, dst); err == nil {
+	if _, err := (&Host{Fabric: bad, Addr: src}).Traceroute(dst); err == nil {
 		t.Fatal("unroutable traceroute must return the error")
 	}
 }
 
 func TestHTTPGet(t *testing.T) {
-	f := testFabric()
-	res := HTTPGet(f, src, dst, "m.yelp.com")
+	res := testHost().HTTPGet(dst, "m.yelp.com")
 	if !res.OK || res.Status != "200 OK" || res.Server != "test-replica" {
 		t.Fatalf("http = %+v", res)
 	}
@@ -91,7 +88,8 @@ func TestHTTPGet(t *testing.T) {
 }
 
 func TestHTTPGetNon200(t *testing.T) {
-	f := testFabric()
+	h := testHost()
+	f := h.Fabric
 	// Craft a request to the teapot path through the raw fabric to check
 	// status parsing; HTTPGet always fetches "/", so call the internals.
 	resp, rtt, err := f.RoundTrip(src, dst, 80, []byte("GET /teapot HTTP/1.1\r\nHost: x\r\n\r\n"))
@@ -102,35 +100,34 @@ func TestHTTPGetNon200(t *testing.T) {
 		t.Fatalf("resp = %q", resp)
 	}
 	// And through the helper against a host that answers 200.
-	if res := HTTPGet(f, src, dst, "x"); !res.OK {
+	if res := h.HTTPGet(dst, "x"); !res.OK {
 		t.Fatalf("helper result = %+v", res)
 	}
 }
 
 func TestHTTPGetFailures(t *testing.T) {
-	f := testFabric()
-	res := HTTPGet(f, src, netip.MustParseAddr("203.0.113.9"), "x")
+	h := testHost()
+	res := h.HTTPGet(netip.MustParseAddr("203.0.113.9"), "x")
 	if res.OK {
 		t.Fatal("unknown endpoint must fail")
 	}
 	// A DNS endpoint on port 80? There is none: refused.
-	res = HTTPGet(f, src, src, "x")
+	res = h.HTTPGet(src, "x")
 	if res.OK {
 		t.Fatal("no-service target must fail")
 	}
 }
 
 func TestVNetTransport(t *testing.T) {
-	f := testFabric()
-	c := NewResolverClient(f, src)
+	h := testHost()
+	c := h.Resolver()
 	// The port-53 echo handler reflects the query, which the client must
 	// reject as a non-response and eventually fail — exercising the
 	// transport plumbing end to end.
 	if _, err := c.QueryA(dst, "echo.example"); err == nil {
 		t.Fatal("echoed queries must be rejected by the client")
 	}
-	tr := &VNetTransport{Fabric: f, Src: src}
-	raw, rtt, err := tr.Exchange(dst, []byte{0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	raw, rtt, err := h.Exchange(dst, []byte{0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	if err != nil || len(raw) != 12 || rtt <= 0 {
 		t.Fatalf("exchange: %v %d %v", err, len(raw), rtt)
 	}

@@ -70,8 +70,9 @@ func (c *Context) ECS() Result {
 				if len(resolverIPs) == 0 || len(ecsIPs) == 0 {
 					continue
 				}
-				r1 := probe.HTTPGet(f, client.Addr, resolverIPs[0], string(d.Name))
-				r2 := probe.HTTPGet(f, client.Addr, ecsIPs[0], string(d.Name))
+				device := probe.Host{Fabric: f, Addr: client.Addr}
+				r1 := device.HTTPGet(resolverIPs[0], string(d.Name))
+				r2 := device.HTTPGet(ecsIPs[0], string(d.Name))
 				if !r1.OK || !r2.OK {
 					continue
 				}

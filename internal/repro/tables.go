@@ -67,15 +67,17 @@ func (c *Context) Table4() Result {
 	t := newTable("Table 4: external resolvers reachable from outside (university vantage)")
 	t.row("carrier", "total", "ping", "traceroute")
 	m := map[string]float64{}
-	f := c.World.Fabric
+	university := probe.Host{Fabric: c.World.Fabric, Addr: c.World.UniversityAddr}
 	for _, cn := range c.Carriers() {
 		pingOK, traceOK := 0, 0
 		for _, e := range cn.Externals {
-			if p := probe.Ping(f, c.World.UniversityAddr, e.Addr); p.OK {
+			if university.Ping(e.Addr).OK {
 				pingOK++
 			}
-			hops, err := probe.Traceroute(f, c.World.UniversityAddr, e.Addr)
-			if n := len(hops); err == nil && n > 0 && hops[n-1].Responded() && hops[n-1].Addr == e.Addr {
+			// Reachable by traceroute = the destination itself is the
+			// last hop to answer.
+			hops, err := university.Traceroute(e.Addr)
+			if n := len(hops); err == nil && n > 0 && hops[n-1] == e.Addr {
 				traceOK++
 			}
 		}

@@ -157,6 +157,41 @@ case "$lgout" in
 *) echo "check.sh: loadgen saw malformed responses" >&2; exit 1 ;;
 esac
 
+echo "==> socket-vantage smoke (dnsprobe -> fwdns -> adnsd; its JSONL feeds curtain analyze and both codecs)"
+# The §3.2 script from the real-socket vantage, against a loopback LDNS in
+# front of a whoami authority. What it writes must be a dataset: analyze
+# reads it (one carrier, a Table 3 row, no NaN from the sections a socket
+# cannot fill), and a record with not-OK probe rows survives both codecs.
+fwbin="$work/fwdns"
+dpbin="$work/dnsprobe"
+dpout="$work/probe.jsonl"
+go build -o "$fwbin" ./cmd/fwdns
+go build -o "$dpbin" ./cmd/dnsprobe
+"$lgsrv" -listen 127.0.0.1:19534 -quiet -zone whoami.test 2>/dev/null &
+dpapid=$!
+pids="$pids $dpapid"
+"$fwbin" -listen 127.0.0.1:19535 -upstream 127.0.0.1:19534 -stats 0 2>/dev/null &
+dpfpid=$!
+pids="$pids $dpfpid"
+sleep 0.5
+"$dpbin" -resolvers 127.0.0.1 -port 19535 -domains a.whoami.test,b.whoami.test \
+	-whoami whoami.test -rounds 2 -timeout 500ms > "$dpout"
+kill "$dpfpid" "$dpapid" 2>/dev/null || true
+wait "$dpfpid" "$dpapid" 2>/dev/null || true
+dpan="$("$ckbin" analyze -in "$dpout")"
+echo "$dpan" | sed -n '1,5p'
+case "$dpan" in
+'dataset: 2 experiments, 1 carriers'*) ;;
+*) echo "check.sh: analyze did not read dnsprobe's two rounds as one carrier" >&2; exit 1 ;;
+esac
+case "$dpan" in
+*NaN*) echo "check.sh: analyze prints NaN over a dnsprobe dataset" >&2; exit 1 ;;
+esac
+"$ckbin" convert -in "$dpout" -out "$work/probe.bin" -format binary >/dev/null 2>&1
+"$ckbin" convert -in "$work/probe.bin" -out "$work/probe.back.jsonl" -format jsonl >/dev/null 2>&1
+cmp "$dpout" "$work/probe.back.jsonl" || {
+	echo "check.sh: a dnsprobe record does not survive jsonl -> binary -> jsonl" >&2; exit 1; }
+
 echo "==> chaos smoke (fwdns vs scripted upstream outage; serve-stale keeps answering)"
 # Two upstreams: a flakydns that is healthy for 3s then silently drops
 # everything, and a dead port nothing listens on. The forwarder is warmed
@@ -166,10 +201,8 @@ echo "==> chaos smoke (fwdns vs scripted upstream outage; serve-stale keeps answ
 # prefix of the warmed ones). Serve-stale must keep the answered rate
 # near 1.0, and the drain report must show the breaker opened and stale
 # serves happened.
-fwbin="$work/fwdns"
 flbin="$work/flakydns"
 fwlog="$work/fwdns.log"
-go build -o "$fwbin" ./cmd/fwdns
 go build -o "$flbin" ./cmd/flakydns
 "$flbin" -listen 127.0.0.1:19541 -script ok:3s,down:600s -ttl 1 -quiet 2>/dev/null &
 flpid=$!
