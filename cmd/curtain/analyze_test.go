@@ -74,7 +74,6 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 		{"parallel4", 4},
 		{"parallel8", 8},
 	}
-	noWrap := func(fn dataset.ScanFunc) dataset.ScanFunc { return fn }
 	var want []byte
 	for _, input := range []string{"jsonl", "binary", "checkpoint"} {
 		for _, mode := range modes {
@@ -110,6 +109,49 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 	}
 	if _, err := loadMeasures(paths["jsonl"], 4, noWrap); err == nil {
 		t.Error("4 shards over a file with a malformed mid-file line: no error")
+	}
+}
+
+// noWrap is loadMeasures' scan wrapper when no progress is reported.
+func noWrap(fn dataset.ScanFunc) dataset.ScanFunc { return fn }
+
+// reproTestdata holds the reproduction's goldens and a dataset the socket
+// vantage wrote; analyze's report is pinned beside the artifacts it shares
+// with `curtain report`.
+var reproTestdata = filepath.Join("..", "..", "internal", "repro", "testdata")
+
+// TestAnalyzeGolden pins analyze's report over analyzeInputs' campaign and
+// over a dnsprobe dataset (one carrier, no radio, no probe answered).
+// WRITE_GOLDEN=1 rewrites the goldens instead of comparing, as in
+// internal/repro.
+func TestAnalyzeGolden(t *testing.T) {
+	for _, tc := range []struct{ name, in string }{
+		{"campaign", analyzeInputs(t)["binary"]},
+		{"dnsprobe", filepath.Join(reproTestdata, "dnsprobe.jsonl")},
+	} {
+		m, err := loadMeasures(tc.in, 1, noWrap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		renderAnalysis(&got, m)
+		path := filepath.Join(reproTestdata, "golden", "analyze", tc.name+".txt")
+		if os.Getenv("WRITE_GOLDEN") != "" {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (WRITE_GOLDEN=1 records it)", err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: analyze report differs from its golden:\n--- got\n%s--- want\n%s", tc.name, got.Bytes(), want)
+		}
 	}
 }
 
