@@ -227,7 +227,12 @@ func (c *Context) Fig10() Result {
 		vectors := c.M.ReplicaVectors(cn.Name, "buzzfeed.com", 2)
 		same, diff := analysis.CosineSplit(vectors)
 		sm, dm := mean(same), mean(diff)
-		zeroFrac := analysis.FracAtOrBelow(diff, 1e-9)
+		// No cross-/24 pair (SK Telecom's one resolver /24) prints the
+		// -1 sentinel the mean columns use, not FracAtOrBelow's NaN.
+		zeroFrac := -1.0
+		if len(diff) > 0 {
+			zeroFrac = analysis.FracAtOrBelow(diff, 1e-9)
+		}
 		t.row(cn.DisplayName, len(same), fmt.Sprintf("%.2f", sm),
 			len(diff), fmt.Sprintf("%.2f", dm), fmt.Sprintf("%.2f", zeroFrac))
 		if len(same) > 0 {
