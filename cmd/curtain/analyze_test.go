@@ -9,15 +9,19 @@ import (
 
 	"cellcurtain"
 	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/repro"
 	"cellcurtain/internal/trace"
 )
+
+// analyzeCampaign is the small campaign the analyze tests read.
+var analyzeCampaign = cellcurtain.Options{Seed: 7, Days: 2, ClientScale: 0.1}
 
 // analyzeInputs writes one small campaign three ways — a JSONL file, a
 // curtainbin file cut into many segments (so shard counts above one are
 // real), and a binary checkpoint directory — and returns the paths.
 func analyzeInputs(t *testing.T) map[string]string {
 	t.Helper()
-	camp, err := trace.New(cellcurtain.Options{Seed: 7, Days: 2, ClientScale: 0.1}.CampaignConfig())
+	camp, err := trace.New(analyzeCampaign.CampaignConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +86,7 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 				t.Fatalf("%s/%s: %v", input, mode.name, err)
 			}
 			var got bytes.Buffer
-			renderAnalysis(&got, m)
+			writeAnalysis(&got, m)
 			if want == nil {
 				if m.ExperimentCount() == 0 {
 					t.Fatal("reference report is over an empty dataset")
@@ -134,7 +138,7 @@ func TestAnalyzeGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		renderAnalysis(&got, m)
+		writeAnalysis(&got, m)
 		path := filepath.Join(reproTestdata, "golden", "analyze", tc.name+".txt")
 		if os.Getenv("WRITE_GOLDEN") != "" {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -153,6 +157,52 @@ func TestAnalyzeGolden(t *testing.T) {
 			t.Errorf("%s: analyze report differs from its golden:\n--- got\n%s--- want\n%s", tc.name, got.Bytes(), want)
 		}
 	}
+}
+
+// TestAnalyzePrintsReproArtifacts holds analyze and the reproduction to
+// one renderer: over the same campaign, analyze's report read back from
+// disk holds every dataset-derived artifact byte for byte as
+// Context.RunByID renders it from the campaign it streamed. The one
+// difference allowed is AVAIL's timeline table, which needs the campaign
+// window a dataset file does not carry.
+func TestAnalyzePrintsReproArtifacts(t *testing.T) {
+	ctx, err := repro.NewContext(analyzeCampaign.CampaignConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := loadMeasures(analyzeInputs(t)["binary"], 1, noWrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	writeAnalysis(&out, m)
+	report := out.String()
+	for _, id := range []string{"F2", "F3", "T3", "F4", "F5", "F6", "F7", "F8",
+		"F9", "F10", "T5", "F11", "F12", "F13", "F14", "AVAIL"} {
+		r, err := ctx.RunByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r.Text
+		if id == "AVAIL" {
+			want = withoutTable(t, want, "Availability timeline:")
+		}
+		if !strings.Contains(report, want) {
+			t.Errorf("analyze does not print %s as the reproduction renders it:\n--- analyze\n%s--- %s\n%s", id, report, id, want)
+		}
+	}
+}
+
+// withoutTable cuts the table whose title starts with heading, and the
+// blank line after it, out of a rendered artifact.
+func withoutTable(t *testing.T, text, heading string) string {
+	t.Helper()
+	i := strings.Index(text, heading)
+	j := strings.Index(text[max(i, 0):], "\n\n")
+	if i < 0 || j < 0 {
+		t.Fatalf("no %q table in:\n%s", heading, text)
+	}
+	return text[:i] + text[i+j+2:]
 }
 
 func TestAnalyzeRejectsBadArguments(t *testing.T) {

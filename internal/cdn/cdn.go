@@ -120,11 +120,12 @@ type CDN struct {
 	Domains   []Domain
 }
 
-// DomainNames returns the measured hostnames (Table 2).
-func (c *CDN) DomainNames() []dnswire.Name {
-	out := make([]dnswire.Name, len(c.Domains))
-	for i, d := range c.Domains {
-		out[i] = d.Name
+// DomainNames returns the measured hostnames in Table 2 order: the list
+// every CDN's Domains is built from, known without building one.
+func DomainNames() []dnswire.Name {
+	out := make([]dnswire.Name, len(measuredDomains))
+	for i, md := range measuredDomains {
+		out[i] = md.name
 	}
 	return out
 }

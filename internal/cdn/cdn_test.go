@@ -71,8 +71,14 @@ func TestDomainLookups(t *testing.T) {
 	if _, ok := c.DomainByName("nonexistent.example"); ok {
 		t.Fatal("unknown domain should miss")
 	}
-	if names := c.DomainNames(); len(names) != 9 {
-		t.Fatalf("DomainNames = %v", names)
+	names := DomainNames()
+	if len(names) != 9 || len(c.Domains) != len(names) {
+		t.Fatalf("DomainNames = %v, built %d domains", names, len(c.Domains))
+	}
+	for i, d := range c.Domains {
+		if d.Name != names[i] {
+			t.Fatalf("built domain %d is %s, DomainNames has %s", i, d.Name, names[i])
+		}
 	}
 }
 

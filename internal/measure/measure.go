@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"cellcurtain/internal/carrier"
+	"cellcurtain/internal/cdn"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/dnsclient"
 	"cellcurtain/internal/dnswire"
@@ -220,7 +221,7 @@ func (d *device) WhoamiName() (dnswire.Name, bool) { return d.world.NextWhoamiNa
 
 // NewRunner builds a runner measuring the world's Table 2 domains.
 func NewRunner(w *sim.World) *Runner {
-	return &Runner{World: w, Domains: w.CDN.DomainNames(), TracerouteEvery: 1}
+	return &Runner{World: w, Domains: cdn.DomainNames(), TracerouteEvery: 1}
 }
 
 // Run executes one experiment for client c at virtual time now and

@@ -3,77 +3,83 @@ package repro
 import (
 	"fmt"
 
+	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/dataset"
 )
 
-// Availability renders the fault-campaign availability report: per-carrier
+// availability renders the fault-campaign availability report: per-carrier
 // and per-kind resolution success rates with the failure split (SERVFAIL
 // vs timeout vs refused), failover usage, retry amplification, the
 // failure-cost CDFs and a timeline that localizes an injected outage
 // window. On a fault-free campaign it degenerates to a near-100% table —
-// the baseline the fault runs are read against.
-func (c *Context) Availability() Result {
+// the baseline the fault runs are read against. Measures configured
+// without a campaign window (a dataset read back from disk) have no
+// timeline, and the report leaves that table out.
+func availability(m analysis.Measures, carriers []string) Result {
 	pct := func(f float64) string { return fmt.Sprintf("%.1f", f*100) }
 
 	t := newTable("Availability: local-DNS resolution outcomes per carrier")
 	t.row("carrier", "lookups", "ok %", "servfail %", "timeout %", "failover %", "retry amp")
-	m := map[string]float64{}
-	for _, cn := range c.Carriers() {
-		a := c.M.Availability([]string{cn.Name}, dataset.KindLocal)
+	metrics := map[string]float64{}
+	for _, name := range carriers {
+		a := m.Availability([]string{name}, dataset.KindLocal)
 		if a.Total == 0 {
 			continue
 		}
-		t.row(cn.DisplayName, a.Total, pct(a.Rate()), pct(a.Frac(a.ServFail)),
+		t.row(displayName(name), a.Total, pct(a.Rate()), pct(a.Frac(a.ServFail)),
 			pct(a.Frac(a.Timeout)), pct(a.Frac(a.FailedOver)),
 			fmt.Sprintf("%.2f", a.RetryAmplification()))
-		m["avail_"+cn.Name] = a.Rate()
-		m["servfail_"+cn.Name] = a.Frac(a.ServFail)
-		m["timeout_"+cn.Name] = a.Frac(a.Timeout)
-		m["failover_"+cn.Name] = a.Frac(a.FailedOver)
-		m["retryamp_"+cn.Name] = a.RetryAmplification()
+		metrics["avail_"+name] = a.Rate()
+		metrics["servfail_"+name] = a.Frac(a.ServFail)
+		metrics["timeout_"+name] = a.Frac(a.Timeout)
+		metrics["failover_"+name] = a.Frac(a.FailedOver)
+		metrics["retryamp_"+name] = a.RetryAmplification()
 	}
 
 	kinds := newTable("Availability: outcomes per resolver kind (all carriers)")
 	kinds.row("kind", "lookups", "ok %", "servfail %", "timeout %", "refused %", "error %", "retry amp")
 	for _, kind := range dataset.Kinds() {
-		a := c.M.Availability(nil, kind)
+		a := m.Availability(nil, kind)
 		if a.Total == 0 {
 			continue
 		}
 		kinds.row(string(kind), a.Total, pct(a.Rate()), pct(a.Frac(a.ServFail)),
 			pct(a.Frac(a.Timeout)), pct(a.Frac(a.Refused)), pct(a.Frac(a.Errors)),
 			fmt.Sprintf("%.2f", a.RetryAmplification()))
-		m["avail_kind_"+string(kind)] = a.Rate()
-		m["retryamp_kind_"+string(kind)] = a.RetryAmplification()
+		metrics["avail_kind_"+string(kind)] = a.Rate()
+		metrics["retryamp_kind_"+string(kind)] = a.RetryAmplification()
 	}
-	overall := c.M.Availability(nil, "")
-	m["avail_overall"] = overall.Rate()
-	m["retryamp_overall"] = overall.RetryAmplification()
+	overall := m.Availability(nil, "")
+	metrics["avail_overall"] = overall.Rate()
+	metrics["retryamp_overall"] = overall.RetryAmplification()
 
 	// Timeline: twelve buckets across the campaign window; an injected
 	// outage shows as a dip bounded by its window.
-	tl := newTable("Availability timeline: local-DNS success rate per campaign twelfth")
-	tl.row("bucket start", "lookups", "ok %", "servfail %", "timeout %")
-	timeline := c.M.AvailabilityTimeline(dataset.KindLocal)
-	worst := 1.0
-	for i, b := range timeline {
-		if b.Total == 0 {
-			continue
+	var timeline string
+	if buckets := m.AvailabilityTimeline(dataset.KindLocal); buckets != nil {
+		tl := newTable("Availability timeline: local-DNS success rate per campaign twelfth")
+		tl.row("bucket start", "lookups", "ok %", "servfail %", "timeout %")
+		worst := 1.0
+		for i, b := range buckets {
+			if b.Total == 0 {
+				continue
+			}
+			tl.row(b.Start.Format("2006-01-02 15:04"), b.Total, pct(b.Rate()),
+				pct(b.Frac(b.ServFail)), pct(b.Frac(b.Timeout)))
+			metrics[fmt.Sprintf("avail_bucket_%02d", i)] = b.Rate()
+			if b.Rate() < worst {
+				worst = b.Rate()
+			}
 		}
-		tl.row(b.Start.Format("2006-01-02 15:04"), b.Total, pct(b.Rate()),
-			pct(b.Frac(b.ServFail)), pct(b.Frac(b.Timeout)))
-		m[fmt.Sprintf("avail_bucket_%02d", i)] = b.Rate()
-		if b.Rate() < worst {
-			worst = b.Rate()
-		}
+		metrics["avail_bucket_worst"] = worst
+		timeline = tl.String() + "\n"
 	}
-	m["avail_bucket_worst"] = worst
 
 	// Worst per-resolver offenders: which concrete resolver addresses the
 	// failures concentrate on.
 	offenders := newTable("Availability: lowest-availability resolvers (by primary server)")
 	offenders.row("server", "lookups", "ok %", "servfail %", "timeout %", "failover %")
-	perResolver := c.M.PerResolverAvailability(dataset.KindLocal)
+	perResolver := m.PerResolverAvailability(dataset.KindLocal)
 	for i, ra := range perResolver {
 		if i >= 8 {
 			break
@@ -82,21 +88,21 @@ func (c *Context) Availability() Result {
 			pct(ra.Frac(ra.Timeout)), pct(ra.Frac(ra.FailedOver)))
 	}
 
-	text := t.String() + "\n" + kinds.String() + "\n" + tl.String() + "\n" + offenders.String()
+	text := t.String() + "\n" + kinds.String() + "\n" + timeline + offenders.String()
 	for _, outcome := range []string{"servfail", "timeout"} {
-		s := c.M.OutcomeCostSample(dataset.KindLocal, outcome)
+		s := m.OutcomeCostSample(dataset.KindLocal, outcome)
 		if s.Len() == 0 {
 			continue
 		}
 		text += fmt.Sprintf("\n%s cost (ms): %s\n%s", outcome,
 			s.Summarize(), s.ASCIICDF(48))
-		m["cost_median_"+outcome] = s.Median()
+		metrics["cost_median_"+outcome] = s.Median()
 	}
 
 	return Result{
 		ID:      "AVAIL",
 		Title:   "Availability under faults",
 		Text:    text,
-		Metrics: m,
+		Metrics: metrics,
 	}
 }

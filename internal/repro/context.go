@@ -2,6 +2,9 @@
 // evaluation from a simulated campaign. Each harness prints the same
 // rows/series the paper reports and returns key numbers for shape
 // assertions: who wins, by roughly what factor, where crossovers fall.
+// The artifacts the dataset determines are functions of the metrics
+// alone, so FromMeasures renders them from a dataset read back from disk
+// exactly as a Context renders them from its campaign.
 package repro
 
 import (
@@ -19,21 +22,15 @@ import (
 )
 
 // Context carries one world, its campaign and the metrics reduced from
-// it; all harnesses read from it. No experiment record outlives the
-// campaign run: memory is the suite's aggregates, not the dataset.
+// it. No experiment record outlives the campaign run: memory is the
+// suite's aggregates, not the dataset.
 type Context struct {
 	World    *sim.World
 	Campaign *trace.Campaign
 
-	// M answers every metric query of the harnesses: the streaming
-	// analysis.Suite the campaign ran into. The equivalence tests swap in
-	// the slice reference implementation to prove the artifacts are
-	// byte-identical.
-	M analysis.Measures
-
-	// suite is the Suite the campaign streamed into (M, unless a test
-	// swapped M); Summary reads its per-carrier counts.
-	suite *analysis.Suite
+	// M is the streaming suite the campaign ran into; it answers every
+	// metric query of the artifacts.
+	M *analysis.Suite
 }
 
 // NewContext builds a world and runs the campaign into the analysis suite.
@@ -76,7 +73,7 @@ func newContext(cfg trace.Config, simCfg sim.Config, tap func(*dataset.Experimen
 	if _, err := camp.Run(record); err != nil {
 		return nil, err
 	}
-	return &Context{World: w, Campaign: camp, M: suite, suite: suite}, nil
+	return &Context{World: w, Campaign: camp, M: suite}, nil
 }
 
 // availabilityBuckets is the timeline resolution of the AVAIL report.
@@ -125,7 +122,7 @@ func (c *Context) Carriers() []*carrier.Network {
 }
 
 // Summary returns per-carrier experiment counts.
-func (c *Context) Summary() map[string]int { return c.suite.CarrierCounts() }
+func (c *Context) Summary() map[string]int { return c.M.CarrierCounts() }
 
 // table is a small helper for aligned text rendering.
 type table struct {
@@ -153,83 +150,139 @@ func (t *table) String() string {
 	return t.b.String()
 }
 
-// busiest returns the client with the most experiments for a carrier —
-// the representative device for longitudinal figures.
-func (c *Context) busiest(carrierName string) string {
-	return c.M.BusiestClient(carrierName)
+// artifact is one entry of the catalog. Exactly one of data and world is
+// set: data renders from the metrics alone, over the named carriers —
+// what `curtain analyze` prints from a dataset file — while world needs
+// the simulated world the campaign ran in (its campaign population, its
+// CDN, live probes from the university, its carriers' address space, or
+// re-built worlds).
+type artifact struct {
+	id        string
+	extension bool // beyond the paper: §7's what-if, the ablations, AVAIL
+	data      func(m analysis.Measures, carriers []string) Result
+	world     func(c *Context) Result
 }
 
-// RunByID dispatches an experiment harness by its DESIGN.md identifier.
-func (c *Context) RunByID(id string) (Result, error) {
-	switch strings.ToUpper(id) {
-	case "T1":
-		return c.Table1(), nil
-	case "T2":
-		return c.Table2(), nil
-	case "T3":
-		return c.Table3(), nil
-	case "T4":
-		return c.Table4(), nil
-	case "T5":
-		return c.Table5(), nil
-	case "F2":
-		return c.Fig2(), nil
-	case "F3":
-		return c.Fig3(), nil
-	case "F4":
-		return c.Fig4(), nil
-	case "F5":
-		return c.Fig5(), nil
-	case "F6":
-		return c.Fig6(), nil
-	case "F7":
-		return c.Fig7(), nil
-	case "F8":
-		return c.Fig8(), nil
-	case "F9":
-		return c.Fig9(), nil
-	case "F10":
-		return c.Fig10(), nil
-	case "F11":
-		return c.Fig11(), nil
-	case "F12":
-		return c.Fig12(), nil
-	case "F13":
-		return c.Fig13(), nil
-	case "F14":
-		return c.Fig14(), nil
-	case "EGRESS":
-		return c.Egress(), nil
-	case "ECS":
-		return c.ECS(), nil
-	case "ABL-TTL":
-		return c.ABLTTL(), nil
-	case "ABL-CONSISTENCY":
-		return c.ABLConsistency(), nil
-	case "ABL-GRANULARITY":
-		return c.ABLGranularity(), nil
-	case "AVAIL":
-		return c.Availability(), nil
-	default:
-		return Result{}, fmt.Errorf("repro: unknown experiment id %q", id)
-	}
+// catalog lists every artifact: the paper's in paper order, then the
+// extensions.
+var catalog = []artifact{
+	{id: "T1", world: (*Context).Table1},
+	{id: "T2", world: (*Context).Table2},
+	{id: "F2", data: fig2},
+	{id: "F3", data: fig3},
+	{id: "T3", data: table3},
+	{id: "F4", data: fig4},
+	{id: "F5", data: fig5},
+	{id: "F6", data: fig6},
+	{id: "F7", data: fig7},
+	{id: "T4", world: (*Context).Table4},
+	{id: "F8", data: fig8},
+	{id: "F9", data: fig9},
+	{id: "F10", data: fig10},
+	{id: "EGRESS", world: (*Context).Egress},
+	{id: "T5", data: table5},
+	{id: "F11", data: fig11},
+	{id: "F12", data: fig12},
+	{id: "F13", data: fig13},
+	{id: "F14", data: fig14},
+	{id: "ECS", extension: true, world: (*Context).ECS},
+	{id: "ABL-TTL", extension: true, world: (*Context).ABLTTL},
+	{id: "ABL-CONSISTENCY", extension: true, world: (*Context).ABLConsistency},
+	{id: "ABL-GRANULARITY", extension: true, world: (*Context).ABLGranularity},
+	{id: "AVAIL", extension: true, data: availability},
 }
 
-// IDs lists every experiment identifier in paper order.
-func IDs() []string {
-	return []string{"T1", "T2", "F2", "F3", "T3", "F4", "F5", "F6", "F7",
-		"T4", "F8", "F9", "F10", "EGRESS", "T5", "F11", "F12", "F13", "F14"}
-}
+// IDs lists every paper artifact identifier in paper order.
+func IDs() []string { return catalogIDs(false) }
 
-// All runs every harness.
-func (c *Context) All() []Result {
-	var out []Result
-	for _, id := range IDs() {
-		r, err := c.RunByID(id)
-		if err != nil {
-			panic(err) // IDs() and RunByID are maintained together
+// ExtensionIDs lists the beyond-the-paper experiments: the §7 what-if
+// (EDNS client-subnet localization), the ablations of the design choices
+// DESIGN.md calls out, and the fault-campaign availability report.
+func ExtensionIDs() []string { return catalogIDs(true) }
+
+func catalogIDs(extension bool) []string {
+	var out []string
+	for _, a := range catalog {
+		if a.extension == extension {
+			out = append(out, a.id)
 		}
-		out = append(out, r)
 	}
 	return out
+}
+
+// RunByID renders one artifact by its DESIGN.md identifier (any case).
+func (c *Context) RunByID(id string) (Result, error) {
+	for _, a := range catalog {
+		if a.id == strings.ToUpper(id) {
+			return c.run(a), nil
+		}
+	}
+	return Result{}, fmt.Errorf("repro: unknown experiment id %q", id)
+}
+
+// All renders every paper artifact in paper order.
+func (c *Context) All() []Result {
+	var out []Result
+	for _, a := range catalog {
+		if !a.extension {
+			out = append(out, c.run(a))
+		}
+	}
+	return out
+}
+
+func (c *Context) run(a artifact) Result {
+	if a.data != nil {
+		return a.data(c.M, tableOrder(c.M))
+	}
+	return a.world(c)
+}
+
+// FromMeasures renders every artifact that is a function of the metrics
+// alone — paper and extension, in catalog order — over tableOrder(m). It is
+// how a dataset read back from disk becomes the paper's tables and
+// figures: `curtain analyze` prints exactly these, byte for byte what
+// RunByID prints for the same campaign (AVAIL aside, whose timeline needs
+// the campaign window).
+func FromMeasures(m analysis.Measures) []Result {
+	carriers := tableOrder(m)
+	var out []Result
+	for _, a := range catalog {
+		if a.data != nil {
+			out = append(out, a.data(m, carriers))
+		}
+	}
+	return out
+}
+
+// tableOrder lists the carriers present in m in the paper's Table 1
+// order, followed by any carrier no profile describes (a socket-vantage
+// dataset's "dnsprobe") in name order.
+func tableOrder(m analysis.Measures) []string {
+	present := map[string]bool{}
+	for _, name := range m.Carriers() {
+		present[name] = true
+	}
+	var out []string
+	for _, p := range carrier.Profiles() {
+		if present[p.Name] {
+			out = append(out, p.Name)
+			delete(present, p.Name)
+		}
+	}
+	for _, name := range m.Carriers() { // sorted
+		if present[name] {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// displayName is a carrier's Table 1 name, or its raw name when no
+// profile describes it.
+func displayName(name string) string {
+	if p, ok := carrier.ProfileByName(name); ok {
+		return p.DisplayName
+	}
+	return name
 }

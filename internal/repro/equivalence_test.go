@@ -44,75 +44,53 @@ func equivalenceContext(t *testing.T) (*Context, *dataset.Dataset) {
 	return eqCtx, eqData
 }
 
-// allArtifacts regenerates every artifact including the availability
-// report, keyed by id.
-func allArtifacts(c *Context) map[string]Result {
-	out := map[string]Result{}
-	for _, r := range c.All() {
-		out[r.ID] = r
-	}
-	avail, err := c.RunByID("AVAIL")
-	if err != nil {
-		panic(err)
-	}
-	out[avail.ID] = avail
-	return out
-}
-
-// withMeasures returns a shallow copy of the context reading its metrics
-// from a different Measures implementation.
-func withMeasures(c *Context, m analysis.Measures) *Context {
-	c2 := *c
-	c2.M = m
-	return &c2
-}
-
-func compareArtifacts(t *testing.T, label string, got, want map[string]Result) {
+// compareArtifacts requires two renderings of the same artifacts to be
+// identical: text byte for byte, metrics bit for bit.
+func compareArtifacts(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d artifacts vs %d", label, len(got), len(want))
 	}
-	for id, w := range want {
-		g, ok := got[id]
-		if !ok {
-			t.Fatalf("%s: artifact %s missing", label, id)
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID {
+			t.Fatalf("%s: artifact %d is %s, want %s", label, i, g.ID, w.ID)
 		}
 		if g.Text != w.Text {
-			t.Errorf("%s: artifact %s text differs:\n--- got ---\n%s\n--- want ---\n%s", label, id, g.Text, w.Text)
+			t.Errorf("%s: artifact %s text differs:\n--- got ---\n%s\n--- want ---\n%s", label, w.ID, g.Text, w.Text)
 		}
 		if len(g.Metrics) != len(w.Metrics) {
-			t.Fatalf("%s: artifact %s has %d metrics vs %d", label, id, len(g.Metrics), len(w.Metrics))
+			t.Fatalf("%s: artifact %s has %d metrics vs %d", label, w.ID, len(g.Metrics), len(w.Metrics))
 		}
 		for k, wv := range w.Metrics {
 			gv, ok := g.Metrics[k]
 			if !ok {
-				t.Fatalf("%s: artifact %s metric %s missing", label, id, k)
+				t.Fatalf("%s: artifact %s metric %s missing", label, w.ID, k)
 			}
 			if gv != wv && !(math.IsNaN(gv) && math.IsNaN(wv)) {
-				t.Fatalf("%s: artifact %s metric %s: %v vs %v", label, id, k, gv, wv)
+				t.Fatalf("%s: artifact %s metric %s: %v vs %v", label, w.ID, k, gv, wv)
 			}
 		}
 	}
 }
 
 // TestArtifactEquivalenceStreamingVsLegacy is the end-to-end equivalence
-// gate: every rendered figure, table and the availability report must be
-// byte-identical whether the metrics come from the streaming suite or
-// the legacy slice functions.
+// gate: every artifact rendered from the metrics — every figure and table
+// the dataset determines, and the availability report — must be
+// byte-identical whether the metrics come from the streaming suite or the
+// legacy slice functions.
 func TestArtifactEquivalenceStreamingVsLegacy(t *testing.T) {
 	c, data := equivalenceContext(t)
-	streaming := allArtifacts(c)
-	cfg := SuiteConfig(c.World, c.Campaign.Config)
-	legacy := allArtifacts(withMeasures(c, analysis.NewSliceMeasures(data, cfg)))
-	compareArtifacts(t, "legacy", legacy, streaming)
+	legacy := analysis.NewSliceMeasures(data, SuiteConfig(c.World, c.Campaign.Config))
+	compareArtifacts(t, "legacy", FromMeasures(legacy), FromMeasures(c.M))
 }
 
-// TestArtifactEquivalenceSharded re-derives every artifact from
-// shard-parallel suite runs at the parallelism levels the CLI exposes
+// TestArtifactEquivalenceSharded re-derives every dataset-derived artifact
+// from shard-parallel suite runs at the parallelism levels the CLI exposes
 // and requires byte-identical output.
 func TestArtifactEquivalenceSharded(t *testing.T) {
 	c, data := equivalenceContext(t)
-	want := allArtifacts(c)
+	want := FromMeasures(c.M)
 	cfg := SuiteConfig(c.World, c.Campaign.Config)
 	exps := data.Experiments
 	for _, nshards := range []int{1, 4, 8} {
@@ -126,8 +104,7 @@ func TestArtifactEquivalenceSharded(t *testing.T) {
 		if err := suite.RunShards(shards); err != nil {
 			t.Fatal(err)
 		}
-		got := allArtifacts(withMeasures(c, suite))
-		compareArtifacts(t, fmt.Sprintf("shards=%d", nshards), got, want)
+		compareArtifacts(t, fmt.Sprintf("shards=%d", nshards), FromMeasures(suite), want)
 	}
 }
 
@@ -136,14 +113,15 @@ func TestArtifactEquivalenceSharded(t *testing.T) {
 // once, and regenerating everything leaves the pass counter at one.
 func TestReproOnePass(t *testing.T) {
 	c, data := equivalenceContext(t)
-	if got := c.suite.Passes(); got != 1 {
+	if got := c.M.Passes(); got != 1 {
 		t.Fatalf("suite passes = %d, want 1", got)
 	}
-	if got, want := c.suite.ExperimentCount(), data.Len(); got != want {
+	if got, want := c.M.ExperimentCount(), data.Len(); got != want {
 		t.Fatalf("suite observed %d experiments, campaign streamed %d", got, want)
 	}
-	_ = allArtifacts(c)
-	if got := c.suite.Passes(); got != 1 {
+	_ = c.All()
+	_ = FromMeasures(c.M)
+	if got := c.M.Passes(); got != 1 {
 		t.Fatalf("artifact run re-scanned: passes = %d", got)
 	}
 }

@@ -16,13 +16,6 @@ import (
 	"cellcurtain/internal/vnet"
 )
 
-// ExtensionIDs lists the beyond-the-paper experiments: the §7 what-if
-// (EDNS client-subnet localization), the ablations of the design choices
-// DESIGN.md calls out, and the fault-campaign availability report.
-func ExtensionIDs() []string {
-	return []string{"ECS", "ABL-TTL", "ABL-CONSISTENCY", "ABL-GRANULARITY", "AVAIL"}
-}
-
 // ECS runs the §7 what-if experiment: if cellular LDNS forwarded EDNS
 // client-subnet (the client's NAT /24), how much replica inflation would
 // disappear? For a sample of clients, the harness compares the TTFB of

@@ -2,11 +2,14 @@ package repro
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/carrier"
+	"cellcurtain/internal/dataset"
 )
 
 // The context is expensive (a three-week campaign over 158 clients), so
@@ -29,6 +32,16 @@ func sharedContext(t *testing.T) *Context {
 		t.Fatal(ctxErr)
 	}
 	return ctx
+}
+
+// artifactOf renders one artifact from the shared context.
+func artifactOf(t *testing.T, id string) Result {
+	t.Helper()
+	r, err := sharedContext(t).RunByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func metric(t *testing.T, r Result, key string) float64 {
@@ -67,7 +80,7 @@ func TestTable2Shape(t *testing.T) {
 // worse than their best; every carrier shows a meaningful inflated tail
 // and some carriers a severe one.
 func TestFig2Shape(t *testing.T) {
-	r := sharedContext(t).Fig2()
+	r := artifactOf(t, "F2")
 	for _, cn := range carrier.USCarriers() {
 		if metric(t, r, "p90_"+cn) < 40 {
 			t.Errorf("%s: p90 inflation = %.0f%%, paper reports 50-100%%+ tails", cn, r.Metrics["p90_"+cn])
@@ -87,7 +100,7 @@ func TestFig2Shape(t *testing.T) {
 // Fig 3 shape: defined bands — LTE < 3G < 2G, with ~50ms LTE->EVDO gap on
 // CDMA carriers and ~1s 1xRTT resolutions.
 func TestFig3Shape(t *testing.T) {
-	r := sharedContext(t).Fig3()
+	r := artifactOf(t, "F3")
 	lte := metric(t, r, "verizon_LTE_p50")
 	if evdo, ok := r.Metrics["verizon_EVDO_A_p50"]; ok {
 		gap := evdo - lte
@@ -110,7 +123,7 @@ func TestFig3Shape(t *testing.T) {
 // Table 3 shape: resolver counts and consistency per carrier, including
 // Verizon's 100%.
 func TestTable3Shape(t *testing.T) {
-	r := sharedContext(t).Table3()
+	r := artifactOf(t, "T3")
 	if got := metric(t, r, "consistency_verizon"); got < 0.995 {
 		t.Errorf("verizon consistency = %.3f, want 1.0", got)
 	}
@@ -137,7 +150,7 @@ func TestTable3Shape(t *testing.T) {
 // Fig 4 shape: configured resolver closer than external where externals
 // respond; SK Telecom collocated (nearly equal).
 func TestFig4Shape(t *testing.T) {
-	r := sharedContext(t).Fig4()
+	r := artifactOf(t, "F4")
 	for _, cn := range []string{"att", "sprint", "lgu"} {
 		cfg, ext := metric(t, r, "cfg_p50_"+cn), metric(t, r, "ext_p50_"+cn)
 		if ext <= cfg {
@@ -157,8 +170,7 @@ func TestFig4Shape(t *testing.T) {
 // Fig 5/6 shape: medians 30-50 ms under LTE; tails beyond p80; SK shows a
 // strong bimodal step (trans-pacific misses).
 func TestFig5And6Shape(t *testing.T) {
-	c := sharedContext(t)
-	f5 := c.Fig5()
+	f5 := artifactOf(t, "F5")
 	for _, cn := range carrier.USCarriers() {
 		med := metric(t, f5, "p50_"+cn)
 		if med < 25 || med > 60 {
@@ -168,7 +180,7 @@ func TestFig5And6Shape(t *testing.T) {
 			t.Errorf("%s: expected a long resolution tail, p95=%.0f p50=%.0f", cn, tail, med)
 		}
 	}
-	f6 := c.Fig6()
+	f6 := artifactOf(t, "F6")
 	for _, cn := range carrier.KRCarriers() {
 		med := metric(t, f6, "p50_"+cn)
 		if med < 20 || med > 60 {
@@ -183,7 +195,7 @@ func TestFig5And6Shape(t *testing.T) {
 
 // Fig 7 shape: ~20% cache misses on first lookups; second lookups hit.
 func TestFig7Shape(t *testing.T) {
-	r := sharedContext(t).Fig7()
+	r := artifactOf(t, "F7")
 	miss := metric(t, r, "miss_frac")
 	if miss < 0.10 || miss > 0.38 {
 		t.Errorf("miss fraction = %.2f, paper reports ~0.20", miss)
@@ -217,7 +229,7 @@ func TestTable4Shape(t *testing.T) {
 // Fig 8 shape: clients see multiple external IPs over time; /24 span is
 // wide for the US anycast/pool carriers and <= 2 for the SK carriers.
 func TestFig8Shape(t *testing.T) {
-	r := sharedContext(t).Fig8()
+	r := artifactOf(t, "F8")
 	for _, cn := range []string{"att", "tmobile"} {
 		if metric(t, r, "p24_"+cn) < 2 {
 			t.Errorf("%s: resolver changes should span multiple /24s", cn)
@@ -238,7 +250,7 @@ func TestFig8Shape(t *testing.T) {
 
 // Fig 9 shape: churn persists even at a static location.
 func TestFig9Shape(t *testing.T) {
-	r := sharedContext(t).Fig9()
+	r := artifactOf(t, "F9")
 	churny := 0
 	for _, cn := range []string{"att", "tmobile", "sprint", "sktelecom", "lgu"} {
 		if v, ok := r.Metrics["ips_"+cn]; ok && v > 1 {
@@ -254,7 +266,7 @@ func TestFig9Shape(t *testing.T) {
 // sets; different /24s are largely independent, with >60% at similarity 0
 // paper-wide.
 func TestFig10Shape(t *testing.T) {
-	r := sharedContext(t).Fig10()
+	r := artifactOf(t, "F10")
 	for cn, v := range r.Metrics {
 		if strings.HasPrefix(cn, "same_mean_") && v < 0.85 {
 			t.Errorf("%s = %.2f, same-/24 similarity should be ~1", cn, v)
@@ -299,7 +311,7 @@ func TestEgressShape(t *testing.T) {
 // Table 5 shape: Google exposes several times more resolver IPs than the
 // carrier DNS, but similar /24 counts.
 func TestTable5Shape(t *testing.T) {
-	r := sharedContext(t).Table5()
+	r := artifactOf(t, "T5")
 	for _, cn := range []string{"att", "verizon", "tmobile"} {
 		g, l := metric(t, r, "google_ips_"+cn), metric(t, r, "local_ips_"+cn)
 		if g < 2*l {
@@ -315,7 +327,7 @@ func TestTable5Shape(t *testing.T) {
 // Fig 11 shape: the cellular external resolver is closer than public DNS
 // for carriers whose resolvers answer; SK public DNS pays a big penalty.
 func TestFig11Shape(t *testing.T) {
-	r := sharedContext(t).Fig11()
+	r := artifactOf(t, "F11")
 	for _, cn := range []string{"att", "sprint", "sktelecom", "lgu"} {
 		cell, g := metric(t, r, "cell_"+cn), metric(t, r, "google_"+cn)
 		if cell < 0 || g < 0 {
@@ -331,7 +343,7 @@ func TestFig11Shape(t *testing.T) {
 // Fig 12 shape: despite one anycast VIP, clients land on multiple /24
 // clusters over time.
 func TestFig12Shape(t *testing.T) {
-	r := sharedContext(t).Fig12()
+	r := artifactOf(t, "F12")
 	multi := 0
 	for key, v := range r.Metrics {
 		if strings.HasPrefix(key, "p24_") && v > 1 {
@@ -346,7 +358,7 @@ func TestFig12Shape(t *testing.T) {
 // Fig 13 shape: local DNS resolves faster at the median everywhere;
 // public DNS has the shorter tail; SK public DNS ~2x at the median.
 func TestFig13Shape(t *testing.T) {
-	r := sharedContext(t).Fig13()
+	r := artifactOf(t, "F13")
 	for _, cn := range append(carrier.USCarriers(), carrier.KRCarriers()...) {
 		l, g := metric(t, r, "local_p50_"+cn), metric(t, r, "google_p50_"+cn)
 		if l >= g {
@@ -381,7 +393,7 @@ func TestFig13Shape(t *testing.T) {
 // Fig 14 shape: 60-80% of /24-aggregated comparisons are exactly zero,
 // and public DNS replicas are equal-or-better >=70% of the time.
 func TestFig14Shape(t *testing.T) {
-	r := sharedContext(t).Fig14()
+	r := artifactOf(t, "F14")
 	for _, cn := range append(carrier.USCarriers(), carrier.KRCarriers()...) {
 		zero := metric(t, r, "google_zero_"+cn)
 		// US carriers sit at 0.45-0.55 at this campaign length with
@@ -413,6 +425,51 @@ func TestAllAndRunByID(t *testing.T) {
 	}
 	if r, err := c.RunByID("f2"); err != nil || r.ID != "F2" {
 		t.Fatal("ids must be case-insensitive")
+	}
+}
+
+// TestRenderWithoutData renders every dataset-derived artifact over metrics
+// missing what a simulated campaign always fills: a suite never fed, and
+// the dataset the socket vantage writes (one carrier, no radio, no probe
+// answered). Each renders over the carriers present and over every
+// profiled carrier besides; nothing may panic or print NaN.
+func TestRenderWithoutData(t *testing.T) {
+	probe := analysis.NewSuite(analysis.SuiteConfig{})
+	if err := probe.Run(func(yield dataset.ScanFunc) error {
+		return dataset.ScanFile(filepath.Join("testdata", "dnsprobe.jsonl"), yield)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var everyone []string
+	for _, p := range carrier.Profiles() {
+		everyone = append(everyone, p.Name)
+	}
+	everyone = append(everyone, "dnsprobe")
+	for name, m := range map[string]analysis.Measures{
+		"never fed": analysis.NewSuite(analysis.SuiteConfig{}),
+		"dnsprobe":  probe,
+	} {
+		var ids []string
+		for _, r := range FromMeasures(m) {
+			ids = append(ids, r.ID)
+			if strings.Contains(r.Text, "NaN") {
+				t.Errorf("%s: %s prints NaN:\n%s", name, r.ID, r.Text)
+			}
+		}
+		if got, want := strings.Join(ids, " "), "F2 F3 T3 F4 F5 F6 F7 F8 F9 F10 T5 F11 F12 F13 F14 AVAIL"; got != want {
+			t.Errorf("%s: rendered %s, want %s", name, got, want)
+		}
+		for _, a := range catalog {
+			if a.data == nil {
+				continue
+			}
+			if r := a.data(m, everyone); strings.Contains(r.Text, "NaN") {
+				t.Errorf("%s, every carrier: %s prints NaN:\n%s", name, r.ID, r.Text)
+			}
+		}
+	}
+	if got := tableOrder(probe); len(got) != 1 || got[0] != "dnsprobe" {
+		t.Errorf("carriers of the dnsprobe dataset = %v", got)
 	}
 }
 

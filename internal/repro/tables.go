@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 
+	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/probe"
 )
@@ -42,23 +43,23 @@ func (c *Context) Table2() Result {
 	return Result{ID: "T2", Title: "Measured domains", Text: t.String(), Metrics: m}
 }
 
-// Table3 regenerates Table 3: LDNS pairs per provider — the number of
+// table3 regenerates Table 3: LDNS pairs per provider — the number of
 // client-facing and external-facing resolvers observed and the
 // consistency of their pairings.
-func (c *Context) Table3() Result {
+func table3(m analysis.Measures, carriers []string) Result {
 	t := newTable("Table 3: LDNS pairs (client-facing, external, consistency)")
 	t.row("carrier", "client-facing", "external", "ext /24s", "consistency %")
-	m := map[string]float64{}
-	for _, cn := range c.Carriers() {
-		ps := c.M.Pairs(cn.Name)
-		t.row(cn.DisplayName, ps.ClientFacing, ps.External, ps.ExternalSlash24s,
+	metrics := map[string]float64{}
+	for _, name := range carriers {
+		ps := m.Pairs(name)
+		t.row(displayName(name), ps.ClientFacing, ps.External, ps.ExternalSlash24s,
 			fmt.Sprintf("%.1f", ps.Consistency*100))
-		m["cf_"+cn.Name] = float64(ps.ClientFacing)
-		m["ext_"+cn.Name] = float64(ps.External)
-		m["ext24_"+cn.Name] = float64(ps.ExternalSlash24s)
-		m["consistency_"+cn.Name] = ps.Consistency
+		metrics["cf_"+name] = float64(ps.ClientFacing)
+		metrics["ext_"+name] = float64(ps.External)
+		metrics["ext24_"+name] = float64(ps.ExternalSlash24s)
+		metrics["consistency_"+name] = ps.Consistency
 	}
-	return Result{ID: "T3", Title: "LDNS pairs", Text: t.String(), Metrics: m}
+	return Result{ID: "T3", Title: "LDNS pairs", Text: t.String(), Metrics: metrics}
 }
 
 // Table4 regenerates Table 4: external reachability of cellular DNS
@@ -89,25 +90,25 @@ func (c *Context) Table4() Result {
 	return Result{ID: "T4", Title: "Cellular opaqueness", Text: t.String(), Metrics: m}
 }
 
-// Table5 regenerates Table 5: resolver IPs and /24s seen per provider and
+// table5 regenerates Table 5: resolver IPs and /24s seen per provider and
 // resolver group (local vs Google vs OpenDNS).
-func (c *Context) Table5() Result {
+func table5(m analysis.Measures, carriers []string) Result {
 	t := newTable("Table 5: DNS resolver identities seen from our ADNS")
 	t.row("carrier", "local IPs", "google IPs", "opendns IPs", "local /24", "google /24", "opendns /24")
-	m := map[string]float64{}
-	for _, cn := range c.Carriers() {
-		li, l24 := c.M.UniqueExternals(cn.Name, dataset.KindLocal)
-		gi, g24 := c.M.UniqueExternals(cn.Name, dataset.KindGoogle)
-		oi, o24 := c.M.UniqueExternals(cn.Name, dataset.KindOpenDNS)
-		t.row(cn.DisplayName, li, gi, oi, l24, g24, o24)
-		m["local_ips_"+cn.Name] = float64(li)
-		m["google_ips_"+cn.Name] = float64(gi)
-		m["opendns_ips_"+cn.Name] = float64(oi)
-		m["local_24_"+cn.Name] = float64(l24)
-		m["google_24_"+cn.Name] = float64(g24)
-		m["opendns_24_"+cn.Name] = float64(o24)
+	metrics := map[string]float64{}
+	for _, name := range carriers {
+		li, l24 := m.UniqueExternals(name, dataset.KindLocal)
+		gi, g24 := m.UniqueExternals(name, dataset.KindGoogle)
+		oi, o24 := m.UniqueExternals(name, dataset.KindOpenDNS)
+		t.row(displayName(name), li, gi, oi, l24, g24, o24)
+		metrics["local_ips_"+name] = float64(li)
+		metrics["google_ips_"+name] = float64(gi)
+		metrics["opendns_ips_"+name] = float64(oi)
+		metrics["local_24_"+name] = float64(l24)
+		metrics["google_24_"+name] = float64(g24)
+		metrics["opendns_24_"+name] = float64(o24)
 	}
-	return Result{ID: "T5", Title: "Public resolver identities", Text: t.String(), Metrics: m}
+	return Result{ID: "T5", Title: "Public resolver identities", Text: t.String(), Metrics: metrics}
 }
 
 // Egress regenerates §5.2: network egress points extracted from
