@@ -986,11 +986,19 @@ func (s *binScanner) readSegment(fn ScanFunc) (int, error) {
 		//lint:ignore errwrap the caller matches errTorn bare; other header errors are already contextual
 		return 1, err
 	}
-	if uint64(cap(s.stoB)) < h.storedLen {
-		s.stoB = make([]byte, h.storedLen)
+	// The payload is taken a buffer-full at a time, so what it costs grows
+	// with the bytes that arrive, not with what the header declares: a
+	// torn or hostile header cannot demand the allocation before the
+	// stream proves it holds the payload.
+	stored := s.stoB[:0]
+	for err == nil && uint64(len(stored)) < h.storedLen {
+		var chunk []byte
+		chunk, err = s.br.Peek(int(min(h.storedLen-uint64(len(stored)), uint64(s.br.Size()))))
+		stored = append(stored, chunk...)
+		_, _ = s.br.Discard(len(chunk)) // cannot fail: the bytes are buffered
 	}
-	stored := s.stoB[:h.storedLen]
-	if _, err := io.ReadFull(s.br, stored); err == io.EOF || err == io.ErrUnexpectedEOF {
+	s.stoB = stored[:0]
+	if err == io.EOF {
 		return 1, errTorn
 	} else if err != nil {
 		return 1, fmt.Errorf("dataset: read: %w", err)

@@ -337,6 +337,19 @@ func TestBinaryHeaderCannotDemandAllocation(t *testing.T) {
 	if got > 5*slabChunkBytes+64<<10 {
 		t.Fatalf("2^40 declared records over a %d-byte payload allocated %d bytes, more than one chunk of each kind", len(raw), got)
 	}
+
+	// The stream reader checkpoints and analyze go through sizes its
+	// payload buffer by the bytes that arrive: the lying header is a torn
+	// tail, read into a buffer of its own size, beside the reader's 1 MB
+	// of buffering.
+	var torn int
+	got = allocatedBy(func() { torn, err = ScanTorn(bytes.NewReader(lying), func(*Experiment) error { return nil }) })
+	if err != nil || torn != len(lying)-len(binMagic) {
+		t.Fatalf("1 GB stored, 2 bytes present: ScanTorn = %d torn, %v; want the segment torn", torn, err)
+	}
+	if got >= 2<<20 {
+		t.Fatalf("ScanTorn of a %d-byte stream declaring 1 GB allocated %d bytes", len(lying), got)
+	}
 }
 
 // TestDecodedRecordsOwnTheirWindows: decoded records are windows of shared

@@ -81,6 +81,9 @@ go test -count=1 -run '^$' -fuzz '^FuzzDecodeName$' -fuzztime=5s ./internal/dnsw
 echo "==> curtainbin fuzz smoke (5s; worker-supplied segment bytes: no panic, round trip, allocation bounded by input length)"
 go test -count=1 -run '^$' -fuzz '^FuzzUnmarshalExperiments$' -fuzztime=5s ./internal/dataset/
 
+echo "==> checkpoint reader fuzz smoke (5s; ScanTorn: a durable prefix rescans to what it yielded, a cut is torn, a flip inside a segment is not)"
+go test -count=1 -run '^$' -fuzz '^FuzzScanTorn$' -fuzztime=5s ./internal/dataset/
+
 echo "==> bench module (vet + tests: all five ledger workloads smoked with their output checks)"
 go vet -C bench ./...
 go test -C bench ./...
@@ -160,7 +163,7 @@ esac
 echo "==> socket-vantage smoke (dnsprobe -> fwdns -> adnsd; its JSONL feeds curtain analyze and both codecs)"
 # The §3.2 script from the real-socket vantage, against a loopback LDNS in
 # front of a whoami authority. What it writes must be a dataset: analyze
-# reads it (one carrier, a Table 3 row, no NaN from the sections a socket
+# reads it (one carrier, a Table 3 row, no NaN from the artifacts a socket
 # cannot fill), and a record with not-OK probe rows survives both codecs.
 fwbin="$work/fwdns"
 dpbin="$work/dnsprobe"
@@ -184,6 +187,8 @@ case "$dpan" in
 'dataset: 2 experiments, 1 carriers'*) ;;
 *) echo "check.sh: analyze did not read dnsprobe's two rounds as one carrier" >&2; exit 1 ;;
 esac
+echo "$dpan" | awk '/^Table 3: LDNS pairs/ { t3 = 1; next } t3 && /^$/ { t3 = 0 } t3 && /^dnsprobe / { row = 1 } END { exit !row }' || {
+	echo "check.sh: analyze printed no Table 3 row for the dnsprobe carrier" >&2; exit 1; }
 case "$dpan" in
 *NaN*) echo "check.sh: analyze prints NaN over a dnsprobe dataset" >&2; exit 1 ;;
 esac
