@@ -219,7 +219,7 @@ func (d *device) Targets() []Target { return d.targets[:] }
 
 func (d *device) WhoamiName() (dnswire.Name, bool) { return d.world.NextWhoamiName(), true }
 
-// NewRunner builds a runner measuring the world's Table 2 domains.
+// NewRunner builds a runner measuring the Table 2 domains.
 func NewRunner(w *sim.World) *Runner {
 	return &Runner{World: w, Domains: cdn.DomainNames(), TracerouteEvery: 1}
 }

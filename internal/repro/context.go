@@ -213,7 +213,7 @@ func catalogIDs(extension bool) []string {
 // RunByID renders one artifact by its DESIGN.md identifier (any case).
 func (c *Context) RunByID(id string) (Result, error) {
 	for _, a := range catalog {
-		if a.id == strings.ToUpper(id) {
+		if strings.EqualFold(a.id, id) {
 			return c.run(a), nil
 		}
 	}
@@ -239,11 +239,11 @@ func (c *Context) run(a artifact) Result {
 }
 
 // FromMeasures renders every artifact that is a function of the metrics
-// alone — paper and extension, in catalog order — over tableOrder(m). It is
-// how a dataset read back from disk becomes the paper's tables and
-// figures: `curtain analyze` prints exactly these, byte for byte what
-// RunByID prints for the same campaign (AVAIL aside, whose timeline needs
-// the campaign window).
+// alone — paper and extension, in catalog order — over the carriers
+// present in m. It is how a dataset read back from disk becomes the
+// paper's tables and figures: `curtain analyze` prints exactly these,
+// byte for byte what RunByID prints for the same campaign (AVAIL aside,
+// whose timeline needs the campaign window).
 func FromMeasures(m analysis.Measures) []Result {
 	carriers := tableOrder(m)
 	var out []Result

@@ -182,7 +182,7 @@ sleep 0.5
 kill "$dpfpid" "$dpapid" 2>/dev/null || true
 wait "$dpfpid" "$dpapid" 2>/dev/null || true
 dpan="$("$ckbin" analyze -in "$dpout")"
-echo "$dpan" | sed -n '1,5p'
+echo "$dpan" | sed -n '1p;/^Table 3: LDNS pairs/,/^$/p'
 case "$dpan" in
 'dataset: 2 experiments, 1 carriers'*) ;;
 *) echo "check.sh: analyze did not read dnsprobe's two rounds as one carrier" >&2; exit 1 ;;
