@@ -47,13 +47,12 @@ type aggType struct {
 }
 
 func runAggPurity(pass *Pass) {
-	fix := &sortFixState{}
 	for _, agg := range collectAggTypes(pass) {
 		checkNoRetention(pass, agg.observe)
 		checkNoRetention(pass, agg.merge)
 		checkNoPackageState(pass, agg.observe)
 		checkNoPackageState(pass, agg.merge)
-		checkSortedQueries(pass, agg, fix)
+		checkSortedQueries(pass, agg)
 	}
 }
 
@@ -310,7 +309,7 @@ func checkNoPackageState(pass *Pass, fd *ast.FuncDecl) {
 // Observe and Merge, plus whatever methods of the same type those call,
 // flagging map ranges that are neither key-collection loops nor pure
 // scalar reductions.
-func checkSortedQueries(pass *Pass, agg *aggType, fix *sortFixState) {
+func checkSortedQueries(pass *Pass, agg *aggType) {
 	decls := map[*types.Func]*ast.FuncDecl{}
 	visited := map[*ast.FuncDecl]bool{}
 	var queue []*ast.FuncDecl
@@ -326,7 +325,7 @@ func checkSortedQueries(pass *Pass, agg *aggType, fix *sortFixState) {
 	for len(queue) > 0 {
 		fd := queue[0]
 		queue = queue[1:]
-		checkSortedRanges(pass, fd, fix)
+		checkSortedRanges(pass, fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -345,7 +344,7 @@ func checkSortedQueries(pass *Pass, agg *aggType, fix *sortFixState) {
 	}
 }
 
-func checkSortedRanges(pass *Pass, fd *ast.FuncDecl, fix *sortFixState) {
+func checkSortedRanges(pass *Pass, fd *ast.FuncDecl) {
 	name := funcDisplayName(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
@@ -362,8 +361,7 @@ func checkSortedRanges(pass *Pass, fd *ast.FuncDecl, fix *sortFixState) {
 		if isKeyCollectLoop(pass, rng) || isScalarReduction(pass, rng) {
 			return true
 		}
-		edits := sortedKeysFix(pass, rng, fix)
-		pass.ReportFix(rng.Pos(), edits, "map iteration in %s (on an aggregator's query path) must go via sorted keys; collect and sort them first", name)
+		pass.Reportf(rng.Pos(), "map iteration in %s (on an aggregator's query path) must go via sorted keys; collect and sort them first", name)
 		return true
 	})
 }

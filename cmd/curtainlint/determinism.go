@@ -5,14 +5,17 @@ import (
 	"go/types"
 )
 
-// determinismDirs are the simulation and analysis packages whose output
-// must be identical on replay: same LDNS pairs, same similarity maps,
-// same CDFs. Wall-clock reads, shared RNG state and map-ordered output
-// all break that.
+// determinismDirs are the generation, simulation and analysis packages
+// whose output must be identical on replay: same LDNS pairs, same
+// similarity maps, same CDFs. Wall-clock reads, shared RNG state and
+// map-ordered output all break that.
 var determinismDirs = []string{
 	"internal/sim", "internal/vnet", "internal/carrier",
 	"internal/cdn", "internal/analysis", "internal/stats",
 	"internal/fault", "internal/controlplane",
+	"internal/trace", "internal/measure", "internal/ldns",
+	"internal/publicdns", "internal/repro", "internal/probe",
+	"internal/geo", "internal/radio", "internal/adns", "internal/zone",
 }
 
 // forbiddenTimeFuncs are the time package's wall-clock entry points.

@@ -12,24 +12,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Finding is one reported problem. Edits, when present, are the
-// byte-offset splices -fix applies to make the finding go away.
+// Finding is one reported problem.
 type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Edits    []textEdit
-}
-
-// textEdit replaces file bytes [Start, End) with New. Insertions use
-// Start == End.
-type textEdit struct {
-	File       string
-	Start, End int
-	New        string
 }
 
 // Pass carries one type-checked package through one analyzer run.
@@ -52,19 +41,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
-
-// ReportFix records a finding carrying autofix edits.
-func (p *Pass) ReportFix(pos token.Pos, edits []textEdit, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.analyzer,
-		Message:  fmt.Sprintf(format, args...),
-		Edits:    edits,
-	})
-}
-
-// offsetOf converts a token.Pos to its byte offset within its file.
-func (p *Pass) offsetOf(pos token.Pos) int { return p.Fset.Position(pos).Offset }
 
 // Analyzer is one named check.
 type Analyzer struct {
@@ -107,26 +83,22 @@ type loadedPkg struct {
 // resolving module-internal imports recursively and everything else
 // (the standard library) through the compiler's export data.
 type loader struct {
-	fset         *token.FileSet
-	modRoot      string // absolute
-	modPath      string // module path from go.mod ("" in standalone fixture mode)
-	includeTests bool
-	std          types.Importer
-	stdMu        sync.Mutex            // go/importer's default importer is not concurrency-safe
-	pkgs         map[string]*loadedPkg // keyed by absolute dir
-	loading      map[string]bool       // cycle guard (serial load path)
+	fset    *token.FileSet
+	modRoot string // absolute
+	modPath string // module path from go.mod ("" in standalone fixture mode)
+	std     types.Importer
+	pkgs    map[string]*loadedPkg // keyed by absolute dir
+	loading map[string]bool       // cycle guard
 }
 
-func newLoader(modRoot, modPath string, includeTests bool) *loader {
-	fset := token.NewFileSet()
+func newLoader(modRoot, modPath string) *loader {
 	return &loader{
-		fset:         fset,
-		modRoot:      modRoot,
-		modPath:      modPath,
-		includeTests: includeTests,
-		std:          importer.Default(),
-		pkgs:         make(map[string]*loadedPkg),
-		loading:      make(map[string]bool),
+		fset:    token.NewFileSet(),
+		modRoot: modRoot,
+		modPath: modPath,
+		std:     importer.Default(),
+		pkgs:    make(map[string]*loadedPkg),
+		loading: make(map[string]bool),
 	}
 }
 
@@ -195,11 +167,9 @@ func (l *loader) load(dir string) (*loadedPkg, error) {
 	return lp, nil
 }
 
-// parseDir parses the buildable Go files of dir. Test files are skipped
-// unless includeTests is set, and external (_test-suffixed package) test
-// files are always skipped: they cannot join the package under check.
-// Build constraints (//go:build lines and _GOOS/_GOARCH file suffixes)
-// are evaluated for the host platform, so platform-split files — e.g.
+// parseDir parses the buildable non-test Go files of dir. Build
+// constraints (//go:build lines and _GOOS/_GOARCH file suffixes) are
+// evaluated for the host platform, so platform-split files — e.g.
 // dnsserver's recvmmsg path vs. its portable fallback — do not clash as
 // duplicate declarations in one parse.
 func (l *loader) parseDir(dir string) ([]*ast.File, []string, error) {
@@ -210,11 +180,7 @@ func (l *loader) parseDir(dir string) ([]*ast.File, []string, error) {
 	var files []*ast.File
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		isTest := strings.HasSuffix(e.Name(), "_test.go")
-		if isTest && !l.includeTests {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil || !ok {
@@ -223,9 +189,6 @@ func (l *loader) parseDir(dir string) ([]*ast.File, []string, error) {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, nil, err
-		}
-		if isTest && strings.HasSuffix(f.Name.Name, "_test") {
-			continue // external test package
 		}
 		files = append(files, f)
 		names = append(names, f.Name.Name)

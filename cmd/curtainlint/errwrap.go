@@ -33,7 +33,7 @@ func runErrWrap(pass *Pass) {
 			if !ok {
 				return true
 			}
-			verbs, _, ok := formatVerbs(format)
+			verbs, ok := formatVerbs(format)
 			if !ok || len(verbs) != len(call.Args)-1 {
 				return true
 			}
@@ -44,8 +44,7 @@ func runErrWrap(pass *Pass) {
 				}
 				switch verb {
 				case 'v', 's', 'q':
-					edits := errwrapFix(pass, call, i)
-					pass.ReportFix(arg.Pos(), edits, "error %s formatted with %%%c; use %%w so the cause survives wrapping", exprString(arg), verb)
+					pass.Reportf(arg.Pos(), "error %s formatted with %%%c; use %%w so the cause survives wrapping", exprString(arg), verb)
 				}
 			}
 			return true
@@ -135,30 +134,6 @@ func bareLocalError(pass *Pass, expr ast.Expr) *ast.Ident {
 	return id
 }
 
-// errwrapFix builds the one-byte splice replacing the i-th verb with w,
-// when the format is a plain string literal. Literals containing escape
-// sequences are left alone: source offsets and value offsets diverge.
-func errwrapFix(pass *Pass, call *ast.CallExpr, i int) []textEdit {
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	if !ok || strings.ContainsRune(lit.Value, '\\') {
-		return nil
-	}
-	// The quoted source text scans the same as the value: without escapes
-	// every byte is literal, so the verb offsets line up 1:1 (shifted past
-	// the opening quote, which the scan walks over as a non-% byte).
-	_, offs, ok := formatVerbs(lit.Value)
-	if !ok || i >= len(offs) {
-		return nil
-	}
-	pos := pass.Fset.Position(lit.Pos())
-	return []textEdit{{
-		File:  pos.Filename,
-		Start: pos.Offset + offs[i],
-		End:   pos.Offset + offs[i] + 1,
-		New:   "w",
-	}}
-}
-
 // constantString resolves expr to a compile-time string value.
 func constantString(pass *Pass, expr ast.Expr) (string, bool) {
 	tv, ok := pass.Info.Types[expr]
@@ -169,12 +144,10 @@ func constantString(pass *Pass, expr ast.Expr) (string, bool) {
 }
 
 // formatVerbs extracts the argument-consuming verbs of a Printf-style
-// format string, in order, with each verb's byte offset. It bails out
-// (ok=false) on explicit argument indexes and * width/precision, which
-// break positional alignment.
-func formatVerbs(format string) ([]rune, []int, bool) {
+// format string, in order. It bails out (ok=false) on explicit argument
+// indexes and * width/precision, which break positional alignment.
+func formatVerbs(format string) ([]rune, bool) {
 	var verbs []rune
-	var offs []int
 	for i := 0; i < len(format); i++ {
 		if format[i] != '%' {
 			continue
@@ -194,10 +167,9 @@ func formatVerbs(format string) ([]rune, []int, bool) {
 			break
 		}
 		if format[i] == '[' || format[i] == '*' {
-			return nil, nil, false
+			return nil, false
 		}
 		verbs = append(verbs, rune(format[i]))
-		offs = append(offs, i)
 	}
-	return verbs, offs, true
+	return verbs, true
 }

@@ -19,7 +19,7 @@ func lintFixture(t *testing.T, dir string, analyzers []*Analyzer) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newLoader(abs, "", false)
+	l := newLoader(abs, "")
 	lp, err := l.load(abs)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
@@ -139,7 +139,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newLoader(modRoot, modPath, false)
+	l := newLoader(modRoot, modPath)
 	for _, dir := range dirs {
 		lp, err := l.load(dir)
 		if err != nil {
@@ -147,6 +147,23 @@ func TestRepoIsClean(t *testing.T) {
 		}
 		for _, f := range runAnalyzers(lp, l.fset, allAnalyzers, false) {
 			t.Errorf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+		}
+	}
+}
+
+// TestAnalyzerDirsExist: an analyzer's Dirs entry that names no package
+// silently narrows what it covers, so every entry must be a package dir
+// of the module.
+func TestAnalyzerDirsExist(t *testing.T) {
+	modRoot, _, err := findModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range allAnalyzers {
+		for _, d := range a.Dirs {
+			if !hasGoFiles(filepath.Join(modRoot, filepath.FromSlash(d))) {
+				t.Errorf("%s: Dirs entry %q is not a package dir of the module", a.Name, d)
+			}
 		}
 	}
 }
@@ -165,17 +182,9 @@ func TestFormatVerbs(t *testing.T) {
 		{"%*d", "", false},
 	}
 	for _, c := range cases {
-		verbs, offs, ok := formatVerbs(c.format)
+		verbs, ok := formatVerbs(c.format)
 		if ok != c.ok || string(verbs) != c.verbs {
 			t.Errorf("formatVerbs(%q) = %q, %v; want %q, %v", c.format, string(verbs), ok, c.verbs, c.ok)
-		}
-		if len(offs) != len(verbs) {
-			t.Errorf("formatVerbs(%q): %d offsets for %d verbs", c.format, len(offs), len(verbs))
-		}
-		for i, off := range offs {
-			if rune(c.format[off]) != verbs[i] {
-				t.Errorf("formatVerbs(%q): offset %d points at %q, want %q", c.format, off, c.format[off], verbs[i])
-			}
 		}
 	}
 }

@@ -7,23 +7,19 @@
 //
 // Usage:
 //
-//	curtainlint [-json] [-tests] [-analyzers a,b] [-fix] [packages]
+//	curtainlint [-json] [-analyzers a,b] [-list] [packages]
 //
-// Packages default to ./... relative to the working directory. The exit
-// status is 0 when clean, 1 when findings were reported, 2 on load or
-// usage errors — including a pattern that matches no packages, so a
-// mistyped path cannot pass as a clean run. Findings are suppressed by a
-// comment on the flagged line or the line above:
+// Packages default to ./... relative to the working directory; _test.go
+// files are not linted. The exit status is 0 when clean, 1 when findings
+// were reported, 2 on load or usage errors — including a pattern that
+// matches no packages, so a mistyped path cannot pass as a clean run.
+// Findings are suppressed by a comment on the flagged line or the line
+// above:
 //
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // The reason is mandatory; naming an unknown analyzer is itself a
 // finding, so stale suppressions surface instead of rotting.
-//
-// -fix applies the autofixes some analyzers attach (errwrap's %w verb
-// replacement, aggpurity's sorted-key iteration rewrite) and then
-// re-lints, reporting only what remains. A second -fix run is a no-op:
-// fixed sites no longer produce findings, so no edits are generated.
 //
 // JSON output is an array sorted by (file, line, analyzer, column):
 //
@@ -61,10 +57,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("curtainlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	tests := fs.Bool("tests", false, "also analyze in-package _test.go files")
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	fix := fs.Bool("fix", false, "apply available autofixes, then re-lint and report what remains")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -100,38 +94,17 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	lint := func() ([]Finding, error) {
-		l := newLoader(modRoot, modPath, *tests)
-		pkgs, err := l.loadAll(dirs)
-		if err != nil {
-			return nil, err
-		}
-		var findings []Finding
-		for _, lp := range pkgs {
-			findings = append(findings, runAnalyzers(lp, l.fset, analyzers, false)...)
-		}
-		sortFindings(findings)
-		return findings, nil
-	}
-
-	findings, err := lint()
-	if err != nil {
-		fmt.Fprintln(stderr, "curtainlint:", err)
-		return 2
-	}
-
-	if *fix && hasFixes(findings) {
-		n, err := applyFixes(findings, stderr)
+	l := newLoader(modRoot, modPath)
+	var findings []Finding
+	for _, dir := range dirs {
+		lp, err := l.load(dir)
 		if err != nil {
 			fmt.Fprintln(stderr, "curtainlint:", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "curtainlint: -fix rewrote %d file(s)\n", n)
-		if findings, err = lint(); err != nil {
-			fmt.Fprintln(stderr, "curtainlint:", err)
-			return 2
-		}
+		findings = append(findings, runAnalyzers(lp, l.fset, analyzers, false)...)
 	}
+	sortFindings(findings)
 
 	printFindings(stdout, stderr, findings, *jsonOut, cwd)
 	if len(findings) > 0 {

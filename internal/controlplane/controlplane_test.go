@@ -679,6 +679,20 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// frameRecords is a records trailer holding the separator byte, JSON and
+// bytes that are not UTF-8: a trailer must arrive as it was, whatever it
+// holds.
+var frameRecords = []byte("CURTBIN\x01\n{\"not\":\"json\"}\n\x00\xff")
+
+// frameMessages are the messages TestSegmentFrame sends: a segment
+// carrying frameRecords, then a heartbeat.
+func frameMessages() []*Message {
+	return []*Message{
+		{Type: MsgSegment, Lease: 7, Records: frameRecords},
+		{Type: MsgHeartbeat, Lease: 7, Done: 3},
+	}
+}
+
 // TestSegmentFrame pins the version-3 frame: length, JSON header, and for
 // a segment one separator byte and the records as they are — whatever
 // bytes they hold, the separator's own value included. Every other message
@@ -687,11 +701,7 @@ func TestSegmentFrame(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	records := []byte("CURTBIN\x01\n{\"not\":\"json\"}\n\x00\xff")
-	sent := []*Message{
-		{Type: MsgSegment, Lease: 7, Records: records},
-		{Type: MsgHeartbeat, Lease: 7, Done: 3},
-	}
+	records, sent := frameRecords, frameMessages()
 	go func() {
 		for _, m := range sent {
 			if err := writeMsg(a, time.Minute, m); err != nil {

@@ -118,7 +118,7 @@ func TestHTTPGetFailures(t *testing.T) {
 	}
 }
 
-func TestVNetTransport(t *testing.T) {
+func TestHostExchange(t *testing.T) {
 	h := testHost()
 	c := h.Resolver()
 	// The port-53 echo handler reflects the query, which the client must

@@ -32,9 +32,6 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> curtainlint self-lint (./cmd/curtainlint)"
-go run ./cmd/curtainlint ./cmd/curtainlint
-
 echo "==> curtainlint ./..."
 go run ./cmd/curtainlint ./...
 
@@ -83,6 +80,9 @@ go test -count=1 -run '^$' -fuzz '^FuzzUnmarshalExperiments$' -fuzztime=5s ./int
 
 echo "==> checkpoint reader fuzz smoke (5s; ScanTorn: a durable prefix rescans to what it yielded, a cut is torn, a flip inside a segment is not)"
 go test -count=1 -run '^$' -fuzz '^FuzzScanTorn$' -fuzztime=5s ./internal/dataset/
+
+echo "==> control-frame reader fuzz smoke (5s; readMsg: no panic, no wait on a closed peer, allocation bounded by bytes that arrive, accepted frames round-trip)"
+go test -count=1 -run '^$' -fuzz '^FuzzReadMsg$' -fuzztime=5s ./internal/controlplane/
 
 echo "==> bench module (vet + tests: all five ledger workloads smoked with their output checks)"
 go vet -C bench ./...
