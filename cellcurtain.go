@@ -149,8 +149,9 @@ func NewStudy(opts Options) (*Study, error) {
 func ExperimentIDs() []string { return repro.IDs() }
 
 // ExtensionIDs lists the beyond-the-paper experiments: the §7 EDNS
-// client-subnet what-if ("ECS"), the ablations of cache TTLs ("ABL-TTL")
-// and resolver-pairing churn ("ABL-CONSISTENCY"), and the fault-campaign
+// client-subnet what-if ("ECS"), the ablations of cache TTLs ("ABL-TTL"),
+// resolver-pairing churn ("ABL-CONSISTENCY") and CDN mapping granularity
+// ("ABL-GRANULARITY"), and the fault-campaign
 // availability report ("AVAIL", most useful with Options.Faults set). All
 // are accepted by Study.Reproduce.
 func ExtensionIDs() []string { return repro.ExtensionIDs() }

@@ -18,6 +18,7 @@ import (
 	"cellcurtain/internal/forwarder"
 	"cellcurtain/internal/measure"
 	"cellcurtain/internal/probe"
+	"cellcurtain/internal/upstream"
 )
 
 const zone = "whoami.test"
@@ -53,13 +54,22 @@ func authority(t *testing.T) dnsserver.Handler {
 var testDomains = []dnswire.Name{"cname.test", "multi.test", "big.test", "missing.test"}
 
 // ldns puts a caching forwarder in front of the authority, reached
-// through client. Its clock is frozen so cached TTLs do not decay at
-// whatever pace the two runs happen to proceed.
-func ldns(client *dnsclient.Client) *forwarder.Forwarder {
+// through client as the one member of its upstream pool. Its clock is
+// frozen so cached TTLs do not decay at whatever pace the two runs happen
+// to proceed.
+func ldns(t *testing.T, client *dnsclient.Client) *forwarder.Forwarder {
+	t.Helper()
 	client.Retries = 1
-	fw := forwarder.New(loopback, client)
+	pool, err := upstream.New(func(addr netip.AddrPort, name dnswire.Name, qt dnswire.Type) (*dnsclient.Result, error) {
+		return client.Query(addr.Addr(), name, qt)
+	}, []netip.AddrPort{netip.AddrPortFrom(loopback, 53)}, upstream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := forwarder.NewPooled(pool)
 	frozen := time.Unix(1400000000, 0)
 	fw.Now = func() time.Time { return frozen }
+	pool.Now = fw.Now
 	return fw
 }
 
@@ -163,13 +173,13 @@ func TestSocketsMatchInMemory(t *testing.T) {
 	}
 
 	upstream := socketClient(2*time.Second, serve(t, loopback, 0, authority(t)))
-	port := serve(t, loopback, 0, ldns(upstream))
+	port := serve(t, loopback, 0, ldns(t, upstream))
 	serve(t, brokenAddr, port, broken)
 	overSockets := &vantage{targets: targets, whoami: whoamiZone, client: socketClient(2*time.Second, port)}
 	overSockets.client.Sleep = nil // the records do not show whether backoff was waited out
 
 	inMemory := &vantage{targets: targets, whoami: whoamiZone, client: memClient(map[netip.Addr]dnsserver.Handler{
-		loopback:   ldns(memClient(map[netip.Addr]dnsserver.Handler{loopback: authority(t)})),
+		loopback:   ldns(t, memClient(map[netip.Addr]dnsserver.Handler{loopback: authority(t)})),
 		brokenAddr: broken,
 	})}
 
@@ -234,7 +244,7 @@ func TestSocketsMatchInMemory(t *testing.T) {
 // against loopback servers and feeds what it wrote to the analysis.
 func TestRunWritesAnalyzableDataset(t *testing.T) {
 	upstream := socketClient(2*time.Second, serve(t, loopback, 0, authority(t)))
-	port := serve(t, loopback, 0, ldns(upstream))
+	port := serve(t, loopback, 0, ldns(t, upstream))
 
 	var out bytes.Buffer
 	err := run([]string{

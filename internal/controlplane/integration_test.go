@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cellcurtain/internal/dataset"
-	"cellcurtain/internal/sim"
 	"cellcurtain/internal/trace"
 )
 
@@ -24,11 +23,7 @@ func smallConfig(faults string) trace.Config {
 
 func realCampaign(t *testing.T, cfg trace.Config) *trace.Campaign {
 	t.Helper()
-	w, err := sim.New(sim.Config{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp, err := trace.NewCampaign(w, cfg)
+	camp, err := trace.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +113,41 @@ func TestDistributedCampaignByteIdentical(t *testing.T) {
 				t.Fatal("the checkpoint's records are not the serial campaign's, each once")
 			}
 		})
+	}
+}
+
+// TestDistributedAblatedCampaign: a counterfactual substrate travels in
+// the pushed Spec, so workers rebuild the ablated world, not the paper's,
+// and the coordinated campaign merges to the serial bytes of that Spec.
+func TestDistributedAblatedCampaign(t *testing.T) {
+	cfg := smallConfig("")
+	cfg.StablePairing = true
+	camp := realCampaign(t, cfg)
+	serial := jsonl(t, camp.Collect())
+	if paper := jsonl(t, realCampaign(t, smallConfig("")).Collect()); bytes.Equal(paper, serial) {
+		t.Fatal("stable pairing produced the paper world's dataset")
+	}
+	c, addr := startCoordinator(t, nil, CoordinatorConfig{
+		Seed: cfg.Seed, Total: camp.Total(),
+		Wire: WireFromConfig(cfg), LeaseSize: 3,
+	})
+	var wg sync.WaitGroup
+	for _, id := range []string{"a", "b"} {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if _, err := RunWorker(realWorker(t, id, addr)); err != nil {
+				t.Errorf("worker %s: %v", id, err)
+				c.Interrupt() // a refused worker must fail the test, not hang it
+			}
+		}(id)
+	}
+	ds, _, err := c.Wait()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if !bytes.Equal(jsonl(t, ds), serial) {
+		t.Fatal("the coordinated stable-pairing campaign diverges from its serial bytes")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"cellcurtain/internal/dnsclient"
 	"cellcurtain/internal/dnswire"
 	"cellcurtain/internal/upstream"
 )
@@ -65,15 +64,10 @@ type Counters struct {
 	Evictions uint64
 }
 
-// Forwarder resolves queries through an upstream resolver with caching.
+// Forwarder resolves queries through an upstream pool with caching.
 type Forwarder struct {
-	// Upstream is the resolver misses are forwarded to when no Pool is
-	// configured.
-	Upstream netip.Addr
-	// Client performs the forwarding (configure transports/retries there).
-	Client *dnsclient.Client
-	// Pool, when set, routes misses through the health-aware upstream
-	// pool (breakers, hedging, failover) instead of Upstream/Client.
+	// Pool resolves every miss: the health-aware upstream pool (breakers,
+	// hedging, failover), which may hold a single upstream.
 	Pool *upstream.Pool
 	// MaxTTL caps cache lifetimes; 0 means 1 hour.
 	MaxTTL time.Duration
@@ -101,22 +95,14 @@ type Forwarder struct {
 	wg sync.WaitGroup
 }
 
-// New builds a forwarder toward upstream using the given client.
-func New(upstream netip.Addr, client *dnsclient.Client) *Forwarder {
-	return &Forwarder{
-		Upstream: upstream,
-		Client:   client,
-		cache:    make(map[string]*list.Element),
-		lru:      list.New(),
-		flights:  make(map[string]*flight),
-	}
-}
-
 // NewPooled builds a forwarder whose misses resolve through pool.
 func NewPooled(pool *upstream.Pool) *Forwarder {
-	f := New(netip.Addr{}, nil)
-	f.Pool = pool
-	return f
+	return &Forwarder{
+		Pool:    pool,
+		cache:   make(map[string]*list.Element),
+		lru:     list.New(),
+		flights: make(map[string]*flight),
+	}
 }
 
 func (f *Forwarder) now() time.Time {
@@ -133,15 +119,6 @@ func cacheKey(q dnswire.Question) string {
 // staleTTL is the TTL in seconds put on stale answers, the RFC 8767 §5.2
 // recommendation.
 const staleTTL = 30
-
-// resolve performs one upstream resolution through the pool when
-// configured, the plain client otherwise.
-func (f *Forwarder) resolve(q dnswire.Question) (*dnsclient.Result, error) {
-	if f.Pool != nil {
-		return f.Pool.Resolve(q.Name, q.Type)
-	}
-	return f.Client.Query(f.Upstream, q.Name, q.Type)
-}
 
 // ServeDNS implements dnsserver.Handler.
 func (f *Forwarder) ServeDNS(_ netip.AddrPort, query *dnswire.Message) *dnswire.Message {
@@ -224,7 +201,7 @@ func (f *Forwarder) ServeDNS(_ netip.AddrPort, query *dnswire.Message) *dnswire.
 // it through fl and closes the flight. It runs synchronously on the
 // miss path and as a goroutine for background refreshes.
 func (f *Forwarder) fetch(q dnswire.Question, key string, fl *flight, background bool) {
-	res, err := f.resolve(q)
+	res, err := f.Pool.Resolve(q.Name, q.Type)
 	now := f.now()
 
 	f.mu.Lock()
@@ -347,13 +324,6 @@ func clampTTLs(rrs []dnswire.Record, ttl uint32) []dnswire.Record {
 		out[i] = rr
 	}
 	return out
-}
-
-// Stats returns the hit/miss counters.
-func (f *Forwarder) Stats() (hits, misses uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.c.Hits, f.c.Misses
 }
 
 // Counters returns a snapshot of all cache-path counters.

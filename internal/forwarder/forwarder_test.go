@@ -12,7 +12,7 @@ import (
 	"cellcurtain/internal/upstream"
 )
 
-var upstreamAddr = netip.MustParseAddr("192.0.2.53")
+var upstreamAddr = netip.MustParseAddrPort("192.0.2.53:53")
 
 // countingTransport answers A queries with a fixed record and counts
 // upstream exchanges.
@@ -45,10 +45,20 @@ func (c *countingTransport) Exchange(_ netip.Addr, payload []byte) ([]byte, time
 	return b, time.Millisecond, err
 }
 
+// newForwarder builds a forwarder over a one-member pool whose upstream
+// is a plain client on tr.
 func newForwarder(tr dnsclient.Transport) (*Forwarder, *time.Time) {
 	now := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	f := New(upstreamAddr, dnsclient.New(tr, nil))
+	cl := dnsclient.New(tr, nil)
+	pool, err := upstream.New(func(addr netip.AddrPort, name dnswire.Name, qt dnswire.Type) (*dnsclient.Result, error) {
+		return cl.Query(addr.Addr(), name, qt)
+	}, []netip.AddrPort{upstreamAddr}, upstream.Config{})
+	if err != nil {
+		panic(err)
+	}
+	f := NewPooled(pool)
 	f.Now = func() time.Time { return now }
+	pool.Now = f.Now
 	return f, &now
 }
 
@@ -73,9 +83,8 @@ func TestForwardAndCache(t *testing.T) {
 	if tr.calls != 1 {
 		t.Fatalf("upstream calls = %d, want 1 (cached)", tr.calls)
 	}
-	hits, misses := f.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d", hits, misses)
+	if c := f.Counters(); c.Hits != 2 || c.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d", c.Hits, c.Misses)
 	}
 }
 
@@ -287,7 +296,7 @@ func TestServeStaleDuringOutage(t *testing.T) {
 	if tr.calls != calls {
 		t.Fatal("fresh hit after refresh must not go upstream")
 	}
-	if hits, _ := f.Stats(); hits == 0 {
+	if f.Counters().Hits == 0 {
 		t.Fatal("refreshed entry must serve as a hit")
 	}
 }

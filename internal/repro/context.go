@@ -33,35 +33,23 @@ type Context struct {
 	M *analysis.Suite
 }
 
-// NewContext builds a world and runs the campaign into the analysis suite.
+// NewContext builds the world cfg's Spec derives — the paper's, or an
+// ablation's counterfactual substrate — and runs the campaign into the
+// analysis suite.
 func NewContext(cfg trace.Config) (*Context, error) {
-	return NewContextWorld(cfg, sim.Config{Seed: cfg.Seed})
-}
-
-// NewContextWorld is NewContext with explicit world configuration (used
-// by the ablation experiments to rebuild modified worlds).
-func NewContextWorld(cfg trace.Config, simCfg sim.Config) (*Context, error) {
-	return newContext(cfg, simCfg, nil)
+	return newContext(cfg, nil)
 }
 
 // newContext streams the campaign straight into the suite — the one pass,
 // end to end. With cfg.CheckpointDir set the run is durable, and an
 // interrupted one surfaces trace.ErrInterrupted instead of a Context.
 // tap, when non-nil (tests), sees every experiment before the suite does.
-func newContext(cfg trace.Config, simCfg sim.Config, tap func(*dataset.Experiment)) (*Context, error) {
-	w, err := sim.New(simCfg)
+func newContext(cfg trace.Config, tap func(*dataset.Experiment)) (*Context, error) {
+	camp, err := trace.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.WorldFactory == nil {
-		// Worker shards rebuild identical worlds from the same config;
-		// sim.New is deterministic in simCfg.
-		cfg.WorldFactory = func() (*sim.World, error) { return sim.New(simCfg) }
-	}
-	camp, err := trace.NewCampaign(w, cfg)
-	if err != nil {
-		return nil, err
-	}
+	w := camp.World
 	suite := analysis.NewSuite(SuiteConfig(w, cfg))
 	record := suite.Observe
 	if tap != nil {

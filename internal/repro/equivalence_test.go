@@ -11,7 +11,6 @@ import (
 
 	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/dataset"
-	"cellcurtain/internal/sim"
 )
 
 var (
@@ -36,7 +35,7 @@ func equivalenceContext(t *testing.T) (*Context, *dataset.Dataset) {
 	eqOnce.Do(func() {
 		cfg := QuickConfig(2014)
 		eqData = &dataset.Dataset{}
-		eqCtx, eqErr = newContext(cfg, sim.Config{Seed: cfg.Seed}, eqData.Add)
+		eqCtx, eqErr = newContext(cfg, eqData.Add)
 	})
 	if eqErr != nil {
 		t.Fatal(eqErr)
@@ -136,7 +135,7 @@ func TestContextRetainsNoExperiments(t *testing.T) {
 	cfg.ClientScale = 0.05
 	cfg.End = cfg.Start.AddDate(0, 0, 4)
 	var streamed, collected atomic.Int64
-	c, err := newContext(cfg, sim.Config{Seed: cfg.Seed}, func(e *dataset.Experiment) {
+	c, err := newContext(cfg, func(e *dataset.Experiment) {
 		streamed.Add(1)
 		runtime.SetFinalizer(e, func(*dataset.Experiment) { collected.Add(1) })
 	})

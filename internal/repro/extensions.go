@@ -10,7 +10,6 @@ import (
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/dnswire"
 	"cellcurtain/internal/probe"
-	"cellcurtain/internal/sim"
 	"cellcurtain/internal/stats"
 	"cellcurtain/internal/trace"
 	"cellcurtain/internal/vnet"
@@ -135,8 +134,9 @@ func (c *Context) ABLTTL() Result {
 }
 
 // ABLConsistency rebuilds the world with perfectly stable resolver
-// pairings (no churn) and re-measures Fig 2's replica inflation: how much
-// of the paper's problem is the client↔resolver inconsistency itself?
+// pairings (no churn: sim.Substrate.StablePairing) and re-measures Fig 2's
+// replica inflation: how much of the paper's problem is the
+// client↔resolver inconsistency itself?
 func (c *Context) ABLConsistency() Result {
 	t := newTable("Ablation: replica inflation with vs without resolver churn")
 	t.row("carrier", "baseline p90 %", "stable-pairing p90 %", "reduction")
@@ -169,26 +169,20 @@ func (c *Context) ABLConsistency() Result {
 // same campaign config — seed (so the CDN mapping draws match),
 // population, the possibly shortened window and with it one fault
 // schedule, since fault presets are placed relative to the window — and
-// differ only in the pairing churn. When the window was shortened the
-// baseline is re-run over it: fault-free, a shorter campaign is byte for
-// byte the prefix of a longer one, so this equals cutting the context's
-// own campaign at the shortened end.
+// differ only in the substrate's StablePairing. When the window was
+// shortened the baseline is re-run over it: fault-free, a shorter
+// campaign is byte for byte the prefix of a longer one, so this equals
+// cutting the context's own campaign at the shortened end.
 func (c *Context) consistencySides() (base, stable *Context, err error) {
 	cfg := ablationConfig(c.Campaign.Config)
 	base = c
 	if !cfg.End.Equal(c.Campaign.Config.End) {
-		if base, err = NewContextWorld(cfg, sim.Config{Seed: cfg.Seed}); err != nil {
+		if base, err = NewContext(cfg); err != nil {
 			return nil, nil, err
 		}
 	}
-	stable, err = NewContextWorld(cfg, sim.Config{
-		Seed: cfg.Seed,
-		ProfileOverride: func(p carrier.Profile) carrier.Profile {
-			p.Consistency = 1.0
-			p.EgressChurnEpoch = 10 * 365 * 24 * time.Hour
-			return p
-		},
-	})
+	cfg.StablePairing = true
+	stable, err = NewContext(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,14 +198,12 @@ func safeRatio(a, b float64) float64 {
 
 // ablationConfig derives a bounded-length campaign for the ablation
 // worlds, keeping the baseline's seed and population. Sub-campaigns are
-// never durable (they would overwrite the baseline's checkpoint) and
-// their worker shards rebuild the ablated world, not the baseline's.
+// never durable (they would overwrite the baseline's checkpoint).
 func ablationConfig(base trace.Config) trace.Config {
 	cfg := base
 	if cfg.End.Sub(cfg.Start) > 14*24*time.Hour {
 		cfg.End = cfg.Start.Add(14 * 24 * time.Hour)
 	}
-	cfg.WorldFactory = nil
 	cfg.CheckpointDir, cfg.Resume = "", false
 	return cfg
 }
@@ -229,7 +221,8 @@ func (c *Context) ABLGranularity() Result {
 	cfg := ablationConfig(c.Campaign.Config)
 	cfg.ClientScale = 0.5
 	for _, bits := range []int{32, 24, 16} {
-		ctx, err := NewContextWorld(cfg, sim.Config{Seed: cfg.Seed, CDNMapBits: bits})
+		cfg.CDNMapBits = bits
+		ctx, err := NewContext(cfg)
 		if err != nil {
 			return Result{ID: "ABL-GRANULARITY", Title: "Mapping granularity ablation",
 				Text: "ablation failed: " + err.Error(), Metrics: m}

@@ -114,8 +114,18 @@ func TestABLConsistencySidesShareFaultSchedule(t *testing.T) {
 	if want == c.Campaign.Config.Hash() {
 		t.Fatal("the ablation did not shorten a three-week window")
 	}
-	if b, s := base.Campaign.Config.Hash(), stable.Campaign.Config.Hash(); b != want || s != want {
-		t.Fatalf("sides run campaigns %s (baseline) and %s (stable), want both %s", b, s, want)
+	// The sides differ in their substrate alone, and the substrate is part
+	// of the identity: the stable side is a campaign of its own.
+	if b, s := base.Campaign.Config.Hash(), stable.Campaign.Config.Hash(); b == s {
+		t.Fatalf("stable-pairing side hashes %s, like its baseline", s)
+	}
+	bare := func(side *Context) string {
+		spec := side.Campaign.Config.Spec
+		spec.Substrate = sim.Substrate{}
+		return spec.Hash()
+	}
+	if b, s := bare(base), bare(stable); b != want || s != want {
+		t.Fatalf("sides run campaigns %s (baseline) and %s (stable) bar the substrate, want both %s", b, s, want)
 	}
 	outage := func(side *Context) (buckets []int) {
 		for i, b := range side.M.AvailabilityTimeline(dataset.KindLocal) {
@@ -131,22 +141,17 @@ func TestABLConsistencySidesShareFaultSchedule(t *testing.T) {
 	}
 }
 
-// TestAblationConfig: an ablation sub-campaign is bounded to two weeks,
-// never writes into the baseline's checkpoint, and lets NewContextWorld
-// install a shard factory for its own (modified) world.
+// TestAblationConfig: an ablation sub-campaign is bounded to two weeks
+// and never writes into the baseline's checkpoint.
 func TestAblationConfig(t *testing.T) {
 	base := QuickConfig(7)
 	base.CheckpointDir, base.Resume = t.TempDir(), true
-	base.WorldFactory = func() (*sim.World, error) { return sim.New(sim.Config{Seed: 7}) }
 	cfg := ablationConfig(base)
 	if got := cfg.End.Sub(cfg.Start).Hours(); got != 14*24 {
 		t.Errorf("window = %vh, want 14 days", got)
 	}
 	if cfg.CheckpointDir != "" || cfg.Resume {
 		t.Errorf("sub-campaign is durable: dir %q resume %v", cfg.CheckpointDir, cfg.Resume)
-	}
-	if cfg.WorldFactory != nil {
-		t.Error("sub-campaign kept the baseline's world factory for its worker shards")
 	}
 }
 

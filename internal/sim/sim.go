@@ -22,18 +22,26 @@ import (
 	"cellcurtain/internal/zone"
 )
 
-// Config parameterizes world construction.
+// Config parameterizes world construction. It is comparable: two worlds
+// built from equal Configs are the same world.
 type Config struct {
 	// Seed drives every random decision; identical seeds reproduce
 	// identical campaigns.
 	Seed uint64
+	Substrate
+}
+
+// Substrate is what a counterfactual world varies. Its zero value is the
+// paper's world; the JSON tags omit zero fields, so a campaign identity
+// that embeds it serializes exactly as one without it.
+type Substrate struct {
 	// CDNMapBits overrides the CDNs' replica-mapping granularity
 	// (0 = /24, the paper's observed behaviour).
-	CDNMapBits int
-	// ProfileOverride, when set, may rewrite each carrier profile before
-	// construction — the hook the ablation experiments use (e.g. forcing
-	// perfectly consistent pairings to isolate churn's contribution).
-	ProfileOverride func(p carrier.Profile) carrier.Profile
+	CDNMapBits int `json:"cdn_map_bits,omitempty"`
+	// StablePairing pins every carrier's client↔resolver pairing: full
+	// consistency and no egress churn, isolating churn's contribution
+	// (ABL-CONSISTENCY).
+	StablePairing bool `json:"stable_pairing,omitempty"`
 }
 
 // World is the fully assembled simulation.
@@ -52,6 +60,7 @@ type World struct {
 	UniversityAddr netip.Addr
 	UniversityLoc  geo.Point
 
+	cfg    Config
 	byName map[string]*carrier.Network
 	// public lists the anycast services the router and the CDN locator
 	// consult on every call.
@@ -70,6 +79,7 @@ type egressRef struct {
 func New(cfg Config) (*World, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	w := &World{
+		cfg:      cfg,
 		Registry: zone.NewRegistry(),
 		byName:   make(map[string]*carrier.Network),
 		egressOf: make(map[netip.Prefix]egressRef),
@@ -93,8 +103,9 @@ func New(cfg Config) (*World, error) {
 
 	// Carriers.
 	for _, p := range carrier.Profiles() {
-		if cfg.ProfileOverride != nil {
-			p = cfg.ProfileOverride(p)
+		if cfg.StablePairing {
+			p.Consistency = 1.0
+			p.EgressChurnEpoch = 10 * 365 * 24 * time.Hour
 		}
 		cn, err := carrier.Build(w.Fabric, w.Registry, p, cfg.Seed)
 		if err != nil {
@@ -116,11 +127,9 @@ func New(cfg Config) (*World, error) {
 	// Register each carrier external-resolver /24's true egress location
 	// as the CDN's (noisy) geolocation hint.
 	for _, cn := range w.Carriers {
-		for j, prefix := range cn.ExternalPrefixes {
-			site := j % cn.ResolverSites
-			_ = site
-			// The j-th prefix's externals share one site; take the first
-			// external inside the prefix for its location.
+		for _, prefix := range cn.ExternalPrefixes {
+			// A prefix's externals share one site; take the first external
+			// inside the prefix for its location.
 			for _, e := range cn.Externals {
 				if prefix.Contains(e.Addr) {
 					w.CDN.RegisterEgressHint(prefix, e.Loc, cn.Country)
@@ -142,6 +151,9 @@ func New(cfg Config) (*World, error) {
 	w.public = []*publicdns.Service{w.Google, w.OpenDNS}
 	return w, nil
 }
+
+// Config returns the configuration the world was built from.
+func (w *World) Config() Config { return w.cfg }
 
 // Carrier returns a carrier network by name.
 func (w *World) Carrier(name string) (*carrier.Network, bool) {

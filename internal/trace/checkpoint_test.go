@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cellcurtain/internal/dataset"
-	"cellcurtain/internal/sim"
 	"cellcurtain/internal/stats"
 )
 
@@ -25,7 +24,6 @@ func ckConfig(t *testing.T, workers int, faults, dir string) Config {
 	cfg.End = cfg.Start.Add(24 * time.Hour)
 	cfg.Workers = workers
 	cfg.Faults = faults
-	cfg.WorldFactory = func() (*sim.World, error) { return sim.New(sim.Config{Seed: 11}) }
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 2 // frequent fsyncs: exercise the cadence path
 	return cfg
@@ -33,11 +31,7 @@ func ckConfig(t *testing.T, workers int, faults, dir string) Config {
 
 func ckCampaign(t *testing.T, cfg Config) *Campaign {
 	t.Helper()
-	w, err := sim.New(sim.Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCampaign(w, cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

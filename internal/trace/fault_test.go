@@ -12,17 +12,12 @@ import (
 
 func faultCampaign(t *testing.T, faults string, workers, days int, scale float64) *dataset.Dataset {
 	t.Helper()
-	w, err := sim.New(sim.Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultConfig(7)
 	cfg.ClientScale = scale
 	cfg.End = cfg.Start.Add(time.Duration(days) * 24 * time.Hour)
 	cfg.Workers = workers
 	cfg.Faults = faults
-	cfg.WorldFactory = func() (*sim.World, error) { return sim.New(sim.Config{Seed: 7}) }
-	c, err := NewCampaign(w, cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/dataset"
-	"cellcurtain/internal/sim"
 	"cellcurtain/internal/stats"
 )
 
@@ -14,18 +13,11 @@ import (
 // tests; every call with the same worker count replays the same run.
 func streamCampaign(t *testing.T, workers int) *Campaign {
 	t.Helper()
-	w, err := sim.New(sim.Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultConfig(11)
 	cfg.ClientScale = 0.08
 	cfg.End = cfg.Start.Add(2 * 24 * time.Hour)
 	cfg.Workers = workers
-	if workers > 1 {
-		cfg.WorldFactory = func() (*sim.World, error) { return sim.New(sim.Config{Seed: 11}) }
-	}
-	c, err := NewCampaign(w, cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

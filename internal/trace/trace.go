@@ -29,12 +29,13 @@ func worldBook(w *sim.World) fault.AddressBook {
 	}
 }
 
-// Spec is a campaign's identity: the nine fields that determine every
-// byte of its dataset, and nothing about how a run executes. It is the
-// one definition of that list — Config embeds it, Hash fingerprints it,
-// and the control plane pushes it to workers verbatim (its JSON form is
-// the wire schema, controlplane.ProtoVersion 2), so a field added here is
-// hashed, pushed and adopted without a second edit.
+// Spec is a campaign's identity: the fields that determine every byte of
+// its dataset, and nothing about how a run executes. It is the one
+// definition of that list — Config embeds it, Hash fingerprints it, the
+// campaign's world derives from it (worldConfig), and the control plane
+// pushes it to workers verbatim (its JSON form is the wire schema,
+// controlplane.ProtoVersion 2), so a field added here is hashed, pushed
+// and adopted without a second edit.
 type Spec struct {
 	// Seed drives population and schedule randomness.
 	Seed uint64 `json:"seed"`
@@ -62,6 +63,9 @@ type Spec struct {
 	// installed on its fabric. Injections draw from the per-experiment
 	// stream, so a fault campaign stays worker-count invariant.
 	Faults string `json:"faults,omitempty"`
+	// Substrate selects a counterfactual world (the ablations'); its zero
+	// value is the paper's world and adds nothing to the JSON or the hash.
+	sim.Substrate
 }
 
 // Hash fingerprints the spec. Everything outside it — Config's worker,
@@ -69,9 +73,12 @@ type Spec struct {
 // what it produces, so it stays out of the fingerprint. A resume refuses
 // a checkpoint whose recorded hash differs: continuing it would splice
 // two different datasets together.
+//
+// Substrate parts are appended only when set, so every paper-world hash
+// is the one recorded before the substrate joined the Spec.
 func (s Spec) Hash() string {
 	s = s.withDefaults()
-	return fmt.Sprintf("%016x", stats.Fingerprint(
+	parts := []string{
 		strconv.FormatUint(s.Seed, 10),
 		s.Start.UTC().Format(time.RFC3339Nano),
 		s.End.UTC().Format(time.RFC3339Nano),
@@ -81,7 +88,14 @@ func (s Spec) Hash() string {
 		strconv.FormatFloat(s.ClientScale, 'g', -1, 64),
 		strconv.Itoa(s.TracerouteEvery),
 		s.Faults,
-	))
+	}
+	if s.CDNMapBits != 0 {
+		parts = append(parts, "cdn_map_bits="+strconv.Itoa(s.CDNMapBits))
+	}
+	if s.StablePairing {
+		parts = append(parts, "stable_pairing")
+	}
+	return fmt.Sprintf("%016x", stats.Fingerprint(parts...))
 }
 
 func (s Spec) withDefaults() Spec {
@@ -107,7 +121,27 @@ func (s Spec) withDefaults() Spec {
 	if s.TracerouteEvery <= 0 {
 		s.TracerouteEvery = d.TracerouteEvery
 	}
+	if s.CDNMapBits == 24 {
+		s.CDNMapBits = 0 // the default spelled out: one world, one identity
+	}
 	return s
+}
+
+// worldConfig is the one derivation of a campaign's world from its Spec:
+// every world a campaign runs on — primary or worker replica, local or
+// pushed to a coordinated worker — is sim.New of exactly this.
+func worldConfig(s Spec) sim.Config {
+	s = s.withDefaults()
+	return sim.Config{Seed: s.Seed, Substrate: s.Substrate}
+}
+
+// newWorld builds the world a Spec derives.
+func newWorld(s Spec) (*sim.World, error) {
+	w, err := sim.New(worldConfig(s))
+	if err != nil {
+		return nil, fmt.Errorf("trace: build world: %w", err)
+	}
+	return w, nil
 }
 
 // Config parameterizes a campaign: the Spec that identifies its dataset
@@ -119,10 +153,10 @@ type Config struct {
 	// stream derived from (Seed, client, seq) — so the collected dataset
 	// is byte-identical for any worker count at a fixed seed.
 	Workers int
-	// WorldFactory rebuilds the simulation world; each worker beyond the
-	// first drives its own replica so experiments never share mutable
-	// fabric state. Required when Workers > 1, and must be deterministic
-	// (same seed/config as the campaign's primary world).
+	// WorldFactory, when set, builds the replica worlds of the workers
+	// beyond the first instead of deriving them from the Spec; each replica
+	// must report the Spec's world config like the primary. Only the bench
+	// module's cohort workload sets it; nothing else needs to.
 	WorldFactory func() (*sim.World, error)
 	// CheckpointDir, when non-empty, makes Run append every completed
 	// experiment to a fsync'd curtainbin segment under this directory, with
@@ -206,26 +240,26 @@ const (
 	prepareSalt = 0x93E1
 )
 
-// New builds the simulation world for cfg.Seed and the campaign over it,
-// with a WorldFactory that rebuilds the same world for worker shards —
-// what simulate, coordinate and worker each need before they can size or
-// run anything. Callers with a differently configured world (the
-// ablations) build it themselves and use NewCampaign.
+// New builds the world cfg's Spec derives and the campaign over it — what
+// simulate, coordinate, worker and the reproduction each need before they
+// can size or run anything.
 func New(cfg Config) (*Campaign, error) {
-	simCfg := sim.Config{Seed: cfg.Seed}
-	w, err := sim.New(simCfg)
+	w, err := newWorld(cfg.Spec)
 	if err != nil {
-		return nil, fmt.Errorf("trace: build world: %w", err)
-	}
-	if cfg.WorldFactory == nil {
-		cfg.WorldFactory = func() (*sim.World, error) { return sim.New(simCfg) }
+		return nil, err
 	}
 	return NewCampaign(w, cfg)
 }
 
-// NewCampaign sizes the client population and prepares the runner.
+// NewCampaign sizes the client population and prepares the runner over
+// w, which must be the world cfg's Spec derives: a world built from
+// another seed or substrate is refused, naming both. Worker shards beyond
+// the first run on replica worlds derived from the same Spec.
 func NewCampaign(w *sim.World, cfg Config) (*Campaign, error) {
 	cfg = cfg.withDefaults()
+	if got, want := w.Config(), worldConfig(cfg.Spec); got != want {
+		return nil, fmt.Errorf("trace: world built from %+v, but the campaign's Spec derives %+v", got, want)
+	}
 	c := &Campaign{
 		World:  w,
 		Config: cfg,
@@ -255,31 +289,26 @@ func NewCampaign(w *sim.World, cfg Config) (*Campaign, error) {
 		}
 		w.Fabric.SetInjector(sched)
 	}
-	if cfg.Workers > 1 {
-		if cfg.WorldFactory == nil {
-			return nil, fmt.Errorf("trace: Workers=%d requires a WorldFactory", cfg.Workers)
+	replicaWorld := cfg.WorldFactory
+	if replicaWorld == nil {
+		replicaWorld = func() (*sim.World, error) { return newWorld(cfg.Spec) }
+	}
+	for i := 1; i < cfg.Workers; i++ {
+		rw, err := replicaWorld()
+		if err != nil {
+			return nil, fmt.Errorf("trace: building world replica %d: %w", i, err)
 		}
-		for i := 1; i < cfg.Workers; i++ {
-			rw, err := cfg.WorldFactory()
-			if err != nil {
-				return nil, fmt.Errorf("trace: building world replica %d: %w", i, err)
-			}
-			repCfg := cfg
-			repCfg.Workers = 1
-			repCfg.WorldFactory = nil
-			// Durability is coordinated by the root campaign; shards only
-			// run experiments.
-			repCfg.CheckpointDir, repCfg.Resume = "", false
-			rep, err := NewCampaign(rw, repCfg)
-			if err != nil {
-				return nil, fmt.Errorf("trace: campaign replica %d: %w", i, err)
-			}
-			if rep.total != c.total {
-				return nil, fmt.Errorf("trace: world replica %d sized %d clients, want %d (WorldFactory not deterministic?)",
-					i, rep.total, c.total)
-			}
-			c.replicas = append(c.replicas, rep)
+		repCfg := cfg
+		repCfg.Workers = 1
+		repCfg.WorldFactory = nil
+		// Durability is coordinated by the root campaign; shards only
+		// run experiments.
+		repCfg.CheckpointDir, repCfg.Resume = "", false
+		rep, err := NewCampaign(rw, repCfg)
+		if err != nil {
+			return nil, fmt.Errorf("trace: campaign replica %d: %w", i, err)
 		}
+		c.replicas = append(c.replicas, rep)
 	}
 	return c, nil
 }

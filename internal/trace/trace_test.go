@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,16 +237,17 @@ func TestShorterCampaignIsPrefixOfLonger(t *testing.T) {
 
 func workerCampaign(t *testing.T, workers, days int, scale float64) *dataset.Dataset {
 	t.Helper()
-	w, err := sim.New(sim.Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return substrateCampaign(t, workers, days, scale, sim.Substrate{})
+}
+
+func substrateCampaign(t *testing.T, workers, days int, scale float64, sub sim.Substrate) *dataset.Dataset {
+	t.Helper()
 	cfg := DefaultConfig(7)
 	cfg.ClientScale = scale
 	cfg.End = cfg.Start.Add(time.Duration(days) * 24 * time.Hour)
 	cfg.Workers = workers
-	cfg.WorldFactory = func() (*sim.World, error) { return sim.New(sim.Config{Seed: 7}) }
-	c, err := NewCampaign(w, cfg)
+	cfg.Substrate = sub
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,15 +282,101 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestWorkersRequireWorldFactory(t *testing.T) {
-	w, err := sim.New(sim.Config{Seed: 7})
+// TestAblatedReplicasFollowSpec: worker shards run on replica worlds
+// derived from the Spec, so a counterfactual substrate is the same
+// dataset at any worker count — and a different dataset from the paper
+// world's, or the replicas could silently be running the baseline.
+func TestAblatedReplicasFollowSpec(t *testing.T) {
+	sub := sim.Substrate{CDNMapBits: 16, StablePairing: true}
+	serial := jsonlBytes(t, substrateCampaign(t, 1, 1, 0.05, sub))
+	if !bytes.Equal(jsonlBytes(t, substrateCampaign(t, 3, 1, 0.05, sub)), serial) {
+		t.Fatal("an ablated campaign at 3 workers diverges from its serial run")
+	}
+	if bytes.Equal(jsonlBytes(t, workerCampaign(t, 1, 1, 0.05)), serial) {
+		t.Fatal("the ablated substrate produced the paper world's dataset")
+	}
+}
+
+// TestNewCampaignRefusesForeignWorld: a campaign runs only on the world
+// its Spec derives. A primary or replica world built from another seed or
+// substrate is refused, and the error names both configurations.
+func TestNewCampaignRefusesForeignWorld(t *testing.T) {
+	stable := sim.Config{Seed: 7, Substrate: sim.Substrate{StablePairing: true}}
+	for _, tc := range []struct {
+		name    string
+		primary sim.Config
+		replica sim.Config // built by WorldFactory for a two-worker campaign
+	}{
+		{"other seed", sim.Config{Seed: 8}, sim.Config{Seed: 7}},
+		{"other substrate", stable, sim.Config{Seed: 7}},
+		{"replica from another substrate", sim.Config{Seed: 7}, stable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := sim.New(tc.primary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(7)
+			cfg.ClientScale = 0.05
+			cfg.Workers = 2
+			cfg.WorldFactory = func() (*sim.World, error) { return sim.New(tc.replica) }
+			_, err = NewCampaign(w, cfg)
+			if err == nil {
+				t.Fatal("a campaign accepted a world its Spec does not derive")
+			}
+			foreign := tc.primary
+			if foreign == (sim.Config{Seed: 7}) {
+				foreign = tc.replica
+			}
+			for _, want := range []string{fmt.Sprintf("%+v", foreign), fmt.Sprintf("%+v", sim.Config{Seed: 7})} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSubstrateIsIdentity: a counterfactual substrate changes the
+// campaign's hash and its pushed JSON, while the paper world's zero
+// substrate — and CDNMapBits 24, the default spelled out — leaves both
+// exactly as they were before the Spec had a substrate.
+func TestSubstrateIsIdentity(t *testing.T) {
+	base := DefaultConfig(2014).Spec
+	with := func(sub sim.Substrate) Spec {
+		s := base
+		s.Substrate = sub
+		return s
+	}
+	if got := with(sim.Substrate{CDNMapBits: 24}).Hash(); got != base.Hash() {
+		t.Errorf("CDNMapBits 24 hashes %s, the paper world %s", got, base.Hash())
+	}
+	seen := map[string]string{base.Hash(): "paper world"}
+	for _, sub := range []sim.Substrate{{CDNMapBits: 16}, {CDNMapBits: 32}, {StablePairing: true}, {CDNMapBits: 16, StablePairing: true}} {
+		h := with(sub).Hash()
+		if prev, dup := seen[h]; dup {
+			t.Errorf("substrate %+v hashes %s, like %s", sub, h, prev)
+		}
+		seen[h] = fmt.Sprintf("%+v", sub)
+	}
+	zero, err := json.Marshal(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(7)
-	cfg.Workers = 4
-	if _, err := NewCampaign(w, cfg); err == nil {
-		t.Fatal("Workers>1 without a WorldFactory should fail")
+	if strings.Contains(string(zero), "cdn_map_bits") || strings.Contains(string(zero), "stable_pairing") {
+		t.Errorf("a zero substrate shows in the JSON: %s", zero)
+	}
+	ablated := with(sim.Substrate{CDNMapBits: 16, StablePairing: true})
+	raw, err := json.Marshal(ablated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Spec
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Substrate != ablated.Substrate || back.Hash() != ablated.Hash() {
+		t.Errorf("substrate lost in JSON %s: got %+v", raw, back.Substrate)
 	}
 }
 

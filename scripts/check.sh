@@ -130,6 +130,18 @@ cmp "$ckds" "$ckb" || { echo "check.sh: kill-resume diverges from serial bytes" 
 "$ckbin" convert -in "$bkck" -out "$bkcv" 2>/dev/null
 cmp "$ckds" "$bkcv" || { echo "check.sh: convert -in <checkpoint dir> diverges from the serial dataset" >&2; exit 1; }
 
+echo "==> ablation worker gate (ABL-CONSISTENCY, ABL-GRANULARITY: -workers 2 prints what -workers 1 does; replica worlds derive from the ablated Spec)"
+for id in ABL-CONSISTENCY ABL-GRANULARITY; do
+	for w in 1 2; do
+		"$ckbin" exp -id "$id" -days 4 -scale 0.2 -seed 7 -workers "$w" > "$work/abl-w$w.txt" 2>/dev/null
+	done
+	if grep -q 'ablation failed' "$work/abl-w1.txt" "$work/abl-w2.txt"; then
+		echo "check.sh: $id failed to build its ablated campaign" >&2; cat "$work/abl-w1.txt" "$work/abl-w2.txt" >&2; exit 1
+	fi
+	cmp "$work/abl-w1.txt" "$work/abl-w2.txt" || {
+		echo "check.sh: $id at -workers 2 diverges from -workers 1" >&2; exit 1; }
+done
+
 echo "==> codec bench smoke (10^4-client single-step campaign; binary >= 5x smaller than JSONL)"
 c4j="$work/c4.jsonl"
 c4b="$work/c4.bin"
