@@ -222,6 +222,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 			GoodGuessProb:     spec.goodGuess,
 			ReplicasPerAnswer: spec.perAnswer,
 			SecondaryProb:     0.10,
+			MapPrefixBits:     mapBits,
 			Processing:        stats.LogNormal{Med: 2 * time.Millisecond, Sigma: 0.4, Floor: 500 * time.Microsecond},
 			locator:           locator,
 			domains:           map[string]dnswire.Name{},

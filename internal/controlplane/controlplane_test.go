@@ -774,3 +774,160 @@ func TestReadMsgAllocatesWhatArrives(t *testing.T) {
 		t.Fatalf("a %d-byte frame did not survive stepwise growth: %v", len(big), err)
 	}
 }
+
+// recvWithin reads one reply and requires it within d.
+func (r *rawClient) recvWithin(d time.Duration) *Message {
+	r.t.Helper()
+	m, err := readMsg(r.conn, d)
+	if err != nil {
+		r.t.Fatalf("no reply within %v: %v", d, err)
+	}
+	return m
+}
+
+// expectParked requires the coordinator to be holding r's request: no reply
+// arrives for a while.
+func (r *rawClient) expectParked() {
+	r.t.Helper()
+	if err := r.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
+		r.t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := r.conn.Read(b[:]); !errors.Is(err, os.ErrDeadlineExceeded) {
+		r.t.Fatalf("lease request answered at once (err %v), want it parked", err)
+	}
+}
+
+// TestParkedLeaseDoneOnCompletion: a lease request that finds every range
+// leased out is held, not answered with a wait hint, and the holder's ack
+// that completes the campaign answers it done — no poll interval later.
+func TestParkedLeaseDoneOnCompletion(t *testing.T) {
+	const total = 4
+	c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: total, LeaseSize: total, RetryAfter: time.Hour})
+	holder := dialRaw(t, addr)
+	holder.handshake("holder")
+	granted := holder.lease()
+	idle := dialRaw(t, addr)
+	idle.handshake("idle")
+	idle.send(&Message{Type: MsgLease})
+	idle.expectParked()
+
+	holder.send(segmentFor(granted))
+	holder.recv()
+	if m := idle.recvWithin(2 * time.Second); m.Type != MsgDone {
+		t.Fatalf("parked request answered %+v, want done", m)
+	}
+	holder.send(&Message{Type: MsgBye})
+	idle.send(&Message{Type: MsgBye})
+	ds, st, err := c.Wait()
+	if err != nil || st.Completed != total {
+		t.Fatalf("Wait = (%+v, %v), want %d completed", st, err, total)
+	}
+	if !bytes.Equal(jsonl(t, ds), serialJSONL(t, total)) {
+		t.Fatal("dataset diverges from serial")
+	}
+}
+
+// TestParkedLeaseTakesReleasedRange: the range of a worker whose socket
+// dies goes straight to one of the requests parked behind it; the other
+// parks again and is answered done when the campaign completes.
+func TestParkedLeaseTakesReleasedRange(t *testing.T) {
+	const total = 8
+	c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: total, LeaseSize: total, RetryAfter: time.Hour})
+	victim := dialRaw(t, addr)
+	victim.handshake("victim")
+	granted := victim.lease()
+	rescues := []*rawClient{dialRaw(t, addr), dialRaw(t, addr)}
+	for i, r := range rescues {
+		r.handshake(fmt.Sprintf("rescue%d", i))
+		r.send(&Message{Type: MsgLease})
+		r.expectParked()
+	}
+
+	type reply struct {
+		from int
+		m    *Message
+		err  error
+	}
+	replies := make(chan reply, len(rescues))
+	for i, r := range rescues {
+		go func(i int, r *rawClient) {
+			m, err := readMsg(r.conn, 10*time.Second)
+			replies <- reply{i, m, err}
+		}(i, r)
+	}
+	victim.conn.Close() // SIGKILL
+	var re reply
+	select {
+	case re = <-replies:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no parked request took the released range within 2s")
+	}
+	if re.err != nil || re.m.Type != MsgRange || re.m.From != granted.From || re.m.To != granted.To {
+		t.Fatalf("parked request answered %+v (%v), want the victim's range %d-%d", re.m, re.err, granted.From, granted.To)
+	}
+	taker := rescues[re.from]
+	taker.send(segmentFor(re.m))
+	taker.recv()
+	if other := <-replies; other.err != nil || other.m.Type != MsgDone {
+		t.Fatalf("the other parked request answered %+v (%v), want done", other.m, other.err)
+	}
+	for _, r := range rescues {
+		r.send(&Message{Type: MsgBye})
+	}
+	ds, st, err := c.Wait()
+	if err != nil || st.Released != 1 || st.Granted != 2 {
+		t.Fatalf("Wait = (%+v, %v), want the victim's lease released once and granted twice", st, err)
+	}
+	if !bytes.Equal(jsonl(t, ds), serialJSONL(t, total)) {
+		t.Fatal("dataset diverges from serial")
+	}
+}
+
+// TestParkedLeaseWokenByInterrupt: Interrupt ends a parked request's
+// session at once, so Wait does not sit out RetryAfter.
+func TestParkedLeaseWokenByInterrupt(t *testing.T) {
+	c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: 4, LeaseSize: 4, RetryAfter: time.Hour})
+	holder := dialRaw(t, addr)
+	holder.handshake("holder")
+	holder.lease()
+	idle := dialRaw(t, addr)
+	idle.handshake("idle")
+	idle.send(&Message{Type: MsgLease})
+	idle.expectParked()
+
+	start := time.Now()
+	c.Interrupt()
+	if _, _, err := c.Wait(); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("Wait = %v, want ErrInterrupted", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Wait took %v with a parked request", took)
+	}
+	if m, err := readMsg(idle.conn, 2*time.Second); err == nil {
+		t.Fatalf("parked request answered %+v after Interrupt, want its session closed", m)
+	}
+}
+
+// TestParkedLeaseTimesOutToRetry: a request parked for RetryAfter with
+// nothing freed is answered wait with no delay, so the worker's next
+// request is what looks for expired leases.
+func TestParkedLeaseTimesOutToRetry(t *testing.T) {
+	const retry = 50 * time.Millisecond
+	c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: 4, LeaseSize: 4, RetryAfter: retry})
+	holder := dialRaw(t, addr)
+	holder.handshake("holder")
+	holder.lease()
+	idle := dialRaw(t, addr)
+	idle.handshake("idle")
+	start := time.Now()
+	idle.send(&Message{Type: MsgLease})
+	m := idle.recvWithin(2 * time.Second)
+	if took := time.Since(start); m.Type != MsgWait || m.RetryMillis != 0 || took < retry {
+		t.Fatalf("reply %+v after %v, want wait with no delay after at least %v", m, took, retry)
+	}
+	c.Interrupt()
+	if _, _, err := c.Wait(); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("Wait = %v, want ErrInterrupted", err)
+	}
+}

@@ -37,12 +37,16 @@ type CoordinatorConfig struct {
 	// this long (default 10s); the range is reassigned to the next healthy
 	// worker that asks. Measured on the injectable clock.
 	LeaseTimeout time.Duration
-	// RetryAfter is the poll delay suggested to workers when every range
-	// is leased out (default 250ms).
+	// RetryAfter is how long a lease request is held before a wait reply
+	// (default 250ms, at most 30s). A request that finds every range
+	// leased out parks until a range returns to the pool, the campaign
+	// completes or Interrupt fires; if none of that happens within
+	// RetryAfter it is answered wait{retry_millis: 0}, and the worker asks
+	// again at once, which is when expired leases are looked for.
 	RetryAfter time.Duration
-	// DrainTimeout bounds how long Wait lingers after completion for idle
-	// workers to pick up their done reply before connections are force
-	// closed (default 3s).
+	// DrainTimeout bounds how long Wait lingers after completion for
+	// workers to take their done reply and leave before connections are
+	// force closed (default 3s).
 	DrainTimeout time.Duration
 	// Checkpoint, when non-nil, receives every first-seen experiment —
 	// the durable merge segment — as the sealed segment its worker sent,
@@ -73,9 +77,11 @@ func (c CoordinatorConfig) leaseTimeout() time.Duration {
 	return 10 * time.Second
 }
 
+// retryAfter is capped at half of ioTimeout: a parked worker waits for
+// the reply in a read under that deadline.
 func (c CoordinatorConfig) retryAfter() time.Duration {
 	if c.RetryAfter > 0 {
-		return c.RetryAfter
+		return min(c.RetryAfter, ioTimeout/2)
 	}
 	return 250 * time.Millisecond
 }
@@ -155,6 +161,9 @@ type Coordinator struct {
 	fatalErr  error
 	conns     map[net.Conn]bool
 	leaseSecs stats.Sample
+	// freed is closed, and replaced, whenever ranges return to the free
+	// pool: it wakes every parked lease request to look again.
+	freed chan struct{}
 
 	wg            sync.WaitGroup
 	completeCh    chan struct{}
@@ -172,6 +181,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		leases:      map[int]*lease{},
 		exps:        make(map[int]*dataset.Experiment, cfg.Total),
 		conns:       map[net.Conn]bool{},
+		freed:       make(chan struct{}),
 		completeCh:  make(chan struct{}),
 		interruptCh: make(chan struct{}),
 	}
@@ -282,7 +292,9 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		var reply *Message
 		switch m.Type {
 		case MsgLease:
-			reply = c.grant(sess)
+			if reply = c.grant(sess); reply == nil {
+				return // interrupted while parked: Wait is cutting sessions
+			}
 		case MsgHeartbeat:
 			c.beat(sess, m)
 		case MsgSegment:
@@ -326,31 +338,53 @@ func (c *Coordinator) admit(hello *Message) string {
 }
 
 // grant hands the requesting session a range: a free one first, then an
-// expired lease's (reassignment), else a wait hint — or done once every
-// experiment is durable.
+// expired lease's (reassignment), or done once every experiment is
+// durable. When there is none of these it parks the request until a range
+// is freed (looking again), the campaign completes (done), Interrupt fires
+// (nil: the session ends) or RetryAfter passes (wait with no delay, so the
+// worker's next request re-checks lease expiry on the injectable clock).
 func (c *Coordinator) grant(sess *session) *Message {
-	c.mu.Lock()
-	now := c.now()
-	if c.doneCount >= c.cfg.Total {
+	var timer *time.Timer // made only when the request first parks
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		c.mu.Lock()
+		now := c.now()
+		if c.doneCount >= c.cfg.Total {
+			c.mu.Unlock()
+			return &Message{Type: MsgDone}
+		}
+		r, ok := c.popFreeLocked()
+		if !ok {
+			r, ok = c.expireLocked(now)
+		}
+		if ok {
+			c.nextLease++
+			id := c.nextLease
+			c.leases[id] = &lease{id: id, r: r, sess: sess, grantedAt: now, lastBeat: now}
+			sess.leases[id] = true
+			c.status.Granted++
+			c.mu.Unlock()
+			return &Message{Type: MsgRange, Lease: id, From: r.from, To: r.to}
+		}
+		freed := c.freed
 		c.mu.Unlock()
-		return &Message{Type: MsgDone}
+		if timer == nil {
+			//lint:ignore determinism the park bound is real time like the wait hint it replaces; lease expiry stays on the injectable clock
+			timer = time.NewTimer(c.cfg.retryAfter())
+		}
+		select {
+		case <-freed:
+		case <-c.completeCh:
+		case <-c.interruptCh:
+			return nil
+		case <-timer.C:
+			return &Message{Type: MsgWait}
+		}
 	}
-	r, ok := c.popFreeLocked()
-	if !ok {
-		r, ok = c.expireLocked(now)
-	}
-	if !ok {
-		retry := c.cfg.retryAfter()
-		c.mu.Unlock()
-		return &Message{Type: MsgWait, RetryMillis: int(retry / time.Millisecond)}
-	}
-	c.nextLease++
-	id := c.nextLease
-	c.leases[id] = &lease{id: id, r: r, sess: sess, grantedAt: now, lastBeat: now}
-	sess.leases[id] = true
-	c.status.Granted++
-	c.mu.Unlock()
-	return &Message{Type: MsgRange, Lease: id, From: r.from, To: r.to}
 }
 
 // popFreeLocked removes and returns the free range with the lowest
@@ -486,7 +520,8 @@ func (c *Coordinator) ingest(sess *session, m *Message) *Message {
 
 // releaseSession returns a departing session's unfinished leases to the
 // free pool: a crashed worker's ranges are reassignable the moment its
-// socket dies, without waiting out the lease timeout.
+// socket dies, without waiting out the lease timeout, and go at once to
+// any lease request parked in grant.
 func (c *Coordinator) releaseSession(sess *session) {
 	c.mu.Lock()
 	var ids []int
@@ -494,6 +529,7 @@ func (c *Coordinator) releaseSession(sess *session) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	released := 0
 	for _, id := range ids {
 		l := c.leases[id]
 		if l == nil || l.sess != sess {
@@ -502,8 +538,12 @@ func (c *Coordinator) releaseSession(sess *session) {
 		delete(c.leases, id)
 		c.free = append(c.free, l.r)
 		c.status.Released++
+		released++
 	}
-	released := len(ids)
+	if released > 0 {
+		close(c.freed) // wake parked lease requests
+		c.freed = make(chan struct{})
+	}
 	c.mu.Unlock()
 	if released > 0 {
 		c.logf("controlplane: worker %s left; returned %d unfinished lease(s) to the pool", sess.worker, released)
@@ -551,8 +591,9 @@ func (c *Coordinator) Wait() (*dataset.Dataset, Status, error) {
 		// durable state is the checkpoint, not anything in flight.
 		c.closeConns()
 	} else {
-		// Linger briefly so idle workers wake from their wait-retry sleep,
-		// receive done, and exit cleanly — then force the stragglers.
+		// Parked lease requests were answered done as the campaign
+		// completed; linger briefly so those workers, and any between
+		// requests, say bye and exit cleanly — then force the stragglers.
 		drained := make(chan struct{})
 		go func() {
 			c.wg.Wait()

@@ -8,8 +8,8 @@
 //	worker                          coordinator
 //	  hello{worker, config_hash} ->
 //	                              <- config{wire config, hash, total}   (or reject)
-//	  lease{}                    ->
-//	                              <- range{lease, from, to}  (or wait / done)
+//	  lease{}                    ->                          (held while every range is out)
+//	                              <- range{lease, from, to}  (or done, or wait after RetryAfter)
 //	  heartbeat{lease, done}     ->                          (no reply)
 //	  segment{lease} + records   ->
 //	                              <- ack{dups}
@@ -103,7 +103,9 @@ type Message struct {
 	To   int `json:"to,omitempty"`
 	// Done is the worker's progress inside the range (heartbeat only).
 	Done int `json:"done,omitempty"`
-	// RetryMillis is the suggested poll delay (wait only).
+	// RetryMillis is the suggested poll delay (wait only). This
+	// coordinator sends 0: it has already held the request for its
+	// RetryAfter.
 	RetryMillis int `json:"retry_millis,omitempty"`
 	// Dups is how many of a segment's experiments were already durable —
 	// the visible face of the exactly-once merge (ack only).

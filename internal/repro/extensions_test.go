@@ -189,4 +189,17 @@ func TestABLGranularity(t *testing.T) {
 	if z16 <= 0 || z16 > 1 || z32 < 0 || z32 > 1 {
 		t.Fatalf("zero fractions out of range: /16=%v /32=%v", z16, z32)
 	}
+	// Each row is a world mapped at its own granularity, so no two rows
+	// can be the same campaign: identical rows mean the providers never
+	// saw the ablated prefix length.
+	row := func(bits int) [3]float64 {
+		return [3]float64{
+			r.Metrics[fmt.Sprintf("inflation_p50_bits%d", bits)],
+			r.Metrics[fmt.Sprintf("inflation_p90_bits%d", bits)],
+			r.Metrics[fmt.Sprintf("fig14_zero_bits%d", bits)],
+		}
+	}
+	if row(32) == row(24) || row(24) == row(16) || row(32) == row(16) {
+		t.Fatalf("mapping granularity does not change the campaign:\n%s", r.Text)
+	}
 }

@@ -14,7 +14,7 @@ package upstream
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -91,9 +91,12 @@ func (m *member) p95() time.Duration {
 	if m.ringN == 0 {
 		return 0
 	}
-	buf := make([]time.Duration, m.ringN)
+	// It runs under the pool mutex on every adaptive-hedge Resolve: sort a
+	// stack copy of the ring, not a heap one.
+	var arr [latWindow]time.Duration
+	buf := arr[:m.ringN]
 	copy(buf, m.ring[:m.ringN])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	idx := (m.ringN*95 + 99) / 100
 	if idx > 0 {
 		idx--

@@ -56,6 +56,9 @@ go test -count=1 -run '^TestSegmentRoundTripAllocBudget$' ./internal/dataset/
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> control-plane hand-offs (parked lease requests, hostile segment ingest; -race -count=5: their goroutine interleavings differ run to run)"
+go test -race -count=5 -run '^(TestParkedLease|TestHostileSegmentIngest)' ./internal/controlplane/
+
 echo "==> worker-count invariance (workers 1/4/8 -> identical dataset)"
 go test -race -count=1 -run '^TestWorkerCountInvariance$' ./internal/trace/
 
