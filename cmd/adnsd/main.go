@@ -1,4 +1,5 @@
-// Command adnsd runs the whoami authoritative DNS server over real UDP:
+// Command adnsd runs the whoami authoritative DNS server over real UDP
+// and TCP:
 // any A or TXT query under the served zone is answered with the address
 // of whoever asked — the resolver-discovery technique of the paper's §3.2
 // (after Mao et al.). Point an NS delegation for the zone at this host and
@@ -12,11 +13,9 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/netip"
 	"os"
-	"time"
 
 	"cellcurtain/internal/adns"
 	"cellcurtain/internal/dnsserver"
@@ -25,14 +24,10 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:5353", "UDP listen address")
+	serving := sigdrain.ServingFlags(flag.CommandLine, "127.0.0.1:5353")
 	zone := flag.String("zone", string(adns.Zone), "zone to serve authoritatively")
 	records := flag.String("records", "", "optional file of static records served outside the whoami zone (one per line: <name> [ttl] <type> <rdata>)")
 	quiet := flag.Bool("quiet", false, "suppress per-query logging")
-	shards := flag.Int("shards", 1, "SO_REUSEPORT listener shards on the UDP port (Linux; >1 needs kernel support)")
-	workers := flag.Int("workers", 0, "handler goroutines per shard (0 = 2×GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "pending-query depth per shard before overload SERVFAILs (0 = 1024)")
-	batch := flag.Int("batch", 0, "packets per recvmmsg/sendmmsg syscall (0 = 32 on Linux; 1 = portable loop)")
 	flag.Parse()
 
 	whoami := adns.New(nil, nil)
@@ -63,47 +58,14 @@ func main() {
 		}
 		return resp
 	})
-	group := dnsserver.NewShardGroup(*shards, func(int) *dnsserver.Server {
-		srv := &dnsserver.Server{
-			Handler: logHandler,
-			Workers: *workers, Queue: *queue, Batch: *batch,
-		}
-		if !*quiet {
-			srv.Logf = log.Printf
-		}
-		return srv
-	})
-	// Serve the same zone over TCP for truncated-response retries.
-	tcpSrv := &dnsserver.TCPServer{Handler: logHandler}
+	var logf func(string, ...any)
 	if !*quiet {
-		tcpSrv.Logf = log.Printf
+		logf = log.Printf
 	}
-	errCh := make(chan error, 2)
-	go func() {
-		if err := tcpSrv.ListenAndServe(*listen); err != nil {
-			errCh <- err
-		}
-	}()
-	go func() {
-		if err := group.ListenAndServe(*listen); err != nil {
-			errCh <- err
-		}
-	}()
-	log.Printf("adnsd: serving zone %q on %s (udp+tcp, %d udp shard(s))", *zone, *listen, *shards)
-
-	// Graceful stop: close the listeners, let in-flight queries finish
-	// writing their responses, then exit. Serve errors after this point
-	// are the expected use-of-closed-connection, not failures.
-	sigdrain.Run("adnsd", errCh, func() error {
-		udpOK := group.Drain(5 * time.Second)
-		tcpOK := tcpSrv.Drain(5 * time.Second)
-		if sf, drops := group.OverloadStats(); sf > 0 || drops > 0 {
-			log.Printf("adnsd: overload: %d queries SERVFAILed, %d packets dropped", sf, drops)
-		}
-		if !udpOK || !tcpOK {
-			return fmt.Errorf("drain deadline exceeded (udp=%v tcp=%v)", udpOK, tcpOK)
-		}
-		log.Printf("adnsd: drained cleanly")
-		return nil
-	})
+	srv, err := serving.Serve("adnsd", logHandler, logf)
+	if err != nil {
+		log.Fatalf("adnsd: %v", err)
+	}
+	log.Printf("adnsd: serving zone %q on %s (udp+tcp, %d udp shard(s))", *zone, srv.Addr(), serving.Shards)
+	sigdrain.Run("adnsd", srv.Errors(), srv.Drain)
 }

@@ -31,7 +31,7 @@ import (
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	in := fs.String("in", "dataset.jsonl", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")
-	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; a checkpoint directory is always scanned serially")
+	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; output is byte-identical for any N; a checkpoint directory is always scanned serially")
 	progress := fs.Bool("progress", false, "report scan progress on stderr")
 	runStats := fs.Bool("stats", false, "report scan time and peak RSS on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the scan and report to this file")

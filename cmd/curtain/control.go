@@ -18,6 +18,8 @@ import (
 	"cellcurtain"
 	"cellcurtain/internal/controlplane"
 	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/fault"
+	"cellcurtain/internal/sigdrain"
 	"cellcurtain/internal/trace"
 )
 
@@ -33,9 +35,10 @@ func campaignFlags(fs *flag.FlagSet) func() (o cellcurtain.Options, set bool) {
 	name := func(n string) string { own[n] = true; return n }
 	fs.Uint64Var(&o.Seed, name("seed"), 2014, "RNG seed")
 	fs.IntVar(&o.Days, name("days"), 0, "campaign days (0 = full five months)")
-	fs.IntVar(&o.IntervalHours, name("interval-hours"), 0, "experiment period in hours")
-	fs.Float64Var(&o.ClientScale, name("scale"), 0, "client population scale")
-	fs.StringVar(&o.Faults, name("faults"), "", "fault scenario (preset name or DSL)")
+	fs.IntVar(&o.IntervalHours, name("interval-hours"), 0, "experiment period in hours (0 = 12)")
+	fs.Float64Var(&o.ClientScale, name("scale"), 0, "client population scale (0 = 1.0, the paper's 158 devices)")
+	fs.StringVar(&o.Faults, name("faults"), "", "fault scenario, deterministic in -seed: a preset ("+strings.Join(fault.PresetNames(), ", ")+
+		") or DSL text like \"outage:target=local,start=25%,dur=50%,mode=servfail\" (see internal/fault)")
 	return func() (cellcurtain.Options, bool) {
 		set := false
 		fs.Visit(func(f *flag.Flag) { set = set || own[f.Name] })
@@ -56,10 +59,10 @@ func runCoordinate(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:9290", "address workers connect to (host:port, or a unix socket path)")
 	out := fs.String("out", "dataset.jsonl", "output path for the merged dataset")
-	formatName := fs.String("format", "", "merged output codec: jsonl or binary (default jsonl)")
-	jsonOut := fs.Bool("json", false, "one-line JSON status report on stdout after the drain (for scripts)")
+	formatName := fs.String("format", "", "merged output codec: jsonl or binary; the checkpoint segment is always curtainbin (default jsonl)")
+	jsonOut := fs.Bool("json", false, "one-line JSON status report on stdout after the drain: lease grants and reassignments, dedup counts, grant-to-merge latency p50/p95 (for scripts)")
 	checkpoint := checkpointFlags(fs,
-		"durable segment directory (required; the exactly-once merge substrate)",
+		"durable segment directory (required; the exactly-once merge substrate that worker crashes and coordinator restarts recover from)",
 		"adopt the checkpoint in -checkpoint-dir and lease only the missing experiments")
 	leaseSize := fs.Int("lease", 64, "experiments per leased range (smaller = finer crash re-run granularity)")
 	leaseTimeout := fs.Duration("lease-timeout", 10*time.Second, "reassign a lease after this long without a heartbeat")
@@ -108,7 +111,7 @@ func runCoordinate(args []string) error {
 		total, hash, ln.Addr(), len(prior))
 	coord.Start(ln)
 
-	onInterrupt(fmt.Sprintf("curtain: interrupt — flushing checkpoint %s and stopping (again to abort)", o.CheckpointDir),
+	sigdrain.OnInterrupt("curtain", fmt.Sprintf("curtain: interrupt — flushing checkpoint %s and stopping (again to abort)", o.CheckpointDir),
 		coord.Interrupt)
 
 	ds, st, err := coord.Wait()
@@ -197,7 +200,7 @@ func runWorker(args []string) error {
 	// then leave. A second signal aborts — the coordinator reassigns the
 	// abandoned lease the moment the socket dies.
 	interrupt := make(chan struct{})
-	onInterrupt("curtain: interrupt — finishing the current range, then leaving (again to abort)",
+	sigdrain.OnInterrupt("curtain", "curtain: interrupt — finishing the current range, then leaving (again to abort)",
 		func() { close(interrupt) })
 
 	st, err := controlplane.RunWorker(controlplane.WorkerConfig{

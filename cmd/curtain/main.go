@@ -1,21 +1,6 @@
 // Command curtain drives the cellcurtain reproduction study from the
-// command line.
-//
-// Usage:
-//
-//	curtain list                          print the experiment catalog
-//	curtain report [flags]                regenerate every table and figure
-//	curtain exp -id F14 [flags]           regenerate one artifact
-//	curtain simulate -out data.jsonl      run a campaign, dump the dataset
-//	curtain convert -in A -out B          transcode a dataset between codecs
-//	curtain analyze -in data.jsonl        offline analysis, no simulation
-//	curtain loadgen -target ADDR          load-test a DNS resolver
-//	curtain coordinate -checkpoint-dir D  lease a campaign to worker processes
-//	curtain worker -addr ADDR             execute ranges a coordinator leases
-//
-// Campaign flags: -seed, -days, -interval-hours, -scale, -faults (plus
-// -workers and the checkpoint flags where a campaign runs locally); run
-// curtain help for every subcommand's flags.
+// command line: curtain help lists the subcommands, and
+// curtain <command> -h prints one subcommand's flags.
 package main
 
 import (
@@ -24,18 +9,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"cellcurtain"
 	"cellcurtain/internal/controlplane"
 	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/sigdrain"
 	"cellcurtain/internal/trace"
 )
+
+// commands is the one list of subcommands: main dispatches through it
+// and usage prints it.
+var commands = []struct {
+	name, summary string
+	run           func(args []string) error
+}{
+	{"list", "print the experiment catalog (table/figure IDs)", func([]string) error { return runList() }},
+	{"report", "run a campaign and regenerate every table and figure", runReport},
+	{"exp", "regenerate one artifact: curtain exp -id F14", runExp},
+	{"simulate", "run a campaign and stream the raw dataset (jsonl or curtainbin) to disk", runSimulate},
+	{"convert", "transcode a dataset (file or checkpoint dir) between jsonl and binary, byte-exactly", runConvert},
+	{"analyze", "offline analysis of a dataset file or checkpoint directory, no simulation", runAnalyze},
+	{"loadgen", "hammer a DNS resolver at a target QPS and report latency", runLoadgen},
+	{"coordinate", "lease a campaign to workers, merge byte-identical to a serial run (DESIGN.md §14)", runCoordinate},
+	{"worker", "join a coordinated campaign and execute leased ranges; campaign flags given\n" +
+		"             here are a fingerprint claim the coordinator verifies", runWorker},
+}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -43,34 +45,22 @@ func main() {
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "list":
-		err = runList()
-	case "report":
-		err = runReport(args)
-	case "exp":
-		err = runExp(args)
-	case "simulate":
-		err = runSimulate(args)
-	case "convert":
-		err = runConvert(args)
-	case "analyze":
-		err = runAnalyze(args)
-	case "loadgen":
-		err = runLoadgen(args)
-	case "coordinate":
-		err = runCoordinate(args)
-	case "worker":
-		err = runWorker(args)
-	case "-h", "--help", "help":
+	if cmd == "-h" || cmd == "--help" || cmd == "help" {
 		usage()
-	default:
+		return
+	}
+	var run func([]string) error
+	for _, c := range commands {
+		if c.name == cmd {
+			run = c.run
+		}
+	}
+	if run == nil {
 		fmt.Fprintf(os.Stderr, "curtain: unknown command %q\n", cmd)
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err := run(args); err != nil {
 		fmt.Fprintln(os.Stderr, "curtain:", err)
 		if errors.Is(err, controlplane.ErrInterrupted) {
 			// Coordinator stop with a flushed checkpoint: clean exit, the
@@ -87,106 +77,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: curtain <command> [flags]
-
-commands:
-  list       print the experiment catalog (table/figure IDs)
-  report     run a campaign and regenerate every table and figure
-  exp        regenerate one artifact: curtain exp -id F14
-  simulate   run a campaign and stream the raw dataset to disk
-             (JSONL or compact curtainbin; bounded memory)
-  convert    transcode a dataset file or checkpoint directory between
-             jsonl and binary (auto-detects the input codec; round trips
-             are byte-identical)
-  analyze    offline analysis of a dataset file or checkpoint directory
-             (jsonl or binary, auto-detected; no simulation)
-  loadgen    hammer a DNS resolver at a target QPS and report latency
-  coordinate lease a campaign's experiments to worker processes and
-             merge their results (crash-tolerant, byte-identical to
-             a serial run; see DESIGN.md §14)
-  worker     join a coordinated campaign and execute leased ranges
-
-flags (loadgen):
-  -target ADDR        resolver under test (default 127.0.0.1:5353)
-  -qps N              target aggregate queries per second (default 10000)
-  -duration D         send phase length (default 3s)
-  -conns N            UDP sockets; distinct source ports exercise
-                      SO_REUSEPORT sharding (default 4)
-  -zone Z             zone for the query names (default loadgen.example)
-  -names N            distinct names in the mix (default 1024)
-  -seed N             RNG seed; same seed = same query sequence
-  -timeout D          drain window; later responses count as timeouts
-  -json               one-line JSON report on stdout (for scripts)
-
-flags (convert):
-  -in PATH            input dataset file, jsonl or binary (auto-detected),
-                      or a campaign checkpoint directory (binary)
-  -out PATH           output path (required)
-  -format F           output codec (default: the opposite of the input)
-
-flags (analyze):
-  -in PATH            dataset file (jsonl or binary, auto-detected) or
-                      campaign checkpoint directory (default dataset.jsonl)
-  -parallel N         concurrent shard scanners over a dataset file of
-                      either codec; output is byte-identical for any N; a
-                      checkpoint directory is always scanned serially
-                      (default 1)
-  -progress           report scan progress on stderr
-  -stats              report scan time and peak RSS on stderr
-
-flags (coordinate):
-  -listen ADDR        address workers connect to (default 127.0.0.1:9290;
-                      a path means a unix socket)
-  -checkpoint-dir D   durable segment directory (required); worker crashes
-                      and coordinator restarts recover from it
-  -resume             adopt the checkpoint and lease only what is missing
-  -lease N            experiments per leased range (default 64)
-  -lease-timeout D    reassign a lease after this long without a
-                      heartbeat (default 10s)
-  -out PATH           merged dataset path (default dataset.jsonl)
-  -format F           merged output codec: jsonl or binary (default
-                      jsonl; the checkpoint segment is always curtainbin)
-  -json               one-line JSON status report on stdout after the
-                      drain: lease grants/reassignments, dedup counts,
-                      grant-to-merge latency p50/p95 (for scripts)
-  plus the campaign flags: -seed -days -interval-hours -scale -faults
-
-flags (worker):
-  -addr ADDR          coordinator to join (default 127.0.0.1:9290)
-  -id NAME            worker name in coordinator logs
-  -heartbeat D        lease heartbeat interval (default 2s)
-  campaign flags given here become a fingerprint claim that the
-  coordinator verifies; omit them to adopt the pushed config
-
-flags (report/exp/simulate):
-  -seed N             RNG seed (default 2014)
-  -days N             campaign length in days (default: full five months)
-  -interval-hours N   per-device experiment period (default 12)
-  -scale F            client population scale (default 1.0 = 158 devices)
-  -workers N          parallel campaign workers (default 1; results are
-                      byte-identical for any worker count)
-  -faults S           fault scenario: a preset (resolver-outage,
-                      resolver-blackhole, radio-degraded, resolver-flap,
-                      public-dns-storm, authority-outage) or DSL text like
-                      "outage:target=local,start=25%,dur=50%,mode=servfail"
-                      (deterministic in -seed; see internal/fault)
-  -checkpoint-dir D   durable campaign checkpoint directory: completed
-                      experiments are fsync'd there (as curtainbin; read
-                      one with convert -in D) as the run progresses,
-                      and SIGINT/SIGTERM drains in-flight experiments and
-                      flushes the checkpoint before exiting
-  -checkpoint-every N checkpoint fsync cadence in experiments (default 64)
-  -resume             continue the campaign checkpointed in -checkpoint-dir
-                      (verified against -seed and the other campaign flags);
-                      the result is byte-identical to an uninterrupted run
-  -format F           simulate only: output codec, jsonl or binary
-                      (default jsonl; binary is the compact curtainbin
-                      form, DESIGN.md §15)
-  -out PATH           simulate only: output dataset path
-  -stats              simulate only: report run time, output bytes per
-                      experiment and peak RSS on stderr
-  -cpuprofile FILE    simulate, analyze: write a pprof CPU profile of the run
-  -memprofile FILE    simulate, analyze: write a pprof allocation profile at exit`)
+	fmt.Fprintln(os.Stderr, "usage: curtain <command> [flags]\n\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(os.Stderr, "\nRun 'curtain <command> -h' for a command's flags.")
 }
 
 // optionFlags registers the full campaign flag set — campaignFlags'
@@ -195,10 +90,10 @@ flags (report/exp/simulate):
 // handler installed when the run is checkpointed.
 func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 	campaign := campaignFlags(fs)
-	workers := fs.Int("workers", 0, "parallel campaign workers (0 = serial)")
+	workers := fs.Int("workers", 0, "parallel campaign workers (0 = serial); results are byte-identical for any worker count")
 	checkpoint := checkpointFlags(fs,
-		"durable checkpoint directory (empty = no checkpointing)",
-		"resume the campaign checkpointed in -checkpoint-dir")
+		"durable checkpoint directory (empty = no checkpointing): completed experiments are fsync'd there as curtainbin (read one with convert -in DIR) as the run progresses, and SIGINT/SIGTERM drains in-flight experiments and flushes it before exiting",
+		"resume the campaign checkpointed in -checkpoint-dir, verified against -seed and the other campaign flags; the result is byte-identical to an uninterrupted run")
 	return func() (cellcurtain.Options, error) {
 		o, _ := campaign()
 		o.Workers = *workers
@@ -211,7 +106,7 @@ func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 			// flushed before the process exits; an abort loses at most the
 			// experiments since the last fsync — what -resume recovers from.
 			interrupt := make(chan struct{})
-			onInterrupt(fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", o.CheckpointDir),
+			sigdrain.OnInterrupt("curtain", fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", o.CheckpointDir),
 				func() { close(interrupt) })
 			o.Interrupt = interrupt
 		}
@@ -280,22 +175,6 @@ func inputFormat(path string) (dataset.Format, error) {
 	return dataset.FileFormat(path)
 }
 
-// onInterrupt installs the two-stage stop simulate, coordinate and worker
-// share: the first SIGINT/SIGTERM prints msg and runs first (the graceful
-// drain), a second aborts the process immediately.
-func onInterrupt(msg string, first func()) {
-	sig := make(chan os.Signal, 2) // one slot per stage, so neither signal is dropped
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, msg)
-		first()
-		<-sig
-		fmt.Fprintln(os.Stderr, "curtain: aborting")
-		os.Exit(130)
-	}()
-}
-
 func runList() error {
 	fmt.Println("paper artifacts (see DESIGN.md for the full index):")
 	for _, id := range cellcurtain.ExperimentIDs() {
@@ -347,7 +226,7 @@ func runExp(args []string) error {
 func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
-	formatName := fs.String("format", "", "output codec: jsonl or binary (default jsonl)")
+	formatName := fs.String("format", "", "output codec: jsonl or binary, the compact curtainbin form of DESIGN.md §15 (default jsonl)")
 	runStats := fs.Bool("stats", false, "report run time, output bytes/experiment and peak RSS on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")

@@ -10,15 +10,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"log"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"cellcurtain/internal/dnsserver"
 	"cellcurtain/internal/flakydns"
+	"cellcurtain/internal/sigdrain"
 )
 
 func main() {
@@ -44,22 +43,24 @@ func main() {
 	if !*quiet {
 		srv.Logf = log.Printf
 	}
+	// UDP only: dnsserver's TCP listener answers a dropped query REFUSED,
+	// which would turn the down and loss phases' silence into answers.
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe(*listen) }()
+	go func() {
+		if err := srv.ListenAndServe(*listen); err != nil {
+			errCh <- err
+		}
+	}()
 	log.Printf("flakydns: serving on %s, script %q, ttl %ds", *listen, *script, *ttl)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		log.Printf("flakydns: %s — draining", s)
-		if !srv.Drain(5 * time.Second) {
-			log.Printf("flakydns: drain deadline exceeded")
-		}
+	sigdrain.Run("flakydns", errCh, func() error {
+		ok := srv.Drain(sigdrain.DrainTimeout)
 		c := h.Counters()
 		log.Printf("flakydns: served %d: ok %d, dropped %d, servfail %d, slowed %d, lost %d",
 			srv.Served(), c.OK, c.Dropped, c.ServFail, c.Slowed, c.Lost)
-	case err := <-errCh:
-		log.Fatalf("flakydns: %v", err)
-	}
+		if !ok {
+			return errors.New("drain deadline exceeded")
+		}
+		return nil
+	})
 }

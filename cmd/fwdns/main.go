@@ -1,10 +1,10 @@
 // Command fwdns is a caching DNS forwarder over real sockets: it answers
-// on a local address, forwards misses through a health-aware upstream
-// pool (circuit breaking, hedged queries, failover; DESIGN.md §13) and
-// serves repeats from a bounded TTL cache, with RFC 8767 serve-stale
-// keeping answers flowing through upstream outages. Running dnsprobe
-// against it makes the paper's Fig 7 cache effect directly observable
-// on a live network:
+// on a local address over UDP and TCP, forwards misses through a
+// health-aware upstream pool (circuit breaking, hedged queries, failover;
+// DESIGN.md §13) and serves repeats from a bounded TTL cache, with RFC
+// 8767 serve-stale keeping answers flowing through upstream outages.
+// Running dnsprobe against it makes the paper's Fig 7 cache effect
+// directly observable on a live network:
 //
 //	fwdns -listen 127.0.0.1:5454 -upstream 8.8.8.8,1.1.1.1 &
 //	dnsprobe -resolvers 127.0.0.1 -port 5454 -rounds 3
@@ -13,7 +13,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"cellcurtain/internal/dnsclient"
-	"cellcurtain/internal/dnsserver"
 	"cellcurtain/internal/dnswire"
 	"cellcurtain/internal/forwarder"
 	"cellcurtain/internal/sigdrain"
@@ -92,7 +90,7 @@ func clientsByPort(ups []netip.AddrPort) map[uint16]*dnsclient.Client {
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:5454", "UDP listen address")
+	serving := sigdrain.ServingFlags(flag.CommandLine, "127.0.0.1:5454")
 	upstreams := flag.String("upstream", "8.8.8.8", "comma-separated upstream resolvers, host[:port]")
 	upstreamPort := flag.Uint("upstream-port", 53, "default port for -upstream entries without one")
 	maxTTL := flag.Duration("max-ttl", time.Hour, "cache lifetime cap")
@@ -102,10 +100,6 @@ func main() {
 	probe := flag.Duration("probe", 0, "active upstream health-probe interval (0 = off)")
 	breakAfter := flag.Int("break-after", 3, "consecutive failures that open an upstream's circuit breaker")
 	statsEvery := flag.Duration("stats", time.Minute, "hit/miss log interval (0 = off)")
-	shards := flag.Int("shards", 1, "SO_REUSEPORT listener shards on the UDP port (Linux; >1 needs kernel support)")
-	workers := flag.Int("workers", 0, "handler goroutines per shard (0 = 2×GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "pending-query depth per shard before overload SERVFAILs (0 = 1024)")
-	batch := flag.Int("batch", 0, "packets per recvmmsg/sendmmsg syscall (0 = 32 on Linux; 1 = portable loop)")
 	flag.Parse()
 
 	ups, err := parseUpstreams(*upstreams, uint16(*upstreamPort))
@@ -190,28 +184,20 @@ func main() {
 		close(statsDone)
 	}
 
-	// All shards share the forwarder (and so one cache); the kernel's
-	// SO_REUSEPORT flow hash spreads clients across their read loops.
-	group := dnsserver.NewShardGroup(*shards, func(int) *dnsserver.Server {
-		return &dnsserver.Server{
-			Handler: fwd, Logf: log.Printf,
-			Workers: *workers, Queue: *queue, Batch: *batch,
-		}
-	})
-	errCh := make(chan error, 1)
-	go func() {
-		if err := group.ListenAndServe(*listen); err != nil {
-			errCh <- err
-		}
-	}()
-	log.Printf("fwdns: forwarding %s -> %v (%d shard(s), hedge=%s, serve-stale=%s)",
-		*listen, ups, *shards, *hedge, *serveStale)
+	// Both transports and every UDP shard share the forwarder, and so one
+	// cache.
+	srv, err := serving.Serve("fwdns", fwd, log.Printf)
+	if err != nil {
+		log.Fatalf("fwdns: %v", err)
+	}
+	log.Printf("fwdns: forwarding %s -> %v (udp+tcp, %d udp shard(s), hedge=%s, serve-stale=%s)",
+		srv.Addr(), ups, serving.Shards, *hedge, *serveStale)
 
 	// Drain in dependency order: stop accepting and answer in-flight
 	// queries, stop the prober, join background cache refreshes, then
 	// join any hedge stragglers in the pool before reporting.
-	sigdrain.Run("fwdns", errCh, func() error {
-		ok := group.Drain(5 * time.Second)
+	sigdrain.Run("fwdns", srv.Errors(), func() error {
+		err := srv.Drain()
 		stopProbes()
 		fwd.Wait()
 		pool.Close()
@@ -226,13 +212,6 @@ func main() {
 		for _, st := range pool.States() {
 			log.Printf("fwdns: upstream %s: %s, %d ok, %d failed, ewma %s", st.Addr, st.State, st.Successes, st.Failures, st.EWMA)
 		}
-		log.Printf("fwdns: served %d queries", group.Served())
-		if sf, drops := group.OverloadStats(); sf > 0 || drops > 0 {
-			log.Printf("fwdns: overload: %d queries SERVFAILed, %d packets dropped", sf, drops)
-		}
-		if !ok {
-			return errors.New("drain deadline exceeded")
-		}
-		return nil
+		return err
 	})
 }

@@ -82,12 +82,11 @@ func main() {
 
 	sigdrain.Run("replicad", errCh, func() error {
 		draining.Store(true) // flip /healthz to 503 before closing listeners
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), sigdrain.DrainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("drain deadline exceeded: %w", err)
 		}
-		log.Printf("replicad: drained cleanly")
 		return nil
 	})
 }

@@ -1,40 +1,97 @@
-// Package sigdrain centralizes the daemons' shared shutdown shape: block
-// until the first SIGINT/SIGTERM or a fatal serve error, announce the
-// drain, run the daemon-specific drain body, and exit nonzero when the
-// drain fails. adnsd, fwdns and replicad all wrap their teardown in Run
-// so the signal wiring — channel sizing, which signals, error-vs-signal
-// precedence — exists exactly once.
+// Package sigdrain is the process shell every long-running command
+// shares: one two-stage SIGINT/SIGTERM loop (Run for the daemons,
+// OnInterrupt for curtain's campaign commands) and the UDP+TCP DNS
+// serving bring-up (Serving). The signal wiring — which signals,
+// error-vs-signal precedence, the second signal that aborts — exists
+// exactly once, in await.
 package sigdrain
 
 import (
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 )
 
-// Run blocks until the first SIGINT/SIGTERM or an error on errCh.
-//
-// On a signal it logs "<name>: <signal> — draining" and invokes drain:
-// the closure owns everything daemon-specific (closing listeners in
-// dependency order, final counter reports, health-check flips). A nil
-// return is a clean drain and Run returns; a non-nil return is logged
-// and the process exits 1 — a drain that missed its deadline must not
-// look like a clean stop to process supervisors.
-//
-// An error on errCh is a serve failure, fatal immediately.
-func Run(name string, errCh <-chan error, drain func() error) {
-	sig := make(chan os.Signal, 1)
+// DrainTimeout bounds every daemon's graceful drain.
+const DrainTimeout = 5 * time.Second
+
+// notify subscribes to SIGINT/SIGTERM with one slot per stage.
+func notify() chan os.Signal {
+	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
+	return sig
+}
+
+// await blocks until the first signal or an error on errCh (logged,
+// status 1). A signal starts stop and await returns the status stop's
+// channel delivers (a nil channel never does), unless a second signal
+// comes first: that aborts with 130.
+func await(name string, logf func(string, ...any), sig <-chan os.Signal, errCh <-chan error, stop func(os.Signal) <-chan int) int {
 	select {
-	case s := <-sig:
-		log.Printf("%s: %s — draining", name, s)
-		if err := drain(); err != nil {
-			log.Printf("%s: %v", name, err)
-			os.Exit(1)
-		}
 	case err := <-errCh:
-		log.Fatalf("%s: %v", name, err)
+		logf("%s: %v", name, err)
+		return 1
+	case s := <-sig:
+		select {
+		case code := <-stop(s):
+			return code
+		case <-sig:
+			logf("%s: aborting", name)
+			return 130
+		}
 	}
+}
+
+// Run blocks until the first SIGINT/SIGTERM or a serve error on errCh.
+// A signal logs "<name>: <signal> — draining" and runs drain, which owns
+// everything daemon-specific. A nil drain logs "<name>: drained cleanly"
+// and Run returns. A drain error (a missed deadline must not look like a
+// clean stop), a serve error or a second signal exits the process: 1,
+// 1 and 130.
+func Run(name string, errCh <-chan error, drain func() error) {
+	sig := notify()
+	defer signal.Stop(sig)
+	if code := run(name, sig, errCh, drain); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// run is Run over an injected signal channel, returning the exit status.
+func run(name string, sig <-chan os.Signal, errCh <-chan error, drain func() error) int {
+	return await(name, log.Printf, sig, errCh, func(s os.Signal) <-chan int {
+		log.Printf("%s: %s — draining", name, s)
+		status := make(chan int, 1)
+		go func() {
+			if err := drain(); err != nil {
+				log.Printf("%s: %v", name, err)
+				status <- 1
+				return
+			}
+			log.Printf("%s: drained cleanly", name)
+			status <- 0
+		}()
+		return status
+	})
+}
+
+// OnInterrupt installs the two-stage stop of a command that drains on
+// its own: the first SIGINT/SIGTERM prints msg and runs first, which
+// must not block; a second prints "<name>: aborting" and exits 130.
+func OnInterrupt(name, msg string, first func()) {
+	sig := notify()
+	//lint:ignore goroutine the loop's only way out is exiting the process on the second signal
+	go func() { os.Exit(interrupt(name, msg, sig, first)) }()
+}
+
+// interrupt is OnInterrupt's loop over an injected signal channel.
+func interrupt(name, msg string, sig <-chan os.Signal, first func()) int {
+	stderrf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	return await(name, stderrf, sig, nil, func(os.Signal) <-chan int {
+		stderrf("%s", msg)
+		first()
+		return nil
+	})
 }

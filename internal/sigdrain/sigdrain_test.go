@@ -1,15 +1,18 @@
 package sigdrain
 
 import (
+	"errors"
+	"os"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 )
 
-// TestRunDrainsOnSignal exercises the clean path: a SIGTERM delivered to
-// the process reaches Run's handler (not the default terminator), the
-// drain body executes, and Run returns. The error and failed-drain arms
-// call log.Fatalf/os.Exit and are deliberately untestable in-process.
+// TestRunDrainsOnSignal is the real-signal wiring check: a SIGTERM
+// delivered to the process reaches Run's handler (not the default
+// terminator), the drain body executes, and Run returns. The other arms
+// are covered over an injected channel by TestRunArms.
 func TestRunDrainsOnSignal(t *testing.T) {
 	drained := make(chan struct{})
 	done := make(chan struct{})
@@ -36,5 +39,101 @@ func TestRunDrainsOnSignal(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after a clean drain")
+	}
+}
+
+// runStatus runs run over a fresh signal channel, lets act drive it, and
+// returns the exit status run reports.
+func runStatus(t *testing.T, drain func() error, act func(sig chan<- os.Signal, errCh chan<- error)) int {
+	t.Helper()
+	sig := make(chan os.Signal, 2)
+	errCh := make(chan error, 1)
+	status := make(chan int, 1)
+	go func() { status <- run("sigdraintest", sig, errCh, drain) }()
+	act(sig, errCh)
+	select {
+	case code := <-status:
+		return code
+	case <-time.After(5 * time.Second):
+		t.Fatal("run did not return")
+		return -1
+	}
+}
+
+func TestRunArms(t *testing.T) {
+	signalOnce := func(sig chan<- os.Signal, _ chan<- error) { sig <- syscall.SIGTERM }
+	t.Run("clean drain exits 0", func(t *testing.T) {
+		if code := runStatus(t, func() error { return nil }, signalOnce); code != 0 {
+			t.Fatalf("status %d, want 0", code)
+		}
+	})
+	t.Run("drain error exits 1", func(t *testing.T) {
+		drain := func() error { return errors.New("drain deadline exceeded") }
+		if code := runStatus(t, drain, signalOnce); code != 1 {
+			t.Fatalf("status %d, want 1", code)
+		}
+	})
+	t.Run("serve error before any signal exits 1", func(t *testing.T) {
+		var drained atomic.Bool
+		drain := func() error { drained.Store(true); return nil }
+		serveFails := func(_ chan<- os.Signal, errCh chan<- error) { errCh <- errors.New("bind: address in use") }
+		if code := runStatus(t, drain, serveFails); code != 1 {
+			t.Fatalf("status %d, want 1", code)
+		}
+		if drained.Load() {
+			t.Fatal("a serve error ran the drain body")
+		}
+	})
+	t.Run("second signal during a blocked drain exits 130", func(t *testing.T) {
+		started := make(chan struct{})
+		release := make(chan struct{})
+		defer close(release)
+		drain := func() error { close(started); <-release; return nil }
+		code := runStatus(t, drain, func(sig chan<- os.Signal, _ chan<- error) {
+			sig <- syscall.SIGTERM
+			<-started
+			sig <- syscall.SIGINT
+		})
+		if code != 130 {
+			t.Fatalf("status %d, want 130", code)
+		}
+	})
+}
+
+// TestOnInterruptTwoStage covers OnInterrupt's loop: the first signal
+// runs first exactly once and does not end the loop; the second aborts.
+func TestOnInterruptTwoStage(t *testing.T) {
+	sig := make(chan os.Signal, 2)
+	var calls atomic.Int32
+	ran := make(chan struct{})
+	status := make(chan int, 1)
+	go func() {
+		status <- interrupt("sigdraintest", "sigdraintest: interrupt (again to abort)", sig, func() {
+			calls.Add(1)
+			close(ran)
+		})
+	}()
+	sig <- syscall.SIGINT
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first stage never ran")
+	}
+	select {
+	case code := <-status:
+		t.Fatalf("loop ended with %d after one signal", code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	sig <- syscall.SIGINT
+	select {
+	case code := <-status:
+		if code != 130 {
+			t.Fatalf("status %d, want 130", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second signal did not abort")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("first ran %d times, want 1", n)
 	}
 }

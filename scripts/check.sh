@@ -175,17 +175,22 @@ case "$lgout" in
 *) echo "check.sh: loadgen saw malformed responses" >&2; exit 1 ;;
 esac
 
-echo "==> socket-vantage smoke (dnsprobe -> fwdns -> adnsd; its JSONL feeds curtain analyze and both codecs)"
+echo "==> socket-vantage smoke (dnsprobe -> fwdns -> adnsd; its JSONL feeds curtain analyze and both codecs; a 40-record answer arrives whole)"
 # The §3.2 script from the real-socket vantage, against a loopback LDNS in
 # front of a whoami authority. What it writes must be a dataset: analyze
 # reads it (one carrier, a Table 3 row, no NaN from the artifacts a socket
 # cannot fill), and a record with not-OK probe rows survives both codecs.
+# The authority also serves one name with 40 A records (a 640 B answer):
+# over UDP fwdns truncates it to TC=1, so dnsprobe sees all 40 only if its
+# TCP retry reaches fwdns on the same address.
 fwbin="$work/fwdns"
 dpbin="$work/dnsprobe"
 dpout="$work/probe.jsonl"
+dprecs="$work/big.records"
 go build -o "$fwbin" ./cmd/fwdns
 go build -o "$dpbin" ./cmd/dnsprobe
-"$lgsrv" -listen 127.0.0.1:19534 -quiet -zone whoami.test 2>/dev/null &
+for i in $(seq 1 40); do echo "big.records.test 60 A 10.0.1.$i"; done > "$dprecs"
+"$lgsrv" -listen 127.0.0.1:19534 -quiet -zone whoami.test -records "$dprecs" 2>/dev/null &
 dpapid=$!
 pids="$pids $dpapid"
 "$fwbin" -listen 127.0.0.1:19535 -upstream 127.0.0.1:19534 -stats 0 2>/dev/null &
@@ -194,6 +199,7 @@ pids="$pids $dpfpid"
 sleep 0.5
 "$dpbin" -resolvers 127.0.0.1 -port 19535 -domains a.whoami.test,b.whoami.test \
 	-whoami whoami.test -rounds 2 -timeout 500ms > "$dpout"
+"$dpbin" -resolvers 127.0.0.1 -port 19535 -domains big.records.test -timeout 500ms > "$work/probe-big.jsonl"
 kill "$dpfpid" "$dpapid" 2>/dev/null || true
 wait "$dpfpid" "$dpapid" 2>/dev/null || true
 dpan="$("$ckbin" analyze -in "$dpout")"
@@ -207,6 +213,11 @@ echo "$dpan" | awk '/^Table 3: LDNS pairs/ { t3 = 1; next } t3 && /^$/ { t3 = 0 
 case "$dpan" in
 *NaN*) echo "check.sh: analyze prints NaN over a dnsprobe dataset" >&2; exit 1 ;;
 esac
+dpbig="$(sed -n 's/.*"answers":\[\([^]]*\)\].*/\1/p' "$work/probe-big.jsonl" | tr ',' '\n' | grep -c '10\.0\.1\.' || true)"
+echo "  big.records.test through fwdns: $dpbig answers"
+[ "$dpbig" -eq 40 ] || {
+	echo "check.sh: dnsprobe got $dpbig of 40 answers through fwdns (a truncated answer's TCP retry went unanswered)" >&2
+	cat "$work/probe-big.jsonl" >&2; exit 1; }
 "$ckbin" convert -in "$dpout" -out "$work/probe.bin" -format binary >/dev/null 2>&1
 "$ckbin" convert -in "$work/probe.bin" -out "$work/probe.back.jsonl" -format jsonl >/dev/null 2>&1
 cmp "$dpout" "$work/probe.back.jsonl" || {
@@ -269,6 +280,53 @@ if [ -z "$lrate" ] || ! awk "BEGIN{exit !($lrate >= 0.3 && $lrate <= 0.7)}"; the
 	echo "check.sh: loss smoke answered_rate $lrate outside [0.3, 0.7] under 50% loss" >&2
 	exit 1
 fi
+
+echo "==> daemon drain gate (adnsd, fwdns, flakydns, replicad: SIGTERM -> exit 0 within 7s with a drained line)"
+# The smokes above stop their daemons with kill; wait || true, which would
+# pass a daemon that hangs or fails at drain. Here each one must leave on
+# its own: exit status 0 within 7 s (the 5 s drain deadline plus slack)
+# and sigdrain's "drained cleanly" on stderr, after the DNS daemons'
+# served-count line.
+rdbin="$work/replicad"
+go build -o "$rdbin" ./cmd/replicad
+"$lgsrv" -listen 127.0.0.1:19544 -quiet -zone whoami.test 2> "$work/drain-adnsd.log" &
+dradnsd=$!
+"$fwbin" -listen 127.0.0.1:19545 -upstream 127.0.0.1:19544 -stats 0 2> "$work/drain-fwdns.log" &
+drfwdns=$!
+"$flbin" -listen 127.0.0.1:19546 -quiet 2> "$work/drain-flakydns.log" &
+drflaky=$!
+"$rdbin" -listen 127.0.0.1:19547 2> "$work/drain-replicad.log" &
+drrep=$!
+pids="$pids $dradnsd $drfwdns $drflaky $drrep"
+sleep 0.5
+curl -sf -o /dev/null --max-time 2 http://127.0.0.1:19547/healthz || {
+	echo "check.sh: replicad /healthz did not answer 200" >&2; cat "$work/drain-replicad.log" >&2; exit 1; }
+for d in adnsd:$dradnsd fwdns:$drfwdns flakydns:$drflaky replicad:$drrep; do
+	name="${d%%:*}"
+	pid="${d#*:}"
+	log="$work/drain-$name.log"
+	kill -TERM "$pid"
+	n=0
+	while kill -0 "$pid" 2>/dev/null && [ "$n" -lt 70 ]; do
+		sleep 0.1
+		n=$((n + 1))
+	done
+	if kill -0 "$pid" 2>/dev/null; then
+		echo "check.sh: $name still running 7s after SIGTERM" >&2; cat "$log" >&2; exit 1
+	fi
+	status=0
+	wait "$pid" || status=$?
+	[ "$status" -eq 0 ] || {
+		echo "check.sh: $name exited $status after SIGTERM" >&2; cat "$log" >&2; exit 1; }
+	grep "$name: drained cleanly" "$log" >/dev/null || {
+		echo "check.sh: $name printed no drained line" >&2; cat "$log" >&2; exit 1; }
+	case "$name" in
+	replicad) ;;
+	*) grep "$name: served [0-9]" "$log" >/dev/null || {
+		echo "check.sh: $name printed no served line" >&2; cat "$log" >&2; exit 1; } ;;
+	esac
+	echo "  $name: exit 0, $(grep -c . "$log") log lines"
+done
 
 echo "==> distributed campaign chaos (coordinator + 3 workers, one SIGKILLed mid-run; -out bytes == serial, checkpoint records == serial)"
 # The acceptance scenario for the control plane: a coordinated campaign
