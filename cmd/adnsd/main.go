@@ -62,10 +62,10 @@ func main() {
 	if !*quiet {
 		logf = log.Printf
 	}
-	srv, err := serving.Serve("adnsd", logHandler, logf)
+	srv, err := serving.Serve(logHandler, logf)
 	if err != nil {
 		log.Fatalf("adnsd: %v", err)
 	}
 	log.Printf("adnsd: serving zone %q on %s (udp+tcp, %d udp shard(s))", *zone, srv.Addr(), serving.Shards)
-	sigdrain.Run("adnsd", srv.Errors(), srv.Drain)
+	sigdrain.Run("adnsd", srv.Errors(), srv.Drain, func() any { return srv.Stats() })
 }

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,7 +32,6 @@ func runAnalyze(args []string) error {
 	in := fs.String("in", "dataset.jsonl", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")
 	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; output is byte-identical for any N; a checkpoint directory is always scanned serially")
 	progress := fs.Bool("progress", false, "report scan progress on stderr")
-	runStats := fs.Bool("stats", false, "report scan time and peak RSS on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the scan and report to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	fs.Parse(args)
@@ -77,13 +75,19 @@ func runAnalyze(args []string) error {
 	if m.ExperimentCount() == 0 {
 		return fmt.Errorf("analyze: %s contains no experiments", *in)
 	}
-	if *runStats {
-		n := m.ExperimentCount()
-		fmt.Fprintf(os.Stderr, "analyze: %d experiments in %.3fs (%.0f exp/s), peak RSS %.1f MB\n",
-			n, scanTime.Seconds(), float64(n)/scanTime.Seconds(), float64(peakRSSKB())/1024)
-	}
 
 	writeAnalysis(os.Stdout, m)
+	// The report goes to stderr: stdout is the artifact report alone.
+	n := m.ExperimentCount()
+	report := struct {
+		Experiments int     `json:"experiments"`
+		Seconds     float64 `json:"seconds"`
+		ExpPerSec   float64 `json:"exp_per_sec"`
+		PeakRSSMB   float64 `json:"peak_rss_mb,omitempty"`
+	}{n, scanTime.Seconds(), float64(n) / scanTime.Seconds(), peakRSSMB()}
+	if err := json.NewEncoder(os.Stderr).Encode(report); err != nil {
+		return fmt.Errorf("analyze: report: %w", err)
+	}
 	return nil
 }
 
@@ -123,29 +127,13 @@ func writeAnalysis(w io.Writer, m analysis.Measures) {
 	}
 }
 
-// peakRSSKB reads the process's peak resident set size (VmHWM) from
-// /proc/self/status; 0 when unavailable (non-Linux).
-func peakRSSKB() int {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return 0
-		}
-		return kb
-	}
-	return 0
+// peakRSSMB reads the process's peak resident set size (VmHWM) from
+// /proc/self/status in MB; 0 when unknown (no /proc), which the reports'
+// omitempty leaves out rather than print as a measurement.
+func peakRSSMB() float64 {
+	status, _ := os.ReadFile("/proc/self/status")
+	_, hwm, _ := strings.Cut(string(status), "VmHWM:")
+	var kb float64
+	_, _ = fmt.Sscan(hwm, &kb) // a missing or odd field leaves kb 0
+	return kb / 1024
 }

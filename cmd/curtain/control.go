@@ -60,7 +60,6 @@ func runCoordinate(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:9290", "address workers connect to (host:port, or a unix socket path)")
 	out := fs.String("out", "dataset.jsonl", "output path for the merged dataset")
 	formatName := fs.String("format", "", "merged output codec: jsonl or binary; the checkpoint segment is always curtainbin (default jsonl)")
-	jsonOut := fs.Bool("json", false, "one-line JSON status report on stdout after the drain: lease grants and reassignments, dedup counts, grant-to-merge latency p50/p95 (for scripts)")
 	checkpoint := checkpointFlags(fs,
 		"durable segment directory (required; the exactly-once merge substrate that worker crashes and coordinator restarts recover from)",
 		"adopt the checkpoint in -checkpoint-dir and lease only the missing experiments")
@@ -115,10 +114,10 @@ func runCoordinate(args []string) error {
 		coord.Interrupt)
 
 	ds, st, err := coord.Wait()
-	if *jsonOut && (err == nil || errors.Is(err, controlplane.ErrInterrupted)) {
+	if err == nil || errors.Is(err, controlplane.ErrInterrupted) {
 		// The drain report: lease traffic, exactly-once merge dedup counts
-		// and grant-to-merge latency quantiles, one JSON object on stdout.
-		if jerr := writeCoordStatus(os.Stdout, st); jerr != nil {
+		// and grant-to-merge latency quantiles, one JSON line on stdout.
+		if jerr := json.NewEncoder(os.Stdout).Encode(st); jerr != nil {
 			return jerr
 		}
 	}
@@ -135,42 +134,7 @@ func runCoordinate(args []string) error {
 	}); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr,
-		"curtain: wrote %d experiments to %s (%d reused, %d workers, %d leases granted, %d reassigned, %d released, %d duplicate seqs dropped, %d rejected)\n",
-		st.Completed, *out, st.Reused, st.WorkersSeen, st.Granted, st.Reassigned, st.Released, st.DupSeqs, st.Rejected)
-	return nil
-}
-
-// writeCoordStatus renders the drained coordinator status as one JSON
-// line, mirroring loadgen's -json contract: machine-readable fields on
-// stdout, human narrative on stderr.
-func writeCoordStatus(w io.Writer, st controlplane.Status) error {
-	report := struct {
-		Total            int     `json:"total"`
-		Completed        int     `json:"completed"`
-		Reused           int     `json:"reused"`
-		Workers          int     `json:"workers"`
-		Rejected         int     `json:"rejected"`
-		LeasesGranted    int     `json:"leases_granted"`
-		LeasesReassigned int     `json:"leases_reassigned"`
-		LeasesReleased   int     `json:"leases_released"`
-		LeasesServed     int     `json:"leases_served"`
-		DupSeqs          int     `json:"dup_seqs"`
-		LeaseP50Secs     float64 `json:"lease_p50_secs"`
-		LeaseP95Secs     float64 `json:"lease_p95_secs"`
-		Interrupted      bool    `json:"interrupted"`
-	}{
-		Total: st.Total, Completed: st.Completed, Reused: st.Reused,
-		Workers: st.WorkersSeen, Rejected: st.Rejected,
-		LeasesGranted: st.Granted, LeasesReassigned: st.Reassigned,
-		LeasesReleased: st.Released, LeasesServed: st.LeasesServed,
-		DupSeqs:      st.DupSeqs,
-		LeaseP50Secs: st.LeaseP50Secs, LeaseP95Secs: st.LeaseP95Secs,
-		Interrupted: st.Interrupted,
-	}
-	if err := json.NewEncoder(w).Encode(report); err != nil {
-		return fmt.Errorf("encode status report: %w", err)
-	}
+	fmt.Fprintf(os.Stderr, "curtain: wrote %d experiments to %s\n", st.Completed, *out)
 	return nil
 }
 
@@ -230,7 +194,6 @@ func runWorker(args []string) error {
 	if st.Drained {
 		outcome = "drained on interrupt"
 	}
-	fmt.Fprintf(os.Stderr, "curtain: %s done (%s): %d ranges, %d experiments, %d dropped as duplicates, %d waits\n",
-		name, outcome, st.Ranges, st.Experiments, st.Dups, st.Waits)
-	return nil
+	fmt.Fprintf(os.Stderr, "curtain: %s done (%s)\n", name, outcome)
+	return json.NewEncoder(os.Stdout).Encode(st)
 }

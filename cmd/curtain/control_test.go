@@ -6,11 +6,13 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"cellcurtain"
+	"cellcurtain/internal/controlplane"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/trace"
 )
@@ -123,4 +125,15 @@ func TestFlagEchoReparses(t *testing.T) {
 			t.Errorf("echo %q: -%s came back %q, want %q", echo, f.Name, got, want)
 		}
 	})
+}
+
+// TestCoordinateReportKeys: coordinate's report is controlplane.Status,
+// and its tags keep the 13 keys scripts already parse.
+func TestCoordinateReportKeys(t *testing.T) {
+	want := []string{"completed", "dup_seqs", "interrupted", "lease_p50_secs", "lease_p95_secs",
+		"leases_granted", "leases_reassigned", "leases_released", "leases_served", "rejected",
+		"reused", "total", "workers"}
+	if got := jsonKeys(t, controlplane.Status{}); !slices.Equal(got, want) {
+		t.Fatalf("Status keys %v, want %v", got, want)
+	}
 }

@@ -30,7 +30,6 @@ func runLoadgen(args []string) error {
 	names := fs.Int("names", 1024, "distinct query names in the mix")
 	seed := fs.Uint64("seed", 2014, "RNG seed for the deterministic query mix")
 	timeout := fs.Duration("timeout", time.Second, "drain window after the send phase; responses later than this count as timeouts")
-	jsonOut := fs.Bool("json", false, "emit a one-line JSON report on stdout instead of text")
 	fs.Parse(args)
 	if *qps < 1 || *conns < 1 || *names < 1 || *duration <= 0 {
 		return fmt.Errorf("loadgen: -qps, -conns, -names and -duration must be positive")
@@ -44,18 +43,9 @@ func runLoadgen(args []string) error {
 		//lint:ignore errwrap loadgenRun errors already carry the loadgen: prefix and the failing target
 		return err
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(res); err != nil {
-			return fmt.Errorf("loadgen: encode report: %w", err)
-		}
-		return nil
+	if err := json.NewEncoder(os.Stdout).Encode(res); err != nil {
+		return fmt.Errorf("loadgen: report: %w", err)
 	}
-	fmt.Printf("loadgen: %s for %s at %d qps over %d conns\n", *target, *duration, *qps, *conns)
-	fmt.Printf("  sent %d, received %d (%.0f qps completed), timeouts %d, servfails %d, parse errors %d, answered rate %.3f\n",
-		res.Sent, res.Received, res.CompletedQPS, res.Timeouts, res.ServFails, res.ParseErrors, res.AnsweredRate)
-	fmt.Printf("  latency ms: p50=%.3f p90=%.3f p99=%.3f max=%.3f\n",
-		res.P50Ms, res.P90Ms, res.P99Ms, res.MaxMs)
 	return nil
 }
 
@@ -70,8 +60,8 @@ type loadgenConfig struct {
 	timeout  time.Duration
 }
 
-// loadgenResult is the -json report; the check.sh smoke, chaos and loss
-// gates read it.
+// loadgenResult is loadgen's report, one JSON line on stdout; the
+// check.sh smoke, chaos and loss gates read it.
 type loadgenResult struct {
 	Target       string  `json:"target"`
 	TargetQPS    int     `json:"target_qps"`

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -227,7 +228,6 @@ func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
 	formatName := fs.String("format", "", "output codec: jsonl or binary, the compact curtainbin form of DESIGN.md §15 (default jsonl)")
-	runStats := fs.Bool("stats", false, "report run time, output bytes/experiment and peak RSS on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	opts := optionFlags(fs)
@@ -289,21 +289,28 @@ func runSimulate(args []string) error {
 		}
 		return werr
 	}
-	if *runStats && n > 0 {
-		// The timer covers run + encode, which stream together, and VmHWM
-		// is the whole process — world build included.
-		elapsed := time.Since(start)
-		size := int64(0)
-		if info, err := os.Stat(*out); err == nil {
-			size = info.Size()
-		}
-		fmt.Fprintf(os.Stderr,
-			"curtain: simulate stats: clients=%d experiments=%d seconds=%.3f exp_per_sec=%.0f bytes=%d bytes_per_exp=%.1f peak_rss_mb=%.1f\n",
-			camp.ClientCount(), n, elapsed.Seconds(), float64(n)/elapsed.Seconds(),
-			size, float64(size)/float64(n), float64(peakRSSKB())/1024)
-	}
 	fmt.Fprintf(os.Stderr, "curtain: wrote %d experiments to %s (%s)\n", n, *out, f)
-	return nil
+	// The report covers run + encode, which stream together; the peak
+	// RSS is the whole process's, world build included.
+	elapsed := time.Since(start).Seconds()
+	size := int64(0)
+	if info, err := os.Stat(*out); err == nil {
+		size = info.Size()
+	}
+	report := struct {
+		Clients     int     `json:"clients"`
+		Experiments int     `json:"experiments"`
+		Seconds     float64 `json:"seconds"`
+		ExpPerSec   float64 `json:"exp_per_sec"`
+		Bytes       int64   `json:"bytes"`
+		BytesPerExp float64 `json:"bytes_per_exp"`
+		PeakRSSMB   float64 `json:"peak_rss_mb,omitempty"`
+	}{Clients: camp.ClientCount(), Experiments: n, Seconds: elapsed, ExpPerSec: float64(n) / elapsed,
+		Bytes: size, PeakRSSMB: peakRSSMB()}
+	if n > 0 { // JSON has no NaN for 0/0
+		report.BytesPerExp = float64(size) / float64(n)
+	}
+	return json.NewEncoder(os.Stdout).Encode(report)
 }
 
 // startProfiles begins a CPU profile into cpuPath and returns a stop

@@ -54,13 +54,14 @@ func main() {
 	log.Printf("flakydns: serving on %s, script %q, ttl %ds", *listen, *script, *ttl)
 
 	sigdrain.Run("flakydns", errCh, func() error {
-		ok := srv.Drain(sigdrain.DrainTimeout)
-		c := h.Counters()
-		log.Printf("flakydns: served %d: ok %d, dropped %d, servfail %d, slowed %d, lost %d",
-			srv.Served(), c.OK, c.Dropped, c.ServFail, c.Slowed, c.Lost)
-		if !ok {
+		if !srv.Drain(sigdrain.DrainTimeout) {
 			return errors.New("drain deadline exceeded")
 		}
 		return nil
+	}, func() any {
+		return struct {
+			Served uint64 `json:"served"`
+			flakydns.Counters
+		}{srv.Served(), h.Counters()}
 	})
 }

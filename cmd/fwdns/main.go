@@ -13,10 +13,12 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net/netip"
+	"os"
 	"strings"
 	"time"
 
@@ -99,7 +101,7 @@ func main() {
 	hedge := flag.String("hedge", "adaptive", "hedged-query delay: adaptive (tracked p95), off, or a fixed duration like 20ms")
 	probe := flag.Duration("probe", 0, "active upstream health-probe interval (0 = off)")
 	breakAfter := flag.Int("break-after", 3, "consecutive failures that open an upstream's circuit breaker")
-	statsEvery := flag.Duration("stats", time.Minute, "hit/miss log interval (0 = off)")
+	statsEvery := flag.Duration("stats", time.Minute, "interval between counter snapshots (one JSON line each) on stdout (0 = off)")
 	flag.Parse()
 
 	ups, err := parseUpstreams(*upstreams, uint16(*upstreamPort))
@@ -158,10 +160,28 @@ func main() {
 	fwd.MaxStale = *serveStale
 	fwd.MaxEntries = *maxCache
 
-	// The stats logger gets an explicit stop/join pair: time.Tick would
-	// leak its ticker, and an unjoined goroutine could interleave a stats
-	// line with the final drain report below. Purge here doubles as the
-	// periodic sweep of entries past the staleness window.
+	// Both transports and every UDP shard share the forwarder, and so one
+	// cache.
+	srv, err := serving.Serve(fwd, log.Printf)
+	if err != nil {
+		log.Fatalf("fwdns: %v", err)
+	}
+	log.Printf("fwdns: forwarding %s -> %v (udp+tcp, %d udp shard(s), hedge=%s, serve-stale=%s)",
+		srv.Addr(), ups, serving.Shards, *hedge, *serveStale)
+	snapshot := func() any {
+		return struct {
+			DNS       sigdrain.Stats           `json:"dns"`
+			Cache     forwarder.Counters       `json:"cache"`
+			Entries   int                      `json:"entries"`
+			Pool      upstream.Counters        `json:"pool"`
+			Upstreams []upstream.UpstreamState `json:"upstreams"`
+		}{srv.Stats(), fwd.Counters(), fwd.Len(), pool.Counters(), pool.States()}
+	}
+
+	// The stats ticker gets an explicit stop/join pair: time.Tick would
+	// leak its ticker, and an unjoined goroutine could interleave a
+	// snapshot line with the final one Run prints. Purge here doubles as
+	// the periodic sweep of entries past the staleness window.
 	statsStop := make(chan struct{})
 	statsDone := make(chan struct{})
 	if *statsEvery > 0 {
@@ -169,12 +189,14 @@ func main() {
 		go func() {
 			defer close(statsDone)
 			defer ticker.Stop()
+			enc := json.NewEncoder(os.Stdout)
 			for {
 				select {
 				case <-ticker.C:
-					c := fwd.Counters()
-					live := fwd.Purge()
-					log.Printf("fwdns: %d hits, %d misses, %d stale serves, %d live entries", c.Hits, c.Misses, c.Stale, live)
+					fwd.Purge()
+					if err := enc.Encode(snapshot()); err != nil {
+						log.Printf("fwdns: stats: %v", err)
+					}
 				case <-statsStop:
 					return
 				}
@@ -184,18 +206,10 @@ func main() {
 		close(statsDone)
 	}
 
-	// Both transports and every UDP shard share the forwarder, and so one
-	// cache.
-	srv, err := serving.Serve("fwdns", fwd, log.Printf)
-	if err != nil {
-		log.Fatalf("fwdns: %v", err)
-	}
-	log.Printf("fwdns: forwarding %s -> %v (udp+tcp, %d udp shard(s), hedge=%s, serve-stale=%s)",
-		srv.Addr(), ups, serving.Shards, *hedge, *serveStale)
-
 	// Drain in dependency order: stop accepting and answer in-flight
 	// queries, stop the prober, join background cache refreshes, then
-	// join any hedge stragglers in the pool before reporting.
+	// join any hedge stragglers in the pool and the stats ticker before
+	// Run prints the snapshot.
 	sigdrain.Run("fwdns", srv.Errors(), func() error {
 		err := srv.Drain()
 		stopProbes()
@@ -203,15 +217,6 @@ func main() {
 		pool.Close()
 		close(statsStop)
 		<-statsDone
-		c := fwd.Counters()
-		log.Printf("fwdns: final: %d hits, %d misses, %d stale serves, %d coalesced, %d refreshes (%d failed), %d evictions",
-			c.Hits, c.Misses, c.Stale, c.Coalesced, c.Refreshes, c.RefreshFails, c.Evictions)
-		pc := pool.Counters()
-		log.Printf("fwdns: pool: %d queries, %d hedges (%d won), %d retries, breaker opens: %d, closes: %d, half-opens: %d, %d failures, %d budget-denied, %d probes (%d failed)",
-			pc.Queries, pc.Hedges, pc.HedgeWins, pc.Retries, pc.BreakerOpens, pc.BreakerCloses, pc.HalfOpens, pc.Failures, pc.BudgetDenied, pc.Probes, pc.ProbeFails)
-		for _, st := range pool.States() {
-			log.Printf("fwdns: upstream %s: %s, %d ok, %d failed, ewma %s", st.Addr, st.State, st.Successes, st.Failures, st.EWMA)
-		}
 		return err
-	})
+	}, snapshot)
 }

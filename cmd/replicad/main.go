@@ -88,5 +88,5 @@ func main() {
 			return fmt.Errorf("drain deadline exceeded: %w", err)
 		}
 		return nil
-	})
+	}, nil)
 }

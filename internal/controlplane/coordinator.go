@@ -102,23 +102,29 @@ const ioTimeout = time.Minute
 type Status struct {
 	// Total / Completed / Reused mirror trace.RunStatus: campaign size,
 	// durable experiments, and how many were already durable at start.
-	Total, Completed, Reused int
+	Total     int `json:"total"`
+	Completed int `json:"completed"`
+	Reused    int `json:"reused"`
 	// WorkersSeen counts accepted handshakes; Rejected counts workers
 	// refused for fingerprint or protocol mismatch.
-	WorkersSeen, Rejected int
+	WorkersSeen int `json:"workers"`
+	Rejected    int `json:"rejected"`
 	// Granted / Reassigned / Released count lease grants, expiry-driven
 	// reassignments, and leases returned by disconnecting workers.
-	Granted, Reassigned, Released int
-	// DupSeqs counts experiments dropped by the exactly-once merge —
-	// results for sequence numbers that were already durable.
-	DupSeqs int
-	// LeasesServed counts ranges merged end to end; LeaseP50Secs and
-	// LeaseP95Secs are the grant-to-merge latency quantiles in seconds.
-	LeasesServed int
-	LeaseP50Secs float64
-	LeaseP95Secs float64
+	Granted    int `json:"leases_granted"`
+	Reassigned int `json:"leases_reassigned"`
+	Released   int `json:"leases_released"`
+	// LeasesServed counts ranges merged end to end; DupSeqs counts
+	// experiments dropped by the exactly-once merge — results for
+	// sequence numbers that were already durable.
+	LeasesServed int `json:"leases_served"`
+	DupSeqs      int `json:"dup_seqs"`
+	// LeaseP50Secs and LeaseP95Secs are the grant-to-merge latency
+	// quantiles in seconds.
+	LeaseP50Secs float64 `json:"lease_p50_secs"`
+	LeaseP95Secs float64 `json:"lease_p95_secs"`
 	// Interrupted reports the run stopped on Interrupt before completing.
-	Interrupted bool
+	Interrupted bool `json:"interrupted"`
 }
 
 // seqRange is one leased unit: canonical sequence numbers from..to

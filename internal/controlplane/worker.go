@@ -73,15 +73,16 @@ func (c WorkerConfig) heartbeatEvery() time.Duration {
 type WorkerStats struct {
 	// Ranges and Experiments count completed leases and the experiments
 	// run inside them.
-	Ranges, Experiments int
+	Ranges      int `json:"ranges"`
+	Experiments int `json:"experiments"`
 	// Dups is how many of this worker's results the coordinator dropped
 	// as already durable (it lost a race with a reassigned twin).
-	Dups int
+	Dups int `json:"dups"`
 	// Waits counts wait replies (every range was leased out).
-	Waits int
+	Waits int `json:"waits"`
 	// Drained reports the worker left on Interrupt rather than campaign
 	// completion.
-	Drained bool
+	Drained bool `json:"drained"`
 }
 
 // worker is one live session's state.

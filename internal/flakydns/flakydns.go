@@ -132,13 +132,13 @@ func ParseScript(s string) ([]Phase, error) {
 
 // Counters is a snapshot of per-mode query counts.
 type Counters struct {
-	OK       uint64
-	Dropped  uint64
-	ServFail uint64
-	Slowed   uint64
+	OK       uint64 `json:"ok"`
+	Dropped  uint64 `json:"dropped"`
+	ServFail uint64 `json:"servfail"`
+	Slowed   uint64 `json:"slowed"`
 	// Lost counts queries dropped by a loss phase (partial failure);
 	// Dropped counts the down phase's total silence.
-	Lost uint64
+	Lost uint64 `json:"lost"`
 }
 
 // Handler answers queries per the script. It is safe for concurrent use

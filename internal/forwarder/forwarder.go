@@ -51,17 +51,19 @@ const purgeEvery = 512
 type Counters struct {
 	// Hits and Misses count cache outcomes; a stale serve counts as
 	// neither (it is its own outcome).
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Stale counts answers served from expired entries (RFC 8767).
-	Stale uint64
+	Stale uint64 `json:"stale"`
 	// Coalesced counts misses that piggybacked on another query's
 	// in-flight upstream resolution instead of issuing their own.
-	Coalesced uint64
+	Coalesced uint64 `json:"coalesced"`
 	// Refreshes and RefreshFails count background refreshes launched
 	// after a stale serve, and those that failed.
-	Refreshes, RefreshFails uint64
+	Refreshes    uint64 `json:"refreshes"`
+	RefreshFails uint64 `json:"refresh_fails"`
 	// Evictions counts LRU evictions under the MaxEntries bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 }
 
 // Forwarder resolves queries through an upstream pool with caching.

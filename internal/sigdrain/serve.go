@@ -3,7 +3,6 @@ package sigdrain
 import (
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"net/netip"
 	"sync/atomic"
@@ -35,7 +34,6 @@ func ServingFlags(fs *flag.FlagSet, listen string) *Serving {
 
 // DNS is a running UDP shard group and TCP listener on one address.
 type DNS struct {
-	name      string
 	udp       *dnsserver.ShardGroup
 	tcp       *dnsserver.TCPServer
 	tcpServed atomic.Uint64
@@ -43,9 +41,8 @@ type DNS struct {
 }
 
 // Serve answers h over TCP and UDP on s.Listen until Drain, returning
-// once both are bound; logf gets the servers' diagnostics (nil = none)
-// and name prefixes Drain's report.
-func (s *Serving) Serve(name string, h dnsserver.Handler, logf func(string, ...any)) (*DNS, error) {
+// once both are bound; logf gets the servers' diagnostics (nil = none).
+func (s *Serving) Serve(h dnsserver.Handler, logf func(string, ...any)) (*DNS, error) {
 	// TCP binds first: its listener resolves a ":0" port synchronously,
 	// and the UDP shards join that port.
 	ln, err := net.Listen("tcp", s.Listen)
@@ -54,7 +51,7 @@ func (s *Serving) Serve(name string, h dnsserver.Handler, logf func(string, ...a
 	}
 	// One errs slot per transport: each serve goroutine sends at most
 	// once, also after Drain, when nothing reads errs any more.
-	d := &DNS{name: name, errs: make(chan error, 2)}
+	d := &DNS{errs: make(chan error, 2)}
 	d.udp = dnsserver.NewShardGroup(s.Shards, func(int) *dnsserver.Server {
 		return &dnsserver.Server{Handler: h, Logf: logf, Workers: s.Workers, Queue: s.Queue, Batch: s.Batch}
 	})
@@ -93,19 +90,29 @@ func (d *DNS) Addr() netip.AddrPort { return d.udp.Addr() }
 // Errors delivers serve failures, for Run's errCh.
 func (d *DNS) Errors() <-chan error { return d.errs }
 
-// Drain stops both transports in parallel within DrainTimeout, logs the
-// served count and any overload, and fails on a missed deadline.
+// Stats is a DNS's report: queries answered over both transports (TCP
+// among them), overload SERVFAILs and dropped packets.
+type Stats struct {
+	Served            uint64 `json:"served"`
+	TCP               uint64 `json:"tcp"`
+	OverloadServFails uint64 `json:"overload_servfails"`
+	Drops             uint64 `json:"drops"`
+}
+
+// Stats snapshots the counters; after Drain they are final.
+func (d *DNS) Stats() Stats {
+	tcp := d.tcpServed.Load()
+	sf, drops := d.udp.OverloadStats()
+	return Stats{Served: d.udp.Served() + tcp, TCP: tcp, OverloadServFails: sf, Drops: drops}
+}
+
+// Drain stops both transports in parallel within DrainTimeout and fails
+// on a missed deadline.
 func (d *DNS) Drain() error {
 	tcpDrained := make(chan bool, 1)
 	go func() { tcpDrained <- d.tcp.Drain(DrainTimeout) }()
 	udpOK := d.udp.Drain(DrainTimeout)
-	tcpOK := <-tcpDrained
-	tcp := d.tcpServed.Load()
-	log.Printf("%s: served %d queries (%d over tcp)", d.name, d.udp.Served()+tcp, tcp)
-	if sf, drops := d.udp.OverloadStats(); sf > 0 || drops > 0 {
-		log.Printf("%s: overload: %d queries SERVFAILed, %d packets dropped", d.name, sf, drops)
-	}
-	if !udpOK || !tcpOK {
+	if tcpOK := <-tcpDrained; !udpOK || !tcpOK {
 		return fmt.Errorf("drain deadline exceeded (udp=%v tcp=%v)", udpOK, tcpOK)
 	}
 	return nil

@@ -35,7 +35,7 @@ func TestServeAnswersTruncationOverTCP(t *testing.T) {
 	if err := fs.Parse([]string{"-batch", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serving.Serve("servetest", fortyA, nil)
+	srv, err := serving.Serve(fortyA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,8 @@ func TestServeAnswersTruncationOverTCP(t *testing.T) {
 	if err := srv.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if n := srv.tcpServed.Load(); n != 1 {
-		t.Fatalf("tcp served %d queries, want 1", n)
-	}
-	if n := srv.udp.Served(); n != 2 {
-		t.Fatalf("udp served %d queries, want 2", n)
+	if got, want := srv.Stats(), (Stats{Served: 3, TCP: 1}); got != want {
+		t.Fatalf("stats %+v, want %+v (two UDP queries, one TCP retry)", got, want)
 	}
 }
 
@@ -86,7 +83,7 @@ func TestServeReportsBindFailure(t *testing.T) {
 	}
 	defer taken.Close()
 	addr := taken.LocalAddr().String()
-	if srv, err := (&Serving{Listen: addr}).Serve("servetest", fortyA, nil); err == nil {
+	if srv, err := (&Serving{Listen: addr}).Serve(fortyA, nil); err == nil {
 		srv.Drain()
 		t.Fatalf("Serve on UDP-bound %s succeeded", addr)
 	}

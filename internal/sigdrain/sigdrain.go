@@ -7,7 +7,9 @@
 package sigdrain
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -50,18 +52,21 @@ func await(name string, logf func(string, ...any), sig <-chan os.Signal, errCh <
 // everything daemon-specific. A nil drain logs "<name>: drained cleanly"
 // and Run returns. A drain error (a missed deadline must not look like a
 // clean stop), a serve error or a second signal exits the process: 1,
-// 1 and 130.
-func Run(name string, errCh <-chan error, drain func() error) {
+// 1 and 130. Once drain has returned, whatever it returned, a non-nil
+// snapshot's value is the process's report: one JSON line on stdout.
+func Run(name string, errCh <-chan error, drain func() error, snapshot func() any) {
 	sig := notify()
 	defer signal.Stop(sig)
-	if code := run(name, sig, errCh, drain); code != 0 {
+	if code := run(name, os.Stdout, sig, errCh, drain, snapshot); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// run is Run over an injected signal channel, returning the exit status.
-func run(name string, sig <-chan os.Signal, errCh <-chan error, drain func() error) int {
-	return await(name, log.Printf, sig, errCh, func(s os.Signal) <-chan int {
+// run is Run over an injected signal channel and report writer,
+// returning the exit status.
+func run(name string, w io.Writer, sig <-chan os.Signal, errCh <-chan error, drain func() error, snapshot func() any) int {
+	started := false
+	code := await(name, log.Printf, sig, errCh, func(s os.Signal) <-chan int {
 		log.Printf("%s: %s — draining", name, s)
 		status := make(chan int, 1)
 		go func() {
@@ -73,8 +78,18 @@ func run(name string, sig <-chan os.Signal, errCh <-chan error, drain func() err
 			log.Printf("%s: drained cleanly", name)
 			status <- 0
 		}()
+		started = true
 		return status
 	})
+	// await runs stop on this goroutine, so started is set exactly when a
+	// signal started the drain; any status but the abort's means it ended.
+	if started && code != 130 && snapshot != nil {
+		if err := json.NewEncoder(w).Encode(snapshot()); err != nil {
+			log.Printf("%s: report: %v", name, err)
+			return 1
+		}
+	}
+	return code
 }
 
 // OnInterrupt installs the two-stage stop of a command that drains on

@@ -74,24 +74,29 @@ func (c Config) openTimeout() time.Duration {
 // Counters are the pool's lifetime counts, surfaced at drain.
 type Counters struct {
 	// Queries is the number of Resolve calls.
-	Queries uint64
+	Queries uint64 `json:"queries"`
 	// Hedges / HedgeWins count hedged attempts launched and hedged
 	// attempts whose answer won the race.
-	Hedges, HedgeWins uint64
+	Hedges    uint64 `json:"hedges"`
+	HedgeWins uint64 `json:"hedge_wins"`
 	// Retries counts immediate failovers to the next upstream after a
 	// failed attempt.
-	Retries uint64
+	Retries uint64 `json:"retries"`
 	// BreakerOpens / BreakerCloses count closed→open (including
 	// half-open reopens) and →closed transitions; HalfOpens counts
 	// open→half-open probe admissions.
-	BreakerOpens, BreakerCloses, HalfOpens uint64
+	BreakerOpens  uint64 `json:"breaker_opens"`
+	BreakerCloses uint64 `json:"breaker_closes"`
+	HalfOpens     uint64 `json:"half_opens"`
 	// Failures counts Resolve calls that returned no usable answer.
-	Failures uint64
+	Failures uint64 `json:"failures"`
 	// AllOpen counts Resolve calls rejected because every breaker was
 	// open; BudgetDenied counts hedges/retries suppressed by the budget.
-	AllOpen, BudgetDenied uint64
+	AllOpen      uint64 `json:"all_open"`
+	BudgetDenied uint64 `json:"budget_denied"`
 	// Probes / ProbeFails count active-probe attempts and failures.
-	Probes, ProbeFails uint64
+	Probes     uint64 `json:"probes"`
+	ProbeFails uint64 `json:"probe_fails"`
 }
 
 // Pool is a health-aware set of upstream resolvers. All exported methods

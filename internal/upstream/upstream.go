@@ -43,6 +43,10 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// MarshalText renders the state as String does, so JSON reports carry
+// "closed", "open" or "half-open".
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // latWindow is the per-upstream latency ring used for the tracked p95
 // that drives the adaptive hedge delay.
 const latWindow = 64
@@ -107,11 +111,11 @@ func (m *member) p95() time.Duration {
 // UpstreamState is a point-in-time snapshot of one upstream's health,
 // for drain reports and debugging.
 type UpstreamState struct {
-	Addr      netip.AddrPort
-	State     State
-	EWMA      time.Duration
-	P95       time.Duration
-	Fails     int // consecutive failures
-	Successes uint64
-	Failures  uint64
+	Addr      netip.AddrPort `json:"addr"`
+	State     State          `json:"state"`
+	EWMA      time.Duration  `json:"ewma_ns"`
+	P95       time.Duration  `json:"p95_ns"`
+	Fails     int            `json:"fails"` // consecutive failures
+	Successes uint64         `json:"successes"`
+	Failures  uint64         `json:"failures"`
 }

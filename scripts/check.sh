@@ -29,6 +29,10 @@ trap 'exit 130' INT TERM
 echo "==> go build ./..."
 go build ./...
 
+echo "==> cross-build (GOOS=windows, GOOS=darwin: the portable batch loop, the !linux sockopt fallback, sigdrain's signal set)"
+GOOS=windows go build ./...
+GOOS=darwin go build ./...
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -163,7 +167,7 @@ go build -o "$lgsrv" ./cmd/adnsd
 lgpid=$!
 pids="$pids $lgpid"
 sleep 0.5
-lgout="$("$ckbin" loadgen -target 127.0.0.1:19533 -qps 2000 -duration 1s -conns 2 -timeout 500ms -json)"
+lgout="$("$ckbin" loadgen -target 127.0.0.1:19533 -qps 2000 -duration 1s -conns 2 -timeout 500ms)"
 kill "$lgpid" 2>/dev/null || true
 wait "$lgpid" 2>/dev/null || true
 echo "$lgout"
@@ -190,10 +194,10 @@ dprecs="$work/big.records"
 go build -o "$fwbin" ./cmd/fwdns
 go build -o "$dpbin" ./cmd/dnsprobe
 for i in $(seq 1 40); do echo "big.records.test 60 A 10.0.1.$i"; done > "$dprecs"
-"$lgsrv" -listen 127.0.0.1:19534 -quiet -zone whoami.test -records "$dprecs" 2>/dev/null &
+"$lgsrv" -listen 127.0.0.1:19534 -quiet -zone whoami.test -records "$dprecs" >/dev/null 2>&1 &
 dpapid=$!
 pids="$pids $dpapid"
-"$fwbin" -listen 127.0.0.1:19535 -upstream 127.0.0.1:19534 -stats 0 2>/dev/null &
+"$fwbin" -listen 127.0.0.1:19535 -upstream 127.0.0.1:19534 -stats 0 >/dev/null 2>&1 &
 dpfpid=$!
 pids="$pids $dpfpid"
 sleep 0.5
@@ -230,22 +234,23 @@ echo "==> chaos smoke (fwdns vs scripted upstream outage; serve-stale keeps answ
 # fresh — by the outage), then load runs again mid-outage with the same
 # seed/conns/names (the deterministic mix makes the outage queries a
 # prefix of the warmed ones). Serve-stale must keep the answered rate
-# near 1.0, and the drain report must show the breaker opened and stale
-# serves happened.
+# near 1.0, and fwdns's drain snapshot on stdout must show the breaker
+# opened and stale serves happened.
 flbin="$work/flakydns"
 fwlog="$work/fwdns.log"
+fwsnap="$work/fwdns.json"
 go build -o "$flbin" ./cmd/flakydns
-"$flbin" -listen 127.0.0.1:19541 -script ok:3s,down:600s -ttl 1 -quiet 2>/dev/null &
+"$flbin" -listen 127.0.0.1:19541 -script ok:3s,down:600s -ttl 1 -quiet >/dev/null 2>&1 &
 flpid=$!
 pids="$pids $flpid"
 "$fwbin" -listen 127.0.0.1:19540 -upstream 127.0.0.1:19541,127.0.0.1:19542 \
-	-serve-stale 1h -probe 250ms -break-after 2 -hedge adaptive -stats 0 2> "$fwlog" &
+	-serve-stale 1h -probe 250ms -break-after 2 -hedge adaptive -stats 0 > "$fwsnap" 2> "$fwlog" &
 fwpid=$!
 pids="$pids $fwpid"
 sleep 0.5
-"$ckbin" loadgen -target 127.0.0.1:19540 -qps 600 -duration 1s -conns 2 -names 64 -seed 42 -timeout 500ms -json >/dev/null
+"$ckbin" loadgen -target 127.0.0.1:19540 -qps 600 -duration 1s -conns 2 -names 64 -seed 42 -timeout 500ms >/dev/null
 sleep 2.5 # flakydns goes dark; the warm entries' 1s TTLs expire
-chout="$("$ckbin" loadgen -target 127.0.0.1:19540 -qps 200 -duration 2s -conns 2 -names 64 -seed 42 -timeout 500ms -json)"
+chout="$("$ckbin" loadgen -target 127.0.0.1:19540 -qps 200 -duration 2s -conns 2 -names 64 -seed 42 -timeout 500ms)"
 sleep 1 # let active probes finish opening the flaky upstream's breaker
 kill -TERM "$fwpid" 2>/dev/null || true
 wait "$fwpid" 2>/dev/null || true
@@ -258,20 +263,20 @@ if [ -z "$rate" ] || ! awk "BEGIN{exit !($rate >= 0.95)}"; then
 	cat "$fwlog" >&2
 	exit 1
 fi
-grep -E 'breaker opens: [1-9]' "$fwlog" >/dev/null || {
-	echo "check.sh: chaos smoke: breaker never opened" >&2; cat "$fwlog" >&2; exit 1; }
-grep -E 'final: .* [1-9][0-9]* stale serves' "$fwlog" >/dev/null || {
-	echo "check.sh: chaos smoke: no stale serves during the outage" >&2; cat "$fwlog" >&2; exit 1; }
+grep -E '"breaker_opens":[1-9]' "$fwsnap" >/dev/null || {
+	echo "check.sh: chaos smoke: breaker never opened" >&2; cat "$fwsnap" "$fwlog" >&2; exit 1; }
+grep -E '"stale":[1-9]' "$fwsnap" >/dev/null || {
+	echo "check.sh: chaos smoke: no stale serves during the outage" >&2; cat "$fwsnap" "$fwlog" >&2; exit 1; }
 
 echo "==> loss-phase smoke (flakydns loss=0.5; loadgen sees roughly half answered)"
 # Partial failure, not all-or-nothing: the deterministic error-diffusion
 # drop loses exactly half the queries, so the answered rate must sit
 # near 0.5 — well away from both the healthy 1.0 and the outage 0.0.
-"$flbin" -listen 127.0.0.1:19543 -script loss=0.5:600s -quiet 2>/dev/null &
+"$flbin" -listen 127.0.0.1:19543 -script loss=0.5:600s -quiet >/dev/null 2>&1 &
 flpid2=$!
 pids="$pids $flpid2"
 sleep 0.3
-lsout="$("$ckbin" loadgen -target 127.0.0.1:19543 -qps 400 -duration 1s -conns 2 -names 32 -seed 9 -timeout 300ms -json)"
+lsout="$("$ckbin" loadgen -target 127.0.0.1:19543 -qps 400 -duration 1s -conns 2 -names 32 -seed 9 -timeout 300ms)"
 kill "$flpid2" 2>/dev/null || true
 wait "$flpid2" 2>/dev/null || true
 echo "$lsout"
@@ -285,17 +290,17 @@ echo "==> daemon drain gate (adnsd, fwdns, flakydns, replicad: SIGTERM -> exit 0
 # The smokes above stop their daemons with kill; wait || true, which would
 # pass a daemon that hangs or fails at drain. Here each one must leave on
 # its own: exit status 0 within 7 s (the 5 s drain deadline plus slack)
-# and sigdrain's "drained cleanly" on stderr, after the DNS daemons'
-# served-count line.
+# and sigdrain's "drained cleanly" on stderr, and the DNS daemons' drain
+# snapshot on stdout must carry a served count.
 rdbin="$work/replicad"
 go build -o "$rdbin" ./cmd/replicad
-"$lgsrv" -listen 127.0.0.1:19544 -quiet -zone whoami.test 2> "$work/drain-adnsd.log" &
+"$lgsrv" -listen 127.0.0.1:19544 -quiet -zone whoami.test > "$work/drain-adnsd.json" 2> "$work/drain-adnsd.log" &
 dradnsd=$!
-"$fwbin" -listen 127.0.0.1:19545 -upstream 127.0.0.1:19544 -stats 0 2> "$work/drain-fwdns.log" &
+"$fwbin" -listen 127.0.0.1:19545 -upstream 127.0.0.1:19544 -stats 0 > "$work/drain-fwdns.json" 2> "$work/drain-fwdns.log" &
 drfwdns=$!
-"$flbin" -listen 127.0.0.1:19546 -quiet 2> "$work/drain-flakydns.log" &
+"$flbin" -listen 127.0.0.1:19546 -quiet > "$work/drain-flakydns.json" 2> "$work/drain-flakydns.log" &
 drflaky=$!
-"$rdbin" -listen 127.0.0.1:19547 2> "$work/drain-replicad.log" &
+"$rdbin" -listen 127.0.0.1:19547 > "$work/drain-replicad.json" 2> "$work/drain-replicad.log" &
 drrep=$!
 pids="$pids $dradnsd $drfwdns $drflaky $drrep"
 sleep 0.5
@@ -305,6 +310,7 @@ for d in adnsd:$dradnsd fwdns:$drfwdns flakydns:$drflaky replicad:$drrep; do
 	name="${d%%:*}"
 	pid="${d#*:}"
 	log="$work/drain-$name.log"
+	snap="$work/drain-$name.json"
 	kill -TERM "$pid"
 	n=0
 	while kill -0 "$pid" 2>/dev/null && [ "$n" -lt 70 ]; do
@@ -322,8 +328,8 @@ for d in adnsd:$dradnsd fwdns:$drfwdns flakydns:$drflaky replicad:$drrep; do
 		echo "check.sh: $name printed no drained line" >&2; cat "$log" >&2; exit 1; }
 	case "$name" in
 	replicad) ;;
-	*) grep "$name: served [0-9]" "$log" >/dev/null || {
-		echo "check.sh: $name printed no served line" >&2; cat "$log" >&2; exit 1; } ;;
+	*) grep '"served":[0-9]' "$snap" >/dev/null || {
+		echo "check.sh: $name printed no served count" >&2; cat "$snap" "$log" >&2; exit 1; } ;;
 	esac
 	echo "  $name: exit 0, $(grep -c . "$log") log lines"
 done
@@ -341,17 +347,17 @@ dclog="$work/dc-coordinator.log"
 dcvlog="$work/dc-victim.log"
 "$ckbin" simulate -days 8 -scale 0.5 -seed 7 -out "$dcser" >/dev/null 2>&1
 "$ckbin" coordinate -listen 127.0.0.1:19550 -checkpoint-dir "$dcck" \
-	-days 8 -scale 0.5 -seed 7 -lease 16 -out "$dcdist" 2> "$dclog" &
+	-days 8 -scale 0.5 -seed 7 -lease 16 -out "$dcdist" > "$work/dc-status.json" 2> "$dclog" &
 dcpid=$!
 pids="$pids $dcpid"
 sleep 0.3
 "$ckbin" worker -addr 127.0.0.1:19550 -id victim 2> "$dcvlog" &
 dcvpid=$!
 pids="$pids $dcvpid"
-"$ckbin" worker -addr 127.0.0.1:19550 -id steady-a 2>/dev/null &
+"$ckbin" worker -addr 127.0.0.1:19550 -id steady-a >/dev/null 2>&1 &
 dcwa=$!
 pids="$pids $dcwa"
-"$ckbin" worker -addr 127.0.0.1:19550 -id steady-b 2>/dev/null &
+"$ckbin" worker -addr 127.0.0.1:19550 -id steady-b >/dev/null 2>&1 &
 dcwb=$!
 pids="$pids $dcwb"
 i=0
@@ -363,7 +369,7 @@ done
 kill -9 "$dcvpid" 2>/dev/null || true
 # The replacement claims the campaign fingerprint explicitly: the
 # coordinator verifies it at handshake.
-"$ckbin" worker -addr 127.0.0.1:19550 -id replacement -days 8 -scale 0.5 -seed 7 2>/dev/null &
+"$ckbin" worker -addr 127.0.0.1:19550 -id replacement -days 8 -scale 0.5 -seed 7 >/dev/null 2>&1 &
 dcwr=$!
 pids="$pids $dcwr"
 wait "$dcpid" || { echo "check.sh: coordinator failed" >&2; cat "$dclog" >&2; exit 1; }
@@ -392,5 +398,6 @@ cmp "$work/dc-serial.sorted" "$work/dc-ck.sorted" || {
 grep -E 'returned [0-9]+ unfinished lease|reassigning' "$dclog" >/dev/null \
 	|| echo "check.sh: note: victim died between leases this run (crash recovery not exercised; bytes still verified)"
 tail -1 "$dclog"
+cat "$work/dc-status.json"
 
 echo "check.sh: all gates passed"
