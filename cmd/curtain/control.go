@@ -111,12 +111,13 @@ func runCoordinate(args []string) error {
 	coord.Start(ln)
 
 	sigdrain.OnInterrupt("curtain", fmt.Sprintf("curtain: interrupt — flushing checkpoint %s and stopping (again to abort)", o.CheckpointDir),
-		coord.Interrupt)
+		coord.Interrupt, func() any { return coord.Status() })
 
 	ds, st, err := coord.Wait()
 	if err == nil || errors.Is(err, controlplane.ErrInterrupted) {
-		// The drain report: lease traffic, exactly-once merge dedup counts
-		// and grant-to-merge latency quantiles, one JSON line on stdout.
+		// The drain report, the line SIGUSR1 prints live: lease traffic,
+		// exactly-once merge dedup counts and grant-to-merge latency
+		// quantiles, one JSON line on stdout.
 		if jerr := json.NewEncoder(os.Stdout).Encode(st); jerr != nil {
 			return jerr
 		}
@@ -165,7 +166,7 @@ func runWorker(args []string) error {
 	// abandoned lease the moment the socket dies.
 	interrupt := make(chan struct{})
 	sigdrain.OnInterrupt("curtain", "curtain: interrupt — finishing the current range, then leaving (again to abort)",
-		func() { close(interrupt) })
+		func() { close(interrupt) }, nil)
 
 	st, err := controlplane.RunWorker(controlplane.WorkerConfig{
 		ID: name, Addr: *addr, ConfigHash: claim,

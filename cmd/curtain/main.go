@@ -108,7 +108,7 @@ func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 			// experiments since the last fsync — what -resume recovers from.
 			interrupt := make(chan struct{})
 			sigdrain.OnInterrupt("curtain", fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", o.CheckpointDir),
-				func() { close(interrupt) })
+				func() { close(interrupt) }, nil)
 			o.Interrupt = interrupt
 		}
 		return o, nil

@@ -9,16 +9,15 @@
 //	fwdns -listen 127.0.0.1:5454 -upstream 8.8.8.8,1.1.1.1 &
 //	dnsprobe -resolvers 127.0.0.1 -port 5454 -rounds 3
 //
-// The second back-to-back lookup of each domain returns from cache.
+// The second back-to-back lookup of each domain returns from cache, and
+// `kill -USR1` prints the hit, miss and stale counters as one JSON line.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net/netip"
-	"os"
 	"strings"
 	"time"
 
@@ -30,8 +29,8 @@ import (
 )
 
 // parseUpstreams turns a comma-separated host[:port] list into
-// addr:port pairs, defaulting the port.
-func parseUpstreams(list string, defaultPort uint16) ([]netip.AddrPort, error) {
+// addr:port pairs, defaulting the port to 53.
+func parseUpstreams(list string) ([]netip.AddrPort, error) {
 	var out []netip.AddrPort
 	for _, part := range strings.Split(list, ",") {
 		part = strings.TrimSpace(part)
@@ -46,7 +45,7 @@ func parseUpstreams(list string, defaultPort uint16) ([]netip.AddrPort, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad upstream %q: %w", part, err)
 		}
-		out = append(out, netip.AddrPortFrom(addr, defaultPort))
+		out = append(out, netip.AddrPortFrom(addr, 53))
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no upstreams in %q", list)
@@ -93,18 +92,16 @@ func clientsByPort(ups []netip.AddrPort) map[uint16]*dnsclient.Client {
 
 func main() {
 	serving := sigdrain.ServingFlags(flag.CommandLine, "127.0.0.1:5454")
-	upstreams := flag.String("upstream", "8.8.8.8", "comma-separated upstream resolvers, host[:port]")
-	upstreamPort := flag.Uint("upstream-port", 53, "default port for -upstream entries without one")
+	upstreams := flag.String("upstream", "8.8.8.8", "comma-separated upstream resolvers, host[:port] (port 53 by default)")
 	maxTTL := flag.Duration("max-ttl", time.Hour, "cache lifetime cap")
 	serveStale := flag.Duration("serve-stale", time.Hour, "serve expired entries up to this long past expiry when upstreams fail (RFC 8767; 0 = off)")
 	maxCache := flag.Int("max-cache", 65536, "max cached entries before LRU eviction (must be positive)")
 	hedge := flag.String("hedge", "adaptive", "hedged-query delay: adaptive (tracked p95), off, or a fixed duration like 20ms")
 	probe := flag.Duration("probe", 0, "active upstream health-probe interval (0 = off)")
 	breakAfter := flag.Int("break-after", 3, "consecutive failures that open an upstream's circuit breaker")
-	statsEvery := flag.Duration("stats", time.Minute, "interval between counter snapshots (one JSON line each) on stdout (0 = off)")
 	flag.Parse()
 
-	ups, err := parseUpstreams(*upstreams, uint16(*upstreamPort))
+	ups, err := parseUpstreams(*upstreams)
 	if err != nil {
 		log.Fatalf("fwdns: %v", err)
 	}
@@ -168,6 +165,8 @@ func main() {
 	}
 	log.Printf("fwdns: forwarding %s -> %v (udp+tcp, %d udp shard(s), hedge=%s, serve-stale=%s)",
 		srv.Addr(), ups, serving.Shards, *hedge, *serveStale)
+	// The report, on SIGUSR1 and after the drain. Purge sweeps entries
+	// past the staleness window first, so entries counts live ones.
 	snapshot := func() any {
 		return struct {
 			DNS       sigdrain.Stats           `json:"dns"`
@@ -175,48 +174,18 @@ func main() {
 			Entries   int                      `json:"entries"`
 			Pool      upstream.Counters        `json:"pool"`
 			Upstreams []upstream.UpstreamState `json:"upstreams"`
-		}{srv.Stats(), fwd.Counters(), fwd.Len(), pool.Counters(), pool.States()}
-	}
-
-	// The stats ticker gets an explicit stop/join pair: time.Tick would
-	// leak its ticker, and an unjoined goroutine could interleave a
-	// snapshot line with the final one Run prints. Purge here doubles as
-	// the periodic sweep of entries past the staleness window.
-	statsStop := make(chan struct{})
-	statsDone := make(chan struct{})
-	if *statsEvery > 0 {
-		ticker := time.NewTicker(*statsEvery)
-		go func() {
-			defer close(statsDone)
-			defer ticker.Stop()
-			enc := json.NewEncoder(os.Stdout)
-			for {
-				select {
-				case <-ticker.C:
-					fwd.Purge()
-					if err := enc.Encode(snapshot()); err != nil {
-						log.Printf("fwdns: stats: %v", err)
-					}
-				case <-statsStop:
-					return
-				}
-			}
-		}()
-	} else {
-		close(statsDone)
+		}{srv.Stats(), fwd.Counters(), fwd.Purge(), pool.Counters(), pool.States()}
 	}
 
 	// Drain in dependency order: stop accepting and answer in-flight
 	// queries, stop the prober, join background cache refreshes, then
-	// join any hedge stragglers in the pool and the stats ticker before
-	// Run prints the snapshot.
+	// join any hedge stragglers in the pool before Run prints the
+	// snapshot.
 	sigdrain.Run("fwdns", srv.Errors(), func() error {
 		err := srv.Drain()
 		stopProbes()
 		fwd.Wait()
 		pool.Close()
-		close(statsStop)
-		<-statsDone
 		return err
 	}, snapshot)
 }

@@ -49,19 +49,34 @@ func TestValidateFlags(t *testing.T) {
 }
 
 func TestParseUpstreams(t *testing.T) {
-	ups, err := parseUpstreams("8.8.8.8, 1.1.1.1:5353", 53)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		list string
+		want string // the parsed list, space-joined; "" = an error
+	}{
+		{"8.8.8.8", "8.8.8.8:53"},
+		{"127.0.0.1:5354", "127.0.0.1:5354"},
+		{"8.8.8.8, 1.1.1.1:5353", "8.8.8.8:53 1.1.1.1:5353"},
+		{"8.8.8.8,,", "8.8.8.8:53"},
+		{"[::1]:5354,::1", "[::1]:5354 [::1]:53"},
+		{"", ""},
+		{" , ", ""},
+		{"not-an-addr", ""},
+		{"8.8.8.8:70000", ""},
+		{"8.8.8.8,dns.google", ""},
 	}
-	if len(ups) != 2 || ups[0].Port() != 53 || ups[1].Port() != 5353 {
-		t.Fatalf("ups = %v", ups)
-	}
-	for _, bad := range []string{"", "not-an-addr", "8.8.8.8,,"} {
-		if got, err := parseUpstreams(bad, 53); err == nil && len(got) != 1 {
-			t.Fatalf("parseUpstreams(%q) = %v, want error or single", bad, got)
+	for _, tc := range cases {
+		ups, err := parseUpstreams(tc.list)
+		var got []string
+		for _, ap := range ups {
+			got = append(got, ap.String())
 		}
-	}
-	if _, err := parseUpstreams("nonsense", 53); err == nil {
-		t.Fatal("parseUpstreams accepted a non-address")
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("parseUpstreams(%q) = %v, want an error", tc.list, got)
+		case tc.want != "" && err != nil:
+			t.Errorf("parseUpstreams(%q): %v, want %s", tc.list, err, tc.want)
+		case tc.want != "" && strings.Join(got, " ") != tc.want:
+			t.Errorf("parseUpstreams(%q) = %v, want %s", tc.list, got, tc.want)
+		}
 	}
 }

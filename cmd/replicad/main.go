@@ -42,9 +42,8 @@ func main() {
 			*name, r.URL.Path, r.Host, time.Now().UTC().Format(time.RFC3339Nano))
 	})
 	// /healthz reports real serving state: 200 while up, 503 once a drain
-	// begins — the shape upstream.HTTPHealthProbe expects, so a pool
-	// doing active health checks routes away from a draining replica
-	// before its listener actually closes.
+	// begins, so a load balancer doing active health checks routes away
+	// from a draining replica before its listener actually closes.
 	var draining atomic.Bool
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if draining.Load() {

@@ -135,7 +135,7 @@ func TestClientLookups(t *testing.T) {
 	if _, ok := n.ClientByAddr(netip.MustParseAddr("10.99.0.1")); ok {
 		t.Fatal("unknown client addr should miss")
 	}
-	if len(n.Clients()) != 1 {
+	if len(n.clients) != 1 {
 		t.Fatal("Clients() wrong")
 	}
 	if c.ConfiguredResolver() != n.ClientFacing[c.FrontendIndex()] {

@@ -429,9 +429,6 @@ func (n *Network) Unsubscribe(c *Client) {
 	n.fabric.InvalidateRoutes()
 }
 
-// Clients returns the carrier's subscribed measurement devices.
-func (n *Network) Clients() []*Client { return n.clients }
-
 // ClientByAddr finds a client by its internal address.
 func (n *Network) ClientByAddr(addr netip.Addr) (*Client, bool) {
 	c, ok := n.clientsByAddr[addr]

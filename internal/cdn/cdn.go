@@ -130,16 +130,6 @@ func DomainNames() []dnswire.Name {
 	return out
 }
 
-// DomainByName finds a measured domain.
-func (c *CDN) DomainByName(name dnswire.Name) (Domain, bool) {
-	for _, d := range c.Domains {
-		if d.Name.Equal(name) {
-			return d, true
-		}
-	}
-	return Domain{}, false
-}
-
 // ReplicaOwner returns the provider and cluster city of a replica address.
 func (c *CDN) ReplicaOwner(addr netip.Addr) (string, geo.City, bool) {
 	for _, p := range c.Providers {

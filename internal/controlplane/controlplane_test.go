@@ -254,6 +254,59 @@ func TestCoordinatedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStatusDuringIngest reads Status while two workers deliver
+// segments (run it under -race): every live reading is in range and
+// Completed never goes back, and once Wait returns Status is what Wait
+// returned.
+func TestStatusDuringIngest(t *testing.T) {
+	const total = 200
+	c, addr := startCoordinator(t, newFakeClock(), CoordinatorConfig{Total: total, LeaseSize: 3})
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		reads, last := 0, 0
+		for {
+			select {
+			case <-stop:
+				polled <- reads
+				return
+			default:
+			}
+			st := c.Status()
+			if st.Total != total || st.Completed < last || st.Completed > st.Total {
+				t.Errorf("live status %+v after completed=%d, want 0 ≤ completed ≤ %d and monotone", st, last, total)
+			}
+			last = st.Completed
+			reads++
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := RunWorker(testWorker(fmt.Sprintf("w%d", i), addr)); err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	_, st, err := c.Wait()
+	wg.Wait()
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Fatal("Status was never read during the campaign")
+	}
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got := c.Status(); got != st {
+		t.Fatalf("Status() after Wait = %+v, Wait returned %+v", got, st)
+	}
+	if st.Completed != total || st.LeasesServed == 0 || st.Interrupted {
+		t.Fatalf("final status %+v, want %d completed over served leases, not interrupted", st, total)
+	}
+}
+
 // TestWorkerKilledMidRange crashes a raw client while it holds a lease
 // (conn dies, as after SIGKILL): the coordinator must return the range
 // to the pool immediately and a healthy worker must finish the campaign.

@@ -577,6 +577,22 @@ func (c *Coordinator) closeConns() {
 	}
 }
 
+// Status snapshots the campaign's counters. It may be called at any
+// time; once Wait has returned it is what Wait returned.
+func (c *Coordinator) Status() Status {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.status
+	st.Total = c.cfg.Total
+	st.Completed = c.doneCount
+	if n := c.leaseSecs.Len(); n > 0 {
+		st.LeasesServed = n
+		st.LeaseP50Secs = c.leaseSecs.Percentile(50)
+		st.LeaseP95Secs = c.leaseSecs.Percentile(95)
+	}
+	return st
+}
+
 // Wait blocks until the campaign completes or Interrupt fires, shuts the
 // listener and sessions down, flushes the checkpoint, and returns the
 // merged dataset in canonical seq order — byte-identical to a serial
@@ -621,19 +637,14 @@ func (c *Coordinator) Wait() (*dataset.Dataset, Status, error) {
 		flushErr = c.cfg.Checkpoint.Flush()
 	}
 	c.mu.Lock()
-	st := c.status
-	st.Total = c.cfg.Total
-	st.Completed = c.doneCount
-	st.Interrupted = interrupted
+	c.status.Interrupted = interrupted
 	err := c.fatalErr
-	if c.leaseSecs.Len() > 0 {
-		st.LeasesServed = c.leaseSecs.Len()
-		st.LeaseP50Secs = c.leaseSecs.Percentile(50)
-		st.LeaseP95Secs = c.leaseSecs.Percentile(95)
+	c.mu.Unlock()
+	st := c.Status()
+	if st.LeasesServed > 0 {
 		c.logf("controlplane: %d lease(s) served, p50 %.2fs p95 %.2fs per range",
 			st.LeasesServed, st.LeaseP50Secs, st.LeaseP95Secs)
 	}
-	c.mu.Unlock()
 	if err != nil {
 		//lint:ignore errwrap the fatal ingest error already names the worker and failing seq
 		return nil, st, err

@@ -292,7 +292,7 @@ func TestShardGroupSharesOnePort(t *testing.T) {
 	if !addr.IsValid() {
 		t.Fatal("shard group never bound")
 	}
-	for i, srv := range g.Servers() {
+	for i, srv := range g.servers {
 		if a := srv.Addr(); a != addr {
 			t.Fatalf("shard %d bound %v, want %v (SO_REUSEPORT must share one port)", i, a, addr)
 		}

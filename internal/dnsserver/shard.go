@@ -36,9 +36,6 @@ func NewShardGroup(n int, mk func(shard int) *Server) *ShardGroup {
 	return g
 }
 
-// Servers exposes the per-shard servers (e.g. for OverloadStats).
-func (g *ShardGroup) Servers() []*Server { return g.servers }
-
 // ListenAndServe binds every shard to addr and serves until Shutdown or
 // Drain. It returns once every shard's Serve has exited, with the first
 // error (every shard reports use-of-closed after Shutdown; the first

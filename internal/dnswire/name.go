@@ -36,14 +36,6 @@ func (n Name) Equal(m Name) bool {
 	return strings.EqualFold(string(n), string(m))
 }
 
-// Labels splits the name into its labels. The root name has no labels.
-func (n Name) Labels() []string {
-	if n == "" || n == "." {
-		return nil
-	}
-	return strings.Split(strings.TrimSuffix(string(n), "."), ".")
-}
-
 // Parent returns the name with its leftmost label removed ("a.b.c" → "b.c").
 // The parent of a single-label name is the root (empty) name.
 func (n Name) Parent() Name {

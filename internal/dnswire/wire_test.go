@@ -289,13 +289,6 @@ func TestNameHelpers(t *testing.T) {
 	if !Name("WWW.EXAMPLE.COM").Equal("www.example.com") {
 		t.Fatal("Equal must be case-insensitive")
 	}
-	labels := n.Labels()
-	if len(labels) != 4 || labels[0] != "a" {
-		t.Fatalf("Labels = %v", labels)
-	}
-	if Name("").Labels() != nil {
-		t.Fatal("root has no labels")
-	}
 }
 
 func TestTXTEmpty(t *testing.T) {

@@ -162,18 +162,6 @@ func NewSchedule(injections []Injection) *Schedule {
 	return s
 }
 
-// Injections returns how many injections the schedule carries.
-func (s *Schedule) Injections() int {
-	n := 0
-	for _, injs := range s.segment {
-		n += len(injs)
-	}
-	for _, injs := range s.endpoint {
-		n += len(injs)
-	}
-	return n
-}
-
 // BeginExperiment implements vnet.Injector: the schedule adopts the
 // experiment-derived stream for all its probabilistic draws.
 func (s *Schedule) BeginExperiment(stream *stats.RNG) {

@@ -43,8 +43,8 @@ type flight struct {
 }
 
 // purgeEvery is how many stores happen between opportunistic full
-// purges of expired entries (on top of LRU eviction and any periodic
-// Purge the embedding daemon runs).
+// purges of expired entries (on top of LRU eviction and explicit Purge
+// calls).
 const purgeEvery = 512
 
 // Counters are the forwarder's lifetime counts, surfaced at drain.
@@ -333,13 +333,6 @@ func (f *Forwarder) Counters() Counters {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.c
-}
-
-// Len returns the number of live cache entries.
-func (f *Forwarder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lru.Len()
 }
 
 // Wait blocks until every background refresh goroutine has finished.

@@ -348,7 +348,7 @@ func TestLRUBound(t *testing.T) {
 	query(f, "e3.example")
 	query(f, "e1.example") // hit: e1 becomes most recent
 	query(f, "e4.example") // evicts e2, the LRU
-	if got := f.Len(); got != 3 {
+	if got := f.lru.Len(); got != 3 {
 		t.Fatalf("len = %d, want 3", got)
 	}
 	calls := tr.calls
@@ -377,7 +377,7 @@ func TestOpportunisticPurgeOnInsert(t *testing.T) {
 	for i := 0; i < purgeEvery; i++ {
 		query(f, dnswire.Name(fmt.Sprintf("g2-%d.example", i)))
 	}
-	if got := f.Len(); got > purgeEvery {
+	if got := f.lru.Len(); got > purgeEvery {
 		t.Fatalf("len = %d; expired entries were never purged on insert", got)
 	}
 }

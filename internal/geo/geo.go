@@ -80,22 +80,6 @@ func CityByName(name string) (City, error) {
 	return City{}, fmt.Errorf("geo: unknown city %q", name)
 }
 
-// Nearest returns the city in the database closest to p, restricted to
-// country if country is non-empty.
-func Nearest(p Point, country string) City {
-	best := City{}
-	bestD := math.Inf(1)
-	for _, c := range cityDB {
-		if country != "" && c.Country != country {
-			continue
-		}
-		if d := DistanceKm(p, c.Loc); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}
-
 var cityDB = []City{
 	// United States (metro areas commonly hosting cellular egress and CDN PoPs).
 	{"new-york", "US", Point{40.7128, -74.0060}},

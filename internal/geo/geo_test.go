@@ -80,24 +80,6 @@ func TestCityByNameUnknown(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	// A point in Brooklyn should resolve to new-york.
-	got := Nearest(Point{40.65, -73.95}, "US")
-	if got.Name != "new-york" {
-		t.Fatalf("nearest to Brooklyn = %s, want new-york", got.Name)
-	}
-	// Restricting to KR from a US point still returns a Korean city.
-	got = Nearest(Point{40.65, -73.95}, "KR")
-	if got.Country != "KR" {
-		t.Fatalf("country-restricted nearest returned %+v", got)
-	}
-	// Unrestricted nearest to a point near Seoul is Seoul.
-	got = Nearest(Point{37.55, 126.99}, "")
-	if got.Name != "seoul" {
-		t.Fatalf("nearest to Seoul coords = %s", got.Name)
-	}
-}
-
 func TestCitiesCopyIsIndependent(t *testing.T) {
 	a := Cities()
 	a[0].Name = "mutated"

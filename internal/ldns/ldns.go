@@ -217,9 +217,6 @@ func (e *Engine) ExternalFor(clientKey uint64, frontend, egress int, now time.Ti
 	return e.Pairing.Pick(clientKey, frontend, egress, now)
 }
 
-// Cache returns the cache of external resolver i.
-func (e *Engine) Cache(i int) *Cache { return e.caches[i] }
-
 // Frontend is a client-facing resolver address backed by the engine.
 type Frontend struct {
 	Index int

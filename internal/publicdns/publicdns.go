@@ -12,7 +12,6 @@ package publicdns
 
 import (
 	"fmt"
-	"math"
 	"net/netip"
 	"sort"
 	"time"
@@ -209,17 +208,6 @@ func (s *Service) rankedClusters(loc geo.Point) []int {
 	})
 	s.ranked[loc] = out
 	return out
-}
-
-// NearestCluster returns the index of the cluster closest to loc.
-func (s *Service) NearestCluster(loc geo.Point) int {
-	best, bestD := 0, math.Inf(1)
-	for i, cl := range s.Clusters {
-		if d := geo.DistanceKm(loc, cl.City.Loc); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }
 
 // OwnsAddr reports whether addr belongs to the service (VIP or any

@@ -90,7 +90,7 @@ func TestClusterForPrefersNearby(t *testing.T) {
 		now := baseTime.Add(time.Duration(i) * 36 * time.Hour)
 		counts[s.ClusterFor(natAddr, now)]++
 	}
-	nearest := s.NearestCluster(chicago.Loc)
+	nearest := s.rankedClusters(chicago.Loc)[0]
 	if got := counts[nearest]; got < 280 || got > 420 {
 		t.Fatalf("nearest cluster served %d/500, want ~70%%", got)
 	}

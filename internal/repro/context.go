@@ -12,7 +12,6 @@ import (
 	"net/netip"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/carrier"
@@ -83,15 +82,6 @@ func SuiteConfig(w *sim.World, cfg trace.Config) analysis.SuiteConfig {
 		TimelineEnd:    cfg.End,
 		TimelineBucket: cfg.End.Sub(cfg.Start) / availabilityBuckets,
 	}
-}
-
-// QuickConfig is a reduced campaign for tests and benchmarks: the full
-// Table 1 population over a shorter window.
-func QuickConfig(seed uint64) trace.Config {
-	cfg := trace.DefaultConfig(seed)
-	cfg.End = cfg.Start.AddDate(0, 0, 21) // three weeks
-	cfg.Interval = 12 * time.Hour
-	return cfg
 }
 
 // Result is one regenerated artifact.

@@ -6,11 +6,22 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/carrier"
 	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/trace"
 )
+
+// QuickConfig is a reduced campaign for tests: the full Table 1
+// population over a shorter window.
+func QuickConfig(seed uint64) trace.Config {
+	cfg := trace.DefaultConfig(seed)
+	cfg.End = cfg.Start.AddDate(0, 0, 21) // three weeks
+	cfg.Interval = 12 * time.Hour
+	return cfg
+}
 
 // The context is expensive (a three-week campaign over 158 clients), so
 // all shape tests share one.

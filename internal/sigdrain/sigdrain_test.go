@@ -1,9 +1,9 @@
 package sigdrain
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -45,26 +45,88 @@ func TestRunDrainsOnSignal(t *testing.T) {
 	}
 }
 
-// report is the snapshot every TestRunArms case hands run.
+// report is the snapshot the TestRunArms and TestInterruptReports cases
+// hand their loop.
 var report = Stats{Served: 7, TCP: 2}
 
-// runStatus runs run over a fresh signal channel, lets act drive it, and
-// returns the exit status run reports and what it wrote as its report.
-func runStatus(t *testing.T, drain func() error, act func(sig chan<- os.Signal, errCh chan<- error)) (int, string) {
+func snapshot() any { return report }
+
+// lines is a report writer that delivers each Write, one JSON line per
+// report, on a channel, so a case can wait for a live report.
+type lines chan string
+
+func (l lines) Write(p []byte) (int, error) {
+	l <- string(p)
+	return len(p), nil
+}
+
+// next waits for the next report line.
+func (l lines) next(t *testing.T) string {
 	t.Helper()
-	sig := make(chan os.Signal, 2)
-	errCh := make(chan error, 1)
-	status := make(chan int, 1)
-	var out bytes.Buffer
-	go func() { status <- run("sigdraintest", &out, sig, errCh, drain, func() any { return report }) }()
-	act(sig, errCh)
 	select {
-	case code := <-status:
+	case line := <-l:
+		return line
+	case <-time.After(5 * time.Second):
+		t.Fatal("no report line")
+		return ""
+	}
+}
+
+// loop is a signal loop under test: its stop and report signal channels
+// (report is unbuffered, so a send returns once the loop has taken it),
+// its serve errors, its report lines and its exit status.
+type loop struct {
+	sig, reportSig chan os.Signal
+	errCh          chan error
+	out            lines
+	status         chan int
+}
+
+func newLoop() *loop {
+	// sig has a slot per stage; out holds a case's unread lines, at most
+	// one live report and the final one.
+	return &loop{
+		sig: make(chan os.Signal, 2), reportSig: make(chan os.Signal),
+		errCh: make(chan error, 1), out: make(lines, 2), status: make(chan int, 1),
+	}
+}
+
+// running requires the loop not to have exited yet.
+func (l *loop) running(t *testing.T) {
+	t.Helper()
+	select {
+	case code := <-l.status:
+		t.Fatalf("loop exited %d, want it still running", code)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// exit waits for the loop's status and returns it with every report line
+// written after the ones already read.
+func (l *loop) exit(t *testing.T) (int, string) {
+	t.Helper()
+	select {
+	case code := <-l.status:
+		close(l.out)
+		var out strings.Builder
+		for line := range l.out {
+			out.WriteString(line)
+		}
 		return code, out.String()
 	case <-time.After(5 * time.Second):
-		t.Fatal("run did not return")
+		t.Fatal("loop did not return")
 		return -1, ""
 	}
+}
+
+// runStatus runs run over a fresh loop, lets act drive it, and returns
+// the exit status run reports and what it wrote after act returned.
+func runStatus(t *testing.T, drain func() error, snapshot func() any, act func(*loop)) (int, string) {
+	t.Helper()
+	l := newLoop()
+	go func() { l.status <- run("sigdraintest", l.out, l.sig, l.reportSig, l.errCh, drain, snapshot) }()
+	act(l)
+	return l.exit(t)
 }
 
 // oneReport requires out to be exactly one line decoding to report.
@@ -80,9 +142,9 @@ func oneReport(t *testing.T, out string) {
 }
 
 func TestRunArms(t *testing.T) {
-	signalOnce := func(sig chan<- os.Signal, _ chan<- error) { sig <- syscall.SIGTERM }
+	signalOnce := func(l *loop) { l.sig <- syscall.SIGTERM }
 	t.Run("clean drain exits 0", func(t *testing.T) {
-		code, out := runStatus(t, func() error { return nil }, signalOnce)
+		code, out := runStatus(t, func() error { return nil }, snapshot, signalOnce)
 		if code != 0 {
 			t.Fatalf("status %d, want 0", code)
 		}
@@ -90,7 +152,7 @@ func TestRunArms(t *testing.T) {
 	})
 	t.Run("drain error exits 1", func(t *testing.T) {
 		drain := func() error { return errors.New("drain deadline exceeded") }
-		code, out := runStatus(t, drain, signalOnce)
+		code, out := runStatus(t, drain, snapshot, signalOnce)
 		if code != 1 {
 			t.Fatalf("status %d, want 1", code)
 		}
@@ -99,8 +161,8 @@ func TestRunArms(t *testing.T) {
 	t.Run("serve error before any signal exits 1", func(t *testing.T) {
 		var drained atomic.Bool
 		drain := func() error { drained.Store(true); return nil }
-		serveFails := func(_ chan<- os.Signal, errCh chan<- error) { errCh <- errors.New("bind: address in use") }
-		code, out := runStatus(t, drain, serveFails)
+		serveFails := func(l *loop) { l.errCh <- errors.New("bind: address in use") }
+		code, out := runStatus(t, drain, snapshot, serveFails)
 		if code != 1 {
 			t.Fatalf("status %d, want 1", code)
 		}
@@ -116,16 +178,63 @@ func TestRunArms(t *testing.T) {
 		release := make(chan struct{})
 		defer close(release)
 		drain := func() error { close(started); <-release; return nil }
-		code, out := runStatus(t, drain, func(sig chan<- os.Signal, _ chan<- error) {
-			sig <- syscall.SIGTERM
+		code, out := runStatus(t, drain, snapshot, func(l *loop) {
+			l.sig <- syscall.SIGTERM
 			<-started
-			sig <- syscall.SIGINT
+			l.sig <- syscall.SIGINT
 		})
 		if code != 130 {
 			t.Fatalf("status %d, want 130", code)
 		}
 		if out != "" {
 			t.Fatalf("an abort wrote report %q", out)
+		}
+	})
+	t.Run("report signal before any stop reports and keeps running", func(t *testing.T) {
+		var drained atomic.Bool
+		drain := func() error { drained.Store(true); return nil }
+		code, out := runStatus(t, drain, snapshot, func(l *loop) {
+			l.reportSig <- syscall.SIGUSR1
+			oneReport(t, l.out.next(t))
+			l.running(t)
+			if drained.Load() {
+				t.Fatal("a report signal ran the drain body")
+			}
+			l.sig <- syscall.SIGTERM
+		})
+		if code != 0 {
+			t.Fatalf("status %d, want 0", code)
+		}
+		oneReport(t, out) // the final report, line 2
+	})
+	t.Run("report signal during a slow drain is not the aborting second signal", func(t *testing.T) {
+		started := make(chan struct{})
+		release := make(chan struct{})
+		drain := func() error { close(started); <-release; return nil }
+		code, out := runStatus(t, drain, snapshot, func(l *loop) {
+			l.sig <- syscall.SIGTERM
+			<-started
+			l.reportSig <- syscall.SIGUSR1
+			oneReport(t, l.out.next(t))
+			l.running(t)
+			close(release)
+		})
+		if code != 0 {
+			t.Fatalf("status %d, want 0", code)
+		}
+		oneReport(t, out)
+	})
+	t.Run("nil snapshot reports nothing", func(t *testing.T) {
+		code, out := runStatus(t, func() error { return nil }, nil, func(l *loop) {
+			l.reportSig <- syscall.SIGUSR1
+			l.running(t)
+			l.sig <- syscall.SIGTERM
+		})
+		if code != 0 {
+			t.Fatalf("status %d, want 0", code)
+		}
+		if out != "" {
+			t.Fatalf("a nil snapshot wrote report %q", out)
 		}
 	})
 }
@@ -138,10 +247,10 @@ func TestOnInterruptTwoStage(t *testing.T) {
 	ran := make(chan struct{})
 	status := make(chan int, 1)
 	go func() {
-		status <- interrupt("sigdraintest", "sigdraintest: interrupt (again to abort)", sig, func() {
+		status <- interrupt("sigdraintest", "sigdraintest: interrupt (again to abort)", io.Discard, sig, nil, func() {
 			calls.Add(1)
 			close(ran)
-		})
+		}, snapshot)
 	}()
 	sig <- syscall.SIGINT
 	select {
@@ -166,4 +275,52 @@ func TestOnInterruptTwoStage(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("first ran %d times, want 1", n)
 	}
+}
+
+// TestInterruptReports covers OnInterrupt's report signal: it writes one
+// line before and after the first stop signal, never runs first and
+// never counts toward the abort; a nil snapshot writes nothing.
+func TestInterruptReports(t *testing.T) {
+	start := func(snapshot func() any, first func()) *loop {
+		l := newLoop()
+		go func() {
+			l.status <- interrupt("sigdraintest", "sigdraintest: interrupt (again to abort)", l.out, l.sig, l.reportSig, first, snapshot)
+		}()
+		return l
+	}
+	t.Run("report signals before and after the first stop", func(t *testing.T) {
+		var calls atomic.Int32
+		l := start(snapshot, func() { calls.Add(1) })
+		l.reportSig <- syscall.SIGUSR1
+		oneReport(t, l.out.next(t))
+		l.running(t)
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("a report signal ran first %d times", n)
+		}
+		l.sig <- syscall.SIGINT
+		l.reportSig <- syscall.SIGUSR1
+		oneReport(t, l.out.next(t))
+		l.running(t)
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("first ran %d times, want 1", n)
+		}
+		l.sig <- syscall.SIGINT
+		if code, out := l.exit(t); code != 130 || out != "" {
+			t.Fatalf("status %d with report %q after the second stop, want 130 and none", code, out)
+		}
+	})
+	t.Run("nil snapshot reports nothing", func(t *testing.T) {
+		var calls atomic.Int32
+		l := start(nil, func() { calls.Add(1) })
+		l.reportSig <- syscall.SIGUSR1
+		l.running(t)
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("a report signal ran first %d times", n)
+		}
+		l.sig <- syscall.SIGINT
+		l.sig <- syscall.SIGINT
+		if code, out := l.exit(t); code != 130 || out != "" {
+			t.Fatalf("status %d with report %q, want 130 and none", code, out)
+		}
+	})
 }

@@ -324,9 +324,6 @@ func TestSampleEmpty(t *testing.T) {
 	if !math.IsNaN(s.Percentile(50)) || !math.IsNaN(s.Mean()) || !math.IsNaN(s.FracBelow(1)) {
 		t.Fatal("empty sample statistics must be NaN")
 	}
-	if s.CDF(10) != nil {
-		t.Fatal("empty sample CDF must be nil")
-	}
 }
 
 func TestFracBelow(t *testing.T) {
@@ -342,26 +339,6 @@ func TestFracBelow(t *testing.T) {
 	}
 	if got := s.FracBelow(10); got != 1 {
 		t.Errorf("FracBelow(10) = %v, want 1", got)
-	}
-}
-
-func TestCDFMonotonic(t *testing.T) {
-	r := NewRNG(41)
-	var s Sample
-	for i := 0; i < 1000; i++ {
-		s.Add(r.Float64() * 100)
-	}
-	pts := s.CDF(20)
-	if len(pts) != 20 {
-		t.Fatalf("CDF returned %d points, want 20", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].P <= pts[i-1].P {
-			t.Fatalf("CDF not monotonic at %d: %+v then %+v", i, pts[i-1], pts[i])
-		}
-	}
-	if pts[len(pts)-1].P != 1 {
-		t.Fatal("last CDF point must have P=1")
 	}
 }
 

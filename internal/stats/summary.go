@@ -122,34 +122,6 @@ func (s *Sample) FracBelow(x float64) float64 {
 	return float64(s.CountAtOrBelow(x)) / float64(len(s.xs))
 }
 
-// CDFPoint is one (value, cumulative fraction) pair of an empirical CDF.
-type CDFPoint struct {
-	X float64 // observation value
-	P float64 // cumulative probability in (0, 1]
-}
-
-// CDF returns an n-point summary of the empirical CDF, evenly spaced in
-// probability. It returns nil for an empty sample.
-func (s *Sample) CDF(n int) []CDFPoint {
-	if len(s.xs) == 0 || n <= 0 {
-		return nil
-	}
-	s.ensureSorted()
-	pts := make([]CDFPoint, 0, n)
-	for i := 1; i <= n; i++ {
-		p := float64(i) / float64(n)
-		idx := int(p*float64(len(s.xs))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s.xs) {
-			idx = len(s.xs) - 1
-		}
-		pts = append(pts, CDFPoint{X: s.xs[idx], P: p})
-	}
-	return pts
-}
-
 // Summary is a compact descriptive-statistics snapshot used in reports.
 type Summary struct {
 	N                  int

@@ -2,10 +2,7 @@ package upstream
 
 import (
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"net/netip"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -416,31 +413,6 @@ func TestStartProbesStops(t *testing.T) {
 	}
 	stop()
 	p.Close()
-}
-
-func TestHTTPHealthProbe(t *testing.T) {
-	draining := false
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" {
-			http.NotFound(w, r)
-			return
-		}
-		if draining {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-	addr := netip.MustParseAddrPort(strings.TrimPrefix(srv.URL, "http://"))
-	probe := HTTPHealthProbe(srv.Client(), "/healthz")
-	if err := probe(addr); err != nil {
-		t.Fatalf("healthy probe: %v", err)
-	}
-	draining = true
-	if err := probe(addr); err == nil {
-		t.Fatal("draining replica must probe unhealthy")
-	}
 }
 
 func TestNewRejectsEmpty(t *testing.T) {

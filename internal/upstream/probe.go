@@ -1,16 +1,12 @@
 package upstream
 
 import (
-	"fmt"
-	"io"
-	"net/http"
 	"net/netip"
 	"time"
 )
 
 // Prober checks one upstream's health out of band. A nil error is a
-// healthy verdict. cmd/fwdns wires a DNS query; HTTPHealthProbe targets
-// an HTTP health endpoint such as replicad's /healthz.
+// healthy verdict; cmd/fwdns wires a DNS query.
 type Prober func(addr netip.AddrPort) error
 
 // StartProbes launches a background prober that walks the members every
@@ -80,29 +76,5 @@ func (p *Pool) probeRound(probe Prober) {
 			p.mu.Unlock()
 		}
 		p.record(m, rtt, err == nil)
-	}
-}
-
-// HTTPHealthProbe returns a Prober that GETs http://<addr><path> and
-// treats any non-2xx status or transport error as unhealthy — the shape
-// replicad serves on /healthz (200 while serving, 503 while draining),
-// giving health-aware failover between replica backends a real target.
-func HTTPHealthProbe(client *http.Client, path string) Prober {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
-	return func(addr netip.AddrPort) error {
-		resp, err := client.Get("http://" + addr.String() + path)
-		if err != nil {
-			return fmt.Errorf("upstream: health probe %s: %w", addr, err)
-		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		if err := resp.Body.Close(); err != nil {
-			return fmt.Errorf("upstream: health probe %s: close: %w", addr, err)
-		}
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return fmt.Errorf("upstream: health probe %s: status %d", addr, resp.StatusCode)
-		}
-		return nil
 	}
 }

@@ -189,10 +189,6 @@ type PingPolicy func(src netip.Addr) bool
 // PingAll answers every echo request.
 func PingAll(netip.Addr) bool { return true }
 
-// PingNone answers no echo requests (the paper's unresponsive external
-// resolvers).
-func PingNone(netip.Addr) bool { return false }
-
 // Endpoint is an addressable host on the fabric.
 type Endpoint struct {
 	ID       string

@@ -126,7 +126,7 @@ func TestPingPolicies(t *testing.T) {
 		t.Fatalf("ping rtt = %v, want %v", rtt, want)
 	}
 	ep, _ := f.Endpoint(serverAddr)
-	ep.SetPingPolicy(PingNone)
+	ep.SetPingPolicy(func(netip.Addr) bool { return false })
 	if _, err := f.Ping(clientAddr, serverAddr); err != ErrTimeout {
 		t.Fatalf("filtered ping err = %v, want ErrTimeout", err)
 	}
@@ -202,7 +202,7 @@ func TestTracerouteOpaqueStillPingable(t *testing.T) {
 func TestTracerouteUnpingableDestination(t *testing.T) {
 	f := newTestFabric(twoSegRoute())
 	ep, _ := f.Endpoint(serverAddr)
-	ep.SetPingPolicy(PingNone)
+	ep.SetPingPolicy(func(netip.Addr) bool { return false })
 	hops, _ := f.Traceroute(clientAddr, serverAddr)
 	last := hops[len(hops)-1]
 	if last.Responded() {

@@ -47,10 +47,3 @@ func (r *Registry) Authority(name dnswire.Name) (netip.Addr, bool) {
 		}
 	}
 }
-
-// Zones returns the number of registered delegations.
-func (r *Registry) Zones() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.zones)
-}

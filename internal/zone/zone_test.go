@@ -24,8 +24,8 @@ func TestAuthorityWalk(t *testing.T) {
 	if _, ok := r.Authority("www.unrelated.org"); ok {
 		t.Fatal("unregistered zone must miss")
 	}
-	if r.Zones() != 2 {
-		t.Fatalf("Zones = %d", r.Zones())
+	if len(r.zones) != 2 {
+		t.Fatalf("%d zones, want 2", len(r.zones))
 	}
 }
 

@@ -197,7 +197,7 @@ for i in $(seq 1 40); do echo "big.records.test 60 A 10.0.1.$i"; done > "$dprecs
 "$lgsrv" -listen 127.0.0.1:19534 -quiet -zone whoami.test -records "$dprecs" >/dev/null 2>&1 &
 dpapid=$!
 pids="$pids $dpapid"
-"$fwbin" -listen 127.0.0.1:19535 -upstream 127.0.0.1:19534 -stats 0 >/dev/null 2>&1 &
+"$fwbin" -listen 127.0.0.1:19535 -upstream 127.0.0.1:19534 >/dev/null 2>&1 &
 dpfpid=$!
 pids="$pids $dpfpid"
 sleep 0.5
@@ -234,8 +234,8 @@ echo "==> chaos smoke (fwdns vs scripted upstream outage; serve-stale keeps answ
 # fresh — by the outage), then load runs again mid-outage with the same
 # seed/conns/names (the deterministic mix makes the outage queries a
 # prefix of the warmed ones). Serve-stale must keep the answered rate
-# near 1.0, and fwdns's drain snapshot on stdout must show the breaker
-# opened and stale serves happened.
+# near 1.0, and fwdns's snapshots on stdout (one asked for with SIGUSR1,
+# one at drain) must show the breaker opened and stale serves happened.
 flbin="$work/flakydns"
 fwlog="$work/fwdns.log"
 fwsnap="$work/fwdns.json"
@@ -244,7 +244,7 @@ go build -o "$flbin" ./cmd/flakydns
 flpid=$!
 pids="$pids $flpid"
 "$fwbin" -listen 127.0.0.1:19540 -upstream 127.0.0.1:19541,127.0.0.1:19542 \
-	-serve-stale 1h -probe 250ms -break-after 2 -hedge adaptive -stats 0 > "$fwsnap" 2> "$fwlog" &
+	-serve-stale 1h -probe 250ms -break-after 2 -hedge adaptive > "$fwsnap" 2> "$fwlog" &
 fwpid=$!
 pids="$pids $fwpid"
 sleep 0.5
@@ -252,8 +252,24 @@ sleep 0.5
 sleep 2.5 # flakydns goes dark; the warm entries' 1s TTLs expire
 chout="$("$ckbin" loadgen -target 127.0.0.1:19540 -qps 200 -duration 2s -conns 2 -names 64 -seed 42 -timeout 500ms)"
 sleep 1 # let active probes finish opening the flaky upstream's breaker
+# Ask for the report while fwdns runs: SIGUSR1 prints the snapshot as
+# one line and fwdns keeps serving; SIGTERM then prints the final one.
+kill -USR1 "$fwpid"
+n=0
+while [ "$(grep -c . "$fwsnap")" -lt 1 ] && [ "$n" -lt 20 ]; do
+	sleep 0.1
+	n=$((n + 1))
+done
+kill -0 "$fwpid" 2>/dev/null || {
+	echo "check.sh: chaos smoke: fwdns exited on SIGUSR1" >&2; cat "$fwlog" >&2; exit 1; }
+[ "$(grep -c . "$fwsnap")" -eq 1 ] && grep -E '"breaker_opens":[1-9]' "$fwsnap" >/dev/null || {
+	echo "check.sh: chaos smoke: SIGUSR1 did not print one live report with the breaker open" >&2
+	cat "$fwsnap" "$fwlog" >&2; exit 1; }
 kill -TERM "$fwpid" 2>/dev/null || true
 wait "$fwpid" 2>/dev/null || true
+[ "$(grep -c . "$fwsnap")" -eq 2 ] || {
+	echo "check.sh: chaos smoke: fwdns printed no final report after SIGTERM" >&2
+	cat "$fwsnap" "$fwlog" >&2; exit 1; }
 kill "$flpid" 2>/dev/null || true
 wait "$flpid" 2>/dev/null || true
 echo "$chout"
@@ -296,7 +312,7 @@ rdbin="$work/replicad"
 go build -o "$rdbin" ./cmd/replicad
 "$lgsrv" -listen 127.0.0.1:19544 -quiet -zone whoami.test > "$work/drain-adnsd.json" 2> "$work/drain-adnsd.log" &
 dradnsd=$!
-"$fwbin" -listen 127.0.0.1:19545 -upstream 127.0.0.1:19544 -stats 0 > "$work/drain-fwdns.json" 2> "$work/drain-fwdns.log" &
+"$fwbin" -listen 127.0.0.1:19545 -upstream 127.0.0.1:19544 > "$work/drain-fwdns.json" 2> "$work/drain-fwdns.log" &
 drfwdns=$!
 "$flbin" -listen 127.0.0.1:19546 -quiet > "$work/drain-flakydns.json" 2> "$work/drain-flakydns.log" &
 drflaky=$!
