@@ -41,6 +41,9 @@ type Cluster struct {
 	City  geo.City
 	Pool  *vnet.Pool
 	Addrs []netip.Addr
+	// answers holds dnswire.A{Addrs[i]}, boxed once at Build so an answer
+	// copies interface values instead of allocating a record per replica.
+	answers []dnswire.RData
 }
 
 // Provider is one CDN operator.
@@ -76,7 +79,7 @@ type Provider struct {
 	Processing stats.Dist
 
 	locator Locator
-	domains map[string]dnswire.Name // customer domain (lower) -> CNAME target
+	domains map[string]cnameTarget // customer domain (lower) -> its CNAME
 	// egressHint lets the simulation register the true egress city of a
 	// cellular resolver /24; the provider's geo guess draws from it.
 	egressHint map[netip.Prefix]geo.Point
@@ -88,6 +91,13 @@ type Provider struct {
 	// pure function of its key and the world's structure. Cleared by the
 	// fabric's experiment reset and whenever a hint is registered.
 	mapped map[mappingKey][2]int
+}
+
+// cnameTarget is a customer domain's CNAME target with its RDATA boxed
+// once at Build.
+type cnameTarget struct {
+	name  dnswire.Name
+	rdata dnswire.RData
 }
 
 type mappingKey struct {
@@ -215,7 +225,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 			MapPrefixBits:     mapBits,
 			Processing:        stats.LogNormal{Med: 2 * time.Millisecond, Sigma: 0.4, Floor: 500 * time.Microsecond},
 			locator:           locator,
-			domains:           map[string]dnswire.Name{},
+			domains:           map[string]cnameTarget{},
 			egressHint:        map[netip.Prefix]geo.Point{},
 			country:           map[netip.Prefix]string{},
 			guessCities:       guessCities,
@@ -229,6 +239,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 			for r := 0; r < 4; r++ {
 				addr := pool.At(r)
 				cl.Addrs = append(cl.Addrs, addr)
+				cl.answers = append(cl.answers, dnswire.A{Addr: addr})
 				ep := f.AddEndpoint(fmt.Sprintf("%s/%s/replica%d", spec.name, city.Name, r), city.Loc, 20940+uint32(pi), addr)
 				ep.Handle(80, &replicaHTTP{
 					provider: spec.name, city: city.Name,
@@ -250,7 +261,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 			return nil, fmt.Errorf("cdn: domain %s references unknown provider %s", md.name, md.provider)
 		}
 		cname := dnswire.Name(cnameLabel(md.name) + "." + string(p.Zone))
-		p.domains[strings.ToLower(string(md.name))] = cname
+		p.domains[strings.ToLower(string(md.name))] = cnameTarget{name: cname, rdata: dnswire.CNAME{Target: cname}}
 		reg.Delegate(md.name, p.ADNSAddr)
 		c.Domains = append(c.Domains, Domain{Name: md.name, Provider: p, CNAME: cname})
 	}
@@ -371,29 +382,27 @@ func (p *Provider) mappedClusters(domain string, prefix netip.Prefix, now time.T
 	return best, second
 }
 
-// ReplicaAnswer selects the replica addresses for a lower-case domain
-// queried from resolver src (already reduced to its /24 by the caller
-// when desired). Load balancing draws from rng — the serving fabric's
-// active experiment stream — so the choice is independent of global query
+// appendReplicas appends the A records, owned by name, that answer a
+// lower-case domain queried from resolver src: ReplicasPerAnswer
+// consecutive (wrapping) replicas of the mapped cluster from a random
+// start. Load balancing draws from rng — the serving fabric's active
+// experiment stream — so the choice is independent of global query
 // ordering.
-func (p *Provider) ReplicaAnswer(rng *stats.RNG, domain string, src netip.Addr, now time.Time) []netip.Addr {
-	prefix := p.mapPrefix(src)
-	primary, secondary := p.mappedClusters(domain, prefix, now)
+func (p *Provider) appendReplicas(rrs []dnswire.Record, rng *stats.RNG, domain string, name dnswire.Name, src netip.Addr, now time.Time) []dnswire.Record {
+	primary, secondary := p.mappedClusters(domain, p.mapPrefix(src), now)
 	idx := primary
 	if rng.Bool(p.SecondaryProb) {
 		idx = secondary
 	}
-	cl := p.Clusters[idx]
-	n := p.ReplicasPerAnswer
-	if n > len(cl.Addrs) {
-		n = len(cl.Addrs)
+	replicas := p.Clusters[idx].answers
+	start := rng.Intn(len(replicas))
+	for i := range min(p.ReplicasPerAnswer, len(replicas)) {
+		rrs = append(rrs, dnswire.Record{
+			Name: name, Class: dnswire.ClassIN, TTL: p.TTL,
+			Data: replicas[(start+i)%len(replicas)],
+		})
 	}
-	start := rng.Intn(len(cl.Addrs))
-	out := make([]netip.Addr, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, cl.Addrs[(start+i)%len(cl.Addrs)])
-	}
-	return out
+	return rrs
 }
 
 // Serve implements vnet.Handler: the provider's authoritative DNS.
@@ -438,24 +447,13 @@ func (p *Provider) answer(rng *stats.RNG, src netip.Addr, query *dnswire.Message
 	resp.Answers = make([]dnswire.Record, 0, 1+p.ReplicasPerAnswer)
 	if cname, ok := p.domains[lower]; ok {
 		resp.Answers = append(resp.Answers, dnswire.Record{
-			Name: q.Name, Class: dnswire.ClassIN, TTL: p.TTL,
-			Data: dnswire.CNAME{Target: cname},
+			Name: q.Name, Class: dnswire.ClassIN, TTL: p.TTL, Data: cname.rdata,
 		})
-		for _, ip := range p.ReplicaAnswer(rng, lower, mapSrc, now) {
-			resp.Answers = append(resp.Answers, dnswire.Record{
-				Name: cname, Class: dnswire.ClassIN, TTL: p.TTL,
-				Data: dnswire.A{Addr: ip},
-			})
-		}
+		resp.Answers = p.appendReplicas(resp.Answers, rng, lower, cname.name, mapSrc, now)
 		return resp
 	}
 	if q.Name.HasSuffix(p.Zone) {
-		for _, ip := range p.ReplicaAnswer(rng, lower, mapSrc, now) {
-			resp.Answers = append(resp.Answers, dnswire.Record{
-				Name: q.Name, Class: dnswire.ClassIN, TTL: p.TTL,
-				Data: dnswire.A{Addr: ip},
-			})
-		}
+		resp.Answers = p.appendReplicas(resp.Answers, rng, lower, q.Name, mapSrc, now)
 		return resp
 	}
 	resp.Header.RCode = dnswire.RCodeRefused

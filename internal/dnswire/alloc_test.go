@@ -3,16 +3,21 @@ package dnswire
 // Hot-path allocation proofs backing the //lint:hotpath annotations (see
 // DESIGN.md §11). Each test pins a steady-state encode/decode path at zero
 // allocations per operation with testing.AllocsPerRun, whose warm-up call
-// lets grow-once buffers and compression-map buckets amortize away.
+// lets grow-once buffers amortize away; Parse, which must build the
+// message it returns, has a budget instead.
 //
-// Before the zero-alloc rewrite the same loops measured (reused buffers):
+// The same loops measured (reused buffers; the reply is CNAME + 2×A):
 //
-//	appendName      5 allocs/op  (Labels split + per-label Join/ToLower)
-//	parseName       3 allocs/op  (strings.Builder growth + String)
-//	Message.Append 10 allocs/op  (fresh compressionMap + the above)
+//	                    first codec   map compression   inline table + shared names
+//	appendName          5 allocs/op   0                 0
+//	parseName           3 allocs/op   1 (the Name)      1
+//	Message.Append      10 allocs/op  2 (map + growth)  0
+//	Parse (reply)       -             11                8
 //
-// After: 0/0/0 via byte-wise label iteration, tail-slice compression keys,
-// caller-owned decode buffers and the reusable Encoder.
+// The first step was byte-wise label iteration, tail-slice compression
+// keys, caller-owned decode buffers and the reusable Encoder; the second
+// a compression table on the packer's stack and Names that a pointer-only
+// name shares with the label it points to.
 
 import (
 	"net/netip"
@@ -29,10 +34,10 @@ func requireZeroAllocs(t *testing.T, what string, f func()) {
 func TestHotPathAllocsAppendName(t *testing.T) {
 	name := Name("www.cdn.example.com")
 	buf := make([]byte, 0, 512)
-	cm := compressionMap{}
+	var cm compressionMap
 	requireZeroAllocs(t, "appendName (reused buf+cm)", func() {
-		clear(cm)
-		out, err := appendName(buf[:0], name, cm, 0)
+		cm.reset()
+		out, err := appendName(buf[:0], name, &cm, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,13 +63,13 @@ func TestHotPathAllocsDecodeName(t *testing.T) {
 func TestHotPathAllocsDecodeNameCompressed(t *testing.T) {
 	// Pointer-chasing decode must stay alloc-free too: encode two names
 	// sharing a tail so the second is a label plus a pointer.
-	cm := compressionMap{}
-	msg, err := appendName(nil, "a.example.com", cm, 0)
+	var cm compressionMap
+	msg, err := appendName(nil, "a.example.com", &cm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	second := len(msg)
-	msg, err = appendName(msg, "b.a.example.com", cm, 0)
+	msg, err = appendName(msg, "b.a.example.com", &cm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +100,56 @@ func TestHotPathAllocsEncodeMessage(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// cdnReply is the shape of every CDN answer in a campaign: the question,
+// a CNAME into the provider's zone and two A records owned by its target.
+func cdnReply() *Message {
+	resp := NewQuery(4242, "m.facebook.com", TypeA).Reply()
+	resp.Header.Authoritative = true
+	resp.Answers = []Record{
+		{Name: "m.facebook.com", Class: ClassIN, TTL: 30,
+			Data: CNAME{Target: "m-facebook-com.edgecast.example.net"}},
+		{Name: "m-facebook-com.edgecast.example.net", Class: ClassIN, TTL: 30,
+			Data: A{Addr: netip.MustParseAddr("23.0.3.1")}},
+		{Name: "m-facebook-com.edgecast.example.net", Class: ClassIN, TTL: 30,
+			Data: A{Addr: netip.MustParseAddr("23.0.3.2")}},
+	}
+	return resp
+}
+
+// TestHotPathAllocsAppendMessage pins Append's compression table to the
+// packer's stack: with map compression the same loop made 2 allocations.
+func TestHotPathAllocsAppendMessage(t *testing.T) {
+	resp := cdnReply()
+	buf := make([]byte, 0, 512)
+	requireZeroAllocs(t, "Message.Append (CNAME + 2×A into a reused buf)", func() {
+		out, err := resp.Append(buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = out[:0]
+	})
+}
+
+// TestParseAllocBudget holds Parse of the CDN reply to the Message, its
+// question and answer slices, two decoded names (the question and the
+// CNAME target: the answers' owners are pointers that share them) and the
+// three boxed RDATA. Without shared names it made 11.
+func TestParseAllocBudget(t *testing.T) {
+	pkt, err := cdnReply().Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 8
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := Parse(pkt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > budget {
+		t.Errorf("Parse (CNAME + 2×A reply): %.1f allocs/op, budget %d", n, budget)
+	}
 }
 
 // TestEncoderMatchesAppend pins Encoder.Encode to the exact bytes of the

@@ -10,12 +10,13 @@ import (
 // TestWriteSeedCorpus regenerates the checked-in fuzz seed corpus under
 // testdata/fuzz/ from the golden messages. It is skipped unless
 // WRITE_FUZZ_CORPUS=1, so a normal test run never touches testdata; rerun
-// it after changing goldenMessages or the FuzzDecodeName seeds.
+// it after changing goldenMessages, malformedMessages or the
+// FuzzDecodeName seeds.
 func TestWriteSeedCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
 	}
-	writeCorpus(t, "FuzzParseMessage", goldenMessages(t))
+	writeCorpus(t, "FuzzParseMessage", append(goldenMessages(t), malformedMessages(t)...))
 
 	nameSeed := func(n Name) []byte {
 		buf, err := appendName(nil, n, nil, 0)

@@ -59,7 +59,9 @@ func (m *Message) Reply() *Message {
 			RecursionDesired: m.Header.RecursionDesired,
 		},
 	}
-	r.Questions = append(r.Questions, m.Questions...)
+	// The reply shares the query's questions. Nothing writes a Question
+	// in place, and the capacity limit makes an append to either copy.
+	r.Questions = m.Questions[:len(m.Questions):len(m.Questions)]
 	return r
 }
 
@@ -104,12 +106,12 @@ func unpackFlags(f uint16) Header {
 // Append serializes the message, appending to buf (which is usually nil).
 // Domain names in question and answer sections are compressed.
 func (m *Message) Append(buf []byte) ([]byte, error) {
-	var cm compressionMap
-	if len(m.Questions)+len(m.Answers)+len(m.Authorities)+len(m.Additionals) > 1 {
-		// A lone question has nothing to point back to: skip the map.
-		cm = compressionMap{}
+	if len(m.Questions)+len(m.Answers)+len(m.Authorities)+len(m.Additionals) <= 1 {
+		// A lone question has nothing to point back to: skip the table.
+		return m.appendPacked(buf, nil)
 	}
-	return m.appendPacked(buf, cm)
+	var cm compressionMap // on the stack: nothing it is passed to keeps it
+	return m.appendPacked(buf, &cm)
 }
 
 // sizeHint estimates the packed size: exact without compression for
@@ -141,7 +143,7 @@ func (m *Message) sizeHint() int {
 }
 
 // Encoder amortizes message encoding across packets: it owns a reusable
-// output buffer and compression map, so steady-state Encode performs zero
+// output buffer and compression table, so steady-state Encode performs zero
 // allocations (proven by TestHotPathAllocsEncodeMessage). An Encoder must
 // not be used concurrently; pool instances instead (see dnsserver).
 type Encoder struct {
@@ -153,11 +155,8 @@ type Encoder struct {
 // by the Encoder and only valid until the next Encode call; callers that
 // need to retain the bytes must copy them.
 func (e *Encoder) Encode(m *Message) ([]byte, error) {
-	if e.cm == nil {
-		e.cm = make(compressionMap, 8)
-	}
-	clear(e.cm) // keeps the buckets: re-inserting comparable keys is alloc-free
-	out, err := m.appendPacked(e.buf[:0], e.cm)
+	e.cm.reset()
+	out, err := m.appendPacked(e.buf[:0], &e.cm)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +165,7 @@ func (e *Encoder) Encode(m *Message) ([]byte, error) {
 }
 
 // appendPacked is the shared serialization core behind Append and Encoder.
-func (m *Message) appendPacked(buf []byte, cm compressionMap) ([]byte, error) {
+func (m *Message) appendPacked(buf []byte, cm *compressionMap) ([]byte, error) {
 	if len(m.Questions) > 0xFFFF || len(m.Answers) > 0xFFFF ||
 		len(m.Authorities) > 0xFFFF || len(m.Additionals) > 0xFFFF {
 		return nil, fmt.Errorf("dnswire: section too large")
@@ -200,7 +199,7 @@ func (m *Message) appendPacked(buf []byte, cm compressionMap) ([]byte, error) {
 // Pack is Append with a fresh buffer sized from the message.
 func (m *Message) Pack() ([]byte, error) { return m.Append(make([]byte, 0, m.sizeHint())) }
 
-func appendRecord(buf []byte, rr Record, cm compressionMap) ([]byte, error) {
+func appendRecord(buf []byte, rr Record, cm *compressionMap) ([]byte, error) {
 	var err error
 	if buf, err = appendName(buf, rr.Name, cm, 0); err != nil {
 		return nil, fmt.Errorf("record %s: %w", rr.Name, err)
@@ -220,7 +219,24 @@ func appendRecord(buf []byte, rr Record, cm compressionMap) ([]byte, error) {
 
 	lenAt := len(buf)
 	buf = append(buf, 0, 0) // placeholder RDLENGTH
-	if buf, err = rr.Data.appendTo(buf, cm); err != nil {
+	// The name-bearing types are called directly: through the interface,
+	// escape analysis could not see that cm stays put, and every Append
+	// would move its table to the heap. Other types never compress.
+	switch d := rr.Data.(type) {
+	case CNAME:
+		buf, err = d.appendTo(buf, cm)
+	case NS:
+		buf, err = d.appendTo(buf, cm)
+	case PTR:
+		buf, err = d.appendTo(buf, cm)
+	case MX:
+		buf, err = d.appendTo(buf, cm)
+	case SOA:
+		buf, err = d.appendTo(buf, cm)
+	default:
+		buf, err = rr.Data.appendTo(buf, nil)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", rr.Name, err)
 	}
 	rdlen := len(buf) - lenAt - 2
@@ -250,10 +266,11 @@ func Parse(msg []byte) (*Message, error) {
 	}
 
 	off := headerLen
+	var names sharedNames
 	var err error
 	for i := 0; i < qd; i++ {
 		var q Question
-		if q.Name, off, err = parseName(msg, off); err != nil {
+		if q.Name, off, err = names.parse(msg, off); err != nil {
 			return nil, fmt.Errorf("question %d: %w", i, err)
 		}
 		if off+4 > len(msg) {
@@ -275,7 +292,7 @@ func Parse(msg []byte) (*Message, error) {
 		}
 		for i := 0; i < sec.n; i++ {
 			var rr Record
-			if rr, off, err = parseRecord(msg, off); err != nil {
+			if rr, off, err = parseRecord(msg, off, &names); err != nil {
 				//lint:ignore errwrap parse errors are already positional; Parse adds nothing
 				return nil, err
 			}
@@ -288,10 +305,10 @@ func Parse(msg []byte) (*Message, error) {
 	return out, nil
 }
 
-func parseRecord(msg []byte, off int) (Record, int, error) {
+func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 	var rr Record
 	var err error
-	if rr.Name, off, err = parseName(msg, off); err != nil {
+	if rr.Name, off, err = names.parse(msg, off); err != nil {
 		return rr, 0, err
 	}
 	if off+10 > len(msg) {
@@ -321,7 +338,7 @@ func parseRecord(msg []byte, off int) (Record, int, error) {
 		}
 		rr.Data = AAAA{Addr: netip.AddrFrom16([16]byte(rd))}
 	case TypeCNAME, TypeNS, TypePTR:
-		n, nend, err := parseName(msg, off)
+		n, nend, err := names.parse(msg, off)
 		if err != nil {
 			return rr, 0, err
 		}
@@ -341,7 +358,7 @@ func parseRecord(msg []byte, off int) (Record, int, error) {
 			return rr, 0, fmt.Errorf("dnswire: MX RDATA length %d", rdlen)
 		}
 		pref := binary.BigEndian.Uint16(rd)
-		host, nend, err := parseName(msg, off+2)
+		host, nend, err := names.parse(msg, off+2)
 		if err != nil {
 			return rr, 0, err
 		}
@@ -352,10 +369,10 @@ func parseRecord(msg []byte, off int) (Record, int, error) {
 	case TypeSOA:
 		var s SOA
 		pos := off
-		if s.MName, pos, err = parseName(msg, pos); err != nil {
+		if s.MName, pos, err = names.parse(msg, pos); err != nil {
 			return rr, 0, err
 		}
-		if s.RName, pos, err = parseName(msg, pos); err != nil {
+		if s.RName, pos, err = names.parse(msg, pos); err != nil {
 			return rr, 0, err
 		}
 		if pos+20 != rdEnd {
@@ -383,7 +400,12 @@ func parseRecord(msg []byte, off int) (Record, int, error) {
 		rr.Data = t
 	case TypeOPT:
 		opt := OPT{UDPSize: classField}
-		for p := 0; p+4 <= rdlen; {
+		for p := 0; p < rdlen; {
+			if p+4 > rdlen {
+				// Options must tile the RDATA: 1-3 stray bytes would
+				// otherwise vanish on re-pack.
+				return rr, 0, errors.New("dnswire: EDNS option header truncated")
+			}
 			code := binary.BigEndian.Uint16(rd[p:])
 			olen := int(binary.BigEndian.Uint16(rd[p+2:]))
 			if p+4+olen > rdlen {

@@ -132,11 +132,72 @@ func lowerASCII(s string) string {
 	return string(b)
 }
 
+// inlineSuffixes is how many suffixes a compressionMap holds before it
+// spills to a map. A campaign reply (question, CNAME, a few A records)
+// records fewer than ten.
+const inlineSuffixes = 32
+
 // compressionMap tracks name suffixes already emitted into a message so
 // later occurrences can be replaced with 2-byte pointers (RFC 1035 §4.1.4).
 // Keys are lowercased suffixes; with an all-lowercase name they are tail
-// slices of the name string and cost no allocation.
-type compressionMap map[string]int
+// slices of the name string and cost no allocation. The first
+// inlineSuffixes keys live in a table searched linearly, so a packer that
+// keeps the compressionMap on its stack allocates nothing for it; later
+// keys go to a map made on first spill. A key is added only after a miss,
+// so every key is unique and the two tiers answer exactly as one map would.
+// The zero value is empty and ready to use.
+type compressionMap struct {
+	n      int
+	inline [inlineSuffixes]suffixOffset
+	spill  map[string]int
+}
+
+type suffixOffset struct {
+	suffix string
+	off    int
+}
+
+// lookup returns the message offset at which suffix was first emitted.
+//
+//lint:hotpath linear search of the inline table on every label
+func (cm *compressionMap) lookup(suffix string) (int, bool) {
+	for i := range cm.inline[:cm.n] {
+		if cm.inline[i].suffix == suffix {
+			return cm.inline[i].off, true
+		}
+	}
+	off, ok := cm.spill[suffix]
+	return off, ok
+}
+
+// add records that suffix was emitted at message offset off. suffix must
+// not be present already.
+//
+//lint:hotpath fills the inline table; spilling is out of line
+func (cm *compressionMap) add(suffix string, off int) {
+	if cm.n < len(cm.inline) {
+		cm.inline[cm.n] = suffixOffset{suffix: suffix, off: off}
+		cm.n++
+		return
+	}
+	cm.addSpill(suffix, off)
+}
+
+// addSpill records a suffix past the inline table, making the map on the
+// first spill.
+func (cm *compressionMap) addSpill(suffix string, off int) {
+	if cm.spill == nil {
+		cm.spill = make(map[string]int)
+	}
+	cm.spill[suffix] = off
+}
+
+// reset empties cm for the next message, keeping the spill map's buckets.
+func (cm *compressionMap) reset() {
+	clear(cm.inline[:cm.n]) // drop the suffix strings of the last message
+	cm.n = 0
+	clear(cm.spill)
+}
 
 // appendName appends the wire encoding of n to buf, using and updating the
 // compression map when cm is non-nil. msgStart is the index in buf where
@@ -148,7 +209,7 @@ type compressionMap map[string]int
 // earlier name — legal under RFC 1035 §2.3.3 case-insensitivity.
 //
 //lint:hotpath zero allocations with reused buf and cm and a lowercase name
-func appendName(buf []byte, n Name, cm compressionMap, msgStart int) ([]byte, error) {
+func appendName(buf []byte, n Name, cm *compressionMap, msgStart int) ([]byte, error) {
 	if err := n.validate(); err != nil {
 		return nil, err
 	}
@@ -160,13 +221,13 @@ func appendName(buf []byte, n Name, cm compressionMap, msgStart int) ([]byte, er
 	for start := 0; start < len(s); {
 		if cm != nil {
 			suffix := lower[start:]
-			if off, ok := cm[suffix]; ok && off < 0x3FFF {
+			if off, ok := cm.lookup(suffix); ok && off < 0x3FFF {
 				// Emit pointer to prior occurrence and stop.
 				buf = append(buf, 0xC0|byte(off>>8), byte(off))
 				return buf, nil
 			}
 			if pos := len(buf) - msgStart; pos < 0x3FFF {
-				cm[suffix] = pos
+				cm.add(suffix, pos)
 			}
 		}
 		end := strings.IndexByte(s[start:], '.')
@@ -262,4 +323,67 @@ func parseName(msg []byte, off int) (Name, int, error) {
 		return "", 0, err
 	}
 	return Name(b), end, nil
+}
+
+// sharedNames is Parse's per-call record of the labels it has decoded, so
+// a later name that is nothing but a pointer to one of them (the owner of
+// every record after a CNAME, say) can be a substring of the earlier Name
+// instead of a fresh decode and allocation. Each label keeps the pointer
+// hops its suffix took, so a shared name is shared only where parseName
+// would accept it too. A full table records nothing more and later names
+// decode as usual; the zero value is empty and ready to use.
+type sharedNames struct {
+	n      int
+	labels [16]sharedLabel
+}
+
+type sharedLabel struct {
+	pos    uint16 // wire offset of the label's length octet
+	hops   uint8  // pointer jumps taken decoding suffix from pos
+	suffix Name   // the name decoded from pos
+}
+
+// parse is parseName with sharing: see sharedNames. Parse decodes names
+// in wire order, so every recorded label lies before off and a pointer to
+// it is one a fresh decode would follow too.
+func (t *sharedNames) parse(msg []byte, off int) (Name, int, error) {
+	if off+1 < len(msg) && msg[off]&0xC0 == 0xC0 {
+		target := int(msg[off]&0x3F)<<8 | int(msg[off+1])
+		for _, l := range t.labels[:t.n] {
+			// decodeName allows 63 jumps; following this pointer is one.
+			if int(l.pos) == target && l.hops < 63 {
+				return l.suffix, off + 2, nil
+			}
+		}
+	}
+	n, end, err := parseName(msg, off)
+	if err != nil {
+		return "", 0, err
+	}
+	t.record(msg, off, n)
+	return n, end, nil
+}
+
+// record adds the labels of n that were encoded in place at off, before
+// any pointer, and that a pointer can reach. parseName has already
+// validated the bytes it walks, pointer chain included.
+func (t *sharedNames) record(msg []byte, off int, n Name) {
+	first, hops := t.n, 0
+	for pos, i := off, 0; msg[pos] != 0; {
+		l := int(msg[pos])
+		if l&0xC0 != 0 {
+			hops++
+			pos = (l&0x3F)<<8 | int(msg[pos+1])
+			continue
+		}
+		if hops == 0 && pos <= 0x3FFF && t.n < len(t.labels) {
+			t.labels[t.n] = sharedLabel{pos: uint16(pos), suffix: n[i:]}
+			t.n++
+		}
+		pos += 1 + l
+		i += 1 + l
+	}
+	for k := first; k < t.n; k++ {
+		t.labels[k].hops = uint8(hops)
+	}
 }

@@ -12,8 +12,10 @@ type RData interface {
 	// Type returns the RR type this payload belongs to.
 	Type() Type
 	// appendTo appends the wire encoding of the RDATA (without the length
-	// prefix). Names inside RDATA of well-known types may be compressed.
-	appendTo(buf []byte, cm compressionMap) ([]byte, error)
+	// prefix). Names inside RDATA of well-known types may be compressed
+	// through cm; appendRecord calls those types directly, not through
+	// this interface, so a packer's compressionMap can stay on its stack.
+	appendTo(buf []byte, cm *compressionMap) ([]byte, error)
 	// String renders the payload in presentation-ish format.
 	String() string
 }
@@ -24,7 +26,7 @@ type A struct{ Addr netip.Addr }
 // Type implements RData.
 func (A) Type() Type { return TypeA }
 
-func (a A) appendTo(buf []byte, _ compressionMap) ([]byte, error) {
+func (a A) appendTo(buf []byte, _ *compressionMap) ([]byte, error) {
 	if !a.Addr.Is4() {
 		return nil, fmt.Errorf("dnswire: A record with non-IPv4 address %v", a.Addr)
 	}
@@ -41,7 +43,7 @@ type AAAA struct{ Addr netip.Addr }
 // Type implements RData.
 func (AAAA) Type() Type { return TypeAAAA }
 
-func (a AAAA) appendTo(buf []byte, _ compressionMap) ([]byte, error) {
+func (a AAAA) appendTo(buf []byte, _ *compressionMap) ([]byte, error) {
 	if !a.Addr.Is6() || a.Addr.Is4In6() {
 		return nil, fmt.Errorf("dnswire: AAAA record with non-IPv6 address %v", a.Addr)
 	}
@@ -58,7 +60,7 @@ type CNAME struct{ Target Name }
 // Type implements RData.
 func (CNAME) Type() Type { return TypeCNAME }
 
-func (c CNAME) appendTo(buf []byte, cm compressionMap) ([]byte, error) {
+func (c CNAME) appendTo(buf []byte, cm *compressionMap) ([]byte, error) {
 	return appendName(buf, c.Target, cm, 0)
 }
 
@@ -71,7 +73,7 @@ type NS struct{ Host Name }
 // Type implements RData.
 func (NS) Type() Type { return TypeNS }
 
-func (n NS) appendTo(buf []byte, cm compressionMap) ([]byte, error) {
+func (n NS) appendTo(buf []byte, cm *compressionMap) ([]byte, error) {
 	return appendName(buf, n.Host, cm, 0)
 }
 
@@ -84,7 +86,7 @@ type PTR struct{ Target Name }
 // Type implements RData.
 func (PTR) Type() Type { return TypePTR }
 
-func (p PTR) appendTo(buf []byte, cm compressionMap) ([]byte, error) {
+func (p PTR) appendTo(buf []byte, cm *compressionMap) ([]byte, error) {
 	return appendName(buf, p.Target, cm, 0)
 }
 
@@ -100,7 +102,7 @@ type MX struct {
 // Type implements RData.
 func (MX) Type() Type { return TypeMX }
 
-func (m MX) appendTo(buf []byte, cm compressionMap) ([]byte, error) {
+func (m MX) appendTo(buf []byte, cm *compressionMap) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, m.Preference)
 	return appendName(buf, m.Host, cm, 0)
 }
@@ -118,7 +120,7 @@ type SOA struct {
 // Type implements RData.
 func (SOA) Type() Type { return TypeSOA }
 
-func (s SOA) appendTo(buf []byte, cm compressionMap) ([]byte, error) {
+func (s SOA) appendTo(buf []byte, cm *compressionMap) ([]byte, error) {
 	var err error
 	if buf, err = appendName(buf, s.MName, cm, 0); err != nil {
 		return nil, err
@@ -146,7 +148,7 @@ type TXT struct{ Strings []string }
 // Type implements RData.
 func (TXT) Type() Type { return TypeTXT }
 
-func (t TXT) appendTo(buf []byte, _ compressionMap) ([]byte, error) {
+func (t TXT) appendTo(buf []byte, _ *compressionMap) ([]byte, error) {
 	if len(t.Strings) == 0 {
 		// A TXT RR must contain at least one (possibly empty) string.
 		return append(buf, 0), nil
@@ -194,7 +196,7 @@ const (
 // Type implements RData.
 func (OPT) Type() Type { return TypeOPT }
 
-func (o OPT) appendTo(buf []byte, _ compressionMap) ([]byte, error) {
+func (o OPT) appendTo(buf []byte, _ *compressionMap) ([]byte, error) {
 	for _, opt := range o.Options {
 		if len(opt.Data) > 0xFFFF {
 			return nil, fmt.Errorf("dnswire: EDNS option too long")
@@ -262,7 +264,7 @@ type RawRData struct {
 // Type implements RData.
 func (r RawRData) Type() Type { return r.T }
 
-func (r RawRData) appendTo(buf []byte, _ compressionMap) ([]byte, error) {
+func (r RawRData) appendTo(buf []byte, _ *compressionMap) ([]byte, error) {
 	return append(buf, r.Data...), nil
 }
 

@@ -433,3 +433,36 @@ func TestParseMutationRobustness(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRejectsOPTTrailingBytes: 1-3 bytes after an OPT's last option
+// used to parse and then vanish on re-pack (40 bytes in, 38 out for two).
+func TestParseRejectsOPTTrailingBytes(t *testing.T) {
+	if _, err := Parse(optTrailing(t, 0)); err != nil {
+		t.Fatalf("well-formed OPT: %v", err)
+	}
+	for extra := 1; extra <= 3; extra++ {
+		if m, err := Parse(optTrailing(t, extra)); err == nil {
+			t.Errorf("%d trailing OPT bytes accepted: %s", extra, m)
+		}
+	}
+}
+
+// TestParseSharesOnlyWhatParseNameAccepts: the last question of
+// deepPointers is a pointer to a label Parse has recorded, but decoding it
+// takes one jump more than decodeName allows, so Parse must fail as a
+// fresh decode would. Without the hop count the name was shared.
+func TestParseSharesOnlyWhatParseNameAccepts(t *testing.T) {
+	msg := deepPointers()
+	legal := append([]byte(nil), msg[:len(msg)-6]...)
+	legal[5] = 64 // drop the last question
+	m, err := Parse(legal)
+	if err != nil {
+		t.Fatalf("63 jumps are legal: %v", err)
+	}
+	if got := m.Questions[63].Name; got != "b.a" {
+		t.Fatalf("question 63 = %q, want b.a", got)
+	}
+	if m, err := Parse(msg); err == nil {
+		t.Fatalf("64-jump name accepted: %q", m.Questions[64].Name)
+	}
+}

@@ -35,19 +35,6 @@ const (
 	GPRS  Tech = "GPRS"
 )
 
-// Generation returns 2, 3 or 4 for the technology's cellular generation.
-func (t Tech) Generation() int {
-	switch t {
-	case LTE:
-		return 4
-	case EHRPD, EVDOA, HSPAP, HSPA, HSDPA, HSUPA, UMTS:
-		return 3
-	case OneX, EDGE, GPRS:
-		return 2
-	}
-	return 0
-}
-
 // Model describes one technology's access behaviour.
 type Model struct {
 	Tech Tech

@@ -31,18 +31,6 @@ func TestMustLookupPanics(t *testing.T) {
 	MustLookup("WIMAX")
 }
 
-func TestGenerations(t *testing.T) {
-	cases := map[Tech]int{LTE: 4, HSPA: 3, EHRPD: 3, UMTS: 3, OneX: 2, GPRS: 2, EDGE: 2}
-	for tech, want := range cases {
-		if got := tech.Generation(); got != want {
-			t.Errorf("%s generation = %d, want %d", tech, got, want)
-		}
-	}
-	if Tech("??").Generation() != 0 {
-		t.Error("unknown tech generation should be 0")
-	}
-}
-
 // Fig 3's central claim: very defined performance bands. Medians must
 // order LTE < 3G < 2G, with ~50ms between LTE and eHRPD/EVDO and ~1s
 // for 1xRTT.

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -89,48 +88,3 @@ func (s Shifted) Sample(r *RNG) time.Duration { return s.Base.Sample(r) + s.Off 
 
 // Median implements Dist.
 func (s Shifted) Median() time.Duration { return s.Base.Median() + s.Off }
-
-// Mixture draws from one of several component distributions with the given
-// weights; it models bimodal behaviours such as the SK carriers'
-// resolution-time CDFs (Fig 6) and cache hit/miss latency (Fig 7).
-type Mixture struct {
-	Components []Dist
-	Weights    []float64
-}
-
-// Sample implements Dist.
-func (m Mixture) Sample(r *RNG) time.Duration {
-	if len(m.Components) == 0 {
-		return 0
-	}
-	return m.Components[r.Choice(m.Weights)].Sample(r)
-}
-
-// Median implements Dist. For a mixture this returns the median of the
-// heaviest component, which is what reports care about ("the typical case").
-func (m Mixture) Median() time.Duration {
-	if len(m.Components) == 0 {
-		return 0
-	}
-	best, bw := 0, math.Inf(-1)
-	for i, w := range m.Weights {
-		if w > bw {
-			best, bw = i, w
-		}
-	}
-	return m.Components[best].Median()
-}
-
-// Validate reports an error if the mixture is malformed.
-func (m Mixture) Validate() error {
-	if len(m.Components) != len(m.Weights) {
-		return fmt.Errorf("stats: mixture has %d components but %d weights",
-			len(m.Components), len(m.Weights))
-	}
-	for i, w := range m.Weights {
-		if w < 0 {
-			return fmt.Errorf("stats: mixture weight %d is negative", i)
-		}
-	}
-	return nil
-}

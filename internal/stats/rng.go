@@ -133,23 +133,3 @@ func (r *RNG) NormFloat64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Choice returns a uniformly random index weighted by weights. Weights must
-// be non-negative and not all zero; otherwise Choice returns 0.
-func (r *RNG) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return 0
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -179,29 +179,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestChoiceWeighted(t *testing.T) {
-	r := NewRNG(19)
-	counts := make([]int, 3)
-	weights := []float64{1, 2, 7}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Choice(weights)]++
-	}
-	if got := float64(counts[2]) / n; math.Abs(got-0.7) > 0.02 {
-		t.Errorf("weight-7 arm selected %.3f of the time, want ~0.7", got)
-	}
-	if got := float64(counts[0]) / n; math.Abs(got-0.1) > 0.02 {
-		t.Errorf("weight-1 arm selected %.3f of the time, want ~0.1", got)
-	}
-}
-
-func TestChoiceDegenerate(t *testing.T) {
-	r := NewRNG(1)
-	if got := r.Choice([]float64{0, 0}); got != 0 {
-		t.Errorf("all-zero weights: got %d, want 0", got)
-	}
-}
-
 func TestConstantDist(t *testing.T) {
 	d := Constant{V: 5 * time.Millisecond}
 	r := NewRNG(1)
@@ -258,48 +235,6 @@ func TestShifted(t *testing.T) {
 	}
 	if got := d.Median(); got != 15*time.Millisecond {
 		t.Fatalf("shifted median = %v, want 15ms", got)
-	}
-}
-
-func TestMixtureBimodal(t *testing.T) {
-	m := Mixture{
-		Components: []Dist{Constant{V: 10 * time.Millisecond}, Constant{V: 100 * time.Millisecond}},
-		Weights:    []float64{0.8, 0.2},
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRNG(37)
-	fast := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if m.Sample(r) == 10*time.Millisecond {
-			fast++
-		}
-	}
-	if got := float64(fast) / n; math.Abs(got-0.8) > 0.01 {
-		t.Fatalf("fast component frequency %.3f, want ~0.8", got)
-	}
-	if m.Median() != 10*time.Millisecond {
-		t.Fatal("mixture median should come from heaviest component")
-	}
-}
-
-func TestMixtureValidate(t *testing.T) {
-	bad := Mixture{Components: []Dist{Constant{}}, Weights: []float64{1, 2}}
-	if bad.Validate() == nil {
-		t.Fatal("mismatched lengths must fail validation")
-	}
-	neg := Mixture{Components: []Dist{Constant{}}, Weights: []float64{-1}}
-	if neg.Validate() == nil {
-		t.Fatal("negative weight must fail validation")
-	}
-}
-
-func TestMixtureEmpty(t *testing.T) {
-	var m Mixture
-	if m.Sample(NewRNG(1)) != 0 || m.Median() != 0 {
-		t.Fatal("empty mixture should degrade to zero")
 	}
 }
 

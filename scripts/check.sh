@@ -39,8 +39,8 @@ go vet ./...
 echo "==> curtainlint ./..."
 go run ./cmd/curtainlint ./...
 
-echo "==> hot-path zero-alloc proof (testing.AllocsPerRun)"
-go test -count=1 -run '^TestHotPathAllocs' ./internal/dnswire/
+echo "==> hot-path zero-alloc proof (testing.AllocsPerRun) and Parse allocation budget (CNAME + 2xA reply: <= 8)"
+go test -count=1 -run '^(TestHotPathAllocs|TestParseAllocBudget$)' ./internal/dnswire/
 
 echo "==> serving hot-path zero-alloc proof (dispatch, servfail, batch read loop)"
 go test -count=1 -run '^TestHotPathAllocs' ./internal/dnsserver/
@@ -80,6 +80,7 @@ go test -race -count=1 -run '^TestKillResumeInvariance$' ./internal/trace/
 
 echo "==> dnswire fuzz smoke (5s per target, seed corpus in testdata/fuzz)"
 go test -count=1 -run '^$' -fuzz '^FuzzParseMessage$' -fuzztime=5s ./internal/dnswire/
+go test -count=1 -run '^$' -fuzz '^FuzzPackMatchesReference$' -fuzztime=5s ./internal/dnswire/
 go test -count=1 -run '^$' -fuzz '^FuzzDecodeName$' -fuzztime=5s ./internal/dnswire/
 
 echo "==> curtainbin fuzz smoke (5s; worker-supplied segment bytes: no panic, round trip, allocation bounded by input length)"
