@@ -13,6 +13,7 @@ import (
 	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/repro"
+	"cellcurtain/internal/sigdrain"
 )
 
 // runAnalyze reads a dataset written by `curtain simulate` (a JSONL or
@@ -31,7 +32,6 @@ func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	in := fs.String("in", "dataset.jsonl", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")
 	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; output is byte-identical for any N; a checkpoint directory is always scanned serially")
-	progress := fs.Bool("progress", false, "report scan progress on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the scan and report to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	fs.Parse(args)
@@ -47,56 +47,54 @@ func runAnalyze(args []string) error {
 	}
 	defer stopProfiles()
 
-	// The progress counter wraps every scanner's yield; shard scanners
-	// bump it concurrently, so it is atomic and only the goroutine
-	// crossing a round count prints.
+	// SIGUSR1 prints the report on stderr: stdout is the artifact report
+	// alone.
 	var scanned atomic.Int64
-	wrap := func(yield dataset.ScanFunc) dataset.ScanFunc {
-		if !*progress {
-			return yield
-		}
-		return func(e *dataset.Experiment) error {
-			if n := scanned.Add(1); n%1000 == 0 {
-				fmt.Fprintf(os.Stderr, "\ranalyze: scanned %d experiments", n)
-			}
-			return yield(e)
-		}
-	}
-
-	start := time.Now()
-	m, err := loadMeasures(*in, *parallel, wrap)
+	report := analyzeReport(&scanned, time.Now())
+	sigdrain.OnInterrupt("curtain", "", os.Stderr, nil, report)
+	m, err := loadMeasures(*in, *parallel, &scanned)
 	if err != nil {
 		return fmt.Errorf("analyze: scan %s: %w", *in, err)
 	}
-	scanTime := time.Since(start)
-	if *progress {
-		fmt.Fprintf(os.Stderr, "\ranalyze: scanned %d experiments\n", scanned.Load())
-	}
+	final := report()
 	if m.ExperimentCount() == 0 {
 		return fmt.Errorf("analyze: %s contains no experiments", *in)
 	}
-
 	writeAnalysis(os.Stdout, m)
-	// The report goes to stderr: stdout is the artifact report alone.
-	n := m.ExperimentCount()
-	report := struct {
-		Experiments int     `json:"experiments"`
-		Seconds     float64 `json:"seconds"`
-		ExpPerSec   float64 `json:"exp_per_sec"`
-		PeakRSSMB   float64 `json:"peak_rss_mb,omitempty"`
-	}{n, scanTime.Seconds(), float64(n) / scanTime.Seconds(), peakRSSMB()}
-	if err := json.NewEncoder(os.Stderr).Encode(report); err != nil {
+	if err := json.NewEncoder(os.Stderr).Encode(final); err != nil {
 		return fmt.Errorf("analyze: report: %w", err)
 	}
 	return nil
 }
 
-// loadMeasures streams the input through a fresh analysis suite. Dataset
-// files honor -parallel via contiguous shards (JSONL byte ranges,
-// curtainbin segment runs) merged in index order — byte-identical to a
-// serial scan; checkpoint directories scan serially whatever parallel
-// says.
-func loadMeasures(in string, parallel int, wrap func(dataset.ScanFunc) dataset.ScanFunc) (*analysis.Suite, error) {
+// analyzeReport returns analyze's one report over the experiments
+// scanned has counted since start: what SIGUSR1 prints during the scan
+// and the line the command ends with.
+func analyzeReport(scanned *atomic.Int64, start time.Time) func() any {
+	return func() any {
+		n := scanned.Load()
+		secs := time.Since(start).Seconds()
+		return struct {
+			Experiments int64   `json:"experiments"`
+			Seconds     float64 `json:"seconds"`
+			ExpPerSec   float64 `json:"exp_per_sec"`
+			PeakRSSMB   float64 `json:"peak_rss_mb,omitempty"`
+		}{n, secs, float64(n) / secs, peakRSSMB()}
+	}
+}
+
+// loadMeasures streams the input through a fresh analysis suite,
+// adding every experiment it reads to scanned. Dataset files honor
+// -parallel via contiguous shards (JSONL byte ranges, curtainbin segment
+// runs) merged in index order — byte-identical to a serial scan;
+// checkpoint directories scan serially whatever parallel says.
+func loadMeasures(in string, parallel int, scanned *atomic.Int64) (*analysis.Suite, error) {
+	wrap := func(yield dataset.ScanFunc) dataset.ScanFunc {
+		return func(e *dataset.Experiment) error {
+			scanned.Add(1)
+			return yield(e)
+		}
+	}
 	suite := analysis.NewSuite(analysis.SuiteConfig{})
 	if parallel == 1 || dataset.IsCheckpointDir(in) {
 		return suite, suite.Run(func(yield dataset.ScanFunc) error {

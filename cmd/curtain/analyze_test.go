@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cellcurtain"
+	"cellcurtain/internal/analysis"
 	"cellcurtain/internal/dataset"
 	"cellcurtain/internal/repro"
 	"cellcurtain/internal/trace"
@@ -81,9 +85,13 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 	var want []byte
 	for _, input := range []string{"jsonl", "binary", "checkpoint"} {
 		for _, mode := range modes {
-			m, err := loadMeasures(paths[input], mode.parallel, noWrap)
+			var scanned atomic.Int64
+			m, err := loadMeasures(paths[input], mode.parallel, &scanned)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", input, mode.name, err)
+			}
+			if n := scanned.Load(); n != int64(m.ExperimentCount()) {
+				t.Errorf("%s/%s: counted %d experiments, the suite saw %d", input, mode.name, n, m.ExperimentCount())
 			}
 			var got bytes.Buffer
 			writeAnalysis(&got, m)
@@ -111,13 +119,63 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 	if err := os.WriteFile(paths["jsonl"], bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadMeasures(paths["jsonl"], 4, noWrap); err == nil {
+	if _, err := loadMeasures(paths["jsonl"], 4, new(atomic.Int64)); err == nil {
 		t.Error("4 shards over a file with a malformed mid-file line: no error")
 	}
 }
 
-// noWrap is loadMeasures' scan wrapper when no progress is reported.
-func noWrap(fn dataset.ScanFunc) dataset.ScanFunc { return fn }
+// TestAnalyzeReportWhileScanning reads analyze's report as SIGUSR1 would,
+// concurrently with a 4-shard scan: every read lies between 0 and the
+// final count and never decreases, and the final count is the suite's.
+func TestAnalyzeReportWhileScanning(t *testing.T) {
+	in := analyzeInputs(t)["binary"]
+	var scanned atomic.Int64
+	report := analyzeReport(&scanned, time.Now())
+	type result struct {
+		m   *analysis.Suite
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := loadMeasures(in, 4, &scanned)
+		done <- result{m, err}
+	}()
+	var reads []int64
+	for scanning := true; scanning; {
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			final := reportedExperiments(t, report())
+			if want := int64(r.m.ExperimentCount()); final != want {
+				t.Fatalf("final report counts %d experiments, the suite saw %d", final, want)
+			}
+			for i, n := range reads {
+				if n < 0 || n > final || (i > 0 && n < reads[i-1]) {
+					t.Fatalf("live read %d of %v is out of order or outside [0, %d]", i, reads, final)
+				}
+			}
+			scanning = false
+		default:
+			reads = append(reads, reportedExperiments(t, report()))
+		}
+	}
+}
+
+// reportedExperiments is the experiments count a report encodes.
+func reportedExperiments(t *testing.T, report any) int64 {
+	t.Helper()
+	b, err := json.Marshal(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r struct{ Experiments int64 }
+	if err := json.Unmarshal(b, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r.Experiments
+}
 
 // reproTestdata holds the reproduction's goldens and a dataset the socket
 // vantage wrote; analyze's report is pinned beside the artifacts it shares
@@ -133,7 +191,7 @@ func TestAnalyzeGolden(t *testing.T) {
 		{"campaign", analyzeInputs(t)["binary"]},
 		{"dnsprobe", filepath.Join(reproTestdata, "dnsprobe.jsonl")},
 	} {
-		m, err := loadMeasures(tc.in, 1, noWrap)
+		m, err := loadMeasures(tc.in, 1, new(atomic.Int64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +228,7 @@ func TestAnalyzePrintsReproArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := loadMeasures(analyzeInputs(t)["binary"], 1, noWrap)
+	m, err := loadMeasures(analyzeInputs(t)["binary"], 1, new(atomic.Int64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,23 +285,8 @@ func TestAnalyzeProfiles(t *testing.T) {
 	in := analyzeInputs(t)["binary"]
 	report := func(args ...string) []byte {
 		t.Helper()
-		out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer out.Close()
-		stdout := os.Stdout
-		os.Stdout = out
-		err = runAnalyze(append([]string{"-in", in}, args...))
-		os.Stdout = stdout
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(out.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		stdout, _ := runCaptured(t, runAnalyze, append([]string{"-in", in}, args...)...)
+		return stdout
 	}
 	plain := report()
 	if len(plain) == 0 {

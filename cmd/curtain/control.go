@@ -111,7 +111,7 @@ func runCoordinate(args []string) error {
 	coord.Start(ln)
 
 	sigdrain.OnInterrupt("curtain", fmt.Sprintf("curtain: interrupt — flushing checkpoint %s and stopping (again to abort)", o.CheckpointDir),
-		coord.Interrupt, func() any { return coord.Status() })
+		os.Stdout, coord.Interrupt, func() any { return coord.Status() })
 
 	ds, st, err := coord.Wait()
 	if err == nil || errors.Is(err, controlplane.ErrInterrupted) {
@@ -166,7 +166,7 @@ func runWorker(args []string) error {
 	// abandoned lease the moment the socket dies.
 	interrupt := make(chan struct{})
 	sigdrain.OnInterrupt("curtain", "curtain: interrupt — finishing the current range, then leaving (again to abort)",
-		func() { close(interrupt) }, nil)
+		os.Stdout, func() { close(interrupt) }, nil)
 
 	st, err := controlplane.RunWorker(controlplane.WorkerConfig{
 		ID: name, Addr: *addr, ConfigHash: claim,

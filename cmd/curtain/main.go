@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"cellcurtain"
@@ -87,30 +88,33 @@ func usage() {
 
 // optionFlags registers the full campaign flag set — campaignFlags'
 // dataset-determining flags plus the execution flags — and returns a
-// closure resolving them into Options, with the interrupt-to-drain signal
-// handler installed when the run is checkpointed.
-func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
+// closure resolving them into Options and installing the process's
+// signal handler: SIGUSR1 prints a non-nil snapshot on stdout, and a
+// checkpointed run drains on SIGINT/SIGTERM.
+func optionFlags(fs *flag.FlagSet) func(snapshot func() any) (cellcurtain.Options, error) {
 	campaign := campaignFlags(fs)
 	workers := fs.Int("workers", 0, "parallel campaign workers (0 = serial); results are byte-identical for any worker count")
 	checkpoint := checkpointFlags(fs,
 		"durable checkpoint directory (empty = no checkpointing): completed experiments are fsync'd there as curtainbin (read one with convert -in DIR) as the run progresses, and SIGINT/SIGTERM drains in-flight experiments and flushes it before exiting",
 		"resume the campaign checkpointed in -checkpoint-dir, verified against -seed and the other campaign flags; the result is byte-identical to an uninterrupted run")
-	return func() (cellcurtain.Options, error) {
+	return func(snapshot func() any) (cellcurtain.Options, error) {
 		o, _ := campaign()
 		o.Workers = *workers
 		checkpoint(&o)
 		if o.Resume && o.CheckpointDir == "" {
 			return cellcurtain.Options{}, fmt.Errorf("-resume requires -checkpoint-dir")
 		}
+		var first func()
 		if o.CheckpointDir != "" {
 			// Workers drain their in-flight experiment and the checkpoint is
 			// flushed before the process exits; an abort loses at most the
 			// experiments since the last fsync — what -resume recovers from.
 			interrupt := make(chan struct{})
-			sigdrain.OnInterrupt("curtain", fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", o.CheckpointDir),
-				func() { close(interrupt) }, nil)
+			first = func() { close(interrupt) }
 			o.Interrupt = interrupt
 		}
+		sigdrain.OnInterrupt("curtain", fmt.Sprintf("curtain: interrupt — draining in-flight experiments and flushing checkpoint %s (again to abort)", o.CheckpointDir),
+			os.Stdout, first, snapshot)
 		return o, nil
 	}
 }
@@ -142,7 +146,7 @@ func announceCampaign(o cellcurtain.Options) {
 func studyFlags(fs *flag.FlagSet) func() (*cellcurtain.Study, error) {
 	opts := optionFlags(fs)
 	return func() (*cellcurtain.Study, error) {
-		o, err := opts()
+		o, err := opts(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +240,34 @@ func runSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	o, err := opts()
+	// The report's inputs change as the campaign streams and SIGUSR1 reads
+	// them from the signal goroutine, so each is atomic; start stays nil
+	// until the run begins.
+	var (
+		start      atomic.Pointer[time.Time]
+		clients, n atomic.Int64
+		bytesOut   byteCount
+	)
+	report := func() any {
+		r := struct {
+			Clients     int64   `json:"clients"`
+			Experiments int64   `json:"experiments"`
+			Seconds     float64 `json:"seconds"`
+			ExpPerSec   float64 `json:"exp_per_sec"`
+			Bytes       int64   `json:"bytes"`
+			BytesPerExp float64 `json:"bytes_per_exp"`
+			PeakRSSMB   float64 `json:"peak_rss_mb,omitempty"`
+		}{Clients: clients.Load(), Experiments: n.Load(), Bytes: bytesOut.Load(), PeakRSSMB: peakRSSMB()}
+		if t := start.Load(); t != nil {
+			r.Seconds = time.Since(*t).Seconds()
+			r.ExpPerSec = float64(r.Experiments) / r.Seconds
+		}
+		if r.Experiments > 0 { // JSON has no NaN for 0/0
+			r.BytesPerExp = float64(r.Bytes) / float64(r.Experiments)
+		}
+		return r
+	}
+	o, err := opts(report)
 	if err != nil {
 		return err
 	}
@@ -250,6 +281,7 @@ func runSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
+	clients.Store(int64(camp.ClientCount()))
 	fmt.Fprintf(os.Stderr, "curtain: %d experiments from %d clients\n",
 		camp.Total(), camp.ClientCount())
 
@@ -257,11 +289,12 @@ func runSimulate(args []string) error {
 	// the canonical prefix completes: memory stays bounded by the workers'
 	// out-of-order window, not the campaign size. Write-to-temp + fsync +
 	// rename means a crash (or an interrupt) mid-write can never leave a
-	// torn dataset at -out.
-	n := 0
-	start := time.Now()
+	// torn dataset at -out. The report covers run + encode, which stream
+	// together; the peak RSS is the whole process's, world build included.
+	now := time.Now()
+	start.Store(&now)
 	werr := dataset.WriteFileAtomic(*out, func(w io.Writer) error {
-		sink, flush := dataset.NewWriter(w, f)
+		sink, flush := dataset.NewWriter(io.MultiWriter(w, &bytesOut), f)
 		var sinkErr error
 		record := func(e *dataset.Experiment) {
 			if sinkErr == nil {
@@ -269,10 +302,14 @@ func runSimulate(args []string) error {
 					sinkErr = err
 					return
 				}
-				n++
+				n.Add(1)
 			}
 		}
-		if _, err := camp.Run(record); err != nil {
+		st, err := camp.Run(record)
+		if st.DiscardedBytes > 0 {
+			fmt.Fprintf(os.Stderr, "curtain: discarded %d bytes of torn segment tail\n", st.DiscardedBytes)
+		}
+		if err != nil {
 			return err
 		}
 		if sinkErr != nil {
@@ -289,28 +326,17 @@ func runSimulate(args []string) error {
 		}
 		return werr
 	}
-	fmt.Fprintf(os.Stderr, "curtain: wrote %d experiments to %s (%s)\n", n, *out, f)
-	// The report covers run + encode, which stream together; the peak
-	// RSS is the whole process's, world build included.
-	elapsed := time.Since(start).Seconds()
-	size := int64(0)
-	if info, err := os.Stat(*out); err == nil {
-		size = info.Size()
-	}
-	report := struct {
-		Clients     int     `json:"clients"`
-		Experiments int     `json:"experiments"`
-		Seconds     float64 `json:"seconds"`
-		ExpPerSec   float64 `json:"exp_per_sec"`
-		Bytes       int64   `json:"bytes"`
-		BytesPerExp float64 `json:"bytes_per_exp"`
-		PeakRSSMB   float64 `json:"peak_rss_mb,omitempty"`
-	}{Clients: camp.ClientCount(), Experiments: n, Seconds: elapsed, ExpPerSec: float64(n) / elapsed,
-		Bytes: size, PeakRSSMB: peakRSSMB()}
-	if n > 0 { // JSON has no NaN for 0/0
-		report.BytesPerExp = float64(size) / float64(n)
-	}
-	return json.NewEncoder(os.Stdout).Encode(report)
+	fmt.Fprintf(os.Stderr, "curtain: wrote %d experiments to %s (%s)\n", n.Load(), *out, f)
+	// Past the flush the byte count is the size of -out.
+	return json.NewEncoder(os.Stdout).Encode(report())
+}
+
+// byteCount is a writer that only counts what is written to it.
+type byteCount struct{ atomic.Int64 }
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	c.Add(int64(len(p)))
+	return len(p), nil
 }
 
 // startProfiles begins a CPU profile into cpuPath and returns a stop

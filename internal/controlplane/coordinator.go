@@ -59,7 +59,9 @@ type CoordinatorConfig struct {
 	// Now is the injectable clock driving lease expiry (default wall
 	// clock, same seam as internal/upstream).
 	Now func() time.Time
-	// Logf, when non-nil, receives progress lines.
+	// Logf, when non-nil, receives the campaign's events: workers joining,
+	// rejected or leaving, leases expiring and duplicates dropped.
+	// Progress is Status's, read on request.
 	Logf func(format string, args ...any)
 }
 
@@ -508,7 +510,6 @@ func (c *Coordinator) ingest(sess *session, m *Message) *Message {
 		c.fatalErr = err
 	}
 	complete := c.doneCount >= c.cfg.Total
-	done := c.doneCount
 	c.mu.Unlock()
 	if dups > 0 {
 		c.logf("controlplane: dropped %d duplicate experiment(s) from worker %s (range already merged)", dups, sess.worker)
@@ -517,7 +518,6 @@ func (c *Coordinator) ingest(sess *session, m *Message) *Message {
 		c.Interrupt() // refused segment or checkpoint failure: stop leasing, surface via Wait
 		return &Message{Type: MsgAck, Dups: dups}
 	}
-	c.logf("controlplane: %d/%d experiments durable", done, c.cfg.Total)
 	if complete {
 		c.completeOnce.Do(func() { close(c.completeCh) })
 	}
@@ -641,10 +641,6 @@ func (c *Coordinator) Wait() (*dataset.Dataset, Status, error) {
 	err := c.fatalErr
 	c.mu.Unlock()
 	st := c.Status()
-	if st.LeasesServed > 0 {
-		c.logf("controlplane: %d lease(s) served, p50 %.2fs p95 %.2fs per range",
-			st.LeasesServed, st.LeaseP50Secs, st.LeaseP95Secs)
-	}
 	if err != nil {
 		//lint:ignore errwrap the fatal ingest error already names the worker and failing seq
 		return nil, st, err

@@ -1,6 +1,6 @@
 // Package sigdrain is the process shell every long-running command
 // shares: one signal loop (Run for the daemons, OnInterrupt for curtain's
-// campaign commands) and the UDP+TCP DNS serving bring-up (Serving). The
+// long commands) and the UDP+TCP DNS serving bring-up (Serving). The
 // signal wiring — which signals, error-vs-signal precedence, the second
 // signal that aborts, the report signal that only asks — exists exactly
 // once, in await.
@@ -20,12 +20,16 @@ import (
 // DrainTimeout bounds every daemon's graceful drain.
 const DrainTimeout = 5 * time.Second
 
-// notify subscribes to SIGINT/SIGTERM with one slot per stage, and to
-// the report signal (SIGUSR1 where there is one) on a channel of its
-// own, so a report request never counts as a stop.
-func notify() (stop, report chan os.Signal) {
-	stop = make(chan os.Signal, 2)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+// notify subscribes to the report signal (SIGUSR1 where there is one)
+// and, when stops is set, to SIGINT/SIGTERM with one slot per stage, on
+// a channel of its own, so a report request never counts as a stop.
+// Without stops the stop channel is nil and the stop signals keep Go's
+// default exit.
+func notify(stops bool) (stop, report chan os.Signal) {
+	if stops {
+		stop = make(chan os.Signal, 2)
+		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	}
 	report = make(chan os.Signal, 1)
 	if len(reportSignals) > 0 {
 		signal.Notify(report, reportSignals...)
@@ -80,7 +84,7 @@ func await(name string, logf func(string, ...any), sig, reportSig <-chan os.Sign
 // JSON line on stdout: on every SIGUSR1 while the daemon runs or drains,
 // and once drain has returned, whatever it returned.
 func Run(name string, errCh <-chan error, drain func() error, snapshot func() any) {
-	sig, reportSig := notify()
+	sig, reportSig := notify(true)
 	defer signal.Stop(sig)
 	defer signal.Stop(reportSig)
 	if code := run(name, os.Stdout, sig, reportSig, errCh, drain, snapshot); code != 0 {
@@ -120,13 +124,14 @@ func run(name string, w io.Writer, sig, reportSig <-chan os.Signal, errCh <-chan
 
 // OnInterrupt installs the two-stage stop of a command that drains on
 // its own: the first SIGINT/SIGTERM prints msg and runs first, which
-// must not block; a second prints "<name>: aborting" and exits 130.
-// Every SIGUSR1 writes a non-nil snapshot's value as one JSON line on
-// stdout, the schema of the command's final report.
-func OnInterrupt(name, msg string, first func(), snapshot func() any) {
-	sig, reportSig := notify()
-	//lint:ignore goroutine the loop's only way out is exiting the process on the second signal
-	go func() { os.Exit(interrupt(name, msg, os.Stdout, sig, reportSig, first, snapshot)) }()
+// must not block; a second prints "<name>: aborting" and exits 130. A
+// nil first has nothing to drain: the stop signals are not subscribed
+// and keep Go's default exit. Every SIGUSR1 writes a non-nil snapshot's
+// value as one JSON line on w, the schema of the command's final report.
+func OnInterrupt(name, msg string, w io.Writer, first func(), snapshot func() any) {
+	sig, reportSig := notify(first != nil)
+	//lint:ignore goroutine the loop lives as long as the process: its only way out is exiting it on the second signal
+	go func() { os.Exit(interrupt(name, msg, w, sig, reportSig, first, snapshot)) }()
 }
 
 // interrupt is OnInterrupt's loop over injected signal channels and

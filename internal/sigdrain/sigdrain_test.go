@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -278,8 +279,9 @@ func TestOnInterruptTwoStage(t *testing.T) {
 }
 
 // TestInterruptReports covers OnInterrupt's report signal: it writes one
-// line before and after the first stop signal, never runs first and
-// never counts toward the abort; a nil snapshot writes nothing.
+// line on the writer given, before and after the first stop signal,
+// never runs first and never counts toward the abort; with a nil first
+// it is the only signal subscribed; a nil snapshot writes nothing.
 func TestInterruptReports(t *testing.T) {
 	start := func(snapshot func() any, first func()) *loop {
 		l := newLoop()
@@ -307,6 +309,41 @@ func TestInterruptReports(t *testing.T) {
 		l.sig <- syscall.SIGINT
 		if code, out := l.exit(t); code != 130 || out != "" {
 			t.Fatalf("status %d with report %q after the second stop, want 130 and none", code, out)
+		}
+	})
+	t.Run("real signals report on the writer given and nil first subscribes no stop", func(t *testing.T) {
+		stdout, err := os.CreateTemp(t.TempDir(), "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stdout.Close()
+		saved := os.Stdout
+		os.Stdout = stdout
+		defer func() { os.Stdout = saved }()
+		// The test holds SIGINT itself, so the process survives it
+		// whether or not OnInterrupt subscribed a stop.
+		held := make(chan os.Signal, 1)
+		signal.Notify(held, os.Interrupt)
+		defer signal.Stop(held)
+
+		out := make(lines, 2)
+		OnInterrupt("sigdraintest", "sigdraintest: interrupt (again to abort)", out, nil, snapshot)
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGUSR1); err != nil {
+			t.Fatalf("self-signal: %v", err)
+		}
+		oneReport(t, out.next(t))
+		// A subscribed stop would call the nil first and crash the test.
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+			t.Fatalf("self-signal: %v", err)
+		}
+		<-held
+		select {
+		case line := <-out:
+			t.Fatalf("a stop signal wrote %q", line)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if b, err := os.ReadFile(stdout.Name()); err != nil || len(b) != 0 {
+			t.Fatalf("stdout got %q (%v), want nothing: the report goes to the writer given", b, err)
 		}
 	})
 	t.Run("nil snapshot reports nothing", func(t *testing.T) {

@@ -132,9 +132,12 @@ bkseg="$bkck/experiments.bin"
 [ -f "$bkseg" ] || { echo "check.sh: no checkpoint segment at $bkseg" >&2; exit 1; }
 bksize="$(wc -c < "$bkseg")"
 dd if=/dev/null of="$bkseg" bs=1 seek="$((bksize - 17))" 2>/dev/null # tear the tail mid-record
+bklog="$work/bk-resume.log"
 "$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkck" \
-	-resume -out "$ckb" >/dev/null 2>&1
+	-resume -out "$ckb" >/dev/null 2> "$bklog"
 cmp "$ckds" "$ckb" || { echo "check.sh: kill-resume diverges from serial bytes" >&2; exit 1; }
+grep -E 'discarded [1-9][0-9]* bytes of torn segment tail' "$bklog" >/dev/null || {
+	echo "check.sh: -resume over a torn segment tail does not say it discarded it" >&2; cat "$bklog" >&2; exit 1; }
 "$ckbin" convert -in "$bkck" -out "$bkcv" 2>/dev/null
 cmp "$ckds" "$bkcv" || { echo "check.sh: convert -in <checkpoint dir> diverges from the serial dataset" >&2; exit 1; }
 
@@ -362,7 +365,35 @@ dcser="$work/dc-serial.jsonl"
 dcdist="$work/dc-distributed.jsonl"
 dclog="$work/dc-coordinator.log"
 dcvlog="$work/dc-victim.log"
-"$ckbin" simulate -days 8 -scale 0.5 -seed 7 -out "$dcser" >/dev/null 2>&1
+# The serial reference also holds simulate to SIGUSR1: asked once its
+# campaign runs, it prints a live report (the final report's keys, fewer
+# experiments), keeps going, ends with the final report, and its dataset
+# must still match the coordinated one.
+dcsnap="$work/dc-serial.json"
+dcslog="$work/dc-serial.log"
+"$ckbin" simulate -days 8 -scale 0.5 -seed 7 -out "$dcser" > "$dcsnap" 2> "$dcslog" &
+dcspid=$!
+pids="$pids $dcspid"
+n=0
+while ! grep -q 'experiments from' "$dcslog" 2>/dev/null && [ "$n" -lt 400 ]; do
+	sleep 0.05
+	n=$((n + 1))
+done
+kill -USR1 "$dcspid" 2>/dev/null || {
+	echo "check.sh: simulate exited before SIGUSR1: campaign too small" >&2; cat "$dcslog" >&2; exit 1; }
+wait "$dcspid" || { echo "check.sh: simulate failed after SIGUSR1" >&2; cat "$dcslog" >&2; exit 1; }
+[ "$(grep -c . "$dcsnap")" -eq 2 ] || {
+	echo "check.sh: simulate printed $(grep -c . "$dcsnap") report line(s), want a live one and the final one (campaign too small?)" >&2
+	cat "$dcsnap" "$dcslog" >&2; exit 1; }
+for key in clients experiments seconds exp_per_sec bytes bytes_per_exp peak_rss_mb; do
+	[ "$(grep -c "\"$key\":" "$dcsnap")" -eq 2 ] || {
+		echo "check.sh: simulate's reports do not both carry \"$key\"" >&2; cat "$dcsnap" >&2; exit 1; }
+done
+dclive="$(sed -n '1s/.*"experiments":\([0-9]*\).*/\1/p' "$dcsnap")"
+dcfinal="$(sed -n '2s/.*"experiments":\([0-9]*\).*/\1/p' "$dcsnap")"
+[ "$dclive" -lt "$dcfinal" ] || {
+	echo "check.sh: simulate's live report counts $dclive experiments, not fewer than the final $dcfinal" >&2
+	cat "$dcsnap" >&2; exit 1; }
 "$ckbin" coordinate -listen 127.0.0.1:19550 -checkpoint-dir "$dcck" \
 	-days 8 -scale 0.5 -seed 7 -lease 16 -out "$dcdist" > "$work/dc-status.json" 2> "$dclog" &
 dcpid=$!
