@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 	"time"
 
 	"cellcurtain/internal/dnswire"
@@ -56,8 +57,8 @@ type Client struct {
 	// leaves it nil: backoff is accounted in Result.Wait as virtual time,
 	// never slept.
 	Sleep func(time.Duration)
-	// nextID produces query IDs; deterministic in simulation, random-ish
-	// otherwise.
+	// nextID produces query IDs: the simulation's deterministic source,
+	// or New's shared counter.
 	nextID func() uint16
 }
 
@@ -66,12 +67,13 @@ type Client struct {
 func (c *Client) SetTCPFallback(t Transport) { c.tcp = t }
 
 // New creates a client over the given transport. idSource may be nil, in
-// which case a simple counter is used (fine for both simulation and the
-// measurement tools, which validate IDs on receipt).
+// which case IDs count up from 1 on an atomic counter, so one Client may
+// be shared by concurrent callers (cmd/fwdns shares one per upstream
+// port). The transports validate IDs on receipt.
 func New(t Transport, idSource func() uint16) *Client {
 	if idSource == nil {
-		var ctr uint16
-		idSource = func() uint16 { ctr++; return ctr }
+		var ctr atomic.Uint32
+		idSource = func() uint16 { return uint16(ctr.Add(1)) }
 	}
 	return &Client{transport: t, Retries: 2, nextID: idSource}
 }

@@ -1,9 +1,12 @@
 package dnsclient
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/netip"
+	"sync"
 	"time"
 
 	"cellcurtain/internal/dnswire"
@@ -50,41 +53,38 @@ func (u *UDPTransport) Exchange(server netip.Addr, payload []byte) ([]byte, time
 	// exchanges from the same source port (retries, previous attempts)
 	// arrive interleaved. Discard anything that does not match this
 	// query's ID and question, and keep reading until the deadline.
-	query, qerr := dnswire.Parse(payload)
-	buf := make([]byte, 4096)
+	buf := readBufs.Get().(*[4096]byte)
+	defer readBufs.Put(buf)
 	for {
-		n, err := conn.Read(buf)
+		n, err := conn.Read(buf[:])
 		rtt := time.Since(start)
 		if err != nil {
 			return nil, rtt, fmt.Errorf("dnsclient: recv: %w", err)
 		}
-		if !responseMatches(payload, query, qerr == nil, buf[:n]) {
+		if !responseMatches(payload, buf[:n]) {
 			continue
 		}
-		return buf[:n], rtt, nil
+		return bytes.Clone(buf[:n]), rtt, nil
 	}
 }
 
+// readBufs holds Exchange's receive buffers. A reply is read into one and
+// copied out at its own length, so no answer keeps 4 KB alive.
+var readBufs = sync.Pool{New: func() any { return new([4096]byte) }}
+
 // responseMatches reports whether resp is a response to the query sent
-// as payload: matching ID, QR bit set, and (when the query parses) the
-// same single question. Anything else is a stray datagram to discard.
-func responseMatches(payload []byte, query *dnswire.Message, parsed bool, resp []byte) bool {
+// as payload: matching ID, QR bit set, a message Parse would accept, and
+// (when the query is one well-formed question) the same single question.
+// Anything else is a stray datagram to discard. It allocates nothing.
+func responseMatches(payload, resp []byte) bool {
 	if len(resp) < 12 || len(payload) < 12 {
 		return false
 	}
 	if resp[0] != payload[0] || resp[1] != payload[1] || resp[2]&0x80 == 0 {
 		return false
 	}
-	if !parsed || len(query.Questions) != 1 {
+	if dnswire.Check(payload) != nil || binary.BigEndian.Uint16(payload[4:]) != 1 {
 		return true // ID-only match is the best an opaque payload allows
 	}
-	msg, err := dnswire.Parse(resp)
-	if err != nil {
-		return false
-	}
-	if len(msg.Questions) != 1 {
-		return false
-	}
-	q, r := query.Questions[0], msg.Questions[0]
-	return r.Name.Equal(q.Name) && r.Type == q.Type && r.Class == q.Class
+	return dnswire.Check(resp) == nil && dnswire.SameQuestion(payload, resp)
 }

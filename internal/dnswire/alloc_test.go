@@ -175,3 +175,20 @@ func TestEncoderMatchesAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckAllocBudget holds Check of the CDN reply to zero allocations:
+// it walks every rule Parse applies and builds nothing.
+func TestCheckAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets run without -race")
+	}
+	pkt, err := cdnReply().Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireZeroAllocs(t, "Check (CNAME + 2×A reply)", func() {
+		if err := Check(pkt); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -114,9 +114,37 @@ func deepPointers() []byte {
 	return append(msg, 0xC0|byte(b>>8), byte(b), 0, 1, 0, 1)
 }
 
+// badAdditional is a reply whose question, answer and authority sections
+// parse but whose one additional record is an A with 3 bytes of RDATA:
+// Parse gets through every earlier section before it refuses.
+func badAdditional(tb testing.TB) []byte {
+	tb.Helper()
+	r := NewQuery(9, "cdn.example.net", TypeA).Reply()
+	r.Answers = []Record{{Name: "cdn.example.net", Class: ClassIN, TTL: 30,
+		Data: A{Addr: netip.MustParseAddr("192.0.2.9")}}}
+	r.Authorities = []Record{{Name: "example.net", Class: ClassIN, TTL: 3600,
+		Data: NS{Host: "ns1.example.net"}}}
+	r.Additionals = []Record{{Name: "ns1.example.net", Class: ClassIN, TTL: 3600,
+		Data: RawRData{T: TypeA, Data: []byte{192, 0, 2}}}}
+	pkt, err := r.Pack()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pkt
+}
+
+// optOverrun is an EDNS query whose OPT RDATA ends in an option header
+// that announces 9 bytes of data but carries 2.
+func optOverrun(tb testing.TB) []byte {
+	tb.Helper()
+	pkt := optTrailing(tb, 6)
+	copy(pkt[len(pkt)-6:], []byte{0, 8, 0, 9, 1, 2})
+	return pkt
+}
+
 // malformedMessages are seeds Parse must refuse.
 func malformedMessages(tb testing.TB) [][]byte {
-	return [][]byte{optTrailing(tb, 2), deepPointers()}
+	return [][]byte{optTrailing(tb, 2), deepPointers(), badAdditional(tb), optOverrun(tb)}
 }
 
 // nameOffsets walks a message Parse accepted and returns the wire offset
@@ -188,7 +216,9 @@ func messageNames(m *Message) []Name {
 // Parse accepts must Pack without error, and the packed form must parse
 // again. Parse must never panic, whatever the input. Every Name Parse
 // returns must also be what a fresh parseName decodes at its wire offset,
-// which holds the names Parse shares to the suffix they stand for.
+// which holds the names Parse shares to the suffix they stand for. Check
+// must accept exactly what Parse accepts, and refuse the rest with the
+// same error.
 func FuzzParseMessage(f *testing.F) {
 	for _, pkt := range goldenMessages(f) {
 		f.Add(pkt)
@@ -202,6 +232,9 @@ func FuzzParseMessage(f *testing.F) {
 		0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Parse(data)
+		if cerr := Check(data); (cerr == nil) != (err == nil) || cerr != nil && cerr.Error() != err.Error() {
+			t.Fatalf("Check says %v, Parse says %v", cerr, err)
+		}
 		if err != nil {
 			return // rejected input: fine, as long as we didn't panic
 		}

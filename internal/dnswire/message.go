@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -249,12 +250,27 @@ func appendRecord(buf []byte, rr Record, cm *compressionMap) ([]byte, error) {
 
 // Parse decodes a complete DNS message.
 func Parse(msg []byte) (*Message, error) {
+	var names sharedNames
+	return walk(msg, &names)
+}
+
+// Check reports whether Parse would accept msg, with the error Parse
+// would return, but builds nothing: no Message, Name or record. It
+// allocates only for an error it returns. A receiver that only needs to
+// know a datagram is well-formed (the UDP transport dropping strays)
+// checks it instead of parsing it.
+func Check(msg []byte) error {
+	_, err := walk(msg, nil)
+	return err
+}
+
+// walk is Parse's section walk. With names nil it only checks: every rule
+// Parse applies runs, in the same order, but it builds nothing and returns
+// a nil message.
+func walk(msg []byte, names *sharedNames) (*Message, error) {
 	if len(msg) < headerLen {
 		return nil, ErrHeaderTruncated
 	}
-	out := &Message{}
-	out.Header = unpackFlags(binary.BigEndian.Uint16(msg[2:4]))
-	out.Header.ID = binary.BigEndian.Uint16(msg[0:2])
 	qd := int(binary.BigEndian.Uint16(msg[4:6]))
 	an := int(binary.BigEndian.Uint16(msg[6:8]))
 	ns := int(binary.BigEndian.Uint16(msg[8:10]))
@@ -265,8 +281,15 @@ func Parse(msg []byte) (*Message, error) {
 		return nil, ErrSectionCount
 	}
 
+	var out *Message
+	var dests [3]*[]Record
+	if names != nil {
+		out = &Message{}
+		out.Header = unpackFlags(binary.BigEndian.Uint16(msg[2:4]))
+		out.Header.ID = binary.BigEndian.Uint16(msg[0:2])
+		dests = [3]*[]Record{&out.Answers, &out.Authorities, &out.Additionals}
+	}
 	off := headerLen
-	var names sharedNames
 	var err error
 	for i := 0; i < qd; i++ {
 		var q Question
@@ -279,24 +302,25 @@ func Parse(msg []byte) (*Message, error) {
 		q.Type = Type(binary.BigEndian.Uint16(msg[off:]))
 		q.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
 		off += 4
-		out.Questions = append(out.Questions, q)
-	}
-	sections := []struct {
-		n    int
-		dest *[]Record
-	}{{an, &out.Answers}, {ns, &out.Authorities}, {ar, &out.Additionals}}
-	for _, sec := range sections {
-		if sec.n > 0 {
-			// The sanity bound above caps n by the message size.
-			*sec.dest = make([]Record, 0, sec.n)
+		if out != nil {
+			out.Questions = append(out.Questions, q)
 		}
-		for i := 0; i < sec.n; i++ {
+	}
+	for s, n := range [3]int{an, ns, ar} {
+		dest := dests[s]
+		if dest != nil && n > 0 {
+			// The sanity bound above caps n by the message size.
+			*dest = make([]Record, 0, n)
+		}
+		for i := 0; i < n; i++ {
 			var rr Record
-			if rr, off, err = parseRecord(msg, off, &names); err != nil {
+			if rr, off, err = parseRecord(msg, off, names); err != nil {
 				//lint:ignore errwrap parse errors are already positional; Parse adds nothing
 				return nil, err
 			}
-			*sec.dest = append(*sec.dest, rr)
+			if dest != nil {
+				*dest = append(*dest, rr)
+			}
 		}
 	}
 	if off != len(msg) {
@@ -305,6 +329,36 @@ func Parse(msg []byte) (*Message, error) {
 	return out, nil
 }
 
+// SameQuestion reports whether the packed messages a and b each carry
+// exactly one question and the same one: names equal under DNS
+// case-insensitivity, as Name.Equal has it, and the same type and class.
+// It decodes both names into stack scratch and allocates nothing. A
+// question that does not decode matches nothing.
+func SameQuestion(a, b []byte) bool {
+	var sa, sb [maxNameWire + maxLabelWire]byte
+	na, ta, ok := soleQuestion(a, sa[:0])
+	if !ok {
+		return false
+	}
+	nb, tb, ok := soleQuestion(b, sb[:0])
+	return ok && bytes.EqualFold(na, nb) && bytes.Equal(a[ta:ta+4], b[tb:tb+4])
+}
+
+// soleQuestion decodes the name of msg's one question into dst and
+// returns it with the offset of the question's type and class.
+func soleQuestion(msg, dst []byte) ([]byte, int, bool) {
+	if len(msg) < headerLen || binary.BigEndian.Uint16(msg[4:]) != 1 {
+		return nil, 0, false
+	}
+	name, end, err := decodeName(msg, headerLen, dst)
+	if err != nil || end+4 > len(msg) {
+		return nil, 0, false
+	}
+	return name, end, true
+}
+
+// parseRecord decodes the record at off. With names nil it only checks
+// (see walk): the returned Record has no name and no data.
 func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 	var rr Record
 	var err error
@@ -324,6 +378,7 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 	}
 	rd := msg[off : off+rdlen]
 	rdEnd := off + rdlen
+	build := names != nil
 
 	rr.Class = Class(classField)
 	switch typ {
@@ -331,12 +386,16 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 		if rdlen != 4 {
 			return rr, 0, fmt.Errorf("dnswire: A RDATA length %d", rdlen)
 		}
-		rr.Data = A{Addr: netip.AddrFrom4([4]byte(rd))}
+		if build {
+			rr.Data = A{Addr: netip.AddrFrom4([4]byte(rd))}
+		}
 	case TypeAAAA:
 		if rdlen != 16 {
 			return rr, 0, fmt.Errorf("dnswire: AAAA RDATA length %d", rdlen)
 		}
-		rr.Data = AAAA{Addr: netip.AddrFrom16([16]byte(rd))}
+		if build {
+			rr.Data = AAAA{Addr: netip.AddrFrom16([16]byte(rd))}
+		}
 	case TypeCNAME, TypeNS, TypePTR:
 		n, nend, err := names.parse(msg, off)
 		if err != nil {
@@ -344,6 +403,9 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 		}
 		if nend != rdEnd {
 			return rr, 0, fmt.Errorf("dnswire: %s RDATA has trailing bytes", typ)
+		}
+		if !build {
+			break
 		}
 		switch typ {
 		case TypeCNAME:
@@ -365,7 +427,9 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 		if nend != rdEnd {
 			return rr, 0, errors.New("dnswire: MX RDATA has trailing bytes")
 		}
-		rr.Data = MX{Preference: pref, Host: host}
+		if build {
+			rr.Data = MX{Preference: pref, Host: host}
+		}
 	case TypeSOA:
 		var s SOA
 		pos := off
@@ -383,7 +447,9 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 		s.Retry = binary.BigEndian.Uint32(msg[pos+8:])
 		s.Expire = binary.BigEndian.Uint32(msg[pos+12:])
 		s.Minimum = binary.BigEndian.Uint32(msg[pos+16:])
-		rr.Data = s
+		if build {
+			rr.Data = s
+		}
 	case TypeTXT:
 		var t TXT
 		for p := 0; p < rdlen; {
@@ -391,13 +457,17 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 			if p+1+l > rdlen {
 				return rr, 0, errors.New("dnswire: TXT string truncated")
 			}
-			t.Strings = append(t.Strings, string(rd[p+1:p+1+l]))
+			if build {
+				t.Strings = append(t.Strings, string(rd[p+1:p+1+l]))
+			}
 			p += 1 + l
 		}
-		if len(t.Strings) == 0 {
-			t.Strings = []string{""}
+		if build {
+			if len(t.Strings) == 0 {
+				t.Strings = []string{""}
+			}
+			rr.Data = t
 		}
-		rr.Data = t
 	case TypeOPT:
 		opt := OPT{UDPSize: classField}
 		for p := 0; p < rdlen; {
@@ -411,17 +481,23 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 			if p+4+olen > rdlen {
 				return rr, 0, errors.New("dnswire: EDNS option truncated")
 			}
-			data := make([]byte, olen)
-			copy(data, rd[p+4:p+4+olen])
-			opt.Options = append(opt.Options, EDNSOption{Code: code, Data: data})
+			if build {
+				data := make([]byte, olen)
+				copy(data, rd[p+4:p+4+olen])
+				opt.Options = append(opt.Options, EDNSOption{Code: code, Data: data})
+			}
 			p += 4 + olen
 		}
 		rr.Class = ClassIN // normalized; UDP size carried in opt.UDPSize
-		rr.Data = opt
+		if build {
+			rr.Data = opt
+		}
 	default:
-		data := make([]byte, rdlen)
-		copy(data, rd)
-		rr.Data = RawRData{T: typ, Data: data}
+		if build {
+			data := make([]byte, rdlen)
+			copy(data, rd)
+			rr.Data = RawRData{T: typ, Data: data}
+		}
 	}
 	return rr, rdEnd, nil
 }

@@ -345,8 +345,14 @@ type sharedLabel struct {
 
 // parse is parseName with sharing: see sharedNames. Parse decodes names
 // in wire order, so every recorded label lies before off and a pointer to
-// it is one a fresh decode would follow too.
+// it is one a fresh decode would follow too. A nil table only checks
+// (Check's walk): it decodes into stack scratch and returns the root name.
 func (t *sharedNames) parse(msg []byte, off int) (Name, int, error) {
+	if t == nil {
+		var scratch [maxNameWire + maxLabelWire]byte
+		_, end, err := decodeName(msg, off, scratch[:0])
+		return "", end, err
+	}
 	if off+1 < len(msg) && msg[off]&0xC0 == 0xC0 {
 		target := int(msg[off]&0x3F)<<8 | int(msg[off+1])
 		for _, l := range t.labels[:t.n] {

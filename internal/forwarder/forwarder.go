@@ -24,9 +24,16 @@ import (
 	"cellcurtain/internal/upstream"
 )
 
+// key identifies a cached answer: the question's name lower-cased, so
+// names that differ only in case share an entry, and its type.
+type key struct {
+	name dnswire.Name
+	typ  dnswire.Type
+}
+
 // entry is one cached answer.
 type entry struct {
-	key     string
+	key     key
 	answers []dnswire.Record
 	rcode   dnswire.RCode
 	expiry  time.Time
@@ -86,9 +93,9 @@ type Forwarder struct {
 	Now func() time.Time
 
 	mu      sync.Mutex
-	cache   map[string]*list.Element // of *entry, also threaded on lru
-	lru     *list.List               // front = most recently used
-	flights map[string]*flight
+	cache   map[key]*list.Element // of *entry, also threaded on lru
+	lru     *list.List            // front = most recently used
+	flights map[key]*flight
 	stores  uint64 // store count driving opportunistic purges
 	c       Counters
 
@@ -101,9 +108,9 @@ type Forwarder struct {
 func NewPooled(pool *upstream.Pool) *Forwarder {
 	return &Forwarder{
 		Pool:    pool,
-		cache:   make(map[string]*list.Element),
+		cache:   make(map[key]*list.Element),
 		lru:     list.New(),
-		flights: make(map[string]*flight),
+		flights: make(map[key]*flight),
 	}
 }
 
@@ -114,8 +121,10 @@ func (f *Forwarder) now() time.Time {
 	return time.Now()
 }
 
-func cacheKey(q dnswire.Question) string {
-	return strings.ToLower(string(q.Name)) + "/" + q.Type.String()
+// keyOf is q's cache key. strings.ToLower returns a name that is already
+// lower case without copying it, so the usual query builds no key.
+func keyOf(q dnswire.Question) key {
+	return key{name: dnswire.Name(strings.ToLower(string(q.Name))), typ: q.Type}
 }
 
 // staleTTL is the TTL in seconds put on stale answers, the RFC 8767 §5.2
@@ -131,11 +140,11 @@ func (f *Forwarder) ServeDNS(_ netip.AddrPort, query *dnswire.Message) *dnswire.
 		return resp
 	}
 	q := query.Questions[0]
-	key := cacheKey(q)
+	k := keyOf(q)
 	now := f.now()
 
 	f.mu.Lock()
-	if el, ok := f.cache[key]; ok {
+	if el, ok := f.cache[k]; ok {
 		e := el.Value.(*entry)
 		if now.Before(e.expiry) {
 			f.c.Hits++
@@ -153,14 +162,14 @@ func (f *Forwarder) ServeDNS(_ netip.AddrPort, query *dnswire.Message) *dnswire.
 			f.c.Stale++
 			f.lru.MoveToFront(el)
 			rcode, answers := e.rcode, e.answers
-			if _, refreshing := f.flights[key]; !refreshing {
+			if _, refreshing := f.flights[k]; !refreshing {
 				fl := &flight{done: make(chan struct{})}
-				f.flights[key] = fl
+				f.flights[k] = fl
 				f.c.Refreshes++
 				f.wg.Add(1)
 				go func() {
 					defer f.wg.Done()
-					f.fetch(q, key, fl, true)
+					f.fetch(q, k, fl, true)
 				}()
 			}
 			f.mu.Unlock()
@@ -172,7 +181,7 @@ func (f *Forwarder) ServeDNS(_ netip.AddrPort, query *dnswire.Message) *dnswire.
 		f.removeLocked(el)
 	}
 	f.c.Misses++
-	if fl, ok := f.flights[key]; ok {
+	if fl, ok := f.flights[k]; ok {
 		// Another query is already resolving this name: coalesce.
 		f.c.Coalesced++
 		f.mu.Unlock()
@@ -186,29 +195,31 @@ func (f *Forwarder) ServeDNS(_ netip.AddrPort, query *dnswire.Message) *dnswire.
 		return resp
 	}
 	fl := &flight{done: make(chan struct{})}
-	f.flights[key] = fl
+	f.flights[k] = fl
 	f.mu.Unlock()
 
-	f.fetch(q, key, fl, false)
+	answers := f.fetch(q, k, fl, false)
 	if fl.err != nil {
 		resp.Header.RCode = dnswire.RCodeServFail
 		return resp
 	}
 	resp.Header.RCode = fl.rcode
-	resp.Answers = decayTTLs(fl.answers, 0)
+	resp.Answers = answers
 	return resp
 }
 
 // fetch resolves q upstream, stores the answer in the cache, publishes
 // it through fl and closes the flight. It runs synchronously on the
-// miss path and as a goroutine for background refreshes.
-func (f *Forwarder) fetch(q dnswire.Question, key string, fl *flight, background bool) {
+// miss path and as a goroutine for background refreshes. It returns the
+// upstream message's own answers, which nothing else holds: the miss
+// leader answers with them, and the cache and the flight keep a copy.
+func (f *Forwarder) fetch(q dnswire.Question, k key, fl *flight, background bool) []dnswire.Record {
 	res, err := f.Pool.Resolve(q.Name, q.Type)
 	now := f.now()
 
 	f.mu.Lock()
 	defer func() {
-		delete(f.flights, key)
+		delete(f.flights, k)
 		f.mu.Unlock()
 		close(fl.done)
 	}()
@@ -217,7 +228,7 @@ func (f *Forwarder) fetch(q dnswire.Question, key string, fl *flight, background
 		if background {
 			f.c.RefreshFails++
 		}
-		return
+		return nil
 	}
 	up := res.Msg
 	fl.rcode = up.Header.RCode
@@ -226,13 +237,13 @@ func (f *Forwarder) fetch(q dnswire.Question, key string, fl *flight, background
 	fl.answers = decayTTLs(up.Answers, 0)
 
 	negative := len(up.Answers) == 0 || up.Header.RCode != dnswire.RCodeSuccess
-	if negative && f.protectStaleLocked(key, now) {
+	if negative && f.protectStaleLocked(k, now) {
 		// RFC 8767: an upstream failure answer must not clobber stale
 		// data that is still serveable — keep the good entry.
 		if background {
 			f.c.RefreshFails++
 		}
-		return
+		return up.Answers
 	}
 	ttl := time.Duration(up.MinAnswerTTL()) * time.Second
 	maxTTL := f.MaxTTL
@@ -249,18 +260,19 @@ func (f *Forwarder) fetch(q dnswire.Question, key string, fl *flight, background
 		}
 	}
 	if ttl > 0 {
-		f.storeLocked(key, &entry{
-			key: key, answers: fl.answers, rcode: up.Header.RCode,
+		f.storeLocked(k, &entry{
+			key: k, answers: fl.answers, rcode: up.Header.RCode,
 			expiry: now.Add(ttl), stored: now,
 		})
 	}
+	return up.Answers
 }
 
 // protectStaleLocked reports whether key holds a successful answer that
 // is still within the serve-stale window and so must survive a negative
 // refresh result. Caller holds f.mu.
-func (f *Forwarder) protectStaleLocked(key string, now time.Time) bool {
-	el, ok := f.cache[key]
+func (f *Forwarder) protectStaleLocked(k key, now time.Time) bool {
+	el, ok := f.cache[k]
 	if !ok || f.MaxStale <= 0 {
 		return false
 	}
@@ -272,12 +284,12 @@ func (f *Forwarder) protectStaleLocked(key string, now time.Time) bool {
 // storeLocked inserts or replaces an entry, evicting LRU past
 // MaxEntries and opportunistically purging expired entries every
 // purgeEvery stores. Caller holds f.mu.
-func (f *Forwarder) storeLocked(key string, e *entry) {
-	if el, ok := f.cache[key]; ok {
+func (f *Forwarder) storeLocked(k key, e *entry) {
+	if el, ok := f.cache[k]; ok {
 		el.Value = e
 		f.lru.MoveToFront(el)
 	} else {
-		f.cache[key] = f.lru.PushFront(e)
+		f.cache[k] = f.lru.PushFront(e)
 	}
 	f.stores++
 	if f.stores%purgeEvery == 0 {

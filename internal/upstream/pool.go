@@ -1,10 +1,11 @@
 package upstream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,10 +110,9 @@ type Pool struct {
 	query QueryFunc
 	cfg   Config
 
-	// afterFunc schedules the hedge timer; the default wraps
-	// time.AfterFunc and the returned stop. Tests replace it to fire
-	// hedges deterministically.
-	afterFunc func(d time.Duration, f func()) func() bool
+	// newTimer starts a Resolve's hedge timer (time.NewTimer). Tests
+	// replace it to fire hedges deterministically.
+	newTimer func(d time.Duration) *time.Timer
 
 	mu      sync.Mutex
 	members []*member
@@ -131,12 +131,10 @@ func New(query QueryFunc, addrs []netip.AddrPort, cfg Config) (*Pool, error) {
 		return nil, ErrNoUpstreams
 	}
 	p := &Pool{
-		query: query,
-		cfg:   cfg,
-		bud:   newBudget(cfg.BudgetTokens, cfg.BudgetRefund),
-	}
-	p.afterFunc = func(d time.Duration, f func()) func() bool {
-		return time.AfterFunc(d, f).Stop
+		query:    query,
+		cfg:      cfg,
+		newTimer: time.NewTimer,
+		bud:      newBudget(cfg.BudgetTokens, cfg.BudgetRefund),
 	}
 	for _, a := range addrs {
 		p.members = append(p.members, &member{addr: a})
@@ -183,7 +181,7 @@ func (p *Pool) Close() {
 // consecutive failures, then lowest EWMA latency, then configuration
 // order. Open breakers past OpenTimeout transition to half-open here.
 func (p *Pool) eligibleLocked(now time.Time) []*member {
-	var out []*member
+	out := make([]*member, 0, len(p.members))
 	for _, m := range p.members {
 		switch m.state {
 		case StateOpen:
@@ -200,17 +198,24 @@ func (p *Pool) eligibleLocked(now time.Time) []*member {
 			out = append(out, m)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.state != b.state {
-			return a.state == StateClosed
-		}
-		if a.fails != b.fails {
-			return a.fails < b.fails
-		}
-		return a.ewma < b.ewma
-	})
+	slices.SortStableFunc(out, healthier)
 	return out
+}
+
+// healthier orders eligible upstreams for eligibleLocked: a closed
+// breaker before a half-open one, then fewer consecutive failures, then
+// lower EWMA latency. Ties keep configuration order (the sort is stable).
+func healthier(a, b *member) int {
+	if a.state != b.state {
+		if a.state == StateClosed {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.fails, b.fails); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ewma, b.ewma)
 }
 
 // claimLocked admits m for one attempt, enforcing the half-open
@@ -364,15 +369,13 @@ func (p *Pool) Resolve(name dnswire.Name, t dnswire.Type) (*dnsclient.Result, er
 	launch(primary, false)
 	pending, next := 1, 1
 
-	hedgeCh := make(chan struct{}, 1)
+	// A nil channel never fires: without a hedge the loop waits on
+	// results alone.
+	var hedge <-chan time.Time
 	if canHedge {
-		stop := p.afterFunc(hedgeDelay, func() {
-			select {
-			case hedgeCh <- struct{}{}:
-			default:
-			}
-		})
-		defer stop()
+		timer := p.newTimer(hedgeDelay)
+		defer timer.Stop()
+		hedge = timer.C
 	}
 
 	var (
@@ -405,7 +408,7 @@ func (p *Pool) Resolve(name dnswire.Name, t dnswire.Type) (*dnsclient.Result, er
 				launch(m, false)
 				pending++
 			}
-		case <-hedgeCh:
+		case <-hedge:
 			if m := p.nextAttempt(cands, &next); m != nil {
 				p.mu.Lock()
 				p.c.Hedges++

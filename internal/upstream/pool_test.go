@@ -2,6 +2,7 @@ package upstream
 
 import (
 	"errors"
+	"math"
 	"net/netip"
 	"sync"
 	"testing"
@@ -87,12 +88,13 @@ func testPool(t *testing.T, s *script, cfg Config, addrs ...netip.AddrPort) (*Po
 	now := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
 	p.Now = func() time.Time { return now }
 	fire := make(chan func(), 64)
-	p.afterFunc = func(d time.Duration, f func()) func() bool {
+	p.newTimer = func(time.Duration) *time.Timer {
+		timer := time.NewTimer(time.Duration(math.MaxInt64))
 		select {
-		case fire <- f:
+		case fire <- func() { timer.Reset(0) }:
 		default:
 		}
-		return func() bool { return true }
+		return timer
 	}
 	return p, &now, fire
 }

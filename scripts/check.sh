@@ -57,6 +57,10 @@ go test -count=1 -run '^TestExperimentAllocBudget$' ./internal/measure/
 echo "==> segment round-trip allocation budget (Marshal+UnmarshalExperiments of a 64-record lease: no per-call reader or compressor, <= 12 allocations per record)"
 go test -count=1 -run '^TestSegmentRoundTripAllocBudget$' ./internal/dataset/
 
+echo "==> forwarder miss-path allocation budgets (dnswire.Check and responseMatches of a CNAME + 2xA reply: 0; Pool.Resolve over two scripted upstreams: <= 7; Forwarder cache hit: <= 2)"
+go test -count=1 -run '^(TestCheckAllocBudget|TestResponseMatchesAllocBudget|TestResolveAllocBudget|TestCacheHitAllocBudget)$' \
+	./internal/dnswire/ ./internal/dnsclient/ ./internal/upstream/ ./internal/forwarder/
+
 echo "==> go test -race ./..."
 go test -race ./...
 
