@@ -25,9 +25,9 @@ import (
 //
 // The dataset is streamed through the one-pass analysis.Suite: no record
 // is retained, so memory is the aggregates' — it grows with clients,
-// resolvers and retained samples (a few KB per experiment today), not
-// with record size. -parallel shards the scan and produces a
-// byte-identical report.
+// resolvers and retained samples (about 2.5 KB per experiment of a
+// one-experiment-per-client cohort), not with record size. -parallel
+// shards the scan and produces a byte-identical report.
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	in := fs.String("in", "dataset.jsonl", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")

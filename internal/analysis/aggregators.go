@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"maps"
+	"math"
 	"net/netip"
 	"slices"
 	"sort"
@@ -77,93 +79,75 @@ func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
 }
 
 // ---------------------------------------------------------------------
-// pairsAgg: Table 3 LDNS pair statistics.
+// pairsAgg: Table 3 LDNS pair statistics, all derived from one count per
+// (client, configured, external) observation triple.
 
-type pairGroup struct {
-	client     string
-	configured netip.Addr
+type pairKey struct {
+	client               string
+	configured, external netip.Addr
 }
 
-func comparePairGroups(a, b pairGroup) int {
+func comparePairKeys(a, b pairKey) int {
 	if c := strings.Compare(a.client, b.client); c != 0 {
 		return c
 	}
-	return a.configured.Compare(b.configured)
+	if c := a.configured.Compare(b.configured); c != 0 {
+		return c
+	}
+	return a.external.Compare(b.external)
 }
 
 type pairsAgg struct {
-	cf     map[netip.Addr]bool
-	ext    map[netip.Addr]bool
-	ext24  map[netip.Prefix]bool
-	groups map[pairGroup]map[netip.Addr]int
-	pairs  map[[2]netip.Addr]int
+	counts map[pairKey]int
 }
 
-func newPairsAgg() *pairsAgg {
-	return &pairsAgg{
-		cf:     map[netip.Addr]bool{},
-		ext:    map[netip.Addr]bool{},
-		ext24:  map[netip.Prefix]bool{},
-		groups: map[pairGroup]map[netip.Addr]int{},
-		pairs:  map[[2]netip.Addr]int{},
-	}
-}
+func newPairsAgg() *pairsAgg { return &pairsAgg{counts: map[pairKey]int{}} }
 
 func (p *pairsAgg) Observe(e *dataset.Experiment) {
-	external, ok := e.DiscoveredExternal(dataset.KindLocal)
-	if !ok {
-		return
+	if external, ok := e.DiscoveredExternal(dataset.KindLocal); ok {
+		p.counts[pairKey{e.ClientID, e.Configured, external}]++
 	}
-	g := pairGroup{e.ClientID, e.Configured}
-	if p.groups[g] == nil {
-		p.groups[g] = map[netip.Addr]int{}
-	}
-	p.groups[g][external]++
-	p.cf[e.Configured] = true
-	p.ext[external] = true
-	p.ext24[vnet.Slash24(external)] = true
-	p.pairs[[2]netip.Addr{e.Configured, external}]++
 }
 
 func (p *pairsAgg) Merge(o *pairsAgg) {
-	maps.Copy(p.cf, o.cf)
-	maps.Copy(p.ext, o.ext)
-	maps.Copy(p.ext24, o.ext24)
-	for g, externals := range o.groups {
-		if p.groups[g] == nil {
-			p.groups[g] = make(map[netip.Addr]int, len(externals))
-		}
-		for a, n := range externals {
-			p.groups[g][a] += n
-		}
-	}
-	for k, n := range o.pairs {
-		p.pairs[k] += n
+	for k, n := range o.counts {
+		p.counts[k] += n
 	}
 }
 
+// stats walks the triples in (client, configured, external) order: the
+// contiguous (client, configured) runs are the consistency groups, summed
+// in sorted group order. Integer counts summed through floats stay exact
+// in any group order, but the aggpurity sorted-iteration invariant keeps
+// the accumulation replay-stable even if the arithmetic ever stops being
+// exact.
 func (p *pairsAgg) stats() PairStats {
-	ps := PairStats{
-		ClientFacing:     len(p.cf),
-		External:         len(p.ext),
-		ExternalSlash24s: len(p.ext24),
-		Pairs:            maps.Clone(p.pairs),
-	}
-	// Integer counts summed through floats stay exact in any group order,
-	// but the aggpurity sorted-iteration invariant keeps the accumulation
-	// replay-stable even if the arithmetic ever stops being exact.
+	cf := map[netip.Addr]bool{}
+	ext := map[netip.Addr]bool{}
+	ext24 := map[netip.Prefix]bool{}
+	ps := PairStats{Pairs: map[[2]netip.Addr]int{}}
 	var weighted, total float64
-	for _, g := range sortedKeys(p.groups, comparePairGroups) {
+	keys := sortedKeys(p.counts, comparePairKeys)
+	for i := 0; i < len(keys); {
 		sum, max := 0, 0
-		for _, n := range p.groups[g] {
+		j := i
+		for ; j < len(keys) && keys[j].client == keys[i].client && keys[j].configured == keys[i].configured; j++ {
+			k := keys[j]
+			n := p.counts[k]
 			sum += n
 			if n > max {
 				max = n
 			}
+			cf[k.configured] = true
+			ext[k.external] = true
+			ext24[vnet.Slash24(k.external)] = true
+			ps.Pairs[[2]netip.Addr{k.configured, k.external}] += n
 		}
 		weighted += float64(max)
 		total += float64(sum)
+		i = j
 	}
+	ps.ClientFacing, ps.External, ps.ExternalSlash24s = len(cf), len(ext), len(ext24)
 	if total > 0 {
 		ps.Consistency = weighted / total
 	}
@@ -288,23 +272,33 @@ func (ra *resolutionsAgg) radioGroups() map[string]*stats.Sample {
 // ---------------------------------------------------------------------
 // pingsAgg: resolver ping RTTs and reachability (Figs 4/11).
 
+// pingKey is one resolver probe target; its printed form,
+// "<kind>/<which>", is made only when a query asks.
+type pingKey struct {
+	kind  dataset.ResolverKind
+	which string
+}
+
+func (k pingKey) String() string { return string(k.kind) + "/" + k.which }
+
 type pingsAgg struct {
-	samples  map[string]*stats.Sample
-	attempts map[string]int
-	answered map[string]int
+	samples  map[pingKey]*stats.Sample
+	attempts map[pingKey]int
+	answered map[pingKey]int
 }
 
 func newPingsAgg() *pingsAgg {
 	return &pingsAgg{
-		samples:  map[string]*stats.Sample{},
-		attempts: map[string]int{},
-		answered: map[string]int{},
+		samples:  map[pingKey]*stats.Sample{},
+		attempts: map[pingKey]int{},
+		answered: map[pingKey]int{},
 	}
 }
 
 func (p *pingsAgg) Observe(e *dataset.Experiment) {
-	for _, pr := range e.ResolverProbes {
-		key := string(pr.Kind) + "/" + pr.Which
+	for i := range e.ResolverProbes {
+		pr := &e.ResolverProbes[i]
+		key := pingKey{pr.Kind, pr.Which}
 		p.attempts[key]++
 		if pr.OK {
 			p.answered[key]++
@@ -323,44 +317,196 @@ func (p *pingsAgg) Merge(o *pingsAgg) {
 	}
 }
 
+// pings answers under the printed "<kind>/<which>" names, walked in name
+// order.
 func (p *pingsAgg) pings() (map[string]*stats.Sample, map[string]float64) {
 	samples := make(map[string]*stats.Sample, len(p.samples))
-	for _, k := range sortedKeys(p.samples, strings.Compare) {
-		entry(samples, k).Merge(p.samples[k])
-	}
 	reach := make(map[string]float64, len(p.attempts))
-	for _, k := range sortedKeys(p.attempts, strings.Compare) {
-		reach[k] = float64(p.answered[k]) / float64(p.attempts[k])
+	for _, k := range sortedKeys(p.attempts, comparePingNames) {
+		name := k.String()
+		reach[name] = float64(p.answered[k]) / float64(p.attempts[k])
+		if s := p.samples[k]; s != nil {
+			entry(samples, name).Merge(s)
+		}
 	}
 	return samples, reach
 }
 
-// ---------------------------------------------------------------------
-// inflationAgg: Fig 2 replica TTFB inflation (integer-ns accumulation;
-// see analysis.go's inflationAcc).
+func comparePingNames(a, b pingKey) int { return strings.Compare(a.String(), b.String()) }
 
+// ---------------------------------------------------------------------
+// inflationAgg: Fig 2 replica TTFB inflation.
+
+// interner numbers the distinct keys it is shown, in first-seen order.
+type interner[K comparable] struct {
+	ids  map[K]int32
+	keys []K // by number
+}
+
+func newInterner[K comparable]() interner[K] { return interner[K]{ids: map[K]int32{}} }
+
+// id returns k's number, giving k the next one on first sight.
+func (in *interner[K]) id(k K) int32 {
+	if id, ok := in.ids[k]; ok {
+		return id
+	}
+	id := int32(len(in.keys))
+	in.ids[k] = id
+	in.keys = append(in.keys, k)
+	return id
+}
+
+// replicaSum accumulates one client's TTFBs of one replica of one domain,
+// both by their interned numbers. The sum stays in integer nanoseconds, so
+// accumulation order (serial, shard-merged, any grouping) can never shift
+// a rounding: the only float operations happen once, at mean time.
+type replicaSum struct {
+	domain, replica int32
+	sumNs, n        int64
+}
+
+func (r replicaSum) meanMs() float64 {
+	return float64(r.sumNs) / float64(time.Millisecond) / float64(r.n)
+}
+
+func compareReplicaSums(a, b replicaSum) int {
+	if c := cmp.Compare(a.domain, b.domain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.replica, b.replica)
+}
+
+// addReplicaSum folds s into run's entry for the same (domain, replica),
+// inserting s at its sorted position when the run has none.
+func addReplicaSum(run []replicaSum, s replicaSum) []replicaSum {
+	i, found := slices.BinarySearchFunc(run, s, compareReplicaSums)
+	if !found {
+		return slices.Insert(run, i, s)
+	}
+	run[i].sumNs += s.sumNs
+	run[i].n += s.n
+	return run
+}
+
+// inflationAgg keeps one run per client, indexed by the client's number:
+// the (domain, replica) sums of the client's local HTTP-OK probes, sorted
+// so each domain's replicas are contiguous. A run holds no pointers, so
+// the collector does not scan it, and a repeat observation touches no map
+// but the interners' lookups.
 type inflationAgg struct {
-	sums map[clientDomain][]inflationAcc
+	clients  interner[string]
+	domains  interner[string]
+	replicas interner[netip.Addr]
+	runs     [][]replicaSum // by client number
 }
 
 func newInflationAgg() *inflationAgg {
-	return &inflationAgg{sums: map[clientDomain][]inflationAcc{}}
-}
-
-func (ia *inflationAgg) Observe(e *dataset.Experiment) { observeInflation(ia.sums, e) }
-
-func (ia *inflationAgg) Merge(o *inflationAgg) {
-	for k, replicas := range o.sums {
-		dst := ia.sums[k]
-		for _, acc := range replicas {
-			dst = addInflation(dst, acc)
-		}
-		ia.sums[k] = dst
+	return &inflationAgg{
+		clients:  newInterner[string](),
+		domains:  newInterner[string](),
+		replicas: newInterner[netip.Addr](),
 	}
 }
 
+func inflationProbe(p *dataset.ReplicaProbe) bool { return p.Kind == dataset.KindLocal && p.HTTPOK }
+
+// run returns the client's number, giving a client on first sight an
+// empty run of capacity n.
+func (ia *inflationAgg) run(client string, n int) int32 {
+	c := ia.clients.id(client)
+	if int(c) == len(ia.runs) {
+		ia.runs = append(ia.runs, make([]replicaSum, 0, n))
+	}
+	return c
+}
+
+func (ia *inflationAgg) Observe(e *dataset.Experiment) {
+	n := 0
+	for i := range e.ReplicaProbes {
+		if inflationProbe(&e.ReplicaProbes[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	c := ia.run(e.ClientID, n)
+	run := ia.runs[c]
+	for i := range e.ReplicaProbes {
+		p := &e.ReplicaProbes[i]
+		if !inflationProbe(p) {
+			continue
+		}
+		run = addReplicaSum(run, replicaSum{
+			domain:  ia.domains.id(p.Domain),
+			replica: ia.replicas.id(p.Replica),
+			sumNs:   int64(p.TTFB),
+			n:       1,
+		})
+	}
+	ia.runs[c] = run
+}
+
+// Merge translates o's numbers into the receiver's through o's keys.
+func (ia *inflationAgg) Merge(o *inflationAgg) {
+	for oc, orun := range o.runs {
+		c := ia.run(o.clients.keys[oc], len(orun))
+		run := ia.runs[c]
+		for _, s := range orun {
+			s.domain = ia.domains.id(o.domains.keys[s.domain])
+			s.replica = ia.replicas.id(o.replicas.keys[s.replica])
+			run = addReplicaSum(run, s)
+		}
+		ia.runs[c] = run
+	}
+}
+
+// sample converts the runs into the Fig 2 sample: each replica's percent
+// increase in mean TTFB over the best replica the client saw for the same
+// domain (domain == "" takes every domain). It walks clients by number
+// and each run's contiguous domain groups: a slice walk, with no map to
+// order. The order values are added in does not reach the output; a
+// Sample answers from its sorted values.
 func (ia *inflationAgg) sample(domain string) *stats.Sample {
-	return inflationSample(ia.sums, domain)
+	out := &stats.Sample{}
+	want := int32(-1)
+	if domain != "" {
+		d, ok := ia.domains.ids[domain]
+		if !ok {
+			return out
+		}
+		want = d
+	}
+	for _, run := range ia.runs {
+		for i := 0; i < len(run); {
+			j := i + 1
+			for j < len(run) && run[j].domain == run[i].domain {
+				j++
+			}
+			if want < 0 || run[i].domain == want {
+				addInflations(out, run[i:j])
+			}
+			i = j
+		}
+	}
+	return out
+}
+
+// addInflations adds one (client, domain) group's inflations to out. A
+// single replica has no differential.
+func addInflations(out *stats.Sample, group []replicaSum) {
+	if len(group) < 2 {
+		return
+	}
+	best := math.Inf(1)
+	for _, s := range group {
+		if mean := s.meanMs(); mean < best {
+			best = mean
+		}
+	}
+	for _, s := range group {
+		out.Add((s.meanMs() - best) / best * 100)
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -61,6 +61,9 @@ echo "==> forwarder miss-path allocation budgets (dnswire.Check and responseMatc
 go test -count=1 -run '^(TestCheckAllocBudget|TestResponseMatchesAllocBudget|TestResolveAllocBudget|TestCacheHitAllocBudget)$' \
 	./internal/dnswire/ ./internal/dnsclient/ ./internal/upstream/ ./internal/forwarder/
 
+echo "==> analysis fold allocation budgets (Suite.Observe: a repeat experiment of a known client <= 0.5, a new client's <= 2)"
+go test -count=1 -run '^TestSuiteObserveAllocBudget$' ./internal/analysis/
+
 echo "==> go test -race ./..."
 go test -race ./...
 
