@@ -27,6 +27,7 @@ import (
 	"io"
 	"math"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 	"unsafe"
@@ -772,6 +773,11 @@ func parseSegHeader(b []byte) (segHeader, int, error) {
 		return h, 0, fmt.Errorf("dataset: curtainbin: bad segment magic %02x%02x%02x%02x", b[0], b[1], b[2], b[3])
 	}
 	h.flags = b[len(segMagic)]
+	if h.flags&^segFlagFlate != 0 {
+		// A flag this reader does not know may change what the payload
+		// means; reading on would misread it silently.
+		return h, 0, fmt.Errorf("dataset: curtainbin: unknown segment flags %#02x", h.flags)
+	}
 	pos := len(segMagic) + 1
 	for _, field := range []*uint64{&h.count, &h.rawLen, &h.storedLen} {
 		v, n := binary.Uvarint(b[pos:])
@@ -838,44 +844,62 @@ type segDecoder struct {
 	mem  decodeSlabs
 }
 
-// segDecoders recycles decoder state across UnmarshalExperiments calls, so
-// a lease-sized decode does not pay for a fresh inflater and raw buffer.
+// segDecoders recycles decoder state across UnmarshalExperiments calls and
+// file scans, so neither a lease-sized decode nor a scan pays for a fresh
+// inflater and raw buffer.
 var segDecoders = sync.Pool{New: func() any { return new(segDecoder) }}
 
 // decode yields the records of the segment whose header is h and whose
 // stored payload is stored (read, never retained). It is the one segment
-// decoder: file scans hand it the bytes they read, slice decodes a
-// sub-slice of the caller's buffer.
+// decoder: file scans run its two halves, inflate and records, on the
+// bytes they read, slice decodes run it on a sub-slice of the caller's
+// buffer.
 func (s *segDecoder) decode(h segHeader, stored []byte, fn ScanFunc) error {
-	raw := stored
-	if h.flags&segFlagFlate != 0 {
-		if h.rawLen > maxInflateRatio*(uint64(len(stored))+1) {
-			return fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes, more than %d stored bytes can inflate to", h.rawLen, len(stored))
-		}
-		if uint64(cap(s.rawB)) < h.rawLen {
-			s.rawB = make([]byte, h.rawLen)
-		}
-		raw = s.rawB[:h.rawLen]
-		s.src.Reset(stored)
-		defer s.src.Reset(nil) // a pooled decoder must not pin the caller's buffer
-		if s.fr == nil {
-			s.fr = flate.NewReader(&s.src)
-		} else if err := s.fr.(flate.Resetter).Reset(&s.src, nil); err != nil {
-			return fmt.Errorf("dataset: curtainbin: flate reset: %w", err)
-		}
-		if _, err := io.ReadFull(s.fr, raw); err != nil {
-			return fmt.Errorf("dataset: curtainbin: decompress segment: %w", err)
-		}
-		// The stream must be exhausted: a payload inflating past rawLen
-		// would otherwise be silently truncated, hiding the corruption
-		// from the trailing-bytes check below.
-		if n, err := io.CopyN(io.Discard, s.fr, 1); n != 0 || err != io.EOF {
-			return fmt.Errorf("dataset: curtainbin: segment inflates past declared %d raw bytes", h.rawLen)
-		}
-	} else if uint64(len(raw)) != h.rawLen {
-		return fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes but stores %d", h.rawLen, len(stored))
+	raw, err := s.inflate(h, stored)
+	if err != nil {
+		return err
 	}
+	return s.records(h, raw, fn)
+}
 
+// inflate returns the raw payload of the segment: stored itself when the
+// segment is not compressed, else stored inflated into s.rawB.
+func (s *segDecoder) inflate(h segHeader, stored []byte) ([]byte, error) {
+	if h.flags&segFlagFlate == 0 {
+		if uint64(len(stored)) != h.rawLen {
+			return nil, fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes but stores %d", h.rawLen, len(stored))
+		}
+		return stored, nil
+	}
+	if h.rawLen > maxInflateRatio*(uint64(len(stored))+1) {
+		return nil, fmt.Errorf("dataset: curtainbin: segment declares %d raw bytes, more than %d stored bytes can inflate to", h.rawLen, len(stored))
+	}
+	if uint64(cap(s.rawB)) < h.rawLen {
+		s.rawB = make([]byte, h.rawLen)
+	}
+	raw := s.rawB[:h.rawLen]
+	s.src.Reset(stored)
+	defer s.src.Reset(nil) // a pooled decoder must not pin the caller's buffer
+	if s.fr == nil {
+		s.fr = flate.NewReader(&s.src)
+	} else if err := s.fr.(flate.Resetter).Reset(&s.src, nil); err != nil {
+		return nil, fmt.Errorf("dataset: curtainbin: flate reset: %w", err)
+	}
+	if _, err := io.ReadFull(s.fr, raw); err != nil {
+		return nil, fmt.Errorf("dataset: curtainbin: decompress segment: %w", err)
+	}
+	// The stream must be exhausted: a payload inflating past rawLen would
+	// otherwise be silently truncated, hiding the corruption from the
+	// trailing-bytes check in records.
+	if n, err := io.CopyN(io.Discard, s.fr, 1); n != 0 || err != io.EOF {
+		return nil, fmt.Errorf("dataset: curtainbin: segment inflates past declared %d raw bytes", h.rawLen)
+	}
+	return raw, nil
+}
+
+// records yields the records of raw, the raw payload of the segment whose
+// header is h.
+func (s *segDecoder) records(h segHeader, raw []byte, fn ScanFunc) error {
 	d := binDecoder{buf: raw, mem: &s.mem}
 	nstr, n := binary.Uvarint(raw)
 	if n <= 0 || nstr > h.rawLen {
@@ -926,85 +950,268 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// binScanner reads a curtainbin stream segment by segment.
-type binScanner struct {
-	cr   *countReader
-	br   *bufio.Reader
-	stoB []byte
-	dec  segDecoder
-}
-
-// consumed reports the stream offset of the scanner: bytes taken from
-// the underlying reader minus what still sits in the bufio buffer.
-func (s *binScanner) consumed() int64 { return s.cr.n - int64(s.br.Buffered()) }
-
 // scanBinary streams every record of a curtainbin stream whose 8-byte
 // magic has already been consumed from br (which must buffer cr). With
 // tolerateTorn, an incomplete trailing segment is dropped and its byte
 // count returned; otherwise it is an error. Corruption inside a
 // complete segment is always an error.
 func scanBinary(cr *countReader, br *bufio.Reader, tolerateTorn bool, fn ScanFunc) (int, error) {
-	s := &binScanner{cr: cr, br: br}
+	at, torn, err := scanSegments(cr, br, math.MaxInt64, runtime.GOMAXPROCS(0), fn)
+	switch {
+	case err != errTorn:
+		return 0, err
+	case tolerateTorn:
+		return torn, nil
+	}
+	return 0, fmt.Errorf("dataset: curtainbin: truncated segment at byte %d", at)
+}
+
+// batchRecords is how many decoded records travel to the scanning
+// goroutine in one hand-off: enough to amortise the hand-off, few enough
+// that a segment waiting its turn holds little beyond its buffers.
+const batchRecords = 8
+
+// recordBatch travels by value, so a hand-off allocates nothing and the
+// decoder can refill its own copy as soon as the scanner has taken it.
+type recordBatch struct {
+	n    int
+	recs [batchRecords]*Experiment
+}
+
+// segJob is one segment in flight: its decoder sends the segment's records
+// on out, a batch at a time, and closes out after the last with err set to
+// how decoding ended.
+type segJob struct {
+	out chan recordBatch
+	err error
+}
+
+// errStopped ends the decode of a segment whose scan has stopped.
+var errStopped = errors.New("dataset: curtainbin: scan stopped")
+
+// storedBufs recycles the buffer a file scan reads stored payloads into.
+var storedBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// binPipeline is one file scan in flight (DESIGN.md §15). A reader
+// goroutine takes segments off the stream in order and inflates each into
+// an idle pooled segDecoder; the segment's records are decoded on a
+// goroutine of its own; the scanning goroutine takes them in stream order.
+// A decoder is the token that admits a segment: the reader waits for an
+// idle one before inflating into it, so the work in flight is bounded by
+// the number of decoders, never by a header field. The reader's one
+// stored-payload buffer is spent once the segment is inflated.
+type binPipeline struct {
+	cr     *countReader
+	br     *bufio.Reader
+	end    int64   // the stream offset the scan stops at: a shard's End
+	stored *[]byte // the reader's stored-payload buffer, from storedBufs
+	idle   chan *segDecoder
+	jobs   chan *segJob
+	stop   chan struct{}
+	wg     sync.WaitGroup
+
+	// How the stream ended, set by the reader before it closes jobs:
+	// errTorn with the offset and size of the torn segment, a read,
+	// header or inflate error, or nil.
+	err    error
+	tornAt int64
+	torn   int
+}
+
+// scanSegments streams the records of the segments br reads, up to stream
+// offset end, decoding up to decoders segments at once. fn runs on the
+// calling goroutine, in stream order, and its error comes back unwrapped;
+// so does a segment's decode error, after the records decoded before it.
+// A stream that ends inside a segment returns errTorn with the segment's
+// offset and the number of bytes read from it. scanSegments returns only
+// after every goroutine it started has exited.
+func scanSegments(cr *countReader, br *bufio.Reader, end int64, decoders int, fn ScanFunc) (int64, int, error) {
+	p := &binPipeline{
+		cr: cr, br: br, end: end,
+		idle: make(chan *segDecoder, decoders), // a semaphore
+		// One job per decoder: a queued job keeps its decoder busy until
+		// the scanner takes its records, so only jobs that yield none can
+		// fill the queue.
+		jobs:   make(chan *segJob, decoders),
+		stop:   make(chan struct{}),
+		stored: storedBufs.Get().(*[]byte),
+	}
+	for range decoders {
+		p.idle <- segDecoders.Get().(*segDecoder)
+	}
+	p.wg.Add(1)
+	go p.read()
+	defer p.shutdown()
+	if err := p.yield(fn); err != nil {
+		return 0, 0, err
+	}
+	return p.tornAt, p.torn, p.err
+}
+
+// shutdown stops whatever is still running, waits for every goroutine the
+// scan started and recycles its decoders and buffer.
+func (p *binPipeline) shutdown() {
+	close(p.stop)
+	p.wg.Wait()
+	for range cap(p.idle) {
+		segDecoders.Put(<-p.idle)
+	}
+	storedBufs.Put(p.stored)
+}
+
+// yield hands fn the records of every job in order. It stops at fn's
+// error or at the first segment that fails to decode, and returns that
+// error.
+func (p *binPipeline) yield(fn ScanFunc) error {
+	for job := range p.jobs {
+		for b := range job.out {
+			for _, e := range b.recs[:b.n] {
+				if err := fn(e); err != nil {
+					return err
+				}
+			}
+		}
+		if job.err != nil {
+			return job.err
+		}
+	}
+	return nil
+}
+
+// stopped reports whether the scanner has stopped taking records.
+func (p *binPipeline) stopped() bool {
+	select {
+	case <-p.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// consumed reports the stream offset of the reader: bytes taken from the
+// underlying reader minus what still sits in the bufio buffer.
+func (p *binPipeline) consumed() int64 { return p.cr.n - int64(p.br.Buffered()) }
+
+// read takes segments off the stream until it ends, the scan reaches end
+// or the scanner stops, inflates each and starts its records decoding.
+func (p *binPipeline) read() {
+	defer p.wg.Done()
+	defer close(p.jobs)
 	for {
-		segStart := s.consumed()
-		n, err := s.readSegment(fn)
-		if n == 0 && err == nil {
-			return 0, nil // clean EOF at a segment boundary
+		var dec *segDecoder
+		select {
+		case dec = <-p.idle:
+		case <-p.stop:
+			return
+		}
+		segStart := p.consumed()
+		if segStart >= p.end || p.stopped() {
+			p.idle <- dec
+			return
+		}
+		h, stored, err := readSegment(p.br, (*p.stored)[:0])
+		*p.stored = stored[:0]
+		var raw []byte
+		if err == nil {
+			raw, err = dec.inflate(h, stored)
 		}
 		if err != nil {
+			p.idle <- dec
 			if err == errTorn {
-				if tolerateTorn {
-					return int(s.consumed() - segStart), nil
-				}
-				return 0, fmt.Errorf("dataset: curtainbin: truncated segment at byte %d", segStart)
+				p.tornAt, p.torn = segStart, int(p.consumed()-segStart)
 			}
-			return 0, err
+			if err != io.EOF {
+				p.err = err
+			}
+			return
+		}
+		if h.flags&segFlagFlate == 0 {
+			// raw is the reader's buffer, which the next segment reuses.
+			dec.rawB = append(dec.rawB[:0], raw...)
+			raw = dec.rawB
+		}
+		job := &segJob{out: make(chan recordBatch)}
+		p.wg.Add(1)
+		go p.decode(dec, job, h, raw)
+		select {
+		case p.jobs <- job:
+		case <-p.stop:
+			return
 		}
 	}
 }
 
-// readSegment reads one segment and yields its records. It returns
-// (0, nil) on clean EOF before any header byte. A stream that ends inside
-// the segment is errTorn, with every byte up to the end consumed so the
-// caller can size the torn tail.
-func (s *binScanner) readSegment(fn ScanFunc) (int, error) {
-	peek, err := s.br.Peek(maxSegHeader)
+// decode sends job the records of the segment whose raw payload dec has
+// inflated, then puts dec back among the idle.
+func (p *binPipeline) decode(dec *segDecoder, job *segJob, h segHeader, raw []byte) {
+	defer p.wg.Done()
+	var b recordBatch
+	send := func() bool {
+		select {
+		case job.out <- b:
+			b.n = 0
+			return true
+		case <-p.stop:
+			return false
+		}
+	}
+	err := dec.records(h, raw, func(e *Experiment) error {
+		b.recs[b.n] = e
+		b.n++
+		if b.n == batchRecords && !send() {
+			return errStopped
+		}
+		return nil
+	})
+	if err != errStopped && b.n > 0 {
+		send()
+	}
+	job.err = err
+	close(job.out)
+	p.idle <- dec
+}
+
+// readSegment reads the header and stored payload of the segment at the
+// front of br, appending the payload to buf. It returns io.EOF at a clean
+// end before any header byte. A stream that ends inside the segment is
+// errTorn, with every byte up to the end consumed so the caller can size
+// the torn tail.
+func readSegment(br *bufio.Reader, buf []byte) (segHeader, []byte, error) {
+	peek, err := br.Peek(maxSegHeader)
 	if err != nil && err != io.EOF {
-		return 1, fmt.Errorf("dataset: read: %w", err)
+		return segHeader{}, buf, fmt.Errorf("dataset: read: %w", err)
 	}
 	if len(peek) == 0 {
-		return 0, nil
+		return segHeader{}, buf, io.EOF
 	}
 	h, n, err := parseSegHeader(peek)
 	if err != nil {
 		n = len(peek) // a torn header: the tail is all there is
 	}
-	if _, derr := s.br.Discard(n); derr != nil {
-		return 1, fmt.Errorf("dataset: read: %w", derr)
+	if _, derr := br.Discard(n); derr != nil {
+		return h, buf, fmt.Errorf("dataset: read: %w", derr)
 	}
 	if err != nil {
 		//lint:ignore errwrap the caller matches errTorn bare; other header errors are already contextual
-		return 1, err
+		return h, buf, err
 	}
 	// The payload is taken a buffer-full at a time, so what it costs grows
 	// with the bytes that arrive, not with what the header declares: a
 	// torn or hostile header cannot demand the allocation before the
 	// stream proves it holds the payload.
-	stored := s.stoB[:0]
+	stored := buf
 	for err == nil && uint64(len(stored)) < h.storedLen {
 		var chunk []byte
-		chunk, err = s.br.Peek(int(min(h.storedLen-uint64(len(stored)), uint64(s.br.Size()))))
+		chunk, err = br.Peek(int(min(h.storedLen-uint64(len(stored)), uint64(br.Size()))))
 		stored = append(stored, chunk...)
-		_, _ = s.br.Discard(len(chunk)) // cannot fail: the bytes are buffered
+		_, _ = br.Discard(len(chunk)) // cannot fail: the bytes are buffered
 	}
-	s.stoB = stored[:0]
 	if err == io.EOF {
-		return 1, errTorn
+		return h, stored, errTorn
 	} else if err != nil {
-		return 1, fmt.Errorf("dataset: read: %w", err)
+		return h, stored, fmt.Errorf("dataset: read: %w", err)
 	}
-	//lint:ignore errwrap decode errors are already contextual; callback errors pass through unwrapped
-	return 1, s.dec.decode(h, stored, fn)
+	return h, stored, nil
 }
 
 // marshalState is the reusable codec state behind MarshalExperiments: the

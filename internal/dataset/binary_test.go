@@ -293,7 +293,9 @@ func allocatedBy(f func()) uint64 {
 // bytes actually present before any buffer is sized from it. A header
 // declaring a gigabyte of raw payload over a handful of stored bytes (more
 // than deflate can expand them to), and one declaring more stored bytes
-// than the stream holds, are both refused without allocating for them.
+// than the stream holds, are both refused without allocating for them; so
+// is a flags byte with a bit this reader does not know, whatever else the
+// header declares.
 func TestBinaryHeaderCannotDemandAllocation(t *testing.T) {
 	stored := []byte{0x03, 0x00} // an empty final deflate block
 	// frameSegment sizes storedLen from the bytes it is given; this header
@@ -311,6 +313,7 @@ func TestBinaryHeaderCannotDemandAllocation(t *testing.T) {
 		{"1 GB raw over 2 stored bytes", "can inflate to", frameSegment(segFlagFlate, 1, 1<<30, stored)},
 		{"raw one past the inflate bound", "can inflate to", frameSegment(segFlagFlate, 1, maxInflateRatio*(len(stored)+1)+1, stored)},
 		{"1 GB stored, 2 bytes present", "truncated", lying},
+		{"a flag bit no reader knows", "unknown segment flags", frameSegment(segFlagFlate|0x80, 1, 1<<30, stored)},
 	} {
 		if len(tc.frame) > 30 {
 			t.Fatalf("%s: crafted frame is %d bytes, want a header-sized input", tc.name, len(tc.frame))
@@ -340,7 +343,7 @@ func TestBinaryHeaderCannotDemandAllocation(t *testing.T) {
 
 	// The stream reader checkpoints and analyze go through sizes its
 	// payload buffer by the bytes that arrive: the lying header is a torn
-	// tail, read into a buffer of its own size, beside the reader's 1 MB
+	// tail, read into a buffer of its own size, beside the reader's 64 KB
 	// of buffering.
 	var torn int
 	got = allocatedBy(func() { torn, err = ScanTorn(bytes.NewReader(lying), func(*Experiment) error { return nil }) })

@@ -17,7 +17,10 @@ import (
 // the records of a stream out of shared chunks, so keeping one experiment
 // keeps the chunks (64 KB each, one per kind of slice) it shares with the
 // dozen records decoded around it; a consumer that keeps a few of many
-// should copy them.
+// should copy them. fn runs on the goroutine that called the scan, one
+// record at a time in stream order; a curtainbin scan decodes on other
+// goroutines, at most one segment per decoder ahead of fn, and has
+// stopped them all by the time it returns.
 type ScanFunc func(*Experiment) error
 
 // Scan streams a dataset written by WriteJSONL or WriteBinary, yielding
@@ -43,10 +46,14 @@ func ScanTorn(r io.Reader, fn ScanFunc) (int, error) {
 	return scan(r, true, fn)
 }
 
+// scanBufSize is a scan's read buffer. A curtainbin payload is copied out
+// of it a buffer-full at a time, so it need not hold a whole segment.
+const scanBufSize = 64 << 10
+
 // scan sniffs the stream's magic bytes and dispatches on them.
 func scan(r io.Reader, torn bool, fn ScanFunc) (int, error) {
 	cr := &countReader{r: r}
-	br := bufio.NewReaderSize(cr, 1<<20)
+	br := bufio.NewReaderSize(cr, scanBufSize)
 	magic, err := br.Peek(len(binMagic))
 	if err != nil && err != io.EOF {
 		return 0, fmt.Errorf("dataset: read: %w", err)
@@ -336,19 +343,13 @@ func scanBinaryShard(f *os.File, s Shard, fn ScanFunc) error {
 		return fmt.Errorf("dataset: seek %s: %w", s.Path, err)
 	}
 	cr := &countReader{r: f, n: start}
-	sc := &binScanner{cr: cr, br: bufio.NewReaderSize(cr, 1<<20)}
-	for sc.consumed() < s.End {
-		if n, err := sc.readSegment(fn); err != nil {
-			if err == errTorn {
-				return fmt.Errorf("dataset: %s: truncated segment in shard [%d,%d)", s.Path, s.Start, s.End)
-			}
-			//lint:ignore errwrap segment errors already carry file context; callback errors pass through unwrapped
-			return err
-		} else if n == 0 {
-			return nil
-		}
+	// One decoder: the caller already scans its shards concurrently.
+	_, _, err := scanSegments(cr, bufio.NewReaderSize(cr, scanBufSize), s.End, 1, fn)
+	if err == errTorn {
+		return fmt.Errorf("dataset: %s: truncated segment in shard [%d,%d)", s.Path, s.Start, s.End)
 	}
-	return nil
+	//lint:ignore errwrap segment errors already carry file context; callback errors pass through unwrapped
+	return err
 }
 
 func scanShard(f *os.File, s Shard, fn ScanFunc) error {

@@ -70,6 +70,9 @@ go test -race ./...
 echo "==> control-plane hand-offs (parked lease requests, hostile segment ingest; -race -count=5: their goroutine interleavings differ run to run)"
 go test -race -count=5 -run '^(TestParkedLease|TestHostileSegmentIngest)' ./internal/controlplane/
 
+echo "==> curtainbin scan pipeline (serial equivalence, early stop, goroutine and reader hygiene; -race -count=5: the decoder interleavings are not seeded)"
+go test -race -count=5 -run '^TestScan' ./internal/dataset/
+
 echo "==> worker-count invariance (workers 1/4/8 -> identical dataset)"
 go test -race -count=1 -run '^TestWorkerCountInvariance$' ./internal/trace/
 
