@@ -26,18 +26,15 @@ import (
 // The dataset is streamed through the one-pass analysis.Suite: no record
 // is retained, so memory is the aggregates' — it grows with clients,
 // resolvers and retained samples (about 2.5 KB per experiment of a
-// one-experiment-per-client cohort), not with record size. -parallel
-// shards the scan and produces a byte-identical report.
+// one-experiment-per-client cohort), not with record size. The scan
+// decodes on every core and feeds the suite in stream order, so the
+// report is the same bytes whatever the core count.
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	in := fs.String("in", "dataset.jsonl", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")
-	parallel := fs.Int("parallel", 1, "concurrent shard scanners over a dataset file of either codec; output is byte-identical for any N; a checkpoint directory is always scanned serially")
+	in := fs.String("in", "dataset.bin", "input dataset file (jsonl or binary, auto-detected) or checkpoint directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the scan and report to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	fs.Parse(args)
-	if *parallel < 1 {
-		return fmt.Errorf("analyze: -parallel must be >= 1, got %d", *parallel)
-	}
 	if _, err := os.Stat(*in); err != nil {
 		return fmt.Errorf("analyze: no dataset at %s (run `curtain simulate` first?): %w", *in, err)
 	}
@@ -52,7 +49,7 @@ func runAnalyze(args []string) error {
 	var scanned atomic.Int64
 	report := analyzeReport(&scanned, time.Now())
 	sigdrain.OnInterrupt("curtain", "", os.Stderr, nil, report)
-	m, err := loadMeasures(*in, *parallel, &scanned)
+	m, err := loadMeasures(*in, &scanned)
 	if err != nil {
 		return fmt.Errorf("analyze: scan %s: %w", *in, err)
 	}
@@ -84,35 +81,15 @@ func analyzeReport(scanned *atomic.Int64, start time.Time) func() any {
 }
 
 // loadMeasures streams the input through a fresh analysis suite,
-// adding every experiment it reads to scanned. Dataset files honor
-// -parallel via contiguous shards (JSONL byte ranges, curtainbin segment
-// runs) merged in index order — byte-identical to a serial scan;
-// checkpoint directories scan serially whatever parallel says.
-func loadMeasures(in string, parallel int, scanned *atomic.Int64) (*analysis.Suite, error) {
-	wrap := func(yield dataset.ScanFunc) dataset.ScanFunc {
-		return func(e *dataset.Experiment) error {
+// adding every experiment it reads to scanned.
+func loadMeasures(in string, scanned *atomic.Int64) (*analysis.Suite, error) {
+	suite := analysis.NewSuite(analysis.SuiteConfig{})
+	return suite, suite.Run(func(yield dataset.ScanFunc) error {
+		return scanInput(in, func(e *dataset.Experiment) error {
 			scanned.Add(1)
 			return yield(e)
-		}
-	}
-	suite := analysis.NewSuite(analysis.SuiteConfig{})
-	if parallel == 1 || dataset.IsCheckpointDir(in) {
-		return suite, suite.Run(func(yield dataset.ScanFunc) error {
-			return scanInput(in, wrap(yield))
 		})
-	}
-	shards, err := dataset.FileShards(in, parallel)
-	if err != nil {
-		return nil, err
-	}
-	scanners := make([]analysis.Scanner, len(shards))
-	for i, s := range shards {
-		s := s
-		scanners[i] = func(yield dataset.ScanFunc) error {
-			return dataset.ScanShard(s, wrap(yield))
-		}
-	}
-	return suite, suite.RunShards(scanners)
+	})
 }
 
 // writeAnalysis prints the offline report: the dataset's size, then every

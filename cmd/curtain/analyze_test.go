@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,8 +23,8 @@ import (
 var analyzeCampaign = cellcurtain.Options{Seed: 7, Days: 2, ClientScale: 0.1}
 
 // analyzeInputs writes one small campaign three ways — a JSONL file, a
-// curtainbin file cut into many segments (so shard counts above one are
-// real), and a binary checkpoint directory — and returns the paths.
+// curtainbin file cut into many segments (so a scan has many in flight),
+// and a binary checkpoint directory — and returns the paths.
 func analyzeInputs(t *testing.T) map[string]string {
 	t.Helper()
 	camp, err := trace.New(analyzeCampaign.CampaignConfig())
@@ -71,27 +73,21 @@ func analyzeInputs(t *testing.T) map[string]string {
 }
 
 // TestAnalyzeModeEquivalence holds `curtain analyze` to one report: every
-// input form under every scan mode renders the same bytes.
+// input form renders the same bytes with one core or eight decoding.
 func TestAnalyzeModeEquivalence(t *testing.T) {
 	paths := analyzeInputs(t)
-	modes := []struct {
-		name     string
-		parallel int
-	}{
-		{"serial", 1},
-		{"parallel4", 4},
-		{"parallel8", 8},
-	}
 	var want []byte
 	for _, input := range []string{"jsonl", "binary", "checkpoint"} {
-		for _, mode := range modes {
+		for _, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
 			var scanned atomic.Int64
-			m, err := loadMeasures(paths[input], mode.parallel, &scanned)
+			m, err := loadMeasures(paths[input], &scanned)
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", input, mode.name, err)
+				t.Fatalf("%s/procs=%d: %v", input, procs, err)
 			}
 			if n := scanned.Load(); n != int64(m.ExperimentCount()) {
-				t.Errorf("%s/%s: counted %d experiments, the suite saw %d", input, mode.name, n, m.ExperimentCount())
+				t.Errorf("%s/procs=%d: counted %d experiments, the suite saw %d", input, procs, n, m.ExperimentCount())
 			}
 			var got bytes.Buffer
 			writeAnalysis(&got, m)
@@ -103,30 +99,32 @@ func TestAnalyzeModeEquivalence(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s/%s: report differs from jsonl/serial\n--- got\n%s--- want\n%s", input, mode.name, got.Bytes(), want)
+				t.Errorf("%s/procs=%d: report differs from jsonl/procs=1\n--- got\n%s--- want\n%s", input, procs, got.Bytes(), want)
 			}
 		}
 	}
 
-	// A malformed line in the middle of the file must surface from
-	// whichever shard holds it, not be skipped at a shard boundary.
+	// A malformed line in the middle of the file surfaces, named by its
+	// line number, from whichever chunk holds it.
 	b, err := os.ReadFile(paths["jsonl"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(b, []byte("\n"))
-	lines[len(lines)/2] = []byte(`{"seq": broken`)
+	mid := len(lines) / 2
+	lines[mid] = []byte(`{"seq": broken`)
 	if err := os.WriteFile(paths["jsonl"], bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadMeasures(paths["jsonl"], 4, new(atomic.Int64)); err == nil {
-		t.Error("4 shards over a file with a malformed mid-file line: no error")
+	wantErr := fmt.Sprintf("dataset: line %d: ", mid+1)
+	if _, err := loadMeasures(paths["jsonl"], new(atomic.Int64)); err == nil || !strings.HasPrefix(err.Error(), wantErr) {
+		t.Errorf("a malformed mid-file line: err = %v, want one starting %q", err, wantErr)
 	}
 }
 
 // TestAnalyzeReportWhileScanning reads analyze's report as SIGUSR1 would,
-// concurrently with a 4-shard scan: every read lies between 0 and the
-// final count and never decreases, and the final count is the suite's.
+// concurrently with the scan: every read lies between 0 and the final
+// count and never decreases, and the final count is the suite's.
 func TestAnalyzeReportWhileScanning(t *testing.T) {
 	in := analyzeInputs(t)["binary"]
 	var scanned atomic.Int64
@@ -137,7 +135,7 @@ func TestAnalyzeReportWhileScanning(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		m, err := loadMeasures(in, 4, &scanned)
+		m, err := loadMeasures(in, &scanned)
 		done <- result{m, err}
 	}()
 	var reads []int64
@@ -191,7 +189,7 @@ func TestAnalyzeGolden(t *testing.T) {
 		{"campaign", analyzeInputs(t)["binary"]},
 		{"dnsprobe", filepath.Join(reproTestdata, "dnsprobe.jsonl")},
 	} {
-		m, err := loadMeasures(tc.in, 1, new(atomic.Int64))
+		m, err := loadMeasures(tc.in, new(atomic.Int64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +226,7 @@ func TestAnalyzePrintsReproArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := loadMeasures(analyzeInputs(t)["binary"], 1, new(atomic.Int64))
+	m, err := loadMeasures(analyzeInputs(t)["binary"], new(atomic.Int64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +267,6 @@ func TestAnalyzeRejectsBadArguments(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"parallel zero", []string{"-parallel", "0"}, "-parallel must be >= 1"},
 		{"missing input", []string{"-in", filepath.Join(t.TempDir(), "absent.jsonl")}, "no dataset at"},
 	} {
 		err := runAnalyze(tc.args)

@@ -58,8 +58,8 @@ func listenNetwork(addr string) string {
 func runCoordinate(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:9290", "address workers connect to (host:port, or a unix socket path)")
-	out := fs.String("out", "dataset.jsonl", "output path for the merged dataset")
-	formatName := fs.String("format", "", "merged output codec: jsonl or binary; the checkpoint segment is always curtainbin (default jsonl)")
+	out := fs.String("out", "dataset.bin", "output path for the merged dataset")
+	formatName := fs.String("format", string(dataset.FormatBinary), "merged output codec: binary or jsonl; the checkpoint segment is always curtainbin")
 	checkpoint := checkpointFlags(fs,
 		"durable segment directory (required; the exactly-once merge substrate that worker crashes and coordinator restarts recover from)",
 		"adopt the checkpoint in -checkpoint-dir and lease only the missing experiments")

@@ -17,7 +17,7 @@ import (
 
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "dataset.jsonl", "input dataset file (codec auto-detected by magic) or checkpoint directory")
+	in := fs.String("in", "dataset.bin", "input dataset file (codec auto-detected by magic) or checkpoint directory")
 	out := fs.String("out", "", "output path (required)")
 	formatName := fs.String("format", "", "output codec: jsonl or binary (default: the opposite of the input)")
 	fs.Parse(args)

@@ -230,8 +230,8 @@ func runExp(args []string) error {
 
 func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	out := fs.String("out", "dataset.jsonl", "output dataset path")
-	formatName := fs.String("format", "", "output codec: jsonl or binary, the compact curtainbin form of DESIGN.md §15 (default jsonl)")
+	out := fs.String("out", "dataset.bin", "output dataset path")
+	formatName := fs.String("format", string(dataset.FormatBinary), "output codec: binary, the compact curtainbin form of DESIGN.md §15, or jsonl")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	opts := optionFlags(fs)

@@ -6,59 +6,56 @@ import (
 )
 
 // The aggpurity analyzer enforces the streaming aggregator contract
-// (DESIGN.md §10/§11) on every type shaped like one of analysis.Suite's
-// aggregators — a named type with Observe(one pointer-to-record
-// parameter) and Merge(one parameter) methods. Detection is structural,
-// not interface-based, so fixtures and future aggregators in other
-// packages are covered without importing anything.
+// (DESIGN.md §10/§11) on every type shaped like analysis.Suite and its
+// aggregators — a named type with an Observe(one parameter) method.
+// Detection is structural, not interface-based, so fixtures and future
+// aggregators in other packages are covered without importing anything.
 //
 // Three invariants:
 //
-//  1. No retention: Observe and Merge must not store reference-typed
-//     values (slices, maps, pointers — including the record itself)
-//     reachable from their parameter into receiver state. The streaming
-//     pass reuses record memory; an aliased slice read later is a
-//     use-after-advance. Spreads (append(dst, src...)) copy elements
-//     and are allowed unless the element type is itself a reference.
-//  2. No package-level mutable state: Observe and Merge run concurrently
-//     across shards; reading or writing a package-level variable breaks
-//     shard independence and replay determinism.
+//  1. No retention: Observe must not store reference-typed values
+//     (slices, maps, pointers — including the record itself) reachable
+//     from its parameter into receiver state. The streaming pass reuses
+//     record memory; an aliased slice read later is a use-after-advance.
+//     Spreads (append(dst, src...)) copy elements and are allowed unless
+//     the element type is itself a reference.
+//  2. No package-level mutable state: Observe reading or writing a
+//     package-level variable makes the fold depend on more than the
+//     records it is fed, and a replay of the same records may then fold
+//     to a different answer.
 //  3. Sorted query iteration: every other method declared on the type
 //     answers (part of) a query, so it — and any method of the same type
-//     it calls, Observe and Merge included once a query reaches them —
-//     iterates maps only via sorted keys. Callees are resolved through
-//     the type checker: s.Merge(x) on a field of another type is that
-//     type's Merge, not the aggregator's. Exempt: the key-collection
-//     loop feeding a sort (append of the key to a slice), and pure
-//     scalar reductions over integers/booleans, which are order-exact.
+//     it calls, Observe included once a query reaches it — iterates maps
+//     only via sorted keys. Callees are resolved through the type
+//     checker: s.Observe(x) on a field of another type is that type's
+//     Observe, not the aggregator's. Exempt: the key-collection loop
+//     feeding a sort (append of the key to a slice), and pure scalar
+//     reductions over integers/booleans, which are order-exact.
 var analyzerAggPurity = &Analyzer{
 	Name:     "aggpurity",
-	Doc:      "aggregators must not retain scanned records or touch package state in Observe/Merge; their query methods iterate maps via sorted keys",
+	Doc:      "aggregators must not retain scanned records or touch package state in Observe; their query methods iterate maps via sorted keys",
 	Severity: "error",
 	URL:      "DESIGN.md#11-static-analysis-v2",
 	Run:      runAggPurity,
 }
 
-// aggType is one aggregator-shaped named type: its feed methods, and
+// aggType is one aggregator-shaped named type: its feed method, and
 // every method declared on it in source order.
 type aggType struct {
-	observe, merge *ast.FuncDecl
-	methods        []*ast.FuncDecl
+	observe *ast.FuncDecl
+	methods []*ast.FuncDecl
 }
 
 func runAggPurity(pass *Pass) {
 	for _, agg := range collectAggTypes(pass) {
 		checkNoRetention(pass, agg.observe)
-		checkNoRetention(pass, agg.merge)
 		checkNoPackageState(pass, agg.observe)
-		checkNoPackageState(pass, agg.merge)
 		checkSortedQueries(pass, agg)
 	}
 }
 
-// collectAggTypes finds aggregator-shaped types: both Observe(1 arg) and
-// Merge(1 arg) declared as methods of the same base type in this
-// package.
+// collectAggTypes finds aggregator-shaped types: an Observe(1 arg)
+// declared as a method of the base type in this package.
 func collectAggTypes(pass *Pass) []*aggType {
 	byRecv := map[string]*aggType{}
 	order := []string{}
@@ -79,20 +76,14 @@ func collectAggTypes(pass *Pass) []*aggType {
 				order = append(order, recv)
 			}
 			at.methods = append(at.methods, fd)
-			if fd.Type.Params.NumFields() != 1 {
-				continue
-			}
-			switch fd.Name.Name {
-			case "Observe":
+			if fd.Name.Name == "Observe" && fd.Type.Params.NumFields() == 1 {
 				at.observe = fd
-			case "Merge":
-				at.merge = fd
 			}
 		}
 	}
 	var out []*aggType
 	for _, recv := range order {
-		if at := byRecv[recv]; at.observe != nil && at.merge != nil {
+		if at := byRecv[recv]; at.observe != nil {
 			out = append(out, at)
 		}
 	}
@@ -145,13 +136,8 @@ func checkNoRetention(pass *Pass, fd *ast.FuncDecl) {
 	paramRooted := aliasSet(pass, fd, param)
 	recvRooted := aliasSet(pass, fd, recv)
 	name := funcDisplayName(fd)
-
-	why := "the streaming pass reuses record memory — copy instead"
-	if fd.Name.Name == "Merge" {
-		why = "both sides keep accumulating after a merge — copy instead"
-	}
 	report := func(pos ast.Node, what string) {
-		pass.Reportf(pos.Pos(), "%s stores %s reachable from its argument into receiver state; %s", name, what, why)
+		pass.Reportf(pos.Pos(), "%s stores %s reachable from its argument into receiver state; the streaming pass reuses record memory — copy instead", name, what)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -288,7 +274,7 @@ func isRefType(t types.Type) bool {
 }
 
 // checkNoPackageState flags uses of package-level variables inside
-// Observe/Merge.
+// Observe.
 func checkNoPackageState(pass *Pass, fd *ast.FuncDecl) {
 	name := funcDisplayName(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -300,13 +286,13 @@ func checkNoPackageState(pass *Pass, fd *ast.FuncDecl) {
 		if !ok || v.Parent() != pass.Pkg.Scope() {
 			return true
 		}
-		pass.Reportf(id.Pos(), "%s touches package-level variable %s; shard-concurrent Observe/Merge must work on receiver state only", name, id.Name)
+		pass.Reportf(id.Pos(), "%s touches package-level variable %s; Observe must fold the records alone into receiver state, so a replay folds the same", name, id.Name)
 		return true
 	})
 }
 
 // checkSortedQueries walks every method of the aggregator other than
-// Observe and Merge, plus whatever methods of the same type those call,
+// Observe, plus whatever methods of the same type those call,
 // flagging map ranges that are neither key-collection loops nor pure
 // scalar reductions.
 func checkSortedQueries(pass *Pass, agg *aggType) {
@@ -317,7 +303,7 @@ func checkSortedQueries(pass *Pass, agg *aggType) {
 		if fn, ok := pass.Info.Defs[m.Name].(*types.Func); ok {
 			decls[fn] = m
 		}
-		if m != agg.observe && m != agg.merge {
+		if m != agg.observe {
 			visited[m] = true
 			queue = append(queue, m)
 		}

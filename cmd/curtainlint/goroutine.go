@@ -86,7 +86,9 @@ func spawnedBody(pass *Pass, gs *ast.GoStmt, decls map[types.Object]*ast.FuncDec
 		return fun.Body
 	default:
 		if fn := calleeFunc(pass.Info, gs.Call); fn != nil {
-			if fd, ok := decls[fn]; ok {
+			// A method of a generic type is called through its
+			// instantiation; the declaration belongs to its origin.
+			if fd, ok := decls[fn.Origin()]; ok {
 				return fd.Body
 			}
 		}

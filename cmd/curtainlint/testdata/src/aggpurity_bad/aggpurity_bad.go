@@ -1,7 +1,7 @@
 // Package fixture violates the aggregator contract three ways: it
 // retains references reachable from the scanned record, it touches
-// package-level state in Observe/Merge, and its query methods iterate
-// maps in randomized order.
+// package-level state in Observe, and its query methods iterate maps in
+// randomized order.
 package fixture
 
 // Record stands in for a scanned dataset record; the streaming pass
@@ -24,13 +24,6 @@ func (a *badAgg) Observe(r *Record) {
 	a.addrs = r.Addrs
 	total++
 	a.seen[r.Name]++
-}
-
-func (a *badAgg) Merge(other *badAgg) {
-	a.addrs = other.addrs
-	for k, v := range other.seen {
-		a.seen[k] += v
-	}
 }
 
 func (a *badAgg) Result() any {

@@ -1,9 +1,9 @@
 // Package fixture follows the aggregator contract: values copied out of
 // the record, no package state, and Result iterating via sorted keys —
 // plus the two sanctioned exemptions (key-collection loops and integer
-// scalar reductions). Result also calls a Merge that belongs to another
-// type: that must not put goodAgg's own Merge, with its unordered map
-// range, on the query path.
+// scalar reductions). Observe ranges a map in any order, which is fine on
+// the feed path, and Result calls an Observe that belongs to another
+// type: that must not put goodAgg's own Observe on the query path.
 package fixture
 
 import "sort"
@@ -14,15 +14,16 @@ type Record struct {
 	Addrs []string
 }
 
-// tally is a foreign type with a Merge of its own.
+// tally is a foreign type with an Observe of its own.
 type tally struct{ n int }
 
-func (t *tally) Merge(o *tally) { t.n += o.n }
+func (t *tally) Observe(n int) { t.n += n }
 
 type goodAgg struct {
 	count int
 	names []string
 	seen  map[string]int
+	aged  map[string]int
 	extra tally
 }
 
@@ -30,15 +31,10 @@ func (a *goodAgg) Observe(r *Record) {
 	a.count++
 	a.names = append(a.names, r.Name)
 	a.names = append(a.names, r.Addrs...)
-	a.seen[r.Name]++
-}
-
-func (a *goodAgg) Merge(other *goodAgg) {
-	a.count += other.count
-	a.names = append(a.names, other.names...)
-	for k, v := range other.seen {
-		a.seen[k] += v
+	for k := range a.seen {
+		a.aged[k]++
 	}
+	a.seen[r.Name]++
 }
 
 func (a *goodAgg) Result() any {
@@ -57,6 +53,6 @@ func (a *goodAgg) Result() any {
 	}
 	_ = total
 	var sum tally
-	sum.Merge(&a.extra)
+	sum.Observe(a.extra.n)
 	return out
 }

@@ -1,8 +1,10 @@
-// Package fixture is an aggregator in the typed-Suite shape: Observe and
-// a typed Merge, no Result method, queries answered by ordinary methods.
-// Every one of those is on the query path, called from this package or
-// not, and so is Merge once a query method calls it.
+// Package fixture is an aggregator in the typed-Suite shape: Observe, no
+// Result method, queries answered by ordinary methods. Every one of those
+// is on the query path, called from this package or not, and so is
+// Observe once a query method calls it.
 package fixture
+
+import "maps"
 
 // Record stands in for a scanned dataset record.
 type Record struct {
@@ -16,14 +18,11 @@ type pingAgg struct {
 }
 
 func (p *pingAgg) Observe(r *Record) {
+	for k := range p.sums {
+		p.sums[k] *= 0.9
+	}
 	p.sums[r.Name] += r.RTT
 	p.attempts[r.Name]++
-}
-
-func (p *pingAgg) Merge(o *pingAgg) {
-	for k, v := range o.sums {
-		p.sums[k] += v
-	}
 }
 
 // drift folds floats over an unsorted map range: the rounding follows
@@ -47,9 +46,10 @@ func (p *pingAgg) names() []string {
 	return out
 }
 
-// snapshot puts the aggregator's own Merge on the query path.
-func (p *pingAgg) snapshot() *pingAgg {
-	c := &pingAgg{sums: map[string]float64{}, attempts: map[string]int{}}
-	c.Merge(p)
-	return c
+// with puts the aggregator's own Observe on the query path: the sums one
+// more record would leave.
+func (p *pingAgg) with(r *Record) map[string]float64 {
+	c := &pingAgg{sums: maps.Clone(p.sums), attempts: maps.Clone(p.attempts)}
+	c.Observe(r)
+	return c.sums
 }

@@ -1,6 +1,6 @@
 // Package fixture is a Result-less aggregator whose query methods walk
-// maps via sorted keys. Its own Merge ranges a map in any order — fine
-// on the feed path — and a query method calling Merge on a field of
+// maps via sorted keys. Its own Observe ranges a map in any order — fine
+// on the feed path — and a query method calling Observe on a field of
 // another type does not drag it onto the query path.
 package fixture
 
@@ -12,33 +12,27 @@ type Record struct {
 	RTT  float64
 }
 
-// sample is a foreign type that happens to have a Merge of its own.
+// sample is a foreign type that happens to have an Observe of its own.
 type sample struct{ xs []float64 }
 
-func (s *sample) Merge(o *sample) { s.xs = append(s.xs, o.xs...) }
+func (s *sample) Observe(x float64) { s.xs = append(s.xs, x) }
 
 type pingAgg struct {
 	samples map[string]*sample
+	decayed map[string]float64
 }
 
 func (p *pingAgg) Observe(r *Record) {
+	for k := range p.decayed {
+		p.decayed[k] *= 0.9
+	}
+	p.decayed[r.Name] += r.RTT
 	s := p.samples[r.Name]
 	if s == nil {
 		s = &sample{}
 		p.samples[r.Name] = s
 	}
-	s.xs = append(s.xs, r.RTT)
-}
-
-func (p *pingAgg) Merge(o *pingAgg) {
-	for k, s := range o.samples {
-		d := p.samples[k]
-		if d == nil {
-			d = &sample{}
-			p.samples[k] = d
-		}
-		d.Merge(s)
-	}
+	s.Observe(r.RTT)
 }
 
 // copies returns fresh per-name copies, built in sorted name order.
@@ -51,7 +45,9 @@ func (p *pingAgg) copies() map[string]*sample {
 	out := make(map[string]*sample, len(names))
 	for _, k := range names {
 		c := &sample{}
-		c.Merge(p.samples[k])
+		for _, x := range p.samples[k].xs {
+			c.Observe(x)
+		}
 		out[k] = c
 	}
 	return out

@@ -78,3 +78,20 @@ func (p *pinger) Ping(buf []byte) error {
 	_, err := p.conn.Write(buf)
 	return err
 }
+
+// pool is generic: its go statement calls a method through the type's
+// instantiation, whose body is still this package's to check.
+type pool[T any] struct {
+	wg  sync.WaitGroup
+	out chan T
+}
+
+func (p *pool[T]) Start(v T) {
+	p.wg.Add(1)
+	go p.send(v)
+}
+
+func (p *pool[T]) send(v T) {
+	defer p.wg.Done()
+	p.out <- v
+}

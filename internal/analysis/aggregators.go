@@ -16,14 +16,11 @@ import (
 )
 
 // This file ports every slice metric to a streaming aggregator: a type
-// with Observe(*dataset.Experiment) and a typed Merge, instantiated once
-// per carrier (carrierAggs, at the end of the file). Each aggregator
-// holds only reduced state (sets, counters, integer sums, metric
-// samples) — never experiments — so a full analysis run is one dataset
-// pass in memory bounded by metric cardinality, not corpus size. Merge
-// implementations are non-consuming deep merges: the receiver owns all
-// of its containers afterwards and the argument is left untouched, so
-// shard instances stay independently usable.
+// with Observe(*dataset.Experiment), instantiated once per carrier
+// (carrierAggs, at the end of the file). Each aggregator holds only
+// reduced state (sets, counters, integer sums, metric samples) — never
+// experiments — so a full analysis run is one dataset pass in memory
+// bounded by metric cardinality, not corpus size.
 
 // kindIndex gives the three resolver kinds dense indices (the order of
 // dataset.Kinds) for fixed-size per-observation records. Any other kind
@@ -57,14 +54,6 @@ func entry[K comparable, V any](m map[K]*V, k K) *V {
 		m[k] = v
 	}
 	return v
-}
-
-// mergeSamples folds src's samples into dst's key by key; dst ends up
-// owning every sample it holds.
-func mergeSamples[K comparable](dst, src map[K]*stats.Sample) {
-	for k, s := range src {
-		entry(dst, k).Merge(s)
-	}
 }
 
 // sortedKeys returns m's keys in ascending cmp order — how the query
@@ -106,12 +95,6 @@ func newPairsAgg() *pairsAgg { return &pairsAgg{counts: map[pairKey]int{}} }
 func (p *pairsAgg) Observe(e *dataset.Experiment) {
 	if external, ok := e.DiscoveredExternal(dataset.KindLocal); ok {
 		p.counts[pairKey{e.ClientID, e.Configured, external}]++
-	}
-}
-
-func (p *pairsAgg) Merge(o *pairsAgg) {
-	for k, n := range o.counts {
-		p.counts[k] += n
 	}
 }
 
@@ -205,12 +188,6 @@ func (ra *resolutionsAgg) Observe(e *dataset.Experiment) {
 		entry(ra.second, k).AddDuration(r.RTT2)
 		entry(ra.missDiff, kindDomain{r.Kind, r.Domain}).AddDuration(r.RTT1 - r.RTT2)
 	}
-}
-
-func (ra *resolutionsAgg) Merge(o *resolutionsAgg) {
-	mergeSamples(ra.first, o.first)
-	mergeSamples(ra.second, o.second)
-	mergeSamples(ra.missDiff, o.missDiff)
 }
 
 // addFirst merges this aggregator's first-lookup observations for one
@@ -307,16 +284,6 @@ func (p *pingsAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (p *pingsAgg) Merge(o *pingsAgg) {
-	mergeSamples(p.samples, o.samples)
-	for k, n := range o.attempts {
-		p.attempts[k] += n
-	}
-	for k, n := range o.answered {
-		p.answered[k] += n
-	}
-}
-
 // pings answers under the printed "<kind>/<which>" names, walked in name
 // order.
 func (p *pingsAgg) pings() (map[string]*stats.Sample, map[string]float64) {
@@ -338,28 +305,22 @@ func comparePingNames(a, b pingKey) int { return strings.Compare(a.String(), b.S
 // inflationAgg: Fig 2 replica TTFB inflation.
 
 // interner numbers the distinct keys it is shown, in first-seen order.
-type interner[K comparable] struct {
-	ids  map[K]int32
-	keys []K // by number
-}
-
-func newInterner[K comparable]() interner[K] { return interner[K]{ids: map[K]int32{}} }
+type interner[K comparable] map[K]int32
 
 // id returns k's number, giving k the next one on first sight.
-func (in *interner[K]) id(k K) int32 {
-	if id, ok := in.ids[k]; ok {
+func (in interner[K]) id(k K) int32 {
+	if id, ok := in[k]; ok {
 		return id
 	}
-	id := int32(len(in.keys))
-	in.ids[k] = id
-	in.keys = append(in.keys, k)
+	id := int32(len(in))
+	in[k] = id
 	return id
 }
 
 // replicaSum accumulates one client's TTFBs of one replica of one domain,
 // both by their interned numbers. The sum stays in integer nanoseconds, so
-// accumulation order (serial, shard-merged, any grouping) can never shift
-// a rounding: the only float operations happen once, at mean time.
+// accumulation order can never shift a rounding: the only float
+// operations happen once, at mean time.
 type replicaSum struct {
 	domain, replica int32
 	sumNs, n        int64
@@ -402,9 +363,9 @@ type inflationAgg struct {
 
 func newInflationAgg() *inflationAgg {
 	return &inflationAgg{
-		clients:  newInterner[string](),
-		domains:  newInterner[string](),
-		replicas: newInterner[netip.Addr](),
+		clients:  interner[string]{},
+		domains:  interner[string]{},
+		replicas: interner[netip.Addr]{},
 	}
 }
 
@@ -447,20 +408,6 @@ func (ia *inflationAgg) Observe(e *dataset.Experiment) {
 	ia.runs[c] = run
 }
 
-// Merge translates o's numbers into the receiver's through o's keys.
-func (ia *inflationAgg) Merge(o *inflationAgg) {
-	for oc, orun := range o.runs {
-		c := ia.run(o.clients.keys[oc], len(orun))
-		run := ia.runs[c]
-		for _, s := range orun {
-			s.domain = ia.domains.id(o.domains.keys[s.domain])
-			s.replica = ia.replicas.id(o.replicas.keys[s.replica])
-			run = addReplicaSum(run, s)
-		}
-		ia.runs[c] = run
-	}
-}
-
 // sample converts the runs into the Fig 2 sample: each replica's percent
 // increase in mean TTFB over the best replica the client saw for the same
 // domain (domain == "" takes every domain). It walks clients by number
@@ -471,7 +418,7 @@ func (ia *inflationAgg) sample(domain string) *stats.Sample {
 	out := &stats.Sample{}
 	want := int32(-1)
 	if domain != "" {
-		d, ok := ia.domains.ids[domain]
+		d, ok := ia.domains[domain]
 		if !ok {
 			return out
 		}
@@ -559,22 +506,6 @@ func (va *vectorsAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (va *vectorsAgg) Merge(o *vectorsAgg) {
-	for k, m := range o.counts {
-		dst := va.counts[k]
-		if dst == nil {
-			dst = make(map[netip.Prefix]float64, len(m))
-			va.counts[k] = dst
-		}
-		for cluster, n := range m {
-			dst[cluster] += n
-		}
-	}
-	for k, n := range o.obs {
-		va.obs[k] += n
-	}
-}
-
 func (va *vectorsAgg) vectors(domain string, minObs int) map[netip.Addr]map[string]float64 {
 	counts := map[netip.Addr]map[string]float64{}
 	obs := map[netip.Addr]int{}
@@ -625,21 +556,6 @@ func (xa *externalsAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (xa *externalsAgg) Merge(o *externalsAgg) {
-	for kind, set := range o.ips {
-		if xa.ips[kind] == nil {
-			xa.ips[kind] = map[netip.Addr]bool{}
-		}
-		maps.Copy(xa.ips[kind], set)
-	}
-	for kind, set := range o.p24 {
-		if xa.p24[kind] == nil {
-			xa.p24[kind] = map[netip.Prefix]bool{}
-		}
-		maps.Copy(xa.p24[kind], set)
-	}
-}
-
 func (xa *externalsAgg) unique(kind dataset.ResolverKind) (ips, slash24s int) {
 	return len(xa.ips[kind]), len(xa.p24[kind])
 }
@@ -676,15 +592,6 @@ func (ca *churnAgg) Observe(e *dataset.Experiment) {
 		o.ext[i], o.ok[i] = e.DiscoveredExternal(kind)
 	}
 	ca.obs[e.ClientID] = append(ca.obs[e.ClientID], o)
-}
-
-func (ca *churnAgg) Merge(o *churnAgg) {
-	for id, n := range o.counts {
-		ca.counts[id] += n
-	}
-	for id, obs := range o.obs {
-		ca.obs[id] = append(ca.obs[id], obs...)
-	}
 }
 
 // clientIDs returns the observed clients, sorted.
@@ -772,12 +679,6 @@ func (ea *egressAgg) Observe(e *dataset.Experiment) {
 	}
 }
 
-func (ea *egressAgg) Merge(o *egressAgg) {
-	for a, n := range o.pts {
-		ea.pts[a] += n
-	}
-}
-
 func (ea *egressAgg) points() map[netip.Addr]int { return maps.Clone(ea.pts) }
 
 // ---------------------------------------------------------------------
@@ -853,19 +754,6 @@ func (aa *availabilityAgg) timelineBuckets(kind dataset.ResolverKind) []Availabi
 	return tl
 }
 
-func (aa *availabilityAgg) Merge(o *availabilityAgg) {
-	for kind, a := range o.perKind {
-		entry(aa.perKind, kind).add(*a)
-	}
-	for kind, byServer := range o.perResolver {
-		addResolverCounters(aa.serverCounters(kind), byServer)
-	}
-	mergeSamples(aa.cost, o.cost)
-	for kind, tl := range o.timeline {
-		addTimelineBuckets(aa.timelineBuckets(kind), tl)
-	}
-}
-
 // addResolverCounters folds src's per-server counters into dst's, in
 // server address order.
 func addResolverCounters(dst, src map[netip.Addr]*Availability) {
@@ -921,8 +809,7 @@ func (aa *availabilityAgg) addTimeline(dst []AvailabilityBucket, kind dataset.Re
 // order. Every float stays within the experiment and is summed in the
 // slice path's order (a cell's TTFBs in probe order, a mean's cells in
 // /24 order), so the values are bit-identical to addRelativePerf's. The
-// scratch is rewritten by every Observe and is no part of the aggregate:
-// Merge ignores it.
+// scratch is rewritten by every Observe and is no part of the aggregate.
 
 // relCell sums the TTFBs (ms) of one (domain, kind)'s probes in one /24.
 type relCell struct {
@@ -1040,12 +927,6 @@ func relMean(cells []relCell) float64 {
 	return sum / n
 }
 
-func (rp *relPerfAgg) Merge(o *relPerfAgg) {
-	for k := range rp.samples {
-		rp.samples[k].Merge(&o.samples[k])
-	}
-}
-
 func (rp *relPerfAgg) addSample(out *stats.Sample, kind dataset.ResolverKind) {
 	if k, known := kindIndex(kind); known {
 		out.Merge(&rp.samples[k])
@@ -1104,18 +985,4 @@ func (c *carrierAggs) Observe(e *dataset.Experiment) {
 	c.egress.Observe(e)
 	c.availability.Observe(e)
 	c.relPerf.Observe(e)
-}
-
-func (c *carrierAggs) Merge(o *carrierAggs) {
-	c.count += o.count
-	c.pairs.Merge(o.pairs)
-	c.resolutions.Merge(o.resolutions)
-	c.pings.Merge(o.pings)
-	c.inflation.Merge(o.inflation)
-	c.vectors.Merge(o.vectors)
-	c.externals.Merge(o.externals)
-	c.churn.Merge(o.churn)
-	c.egress.Merge(o.egress)
-	c.availability.Merge(o.availability)
-	c.relPerf.Merge(o.relPerf)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/raceflag"
 )
 
 // allocProbeExperiment returns a generated experiment every aggregator
@@ -38,7 +39,7 @@ func allocProbeExperiment(t *testing.T) *dataset.Experiment {
 // client's entries: its churn series, its inflation run, its name in
 // the maps keyed by client, and those maps' amortized growth.
 func TestSuiteObserveAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets run without -race")
 	}
 	e := allocProbeExperiment(t)

@@ -233,9 +233,8 @@ func ResolverPings(exps []*dataset.Experiment) (samples map[string]*stats.Sample
 }
 
 // inflationAcc accumulates one replica's TTFB observations. The sum is
-// kept in the integer nanosecond domain so accumulation order — serial,
-// shard-merged, any grouping — can never shift a rounding: the only
-// float operations happen once, at mean time.
+// kept in the integer nanosecond domain so accumulation order can never
+// shift a rounding: the only float operations happen once, at mean time.
 type inflationAcc struct {
 	replica netip.Addr
 	sumNs   int64
@@ -560,8 +559,8 @@ func RelativeReplicaPerf(exps []*dataset.Experiment, kind dataset.ResolverKind) 
 
 // addRelativePerf appends one experiment's Fig 14 comparisons to out.
 // Every float in the computation stays within the experiment, so the
-// streamed values are bit-identical to the slice path regardless of how
-// experiments are sharded. Domains are visited in sorted order because
+// streamed values are bit-identical to the slice path however the
+// experiments are grouped. Domains are visited in sorted order because
 // the appended values are order-sensitive in the raw sample.
 func addRelativePerf(e *dataset.Experiment, kind dataset.ResolverKind, out *stats.Sample) {
 	perf := map[dataset.ResolverKind]map[string]map[netip.Prefix][2]float64{}

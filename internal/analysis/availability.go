@@ -184,7 +184,7 @@ func newTimelineBuckets(start, end time.Time, bucket time.Duration) []Availabili
 }
 
 // add folds another availability's counters into the receiver — the
-// shard/scope reduction step; counters are exact so order never matters.
+// scope reduction step; counters are exact so order never matters.
 func (a *Availability) add(b Availability) {
 	a.Total += b.Total
 	a.OK += b.OK

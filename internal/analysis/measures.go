@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cellcurtain/internal/dataset"
@@ -109,23 +108,18 @@ func SliceScanner(exps []*dataset.Experiment) Scanner {
 // experiments feeds every aggregator of the experiment's carrier, and
 // the metric methods answer from that reduced state without touching the
 // dataset again. A Suite that was never fed answers like an empty
-// dataset.
-//
-// The contract that makes a sharded pass byte-identical to a serial one:
-// shards are contiguous ranges of the dataset in its canonical (seq)
-// order, each shard feeds its own Suite, and the shard Suites are merged
-// in shard index order. An aggregator whose Merge appends the other
-// side's observations after its own therefore sees exactly the serial
-// observation order; counter-valued aggregators are order-free by
-// construction.
+// dataset. It is fed on one goroutine, in dataset order: a scan that
+// decodes on every core still hands its records over in stream order
+// (dataset.ScanFunc), so the fold and every sample's observation order
+// are the serial pass's whatever the core count.
 type Suite struct {
 	cfg       SuiteConfig
 	byCarrier map[string]*carrierAggs
 	passes    int
 }
 
-// NewSuite builds an empty Suite. Drive it with Run/RunShards/Observe,
-// then query.
+// NewSuite builds an empty Suite. Drive it with Run or Observe, then
+// query.
 func NewSuite(cfg SuiteConfig) *Suite {
 	return &Suite{cfg: cfg, byCarrier: map[string]*carrierAggs{}}
 }
@@ -161,50 +155,8 @@ func (s *Suite) Run(scan Scanner) error {
 	})
 }
 
-// RunShards runs one scanner per shard concurrently, each into its own
-// fresh Suite, and merges those into the receiver in shard index order;
-// with contiguous shards the result is identical to Run, and the whole
-// sweep counts as one pass. A failed scan returns its error with nothing
-// merged.
-func (s *Suite) RunShards(shards []Scanner) error {
-	if len(shards) == 1 {
-		return s.Run(shards[0])
-	}
-	subs := make([]*Suite, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, scan := range shards {
-		subs[i] = NewSuite(s.cfg)
-		wg.Add(1)
-		go func(i int, scan Scanner) {
-			defer wg.Done()
-			errs[i] = subs[i].Run(scan)
-		}(i, scan)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	s.passes++
-	for _, sub := range subs {
-		s.merge(sub)
-	}
-	return nil
-}
-
-// merge folds o into the receiver carrier by carrier, in sorted order. A
-// carrier the receiver has not seen gets a fresh aggregator set of its
-// own, so the receiver never aliases o's state and o stays usable.
-func (s *Suite) merge(o *Suite) {
-	for _, name := range o.Carriers() {
-		s.carrier(name).Merge(o.byCarrier[name])
-	}
-}
-
 // Passes returns how many dataset passes fed the Suite — the one-pass
-// guarantee's probe. A RunShards sweep counts as one pass.
+// guarantee's probe.
 func (s *Suite) Passes() int { return s.passes }
 
 // scoped resolves a scope list to aggregator sets: the named carriers in

@@ -337,125 +337,14 @@ func TestSuiteDirectFeed(t *testing.T) {
 	}
 }
 
-// shardSuite splits exps at the given ascending offsets (a repeated
-// offset is an empty shard) and runs the pieces through RunShards.
-func shardSuite(t *testing.T, cfg SuiteConfig, exps []*dataset.Experiment, cuts ...int) *Suite {
-	t.Helper()
-	var scanners []Scanner
-	lo := 0
-	for _, hi := range append(cuts, len(exps)) {
-		scanners = append(scanners, SliceScanner(exps[lo:hi]))
-		lo = hi
-	}
-	sharded := NewSuite(cfg)
-	if err := sharded.RunShards(scanners); err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Passes() != 1 {
-		t.Fatalf("sharded sweep must count as one pass, got %d", sharded.Passes())
-	}
-	return sharded
-}
-
-// TestSuiteShardEquivalence runs the same dataset through shard-split
-// suites and requires exact agreement with the serial suite at every
-// shard count the CLI exposes, and on lopsided and empty shards.
-func TestSuiteShardEquivalence(t *testing.T) {
-	ds := genDataset(7, 300)
-	cfg := testSuiteConfig()
-	serial := NewSuite(cfg)
-	if err := serial.Run(SliceScanner(ds.Experiments)); err != nil {
-		t.Fatal(err)
-	}
-	for _, nshards := range []int{1, 2, 4, 8} {
-		var cuts []int
-		for i := 1; i < nshards; i++ {
-			cuts = append(cuts, len(ds.Experiments)*i/nshards)
-		}
-		sharded := shardSuite(t, cfg, ds.Experiments, cuts...)
-		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
-			compareMeasures(t, sharded, serial)
-		})
-	}
-
-	// 31 experiments: a one-experiment head, a one-experiment tail (shards
-	// that never see most carriers) and a shard with nothing in it.
-	small := ds.Experiments[:31]
-	serialSmall := NewSuite(cfg)
-	if err := serialSmall.Run(SliceScanner(small)); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		cuts []int
-	}{{"cut=1of31", []int{1}}, {"cut=10of31", []int{10}}, {"cut=30of31", []int{30}}, {"empty-shard", []int{10, 10}}} {
-		sharded := shardSuite(t, cfg, small, c.cuts...)
-		t.Run(c.name, func(t *testing.T) {
-			compareMeasures(t, sharded, serialSmall)
-			// The merge appends shard after shard, so each client's
-			// observation series is in serial order, not merely equal as a set.
-			for _, c := range serialSmall.Carriers() {
-				if !reflect.DeepEqual(sharded.byCarrier[c].churn.obs, serialSmall.byCarrier[c].churn.obs) {
-					t.Fatalf("%s: merged observation order differs from the serial pass", c)
-				}
-			}
-		})
-	}
-}
-
-// TestSuiteScanErrorPropagates: a failing scan surfaces from Run and from
-// RunShards as the scanner's own error, and a failed sharded sweep merges
-// nothing.
+// TestSuiteScanErrorPropagates: a failing scan surfaces from Run as the
+// scanner's own error.
 func TestSuiteScanErrorPropagates(t *testing.T) {
 	boom := errors.New("scan failed")
 	failing := func(dataset.ScanFunc) error { return boom }
 	if err := NewSuite(testSuiteConfig()).Run(failing); err != boom {
 		t.Fatalf("Run err = %v, want the scan error", err)
 	}
-	exps := genDataset(3, 20).Experiments
-	suite := NewSuite(testSuiteConfig())
-	err := suite.RunShards([]Scanner{SliceScanner(exps[:10]), failing, SliceScanner(exps[10:])})
-	if err != boom {
-		t.Fatalf("RunShards err = %v, want the scan error", err)
-	}
-	if n := suite.ExperimentCount(); n != 0 {
-		t.Fatalf("failed sweep merged %d experiments", n)
-	}
-}
-
-// TestSuiteMergeNoAliasing: merge builds the receiver's state out of
-// containers the receiver owns — including for a carrier only the other
-// side has seen — so the merged Suite does not move when the shard keeps
-// accumulating, and the shard stays a correct Suite of its own.
-func TestSuiteMergeNoAliasing(t *testing.T) {
-	cfg := testSuiteConfig()
-	all := genDataset(11, 120).Experiments
-	var head []*dataset.Experiment // no verizon: merge must create it in a
-	for _, e := range all[:40] {
-		if e.Carrier != "verizon" {
-			head = append(head, e)
-		}
-	}
-	mid, tail := all[40:80], all[80:]
-	feed := func(groups ...[]*dataset.Experiment) *Suite {
-		s := NewSuite(cfg)
-		for _, g := range groups {
-			for _, e := range g {
-				s.Observe(e)
-			}
-		}
-		return s
-	}
-
-	a, b := feed(head), feed(mid)
-	a.merge(b)
-	compareMeasures(t, a, feed(head, mid))
-
-	for _, e := range tail {
-		b.Observe(e)
-	}
-	compareMeasures(t, a, feed(head, mid)) // a did not adopt b's containers
-	compareMeasures(t, b, feed(mid, tail)) // b kept working after the merge
 }
 
 // TestSuiteEmpty checks the streaming path degrades like the slice path

@@ -760,10 +760,10 @@ type segHeader struct {
 const maxSegHeader = len(segMagic) + 1 + 3*binary.MaxVarintLen64
 
 // parseSegHeader decodes the segment header at the front of b and returns
-// its encoded length. It is the only header parser: the stream scanner,
-// the shard index and, through walkStream, the slice decoder and
-// Checkpoint.AppendSegment all go through it. A b that ends before the header does is errTorn — a torn
-// tail to the callers that tolerate one.
+// its encoded length. It is the only header parser: the stream scanner
+// and, through walkStream, the slice decoder and Checkpoint.AppendSegment
+// all go through it. A b that ends before the header does is errTorn — a
+// torn tail to the callers that tolerate one.
 func parseSegHeader(b []byte) (segHeader, int, error) {
 	var h segHeader
 	if len(b) <= len(segMagic) {
@@ -956,7 +956,7 @@ func (c *countReader) Read(p []byte) (int, error) {
 // count returned; otherwise it is an error. Corruption inside a
 // complete segment is always an error.
 func scanBinary(cr *countReader, br *bufio.Reader, tolerateTorn bool, fn ScanFunc) (int, error) {
-	at, torn, err := scanSegments(cr, br, math.MaxInt64, runtime.GOMAXPROCS(0), fn)
+	at, torn, err := scanSegments(cr, br, fn)
 	switch {
 	case err != errTorn:
 		return 0, err
@@ -966,209 +966,75 @@ func scanBinary(cr *countReader, br *bufio.Reader, tolerateTorn bool, fn ScanFun
 	return 0, fmt.Errorf("dataset: curtainbin: truncated segment at byte %d", at)
 }
 
-// batchRecords is how many decoded records travel to the scanning
-// goroutine in one hand-off: enough to amortise the hand-off, few enough
-// that a segment waiting its turn holds little beyond its buffers.
-const batchRecords = 8
-
-// recordBatch travels by value, so a hand-off allocates nothing and the
-// decoder can refill its own copy as soon as the scanner has taken it.
-type recordBatch struct {
-	n    int
-	recs [batchRecords]*Experiment
-}
-
-// segJob is one segment in flight: its decoder sends the segment's records
-// on out, a batch at a time, and closes out after the last with err set to
-// how decoding ended.
-type segJob struct {
-	out chan recordBatch
-	err error
-}
-
-// errStopped ends the decode of a segment whose scan has stopped.
-var errStopped = errors.New("dataset: curtainbin: scan stopped")
-
 // storedBufs recycles the buffer a file scan reads stored payloads into.
 var storedBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// binPipeline is one file scan in flight (DESIGN.md §15). A reader
-// goroutine takes segments off the stream in order and inflates each into
-// an idle pooled segDecoder; the segment's records are decoded on a
-// goroutine of its own; the scanning goroutine takes them in stream order.
-// A decoder is the token that admits a segment: the reader waits for an
-// idle one before inflating into it, so the work in flight is bounded by
-// the number of decoders, never by a header field. The reader's one
-// stored-payload buffer is spent once the segment is inflated.
-type binPipeline struct {
-	cr     *countReader
-	br     *bufio.Reader
-	end    int64   // the stream offset the scan stops at: a shard's End
-	stored *[]byte // the reader's stored-payload buffer, from storedBufs
-	idle   chan *segDecoder
-	jobs   chan *segJob
-	stop   chan struct{}
-	wg     sync.WaitGroup
-
-	// How the stream ended, set by the reader before it closes jobs:
-	// errTorn with the offset and size of the torn segment, a read,
-	// header or inflate error, or nil.
-	err    error
-	tornAt int64
-	torn   int
+// segSlot is a curtainbin scan's decoder token: a pooled segDecoder and
+// the segment the reader last inflated into it.
+type segSlot struct {
+	dec *segDecoder
+	h   segHeader
+	raw []byte
 }
 
-// scanSegments streams the records of the segments br reads, up to stream
-// offset end, decoding up to decoders segments at once. fn runs on the
-// calling goroutine, in stream order, and its error comes back unwrapped;
-// so does a segment's decode error, after the records decoded before it.
-// A stream that ends inside a segment returns errTorn with the segment's
-// offset and the number of bytes read from it. scanSegments returns only
-// after every goroutine it started has exited.
-func scanSegments(cr *countReader, br *bufio.Reader, end int64, decoders int, fn ScanFunc) (int64, int, error) {
-	p := &binPipeline{
-		cr: cr, br: br, end: end,
-		idle: make(chan *segDecoder, decoders), // a semaphore
-		// One job per decoder: a queued job keeps its decoder busy until
-		// the scanner takes its records, so only jobs that yield none can
-		// fill the queue.
-		jobs:   make(chan *segJob, decoders),
-		stop:   make(chan struct{}),
-		stored: storedBufs.Get().(*[]byte),
-	}
-	for range decoders {
-		p.idle <- segDecoders.Get().(*segDecoder)
-	}
-	p.wg.Add(1)
-	go p.read()
-	defer p.shutdown()
-	if err := p.yield(fn); err != nil {
-		return 0, 0, err
-	}
-	return p.tornAt, p.torn, p.err
-}
+func (s *segSlot) records(fn ScanFunc) error { return s.dec.records(s.h, s.raw, fn) }
 
-// shutdown stops whatever is still running, waits for every goroutine the
-// scan started and recycles its decoders and buffer.
-func (p *binPipeline) shutdown() {
-	close(p.stop)
-	p.wg.Wait()
-	for range cap(p.idle) {
-		segDecoders.Put(<-p.idle)
+// scanSegments streams the records of the segments br reads through the
+// scan pipeline, decoding up to GOMAXPROCS segments at once. The reader
+// inflates each segment into an idle pooled segDecoder; its one
+// stored-payload buffer is spent once the segment is inflated. A stream
+// that ends inside a segment returns errTorn with the segment's offset
+// and the number of bytes read from it.
+func scanSegments(cr *countReader, br *bufio.Reader, fn ScanFunc) (int64, int, error) {
+	slots := make([]*segSlot, runtime.GOMAXPROCS(0))
+	for i := range slots {
+		slots[i] = &segSlot{dec: segDecoders.Get().(*segDecoder)}
 	}
-	storedBufs.Put(p.stored)
-}
-
-// yield hands fn the records of every job in order. It stops at fn's
-// error or at the first segment that fails to decode, and returns that
-// error.
-func (p *binPipeline) yield(fn ScanFunc) error {
-	for job := range p.jobs {
-		for b := range job.out {
-			for _, e := range b.recs[:b.n] {
-				if err := fn(e); err != nil {
-					return err
+	stored := storedBufs.Get().(*[]byte)
+	// consumed is the stream offset of the reader: bytes taken from the
+	// underlying reader minus what still sits in the bufio buffer.
+	consumed := func() int64 { return cr.n - int64(br.Buffered()) }
+	var tornAt int64
+	var torn int
+	err := runPipeline(slots, func(p *pipeline[*segSlot]) error {
+		for {
+			s, ok := p.next()
+			if !ok {
+				return nil
+			}
+			segStart := consumed()
+			h, st, err := readSegment(br, (*stored)[:0])
+			*stored = st[:0]
+			var raw []byte
+			if err == nil {
+				raw, err = s.dec.inflate(h, st)
+			}
+			if err != nil {
+				p.release(s)
+				if err == errTorn {
+					tornAt, torn = segStart, int(consumed()-segStart)
 				}
+				if err == io.EOF {
+					return nil
+				}
+				return err
+			}
+			if h.flags&segFlagFlate == 0 {
+				// raw is the reader's buffer, which the next segment reuses.
+				s.dec.rawB = append(s.dec.rawB[:0], raw...)
+				raw = s.dec.rawB
+			}
+			s.h, s.raw = h, raw
+			if !p.start(s) {
+				return nil
 			}
 		}
-		if job.err != nil {
-			return job.err
-		}
+	}, fn)
+	for _, s := range slots {
+		segDecoders.Put(s.dec)
 	}
-	return nil
-}
-
-// stopped reports whether the scanner has stopped taking records.
-func (p *binPipeline) stopped() bool {
-	select {
-	case <-p.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// consumed reports the stream offset of the reader: bytes taken from the
-// underlying reader minus what still sits in the bufio buffer.
-func (p *binPipeline) consumed() int64 { return p.cr.n - int64(p.br.Buffered()) }
-
-// read takes segments off the stream until it ends, the scan reaches end
-// or the scanner stops, inflates each and starts its records decoding.
-func (p *binPipeline) read() {
-	defer p.wg.Done()
-	defer close(p.jobs)
-	for {
-		var dec *segDecoder
-		select {
-		case dec = <-p.idle:
-		case <-p.stop:
-			return
-		}
-		segStart := p.consumed()
-		if segStart >= p.end || p.stopped() {
-			p.idle <- dec
-			return
-		}
-		h, stored, err := readSegment(p.br, (*p.stored)[:0])
-		*p.stored = stored[:0]
-		var raw []byte
-		if err == nil {
-			raw, err = dec.inflate(h, stored)
-		}
-		if err != nil {
-			p.idle <- dec
-			if err == errTorn {
-				p.tornAt, p.torn = segStart, int(p.consumed()-segStart)
-			}
-			if err != io.EOF {
-				p.err = err
-			}
-			return
-		}
-		if h.flags&segFlagFlate == 0 {
-			// raw is the reader's buffer, which the next segment reuses.
-			dec.rawB = append(dec.rawB[:0], raw...)
-			raw = dec.rawB
-		}
-		job := &segJob{out: make(chan recordBatch)}
-		p.wg.Add(1)
-		go p.decode(dec, job, h, raw)
-		select {
-		case p.jobs <- job:
-		case <-p.stop:
-			return
-		}
-	}
-}
-
-// decode sends job the records of the segment whose raw payload dec has
-// inflated, then puts dec back among the idle.
-func (p *binPipeline) decode(dec *segDecoder, job *segJob, h segHeader, raw []byte) {
-	defer p.wg.Done()
-	var b recordBatch
-	send := func() bool {
-		select {
-		case job.out <- b:
-			b.n = 0
-			return true
-		case <-p.stop:
-			return false
-		}
-	}
-	err := dec.records(h, raw, func(e *Experiment) error {
-		b.recs[b.n] = e
-		b.n++
-		if b.n == batchRecords && !send() {
-			return errStopped
-		}
-		return nil
-	})
-	if err != errStopped && b.n > 0 {
-		send()
-	}
-	job.err = err
-	close(job.out)
-	p.idle <- dec
+	storedBufs.Put(stored)
+	return tornAt, torn, err
 }
 
 // readSegment reads the header and stored payload of the segment at the

@@ -468,10 +468,10 @@ func shortDeflateStream(tb testing.TB) []byte {
 	return append(b, bin.Bytes()[first+int(h.storedLen):]...)
 }
 
-// TestFileShardsTruncatedTrailer: a kill that tears the file inside the
-// next segment's fixed header (1-4 trailing bytes) must surface as the
-// truncation error, not a slice-bounds panic in offset discovery.
-func TestFileShardsTruncatedTrailer(t *testing.T) {
+// TestScanTruncatedTrailer: a kill that tears the file inside the next
+// segment's fixed header (1-4 trailing bytes) is a truncation error to a
+// strict scan and a torn tail of exactly those bytes to ScanTorn.
+func TestScanTruncatedTrailer(t *testing.T) {
 	d := sampleDataset(40)
 	var bin bytes.Buffer
 	if err := d.WriteBinary(&bin); err != nil {
@@ -479,12 +479,14 @@ func TestFileShardsTruncatedTrailer(t *testing.T) {
 	}
 	for extra := 1; extra <= 4; extra++ {
 		b := append(bytes.Clone(bin.Bytes()), segMagic[:extra]...)
-		path := filepath.Join(t.TempDir(), "trunc.bin")
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
+		err := Scan(bytes.NewReader(b), func(*Experiment) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "truncated segment") {
+			t.Fatalf("%d torn trailing bytes: Scan err = %v, want a truncation error", extra, err)
 		}
-		if _, err := FileShards(path, 3); err == nil {
-			t.Fatalf("%d torn trailing bytes accepted", extra)
+		n := 0
+		torn, err := ScanTorn(bytes.NewReader(b), func(*Experiment) error { n++; return nil })
+		if err != nil || torn != extra || n != d.Len() {
+			t.Fatalf("%d torn trailing bytes: ScanTorn yielded %d records, %d torn, err %v", extra, n, torn, err)
 		}
 	}
 }
@@ -547,54 +549,6 @@ func TestMarshalUnmarshalExperiments(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestBinaryFileShardsEquivalence(t *testing.T) {
-	d := sampleDataset(300)
-	var bin bytes.Buffer
-	bw := NewBinaryWriter(&bin)
-	bw.SegmentRecords = 32
-	for _, e := range d.Experiments {
-		if err := bw.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ds.bin")
-	if err := os.WriteFile(path, bin.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 3, 4, 8, 100} {
-		shards, err := FileShards(path, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(shards) > n {
-			t.Fatalf("n=%d: got %d shards", n, len(shards))
-		}
-		var seqs []int
-		for i, sh := range shards {
-			if i > 0 && sh.Start != shards[i-1].End {
-				t.Fatalf("n=%d: shard %d not contiguous", n, i)
-			}
-			if err := ScanShard(sh, func(e *Experiment) error {
-				seqs = append(seqs, e.Seq)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(seqs) != d.Len() {
-			t.Fatalf("n=%d: shards yielded %d records, want %d", n, len(seqs), d.Len())
-		}
-		for i, s := range seqs {
-			if s != i+1 {
-				t.Fatalf("n=%d: order broken at %d: seq %d", n, i, s)
-			}
-		}
-	}
 }
 
 func TestBinaryCheckpointRoundTrip(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cellcurtain/internal/dataset"
+	"cellcurtain/internal/raceflag"
 	"cellcurtain/internal/trace"
 )
 
@@ -102,7 +103,7 @@ func TestSegmentRoundTripAllocBudget(t *testing.T) {
 		budgetBytes  = 30 << 10
 		budgetAllocs = 12
 	)
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool sheds entries at random under -race")
 	}
 	batch := paperBatch(t, lease)

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 )
 
 // ScanFunc receives experiments one at a time during a streaming scan.
@@ -18,9 +20,9 @@ import (
 // keeps the chunks (64 KB each, one per kind of slice) it shares with the
 // dozen records decoded around it; a consumer that keeps a few of many
 // should copy them. fn runs on the goroutine that called the scan, one
-// record at a time in stream order; a curtainbin scan decodes on other
-// goroutines, at most one segment per decoder ahead of fn, and has
-// stopped them all by the time it returns.
+// record at a time in stream order. A scan of either codec decodes on other
+// goroutines, at most one unit (a curtainbin segment, a JSONL chunk) per
+// decoder ahead of fn, and has stopped them all by the time it returns.
 type ScanFunc func(*Experiment) error
 
 // Scan streams a dataset written by WriteJSONL or WriteBinary, yielding
@@ -65,7 +67,7 @@ func scan(r io.Reader, torn bool, fn ScanFunc) (int, error) {
 		}
 		return scanBinary(cr, br, torn, fn)
 	case !torn:
-		return 0, scanJSONL(br, fn)
+		return 0, scanJSONL(br, jsonlChunkSize, fn)
 	case bytes.HasPrefix(binMagic[:], magic):
 		return len(magic), nil // killed before the magic was whole
 	default:
@@ -73,29 +75,101 @@ func scan(r io.Reader, torn bool, fn ScanFunc) (int, error) {
 	}
 }
 
-func scanJSONL(br *bufio.Reader, fn ScanFunc) error {
-	line := 0
-	for {
-		raw, err := br.ReadBytes('\n')
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("dataset: read: %w", err)
+// jsonlChunkSize is about how many bytes of whole lines a JSONL scan
+// hands one decoder: enough lines to amortise a hand-off, few enough that
+// GOMAXPROCS chunks in flight stay a few MB.
+const jsonlChunkSize = 1 << 20
+
+// jsonlChunk is a JSONL scan's decoder token: whole lines the reader cut
+// from the stream, the file's own line number of the first, and the
+// records parsed from them.
+type jsonlChunk struct {
+	lines []byte
+	first int
+	exps  []*Experiment
+}
+
+// records parses every non-blank line of the chunk, then yields what it
+// parsed. Parsing comes first because the scanner takes a unit's records
+// a batch at a time: a decoder that parsed between hand-offs would run
+// one batch ahead of fn, not a chunk, and parsing is most of a JSONL
+// scan's work. A line that does not parse ends the chunk after the
+// records before it, reported by its line number in the file, blank
+// lines counted.
+func (c *jsonlChunk) records(fn ScanFunc) error {
+	var perr error
+	c.exps = c.exps[:0]
+	rest := c.lines
+	for line := c.first; len(rest) > 0; line++ {
+		var raw []byte
+		raw, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if len(raw) == 0 {
+			continue
 		}
-		trimmed := bytes.TrimSuffix(raw, []byte("\n"))
-		if len(trimmed) > 0 {
-			line++
-			e := new(Experiment)
-			if jerr := json.Unmarshal(trimmed, e); jerr != nil {
-				return fmt.Errorf("dataset: line %d: %w", line, jerr)
-			}
-			if ferr := fn(e); ferr != nil {
-				//lint:ignore errwrap the yield callback's error belongs to the caller unwrapped
-				return ferr
-			}
+		e := new(Experiment)
+		if err := json.Unmarshal(raw, e); err != nil {
+			perr = fmt.Errorf("dataset: line %d: %w", line, err)
+			break
 		}
-		if err == io.EOF {
-			return nil
+		c.exps = append(c.exps, e)
+	}
+	for i, e := range c.exps {
+		c.exps[i] = nil // the token is reused; it must not keep what fn was given
+		if err := fn(e); err != nil {
+			//lint:ignore errwrap the yield callback's error belongs to the caller unwrapped
+			return err
 		}
 	}
+	return perr
+}
+
+// scanJSONL streams the records of a JSONL stream through the scan
+// pipeline. The reader cuts the stream into chunks of whole lines, each
+// about chunkSize bytes (one line longer than that is a chunk of its
+// own), and up to GOMAXPROCS decoders parse them.
+func scanJSONL(br *bufio.Reader, chunkSize int, fn ScanFunc) error {
+	chunks := make([]*jsonlChunk, runtime.GOMAXPROCS(0))
+	for i := range chunks {
+		chunks[i] = new(jsonlChunk)
+	}
+	var carry []byte // what the reader read past the last chunk's final newline
+	line := 1
+	return runPipeline(chunks, func(p *pipeline[*jsonlChunk]) error {
+		for {
+			c, ok := p.next()
+			if !ok {
+				return nil
+			}
+			buf := append(c.lines[:0], carry...)
+			cut := 0 // one past buf's last newline; carry holds none
+			var err error
+			for err == nil && (cut == 0 || len(buf) < chunkSize) {
+				buf = slices.Grow(buf, scanBufSize)
+				var n int
+				n, err = br.Read(buf[len(buf) : len(buf)+scanBufSize])
+				if i := bytes.LastIndexByte(buf[len(buf):len(buf)+n], '\n'); i >= 0 {
+					cut = len(buf) + i + 1
+				}
+				buf = buf[:len(buf)+n]
+			}
+			if err == io.EOF {
+				cut = len(buf)
+			} else if err != nil {
+				p.release(c)
+				return fmt.Errorf("dataset: read: %w", err)
+			}
+			carry = append(carry[:0], buf[cut:]...)
+			c.lines, c.first = buf[:cut], line
+			line += bytes.Count(c.lines, []byte("\n"))
+			if len(c.lines) == 0 {
+				p.release(c)
+				return nil
+			}
+			if !p.start(c) || err == io.EOF {
+				return nil
+			}
+		}
+	}, fn)
 }
 
 // ScanFile streams the dataset file at path, JSONL or curtainbin
@@ -151,17 +225,6 @@ func IsCheckpointDir(path string) bool {
 	return err == nil
 }
 
-// Shard is one contiguous byte range of a dataset file, aligned so a
-// record belongs to exactly one shard: for JSONL the shard whose range
-// contains the line's first byte; for curtainbin the shards sit on exact
-// segment boundaries. Scanning every shard of FileShards in index order
-// yields exactly the records of a serial scan, in the same order.
-type Shard struct {
-	Path  string
-	Start int64 // first byte of the range (a record boundary after alignment)
-	End   int64 // one past the last byte of the range
-}
-
 // FileFormat sniffs the codec of the dataset file at path by its magic
 // bytes. Anything that does not open with the curtainbin magic —
 // including the empty file — is JSONL.
@@ -184,219 +247,4 @@ func fileFormat(f *os.File) (Format, error) {
 		return FormatBinary, nil
 	}
 	return FormatJSONL, nil
-}
-
-// FileShards splits the file at path into at most n contiguous shards.
-// For JSONL, alignment happens lazily at scan time and the returned
-// ranges are the nominal even split; for curtainbin, the split walks the
-// segment index (cheap header seeks) and lands on exact segment
-// boundaries. Fewer than n shards are returned for a file too small to
-// split (including the empty file, which yields one empty shard so
-// callers always have something to scan).
-func FileShards(path string, n int) ([]Shard, error) {
-	if n <= 0 {
-		n = 1
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: open %s: %w", path, err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: open %s: %w", path, err)
-	}
-	size := info.Size()
-	format, err := fileFormat(f)
-	if err != nil {
-		//lint:ignore errwrap fileFormat errors already name the file
-		return nil, err
-	}
-	if format == FormatBinary {
-		return binaryShards(f, path, size, n)
-	}
-	if int64(n) > size {
-		n = int(size)
-	}
-	if n <= 1 {
-		return []Shard{{Path: path, Start: 0, End: size}}, nil
-	}
-	shards := make([]Shard, 0, n)
-	for i := 0; i < n; i++ {
-		shards = append(shards, Shard{
-			Path:  path,
-			Start: size * int64(i) / int64(n),
-			End:   size * int64(i+1) / int64(n),
-		})
-	}
-	return shards, nil
-}
-
-// binaryShards walks the segment headers of a curtainbin file and groups
-// whole segments into at most n byte-balanced shards.
-func binaryShards(f *os.File, path string, size int64, n int) ([]Shard, error) {
-	offsets, err := binarySegmentOffsets(f, path, size)
-	if err != nil {
-		return nil, err
-	}
-	if len(offsets) == 0 || n <= 1 {
-		return []Shard{{Path: path, Start: 0, End: size}}, nil
-	}
-	if n > len(offsets) {
-		n = len(offsets)
-	}
-	shards := make([]Shard, 0, n)
-	start := int64(0)
-	seg := 0
-	payload := size - int64(len(binMagic))
-	for i := 0; i < n; i++ {
-		// The i-th shard ends at the first segment boundary at or past the
-		// nominal even split, so every shard holds whole segments.
-		target := int64(len(binMagic)) + payload*int64(i+1)/int64(n)
-		end := size
-		if i < n-1 {
-			for seg < len(offsets) && offsets[seg] < target {
-				seg++
-			}
-			if seg < len(offsets) {
-				end = offsets[seg]
-			}
-		}
-		if end <= start {
-			continue
-		}
-		shards = append(shards, Shard{Path: path, Start: start, End: end})
-		start = end
-	}
-	return shards, nil
-}
-
-// binarySegmentOffsets returns the byte offset of every segment in a
-// curtainbin file by reading headers and seeking over payloads.
-func binarySegmentOffsets(f *os.File, path string, size int64) ([]int64, error) {
-	var offsets []int64
-	var hbuf [maxSegHeader]byte
-	for pos := int64(len(binMagic)); pos < size; {
-		offsets = append(offsets, pos)
-		n, err := f.ReadAt(hbuf[:min(int64(len(hbuf)), size-pos)], pos)
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("dataset: read %s: %w", path, err)
-		}
-		h, hlen, err := parseSegHeader(hbuf[:n])
-		if err == nil && int64(h.storedLen) > size-pos-int64(hlen) {
-			err = errTorn
-		}
-		if err == errTorn {
-			return nil, fmt.Errorf("dataset: %s: truncated segment at byte %d", path, pos)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: corrupt segment header at byte %d: %w", path, pos, err)
-		}
-		pos += int64(hlen) + int64(h.storedLen)
-	}
-	return offsets, nil
-}
-
-// ScanShard streams the experiments whose records start inside the
-// shard's byte range. It is strict like Scan: every owned record must
-// parse. For JSONL, the line straddling the shard's start boundary
-// belongs to the previous shard and is skipped; the line straddling End
-// is read to completion because its first byte is owned. Curtainbin
-// shards from FileShards sit on exact segment boundaries, so no
-// realignment is needed.
-func ScanShard(s Shard, fn ScanFunc) error {
-	f, err := os.Open(s.Path)
-	if err != nil {
-		return fmt.Errorf("dataset: open %s: %w", s.Path, err)
-	}
-	format, ferr := fileFormat(f)
-	var serr error
-	if ferr != nil {
-		serr = ferr
-	} else if format == FormatBinary {
-		serr = scanBinaryShard(f, s, fn)
-	} else {
-		serr = scanShard(f, s, fn)
-	}
-	cerr := f.Close()
-	if serr != nil {
-		//lint:ignore errwrap shard-scan errors already name the shard file; callback errors pass through unwrapped
-		return serr
-	}
-	if cerr != nil {
-		return fmt.Errorf("dataset: close %s: %w", s.Path, cerr)
-	}
-	return nil
-}
-
-// scanBinaryShard streams the whole segments inside [Start, End). A
-// shard starting at 0 owns the file magic and skips it.
-func scanBinaryShard(f *os.File, s Shard, fn ScanFunc) error {
-	start := s.Start
-	if start < int64(len(binMagic)) {
-		start = int64(len(binMagic))
-	}
-	if start >= s.End {
-		return nil
-	}
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return fmt.Errorf("dataset: seek %s: %w", s.Path, err)
-	}
-	cr := &countReader{r: f, n: start}
-	// One decoder: the caller already scans its shards concurrently.
-	_, _, err := scanSegments(cr, bufio.NewReaderSize(cr, scanBufSize), s.End, 1, fn)
-	if err == errTorn {
-		return fmt.Errorf("dataset: %s: truncated segment in shard [%d,%d)", s.Path, s.Start, s.End)
-	}
-	//lint:ignore errwrap segment errors already carry file context; callback errors pass through unwrapped
-	return err
-}
-
-func scanShard(f *os.File, s Shard, fn ScanFunc) error {
-	pos := s.Start
-	if pos > 0 {
-		// Align to a line boundary: seek one byte back and discard through
-		// the first newline. If Start already sits on a line boundary the
-		// discarded byte is exactly that newline; otherwise the rest of a
-		// line owned by the previous shard is skipped.
-		pos--
-	}
-	if _, err := f.Seek(pos, io.SeekStart); err != nil {
-		return fmt.Errorf("dataset: seek %s: %w", s.Path, err)
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	if s.Start > 0 {
-		skipped, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			return nil // the shard starts inside the unterminated last line
-		}
-		if err != nil {
-			return fmt.Errorf("dataset: read %s: %w", s.Path, err)
-		}
-		pos += int64(len(skipped))
-	}
-	for pos < s.End {
-		raw, err := br.ReadBytes('\n')
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("dataset: read %s: %w", s.Path, err)
-		}
-		atEOF := err == io.EOF
-		lineStart := pos
-		pos += int64(len(raw))
-		trimmed := bytes.TrimSuffix(raw, []byte("\n"))
-		if len(trimmed) > 0 {
-			e := new(Experiment)
-			if jerr := json.Unmarshal(trimmed, e); jerr != nil {
-				return fmt.Errorf("dataset: %s: line at byte %d: %w", s.Path, lineStart, jerr)
-			}
-			if ferr := fn(e); ferr != nil {
-				//lint:ignore errwrap the yield callback's error belongs to the caller unwrapped
-				return ferr
-			}
-		}
-		if atEOF {
-			return nil
-		}
-	}
-	return nil
 }

@@ -2,10 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -90,51 +91,87 @@ func TestScanFileMissing(t *testing.T) {
 	}
 }
 
-func TestFileShardsCoverEverything(t *testing.T) {
-	path, d := writeSampleFile(t, 53)
-	for _, n := range []int{1, 2, 3, 4, 8, 16, 1000} {
-		shards, err := FileShards(path, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var seqs []int
-		for _, sh := range shards {
-			if err := ScanShard(sh, func(e *Experiment) error {
-				seqs = append(seqs, e.Seq)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(seqs) != d.Len() {
-			t.Fatalf("n=%d: %d experiments across shards, want %d", n, len(seqs), d.Len())
-		}
-		for i, s := range seqs {
-			if s != i+1 {
-				t.Fatalf("n=%d: shard order broken at %d: seq %d", n, i, s)
-			}
-		}
-	}
-}
-
-func TestFileShardsEmptyFile(t *testing.T) {
+// A zero-byte file is an empty JSONL dataset: it scans to nothing, with
+// no error.
+func TestScanEmptyFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.jsonl")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	shards, err := FileShards(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 {
-		t.Fatalf("empty file must yield one shard, got %d", len(shards))
-	}
 	count := 0
-	if err := ScanShard(shards[0], func(*Experiment) error { count++; return nil }); err != nil {
+	if err := ScanFile(path, func(*Experiment) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {
-		t.Fatalf("empty shard yielded %d experiments", count)
+		t.Fatalf("empty file yielded %d experiments", count)
+	}
+}
+
+// TestScanJSONLErrorNamesFileLine: a line that does not parse is named by
+// its line number in the file, blank lines counted — what an editor or
+// `sed -n Np` shows for it.
+func TestScanJSONLErrorNamesFileLine(t *testing.T) {
+	var b bytes.Buffer
+	if err := (&Dataset{Experiments: []*Experiment{sampleExperiment(1, "att")}}).WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("\n\n{\"seq\": broken}\n")
+	err := Scan(bytes.NewReader(b.Bytes()), func(*Experiment) error { return nil })
+	if err == nil || !strings.HasPrefix(err.Error(), "dataset: line 4: ") {
+		t.Fatalf("bad record on line 4 after two blank lines: err = %v, want it to start %q", err, "dataset: line 4: ")
+	}
+}
+
+// TestScanJSONLEdgeCases runs the real chunk size over the line shapes a
+// chunk cut must not break: blank lines (leading, doubled, trailing), a
+// line longer than a whole chunk, and a last line with no newline.
+func TestScanJSONLEdgeCases(t *testing.T) {
+	d := sampleDataset(6)
+	long := d.Experiments[2]
+	long.FailReason = strings.Repeat("x", jsonlChunkSize+jsonlChunkSize/2)
+	var b bytes.Buffer
+	b.WriteString("\n")
+	for i, e := range d.Experiments {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		if i < len(d.Experiments)-1 {
+			b.WriteString("\n\n")
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"no final newline", b.Bytes()},
+		{"final newline and a blank line", append(bytes.Clone(b.Bytes()), "\n\n"...)},
+	} {
+		var got []*Experiment
+		if err := Scan(bytes.NewReader(tc.stream), func(e *Experiment) error {
+			got = append(got, e)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(got) != d.Len() {
+			t.Fatalf("%s: %d records, want %d", tc.name, len(got), d.Len())
+		}
+		for i, e := range got {
+			if e.Seq != i+1 || e.FailReason != d.Experiments[i].FailReason {
+				t.Fatalf("%s: record %d is seq %d with a %d-byte fail reason, want seq %d and %d bytes",
+					tc.name, i, e.Seq, len(e.FailReason), i+1, len(d.Experiments[i].FailReason))
+			}
+		}
+	}
+
+	// Lines 1, 3, 5 and 7 are blank, line 8 is the record after the long
+	// one: the long line counts as one however many chunks it spans.
+	broken := bytes.Replace(b.Bytes(), []byte(`{"seq":4,`), []byte(`{"seq":4,,`), 1)
+	err := Scan(bytes.NewReader(broken), func(*Experiment) error { return nil })
+	if err == nil || !strings.HasPrefix(err.Error(), "dataset: line 8: ") {
+		t.Fatalf("bad record after the long line: err = %v, want it to start %q", err, "dataset: line 8: ")
 	}
 }
 
@@ -209,40 +246,6 @@ func TestScanCheckpointTornTail(t *testing.T) {
 	}
 }
 
-// Property-style sweep: every shard count yields the serial scan exactly,
-// including files whose last line has no trailing newline.
-func TestShardsNoTrailingNewline(t *testing.T) {
-	path, d := writeSampleFile(t, 17)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, bytes.TrimSuffix(b, []byte("\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		shards, err := FileShards(path, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count := 0
-		for _, sh := range shards {
-			if err := ScanShard(sh, func(e *Experiment) error {
-				if e.Seq != count+1 {
-					return fmt.Errorf("order broken: seq %d at index %d", e.Seq, count)
-				}
-				count++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if count != d.Len() {
-			t.Fatalf("n=%d: %d experiments, want %d", n, count, d.Len())
-		}
-	}
-}
-
 // writeSampleFileBinary mirrors writeSampleFile for the curtainbin codec,
 // with a small segment size so even modest datasets span segments.
 func writeSampleFileBinary(t *testing.T, n int) (string, *Dataset) {
@@ -270,9 +273,10 @@ func writeSampleFileBinary(t *testing.T, n int) (string, *Dataset) {
 	return path, d
 }
 
-// TestFileShardsEdgeCases sweeps the shard-boundary corners — empty file,
-// single record, shard count far above record count — for both codecs.
-func TestFileShardsEdgeCases(t *testing.T) {
+// TestScanFewRecords: a file with fewer units than the scan has decoders
+// still yields every record in order, for both codecs.
+func TestScanFewRecords(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	cases := []struct {
 		name    string
 		records int
@@ -286,30 +290,19 @@ func TestFileShardsEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path, d := tc.write(t, tc.records)
-			for _, n := range []int{1, 2, tc.records, tc.records + 1, 64} {
-				shards, err := FileShards(path, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(shards) == 0 || len(shards) > n {
-					t.Fatalf("n=%d: got %d shards", n, len(shards))
-				}
-				var seqs []int
-				for _, sh := range shards {
-					if err := ScanShard(sh, func(e *Experiment) error {
-						seqs = append(seqs, e.Seq)
-						return nil
-					}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if len(seqs) != d.Len() {
-					t.Fatalf("n=%d: shards yielded %d records, want %d", n, len(seqs), d.Len())
-				}
-				for i, s := range seqs {
-					if s != i+1 {
-						t.Fatalf("n=%d: order broken at %d: seq %d", n, i, s)
-					}
+			var seqs []int
+			if err := ScanFile(path, func(e *Experiment) error {
+				seqs = append(seqs, e.Seq)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(seqs) != d.Len() {
+				t.Fatalf("scan yielded %d records, want %d", len(seqs), d.Len())
+			}
+			for i, s := range seqs {
+				if s != i+1 {
+					t.Fatalf("order broken at %d: seq %d", i, s)
 				}
 			}
 		})
@@ -317,8 +310,8 @@ func TestFileShardsEdgeCases(t *testing.T) {
 }
 
 // A curtainbin file holding only the magic (zero records, zero segments)
-// must shard and scan as empty, not error.
-func TestFileShardsBinaryHeaderOnly(t *testing.T) {
+// scans as empty, not as an error.
+func TestScanBinaryHeaderOnly(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewBinaryWriter(&buf).Flush(); err != nil {
 		t.Fatal(err)
@@ -327,15 +320,9 @@ func TestFileShardsBinaryHeaderOnly(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	shards, err := FileShards(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	count := 0
-	for _, sh := range shards {
-		if err := ScanShard(sh, func(*Experiment) error { count++; return nil }); err != nil {
-			t.Fatal(err)
-		}
+	if err := ScanFile(path, func(*Experiment) error { count++; return nil }); err != nil {
+		t.Fatal(err)
 	}
 	if count != 0 {
 		t.Fatalf("header-only file yielded %d experiments", count)

@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,6 +56,53 @@ func serialRecords(b []byte) ([]string, error) {
 	return got, err
 }
 
+// testChunkSize is the chunk the JSONL arms cut: a few records, so a test
+// stream of a hundred records spans dozens of chunks.
+const testChunkSize = 4 << 10
+
+// jsonlStream is a JSONL stream of n records with a blank line after
+// every seventh, so file line numbers and record numbers drift apart.
+func jsonlStream(t *testing.T, n int) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, e := range sampleDataset(n).Experiments {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+		if e.Seq%7 == 0 {
+			b.WriteByte('\n')
+		}
+	}
+	return b.Bytes()
+}
+
+// serialJSONL is the reference a JSONL scan is held to: the lines of b
+// decoded one after another, a bad one named by its 1-based line number.
+func serialJSONL(b []byte) ([]string, error) {
+	var got []string
+	for i, raw := range bytes.Split(b, []byte("\n")) {
+		if len(raw) == 0 {
+			continue
+		}
+		e := new(Experiment)
+		if err := json.Unmarshal(raw, e); err != nil {
+			return got, fmt.Errorf("dataset: line %d: %w", i+1, err)
+		}
+		got = append(got, recordKey(e))
+	}
+	return got, nil
+}
+
+// scanChunks runs the JSONL pipeline over r with testChunkSize chunks;
+// over a watchedReader, which hands out 4 KB a read, each chunk holds a
+// few records.
+func scanChunks(r io.Reader, fn ScanFunc) error {
+	return scanJSONL(bufio.NewReaderSize(r, scanBufSize), testChunkSize, fn)
+}
+
 // atGOMAXPROCS runs f as a subtest at each of 1, 2 and 8 Ps: the number
 // of segments a scan may decode at once.
 func atGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
@@ -67,13 +116,19 @@ func atGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
 
 // TestScanSerialEquivalence: whatever the stream, a scan yields exactly
 // the records, in exactly the order, and ends with exactly the error, of
-// decoding its segments one after another. A stream cut anywhere keeps
-// the records of the segments wholly before the cut and reports the rest
-// as torn; a byte flipped in a segment's header, string table or records
-// yields the records before the damage and the serial decoder's error.
+// decoding its units one after another. Curtainbin: a stream cut
+// anywhere keeps the records of the segments wholly before the cut and
+// reports the rest as torn; a byte flipped in a segment's header, string
+// table or records yields the records before the damage and the serial
+// decoder's error. JSONL: a stream cut anywhere keeps the whole lines
+// before the cut and parses or refuses the rest; a byte flipped in the
+// first, a middle or the last line of a chunk, or in a newline, yields
+// the records before it and the serial decoder's error naming the same
+// line.
 func TestScanSerialEquivalence(t *testing.T) {
 	packed, packedEnds := orderStream(t, true)
 	plain, plainEnds := orderStream(t, false)
+	stream := jsonlStream(t, 100)
 
 	var cuts []int
 	for i, end := range packedEnds {
@@ -120,6 +175,18 @@ func TestScanSerialEquivalence(t *testing.T) {
 		)
 	}
 
+	var lineCuts []int
+	for k := 0; k <= 8; k++ {
+		at := len(stream) * k / 8
+		lineCuts = append(lineCuts, at, min(at+1, len(stream)))
+	}
+	var lineFlips []int
+	for _, at := range []int{0, testChunkSize, testChunkSize + testChunkSize/2, len(stream) / 2, len(stream) - 2} {
+		start := bytes.LastIndexByte(stream[:at], '\n') + 1 // the line holding at
+		end := start + bytes.IndexByte(stream[start:], '\n')
+		lineFlips = append(lineFlips, start, (start+end)/2, end)
+	}
+
 	atGOMAXPROCS(t, func(t *testing.T) {
 		for _, c := range cuts {
 			durable := 0
@@ -163,6 +230,33 @@ func TestScanSerialEquivalence(t *testing.T) {
 					f.name, f.at, len(got), err, len(want), wantErr)
 			}
 		}
+
+		for _, c := range lineCuts {
+			want, wantErr := serialJSONL(stream[:c])
+			var got []string
+			err := scanChunks(&watchedReader{r: bytes.NewReader(stream[:c])}, func(e *Experiment) error {
+				got = append(got, recordKey(e))
+				return nil
+			})
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+				t.Fatalf("JSONL cut at %d of %d: %d records, err %v; want %d records, err %v",
+					c, len(stream), len(got), err, len(want), wantErr)
+			}
+		}
+		for _, at := range lineFlips {
+			mutated := bytes.Clone(stream)
+			mutated[at] ^= 0x5A
+			want, wantErr := serialJSONL(mutated)
+			var got []string
+			err := scanChunks(&watchedReader{r: bytes.NewReader(mutated)}, func(e *Experiment) error {
+				got = append(got, recordKey(e))
+				return nil
+			})
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+				t.Fatalf("JSONL flip at byte %d: %d records, err %v; want %d records, err %v",
+					at, len(got), err, len(want), wantErr)
+			}
+		}
 	})
 }
 
@@ -200,36 +294,51 @@ func settledGoroutines(want int) int {
 }
 
 // TestScanEarlyStop: a callback error stops the scan at once and comes
-// back unwrapped; nothing is yielded after it, and by the time Scan
-// returns nothing it started still runs or reads.
+// back unwrapped; nothing is yielded after it, and by the time the scan
+// returns nothing it started still runs or reads. The callback fails at
+// the first record, mid-way (in segment 2, in a middle JSONL chunk) and
+// at the last record.
 func TestScanEarlyStop(t *testing.T) {
 	packed, _ := orderStream(t, true)
-	total := 2*DefaultSegmentRecords + 37
+	arms := []struct {
+		name            string
+		stream          []byte
+		scan            func(r io.Reader, fn ScanFunc) error
+		first, mid, end int
+	}{
+		{"curtainbin", packed, Scan, 1, DefaultSegmentRecords + DefaultSegmentRecords/2, 2*DefaultSegmentRecords + 37},
+		{"jsonl", jsonlStream(t, 100), scanChunks, 1, 50, 100},
+	}
 	stop := errors.New("stop here")
 	atGOMAXPROCS(t, func(t *testing.T) {
-		for _, at := range []int{1, DefaultSegmentRecords + DefaultSegmentRecords/2, total} {
-			base := runtime.NumGoroutine()
-			wr := &watchedReader{r: bytes.NewReader(packed)}
-			n := 0
-			err := Scan(wr, func(e *Experiment) error {
-				n++
-				if e.Seq == at {
-					return stop
+		for _, arm := range arms {
+			for _, at := range []int{arm.first, arm.mid, arm.end} {
+				base := runtime.NumGoroutine()
+				wr := &watchedReader{r: bytes.NewReader(arm.stream)}
+				n := 0
+				err := arm.scan(wr, func(e *Experiment) error {
+					n++
+					if e.Seq == at {
+						return stop
+					}
+					return nil
+				})
+				wr.returned.Store(true)
+				if err != stop {
+					t.Fatalf("%s, stop at record %d: the scan returned %v, want the callback's error unwrapped", arm.name, at, err)
 				}
-				return nil
-			})
-			wr.returned.Store(true)
-			if err != stop {
-				t.Fatalf("stop at record %d: Scan returned %v, want the callback's error unwrapped", at, err)
-			}
-			if n != at {
-				t.Fatalf("stop at record %d: callback ran %d times", at, n)
-			}
-			if got := settledGoroutines(base); got != base {
-				t.Fatalf("stop at record %d: %d goroutines after Scan returned, %d before", at, got, base)
-			}
-			if late := wr.late.Load(); late != 0 {
-				t.Fatalf("stop at record %d: the stream was read %d times after Scan returned", at, late)
+				if n != at {
+					t.Fatalf("%s, stop at record %d: callback ran %d times", arm.name, at, n)
+				}
+				// More goroutines than before is a leak. Fewer is not: the
+				// count before may include one still exiting, such as the
+				// goroutine of the previous GOMAXPROCS subtest.
+				if got := settledGoroutines(base); got > base {
+					t.Fatalf("%s, stop at record %d: %d goroutines after the scan returned, %d before", arm.name, at, got, base)
+				}
+				if late := wr.late.Load(); late != 0 {
+					t.Fatalf("%s, stop at record %d: the stream was read %d times after the scan returned", arm.name, at, late)
+				}
 			}
 		}
 	})

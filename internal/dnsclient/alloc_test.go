@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cellcurtain/internal/dnswire"
+	"cellcurtain/internal/raceflag"
 )
 
 // TestResponseMatchesAllocBudget holds the UDP transport's stray filter
@@ -13,7 +14,7 @@ import (
 // message. Parsing the query and the reply, as the transport once did,
 // made 11 (3 + 8).
 func TestResponseMatchesAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets run without -race")
 	}
 	q := dnswire.NewQuery(4242, "m.facebook.com", dnswire.TypeA)

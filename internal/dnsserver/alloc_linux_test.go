@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"testing"
+
+	"cellcurtain/internal/raceflag"
 )
 
 // TestHotPathAllocsBatchRead proves the steady-state recvmmsg read path
@@ -13,7 +15,7 @@ import (
 // batch. This is the gate scripts/check.sh enforces for ROADMAP item 2:
 // the batched serving loop must not create garbage under load.
 func TestHotPathAllocsBatchRead(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates inside the RawConn syscall path")
 	}
 	srv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})

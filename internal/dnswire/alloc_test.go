@@ -22,6 +22,8 @@ package dnswire
 import (
 	"net/netip"
 	"testing"
+
+	"cellcurtain/internal/raceflag"
 )
 
 func requireZeroAllocs(t *testing.T, what string, f func()) {
@@ -179,7 +181,7 @@ func TestEncoderMatchesAppend(t *testing.T) {
 // TestCheckAllocBudget holds Check of the CDN reply to zero allocations:
 // it walks every rule Parse applies and builds nothing.
 func TestCheckAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets run without -race")
 	}
 	pkt, err := cdnReply().Pack()

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"cellcurtain/internal/dnswire"
+	"cellcurtain/internal/raceflag"
 )
 
 // TestCacheHitAllocBudget holds a cache hit to the reply and its
 // TTL-decayed copy of the cached answers. A string cache key made it 3.
 func TestCacheHitAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets run without -race")
 	}
 	const budget = 2

@@ -1,7 +1,7 @@
 package repro
 
 import (
-	"fmt"
+	"bytes"
 	"math"
 	"runtime"
 	"sync"
@@ -22,7 +22,7 @@ var (
 
 // equivalenceContext is a campaign context dedicated to the equivalence
 // sweeps, with the records its campaign streamed kept beside it (through
-// the constructor's tap) for the slice reference and the shard scans. The
+// the constructor's tap) for the slice reference and the rescans. The
 // sweeps regenerate every artifact several times over, and the
 // live-probing harness (Table 4) consumes fabric RNG draws on each run —
 // sweeping sharedContext would shift the post-campaign stream position
@@ -84,26 +84,27 @@ func TestArtifactEquivalenceStreamingVsLegacy(t *testing.T) {
 	compareArtifacts(t, "legacy", FromMeasures(legacy), FromMeasures(c.M))
 }
 
-// TestArtifactEquivalenceSharded re-derives every dataset-derived artifact
-// from shard-parallel suite runs at the parallelism levels the CLI exposes
-// and requires byte-identical output.
-func TestArtifactEquivalenceSharded(t *testing.T) {
+// TestArtifactEquivalenceRescan writes the campaign out in both codecs,
+// scans each file back into a fresh suite with eight decoders in flight,
+// and requires every dataset-derived artifact byte-identical to the suite
+// the campaign streamed into.
+func TestArtifactEquivalenceRescan(t *testing.T) {
 	c, data := equivalenceContext(t)
 	want := FromMeasures(c.M)
 	cfg := SuiteConfig(c.World, c.Campaign.Config)
-	exps := data.Experiments
-	for _, nshards := range []int{1, 4, 8} {
-		suite := analysis.NewSuite(cfg)
-		var shards []analysis.Scanner
-		for i := 0; i < nshards; i++ {
-			lo := len(exps) * i / nshards
-			hi := len(exps) * (i + 1) / nshards
-			shards = append(shards, analysis.SliceScanner(exps[lo:hi]))
-		}
-		if err := suite.RunShards(shards); err != nil {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, format := range []dataset.Format{dataset.FormatJSONL, dataset.FormatBinary} {
+		var file bytes.Buffer
+		if err := data.Write(&file, format); err != nil {
 			t.Fatal(err)
 		}
-		compareArtifacts(t, fmt.Sprintf("shards=%d", nshards), FromMeasures(suite), want)
+		suite := analysis.NewSuite(cfg)
+		if err := suite.Run(func(yield dataset.ScanFunc) error {
+			return dataset.Scan(&file, yield)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		compareArtifacts(t, string(format), FromMeasures(suite), want)
 	}
 }
 

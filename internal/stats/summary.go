@@ -32,11 +32,9 @@ func (s *Sample) AddDuration(d time.Duration) {
 	s.Add(float64(d) / float64(time.Millisecond))
 }
 
-// Merge appends every observation of other (in other's current order).
-// It is the shard-reduction step of parallel aggregation: per-shard
-// samples built over contiguous dataset ranges, merged in shard order,
-// hold exactly the observations of a serial pass. other is not modified;
-// merging a sample into itself doubles it.
+// Merge appends every observation of other (in other's current order):
+// how a query unions the samples of several carriers, kinds or radios.
+// other is not modified; merging a sample into itself doubles it.
 func (s *Sample) Merge(other *Sample) {
 	if other == nil || len(other.xs) == 0 {
 		return
@@ -89,8 +87,8 @@ func (s *Sample) Median() float64 { return s.Percentile(50) }
 
 // Mean returns the arithmetic mean, or NaN for an empty sample. The sum
 // runs over the sorted values so the result is a pure function of the
-// observation multiset — insertion order (which differs between serial
-// and shard-merged aggregation) can never shift the floating-point
+// observation multiset — insertion order (which differs between samples
+// Merged in different orders) can never shift the floating-point
 // rounding.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {

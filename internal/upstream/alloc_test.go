@@ -7,6 +7,7 @@ import (
 
 	"cellcurtain/internal/dnsclient"
 	"cellcurtain/internal/dnswire"
+	"cellcurtain/internal/raceflag"
 )
 
 // TestResolveAllocBudget holds a Resolve over two healthy scripted
@@ -17,7 +18,7 @@ import (
 // pool's. With a growing candidate slice, a reflect sort and a callback
 // hedge timer the same Resolve made 11.
 func TestResolveAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates in goroutine and channel operations")
 	}
 	const budget = 7

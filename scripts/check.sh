@@ -70,7 +70,7 @@ go test -race ./...
 echo "==> control-plane hand-offs (parked lease requests, hostile segment ingest; -race -count=5: their goroutine interleavings differ run to run)"
 go test -race -count=5 -run '^(TestParkedLease|TestHostileSegmentIngest)' ./internal/controlplane/
 
-echo "==> curtainbin scan pipeline (serial equivalence, early stop, goroutine and reader hygiene; -race -count=5: the decoder interleavings are not seeded)"
+echo "==> scan pipeline, curtainbin and JSONL (serial equivalence, early stop, goroutine and reader hygiene; -race -count=5: the decoder interleavings are not seeded)"
 go test -race -count=5 -run '^TestScan' ./internal/dataset/
 
 echo "==> worker-count invariance (workers 1/4/8 -> identical dataset)"
@@ -122,7 +122,7 @@ ckds="$work/ds.jsonl"
 ckb="$work/ds-rerun.jsonl"
 cvbin="$work/ds.bin"
 cvjsonl="$work/ds-roundtrip.jsonl"
-"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -out "$ckds" >/dev/null 2>&1
+"$ckbin" simulate -days 2 -scale 0.1 -seed 7 -format jsonl -out "$ckds" >/dev/null 2>&1
 "$ckbin" convert -in "$ckds" -out "$cvbin" 2>/dev/null
 "$ckbin" convert -in "$cvbin" -out "$cvjsonl" 2>/dev/null
 cmp "$ckds" "$cvjsonl" || { echo "check.sh: jsonl -> binary -> jsonl round trip diverges" >&2; exit 1; }
@@ -136,7 +136,7 @@ echo "==> checkpoint gate (durable run == plain run; torn segment tail + -resume
 bkck="$work/bk-ck"
 bkcv="$work/bk-ck.jsonl"
 "$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkck" \
-	-out "$ckb" >/dev/null 2>&1
+	-format jsonl -out "$ckb" >/dev/null 2>&1
 cmp "$ckds" "$ckb" || { echo "check.sh: checkpointed run diverges from plain run" >&2; exit 1; }
 bkseg="$bkck/experiments.bin"
 [ -f "$bkseg" ] || { echo "check.sh: no checkpoint segment at $bkseg" >&2; exit 1; }
@@ -144,7 +144,7 @@ bksize="$(wc -c < "$bkseg")"
 dd if=/dev/null of="$bkseg" bs=1 seek="$((bksize - 17))" 2>/dev/null # tear the tail mid-record
 bklog="$work/bk-resume.log"
 "$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkck" \
-	-resume -out "$ckb" >/dev/null 2> "$bklog"
+	-resume -format jsonl -out "$ckb" >/dev/null 2> "$bklog"
 cmp "$ckds" "$ckb" || { echo "check.sh: kill-resume diverges from serial bytes" >&2; exit 1; }
 grep -E 'discarded [1-9][0-9]* bytes of torn segment tail' "$bklog" >/dev/null || {
 	echo "check.sh: -resume over a torn segment tail does not say it discarded it" >&2; cat "$bklog" >&2; exit 1; }
@@ -381,7 +381,7 @@ dcvlog="$work/dc-victim.log"
 # must still match the coordinated one.
 dcsnap="$work/dc-serial.json"
 dcslog="$work/dc-serial.log"
-"$ckbin" simulate -days 8 -scale 0.5 -seed 7 -out "$dcser" > "$dcsnap" 2> "$dcslog" &
+"$ckbin" simulate -days 8 -scale 0.5 -seed 7 -format jsonl -out "$dcser" > "$dcsnap" 2> "$dcslog" &
 dcspid=$!
 pids="$pids $dcspid"
 n=0
@@ -405,7 +405,7 @@ dcfinal="$(sed -n '2s/.*"experiments":\([0-9]*\).*/\1/p' "$dcsnap")"
 	echo "check.sh: simulate's live report counts $dclive experiments, not fewer than the final $dcfinal" >&2
 	cat "$dcsnap" >&2; exit 1; }
 "$ckbin" coordinate -listen 127.0.0.1:19550 -checkpoint-dir "$dcck" \
-	-days 8 -scale 0.5 -seed 7 -lease 16 -out "$dcdist" > "$work/dc-status.json" 2> "$dclog" &
+	-days 8 -scale 0.5 -seed 7 -lease 16 -format jsonl -out "$dcdist" > "$work/dc-status.json" 2> "$dclog" &
 dcpid=$!
 pids="$pids $dcpid"
 sleep 0.3
