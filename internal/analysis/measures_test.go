@@ -1,12 +1,18 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
 	"net/netip"
-	"reflect"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,184 +147,239 @@ func testSuiteConfig() SuiteConfig {
 	}
 }
 
-func sampleEq(t *testing.T, what string, a, b *stats.Sample) {
+// checkRecorded compares got with the recorded answers at
+// testdata/name, or records it there when WRITE_GOLDEN is set (the rule
+// internal/repro's artifact goldens follow); the diff of a re-recording
+// is then the change's effect on every query.
+func checkRecorded(t *testing.T, name, got string) {
 	t.Helper()
-	av, bv := a.Values(), b.Values()
-	if len(av) != len(bv) {
-		t.Fatalf("%s: sample sizes %d vs %d", what, len(av), len(bv))
+	path := filepath.Join("testdata", name)
+	if os.Getenv("WRITE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	for i := range av {
-		if av[i] != bv[i] {
-			t.Fatalf("%s: sorted value %d differs: %v vs %v", what, i, av[i], bv[i])
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (WRITE_GOLDEN=1 records it)", err)
+	}
+	if d := firstDiff(got, string(want)); d != "" {
+		t.Fatalf("%s: %s", name, d)
+	}
+}
+
+// firstDiff describes the first line at which two dumps differ; "" when
+// they are equal.
+func firstDiff(got, want string) string {
+	if got == want {
+		return ""
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("line %d differs:\n got %s\nwant %s", i+1, gl[i], wl[i])
 		}
 	}
+	return fmt.Sprintf("%d lines, want %d", len(gl), len(wl))
 }
 
-func floatEq(t *testing.T, what string, a, b float64) {
-	t.Helper()
-	if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-		t.Fatalf("%s: %v vs %v", what, a, b)
+func fmtFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+
+// writeSample writes one sample as its size, the FNV-64a hash of its
+// sorted values' bits, and its min, median and max: equal lines mean
+// bit-identical samples.
+func writeSample(w io.Writer, label string, s *stats.Sample) {
+	vs := s.Values()
+	if len(vs) == 0 {
+		fmt.Fprintf(w, "%s n=0\n", label)
+		return
 	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	fmt.Fprintf(w, "%s n=%d fnv=%016x min=%s p50=%s max=%s\n", label, len(vs), h.Sum64(),
+		fmtFloat(vs[0]), fmtFloat(s.Median()), fmtFloat(vs[len(vs)-1]))
 }
 
-// compareMeasures exercises every Measures method on both
-// implementations and requires exact agreement.
-func compareMeasures(t *testing.T, got, want Measures) {
-	t.Helper()
-	if g, w := got.ExperimentCount(), want.ExperimentCount(); g != w {
-		t.Fatalf("ExperimentCount: %d vs %d", g, w)
+func writeTimeline(w io.Writer, label string, tl []TimelinePoint) {
+	fmt.Fprintf(w, "%s n=%d", label, len(tl))
+	for _, p := range tl {
+		fmt.Fprintf(w, " %s/%s", p.Time.UTC().Format("02T15"), p.Addr)
 	}
-	if g, w := got.Carriers(), want.Carriers(); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
-		t.Fatalf("Carriers: %v vs %v", g, w) // nil and empty both mean no carriers
+	fmt.Fprintln(w)
+}
+
+// The query arguments the dumps walk: every scope
+// shape (all, one carrier, a reordered subset, all in a custom order),
+// every radio filter shape, miss thresholds around the paired
+// differences, and domain filters naming one domain, several (one
+// repeated, one never observed) and only an unseen one.
+var (
+	dumpScopes     = [][]string{nil, {"att"}, {"sprint", "att"}, {"att", "verizon", "sprint"}}
+	dumpRadios     = []string{"", "LTE", "UMTS"}
+	dumpThresholds = []time.Duration{0, 18 * time.Millisecond, time.Second}
+	dumpDomainSets = [][]string{
+		nil,
+		{"cdn.example"},
+		{"video.example", "buzzfeed.com", "video.example", "unseen.example"},
+		{"unseen.example"},
 	}
+	dumpDomains  = []string{"", "buzzfeed.com", "cdn.example"}
+	dumpOutcomes = []string{"ok", "servfail", "timeout", "refused"}
+	// A kind that is none of the three (a typo, "", a future vantage)
+	// has no data under it.
+	dumpOddKinds = []dataset.ResolverKind{"", "quad9"}
+)
+
+// dumpMeasures writes the answer to every query the recorded-answer
+// tests ask of m, one line per query: the queries that name no client
+// (dumpAggregates), then the per-client ones (dumpClients).
+func dumpMeasures(m Measures) string {
+	var b strings.Builder
+	dumpAggregates(&b, m)
+	dumpClients(&b, m)
+	return b.String()
+}
+
+// dumpAggregates writes every answer that names no client, for each
+// observed carrier and one never observed.
+func dumpAggregates(w io.Writer, m Measures) {
+	fmt.Fprintf(w, "ExperimentCount %d\n", m.ExperimentCount())
+	fmt.Fprintf(w, "Carriers %v\n", m.Carriers())
 	kinds := dataset.Kinds()
-	scopes := [][]string{nil, {"att"}, {"sprint", "att"}, {"att", "verizon", "sprint"}}
-	for _, scope := range scopes {
-		label := fmt.Sprint(scope)
+	for _, scope := range dumpScopes {
 		for _, kind := range kinds {
-			for _, radio := range []string{"", "LTE", "UMTS"} {
-				sampleEq(t, "ResolutionSample "+label,
-					got.ResolutionSample(scope, kind, radio), want.ResolutionSample(scope, kind, radio))
-				sampleEq(t, "SecondLookupSample "+label,
-					got.SecondLookupSample(scope, kind, radio), want.SecondLookupSample(scope, kind, radio))
+			for _, radio := range dumpRadios {
+				writeSample(w, fmt.Sprintf("ResolutionSample %v %s %q", scope, kind, radio), m.ResolutionSample(scope, kind, radio))
+				writeSample(w, fmt.Sprintf("SecondLookupSample %v %s %q", scope, kind, radio), m.SecondLookupSample(scope, kind, radio))
 			}
-			for _, thr := range []time.Duration{0, 18 * time.Millisecond, time.Second} {
-				floatEq(t, "MissFraction "+label,
-					got.MissFraction(scope, kind, thr), want.MissFraction(scope, kind, thr))
-				// The domain filter: one name, several (one repeated, one
-				// never observed), and a set matching nothing.
-				for _, domains := range [][]string{
-					{"cdn.example"},
-					{"video.example", "buzzfeed.com", "video.example", "unseen.example"},
-					{"unseen.example"},
-				} {
-					floatEq(t, fmt.Sprintf("MissFraction %s %v", label, domains),
-						got.MissFraction(scope, kind, thr, domains...), want.MissFraction(scope, kind, thr, domains...))
+			for _, thr := range dumpThresholds {
+				for _, domains := range dumpDomainSets {
+					fmt.Fprintf(w, "MissFraction %v %s %v %v %s\n", scope, kind, thr, domains,
+						fmtFloat(m.MissFraction(scope, kind, thr, domains...)))
 				}
 			}
-			if g, w := got.Availability(scope, kind), want.Availability(scope, kind); g != w {
-				t.Fatalf("Availability %s/%s: %+v vs %+v", label, kind, g, w)
-			}
 		}
-		if g, w := got.Availability(scope, ""), want.Availability(scope, ""); g != w {
-			t.Fatalf("Availability %s all-kinds: %+v vs %+v", label, g, w)
+		for _, kind := range append(kinds, "") {
+			fmt.Fprintf(w, "Availability %v %q %+v\n", scope, kind, m.Availability(scope, kind))
 		}
 	}
-	for _, carrier := range append(want.Carriers(), "nosuch") {
-		if g, w := got.ClientIDs(carrier), want.ClientIDs(carrier); !reflect.DeepEqual(g, w) {
-			t.Fatalf("ClientIDs %s: %v vs %v", carrier, g, w)
-		}
-		if g, w := got.BusiestClient(carrier), want.BusiestClient(carrier); g != w {
-			t.Fatalf("BusiestClient %s: %q vs %q", carrier, g, w)
-		}
-		gp, wp := got.Pairs(carrier), want.Pairs(carrier)
-		if gp.ClientFacing != wp.ClientFacing || gp.External != wp.External ||
-			gp.ExternalSlash24s != wp.ExternalSlash24s || gp.Consistency != wp.Consistency ||
-			!reflect.DeepEqual(gp.Pairs, wp.Pairs) {
-			t.Fatalf("Pairs %s: %+v vs %+v", carrier, gp, wp)
-		}
-		gr, wr := got.RadioGroups(carrier), want.RadioGroups(carrier)
-		if len(gr) != len(wr) {
-			t.Fatalf("RadioGroups %s: %d radios vs %d", carrier, len(gr), len(wr))
-		}
-		for radio, ws := range wr {
-			gs, ok := gr[radio]
-			if !ok {
-				t.Fatalf("RadioGroups %s: missing radio %s", carrier, radio)
+	for _, carrier := range append(m.Carriers(), "nosuch") {
+		p := m.Pairs(carrier)
+		fmt.Fprintf(w, "Pairs %s cf=%d ext=%d ext24=%d consistency=%s", carrier,
+			p.ClientFacing, p.External, p.ExternalSlash24s, fmtFloat(p.Consistency))
+		for _, k := range sortedKeys(p.Pairs, func(a, b [2]netip.Addr) int {
+			if c := a[0].Compare(b[0]); c != 0 {
+				return c
 			}
-			sampleEq(t, "RadioGroups "+carrier+"/"+radio, gs, ws)
+			return a[1].Compare(b[1])
+		}) {
+			fmt.Fprintf(w, " %s>%s=%d", k[0], k[1], p.Pairs[k])
 		}
-		gs, gReach := got.ResolverPings(carrier)
-		ws, wReach := want.ResolverPings(carrier)
-		if !reflect.DeepEqual(gReach, wReach) {
-			t.Fatalf("ResolverPings %s reach: %v vs %v", carrier, gReach, wReach)
+		fmt.Fprintln(w)
+		groups := m.RadioGroups(carrier)
+		fmt.Fprintf(w, "RadioGroups %s radios=%d\n", carrier, len(groups))
+		for _, radio := range sortedKeys(groups, strings.Compare) {
+			writeSample(w, "RadioGroups "+carrier+" "+radio, groups[radio])
 		}
-		if len(gs) != len(ws) {
-			t.Fatalf("ResolverPings %s: %d keys vs %d", carrier, len(gs), len(ws))
+		samples, reach := m.ResolverPings(carrier)
+		fmt.Fprintf(w, "ResolverPings %s samples=%d", carrier, len(samples))
+		for _, k := range sortedKeys(reach, strings.Compare) {
+			fmt.Fprintf(w, " %s=%s", k, fmtFloat(reach[k]))
 		}
-		for key, w := range ws {
-			g, ok := gs[key]
-			if !ok {
-				t.Fatalf("ResolverPings %s: missing key %s", carrier, key)
-			}
-			sampleEq(t, "ResolverPings "+carrier+"/"+key, g, w)
+		fmt.Fprintln(w)
+		for _, k := range sortedKeys(samples, strings.Compare) {
+			writeSample(w, "ResolverPings "+carrier+" "+k, samples[k])
 		}
-		for _, domain := range []string{"", "buzzfeed.com", "cdn.example"} {
-			sampleEq(t, "InflationCDF "+carrier+"/"+domain,
-				got.InflationCDF(carrier, domain), want.InflationCDF(carrier, domain))
-			if g, w := got.ReplicaVectors(carrier, domain, 2), want.ReplicaVectors(carrier, domain, 2); !reflect.DeepEqual(g, w) {
-				t.Fatalf("ReplicaVectors %s/%s: %v vs %v", carrier, domain, g, w)
-			}
-		}
-		for _, kind := range kinds {
-			gi, g24 := got.UniqueExternals(carrier, kind)
-			wi, w24 := want.UniqueExternals(carrier, kind)
-			if gi != wi || g24 != w24 {
-				t.Fatalf("UniqueExternals %s/%s: (%d,%d) vs (%d,%d)", carrier, kind, gi, g24, wi, w24)
-			}
-			sampleEq(t, "RelativeReplicaPerf "+carrier+"/"+string(kind),
-				got.RelativeReplicaPerf(carrier, kind), want.RelativeReplicaPerf(carrier, kind))
-			for _, client := range want.ClientIDs(carrier) {
-				if g, w := got.ResolverTimeline(carrier, client, kind), want.ResolverTimeline(carrier, client, kind); !reflect.DeepEqual(g, w) {
-					t.Fatalf("ResolverTimeline %s/%s/%s differs", carrier, client, kind)
+		for _, domain := range dumpDomains {
+			writeSample(w, fmt.Sprintf("InflationCDF %s %q", carrier, domain), m.InflationCDF(carrier, domain))
+			vectors := m.ReplicaVectors(carrier, domain, 2)
+			fmt.Fprintf(w, "ReplicaVectors %s %q resolvers=%d\n", carrier, domain, len(vectors))
+			for _, ext := range sortedKeys(vectors, netip.Addr.Compare) {
+				fmt.Fprintf(w, "ReplicaVectors %s %q %s", carrier, domain, ext)
+				v := vectors[ext]
+				for _, cluster := range sortedKeys(v, strings.Compare) {
+					fmt.Fprintf(w, " %s=%s", cluster, fmtFloat(v[cluster]))
 				}
-			}
-			client := want.BusiestClient(carrier)
-			if g, w := got.StaticTimeline(carrier, client, 1.0, kind), want.StaticTimeline(carrier, client, 1.0, kind); !reflect.DeepEqual(g, w) {
-				t.Fatalf("StaticTimeline %s/%s/%s differs", carrier, client, kind)
+				fmt.Fprintln(w)
 			}
 		}
-		// A kind that is none of the three (a typo, "", a future vantage) has
-		// no data under it: neither side may answer with another kind's.
-		for _, kind := range []dataset.ResolverKind{"", "quad9"} {
-			client := want.BusiestClient(carrier)
-			if g, w := got.ResolverTimeline(carrier, client, kind), want.ResolverTimeline(carrier, client, kind); len(g)+len(w) != 0 {
-				t.Fatalf("ResolverTimeline %s/%s kind %q: %d vs %d points, want none", carrier, client, kind, len(g), len(w))
-			}
-			if g, w := got.StaticTimeline(carrier, client, 1.0, kind), want.StaticTimeline(carrier, client, 1.0, kind); len(g)+len(w) != 0 {
-				t.Fatalf("StaticTimeline %s/%s kind %q: %d vs %d points, want none", carrier, client, kind, len(g), len(w))
-			}
-			sampleEq(t, "RelativeReplicaPerf "+carrier+"/"+string(kind),
-				got.RelativeReplicaPerf(carrier, kind), want.RelativeReplicaPerf(carrier, kind))
+		for _, kind := range append(kinds, dumpOddKinds...) {
+			ips, p24 := m.UniqueExternals(carrier, kind)
+			fmt.Fprintf(w, "UniqueExternals %s %q ips=%d slash24s=%d\n", carrier, kind, ips, p24)
+			writeSample(w, fmt.Sprintf("RelativeReplicaPerf %s %q", carrier, kind), m.RelativeReplicaPerf(carrier, kind))
 		}
-		if g, w := got.EgressPoints(carrier), want.EgressPoints(carrier); !reflect.DeepEqual(g, w) {
-			t.Fatalf("EgressPoints %s: %v vs %v", carrier, g, w)
+		pts := m.EgressPoints(carrier)
+		fmt.Fprintf(w, "EgressPoints %s", carrier)
+		for _, a := range sortedKeys(pts, netip.Addr.Compare) {
+			fmt.Fprintf(w, " %s=%d", a, pts[a])
 		}
+		fmt.Fprintln(w)
 	}
 	for _, kind := range append(kinds, "") {
-		if g, w := got.PerResolverAvailability(kind), want.PerResolverAvailability(kind); !reflect.DeepEqual(g, w) {
-			t.Fatalf("PerResolverAvailability %s: %v vs %v", kind, g, w)
+		for _, ra := range m.PerResolverAvailability(kind) {
+			fmt.Fprintf(w, "PerResolverAvailability %q %s %+v\n", kind, ra.Server, ra.Availability)
 		}
-		if g, w := got.AvailabilityTimeline(kind), want.AvailabilityTimeline(kind); !reflect.DeepEqual(g, w) {
-			t.Fatalf("AvailabilityTimeline %s: %v vs %v", kind, g, w)
+		tl := m.AvailabilityTimeline(kind)
+		fmt.Fprintf(w, "AvailabilityTimeline %q buckets=%d\n", kind, len(tl))
+		for _, b := range tl {
+			fmt.Fprintf(w, "AvailabilityTimeline %q %s %+v\n", kind, b.Start.UTC().Format(time.RFC3339), b.Availability)
 		}
-		for _, outcome := range []string{"ok", "servfail", "timeout", "refused"} {
-			sampleEq(t, "OutcomeCostSample "+string(kind)+"/"+outcome,
-				got.OutcomeCostSample(kind, outcome), want.OutcomeCostSample(kind, outcome))
+		for _, outcome := range dumpOutcomes {
+			writeSample(w, fmt.Sprintf("OutcomeCostSample %q %s", kind, outcome), m.OutcomeCostSample(kind, outcome))
+		}
+	}
+}
+
+// dumpClients writes every answer that names a client: each carrier's
+// clients and busiest client, every client's timelines, and the busiest
+// client's static timelines.
+func dumpClients(w io.Writer, m Measures) {
+	for _, carrier := range append(m.Carriers(), "nosuch") {
+		ids := m.ClientIDs(carrier)
+		busiest := m.BusiestClient(carrier)
+		fmt.Fprintf(w, "ClientIDs %s %v\n", carrier, ids)
+		fmt.Fprintf(w, "BusiestClient %s %q\n", carrier, busiest)
+		for _, kind := range append(dataset.Kinds(), dumpOddKinds...) {
+			for _, client := range ids {
+				writeTimeline(w, fmt.Sprintf("ResolverTimeline %s %s %q", carrier, client, kind), m.ResolverTimeline(carrier, client, kind))
+			}
+			writeTimeline(w, fmt.Sprintf("StaticTimeline %s %s %q", carrier, busiest, kind), m.StaticTimeline(carrier, busiest, 1.0, kind))
 		}
 	}
 }
 
 // TestSuiteMatchesSliceMeasures is the core equivalence gate at the
-// metric layer: the streaming Suite must agree exactly with the legacy
-// slice implementation on every metric of a mixed dataset.
+// metric layer: over mixed datasets at two seeds, the streaming Suite's
+// answer to every query equals the legacy slice implementation's line
+// for line, and both equal the recorded answers in testdata.
 func TestSuiteMatchesSliceMeasures(t *testing.T) {
-	ds := genDataset(42, 400)
 	cfg := testSuiteConfig()
-	suite := NewSuite(cfg)
-	if err := suite.Run(SliceScanner(ds.Experiments)); err != nil {
-		t.Fatal(err)
-	}
-	compareMeasures(t, suite, NewSliceMeasures(ds, cfg))
-	if suite.Passes() != 1 {
-		t.Fatalf("suite used %d passes, want 1", suite.Passes())
+	for _, seed := range []int64{42, 7} {
+		ds := genDataset(seed, 400)
+		suite := NewSuite(cfg)
+		if err := suite.Run(SliceScanner(ds.Experiments)); err != nil {
+			t.Fatal(err)
+		}
+		got := dumpMeasures(suite)
+		if d := firstDiff(got, dumpMeasures(NewSliceMeasures(ds, cfg))); d != "" {
+			t.Fatalf("seed %d: Suite vs SliceMeasures: %s", seed, d)
+		}
+		checkRecorded(t, fmt.Sprintf("measures-%d.txt", seed), got)
+		if suite.Passes() != 1 {
+			t.Fatalf("suite used %d passes, want 1", suite.Passes())
+		}
 	}
 }
 
 // TestSuiteDirectFeed feeds the Suite one Observe at a time — the mode a
-// running campaign streams into — and requires the same metrics as the
-// slice path, every experiment routed to its own carrier's aggregators,
-// and the whole feed counted as one pass.
+// running campaign streams into — and requires the recorded answers,
+// every experiment routed to its own carrier's aggregators, and the
+// whole feed counted as one pass.
 func TestSuiteDirectFeed(t *testing.T) {
 	ds := genDataset(42, 400)
 	cfg := testSuiteConfig()
@@ -326,7 +387,11 @@ func TestSuiteDirectFeed(t *testing.T) {
 	for _, e := range ds.Experiments {
 		suite.Observe(e)
 	}
-	compareMeasures(t, suite, NewSliceMeasures(ds, cfg))
+	got := dumpMeasures(suite)
+	if d := firstDiff(got, dumpMeasures(NewSliceMeasures(ds, cfg))); d != "" {
+		t.Fatalf("Suite vs SliceMeasures: %s", d)
+	}
+	checkRecorded(t, "measures-42.txt", got)
 	if suite.Passes() != 1 {
 		t.Fatalf("direct feed counted %d passes, want 1", suite.Passes())
 	}
@@ -350,7 +415,8 @@ func TestSuiteScanErrorPropagates(t *testing.T) {
 // TestSuiteEmpty checks the streaming path degrades like the slice path
 // on an empty dataset instead of panicking — whether the Suite scanned
 // nothing or was never fed at all — and that every per-carrier method
-// answers an unseen carrier the way the slice path does.
+// answers an unseen carrier the way the slice path does and the recorded
+// answers say.
 func TestSuiteEmpty(t *testing.T) {
 	cfg := testSuiteConfig()
 	scanned := NewSuite(cfg)
@@ -374,9 +440,13 @@ func TestSuiteEmpty(t *testing.T) {
 		if g := suite.Pairs("att"); g.ClientFacing != 0 || len(g.Pairs) != 0 {
 			t.Fatalf("%s: pairs = %+v", name, g)
 		}
-		// compareMeasures queries every per-carrier method for a carrier
-		// neither side has seen.
-		compareMeasures(t, suite, NewSliceMeasures(&dataset.Dataset{}, cfg))
+		// The dump queries every per-carrier method for a carrier neither
+		// side has seen.
+		got := dumpMeasures(suite)
+		if d := firstDiff(got, dumpMeasures(NewSliceMeasures(&dataset.Dataset{}, cfg))); d != "" {
+			t.Fatalf("%s: Suite vs SliceMeasures: %s", name, d)
+		}
+		checkRecorded(t, "measures-empty.txt", got)
 	}
 	if got := NewSuite(cfg).Passes(); got != 0 {
 		t.Fatalf("never-run suite reports %d passes", got)
