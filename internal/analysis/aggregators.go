@@ -15,8 +15,8 @@ import (
 	"cellcurtain/internal/vnet"
 )
 
-// This file ports every slice metric to a streaming aggregator: a type
-// with Observe(*dataset.Experiment), instantiated once per carrier
+// Every metric is a streaming aggregator: a type with
+// Observe(*dataset.Experiment), instantiated once per carrier
 // (carrierAggs, at the end of the file). Each aggregator holds only
 // reduced state (sets, counters, integer sums, metric samples) — never
 // experiments — so a full analysis run is one dataset pass in memory
@@ -25,7 +25,7 @@ import (
 // kindIndex gives the three resolver kinds dense indices (the order of
 // dataset.Kinds) for fixed-size per-observation records. Any other kind
 // has no slot: records carrying one are skipped and queries for one
-// answer empty, like the slice path's filter-by-kind.
+// answer empty.
 func kindIndex(k dataset.ResolverKind) (int, bool) {
 	switch k {
 	case dataset.KindLocal:
@@ -610,7 +610,7 @@ func (ca *churnAgg) busiest() string {
 }
 
 // timeline returns one client's external-resolver observations for a
-// kind, time-sorted like the slice path.
+// kind, in time order.
 func (ca *churnAgg) timeline(clientID string, kind dataset.ResolverKind) []TimelinePoint {
 	i, known := kindIndex(kind)
 	if !known {
@@ -627,8 +627,7 @@ func (ca *churnAgg) timeline(clientID string, kind dataset.ResolverKind) []Timel
 }
 
 // staticTimeline is timeline restricted to observations within radiusKm
-// of the client's modal location — the aggregator form of StaticOnly
-// followed by ResolverTimeline.
+// of the client's modal location (Fig 9's static-location filter).
 func (ca *churnAgg) staticTimeline(clientID string, radiusKm float64, kind dataset.ResolverKind) []TimelinePoint {
 	i, known := kindIndex(kind)
 	if !known {
@@ -780,7 +779,7 @@ func (aa *availabilityAgg) availability(kind dataset.ResolverKind) Availability 
 }
 
 // addPerResolver folds this carrier's per-resolver counters into dst.
-// kind "" sums each server across kinds, like the slice path's match-all.
+// kind "" sums each server across kinds.
 func (aa *availabilityAgg) addPerResolver(dst map[netip.Addr]*Availability, kind dataset.ResolverKind) {
 	for _, k := range kindsFor(kind) {
 		addResolverCounters(dst, aa.perResolver[k])
@@ -806,10 +805,11 @@ func (aa *availabilityAgg) addTimeline(dst []AvailabilityBucket, kind dataset.Re
 // an experiment's replica probes once into scratch it owns — per domain
 // and kind, one cell per replica /24 (kept in address order) — and emits
 // all three kinds' comparisons from that fold, domain by domain in name
-// order. Every float stays within the experiment and is summed in the
-// slice path's order (a cell's TTFBs in probe order, a mean's cells in
-// /24 order), so the values are bit-identical to addRelativePerf's. The
-// scratch is rewritten by every Observe and is no part of the aggregate.
+// order. Every float stays within the experiment and is summed in a
+// fixed order (a cell's TTFBs in probe order, a mean's cells in /24
+// order), so the values do not depend on how experiments are grouped or
+// scheduled. The scratch is rewritten by every Observe and is no part of
+// the aggregate.
 
 // relCell sums the TTFBs (ms) of one (domain, kind)'s probes in one /24.
 type relCell struct {

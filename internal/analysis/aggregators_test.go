@@ -54,8 +54,8 @@ func relPerfExperiment(rng *rand.Rand) *dataset.Experiment {
 }
 
 // TestRelPerfFoldMatchesSlicePath holds relPerfAgg's one-fold Observe to
-// addRelativePerf, the slice path's per-kind computation, bit for bit,
-// over randomized experiments.
+// addRelativePerf, the brute-force per-kind reference, bit for bit, over
+// randomized experiments.
 func TestRelPerfFoldMatchesSlicePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	exps := make([]*dataset.Experiment, 600)

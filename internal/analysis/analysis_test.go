@@ -70,7 +70,7 @@ func TestLDNSPairStats(t *testing.T) {
 	for i, ext := range []netip.Addr{e1, e1, e1, e2, e2, e3} {
 		exps = append(exps, expWithDiscovery("c1", base.Add(time.Duration(i)*time.Hour), cf, ext))
 	}
-	ps := LDNSPairStats(exps)
+	ps := feed(SuiteConfig{}, exps).Pairs("att")
 	if ps.ClientFacing != 1 || ps.External != 3 {
 		t.Fatalf("counts: %+v", ps)
 	}
@@ -86,7 +86,7 @@ func TestLDNSPairStats(t *testing.T) {
 }
 
 func TestLDNSPairStatsEmpty(t *testing.T) {
-	ps := LDNSPairStats(nil)
+	ps := NewSuite(SuiteConfig{}).Pairs("att")
 	if ps.ClientFacing != 0 || ps.Consistency != 0 {
 		t.Fatalf("empty stats: %+v", ps)
 	}
@@ -101,20 +101,20 @@ func TestResolutionSamples(t *testing.T) {
 			{Kind: dataset.KindLocal, OK: false, RTT1: 0, Radio: "LTE"},
 		},
 	}
-	exps := []*dataset.Experiment{e}
-	if got := ResolutionSample(exps, dataset.KindLocal, "").Len(); got != 2 {
+	s := feed(SuiteConfig{}, []*dataset.Experiment{e})
+	if got := s.ResolutionSample(nil, dataset.KindLocal, "").Len(); got != 2 {
 		t.Fatalf("local all = %d", got)
 	}
-	if got := ResolutionSample(exps, dataset.KindLocal, "LTE").Len(); got != 1 {
+	if got := s.ResolutionSample(nil, dataset.KindLocal, "LTE").Len(); got != 1 {
 		t.Fatalf("local LTE = %d", got)
 	}
-	if got := ResolutionSample(exps, dataset.KindGoogle, "").Len(); got != 1 {
+	if got := s.ResolutionSample(nil, dataset.KindGoogle, "").Len(); got != 1 {
 		t.Fatalf("google = %d", got)
 	}
-	if got := SecondLookupSample(exps, dataset.KindGoogle, "").Len(); got != 0 {
+	if got := s.SecondLookupSample(nil, dataset.KindGoogle, "").Len(); got != 0 {
 		t.Fatalf("google second = %d (RTT2 unset)", got)
 	}
-	groups := RadioGroups(exps)
+	groups := s.RadioGroups("")
 	if len(groups) != 2 || groups["LTE"].Len() != 1 || groups["1xRTT"].Len() != 1 {
 		t.Fatalf("radio groups: %v", groups)
 	}
@@ -129,7 +129,7 @@ func TestResolverPings(t *testing.T) {
 			{Kind: dataset.KindGoogle, Which: "vip", RTT: 80 * time.Millisecond, OK: true},
 		},
 	}
-	samples, reach := ResolverPings([]*dataset.Experiment{e})
+	samples, reach := feed(SuiteConfig{}, []*dataset.Experiment{e}).ResolverPings("")
 	if samples["local/configured"].Len() != 1 || samples["google/vip"].Len() != 1 {
 		t.Fatalf("samples: %v", samples)
 	}
@@ -150,7 +150,7 @@ func TestInflationCDF(t *testing.T) {
 		{ClientID: "c1", ReplicaProbes: []dataset.ReplicaProbe{mk(r1, 50), mk(r2, 100)}},
 		{ClientID: "c1", ReplicaProbes: []dataset.ReplicaProbe{mk(r1, 50), mk(r2, 100)}},
 	}
-	s := InflationCDF(exps, "m.yelp.com")
+	s := feed(SuiteConfig{}, exps).InflationCDF("", "m.yelp.com")
 	if s.Len() != 2 {
 		t.Fatalf("inflation points = %d", s.Len())
 	}
@@ -160,7 +160,7 @@ func TestInflationCDF(t *testing.T) {
 	}
 	// Single-replica clients contribute nothing.
 	single := []*dataset.Experiment{{ClientID: "c2", ReplicaProbes: []dataset.ReplicaProbe{mk(r1, 10)}}}
-	if InflationCDF(single, "").Len() != 0 {
+	if feed(SuiteConfig{}, single).InflationCDF("", "").Len() != 0 {
 		t.Fatal("single replica should produce no differential")
 	}
 }
@@ -184,7 +184,7 @@ func TestReplicaVectorsAndCosineSplit(t *testing.T) {
 	exps := []*dataset.Experiment{
 		mkExp(extA1, repX), mkExp(extA2, repX), mkExp(extB, repY),
 	}
-	vectors := ReplicaVectors(exps, "buzzfeed.com", 1)
+	vectors := feed(SuiteConfig{}, exps).ReplicaVectors("att", "buzzfeed.com", 1)
 	if len(vectors) != 3 {
 		t.Fatalf("vectors = %d", len(vectors))
 	}
@@ -216,11 +216,12 @@ func TestUniqueExternals(t *testing.T) {
 		expWithDiscovery("c1", base, cf, mkAddr(66, 10, 0, 2)),
 		expWithDiscovery("c1", base, cf, mkAddr(66, 11, 0, 1)),
 	}
-	ips, p24 := UniqueExternals(exps, dataset.KindLocal)
+	s := feed(SuiteConfig{}, exps)
+	ips, p24 := s.UniqueExternals("att", dataset.KindLocal)
 	if ips != 3 || p24 != 2 {
 		t.Fatalf("ips=%d p24=%d", ips, p24)
 	}
-	if ips, _ := UniqueExternals(exps, dataset.KindGoogle); ips != 0 {
+	if ips, _ := s.UniqueExternals("att", dataset.KindGoogle); ips != 0 {
 		t.Fatal("no google discoveries recorded")
 	}
 }
@@ -234,7 +235,8 @@ func TestTimelineAndCumulative(t *testing.T) {
 		expWithDiscovery("c2", base.Add(time.Hour), cf, mkAddr(66, 99, 0, 1)),
 		expWithDiscovery("c1", base.Add(3*time.Hour), cf, mkAddr(66, 11, 0, 1)),
 	}
-	tl := ResolverTimeline(exps, "c1", dataset.KindLocal)
+	s := feed(SuiteConfig{}, exps)
+	tl := s.ResolverTimeline("att", "c1", dataset.KindLocal)
 	if len(tl) != 3 {
 		t.Fatalf("timeline = %d", len(tl))
 	}
@@ -245,7 +247,7 @@ func TestTimelineAndCumulative(t *testing.T) {
 	if ips[len(ips)-1] != 3 || p24[len(p24)-1] != 2 {
 		t.Fatalf("cumulative: ips=%v p24=%v", ips, p24)
 	}
-	ids := ClientIDs(exps)
+	ids := s.ClientIDs("att")
 	if len(ids) != 2 || ids[0] != "c1" {
 		t.Fatalf("client ids = %v", ids)
 	}
@@ -262,7 +264,7 @@ func TestStaticOnly(t *testing.T) {
 	away := expWithDiscovery("c1", base.Add(99*time.Hour), cf, mkAddr(66, 10, 0, 1))
 	away.Lat, away.Lon = 34.05, -118.24 // LA
 	exps := []*dataset.Experiment{home(1), home(2), home(3), away}
-	got := StaticOnly(exps, "c1", 1.0)
+	got := feed(SuiteConfig{}, exps).StaticTimeline("att", "c1", 1.0, dataset.KindLocal)
 	if len(got) != 3 {
 		t.Fatalf("static filter kept %d, want 3", len(got))
 	}
@@ -280,7 +282,8 @@ func TestEgressPoints(t *testing.T) {
 		{EgressTrace: []netip.Addr{transit, replica}}, // no owned hop
 		{EgressTrace: nil},
 	}
-	pts := EgressPoints(exps, owns)
+	cfg := SuiteConfig{Owns: func(string) func(netip.Addr) bool { return owns }}
+	pts := feed(cfg, exps).EgressPoints("")
 	if len(pts) != 2 || pts[egA] != 2 || pts[egB] != 1 {
 		t.Fatalf("egress points: %v", pts)
 	}
@@ -298,7 +301,7 @@ func TestRelativeReplicaPerf(t *testing.T) {
 	eq := &dataset.Experiment{ReplicaProbes: []dataset.ReplicaProbe{
 		mk(dataset.KindLocal, local1, 50), mk(dataset.KindGoogle, pub1, 70),
 	}}
-	s := RelativeReplicaPerf([]*dataset.Experiment{eq}, dataset.KindGoogle)
+	s := feed(SuiteConfig{}, []*dataset.Experiment{eq}).RelativeReplicaPerf("", dataset.KindGoogle)
 	if s.Len() != 1 || s.Values()[0] != 0 {
 		t.Fatalf("same-/24 comparison = %v", s.Values())
 	}
@@ -306,13 +309,13 @@ func TestRelativeReplicaPerf(t *testing.T) {
 	ne := &dataset.Experiment{ReplicaProbes: []dataset.ReplicaProbe{
 		mk(dataset.KindLocal, local1, 50), mk(dataset.KindGoogle, pub2, 75),
 	}}
-	s = RelativeReplicaPerf([]*dataset.Experiment{ne}, dataset.KindGoogle)
+	s = feed(SuiteConfig{}, []*dataset.Experiment{ne}).RelativeReplicaPerf("", dataset.KindGoogle)
 	if s.Len() != 1 || math.Abs(s.Values()[0]-50) > 1e-9 {
 		t.Fatalf("cross-/24 comparison = %v, want [50]", s.Values())
 	}
 	// Missing public side contributes nothing.
 	onlyLocal := &dataset.Experiment{ReplicaProbes: []dataset.ReplicaProbe{mk(dataset.KindLocal, local1, 50)}}
-	if RelativeReplicaPerf([]*dataset.Experiment{onlyLocal}, dataset.KindGoogle).Len() != 0 {
+	if feed(SuiteConfig{}, []*dataset.Experiment{onlyLocal}).RelativeReplicaPerf("", dataset.KindGoogle).Len() != 0 {
 		t.Fatal("one-sided experiments must be skipped")
 	}
 }
@@ -336,7 +339,8 @@ func TestPairedMissFraction(t *testing.T) {
 				RTT2: 40 * time.Millisecond}, // other kind: excluded
 		},
 	}}
-	got := PairedMissFraction(exps, dataset.KindLocal, 18*time.Millisecond)
+	s := feed(SuiteConfig{}, exps)
+	got := s.MissFraction(nil, dataset.KindLocal, 18*time.Millisecond)
 	if got != 0.5 {
 		t.Fatalf("miss fraction = %v, want 0.5", got)
 	}
@@ -349,14 +353,14 @@ func TestPairedMissFraction(t *testing.T) {
 		{[]string{"b.example"}, 0},
 		{[]string{"a.example", "c.example"}, 2.0 / 3},
 	} {
-		if got := PairedMissFraction(exps, dataset.KindLocal, 18*time.Millisecond, tc.domains...); got != tc.want {
+		if got := s.MissFraction(nil, dataset.KindLocal, 18*time.Millisecond, tc.domains...); got != tc.want {
 			t.Fatalf("miss fraction over %v = %v, want %v", tc.domains, got, tc.want)
 		}
 	}
-	if !math.IsNaN(PairedMissFraction(exps, dataset.KindLocal, 18*time.Millisecond, "unseen.example")) {
+	if !math.IsNaN(s.MissFraction(nil, dataset.KindLocal, 18*time.Millisecond, "unseen.example")) {
 		t.Fatal("a filter matching nothing must be NaN")
 	}
-	if !math.IsNaN(PairedMissFraction(nil, dataset.KindLocal, time.Millisecond)) {
+	if !math.IsNaN(NewSuite(SuiteConfig{}).MissFraction(nil, dataset.KindLocal, time.Millisecond)) {
 		t.Fatal("empty input must be NaN")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cellcurtain/internal/dataset"
-	"cellcurtain/internal/stats"
 )
 
 // Availability aggregates resolution outcomes — the fault-campaign
@@ -92,26 +91,6 @@ func (a Availability) RetryAmplification() float64 {
 	return float64(a.Attempts) / float64(a.Total)
 }
 
-// resolutionMatch reports whether a resolution belongs to the requested
-// resolver kind ("" = all).
-func resolutionMatch(r dataset.Resolution, kind dataset.ResolverKind) bool {
-	return kind == "" || r.Kind == kind
-}
-
-// ResolutionAvailability aggregates every resolution of one resolver kind
-// ("" = all kinds).
-func ResolutionAvailability(exps []*dataset.Experiment, kind dataset.ResolverKind) Availability {
-	var a Availability
-	for _, e := range exps {
-		for _, r := range e.Resolutions {
-			if resolutionMatch(r, kind) {
-				a.observe(r)
-			}
-		}
-	}
-	return a
-}
-
 // ResolverAvailability is one resolver's availability, keyed by the
 // primary server the lookups were aimed at — failures are attributed to
 // the intended resolver even when a fallback answered, which is what
@@ -121,52 +100,10 @@ type ResolverAvailability struct {
 	Availability
 }
 
-// PerResolverAvailability groups resolutions by primary server, sorted by
-// ascending success rate (worst offenders first), ties broken by address.
-func PerResolverAvailability(exps []*dataset.Experiment, kind dataset.ResolverKind) []ResolverAvailability {
-	byServer := map[netip.Addr]*Availability{}
-	for _, e := range exps {
-		for _, r := range e.Resolutions {
-			if !resolutionMatch(r, kind) {
-				continue
-			}
-			a := byServer[r.Server]
-			if a == nil {
-				a = &Availability{}
-				byServer[r.Server] = a
-			}
-			a.observe(r)
-		}
-	}
-	return sortResolverAvailability(byServer)
-}
-
 // AvailabilityBucket is one time bucket of an availability timeline.
 type AvailabilityBucket struct {
 	Start time.Time
 	Availability
-}
-
-// AvailabilityTimeline buckets resolutions of one kind into fixed windows
-// from start to end; an injected outage window shows up as a dip in the
-// affected buckets. Buckets with no observations stay at Total == 0.
-func AvailabilityTimeline(exps []*dataset.Experiment, kind dataset.ResolverKind, start, end time.Time, bucket time.Duration) []AvailabilityBucket {
-	out := newTimelineBuckets(start, end, bucket)
-	if out == nil {
-		return nil
-	}
-	for _, e := range exps {
-		if e.Time.Before(start) || !e.Time.Before(end) {
-			continue
-		}
-		i := int(e.Time.Sub(start) / bucket)
-		for _, r := range e.Resolutions {
-			if resolutionMatch(r, kind) {
-				out[i].observe(r)
-			}
-		}
-	}
-	return out
 }
 
 // newTimelineBuckets lays out the fixed windows of an availability
@@ -195,27 +132,4 @@ func (a *Availability) add(b Availability) {
 	a.Errors += b.Errors
 	a.FailedOver += b.FailedOver
 	a.Attempts += b.Attempts
-}
-
-// OutcomeCostSample collects the total lookup cost (ms — every attempt
-// plus backoff) of resolutions ending in the given outcome; with outcome
-// "servfail" or "timeout" this is the failure-cost CDF the availability
-// report plots. Datasets predating the Cost field contribute RTT1 for
-// successful rows and nothing for failed ones.
-func OutcomeCostSample(exps []*dataset.Experiment, kind dataset.ResolverKind, outcome string) *stats.Sample {
-	s := &stats.Sample{}
-	for _, e := range exps {
-		for _, r := range e.Resolutions {
-			if !resolutionMatch(r, kind) || outcomeOf(r) != outcome {
-				continue
-			}
-			switch {
-			case r.Cost > 0:
-				s.AddDuration(r.Cost)
-			case r.OK:
-				s.AddDuration(r.RTT1)
-			}
-		}
-	}
-	return s
 }

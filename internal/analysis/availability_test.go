@@ -31,7 +31,8 @@ func TestResolutionAvailabilityCounters(t *testing.T) {
 		availExp(3, dataset.Resolution{Kind: dataset.KindLocal, Server: resA, Outcome: "timeout", Attempts: 6, FailedOver: true, Cost: 600 * time.Millisecond}),
 		availExp(4, dataset.Resolution{Kind: dataset.KindGoogle, Server: resB, OK: true, Outcome: "ok", Attempts: 1}),
 	}
-	a := ResolutionAvailability(exps, dataset.KindLocal)
+	s := feed(SuiteConfig{}, exps)
+	a := s.Availability(nil, dataset.KindLocal)
 	if a.Total != 4 {
 		t.Fatalf("Total = %d, want 4 (google row excluded)", a.Total)
 	}
@@ -50,7 +51,7 @@ func TestResolutionAvailabilityCounters(t *testing.T) {
 		t.Fatalf("RetryAmplification = %v, want 2.5", a.RetryAmplification())
 	}
 	// "" aggregates every kind.
-	if all := ResolutionAvailability(exps, ""); all.Total != 5 {
+	if all := s.Availability(nil, ""); all.Total != 5 {
 		t.Fatalf("all-kinds Total = %d, want 5", all.Total)
 	}
 }
@@ -62,7 +63,7 @@ func TestAvailabilityToleratesOldDatasets(t *testing.T) {
 		availExp(0, dataset.Resolution{Kind: dataset.KindLocal, Server: resA, OK: true}),
 		availExp(1, dataset.Resolution{Kind: dataset.KindLocal, Server: resA}),
 	}
-	a := ResolutionAvailability(exps, dataset.KindLocal)
+	a := feed(SuiteConfig{}, exps).Availability(nil, dataset.KindLocal)
 	if a.OK != 1 || a.Errors != 1 {
 		t.Fatalf("counters %+v, want OK=1 Errors=1", a)
 	}
@@ -77,7 +78,7 @@ func TestPerResolverAvailabilitySortsWorstFirst(t *testing.T) {
 		availExp(1, dataset.Resolution{Kind: dataset.KindLocal, Server: resB, Outcome: "timeout"}),
 		availExp(2, dataset.Resolution{Kind: dataset.KindLocal, Server: resB, OK: true, Outcome: "ok"}),
 	}
-	ras := PerResolverAvailability(exps, dataset.KindLocal)
+	ras := feed(SuiteConfig{}, exps).PerResolverAvailability(dataset.KindLocal)
 	if len(ras) != 2 {
 		t.Fatalf("resolvers = %d, want 2", len(ras))
 	}
@@ -100,7 +101,8 @@ func TestAvailabilityTimelineLocalizesOutage(t *testing.T) {
 		exps = append(exps, availExp(day*24, r))
 	}
 	end := availStart.AddDate(0, 0, 4)
-	tl := AvailabilityTimeline(exps, dataset.KindLocal, availStart, end, 24*time.Hour)
+	cfg := SuiteConfig{TimelineStart: availStart, TimelineEnd: end, TimelineBucket: 24 * time.Hour}
+	tl := feed(cfg, exps).AvailabilityTimeline(dataset.KindLocal)
 	if len(tl) != 4 {
 		t.Fatalf("buckets = %d, want 4", len(tl))
 	}
@@ -119,11 +121,12 @@ func TestAvailabilityTimelineLocalizesOutage(t *testing.T) {
 	// Out-of-window experiments are ignored, and degenerate windows yield
 	// no timeline.
 	outside := append(exps, availExp(-5, dataset.Resolution{Kind: dataset.KindLocal, Outcome: "timeout"}))
-	tl = AvailabilityTimeline(outside, dataset.KindLocal, availStart, end, 24*time.Hour)
+	tl = feed(cfg, outside).AvailabilityTimeline(dataset.KindLocal)
 	if tl[0].Total != 1 {
 		t.Fatal("pre-window experiment leaked into bucket 0")
 	}
-	if AvailabilityTimeline(exps, dataset.KindLocal, end, availStart, 24*time.Hour) != nil {
+	inverted := SuiteConfig{TimelineStart: end, TimelineEnd: availStart, TimelineBucket: 24 * time.Hour}
+	if feed(inverted, exps).AvailabilityTimeline(dataset.KindLocal) != nil {
 		t.Fatal("inverted window must yield nil")
 	}
 }
@@ -136,14 +139,15 @@ func TestOutcomeCostSample(t *testing.T) {
 		// Old dataset: successful row without Cost falls back to RTT1.
 		availExp(3, dataset.Resolution{Kind: dataset.KindLocal, OK: true, RTT1: 30 * time.Millisecond}),
 	}
-	s := OutcomeCostSample(exps, dataset.KindLocal, "timeout")
+	suite := feed(SuiteConfig{}, exps)
+	s := suite.OutcomeCostSample(dataset.KindLocal, "timeout")
 	if s.Len() != 2 {
 		t.Fatalf("timeout sample = %d values, want 2", s.Len())
 	}
 	if s.Median() != 700 {
 		t.Fatalf("timeout median = %v ms, want 700", s.Median())
 	}
-	if s := OutcomeCostSample(exps, dataset.KindLocal, "ok"); s.Len() != 2 {
+	if s := suite.OutcomeCostSample(dataset.KindLocal, "ok"); s.Len() != 2 {
 		t.Fatalf("ok sample = %d values, want 2 (Cost + RTT1 fallback)", s.Len())
 	}
 }

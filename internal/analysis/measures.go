@@ -12,8 +12,8 @@ import (
 )
 
 // Measures is every metric the reproduction harnesses and the analyze
-// CLI consume, behind one interface so the streaming Suite and the
-// legacy slice path are interchangeable — and comparable byte-for-byte.
+// CLI consume. The Suite is its one implementation; it stays an
+// interface because the benchmark's report renderer compiles against it.
 //
 // Scope semantics: metrics taking a scope list merge the named carriers
 // in the given order; a nil/empty scope means all carriers, in sorted
@@ -36,19 +36,24 @@ type Measures interface {
 	ResolutionSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample
 	// SecondLookupSample collects immediate re-lookup times (ms).
 	SecondLookupSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample
-	// MissFraction is the paired-differencing cache-miss estimate (§4.3),
-	// over every domain or only the named ones; NaN when no usable pairs
-	// exist.
+	// MissFraction is the paired-differencing cache-miss estimate (§4.3):
+	// the share of lookups whose first time exceeds their immediate
+	// re-lookup's by more than threshold, over every domain or only the
+	// named ones; NaN when no usable pairs exist.
 	MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration, domains ...string) float64
 	// RadioGroups splits one carrier's local resolution times by radio.
 	RadioGroups(carrier string) map[string]*stats.Sample
 	// ResolverPings returns one carrier's "<kind>/<which>" ping samples
 	// and answer rates.
 	ResolverPings(carrier string) (samples map[string]*stats.Sample, reach map[string]float64)
-	// InflationCDF is Fig 2's replica TTFB inflation sample ("" = all
-	// domains).
+	// InflationCDF is Fig 2's replica TTFB inflation sample: each
+	// replica's percent increase in mean TTFB over the best replica the
+	// same client saw for the same domain ("" = all domains).
 	InflationCDF(carrier, domain string) *stats.Sample
-	// ReplicaVectors is Fig 10's per-resolver replica usage vectors.
+	// ReplicaVectors is Fig 10's per-resolver replica usage vectors: per
+	// external resolver, the fraction of local-DNS answers for the domain
+	// landing in each replica /24. Resolvers observed fewer than minObs
+	// times are dropped.
 	ReplicaVectors(carrier, domain string, minObs int) map[netip.Addr]map[string]float64
 	// UniqueExternals counts distinct external resolver identities.
 	UniqueExternals(carrier string, kind dataset.ResolverKind) (ips, slash24s int)
@@ -65,12 +70,17 @@ type Measures interface {
 	// server, worst success rate first.
 	PerResolverAvailability(kind dataset.ResolverKind) []ResolverAvailability
 	// AvailabilityTimeline buckets all carriers' resolutions over the
-	// configured campaign window.
+	// configured campaign window; a bucket without observations stays at
+	// Total == 0, and a degenerate window yields nil.
 	AvailabilityTimeline(kind dataset.ResolverKind) []AvailabilityBucket
-	// OutcomeCostSample is the lookup-cost sample of resolutions ending
-	// in one outcome, over all carriers.
+	// OutcomeCostSample is the lookup-cost sample (ms, every attempt plus
+	// backoff) of resolutions ending in one outcome, over all carriers.
+	// Rows predating the Cost field contribute RTT1 when they succeeded.
 	OutcomeCostSample(kind dataset.ResolverKind, outcome string) *stats.Sample
-	// RelativeReplicaPerf is Fig 14's percent TTFB difference sample.
+	// RelativeReplicaPerf is Fig 14's sample: per experiment and domain,
+	// the percent mean-TTFB difference of the replicas the public
+	// resolver returned versus the local ones, replicas grouped by /24
+	// (equal /24 sets compare as exactly zero).
 	RelativeReplicaPerf(carrier string, kind dataset.ResolverKind) *stats.Sample
 }
 
@@ -87,22 +97,9 @@ type SuiteConfig struct {
 }
 
 // Scanner feeds experiments to a yield function — the Suite's source
-// abstraction over JSONL files, checkpoint segments and in-memory
-// slices. The scan stops (and returns the yield error) as soon as yield
-// fails.
+// abstraction over dataset files and checkpoint segments. The scan
+// stops (and returns the yield error) as soon as yield fails.
 type Scanner func(yield dataset.ScanFunc) error
-
-// SliceScanner adapts an in-memory experiment slice to a Scanner.
-func SliceScanner(exps []*dataset.Experiment) Scanner {
-	return func(yield dataset.ScanFunc) error {
-		for _, e := range exps {
-			if err := yield(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
 
 // Suite is the streaming Measures implementation: one pass over the
 // experiments feeds every aggregator of the experiment's carrier, and
@@ -233,10 +230,9 @@ func (s *Suite) MissFraction(scope []string, kind dataset.ResolverKind, threshol
 }
 
 // missFractionOf turns a paired-difference sample into the §4.3 miss
-// fraction. The count stays integral so the division matches the slice
-// path's miss/total bit-for-bit; the ms-domain threshold comparison is
-// exact because the ns→ms float conversion is strictly monotonic at
-// nanosecond granularity.
+// fraction, miss/total over integral counts. The ms-domain threshold
+// comparison is exact because the ns→ms float conversion is strictly
+// monotonic at nanosecond granularity.
 func missFractionOf(diff *stats.Sample, threshold time.Duration) float64 {
 	total := diff.Len()
 	if total == 0 {
@@ -320,146 +316,10 @@ func (s *Suite) RelativeReplicaPerf(carrier string, kind dataset.ResolverKind) *
 	return out
 }
 
-// SliceMeasures is the legacy Measures implementation: every metric
-// delegates to the original slice-walking functions over a materialized
-// dataset. It exists as the equivalence oracle for the streaming Suite —
-// and as the N-pass baseline the benchmarks compare against.
-type SliceMeasures struct {
-	cfg       SuiteConfig
-	all       []*dataset.Experiment
-	byCarrier map[string][]*dataset.Experiment
-	carriers  []string
-}
-
-// NewSliceMeasures indexes a dataset for legacy metric computation.
-func NewSliceMeasures(ds *dataset.Dataset, cfg SuiteConfig) *SliceMeasures {
-	m := &SliceMeasures{
-		cfg:       cfg,
-		all:       ds.Experiments,
-		byCarrier: map[string][]*dataset.Experiment{},
-	}
-	for _, g := range ds.ByCarrier() {
-		m.byCarrier[g.Carrier] = g.Experiments
-		m.carriers = append(m.carriers, g.Carrier)
-	}
-	return m
-}
-
-// scoped concatenates the named carriers' experiments in scope order
-// (all experiments for a nil scope).
-func (m *SliceMeasures) scoped(scope []string) []*dataset.Experiment {
-	if len(scope) == 0 {
-		return m.all
-	}
-	var out []*dataset.Experiment
-	for _, c := range scope {
-		out = append(out, m.byCarrier[c]...)
-	}
-	return out
-}
-
-func (m *SliceMeasures) ExperimentCount() int { return len(m.all) }
-
-func (m *SliceMeasures) Carriers() []string { return m.carriers }
-
-func (m *SliceMeasures) ClientIDs(carrier string) []string {
-	return ClientIDs(m.byCarrier[carrier])
-}
-
-func (m *SliceMeasures) BusiestClient(carrier string) string {
-	exps := m.byCarrier[carrier]
-	counts := map[string]int{}
-	for _, e := range exps {
-		counts[e.ClientID]++
-	}
-	best, bestN := "", -1
-	for _, id := range ClientIDs(exps) {
-		if counts[id] > bestN {
-			best, bestN = id, counts[id]
-		}
-	}
-	return best
-}
-
-func (m *SliceMeasures) Pairs(carrier string) PairStats {
-	return LDNSPairStats(m.byCarrier[carrier])
-}
-
-func (m *SliceMeasures) ResolutionSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample {
-	return ResolutionSample(m.scoped(scope), kind, radio)
-}
-
-func (m *SliceMeasures) SecondLookupSample(scope []string, kind dataset.ResolverKind, radio string) *stats.Sample {
-	return SecondLookupSample(m.scoped(scope), kind, radio)
-}
-
-func (m *SliceMeasures) MissFraction(scope []string, kind dataset.ResolverKind, threshold time.Duration, domains ...string) float64 {
-	return PairedMissFraction(m.scoped(scope), kind, threshold, domains...)
-}
-
-func (m *SliceMeasures) RadioGroups(carrier string) map[string]*stats.Sample {
-	return RadioGroups(m.byCarrier[carrier])
-}
-
-func (m *SliceMeasures) ResolverPings(carrier string) (map[string]*stats.Sample, map[string]float64) {
-	return ResolverPings(m.byCarrier[carrier])
-}
-
-func (m *SliceMeasures) InflationCDF(carrier, domain string) *stats.Sample {
-	return InflationCDF(m.byCarrier[carrier], domain)
-}
-
-func (m *SliceMeasures) ReplicaVectors(carrier, domain string, minObs int) map[netip.Addr]map[string]float64 {
-	return ReplicaVectors(m.byCarrier[carrier], domain, minObs)
-}
-
-func (m *SliceMeasures) UniqueExternals(carrier string, kind dataset.ResolverKind) (ips, slash24s int) {
-	return UniqueExternals(m.byCarrier[carrier], kind)
-}
-
-func (m *SliceMeasures) ResolverTimeline(carrier, clientID string, kind dataset.ResolverKind) []TimelinePoint {
-	return ResolverTimeline(m.byCarrier[carrier], clientID, kind)
-}
-
-func (m *SliceMeasures) StaticTimeline(carrier, clientID string, radiusKm float64, kind dataset.ResolverKind) []TimelinePoint {
-	static := StaticOnly(m.byCarrier[carrier], clientID, radiusKm)
-	return ResolverTimeline(static, clientID, kind)
-}
-
-func (m *SliceMeasures) EgressPoints(carrier string) map[netip.Addr]int {
-	if m.cfg.Owns == nil {
-		return map[netip.Addr]int{}
-	}
-	return EgressPoints(m.byCarrier[carrier], m.cfg.Owns(carrier))
-}
-
-func (m *SliceMeasures) Availability(scope []string, kind dataset.ResolverKind) Availability {
-	return ResolutionAvailability(m.scoped(scope), kind)
-}
-
-func (m *SliceMeasures) PerResolverAvailability(kind dataset.ResolverKind) []ResolverAvailability {
-	return PerResolverAvailability(m.all, kind)
-}
-
-func (m *SliceMeasures) AvailabilityTimeline(kind dataset.ResolverKind) []AvailabilityBucket {
-	return AvailabilityTimeline(m.all, kind, m.cfg.TimelineStart, m.cfg.TimelineEnd, m.cfg.TimelineBucket)
-}
-
-func (m *SliceMeasures) OutcomeCostSample(kind dataset.ResolverKind, outcome string) *stats.Sample {
-	return OutcomeCostSample(m.all, kind, outcome)
-}
-
-func (m *SliceMeasures) RelativeReplicaPerf(carrier string, kind dataset.ResolverKind) *stats.Sample {
-	return RelativeReplicaPerf(m.byCarrier[carrier], kind)
-}
-
-var (
-	_ Measures = (*Suite)(nil)
-	_ Measures = (*SliceMeasures)(nil)
-)
+var _ Measures = (*Suite)(nil)
 
 // sortResolverAvailability orders per-server counters worst-rate first,
-// ties by address — shared by the slice and streaming paths.
+// ties by address.
 func sortResolverAvailability(byServer map[netip.Addr]*Availability) []ResolverAvailability {
 	out := make([]ResolverAvailability, 0, len(byServer))
 	for server, a := range byServer {

@@ -11,6 +11,8 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,6 +207,8 @@ func writeSample(w io.Writer, label string, s *stats.Sample) {
 		fmtFloat(vs[0]), fmtFloat(s.Median()), fmtFloat(vs[len(vs)-1]))
 }
 
+// writeTimeline writes a timeline's points as day-of-month and hour with
+// the address: genDataset's times are whole hours within one month.
 func writeTimeline(w io.Writer, label string, tl []TimelinePoint) {
 	fmt.Fprintf(w, "%s n=%d", label, len(tl))
 	for _, p := range tl {
@@ -213,11 +217,11 @@ func writeTimeline(w io.Writer, label string, tl []TimelinePoint) {
 	fmt.Fprintln(w)
 }
 
-// The query arguments the dumps walk: every scope
-// shape (all, one carrier, a reordered subset, all in a custom order),
-// every radio filter shape, miss thresholds around the paired
-// differences, and domain filters naming one domain, several (one
-// repeated, one never observed) and only an unseen one.
+// The query arguments the dumps walk: every scope shape (all, one
+// carrier, a reordered subset, all in a custom order), every radio
+// filter shape, miss thresholds around the paired differences, and
+// domain filters naming none, one domain, several (one repeated, one
+// never observed) and only an unseen one.
 var (
 	dumpScopes     = [][]string{nil, {"att"}, {"sprint", "att"}, {"att", "verizon", "sprint"}}
 	dumpRadios     = []string{"", "LTE", "UMTS"}
@@ -353,23 +357,35 @@ func dumpClients(w io.Writer, m Measures) {
 	}
 }
 
-// TestSuiteMatchesSliceMeasures is the core equivalence gate at the
-// metric layer: over mixed datasets at two seeds, the streaming Suite's
-// answer to every query equals the legacy slice implementation's line
-// for line, and both equal the recorded answers in testdata.
+// feed builds a Suite fed every experiment by Observe.
+func feed(cfg SuiteConfig, exps []*dataset.Experiment) *Suite {
+	s := NewSuite(cfg)
+	for _, e := range exps {
+		s.Observe(e)
+	}
+	return s
+}
+
+// TestSuiteMatchesSliceMeasures is the core gate at the metric layer:
+// over mixed datasets at two seeds, a scanned Suite's answer to every
+// query equals the recorded one. The answers were recorded where a
+// second, slice-walking implementation of every metric still existed and
+// agreed with the Suite line for line.
 func TestSuiteMatchesSliceMeasures(t *testing.T) {
-	cfg := testSuiteConfig()
 	for _, seed := range []int64{42, 7} {
 		ds := genDataset(seed, 400)
-		suite := NewSuite(cfg)
-		if err := suite.Run(SliceScanner(ds.Experiments)); err != nil {
+		suite := NewSuite(testSuiteConfig())
+		if err := suite.Run(func(yield dataset.ScanFunc) error {
+			for _, e := range ds.Experiments {
+				if err := yield(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-		got := dumpMeasures(suite)
-		if d := firstDiff(got, dumpMeasures(NewSliceMeasures(ds, cfg))); d != "" {
-			t.Fatalf("seed %d: Suite vs SliceMeasures: %s", seed, d)
-		}
-		checkRecorded(t, fmt.Sprintf("measures-%d.txt", seed), got)
+		checkRecorded(t, fmt.Sprintf("measures-%d.txt", seed), dumpMeasures(suite))
 		if suite.Passes() != 1 {
 			t.Fatalf("suite used %d passes, want 1", suite.Passes())
 		}
@@ -382,22 +398,70 @@ func TestSuiteMatchesSliceMeasures(t *testing.T) {
 // whole feed counted as one pass.
 func TestSuiteDirectFeed(t *testing.T) {
 	ds := genDataset(42, 400)
-	cfg := testSuiteConfig()
-	suite := NewSuite(cfg)
-	for _, e := range ds.Experiments {
-		suite.Observe(e)
-	}
-	got := dumpMeasures(suite)
-	if d := firstDiff(got, dumpMeasures(NewSliceMeasures(ds, cfg))); d != "" {
-		t.Fatalf("Suite vs SliceMeasures: %s", d)
-	}
-	checkRecorded(t, "measures-42.txt", got)
+	suite := feed(testSuiteConfig(), ds.Experiments)
+	checkRecorded(t, "measures-42.txt", dumpMeasures(suite))
 	if suite.Passes() != 1 {
 		t.Fatalf("direct feed counted %d passes, want 1", suite.Passes())
 	}
-	for _, g := range ds.ByCarrier() {
-		if got := suite.byCarrier[g.Carrier].count; got != len(g.Experiments) {
-			t.Fatalf("%s saw %d experiments, want %d", g.Carrier, got, len(g.Experiments))
+	want := map[string]int{}
+	for _, e := range ds.Experiments {
+		want[e.Carrier]++
+	}
+	if got := suite.CarrierCounts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("experiments per carrier %v, want %v", got, want)
+	}
+}
+
+// TestSuiteIgnoresClientNames relabels every client through a seeded
+// random bijection. Every answer that names no client stays bit-identical,
+// ClientIDs maps through the bijection, and a renamed client's timelines
+// are the original client's. BusiestClient is left out: its tie-break is
+// by name.
+func TestSuiteIgnoresClientNames(t *testing.T) {
+	cfg := testSuiteConfig()
+	for _, seed := range []int64{42, 7, 2014} {
+		ds := genDataset(seed, 400)
+		rename := map[string]string{}
+		for _, e := range ds.Experiments {
+			rename[e.ClientID] = ""
+		}
+		ids := sortedKeys(rename, strings.Compare)
+		for i, j := range rand.New(rand.NewSource(seed)).Perm(len(ids)) {
+			rename[ids[i]] = fmt.Sprintf("renamed-%02d", j)
+		}
+		relabeled := make([]*dataset.Experiment, len(ds.Experiments))
+		for i, e := range ds.Experiments {
+			r := *e
+			r.ClientID = rename[e.ClientID]
+			relabeled[i] = &r
+		}
+		orig, got := feed(cfg, ds.Experiments), feed(cfg, relabeled)
+
+		var want, have strings.Builder
+		dumpAggregates(&want, orig)
+		dumpAggregates(&have, got)
+		if d := firstDiff(have.String(), want.String()); d != "" {
+			t.Fatalf("seed %d: relabeled clients change an answer that names none: %s", seed, d)
+		}
+		for _, carrier := range orig.Carriers() {
+			var wantIDs []string
+			for _, id := range orig.ClientIDs(carrier) {
+				wantIDs = append(wantIDs, rename[id])
+			}
+			sort.Strings(wantIDs)
+			if ids := got.ClientIDs(carrier); !reflect.DeepEqual(ids, wantIDs) {
+				t.Fatalf("seed %d %s: ClientIDs %v, want %v", seed, carrier, ids, wantIDs)
+			}
+			for _, id := range orig.ClientIDs(carrier) {
+				for _, kind := range dataset.Kinds() {
+					if g, w := got.ResolverTimeline(carrier, rename[id], kind), orig.ResolverTimeline(carrier, id, kind); !reflect.DeepEqual(g, w) {
+						t.Fatalf("seed %d %s: ResolverTimeline of %s as %s differs", seed, carrier, id, rename[id])
+					}
+					if g, w := got.StaticTimeline(carrier, rename[id], 1.0, kind), orig.StaticTimeline(carrier, id, 1.0, kind); !reflect.DeepEqual(g, w) {
+						t.Fatalf("seed %d %s: StaticTimeline of %s as %s differs", seed, carrier, id, rename[id])
+					}
+				}
+			}
 		}
 	}
 }
@@ -412,15 +476,14 @@ func TestSuiteScanErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestSuiteEmpty checks the streaming path degrades like the slice path
-// on an empty dataset instead of panicking — whether the Suite scanned
-// nothing or was never fed at all — and that every per-carrier method
-// answers an unseen carrier the way the slice path does and the recorded
-// answers say.
+// TestSuiteEmpty checks the Suite degrades gracefully on an empty
+// dataset instead of panicking — whether it scanned nothing or was never
+// fed at all — and that every per-carrier method answers an unseen
+// carrier the way the recorded answers say.
 func TestSuiteEmpty(t *testing.T) {
 	cfg := testSuiteConfig()
 	scanned := NewSuite(cfg)
-	if err := scanned.Run(SliceScanner(nil)); err != nil {
+	if err := scanned.Run(func(dataset.ScanFunc) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i, suite := range []*Suite{scanned, NewSuite(cfg)} {
@@ -440,13 +503,9 @@ func TestSuiteEmpty(t *testing.T) {
 		if g := suite.Pairs("att"); g.ClientFacing != 0 || len(g.Pairs) != 0 {
 			t.Fatalf("%s: pairs = %+v", name, g)
 		}
-		// The dump queries every per-carrier method for a carrier neither
-		// side has seen.
-		got := dumpMeasures(suite)
-		if d := firstDiff(got, dumpMeasures(NewSliceMeasures(&dataset.Dataset{}, cfg))); d != "" {
-			t.Fatalf("%s: Suite vs SliceMeasures: %s", name, d)
-		}
-		checkRecorded(t, "measures-empty.txt", got)
+		// The dump queries every per-carrier method for a carrier the
+		// Suite has not seen.
+		checkRecorded(t, "measures-empty.txt", dumpMeasures(suite))
 	}
 	if got := NewSuite(cfg).Passes(); got != 0 {
 		t.Fatalf("never-run suite reports %d passes", got)

@@ -50,6 +50,9 @@ func TestScanAllocBudget(t *testing.T) {
 		budget  = 8
 		pinned  = 1 << 20
 	)
+	if raceflag.Enabled {
+		t.Skip("allocation budgets run without -race")
+	}
 	var bin bytes.Buffer
 	if err := (&dataset.Dataset{Experiments: paperBatch(t, records)}).WriteBinary(&bin); err != nil {
 		t.Fatal(err)

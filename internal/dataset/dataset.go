@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"time"
 )
 
@@ -156,31 +155,6 @@ func (d *Dataset) Add(e *Experiment) { d.Experiments = append(d.Experiments, e) 
 
 // Len returns the experiment count.
 func (d *Dataset) Len() int { return len(d.Experiments) }
-
-// CarrierGroup is one carrier's experiments, in dataset order.
-type CarrierGroup struct {
-	Carrier     string
-	Experiments []*Experiment
-}
-
-// ByCarrier splits experiments per carrier. Groups are sorted by carrier
-// name and each group preserves dataset order, so the result is fully
-// deterministic without callers re-sorting.
-func (d *Dataset) ByCarrier() []CarrierGroup {
-	idx := make(map[string]int)
-	var groups []CarrierGroup
-	for _, e := range d.Experiments {
-		i, ok := idx[e.Carrier]
-		if !ok {
-			i = len(groups)
-			idx[e.Carrier] = i
-			groups = append(groups, CarrierGroup{Carrier: e.Carrier})
-		}
-		groups[i].Experiments = append(groups[i].Experiments, e)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Carrier < groups[j].Carrier })
-	return groups
-}
 
 // NewWriter returns the append and flush halves of a streaming encoder
 // writing experiments to w in codec f: every dataset this repository

@@ -64,26 +64,6 @@ func TestDiscoveredExternal(t *testing.T) {
 	}
 }
 
-func TestByCarrier(t *testing.T) {
-	d := &Dataset{}
-	d.Add(sampleExperiment(1, "verizon"))
-	d.Add(sampleExperiment(2, "att"))
-	d.Add(sampleExperiment(3, "verizon"))
-	split := d.ByCarrier()
-	if len(split) != 2 || split[0].Carrier != "att" || split[1].Carrier != "verizon" {
-		t.Fatalf("groups not sorted by carrier: %+v", split)
-	}
-	if len(split[0].Experiments) != 1 || len(split[1].Experiments) != 2 {
-		t.Fatalf("split sizes wrong: %+v", split)
-	}
-	if split[1].Experiments[0].Seq != 1 || split[1].Experiments[1].Seq != 3 {
-		t.Fatal("group must preserve dataset order")
-	}
-	if d.Len() != 3 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-}
-
 // readAll strictly scans a stream of either codec into a slice.
 func readAll(r io.Reader) ([]*Experiment, error) {
 	var es []*Experiment
@@ -98,6 +78,9 @@ func TestJSONLRoundTripFidelity(t *testing.T) {
 	d := &Dataset{}
 	for i := 0; i < 10; i++ {
 		d.Add(sampleExperiment(i, "att"))
+	}
+	if d.Len() != 10 {
+		t.Fatalf("Len = %d", d.Len())
 	}
 	var buf bytes.Buffer
 	if err := d.WriteJSONL(&buf); err != nil {

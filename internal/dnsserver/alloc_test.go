@@ -51,8 +51,8 @@ func TestHotPathAllocsDispatch(t *testing.T) {
 	payload := queryBytes(t)
 	s := &Server{}
 	bufs := &sync.Pool{New: func() any { b := make([]byte, bufSize); return &b }}
-	jobs := make(chan packet)         // no reader: every dispatch overloads
-	writeq := make(chan packet, 256)  // always has room for the SERVFAIL
+	jobs := make(chan packet)        // no reader: every dispatch overloads
+	writeq := make(chan packet, 256) // always has room for the SERVFAIL
 	bp := bufs.Get().(*[]byte)
 	requireZeroAllocs(t, "dispatch(overload)", func() {
 		n := copy(*bp, payload)

@@ -287,8 +287,8 @@ func servfailInPlace(pkt []byte) (int, bool) {
 	if off > len(pkt) {
 		return 0, false
 	}
-	pkt[2] = pkt[2]&^0x06 | 0x80                      // QR on, AA/TC off, opcode+RD kept
-	pkt[3] = 0x02                                     // RA/Z clear, RCODE=SERVFAIL
+	pkt[2] = pkt[2]&^0x06 | 0x80                                        // QR on, AA/TC off, opcode+RD kept
+	pkt[3] = 0x02                                                       // RA/Z clear, RCODE=SERVFAIL
 	pkt[6], pkt[7], pkt[8], pkt[9], pkt[10], pkt[11] = 0, 0, 0, 0, 0, 0 // AN/NS/AR
 	return off, true
 }

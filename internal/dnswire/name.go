@@ -31,11 +31,6 @@ const (
 	maxLabelWire = 63
 )
 
-// Equal reports whether two names are equal under DNS case-insensitivity.
-func (n Name) Equal(m Name) bool {
-	return strings.EqualFold(string(n), string(m))
-}
-
 // Parent returns the name with its leftmost label removed ("a.b.c" → "b.c").
 // The parent of a single-label name is the root (empty) name.
 func (n Name) Parent() Name {

@@ -137,8 +137,8 @@ func TestCompileWindowPinning(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	cases := map[string]string{
-		"outage:target=martian":          "unknown target class",
-		"outage:target=external":         "no addresses",
+		"outage:target=martian":                 "unknown target class",
+		"outage:target=external":                "no addresses",
 		"outage:target=local,start=50%,end=50%": "empty window",
 	}
 	for spec, wantSub := range cases {

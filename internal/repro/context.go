@@ -66,9 +66,9 @@ func newContext(cfg trace.Config, tap func(*dataset.Experiment)) (*Context, erro
 // availabilityBuckets is the timeline resolution of the AVAIL report.
 const availabilityBuckets = 12
 
-// SuiteConfig derives the analysis configuration shared by the streaming
-// and slice metric paths: carrier address ownership for egress
-// extraction, and the campaign window laid out in AVAIL's buckets.
+// SuiteConfig derives the analysis configuration: carrier address
+// ownership for egress extraction, and the campaign window laid out in
+// AVAIL's buckets.
 func SuiteConfig(w *sim.World, cfg trace.Config) analysis.SuiteConfig {
 	return analysis.SuiteConfig{
 		Owns: func(name string) func(netip.Addr) bool {

@@ -22,7 +22,7 @@ var (
 
 // equivalenceContext is a campaign context dedicated to the equivalence
 // sweeps, with the records its campaign streamed kept beside it (through
-// the constructor's tap) for the slice reference and the rescans. The
+// the constructor's tap) for the rescans. The
 // sweeps regenerate every artifact several times over, and the
 // live-probing harness (Table 4) consumes fabric RNG draws on each run —
 // sweeping sharedContext would shift the post-campaign stream position
@@ -71,17 +71,6 @@ func compareArtifacts(t *testing.T, label string, got, want []Result) {
 			}
 		}
 	}
-}
-
-// TestArtifactEquivalenceStreamingVsLegacy is the end-to-end equivalence
-// gate: every artifact rendered from the metrics — every figure and table
-// the dataset determines, and the availability report — must be
-// byte-identical whether the metrics come from the streaming suite or the
-// legacy slice functions.
-func TestArtifactEquivalenceStreamingVsLegacy(t *testing.T) {
-	c, data := equivalenceContext(t)
-	legacy := analysis.NewSliceMeasures(data, SuiteConfig(c.World, c.Campaign.Config))
-	compareArtifacts(t, "legacy", FromMeasures(legacy), FromMeasures(c.M))
 }
 
 // TestArtifactEquivalenceRescan writes the campaign out in both codecs,

@@ -100,7 +100,11 @@ func TestResolverOutageCampaignCompletes(t *testing.T) {
 	// is visible.
 	start := DefaultConfig(7).Start
 	end := start.Add(4 * 24 * time.Hour)
-	tl := analysis.AvailabilityTimeline(ds.Experiments, dataset.KindLocal, start, end, 24*time.Hour)
+	suite := analysis.NewSuite(analysis.SuiteConfig{TimelineStart: start, TimelineEnd: end, TimelineBucket: 24 * time.Hour})
+	for _, e := range ds.Experiments {
+		suite.Observe(e)
+	}
+	tl := suite.AvailabilityTimeline(dataset.KindLocal)
 	if len(tl) != 4 {
 		t.Fatalf("timeline buckets = %d", len(tl))
 	}
@@ -116,14 +120,14 @@ func TestResolverOutageCampaignCompletes(t *testing.T) {
 	}
 
 	// Public DNS is untargeted and must stay healthy throughout.
-	pub := analysis.ResolutionAvailability(ds.Experiments, dataset.KindGoogle)
+	pub := suite.Availability(nil, dataset.KindGoogle)
 	if pub.Rate() < 0.95 {
 		t.Fatalf("google availability = %.2f during a local-resolver outage", pub.Rate())
 	}
 
 	// Per-resolver attribution: the worst resolvers are exactly the
 	// targeted local ones.
-	perRes := analysis.PerResolverAvailability(ds.Experiments, dataset.KindLocal)
+	perRes := suite.PerResolverAvailability(dataset.KindLocal)
 	if len(perRes) == 0 || perRes[0].Rate() > 0.8 {
 		t.Fatal("per-resolver availability does not reflect the outage")
 	}

@@ -52,8 +52,8 @@ func TestStreamingIntoEngineMatchesCollect(t *testing.T) {
 		t.Fatal("empty campaign")
 	}
 	want := analysis.NewSuite(analysis.SuiteConfig{})
-	if err := want.Run(analysis.SliceScanner(ds.Experiments)); err != nil {
-		t.Fatal(err)
+	for _, e := range ds.Experiments {
+		want.Observe(e)
 	}
 
 	for _, workers := range []int{1, 4} {

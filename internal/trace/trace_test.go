@@ -393,23 +393,3 @@ func TestParallelRunUnderRace(t *testing.T) {
 		}
 	}
 }
-
-func TestByCarrierSplit(t *testing.T) {
-	_, ds := smallCampaign(t, 1, 0.05)
-	split := ds.ByCarrier()
-	if len(split) != 6 {
-		t.Fatalf("carriers in dataset = %d", len(split))
-	}
-	for i := 1; i < len(split); i++ {
-		if split[i-1].Carrier >= split[i].Carrier {
-			t.Fatalf("groups not sorted: %q before %q", split[i-1].Carrier, split[i].Carrier)
-		}
-	}
-	total := 0
-	for _, g := range split {
-		total += len(g.Experiments)
-	}
-	if total != ds.Len() {
-		t.Fatal("split lost experiments")
-	}
-}

@@ -24,10 +24,10 @@ import (
 
 // Errors returned by fabric operations.
 var (
-	ErrNoRoute     = errors.New("vnet: no route to host")
+	ErrNoRoute           = errors.New("vnet: no route to host")
 	ErrTimeout     error = &timeoutError{}
 	ErrRefused     error = &refusedError{}
-	ErrUnknownAddr = errors.New("vnet: unknown address")
+	ErrUnknownAddr       = errors.New("vnet: unknown address")
 	// ErrInjected marks a failure manufactured by the fault injector
 	// (handler error storms); it reaches clients exactly as a handler
 	// error would.

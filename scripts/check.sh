@@ -29,6 +29,13 @@ trap 'exit 130' INT TERM
 echo "==> go build ./..."
 go build ./...
 
+echo "==> gofmt -l . (every .go file, bench/ included, is gofmt-clean)"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	printf 'gofmt would reformat:\n%s\n' "$unformatted"
+	exit 1
+fi
+
 echo "==> cross-build (GOOS=windows, GOOS=darwin: the portable batch loop, the !linux sockopt fallback, sigdrain's signal set)"
 GOOS=windows go build ./...
 GOOS=darwin go build ./...
