@@ -20,7 +20,8 @@ import (
 // Zone is the default whoami zone.
 const Zone dnswire.Name = "whoami.aqualab.example"
 
-// Whoami answers A queries under Zone with the querier's address.
+// Whoami answers A queries under Zone with the querier's address. Answer
+// is safe for concurrent use; Serve, the fabric's handler, is not.
 type Whoami struct {
 	// ZoneName is the zone served (default Zone).
 	ZoneName dnswire.Name
@@ -28,6 +29,11 @@ type Whoami struct {
 	// means instantaneous.
 	Processing stats.Dist
 	rng        *stats.RNG
+	// dec and enc parse the queries and encode the answers of Serve,
+	// which returns enc's bytes (see vnet.Handler). Answer, what the
+	// socket servers call, uses neither.
+	dec dnswire.Decoder
+	enc dnswire.Encoder
 }
 
 // New creates a whoami server with the given processing model.
@@ -77,12 +83,12 @@ func (w *Whoami) Answer(remote netip.Addr, query *dnswire.Message) *dnswire.Mess
 
 // Serve implements vnet.Handler.
 func (w *Whoami) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := dnswire.Parse(req.Payload)
+	query, err := w.dec.Parse(req.Payload)
 	if err != nil {
 		return nil, 0, err
 	}
 	resp := w.Answer(req.Src, query)
-	out, err := resp.Pack()
+	out, err := w.enc.Encode(resp)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -91,6 +91,10 @@ type Provider struct {
 	// pure function of its key and the world's structure. Cleared by the
 	// fabric's experiment reset and whenever a hint is registered.
 	mapped map[mappingKey][2]int
+	// dec and enc parse the queries and encode the answers of Serve,
+	// which returns enc's bytes (see vnet.Handler).
+	dec dnswire.Decoder
+	enc dnswire.Encoder
 }
 
 // cnameTarget is a customer domain's CNAME target with its RDATA boxed
@@ -407,13 +411,13 @@ func (p *Provider) appendReplicas(rrs []dnswire.Record, rng *stats.RNG, domain s
 
 // Serve implements vnet.Handler: the provider's authoritative DNS.
 func (p *Provider) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := dnswire.Parse(req.Payload)
+	query, err := p.dec.Parse(req.Payload)
 	if err != nil {
 		return nil, 0, err
 	}
 	rng := req.Fabric.RNG()
 	resp := p.answer(rng, req.Src, query, req.Time)
-	out, err := resp.Pack()
+	out, err := p.enc.Encode(resp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -480,21 +484,38 @@ type replicaHTTP struct {
 	provider   string
 	city       string
 	processing stats.Dist
+	// index is the answer to GET /, built on the first one. Every GET a
+	// campaign sends asks for it, and what a handler returns is never
+	// modified by its callers (vnet.Handler), so one copy serves them all.
+	index []byte
 }
 
+// badRequest is every replica's answer to a request that is not a GET.
+var badRequest = []byte("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
+
 // Serve implements vnet.Handler: a minimal HTTP GET responder whose
-// response identifies the serving replica.
+// response identifies the serving replica. The request line is method,
+// target and version, each separated by one space (RFC 9112 §3).
 func (h *replicaHTTP) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 	rng := req.Fabric.RNG()
 	line, _, _ := bytes.Cut(req.Payload, []byte("\r\n"))
-	fields := bytes.Fields(line)
-	if len(fields) < 3 || string(fields[0]) != "GET" {
-		return []byte("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"),
-			h.processing.Sample(rng), nil
+	method, rest, ok := bytes.Cut(line, []byte(" "))
+	path, _, hasVersion := bytes.Cut(rest, []byte(" "))
+	if !ok || !hasVersion || string(method) != "GET" {
+		return badRequest, h.processing.Sample(rng), nil
 	}
-	// One buffer for head and body; the body is
-	// "served-by: <provider>/<city>\npath: <path>\n".
-	path := fields[1]
+	if string(path) != "/" {
+		return h.response(path), h.processing.Sample(rng), nil
+	}
+	if h.index == nil {
+		h.index = h.response(path)
+	}
+	return h.index, h.processing.Sample(rng), nil
+}
+
+// response is the 200 answer to a GET of path: one buffer for head and
+// body, and the body is "served-by: <provider>/<city>\npath: <path>\n".
+func (h *replicaHTTP) response(path []byte) []byte {
 	bodyLen := len("served-by: /\npath: \n") + len(h.provider) + len(h.city) + len(path)
 	resp := make([]byte, 0, 96+len(h.provider)+bodyLen)
 	resp = append(resp, "HTTP/1.1 200 OK\r\nServer: "...)
@@ -508,5 +529,5 @@ func (h *replicaHTTP) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 	resp = append(resp, "\npath: "...)
 	resp = append(resp, path...)
 	resp = append(resp, '\n')
-	return resp, h.processing.Sample(rng), nil
+	return resp
 }

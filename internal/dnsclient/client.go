@@ -6,7 +6,9 @@
 // sockets (UDPTransport, TCPTransport; cmd/dnsprobe, cmd/fwdns) and the
 // simulated fabric (probe.Host). One layer up the same holds for the
 // measurement script: measure.Script takes its client from whichever
-// vantage runs it.
+// vantage runs it. Responses are parsed with dnswire.Parse, or with the
+// client's own dnswire.Decoder when it has one (the simulated device's,
+// kept warm across experiments).
 package dnsclient
 
 import (
@@ -29,7 +31,9 @@ var (
 )
 
 // Transport moves one DNS datagram to a server and returns the reply and
-// the observed round-trip time.
+// the observed round-trip time. The reply need only stay valid until the
+// transport's next Exchange (the simulated fabric hands back a handler's
+// reused buffer): the client parses it before it sends again.
 type Transport interface {
 	Exchange(server netip.Addr, payload []byte) (resp []byte, rtt time.Duration, err error)
 }
@@ -57,6 +61,11 @@ type Client struct {
 	// leaves it nil: backoff is accounted in Result.Wait as virtual time,
 	// never slept.
 	Sleep func(time.Duration)
+	// Decoder, when set, parses every response, so the names and RDATA
+	// it has seen before come from its tables instead of being decoded
+	// again; the client is then no longer safe for concurrent use. Nil
+	// parses with dnswire.Parse, which shared clients (cmd/fwdns) need.
+	Decoder *dnswire.Decoder
 	// nextID produces query IDs: the simulation's deterministic source,
 	// or New's shared counter.
 	nextID func() uint16
@@ -209,7 +218,7 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 				lastErr = err
 				continue
 			}
-			msg, err := dnswire.Parse(raw)
+			msg, err := c.parse(raw)
 			if err != nil {
 				lastErr = err
 				continue
@@ -229,7 +238,7 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 				attempts++
 				cost += tcpRTT
 				if err == nil {
-					if full, perr := dnswire.Parse(tcpRaw); perr == nil &&
+					if full, perr := c.parse(tcpRaw); perr == nil &&
 						full.Header.ID == q.Header.ID && full.Header.Response {
 						return finish(&Result{
 							Msg: full, RTT: rtt + tcpRTT, Server: server,
@@ -267,6 +276,14 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 		return res, ErrAllRetriesFailed
 	}
 	return res, fmt.Errorf("%w: %w", ErrAllRetriesFailed, lastErr)
+}
+
+// parse decodes a response with the client's Decoder, if it has one.
+func (c *Client) parse(raw []byte) (*dnswire.Message, error) {
+	if c.Decoder != nil {
+		return c.Decoder.Parse(raw)
+	}
+	return dnswire.Parse(raw)
 }
 
 // QueryA resolves A records and returns the full result.

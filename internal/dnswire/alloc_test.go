@@ -13,11 +13,14 @@ package dnswire
 //	parseName           3 allocs/op   1 (the Name)      1
 //	Message.Append      10 allocs/op  2 (map + growth)  0
 //	Parse (reply)       -             11                8
+//	Decoder.Parse       -             -                 2 (warm tables)
 //
 // The first step was byte-wise label iteration, tail-slice compression
 // keys, caller-owned decode buffers and the reusable Encoder; the second
 // a compression table on the packer's stack and Names that a pointer-only
-// name shares with the label it points to.
+// name shares with the label it points to; the third the Decoder, which
+// keeps names and boxed RDATA across parses and lays a message out in
+// two blocks.
 
 import (
 	"net/netip"
@@ -152,6 +155,44 @@ func TestParseAllocBudget(t *testing.T) {
 	if n > budget {
 		t.Errorf("Parse (CNAME + 2×A reply): %.1f allocs/op, budget %d", n, budget)
 	}
+}
+
+// TestDecoderAllocBudget holds a warm Decoder's parse of the CDN reply
+// to its two blocks: the Message with its question, and the records. The
+// names and the boxed CNAME and A RDATA come from its tables.
+func TestDecoderAllocBudget(t *testing.T) {
+	pkt, err := cdnReply().Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 2
+	var d Decoder
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := d.Parse(pkt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > budget {
+		t.Errorf("Decoder.Parse (CNAME + 2×A reply): %.1f allocs/op, budget %d", n, budget)
+	}
+}
+
+// TestHotPathAllocsDecoderHit proves the //lint:hotpath table hits: a
+// name, an A, an AAAA and a CNAME a Decoder has seen come back from its
+// tables, the same values, with no allocation.
+func TestHotPathAllocsDecoderHit(t *testing.T) {
+	var d Decoder
+	b := []byte("m-facebook-com.edgecast.example.net")
+	v4, v6 := netip.MustParseAddr("23.0.3.1"), netip.MustParseAddr("2001:db8::7")
+	name := d.name(b)
+	a, aaaa := d.addr(TypeA, v4), d.addr(TypeAAAA, v6)
+	cname := d.target(TypeCNAME, name)
+	requireZeroAllocs(t, "Decoder table hits", func() {
+		if d.name(b) != name || d.addr(TypeA, v4) != a || d.addr(TypeAAAA, v6) != aaaa ||
+			d.target(TypeCNAME, name) != cname {
+			t.Fatal("a warm table missed")
+		}
+	})
 }
 
 // TestEncoderMatchesAppend pins Encoder.Encode to the exact bytes of the

@@ -248,10 +248,12 @@ func appendRecord(buf []byte, rr Record, cm *compressionMap) ([]byte, error) {
 	return buf, nil
 }
 
-// Parse decodes a complete DNS message.
+// Parse decodes a complete DNS message. Every name and RDATA of the
+// message it returns is its own; a Decoder parses the same way but
+// shares the immutable ones across calls.
 func Parse(msg []byte) (*Message, error) {
-	var names sharedNames
-	return walk(msg, &names)
+	var p parser
+	return walk(msg, &p)
 }
 
 // Check reports whether Parse would accept msg, with the error Parse
@@ -264,10 +266,18 @@ func Check(msg []byte) error {
 	return err
 }
 
-// walk is Parse's section walk. With names nil it only checks: every rule
-// Parse applies runs, in the same order, but it builds nothing and returns
-// a nil message.
-func walk(msg []byte, names *sharedNames) (*Message, error) {
+// parser is what walk builds a message with: Parse's has no Decoder and
+// builds every name and RDATA afresh, a Decoder's shares them through the
+// Decoder's tables. Check walks with a nil parser, which builds nothing.
+type parser struct {
+	shared sharedNames
+	dec    *Decoder
+}
+
+// walk is the one section walk of Parse, Decoder.Parse and Check. With p
+// nil it only checks: every rule a parse applies runs, in the same order,
+// but it builds nothing and returns a nil message.
+func walk(msg []byte, p *parser) (*Message, error) {
 	if len(msg) < headerLen {
 		return nil, ErrHeaderTruncated
 	}
@@ -283,8 +293,19 @@ func walk(msg []byte, names *sharedNames) (*Message, error) {
 
 	var out *Message
 	var dests [3]*[]Record
-	if names != nil {
-		out = &Message{}
+	var block []Record // a Decoder's one slice for all three sections
+	if p != nil {
+		if p.dec != nil && qd == 1 {
+			b := new(messageBlock)
+			out = &b.m
+			out.Questions = b.q[:0:1]
+		} else {
+			out = &Message{}
+		}
+		if p.dec != nil && an+ns+ar > 0 {
+			// The sanity bound above caps the count by the message size.
+			block = make([]Record, an+ns+ar)
+		}
 		out.Header = unpackFlags(binary.BigEndian.Uint16(msg[2:4]))
 		out.Header.ID = binary.BigEndian.Uint16(msg[0:2])
 		dests = [3]*[]Record{&out.Answers, &out.Authorities, &out.Additionals}
@@ -293,7 +314,7 @@ func walk(msg []byte, names *sharedNames) (*Message, error) {
 	var err error
 	for i := 0; i < qd; i++ {
 		var q Question
-		if q.Name, off, err = names.parse(msg, off); err != nil {
+		if q.Name, off, err = p.name(msg, off); err != nil {
 			return nil, fmt.Errorf("question %d: %w", i, err)
 		}
 		if off+4 > len(msg) {
@@ -309,12 +330,15 @@ func walk(msg []byte, names *sharedNames) (*Message, error) {
 	for s, n := range [3]int{an, ns, ar} {
 		dest := dests[s]
 		if dest != nil && n > 0 {
-			// The sanity bound above caps n by the message size.
-			*dest = make([]Record, 0, n)
+			if block != nil {
+				*dest, block = block[:0:n], block[n:]
+			} else {
+				*dest = make([]Record, 0, n)
+			}
 		}
 		for i := 0; i < n; i++ {
 			var rr Record
-			if rr, off, err = parseRecord(msg, off, names); err != nil {
+			if rr, off, err = parseRecord(msg, off, p); err != nil {
 				//lint:ignore errwrap parse errors are already positional; Parse adds nothing
 				return nil, err
 			}
@@ -357,12 +381,12 @@ func soleQuestion(msg, dst []byte) ([]byte, int, bool) {
 	return name, end, true
 }
 
-// parseRecord decodes the record at off. With names nil it only checks
-// (see walk): the returned Record has no name and no data.
-func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
+// parseRecord decodes the record at off. With p nil it only checks (see
+// walk): the returned Record has no name and no data.
+func parseRecord(msg []byte, off int, p *parser) (Record, int, error) {
 	var rr Record
 	var err error
-	if rr.Name, off, err = names.parse(msg, off); err != nil {
+	if rr.Name, off, err = p.name(msg, off); err != nil {
 		return rr, 0, err
 	}
 	if off+10 > len(msg) {
@@ -378,7 +402,7 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 	}
 	rd := msg[off : off+rdlen]
 	rdEnd := off + rdlen
-	build := names != nil
+	build := p != nil
 
 	rr.Class = Class(classField)
 	switch typ {
@@ -387,40 +411,32 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 			return rr, 0, fmt.Errorf("dnswire: A RDATA length %d", rdlen)
 		}
 		if build {
-			rr.Data = A{Addr: netip.AddrFrom4([4]byte(rd))}
+			rr.Data = p.dec.addr(TypeA, netip.AddrFrom4([4]byte(rd)))
 		}
 	case TypeAAAA:
 		if rdlen != 16 {
 			return rr, 0, fmt.Errorf("dnswire: AAAA RDATA length %d", rdlen)
 		}
 		if build {
-			rr.Data = AAAA{Addr: netip.AddrFrom16([16]byte(rd))}
+			rr.Data = p.dec.addr(TypeAAAA, netip.AddrFrom16([16]byte(rd)))
 		}
 	case TypeCNAME, TypeNS, TypePTR:
-		n, nend, err := names.parse(msg, off)
+		n, nend, err := p.name(msg, off)
 		if err != nil {
 			return rr, 0, err
 		}
 		if nend != rdEnd {
 			return rr, 0, fmt.Errorf("dnswire: %s RDATA has trailing bytes", typ)
 		}
-		if !build {
-			break
-		}
-		switch typ {
-		case TypeCNAME:
-			rr.Data = CNAME{Target: n}
-		case TypeNS:
-			rr.Data = NS{Host: n}
-		default:
-			rr.Data = PTR{Target: n}
+		if build {
+			rr.Data = p.dec.target(typ, n)
 		}
 	case TypeMX:
 		if rdlen < 3 {
 			return rr, 0, fmt.Errorf("dnswire: MX RDATA length %d", rdlen)
 		}
 		pref := binary.BigEndian.Uint16(rd)
-		host, nend, err := names.parse(msg, off+2)
+		host, nend, err := p.name(msg, off+2)
 		if err != nil {
 			return rr, 0, err
 		}
@@ -433,10 +449,10 @@ func parseRecord(msg []byte, off int, names *sharedNames) (Record, int, error) {
 	case TypeSOA:
 		var s SOA
 		pos := off
-		if s.MName, pos, err = names.parse(msg, pos); err != nil {
+		if s.MName, pos, err = p.name(msg, pos); err != nil {
 			return rr, 0, err
 		}
-		if s.RName, pos, err = names.parse(msg, pos); err != nil {
+		if s.RName, pos, err = p.name(msg, pos); err != nil {
 			return rr, 0, err
 		}
 		if pos+20 != rdEnd {

@@ -307,26 +307,13 @@ func decodeName(msg []byte, off int, dst []byte) ([]byte, int, error) {
 	}
 }
 
-// parseName is decodeName materialized into an immutable Name. It decodes
-// into a stack scratch sized so that no legal name (and no label that
-// tips one over the limit) outgrows it; the one []byte→string conversion
-// here is the only allocation of the decode path.
-func parseName(msg []byte, off int) (Name, int, error) {
-	var scratch [maxNameWire + maxLabelWire]byte
-	b, end, err := decodeName(msg, off, scratch[:0])
-	if err != nil {
-		return "", 0, err
-	}
-	return Name(b), end, nil
-}
-
-// sharedNames is Parse's per-call record of the labels it has decoded, so
-// a later name that is nothing but a pointer to one of them (the owner of
+// sharedNames is a parse's record of the labels it has decoded, so a
+// later name that is nothing but a pointer to one of them (the owner of
 // every record after a CNAME, say) can be a substring of the earlier Name
 // instead of a fresh decode and allocation. Each label keeps the pointer
-// hops its suffix took, so a shared name is shared only where parseName
-// would accept it too. A full table records nothing more and later names
-// decode as usual; the zero value is empty and ready to use.
+// hops its suffix took, so a shared name is shared only where a fresh
+// decode would accept it too. A full table records nothing more and later
+// names decode as usual; the zero value is empty and ready to use.
 type sharedNames struct {
 	n      int
 	labels [16]sharedLabel
@@ -338,35 +325,51 @@ type sharedLabel struct {
 	suffix Name   // the name decoded from pos
 }
 
-// parse is parseName with sharing: see sharedNames. Parse decodes names
-// in wire order, so every recorded label lies before off and a pointer to
-// it is one a fresh decode would follow too. A nil table only checks
-// (Check's walk): it decodes into stack scratch and returns the root name.
-func (t *sharedNames) parse(msg []byte, off int) (Name, int, error) {
-	if t == nil {
+// name decodes the name at off into an immutable Name, sharing it within
+// the message through p.shared and across messages through p.dec. Names
+// are decoded in wire order, so every recorded label lies before off and
+// a pointer to it is one a fresh decode would follow too. A nil parser
+// only checks (Check's walk): it decodes into stack scratch and returns
+// the root name.
+func (p *parser) name(msg []byte, off int) (Name, int, error) {
+	if p == nil {
 		var scratch [maxNameWire + maxLabelWire]byte
 		_, end, err := decodeName(msg, off, scratch[:0])
 		return "", end, err
 	}
+	if n, ok := p.shared.pointee(msg, off); ok {
+		return n, off + 2, nil
+	}
+	// The scratch is sized so that no legal name (and no label that tips
+	// one over the limit) outgrows it; the Decoder's table, or the one
+	// []byte→string conversion when there is none, is all that allocates.
+	var scratch [maxNameWire + maxLabelWire]byte
+	b, end, err := decodeName(msg, off, scratch[:0])
+	if err != nil {
+		return "", 0, err
+	}
+	n := p.dec.name(b)
+	p.shared.record(msg, off, n)
+	return n, end, nil
+}
+
+// pointee returns the recorded suffix that the name at off points to,
+// when that name is nothing but a pointer to a recorded label.
+func (t *sharedNames) pointee(msg []byte, off int) (Name, bool) {
 	if off+1 < len(msg) && msg[off]&0xC0 == 0xC0 {
 		target := int(msg[off]&0x3F)<<8 | int(msg[off+1])
 		for _, l := range t.labels[:t.n] {
 			// decodeName allows 63 jumps; following this pointer is one.
 			if int(l.pos) == target && l.hops < 63 {
-				return l.suffix, off + 2, nil
+				return l.suffix, true
 			}
 		}
 	}
-	n, end, err := parseName(msg, off)
-	if err != nil {
-		return "", 0, err
-	}
-	t.record(msg, off, n)
-	return n, end, nil
+	return "", false
 }
 
 // record adds the labels of n that were encoded in place at off, before
-// any pointer, and that a pointer can reach. parseName has already
+// any pointer, and that a pointer can reach. decodeName has already
 // validated the bytes it walks, pointer chain included.
 func (t *sharedNames) record(msg []byte, off int, n Name) {
 	first, hops := t.n, 0

@@ -4,6 +4,14 @@
 // (A, AAAA, CNAME, NS, PTR, SOA, TXT, MX and OPT/EDNS0), and a
 // serializer/parser pair.
 //
+// Each side has a stateless form and a reusable one. Pack and Append
+// allocate their output; an Encoder reuses its buffer and compression
+// table. Parse builds every name and RDATA afresh; a Decoder shares the
+// immutable ones (names and boxed A, AAAA, CNAME, NS and PTR RDATA)
+// across the messages it parses. Neither reusable form is safe for
+// concurrent use, so a component that serves one message at a time
+// owns one of each.
+//
 // The codec is shared by the real-socket tools (cmd/dnsprobe, cmd/adnsd)
 // and the simulated resolvers: both sides exchange genuine DNS packets.
 package dnswire

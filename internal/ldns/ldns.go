@@ -177,6 +177,13 @@ type Engine struct {
 
 	caches []*Cache
 	nextID uint16
+	// dec parses every frontend's client queries and the upstream
+	// answers; query encodes the upstream queries and reply the answers
+	// to clients. The fabric runs one handler at a time and a caller
+	// parses what a round trip returns before its next one
+	// (vnet.Handler), so one of each serves all the frontends.
+	dec          dnswire.Decoder
+	query, reply dnswire.Encoder
 }
 
 // NewEngine wires an engine; caches are created per external resolver.
@@ -224,14 +231,15 @@ type Frontend struct {
 	Eng   *Engine
 }
 
-// Serve implements vnet.Handler for the client-facing resolver.
+// Serve implements vnet.Handler for the client-facing resolver. It
+// parses and answers with its engine's Decoder and Encoder.
 func (fr *Frontend) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := dnswire.Parse(req.Payload)
+	query, err := fr.Eng.dec.Parse(req.Payload)
 	if err != nil {
 		return nil, 0, err
 	}
 	resp, elapsed := fr.Eng.Resolve(req.Fabric, query, fr.Index, req.Src, req.Time)
-	out, err := resp.Pack()
+	out, err := fr.Eng.reply.Encode(resp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -276,7 +284,7 @@ func (e *Engine) Resolve(f *vnet.Fabric, query *dnswire.Message, frontend int, s
 	e.nextID++
 	upstream := dnswire.NewQuery(e.nextID, q.Name, q.Type)
 	upstream.Header.RecursionDesired = false
-	payload, err := upstream.Pack()
+	payload, err := e.query.Encode(upstream)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed
@@ -286,7 +294,7 @@ func (e *Engine) Resolve(f *vnet.Fabric, query *dnswire.Message, frontend int, s
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed + f.ProbeTimeout
 	}
-	ans, err := dnswire.Parse(raw)
+	ans, err := e.dec.Parse(raw)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed

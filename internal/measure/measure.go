@@ -102,9 +102,7 @@ func Script(v Vantage, domains []dnswire.Name, tracerouteEvery int, exp *dataset
 				res.RTT1 = first.RTT
 				res.Answers = first.IPs()
 				res.TTL = first.Msg.MinAnswerTTL()
-				if ch := first.Msg.CNAMEChain(); len(ch) > 0 {
-					res.CNAME = string(ch[0])
-				}
+				res.CNAME = firstCNAME(first.Msg)
 				// The second lookup only counts when it actually succeeds;
 				// otherwise RTT2 stays zero AND OK2 stays false, so a failed
 				// repeat is distinguishable from a very fast cached answer.
@@ -186,6 +184,17 @@ func Script(v Vantage, domains []dnswire.Name, tracerouteEvery int, exp *dataset
 	}
 }
 
+// firstCNAME returns the target of the answer section's first CNAME, or
+// "" when it has none.
+func firstCNAME(m *dnswire.Message) string {
+	for _, rr := range m.Answers {
+		if c, ok := rr.Data.(dnswire.CNAME); ok {
+			return string(c.Target)
+		}
+	}
+	return ""
+}
+
 // Runner executes experiments against a world: the simulated vantage.
 type Runner struct {
 	World   *sim.World
@@ -205,6 +214,9 @@ type Runner struct {
 	// dev is re-pointed at each experiment's client rather than built
 	// anew, so handing it to Script as a Vantage allocates nothing.
 	dev device
+	// dec parses every DNS response the device receives: kept by the
+	// runner, its tables stay warm from one experiment to the next.
+	dec dnswire.Decoder
 }
 
 // device is a carrier client on the world's fabric: probe.Host supplies
@@ -212,7 +224,15 @@ type Runner struct {
 type device struct {
 	probe.Host
 	world   *sim.World
+	dec     *dnswire.Decoder
 	targets [3]Target
+}
+
+// Resolver is the host's stub resolver, parsing with the runner's Decoder.
+func (d *device) Resolver() *dnsclient.Client {
+	c := d.Host.Resolver()
+	c.Decoder = d.dec
+	return c
 }
 
 func (d *device) Targets() []Target { return d.targets[:] }
@@ -250,6 +270,7 @@ func (r *Runner) RunAt(c *carrier.Client, now time.Time, seq int, stream *stats.
 	r.dev = device{
 		Host:  probe.Host{Fabric: w.Fabric, Addr: c.Addr},
 		world: w,
+		dec:   &r.dec,
 		targets: [3]Target{
 			{Kind: dataset.KindLocal, Addr: c.ConfiguredResolver(), Alt: c.SecondaryResolver()},
 			{Kind: dataset.KindGoogle, Addr: w.Google.VIP},

@@ -67,6 +67,12 @@ type Service struct {
 	ranked map[geo.Point][]int
 	seed   uint64
 	nextID uint16
+	// dec parses client queries and upstream answers; query encodes the
+	// upstream queries and reply the answers to clients. The fabric runs
+	// one handler at a time and a caller parses what a round trip returns
+	// before its next one (vnet.Handler), so one of each serves the VIP.
+	dec          dnswire.Decoder
+	query, reply dnswire.Encoder
 }
 
 type cacheShard struct{ entries map[string]time.Time }
@@ -236,12 +242,12 @@ func (s *Service) ClusterOf(addr netip.Addr) int {
 
 // Serve implements vnet.Handler for the VIP.
 func (s *Service) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := dnswire.Parse(req.Payload)
+	query, err := s.dec.Parse(req.Payload)
 	if err != nil {
 		return nil, 0, err
 	}
 	resp, elapsed := s.resolve(req.Fabric, query, req.Src, req.Time)
-	out, err := resp.Pack()
+	out, err := s.reply.Encode(resp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -274,7 +280,7 @@ func (s *Service) resolve(f *vnet.Fabric, query *dnswire.Message, src netip.Addr
 	s.nextID++
 	upstream := dnswire.NewQuery(s.nextID, q.Name, q.Type)
 	upstream.Header.RecursionDesired = false
-	payload, err := upstream.Pack()
+	payload, err := s.query.Encode(upstream)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed
@@ -284,7 +290,7 @@ func (s *Service) resolve(f *vnet.Fabric, query *dnswire.Message, src netip.Addr
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed + f.ProbeTimeout
 	}
-	ans, err := dnswire.Parse(raw)
+	ans, err := s.dec.Parse(raw)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed

@@ -9,7 +9,9 @@
 // reported service time folds into the caller's measured RTT exactly as it
 // would on a real network. This keeps a five-month measurement campaign
 // deterministic and runnable in seconds while the same dnswire bytes flow
-// end to end.
+// end to end. Being synchronous, the fabric runs one handler at a time,
+// and a handler may answer from a buffer it reuses: a response is valid
+// until the next RoundTrip on the fabric, and callers never modify it.
 package vnet
 
 import (
@@ -139,7 +141,9 @@ type Request struct {
 // Handler is a service bound to an (address, port).
 type Handler interface {
 	// Serve processes one request and returns the response payload and
-	// the service time (processing plus any upstream round trips).
+	// the service time (processing plus any upstream round trips). The
+	// payload may be a buffer the handler reuses: it need only stay valid
+	// until the next RoundTrip on the fabric (see RoundTrip).
 	Serve(req Request) (resp []byte, elapsed time.Duration, err error)
 }
 
@@ -391,6 +395,11 @@ func (f *Fabric) routeLatency(r Route) (time.Duration, bool) {
 // answer is still a datagram travelling at network speed. Only lost or
 // blocked packets return ErrTimeout with RTT equal to ProbeTimeout,
 // matching what a real prober records.
+//
+// The response is the handler's own bytes, not a copy: they are valid
+// until the next RoundTrip on this fabric, and callers never modify
+// them. A caller that needs them longer copies them; every caller in the
+// simulation parses them at once.
 func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]byte, time.Duration, error) {
 	route, err := f.route(src, dst)
 	if err != nil {

@@ -46,8 +46,8 @@ go vet ./...
 echo "==> curtainlint ./..."
 go run ./cmd/curtainlint ./...
 
-echo "==> hot-path zero-alloc proof (testing.AllocsPerRun) and Parse allocation budget (CNAME + 2xA reply: <= 8)"
-go test -count=1 -run '^(TestHotPathAllocs|TestParseAllocBudget$)' ./internal/dnswire/
+echo "==> hot-path zero-alloc proof (testing.AllocsPerRun, Decoder table hits included) and Parse / Decoder.Parse allocation budgets (CNAME + 2xA reply: <= 8 / warm Decoder <= 2)"
+go test -count=1 -run '^(TestHotPathAllocs|TestParseAllocBudget$|TestDecoderAllocBudget$)' ./internal/dnswire/
 
 echo "==> serving hot-path zero-alloc proof (dispatch, servfail, batch read loop)"
 go test -count=1 -run '^TestHotPathAllocs' ./internal/dnsserver/
@@ -58,7 +58,7 @@ go test -count=1 -run '^TestHotPathAllocs' ./internal/dataset/
 echo "==> curtainbin scan allocation budget (Scan of 640 paper-campaign records: <= 8 allocations per record, dropped records not pinned)"
 go test -count=1 -run '^TestScanAllocBudget$' ./internal/dataset/
 
-echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt)"
+echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt: <= 1,250)"
 go test -count=1 -run '^TestExperimentAllocBudget$' ./internal/measure/
 
 echo "==> segment round-trip allocation budget (Marshal+UnmarshalExperiments of a 64-record lease: no per-call reader or compressor, <= 12 allocations per record)"
