@@ -29,11 +29,14 @@ type Whoami struct {
 	// means instantaneous.
 	Processing stats.Dist
 	rng        *stats.RNG
-	// dec and enc parse the queries and encode the answers of Serve,
-	// which returns enc's bytes (see vnet.Handler). Answer, what the
-	// socket servers call, uses neither.
-	dec dnswire.Decoder
-	enc dnswire.Encoder
+	// dec parses Serve's queries into in; resp is the answer, built in
+	// place, whose records keep their array from one answer to the next,
+	// and enc encodes it. Serve returns enc's bytes (see vnet.Handler).
+	// Answer, what the socket servers call, uses none of them.
+	dec  dnswire.Decoder
+	in   dnswire.Scratch
+	resp dnswire.Message
+	enc  dnswire.Encoder
 }
 
 // New creates a whoami server with the given processing model.
@@ -45,6 +48,13 @@ func New(processing stats.Dist, rng *stats.RNG) *Whoami {
 // It is transport-independent.
 func (w *Whoami) Answer(remote netip.Addr, query *dnswire.Message) *dnswire.Message {
 	resp := query.Reply()
+	w.answer(resp, remote, query)
+	return resp
+}
+
+// answer fills resp, already query's reply skeleton, with the whoami
+// answer for remote.
+func (w *Whoami) answer(resp *dnswire.Message, remote netip.Addr, query *dnswire.Message) {
 	resp.Header.Authoritative = true
 	zone := w.ZoneName
 	if zone == "" {
@@ -52,17 +62,17 @@ func (w *Whoami) Answer(remote netip.Addr, query *dnswire.Message) *dnswire.Mess
 	}
 	if len(query.Questions) != 1 {
 		resp.Header.RCode = dnswire.RCodeFormErr
-		return resp
+		return
 	}
 	q := query.Questions[0]
 	if !q.Name.HasSuffix(zone) {
 		resp.Header.RCode = dnswire.RCodeRefused
-		return resp
+		return
 	}
 	if q.Type != dnswire.TypeA && q.Type != dnswire.TypeANY && q.Type != dnswire.TypeTXT {
 		// NODATA: name exists, no records of this type. TTL 0 everywhere:
 		// whoami answers must never be cached.
-		return resp
+		return
 	}
 	if q.Type == dnswire.TypeA || q.Type == dnswire.TypeANY {
 		if remote.Is4() {
@@ -78,17 +88,17 @@ func (w *Whoami) Answer(remote netip.Addr, query *dnswire.Message) *dnswire.Mess
 			Data: dnswire.TXT{Strings: []string{"resolver=" + remote.String()}},
 		})
 	}
-	return resp
 }
 
 // Serve implements vnet.Handler.
 func (w *Whoami) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := w.dec.Parse(req.Payload)
+	query, err := w.dec.ParseInto(req.Payload, &w.in)
 	if err != nil {
 		return nil, 0, err
 	}
-	resp := w.Answer(req.Src, query)
-	out, err := w.enc.Encode(resp)
+	w.resp.SetReply(query)
+	w.answer(&w.resp, req.Src, query)
+	out, err := w.enc.Encode(&w.resp)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -261,10 +261,10 @@ func TestRouteFromClientShapes(t *testing.T) {
 
 	// To the configured resolver: two silent segments, no NAT.
 	r := n.RouteFromClient(c, c.ConfiguredResolver(), geo.Point{}, baseTime)
-	if len(r.Segments) != 2 || r.NATAddr.IsValid() {
+	if len(r.Segments()) != 2 || r.NATAddr.IsValid() {
 		t.Fatalf("in-carrier route shape wrong: %+v", r)
 	}
-	for _, s := range r.Segments {
+	for _, s := range r.Segments() {
 		if s.HopAddr.IsValid() {
 			t.Fatal("carrier-internal hops must be tunneled/silent")
 		}
@@ -272,8 +272,8 @@ func TestRouteFromClientShapes(t *testing.T) {
 
 	// To an external resolver: three segments.
 	r = n.RouteFromClient(c, n.Externals[0].Addr, geo.Point{}, baseTime)
-	if len(r.Segments) != 3 {
-		t.Fatalf("client->external segments = %d", len(r.Segments))
+	if len(r.Segments()) != 3 {
+		t.Fatalf("client->external segments = %d", len(r.Segments()))
 	}
 
 	// To the outside: NAT applied, egress router then transit visible.
@@ -284,7 +284,7 @@ func TestRouteFromClientShapes(t *testing.T) {
 	}
 	eg := n.Egresses[c.EgressAt(baseTime)]
 	var visible []netip.Addr
-	for _, s := range r.Segments {
+	for _, s := range r.Segments() {
 		if s.HopAddr.IsValid() {
 			visible = append(visible, s.HopAddr)
 		}
@@ -298,8 +298,8 @@ func TestRouteFromExternal(t *testing.T) {
 	n, _ := buildCarrier(t, "sprint")
 	dst, _ := geo.CityByName("new-york")
 	r, ok := n.RouteFromExternal(n.Externals[0].Addr, dst.Loc)
-	if !ok || len(r.Segments) < 3 {
-		t.Fatalf("external route: ok=%v segs=%d", ok, len(r.Segments))
+	if !ok || len(r.Segments()) < 3 {
+		t.Fatalf("external route: ok=%v segs=%d", ok, len(r.Segments()))
 	}
 	if _, ok := n.RouteFromExternal(netip.MustParseAddr("9.9.9.9"), dst.Loc); ok {
 		t.Fatal("foreign source must not route as external")

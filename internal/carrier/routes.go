@@ -10,20 +10,18 @@ import (
 	"cellcurtain/internal/vnet"
 )
 
-// wanOneWay models one direction of a wide-area path between two points:
-// propagation over inflated fiber paths plus per-hop queueing jitter.
-func wanOneWay(a, b geo.Point) stats.Dist {
-	return stats.Shifted{Base: wanBase, Off: geo.PropagationRTT(a, b) / 2}
-}
-
 // WANSegment builds a plain wide-area segment revealing hop (use the zero
-// Addr to keep it silent).
+// Addr to keep it silent): one direction of a wide-area path between two
+// points, propagation over inflated fiber paths plus per-hop queueing
+// jitter.
 func WANSegment(label string, a, b geo.Point, hop netip.Addr) vnet.Segment {
-	return vnet.Segment{Label: label, Latency: wanOneWay(a, b), HopAddr: hop}
+	return vnet.Segment{Label: label, Latency: wanBase, Off: geo.PropagationRTT(a, b) / 2, HopAddr: hop}
 }
 
 // Fixed hop models shared by every route: boxing them into stats.Dist once
-// keeps route construction from allocating a copy per segment.
+// keeps route construction from allocating a copy per segment. Where a
+// hop's latency depends on its length, the segment's Off carries the
+// propagation delay.
 var (
 	intraBase  stats.Dist = stats.LogNormal{Med: 800 * time.Microsecond, Sigma: 0.4, Floor: 200 * time.Microsecond}
 	borderHop  stats.Dist = stats.Constant{V: 150 * time.Microsecond} // egress or ingress router
@@ -45,7 +43,8 @@ func (n *Network) radioSegment(c *Client) vnet.Segment {
 func (n *Network) coreSegment(c *Client, eg Egress) vnet.Segment {
 	return vnet.Segment{
 		Label:   "core",
-		Latency: stats.Shifted{Base: n.coreBase, Off: geo.PropagationRTT(c.Loc, eg.City.Loc) / 2},
+		Latency: n.coreBase,
+		Off:     geo.PropagationRTT(c.Loc, eg.City.Loc) / 2,
 	}
 }
 
@@ -54,7 +53,8 @@ func (n *Network) coreSegment(c *Client, eg Egress) vnet.Segment {
 func (n *Network) intraSegment(from geo.Point, to geo.Point) vnet.Segment {
 	return vnet.Segment{
 		Label:   "intra",
-		Latency: stats.Shifted{Base: intraBase, Off: geo.PropagationRTT(from, to) / 2},
+		Latency: intraBase,
+		Off:     geo.PropagationRTT(from, to) / 2,
 	}
 }
 

@@ -91,10 +91,13 @@ type Provider struct {
 	// pure function of its key and the world's structure. Cleared by the
 	// fabric's experiment reset and whenever a hint is registered.
 	mapped map[mappingKey][2]int
-	// dec and enc parse the queries and encode the answers of Serve,
-	// which returns enc's bytes (see vnet.Handler).
-	dec dnswire.Decoder
-	enc dnswire.Encoder
+	// dec parses Serve's queries into in; resp is the answer, built in
+	// place, whose records keep their array from one answer to the next,
+	// and enc encodes it. Serve returns enc's bytes (see vnet.Handler).
+	dec  dnswire.Decoder
+	in   dnswire.Scratch
+	resp dnswire.Message
+	enc  dnswire.Encoder
 }
 
 // cnameTarget is a customer domain's CNAME target with its RDATA boxed
@@ -411,7 +414,7 @@ func (p *Provider) appendReplicas(rrs []dnswire.Record, rng *stats.RNG, domain s
 
 // Serve implements vnet.Handler: the provider's authoritative DNS.
 func (p *Provider) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := p.dec.Parse(req.Payload)
+	query, err := p.dec.ParseInto(req.Payload, &p.in)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -428,8 +431,11 @@ func (p *Provider) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 	return out, proc, nil
 }
 
+// answer builds the reply to query in the provider's own Message, valid
+// until the next answer.
 func (p *Provider) answer(rng *stats.RNG, src netip.Addr, query *dnswire.Message, now time.Time) *dnswire.Message {
-	resp := query.Reply()
+	resp := &p.resp
+	resp.SetReply(query)
 	resp.Header.Authoritative = true
 	if len(query.Questions) != 1 {
 		resp.Header.RCode = dnswire.RCodeFormErr
@@ -448,7 +454,6 @@ func (p *Provider) answer(rng *stats.RNG, src netip.Addr, query *dnswire.Message
 	}
 
 	lower := strings.ToLower(string(q.Name))
-	resp.Answers = make([]dnswire.Record, 0, 1+p.ReplicasPerAnswer)
 	if cname, ok := p.domains[lower]; ok {
 		resp.Answers = append(resp.Answers, dnswire.Record{
 			Name: q.Name, Class: dnswire.ClassIN, TTL: p.TTL, Data: cname.rdata,

@@ -6,9 +6,9 @@
 // sockets (UDPTransport, TCPTransport; cmd/dnsprobe, cmd/fwdns) and the
 // simulated fabric (probe.Host). One layer up the same holds for the
 // measurement script: measure.Script takes its client from whichever
-// vantage runs it. Responses are parsed with dnswire.Parse, or with the
-// client's own dnswire.Decoder when it has one (the simulated device's,
-// kept warm across experiments).
+// vantage runs it. Responses are parsed with dnswire.Parse, or, by a
+// client that owns a Scratch (the simulated device's, kept warm across
+// experiments), with its dnswire.Decoder into reused messages.
 package dnsclient
 
 import (
@@ -61,14 +61,30 @@ type Client struct {
 	// leaves it nil: backoff is accounted in Result.Wait as virtual time,
 	// never slept.
 	Sleep func(time.Duration)
-	// Decoder, when set, parses every response, so the names and RDATA
-	// it has seen before come from its tables instead of being decoded
-	// again; the client is then no longer safe for concurrent use. Nil
-	// parses with dnswire.Parse, which shared clients (cmd/fwdns) need.
-	Decoder *dnswire.Decoder
+	// Scratch, when set, is the storage every query reuses (see
+	// Scratch): a Result and its Msg are then valid only until the
+	// client's next query, and the client is no longer safe for
+	// concurrent use. Nil builds every query, message and Result afresh,
+	// which shared clients (cmd/fwdns) need.
+	Scratch *Scratch
 	// nextID produces query IDs: the simulation's deterministic source,
 	// or New's shared counter.
 	nextID func() uint16
+}
+
+// Scratch is the storage of a client that one goroutine owns: a
+// dnswire.Decoder whose tables keep the names and RDATA it has seen, two
+// dnswire.Scratches that responses parse into (one may hold an answer
+// kept while another server is tried), the query message and its
+// Encoder, and the one Result every query returns. The zero value is
+// ready to use.
+type Scratch struct {
+	dec   dnswire.Decoder
+	msgs  [2]dnswire.Scratch
+	next  int // the msgs entry the next response parses into
+	query dnswire.Message
+	enc   dnswire.Encoder
+	res   Result
 }
 
 // SetTCPFallback installs the transport used when responses arrive
@@ -173,7 +189,8 @@ func ShouldFailOver(rc dnswire.RCode) bool {
 // The returned Result is non-nil whenever at least one exchange ran, even
 // on total failure (Msg nil, err non-nil): Attempts, Wait, Total and
 // FailedOver still describe the work done, so callers can record the cost
-// of failures.
+// of failures. A client with a Scratch returns the Scratch's Result, valid
+// until its next query.
 func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...netip.Addr) (*Result, error) {
 	if c.transport == nil {
 		return nil, ErrNoTransport
@@ -207,8 +224,8 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 				}
 			}
 			attempts++
-			q := dnswire.NewQuery(c.nextID(), name, t)
-			payload, err := q.Pack()
+			id := c.nextID()
+			payload, err := c.pack(id, name, t)
 			if err != nil {
 				return nil, fmt.Errorf("dnsclient: pack: %w", err)
 			}
@@ -223,7 +240,7 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 				lastErr = err
 				continue
 			}
-			if msg.Header.ID != q.Header.ID {
+			if msg.Header.ID != id {
 				lastErr = ErrIDMismatch
 				continue
 			}
@@ -232,6 +249,7 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 				continue
 			}
 			if msg.Header.Truncated && c.tcp != nil {
+				c.hold()
 				tcpRaw, tcpRTT, err := c.tcp.Exchange(server, payload)
 				// The TCP retry is a real exchange on the wire whether or
 				// not it succeeds, so it counts toward Attempts either way.
@@ -239,29 +257,30 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 				cost += tcpRTT
 				if err == nil {
 					if full, perr := c.parse(tcpRaw); perr == nil &&
-						full.Header.ID == q.Header.ID && full.Header.Response {
-						return finish(&Result{
+						full.Header.ID == id && full.Header.Response {
+						return finish(c.result(Result{
 							Msg: full, RTT: rtt + tcpRTT, Server: server,
 							UsedTCP: true, Truncated: full.Header.Truncated,
 							FailedOver: si > 0,
-						}), nil
+						})), nil
 					}
 				}
 				// TCP retry failed; return the truncated answer, which is
 				// still a valid (if partial) response, and flag it as such.
-				return finish(&Result{
+				return finish(c.result(Result{
 					Msg: msg, RTT: rtt, Server: server,
 					Truncated: true, FailedOver: si > 0,
-				}), nil
+				})), nil
 			}
-			res := &Result{
+			res := c.result(Result{
 				Msg: msg, RTT: rtt, Server: server,
 				Truncated: msg.Header.Truncated, FailedOver: si > 0,
-			}
+			})
 			if ShouldFailOver(msg.Header.RCode) {
 				// The server is up but cannot serve; hold its answer and
 				// move on. The last such answer is what the caller sees if
 				// no server does better.
+				c.hold()
 				lastResp = res
 				break
 			}
@@ -271,19 +290,50 @@ func (c *Client) QueryFailover(name dnswire.Name, t dnswire.Type, servers ...net
 	if lastResp != nil {
 		return finish(lastResp), nil
 	}
-	res := finish(&Result{Server: servers[len(servers)-1], FailedOver: len(servers) > 1})
+	res := finish(c.result(Result{Server: servers[len(servers)-1], FailedOver: len(servers) > 1}))
 	if lastErr == nil {
 		return res, ErrAllRetriesFailed
 	}
 	return res, fmt.Errorf("%w: %w", ErrAllRetriesFailed, lastErr)
 }
 
-// parse decodes a response with the client's Decoder, if it has one.
+// pack encodes the query (id, name, t): into the Scratch's Encoder when
+// the client has one, else into a fresh buffer.
+func (c *Client) pack(id uint16, name dnswire.Name, t dnswire.Type) ([]byte, error) {
+	if s := c.Scratch; s != nil {
+		s.query.SetQuestion(id, name, t)
+		return s.enc.Encode(&s.query)
+	}
+	return dnswire.NewQuery(id, name, t).Pack()
+}
+
+// parse decodes a response: with the Scratch's Decoder into its next
+// message when the client has one, else with dnswire.Parse.
 func (c *Client) parse(raw []byte) (*dnswire.Message, error) {
-	if c.Decoder != nil {
-		return c.Decoder.Parse(raw)
+	if s := c.Scratch; s != nil {
+		return s.dec.ParseInto(raw, &s.msgs[s.next])
 	}
 	return dnswire.Parse(raw)
+}
+
+// hold keeps the message parsed last from the next parse, which goes
+// into the Scratch's other message.
+func (c *Client) hold() {
+	if s := c.Scratch; s != nil {
+		s.next ^= 1
+	}
+}
+
+// result returns r as the query's Result: the Scratch's one Result when
+// the client has one, else a fresh one.
+func (c *Client) result(r Result) *Result {
+	if s := c.Scratch; s != nil {
+		s.res = r
+		return &s.res
+	}
+	fresh := new(Result) // not &r: r would then go to the heap on both paths
+	*fresh = r
+	return fresh
 }
 
 // QueryA resolves A records and returns the full result.

@@ -49,8 +49,14 @@ func TestStaticDirectAnswer(t *testing.T) {
 func TestStaticCNAMEChase(t *testing.T) {
 	s := staticFixture(t)
 	resp := ask(t, s, "deep.example.com", dnswire.TypeA)
-	if got := resp.CNAMEChain(); len(got) != 2 {
-		t.Fatalf("cname chain = %v", got)
+	var chain []dnswire.Name
+	for _, rr := range resp.Answers {
+		if c, ok := rr.Data.(dnswire.CNAME); ok {
+			chain = append(chain, c.Target)
+		}
+	}
+	if len(chain) != 2 {
+		t.Fatalf("cname chain = %v", chain)
 	}
 	if ips := resp.AnswerIPs(); len(ips) != 2 {
 		t.Fatalf("chased answers = %v", ips)

@@ -13,14 +13,14 @@ package dnswire
 //	parseName           3 allocs/op   1 (the Name)      1
 //	Message.Append      10 allocs/op  2 (map + growth)  0
 //	Parse (reply)       -             11                8
-//	Decoder.Parse       -             -                 2 (warm tables)
+//	Decoder.ParseInto   -             -                 0 (warm tables and Scratch)
 //
 // The first step was byte-wise label iteration, tail-slice compression
 // keys, caller-owned decode buffers and the reusable Encoder; the second
 // a compression table on the packer's stack and Names that a pointer-only
 // name shares with the label it points to; the third the Decoder, which
-// keeps names and boxed RDATA across parses and lays a message out in
-// two blocks.
+// keeps names and boxed RDATA across parses, and the Scratch it parses
+// into, which keeps the message, its question and its records.
 
 import (
 	"net/netip"
@@ -157,24 +157,25 @@ func TestParseAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDecoderAllocBudget holds a warm Decoder's parse of the CDN reply
-// to its two blocks: the Message with its question, and the records. The
-// names and the boxed CNAME and A RDATA come from its tables.
-func TestDecoderAllocBudget(t *testing.T) {
+// TestScratchParseAllocs proves a warm Decoder parses the CDN reply into
+// a warm Scratch without allocating: the message, its question and its
+// records are the Scratch's, and the names and the boxed CNAME and A
+// RDATA come from the Decoder's tables.
+func TestScratchParseAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets run without -race")
+	}
 	pkt, err := cdnReply().Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 2
 	var d Decoder
-	n := testing.AllocsPerRun(200, func() {
-		if _, err := d.Parse(pkt); err != nil {
+	var s Scratch
+	requireZeroAllocs(t, "Decoder.ParseInto (CNAME + 2×A reply, warm Scratch)", func() {
+		if _, err := d.ParseInto(pkt, &s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if n > budget {
-		t.Errorf("Decoder.Parse (CNAME + 2×A reply): %.1f allocs/op, budget %d", n, budget)
-	}
 }
 
 // TestHotPathAllocsDecoderHit proves the //lint:hotpath table hits: a

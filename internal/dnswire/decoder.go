@@ -15,15 +15,15 @@ const (
 	decoderSlots = 1 << slotBits
 )
 
-// Decoder parses messages as Parse does — the same checks, the same
-// errors, and the caller owns the returned Message — but keeps the parts
-// of a message that nothing can change and hands them out again on a
-// later parse: names, keyed by their exact decoded bytes (so case is
-// kept), and boxed A, AAAA, CNAME, NS and PTR RDATA. A component that
-// meets the same names and addresses over and over (a resolver, an
-// authority, a measuring device) gets back what it built before instead
-// of allocating it again. TXT, OPT and unknown RDATA carry slices a
-// caller could change, so they are always built fresh, as are MX and SOA.
+// Decoder parses messages as Parse does — the same checks and the same
+// errors — into a caller's Scratch, and keeps the parts of a message that
+// nothing can change to hand them out again on a later parse: names,
+// keyed by their exact decoded bytes (so case is kept), and boxed A,
+// AAAA, CNAME, NS and PTR RDATA. A component that meets the same names
+// and addresses over and over (a resolver, an authority, a measuring
+// device) gets back what it built before instead of allocating it again.
+// TXT, OPT and unknown RDATA carry slices a caller could change, so they
+// are always built fresh, as are MX and SOA.
 //
 // Each table is direct-mapped and fixed in size: a new value takes its
 // slot from the old one, so no input can grow a Decoder, and a miss
@@ -35,22 +35,44 @@ type Decoder struct {
 	targets [decoderSlots]RData // boxed CNAME, NS and PTR
 }
 
-// Parse decodes a complete DNS message, as the package-level Parse does.
-// Besides the names and RDATA its tables miss, a message of at most one
-// question takes at most two allocations: one block holding the Message
-// and its question, and one []Record holding all three sections, each
-// section's capacity capped at its length so that an append to one
-// section copies it instead of writing over the next.
-func (d *Decoder) Parse(msg []byte) (*Message, error) {
-	p := parser{dec: d}
+// Scratch is the storage a Decoder parses a message into, reused by every
+// parse into it: the Message, its question and one record slab for all
+// three sections, which grows to the largest message seen and no
+// further. The zero value is ready to use. Any number of Scratches may
+// share one Decoder; a component keeps one per role (the query it serves,
+// the answer it forwards) so that one message outlives the next parse of
+// the other.
+type Scratch struct {
+	msg  Message
+	q    [1]Question
+	recs []Record
+}
+
+// ParseInto decodes a complete DNS message into s and returns s's
+// Message: equal to what Parse returns for msg, or nil and Parse's error.
+// The Message, its sections and its records are s's and stay valid only
+// until the next parse into s; its names and RDATA are immutable values
+// that outlive it. A warm Decoder parses a message of at most one
+// question, whose names and RDATA its tables hold, into a Scratch that
+// has seen one as large without allocating. Each section's capacity is
+// capped at its length, so an append to one section copies it instead of
+// writing over the next.
+func (d *Decoder) ParseInto(msg []byte, s *Scratch) (*Message, error) {
+	p := parser{dec: d, into: s}
 	return walk(msg, &p)
 }
 
-// messageBlock is a Decoder's one allocation for a message and its
-// question.
-type messageBlock struct {
-	m Message
-	q [1]Question
+// reset empties s for a message of qd questions and n records, and
+// returns its Message and a slab of n records.
+func (s *Scratch) reset(qd, n int) (*Message, []Record) {
+	s.msg = Message{}
+	if qd == 1 {
+		s.msg.Questions = s.q[:0:1]
+	}
+	if n > cap(s.recs) {
+		s.recs = make([]Record, n)
+	}
+	return &s.msg, s.recs[:n]
 }
 
 // name returns b as a Name: the table's, when b's slot holds exactly

@@ -8,12 +8,12 @@ import (
 	"unsafe"
 )
 
-// requireSameParse fails unless d parses pkt exactly as Parse does: an
-// equal message, or the same error. It returns d's.
-func requireSameParse(t *testing.T, d *Decoder, pkt []byte) (*Message, error) {
+// requireSameParse fails unless d parses pkt into s exactly as Parse
+// does: an equal message, or the same error. It returns d's.
+func requireSameParse(t *testing.T, d *Decoder, s *Scratch, pkt []byte) (*Message, error) {
 	t.Helper()
 	want, werr := Parse(pkt)
-	got, gerr := d.Parse(pkt)
+	got, gerr := d.ParseInto(pkt, s)
 	if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
 		t.Fatalf("Decoder says %v, Parse says %v", gerr, werr)
 	}
@@ -23,15 +23,19 @@ func requireSameParse(t *testing.T, d *Decoder, pkt []byte) (*Message, error) {
 	return got, gerr
 }
 
-// TestDecoderSharesNothingMutable changes a Decoder's message in every
-// way a caller can — an append to a section, a rewritten record, a
-// resliced and refilled question — and requires the rest of that message
-// and every later parse to be unaffected, and the changed message to
-// keep its changes through later parses.
+// TestDecoderSharesNothingMutable changes a message parsed into one
+// Scratch in every way a caller can — an append to a section, a
+// rewritten record, a resliced and refilled question, the slices inside
+// TXT and OPT RDATA — and requires the rest of that message, every later
+// parse into another Scratch of the same Decoder, and a later parse into
+// the changed Scratch itself to be unaffected; the changed message keeps
+// its changes until its Scratch is parsed into again.
 func TestDecoderSharesNothingMutable(t *testing.T) {
 	var d Decoder
-	pkt := goldenMessages(t)[2] // question, 3 answers, 2 authorities, 1 additional
-	m, err := requireSameParse(t, &d, pkt)
+	var held, other Scratch
+	golden := goldenMessages(t)
+	pkt := golden[2] // question, 3 answers, 2 authorities, 1 additional
+	m, err := requireSameParse(t, &d, &held, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +49,6 @@ func TestDecoderSharesNothingMutable(t *testing.T) {
 	m.Additionals[0].Data = A{Addr: netip.MustParseAddr("10.6.6.7")}
 	m.Questions = append(m.Questions[:0], Question{Name: "evil.example", Type: TypeTXT})
 
-	// The slices inside TXT and OPT RDATA are the caller's too.
-	golden := goldenMessages(t)
-	txt, _ := requireSameParse(t, &d, golden[3])
-	txt.Answers[1].Data.(TXT).Strings[0] = "evil"
-	opt, _ := requireSameParse(t, &d, golden[4])
-	opt.Additionals[0].Data.(OPT).Options[0].Data[0] = 0xEE
-
 	kept := Message{
 		Header:      m.Header,
 		Questions:   append([]Question(nil), m.Questions...),
@@ -59,12 +56,20 @@ func TestDecoderSharesNothingMutable(t *testing.T) {
 		Authorities: append([]Record(nil), m.Authorities...),
 		Additionals: append([]Record(nil), m.Additionals...),
 	}
+	// The slices inside TXT and OPT RDATA are the caller's too.
+	txt, _ := requireSameParse(t, &d, &other, golden[3])
+	txt.Answers[1].Data.(TXT).Strings[0] = "evil"
+	opt, _ := requireSameParse(t, &d, &other, golden[4])
+	opt.Additionals[0].Data.(OPT).Options[0].Data[0] = 0xEE
 
 	for _, later := range append([][]byte{pkt, pkt}, golden...) {
-		requireSameParse(t, &d, later)
+		requireSameParse(t, &d, &other, later)
 	}
 	if !reflect.DeepEqual(*m, kept) {
-		t.Fatalf("a later parse changed an earlier message:\n%s\nwant\n%s", m, &kept)
+		t.Fatalf("a parse into another Scratch changed a held message:\n%s\nwant\n%s", m, &kept)
+	}
+	for _, later := range append([][]byte{pkt, pkt}, golden...) {
+		requireSameParse(t, &d, &held, later)
 	}
 }
 
@@ -75,6 +80,7 @@ func TestDecoderSharesNothingMutable(t *testing.T) {
 // names hold at most one name's bytes per slot.
 func TestDecoderUnderChurn(t *testing.T) {
 	var d Decoder
+	var s Scratch
 	rt := reflect.TypeOf(d)
 	for i := range rt.NumField() {
 		if rt.Field(i).Type.Kind() != reflect.Array {
@@ -107,7 +113,7 @@ func TestDecoderUnderChurn(t *testing.T) {
 		owner := Name(fmt.Sprintf("host-%d.Example.com", i))
 		pkt := reply(owner, Name(fmt.Sprintf("edge-%d.cdn.example.net", i%997)), types[i%3],
 			[4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}, v6)
-		requireSameParse(t, &d, pkt)
+		requireSameParse(t, &d, &s, pkt)
 	}
 
 	// Same length, same first and last eight bytes: one name slot. The
@@ -121,8 +127,8 @@ func TestDecoderUnderChurn(t *testing.T) {
 	mapped := netip.AddrFrom4(v4).As16()
 	for i := range 300 {
 		owner, target := collide[i%3], collide[(i+1)%3]
-		requireSameParse(t, &d, reply(owner, target, types[i%3], v4, mapped))
-		requireSameParse(t, &d, reply(target, owner, types[(i+1)%3], v4, mapped))
+		requireSameParse(t, &d, &s, reply(owner, target, types[i%3], v4, mapped))
+		requireSameParse(t, &d, &s, reply(target, owner, types[(i+1)%3], v4, mapped))
 	}
 	retained := 0
 	for _, n := range d.names {

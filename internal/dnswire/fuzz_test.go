@@ -228,8 +228,9 @@ func messageNames(m *Message) []Name {
 // returns must also be what a fresh parseName decodes at its wire offset,
 // which holds the names Parse shares to the suffix they stand for. Check
 // must accept exactly what Parse accepts, and refuse the rest with the
-// same error. One Decoder, kept across every input, must parse each
-// input to a message reflect.DeepEqual to Parse's, or to the same error.
+// same error. One Decoder and one Scratch, kept across every input
+// (accepted or refused), must parse each input to a message
+// reflect.DeepEqual to Parse's, or to the same error.
 func FuzzParseMessage(f *testing.F) {
 	for _, pkt := range goldenMessages(f) {
 		f.Add(pkt)
@@ -242,8 +243,9 @@ func FuzzParseMessage(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, // qd=1 but no question bytes
 		0, 0, 0, 0, 0})
 	var dec Decoder
+	var scratch Scratch
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := requireSameParse(t, &dec, data)
+		m, err := requireSameParse(t, &dec, &scratch, data)
 		if cerr := Check(data); (cerr == nil) != (err == nil) || cerr != nil && cerr.Error() != err.Error() {
 			t.Fatalf("Check says %v, Parse says %v", cerr, err)
 		}

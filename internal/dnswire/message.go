@@ -49,21 +49,47 @@ func NewQuery(id uint16, name Name, t Type) *Message {
 	}
 }
 
+// SetQuestion makes m, in place, the recursion-desired query for (name,
+// type) that NewQuery builds. Its question section keeps its storage, so
+// a Message a client queries with again and again allocates it once; use
+// it only on a Message whose questions no other message shares.
+func (m *Message) SetQuestion(id uint16, name Name, t Type) {
+	*m = Message{
+		Header:    Header{ID: id, RecursionDesired: true},
+		Questions: append(m.Questions[:0], Question{Name: name, Type: t, Class: ClassIN}),
+	}
+}
+
 // Reply constructs a response message skeleton for a query, echoing its ID,
 // question and recursion-desired bit.
 func (m *Message) Reply() *Message {
-	r := &Message{
-		Header: Header{
-			ID:               m.Header.ID,
-			Response:         true,
-			Opcode:           m.Header.Opcode,
-			RecursionDesired: m.Header.RecursionDesired,
-		},
-	}
-	// The reply shares the query's questions. Nothing writes a Question
-	// in place, and the capacity limit makes an append to either copy.
-	r.Questions = m.Questions[:len(m.Questions):len(m.Questions)]
+	r := new(Message)
+	r.SetReply(m)
 	return r
+}
+
+// SetReply makes r, in place, the response skeleton Reply builds for
+// query q. r's answer, authority and additional sections are emptied but
+// keep their storage, so a handler that builds every reply in one Message
+// appends its records into the same array each time; a section assigned
+// from another message's storage becomes that storage, so only append to
+// sections r built itself.
+func (r *Message) SetReply(q *Message) {
+	*r = Message{
+		Header: Header{
+			ID:               q.Header.ID,
+			Response:         true,
+			Opcode:           q.Header.Opcode,
+			RecursionDesired: q.Header.RecursionDesired,
+		},
+		// The reply shares the query's questions. Nothing writes a
+		// Question in place, and the capacity limit makes an append to
+		// either copy.
+		Questions:   q.Questions[:len(q.Questions):len(q.Questions)],
+		Answers:     r.Answers[:0],
+		Authorities: r.Authorities[:0],
+		Additionals: r.Additionals[:0],
+	}
 }
 
 // packFlags encodes header flag bits into the 16-bit flags word.
@@ -248,9 +274,9 @@ func appendRecord(buf []byte, rr Record, cm *compressionMap) ([]byte, error) {
 	return buf, nil
 }
 
-// Parse decodes a complete DNS message. Every name and RDATA of the
-// message it returns is its own; a Decoder parses the same way but
-// shares the immutable ones across calls.
+// Parse decodes a complete DNS message. The message it returns, and every
+// name and RDATA in it, is its own; a Decoder parses the same way into a
+// reused Scratch and shares the immutable names and RDATA across calls.
 func Parse(msg []byte) (*Message, error) {
 	var p parser
 	return walk(msg, &p)
@@ -267,16 +293,18 @@ func Check(msg []byte) error {
 }
 
 // parser is what walk builds a message with: Parse's has no Decoder and
-// builds every name and RDATA afresh, a Decoder's shares them through the
-// Decoder's tables. Check walks with a nil parser, which builds nothing.
+// builds a fresh message and every name and RDATA in it, a Decoder's
+// fills a Scratch and shares names and RDATA through the Decoder's
+// tables. Check walks with a nil parser, which builds nothing.
 type parser struct {
 	shared sharedNames
 	dec    *Decoder
+	into   *Scratch
 }
 
-// walk is the one section walk of Parse, Decoder.Parse and Check. With p
-// nil it only checks: every rule a parse applies runs, in the same order,
-// but it builds nothing and returns a nil message.
+// walk is the one section walk of Parse, Decoder.ParseInto and Check.
+// With p nil it only checks: every rule a parse applies runs, in the same
+// order, but it builds nothing and returns a nil message.
 func walk(msg []byte, p *parser) (*Message, error) {
 	if len(msg) < headerLen {
 		return nil, ErrHeaderTruncated
@@ -293,18 +321,13 @@ func walk(msg []byte, p *parser) (*Message, error) {
 
 	var out *Message
 	var dests [3]*[]Record
-	var block []Record // a Decoder's one slice for all three sections
+	var block []Record // a Scratch's one slab for all three sections
 	if p != nil {
-		if p.dec != nil && qd == 1 {
-			b := new(messageBlock)
-			out = &b.m
-			out.Questions = b.q[:0:1]
+		if p.into != nil {
+			// The sanity bound above caps the count by the message size.
+			out, block = p.into.reset(qd, an+ns+ar)
 		} else {
 			out = &Message{}
-		}
-		if p.dec != nil && an+ns+ar > 0 {
-			// The sanity bound above caps the count by the message size.
-			block = make([]Record, an+ns+ar)
 		}
 		out.Header = unpackFlags(binary.BigEndian.Uint16(msg[2:4]))
 		out.Header.ID = binary.BigEndian.Uint16(msg[0:2])
@@ -518,29 +541,37 @@ func parseRecord(msg []byte, off int, p *parser) (Record, int, error) {
 	return rr, rdEnd, nil
 }
 
-// AnswerIPs extracts all IPv4/IPv6 addresses from the answer section.
+// AnswerIPs extracts all IPv4/IPv6 addresses from the answer section,
+// in order, into one slice of exactly their number: nil when there are
+// none.
 func (m *Message) AnswerIPs() []netip.Addr {
-	var out []netip.Addr
+	n := 0
 	for _, rr := range m.Answers {
-		switch d := rr.Data.(type) {
-		case A:
-			out = append(out, d.Addr)
-		case AAAA:
-			out = append(out, d.Addr)
+		if _, ok := answerIP(rr); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]netip.Addr, 0, n)
+	for _, rr := range m.Answers {
+		if a, ok := answerIP(rr); ok {
+			out = append(out, a)
 		}
 	}
 	return out
 }
 
-// CNAMEChain extracts the CNAME targets from the answer section in order.
-func (m *Message) CNAMEChain() []Name {
-	var out []Name
-	for _, rr := range m.Answers {
-		if c, ok := rr.Data.(CNAME); ok {
-			out = append(out, c.Target)
-		}
+// answerIP returns the address an A or AAAA record carries.
+func answerIP(rr Record) (netip.Addr, bool) {
+	switch d := rr.Data.(type) {
+	case A:
+		return d.Addr, true
+	case AAAA:
+		return d.Addr, true
 	}
-	return out
+	return netip.Addr{}, false
 }
 
 // MinAnswerTTL returns the minimum TTL across answer records, or 0 when

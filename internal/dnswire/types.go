@@ -6,11 +6,14 @@
 //
 // Each side has a stateless form and a reusable one. Pack and Append
 // allocate their output; an Encoder reuses its buffer and compression
-// table. Parse builds every name and RDATA afresh; a Decoder shares the
-// immutable ones (names and boxed A, AAAA, CNAME, NS and PTR RDATA)
-// across the messages it parses. Neither reusable form is safe for
-// concurrent use, so a component that serves one message at a time
-// owns one of each.
+// table. Parse builds a fresh message and every name and RDATA in it; a
+// Decoder parses into a reused Scratch and shares the immutable values
+// (names and boxed A, AAAA, CNAME, NS and PTR RDATA) across the messages
+// it parses. What a reusable form hands back lives until its next use:
+// Encoder bytes until the next Encode, a Scratch's message until the next
+// parse into it. Neither is safe for concurrent use, so a component that
+// serves one message at a time owns one Encoder and one Scratch per role
+// and a Decoder.
 //
 // The codec is shared by the real-socket tools (cmd/dnsprobe, cmd/adnsd)
 // and the simulated resolvers: both sides exchange genuine DNS packets.

@@ -177,12 +177,16 @@ type Engine struct {
 
 	caches []*Cache
 	nextID uint16
-	// dec parses every frontend's client queries and the upstream
-	// answers; query encodes the upstream queries and reply the answers
-	// to clients. The fabric runs one handler at a time and a caller
-	// parses what a round trip returns before its next one
-	// (vnet.Handler), so one of each serves all the frontends.
+	// dec parses every frontend's client queries into in and the
+	// upstream answers into ans; upq is the upstream query, which query
+	// encodes, and resp the reply to the client, which reply encodes.
+	// The fabric runs one handler at a time, a caller parses what a
+	// round trip returns before its next one and no handler keeps a
+	// request's payload (vnet.Handler), so one of each serves all the
+	// frontends.
 	dec          dnswire.Decoder
+	in, ans      dnswire.Scratch
+	upq, resp    dnswire.Message
 	query, reply dnswire.Encoder
 }
 
@@ -232,9 +236,9 @@ type Frontend struct {
 }
 
 // Serve implements vnet.Handler for the client-facing resolver. It
-// parses and answers with its engine's Decoder and Encoder.
+// parses and answers with its engine's Decoder, Scratches and Encoders.
 func (fr *Frontend) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := fr.Eng.dec.Parse(req.Payload)
+	query, err := fr.Eng.dec.ParseInto(req.Payload, &fr.Eng.in)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -248,14 +252,16 @@ func (fr *Frontend) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 
 // Resolve answers one client query. It picks the external identity for
 // the client, forwards to the authoritative server from that identity on
-// a cache miss, and charges latency accordingly.
+// a cache miss, and charges latency accordingly. The reply is built in
+// the engine's own Message: it is valid until the engine's next Resolve.
 func (e *Engine) Resolve(f *vnet.Fabric, query *dnswire.Message, frontend int, src netip.Addr, now time.Time) (*dnswire.Message, time.Duration) {
 	rng := f.RNG()
 	elapsed := e.Processing.Sample(rng)
 	if e.InternalHop != nil {
 		elapsed += 2 * e.InternalHop.Sample(rng)
 	}
-	reply := query.Reply()
+	reply := &e.resp
+	reply.SetReply(query)
 	reply.Header.RecursionAvailable = true
 
 	if len(query.Questions) != 1 {
@@ -282,9 +288,9 @@ func (e *Engine) Resolve(f *vnet.Fabric, query *dnswire.Message, frontend int, s
 	// /24-stable so a cached answer is equivalent); cache state decides
 	// whether the upstream RTT is charged to this query.
 	e.nextID++
-	upstream := dnswire.NewQuery(e.nextID, q.Name, q.Type)
-	upstream.Header.RecursionDesired = false
-	payload, err := e.query.Encode(upstream)
+	e.upq.SetQuestion(e.nextID, q.Name, q.Type)
+	e.upq.Header.RecursionDesired = false
+	payload, err := e.query.Encode(&e.upq)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed
@@ -294,7 +300,7 @@ func (e *Engine) Resolve(f *vnet.Fabric, query *dnswire.Message, frontend int, s
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed + f.ProbeTimeout
 	}
-	ans, err := e.dec.Parse(raw)
+	ans, err := e.dec.ParseInto(raw, &e.ans)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed

@@ -155,9 +155,7 @@ func Script(v Vantage, domains []dnswire.Name, tracerouteEvery int, exp *dataset
 		res, err := dc.QueryA(tgt.Addr, name)
 		d.Outcome = string(dnsclient.Classify(res, err))
 		if err == nil {
-			if ips := res.IPs(); len(ips) == 1 {
-				d.External, d.OK = ips[0], true
-			}
+			d.External, d.OK = soleAddress(res.Msg)
 		}
 		exp.Discoveries = append(exp.Discoveries, d)
 	}
@@ -195,6 +193,25 @@ func firstCNAME(m *dnswire.Message) string {
 	return ""
 }
 
+// soleAddress returns the address of the answer section's one A or AAAA
+// record, or false when it has none or several.
+func soleAddress(m *dnswire.Message) (netip.Addr, bool) {
+	var addr netip.Addr
+	n := 0
+	for _, rr := range m.Answers {
+		switch d := rr.Data.(type) {
+		case dnswire.A:
+			addr, n = d.Addr, n+1
+		case dnswire.AAAA:
+			addr, n = d.Addr, n+1
+		}
+	}
+	if n != 1 {
+		return netip.Addr{}, false
+	}
+	return addr, true
+}
+
 // Runner executes experiments against a world: the simulated vantage.
 type Runner struct {
 	World   *sim.World
@@ -212,11 +229,10 @@ type Runner struct {
 
 	seq int
 	// dev is re-pointed at each experiment's client rather than built
-	// anew, so handing it to Script as a Vantage allocates nothing.
+	// anew, so handing it to Script as a Vantage allocates nothing, and
+	// its HTTP request buffer and DNS client storage (the Decoder's
+	// tables above all) stay warm from one experiment to the next.
 	dev device
-	// dec parses every DNS response the device receives: kept by the
-	// runner, its tables stay warm from one experiment to the next.
-	dec dnswire.Decoder
 }
 
 // device is a carrier client on the world's fabric: probe.Host supplies
@@ -224,14 +240,15 @@ type Runner struct {
 type device struct {
 	probe.Host
 	world   *sim.World
-	dec     *dnswire.Decoder
+	dns     dnsclient.Scratch
 	targets [3]Target
 }
 
-// Resolver is the host's stub resolver, parsing with the runner's Decoder.
+// Resolver is the host's stub resolver, reusing the device's client
+// storage.
 func (d *device) Resolver() *dnsclient.Client {
 	c := d.Host.Resolver()
-	c.Decoder = d.dec
+	c.Scratch = &d.dns
 	return c
 }
 
@@ -267,15 +284,12 @@ func (r *Runner) RunAt(c *carrier.Client, now time.Time, seq int, stream *stats.
 	if r.BeforeExperiment != nil {
 		r.BeforeExperiment(seq)
 	}
-	r.dev = device{
-		Host:  probe.Host{Fabric: w.Fabric, Addr: c.Addr},
-		world: w,
-		dec:   &r.dec,
-		targets: [3]Target{
-			{Kind: dataset.KindLocal, Addr: c.ConfiguredResolver(), Alt: c.SecondaryResolver()},
-			{Kind: dataset.KindGoogle, Addr: w.Google.VIP},
-			{Kind: dataset.KindOpenDNS, Addr: w.OpenDNS.VIP},
-		},
+	r.dev.Host.Fabric, r.dev.Host.Addr = w.Fabric, c.Addr
+	r.dev.world = w
+	r.dev.targets = [3]Target{
+		{Kind: dataset.KindLocal, Addr: c.ConfiguredResolver(), Alt: c.SecondaryResolver()},
+		{Kind: dataset.KindGoogle, Addr: w.Google.VIP},
+		{Kind: dataset.KindOpenDNS, Addr: w.OpenDNS.VIP},
 	}
 	Script(&r.dev, r.Domains, r.TracerouteEvery, exp)
 	return exp

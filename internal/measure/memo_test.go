@@ -105,13 +105,19 @@ func TestMemoisedRoutesMatchRouter(t *testing.T) {
 // ranking and CDN mapping were memoised per experiment and the DNS path
 // stopped churning buffers; 3,194 before dnswire compressed without a
 // map, Parse shared pointer names, Reply shared its question and the CDN
-// answered from pre-boxed records; and 2,268 before every handler on the
+// answered from pre-boxed records; 2,268 before every handler on the
 // fabric and the device parsed with a dnswire.Decoder and answered with
-// its own Encoder, and replicas answered GET / from one buffer. The
-// budget sits ~10 % above the measured 1,137; raise it only with a ledger
-// entry that says why.
+// its own Encoder; and 1,137 before every message on the fabric was
+// parsed into a reused Scratch and every reply built in place, the
+// device's client kept its query, Result and messages, routes held their
+// segments inline over latency models boxed once, and HTTPGet rebuilt
+// its request in one buffer. What is left is mostly Decoder table misses
+// (boxed replica addresses above all) and what the record keeps (its
+// sections, answer lists and traceroute).
+// The budget sits ~10 % above the measured 179; raise it only with a
+// ledger entry that says why.
 func TestExperimentAllocBudget(t *testing.T) {
-	const budget = 1250
+	const budget = 197
 	r, w, now := setup(t, "att")
 	cn, _ := w.Carrier("att")
 	city, _ := geo.CityByName("atlanta")

@@ -7,8 +7,8 @@
 package probe
 
 import (
+	"bytes"
 	"net/netip"
-	"strings"
 	"time"
 
 	"cellcurtain/internal/dnsclient"
@@ -20,6 +20,10 @@ import (
 type Host struct {
 	Fabric *vnet.Fabric
 	Addr   netip.Addr
+	// req is HTTPGet's request, rebuilt in place by every GET: no
+	// handler keeps a request's payload (vnet.Handler), so a Host kept
+	// across experiments (measure.Runner's) allocates it once.
+	req []byte
 }
 
 // Exchange implements dnsclient.Transport, so the exact same client logic
@@ -93,36 +97,19 @@ type HTTPResult struct {
 	Target netip.Addr
 	// TTFB is the time to first byte of the response — the paper's
 	// replica-comparison metric (§2.2, Fig 2).
-	TTFB   time.Duration
-	OK     bool
-	Status string
-	Server string
+	TTFB time.Duration
+	// OK reports a 2xx status line.
+	OK bool
 }
 
 // HTTPGet fetches the index page at dst with the given Host header and
 // measures time-to-first-byte.
 func (h *Host) HTTPGet(dst netip.Addr, host string) HTTPResult {
-	req := []byte("GET / HTTP/1.1\r\nHost: " + host + "\r\nUser-Agent: cellcurtain/1.0\r\nConnection: close\r\n\r\n")
-	resp, rtt, err := h.Fabric.RoundTrip(h.Addr, dst, 80, req)
-	out := HTTPResult{Target: dst, TTFB: rtt}
-	if err != nil {
-		return out
-	}
-	line, rest, _ := strings.Cut(string(resp), "\r\n")
-	if !strings.HasPrefix(line, "HTTP/1.1 ") {
-		return out
-	}
-	out.OK = strings.HasPrefix(line, "HTTP/1.1 2")
-	out.Status = strings.TrimPrefix(line, "HTTP/1.1 ")
-	for rest != "" {
-		var hdr string
-		hdr, rest, _ = strings.Cut(rest, "\r\n")
-		if hdr == "" {
-			break
-		}
-		if v, found := strings.CutPrefix(hdr, "Server: "); found {
-			out.Server = v
-		}
-	}
-	return out
+	h.req = append(h.req[:0], "GET / HTTP/1.1\r\nHost: "...)
+	h.req = append(h.req, host...)
+	h.req = append(h.req, "\r\nUser-Agent: cellcurtain/1.0\r\nConnection: close\r\n\r\n"...)
+	resp, rtt, err := h.Fabric.RoundTrip(h.Addr, dst, 80, h.req)
+	// The status line of a 2xx answer starts with these ten bytes, none
+	// of them a line break, so no need to cut the line out first.
+	return HTTPResult{Target: dst, TTFB: rtt, OK: err == nil && bytes.HasPrefix(resp, []byte("HTTP/1.1 2"))}
 }

@@ -29,7 +29,8 @@ func testFabric() *vnet.Fabric {
 	ep.Handle(80, vnet.HandlerFunc(func(req vnet.Request) ([]byte, time.Duration, error) {
 		body := "hello\n"
 		resp := "HTTP/1.1 200 OK\r\nServer: test-replica\r\nContent-Length: 6\r\n\r\n" + body
-		if strings.HasPrefix(string(req.Payload), "GET /teapot") {
+		if strings.HasPrefix(string(req.Payload), "GET /teapot") ||
+			strings.Contains(string(req.Payload), "\r\nHost: teapot\r\n") {
 			resp = "HTTP/1.1 418 I'm a teapot\r\nContent-Length: 0\r\n\r\n"
 		}
 		return []byte(resp), 2 * time.Millisecond, nil
@@ -77,13 +78,22 @@ func TestTracerouteHelpers(t *testing.T) {
 }
 
 func TestHTTPGet(t *testing.T) {
-	res := testHost().HTTPGet(dst, "m.yelp.com")
-	if !res.OK || res.Status != "200 OK" || res.Server != "test-replica" {
+	h := testHost()
+	res := h.HTTPGet(dst, "m.yelp.com")
+	if !res.OK || res.Target != dst {
 		t.Fatalf("http = %+v", res)
 	}
 	// Path 2*10ms + 2ms service.
 	if res.TTFB != 22*time.Millisecond {
 		t.Fatalf("ttfb = %v", res.TTFB)
+	}
+	// The Host rebuilds its one request buffer for every GET: a longer
+	// request, then a shorter one, each carries only its own Host header.
+	if res := h.HTTPGet(dst, "teapot"); res.OK {
+		t.Fatalf("a 418 answer reads as OK: %+v", res)
+	}
+	if res := h.HTTPGet(dst, "m.yelp.com"); !res.OK {
+		t.Fatalf("a GET after a failed one = %+v", res)
 	}
 }
 

@@ -67,11 +67,15 @@ type Service struct {
 	ranked map[geo.Point][]int
 	seed   uint64
 	nextID uint16
-	// dec parses client queries and upstream answers; query encodes the
-	// upstream queries and reply the answers to clients. The fabric runs
-	// one handler at a time and a caller parses what a round trip returns
-	// before its next one (vnet.Handler), so one of each serves the VIP.
+	// dec parses client queries into in and upstream answers into ans;
+	// upq is the upstream query, which query encodes, and resp the reply
+	// to the client, which reply encodes. The fabric runs one handler at
+	// a time, a caller parses what a round trip returns before its next
+	// one and no handler keeps a request's payload (vnet.Handler), so one
+	// of each serves the VIP.
 	dec          dnswire.Decoder
+	in, ans      dnswire.Scratch
+	upq, resp    dnswire.Message
 	query, reply dnswire.Encoder
 }
 
@@ -242,7 +246,7 @@ func (s *Service) ClusterOf(addr netip.Addr) int {
 
 // Serve implements vnet.Handler for the VIP.
 func (s *Service) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := s.dec.Parse(req.Payload)
+	query, err := s.dec.ParseInto(req.Payload, &s.in)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -254,10 +258,13 @@ func (s *Service) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 	return out, elapsed, nil
 }
 
+// resolve answers one client query in the service's own reply Message,
+// valid until the next resolve.
 func (s *Service) resolve(f *vnet.Fabric, query *dnswire.Message, src netip.Addr, now time.Time) (*dnswire.Message, time.Duration) {
 	rng := f.RNG()
 	elapsed := s.Processing.Sample(rng)
-	reply := query.Reply()
+	reply := &s.resp
+	reply.SetReply(query)
 	reply.Header.RecursionAvailable = true
 	if len(query.Questions) != 1 {
 		reply.Header.RCode = dnswire.RCodeFormErr
@@ -278,9 +285,9 @@ func (s *Service) resolve(f *vnet.Fabric, query *dnswire.Message, src netip.Addr
 	srcAddr := cl.Sources[rng.Intn(len(cl.Sources))]
 
 	s.nextID++
-	upstream := dnswire.NewQuery(s.nextID, q.Name, q.Type)
-	upstream.Header.RecursionDesired = false
-	payload, err := s.query.Encode(upstream)
+	s.upq.SetQuestion(s.nextID, q.Name, q.Type)
+	s.upq.Header.RecursionDesired = false
+	payload, err := s.query.Encode(&s.upq)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed
@@ -290,7 +297,7 @@ func (s *Service) resolve(f *vnet.Fabric, query *dnswire.Message, src netip.Addr
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed + f.ProbeTimeout
 	}
-	ans, err := s.dec.Parse(raw)
+	ans, err := s.dec.ParseInto(raw, &s.ans)
 	if err != nil {
 		reply.Header.RCode = dnswire.RCodeServFail
 		return reply, elapsed

@@ -45,22 +45,29 @@ type Model struct {
 	// promoted from idle to connected state (RRC state machine). The
 	// paper's experiment issues a bootstrap ping precisely to absorb this.
 	PromotionDelay stats.Dist
+	// halfRTT is HalfRTT's distribution, boxed once per technology.
+	halfRTT stats.Dist
+}
+
+// model builds a technology's Model.
+func model(t Tech, rtt, promotion stats.Dist) Model {
+	return Model{Tech: t, RTT: rtt, PromotionDelay: promotion, halfRTT: halve{rtt}}
 }
 
 // model table. Medians chosen to reproduce Fig 3's band ordering:
 // LTE < HSPA+ < HSPA/HSDPA/HSUPA < UMTS/eHRPD/EVDO < EDGE < GPRS < 1xRTT.
 var models = map[Tech]Model{
-	LTE:   {LTE, stats.LogNormal{Med: 34 * time.Millisecond, Sigma: 0.18, Floor: 15 * time.Millisecond}, stats.Normal{Mean: 260 * time.Millisecond, StdDev: 60 * time.Millisecond, Floor: 100 * time.Millisecond}},
-	HSPAP: {HSPAP, stats.LogNormal{Med: 55 * time.Millisecond, Sigma: 0.35, Floor: 25 * time.Millisecond}, stats.Normal{Mean: 600 * time.Millisecond, StdDev: 150 * time.Millisecond, Floor: 200 * time.Millisecond}},
-	HSPA:  {HSPA, stats.LogNormal{Med: 70 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}},
-	HSDPA: {HSDPA, stats.LogNormal{Med: 75 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}},
-	HSUPA: {HSUPA, stats.LogNormal{Med: 72 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}},
-	UMTS:  {UMTS, stats.LogNormal{Med: 95 * time.Millisecond, Sigma: 0.45, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1200 * time.Millisecond, StdDev: 300 * time.Millisecond, Floor: 400 * time.Millisecond}},
-	EHRPD: {EHRPD, stats.LogNormal{Med: 88 * time.Millisecond, Sigma: 0.40, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}},
-	EVDOA: {EVDOA, stats.LogNormal{Med: 92 * time.Millisecond, Sigma: 0.45, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}},
-	EDGE:  {EDGE, stats.LogNormal{Med: 400 * time.Millisecond, Sigma: 0.45, Floor: 150 * time.Millisecond}, stats.Normal{Mean: 1500 * time.Millisecond, StdDev: 400 * time.Millisecond, Floor: 500 * time.Millisecond}},
-	GPRS:  {GPRS, stats.LogNormal{Med: 600 * time.Millisecond, Sigma: 0.50, Floor: 250 * time.Millisecond}, stats.Normal{Mean: 2000 * time.Millisecond, StdDev: 500 * time.Millisecond, Floor: 700 * time.Millisecond}},
-	OneX:  {OneX, stats.LogNormal{Med: 900 * time.Millisecond, Sigma: 0.40, Floor: 400 * time.Millisecond}, stats.Normal{Mean: 2500 * time.Millisecond, StdDev: 600 * time.Millisecond, Floor: 900 * time.Millisecond}},
+	LTE:   model(LTE, stats.LogNormal{Med: 34 * time.Millisecond, Sigma: 0.18, Floor: 15 * time.Millisecond}, stats.Normal{Mean: 260 * time.Millisecond, StdDev: 60 * time.Millisecond, Floor: 100 * time.Millisecond}),
+	HSPAP: model(HSPAP, stats.LogNormal{Med: 55 * time.Millisecond, Sigma: 0.35, Floor: 25 * time.Millisecond}, stats.Normal{Mean: 600 * time.Millisecond, StdDev: 150 * time.Millisecond, Floor: 200 * time.Millisecond}),
+	HSPA:  model(HSPA, stats.LogNormal{Med: 70 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
+	HSDPA: model(HSDPA, stats.LogNormal{Med: 75 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
+	HSUPA: model(HSUPA, stats.LogNormal{Med: 72 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
+	UMTS:  model(UMTS, stats.LogNormal{Med: 95 * time.Millisecond, Sigma: 0.45, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1200 * time.Millisecond, StdDev: 300 * time.Millisecond, Floor: 400 * time.Millisecond}),
+	EHRPD: model(EHRPD, stats.LogNormal{Med: 88 * time.Millisecond, Sigma: 0.40, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}),
+	EVDOA: model(EVDOA, stats.LogNormal{Med: 92 * time.Millisecond, Sigma: 0.45, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}),
+	EDGE:  model(EDGE, stats.LogNormal{Med: 400 * time.Millisecond, Sigma: 0.45, Floor: 150 * time.Millisecond}, stats.Normal{Mean: 1500 * time.Millisecond, StdDev: 400 * time.Millisecond, Floor: 500 * time.Millisecond}),
+	GPRS:  model(GPRS, stats.LogNormal{Med: 600 * time.Millisecond, Sigma: 0.50, Floor: 250 * time.Millisecond}, stats.Normal{Mean: 2000 * time.Millisecond, StdDev: 500 * time.Millisecond, Floor: 700 * time.Millisecond}),
+	OneX:  model(OneX, stats.LogNormal{Med: 900 * time.Millisecond, Sigma: 0.40, Floor: 400 * time.Millisecond}, stats.Normal{Mean: 2500 * time.Millisecond, StdDev: 600 * time.Millisecond, Floor: 900 * time.Millisecond}),
 }
 
 // Lookup returns the model for a technology.
@@ -97,8 +104,9 @@ func CDMAFamily() []Tech { return []Tech{LTE, EHRPD, EVDOA, OneX} }
 func GSMFamily() []Tech { return []Tech{LTE, HSPAP, HSPA, HSDPA, UMTS, EDGE, GPRS} }
 
 // HalfRTT returns a distribution of one-way radio latency for use as a
-// vnet segment (the fabric samples each direction independently).
-func (m Model) HalfRTT() stats.Dist { return halve{m.RTT} }
+// vnet segment (the fabric samples each direction independently). Every
+// call for one technology returns the same boxed value.
+func (m Model) HalfRTT() stats.Dist { return m.halfRTT }
 
 type halve struct{ d stats.Dist }
 

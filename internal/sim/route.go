@@ -40,14 +40,11 @@ func (w *World) Route(src, dst netip.Addr) (vnet.Route, error) {
 				// Zarifis et al.'s path inflation). The penalty is larger
 				// in the Korean market, where public resolver traffic
 				// historically detoured through regional exchanges.
-				med := 8 * time.Millisecond
+				peering := peeringUS
 				if cn.Country == "KR" {
-					med = 14 * time.Millisecond
+					peering = peeringKR
 				}
-				r.Segments = append(r.Segments, vnet.Segment{
-					Label:   "peering",
-					Latency: stats.LogNormal{Med: med, Sigma: 0.3, Floor: 2 * time.Millisecond},
-				})
+				r.Append(vnet.Segment{Label: "peering", Latency: peering})
 			}
 			return r, nil
 		}
@@ -81,6 +78,13 @@ func (w *World) Route(src, dst netip.Addr) (vnet.Route, error) {
 	}
 	return vnet.NewRoute(carrier.WANSegment("wan", srcLoc, dstLoc, netip.Addr{})), nil
 }
+
+// The peering penalties of anycast routes out of a cellular carrier,
+// boxed once so a route shares them.
+var (
+	peeringUS stats.Dist = stats.LogNormal{Med: 8 * time.Millisecond, Sigma: 0.3, Floor: 2 * time.Millisecond}
+	peeringKR stats.Dist = stats.LogNormal{Med: 14 * time.Millisecond, Sigma: 0.3, Floor: 2 * time.Millisecond}
+)
 
 // isVIP reports whether dst is a public DNS anycast VIP.
 func (w *World) isVIP(dst netip.Addr) bool {

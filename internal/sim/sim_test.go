@@ -341,7 +341,7 @@ func TestRouteMemoFollowsClientState(t *testing.T) {
 	if reflect.DeepEqual(rec.last, lte) {
 		t.Fatal("route after moving the device and dropping to GPRS equals the LTE route from Atlanta")
 	}
-	if got, want := rec.last.Segments[0].Latency, radio.MustLookup(radio.GPRS).HalfRTT(); got != want {
+	if got, want := rec.last.Segments()[0].Latency, radio.MustLookup(radio.GPRS).HalfRTT(); got != want {
 		t.Fatalf("radio segment = %v, want the GPRS model %v", got, want)
 	}
 

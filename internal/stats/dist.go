@@ -76,15 +76,3 @@ func (n Normal) Median() time.Duration {
 	}
 	return n.Mean
 }
-
-// Shifted adds a constant offset to every sample of the inner distribution.
-type Shifted struct {
-	Base Dist
-	Off  time.Duration
-}
-
-// Sample implements Dist.
-func (s Shifted) Sample(r *RNG) time.Duration { return s.Base.Sample(r) + s.Off }
-
-// Median implements Dist.
-func (s Shifted) Median() time.Duration { return s.Base.Median() + s.Off }

@@ -228,16 +228,6 @@ func TestNormalFloor(t *testing.T) {
 	}
 }
 
-func TestShifted(t *testing.T) {
-	d := Shifted{Base: Constant{V: 10 * time.Millisecond}, Off: 5 * time.Millisecond}
-	if got := d.Sample(NewRNG(1)); got != 15*time.Millisecond {
-		t.Fatalf("shifted sample = %v, want 15ms", got)
-	}
-	if got := d.Median(); got != 15*time.Millisecond {
-		t.Fatalf("shifted median = %v, want 15ms", got)
-	}
-}
-
 func TestSamplePercentiles(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {

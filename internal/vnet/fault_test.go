@@ -76,7 +76,8 @@ func TestRouteLatencyBlockedEitherSegment(t *testing.T) {
 		0: 20 * time.Millisecond,
 		1: 25 * time.Millisecond,
 	} {
-		lat, ok := f.routeLatency(twoSegRoute().Blocked(blocked))
+		r := twoSegRoute().Blocked(blocked)
+		lat, ok := f.routeLatency(&r)
 		if ok {
 			t.Fatalf("Blocked(%d) must not deliver", blocked)
 		}

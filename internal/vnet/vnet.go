@@ -10,8 +10,10 @@
 // would on a real network. This keeps a five-month measurement campaign
 // deterministic and runnable in seconds while the same dnswire bytes flow
 // end to end. Being synchronous, the fabric runs one handler at a time,
-// and a handler may answer from a buffer it reuses: a response is valid
-// until the next RoundTrip on the fabric, and callers never modify it.
+// and both sides of an exchange may reuse their buffers: a response is
+// valid until the next RoundTrip on the fabric and callers never modify
+// it, and a handler never keeps Request.Payload after Serve returns, so a
+// caller may rebuild its request in the same buffer for the next one.
 package vnet
 
 import (
@@ -55,8 +57,12 @@ func (*refusedError) Refused() bool { return true }
 type Segment struct {
 	// Label names the segment for debugging ("radio", "epc", "wan").
 	Label string
-	// Latency is the one-way latency model of the segment.
+	// Latency is the one-way latency model of the segment, less Off.
 	Latency stats.Dist
+	// Off is a constant added to every Latency sample: the hop's own
+	// propagation delay, so that every hop of one kind can share one
+	// boxed Latency model instead of boxing a shifted copy per route.
+	Off time.Duration
 	// Loss is the probability that a packet is dropped crossing the
 	// segment (applied independently in each direction).
 	Loss float64
@@ -66,10 +72,21 @@ type Segment struct {
 	HopAddr netip.Addr
 }
 
+// sample draws the one-way latency of one crossing of s.
+func (s *Segment) sample(r *stats.RNG) time.Duration { return s.Latency.Sample(r) + s.Off }
+
+// maxSegments is the most segments a Route holds: a cellular client's
+// path out of its carrier to an anycast resolver (radio, core, egress,
+// transit, wide area, peering).
+const maxSegments = 6
+
 // Route is a unidirectional path description between two addresses.
-// Responses retrace the same segments in reverse.
+// Responses retrace the same segments in reverse. Its segments live in
+// the Route itself, so building, copying and memoising one allocates
+// nothing.
 type Route struct {
-	Segments []Segment
+	segs  [maxSegments]Segment
+	nsegs int
 	// NATAddr, when valid, is the source address the destination observes
 	// (cellular carriers NAT all client traffic).
 	NATAddr netip.Addr
@@ -86,10 +103,28 @@ type Route struct {
 	TracerouteOpaqueAfter int
 }
 
-// NewRoute builds an unblocked route.
+// NewRoute builds an unblocked route through segs, in order. It panics
+// past maxSegments, which only a topology bug can ask for.
 func NewRoute(segs ...Segment) Route {
-	return Route{Segments: segs, BlockedAfter: -1, TracerouteOpaqueAfter: -1}
+	r := Route{BlockedAfter: -1, TracerouteOpaqueAfter: -1}
+	for _, s := range segs {
+		r.Append(s)
+	}
+	return r
 }
+
+// Append adds s as the route's last segment. It panics past maxSegments.
+func (r *Route) Append(s Segment) {
+	if r.nsegs == maxSegments {
+		panic(fmt.Sprintf("vnet: a route holds at most %d segments", maxSegments))
+	}
+	r.segs[r.nsegs] = s
+	r.nsegs++
+}
+
+// Segments returns the route's segments in order. The slice is a view of
+// r's own storage.
+func (r *Route) Segments() []Segment { return r.segs[:r.nsegs] }
 
 // Blocked marks the route as firewalled after segment i and returns it.
 func (r Route) Blocked(i int) Route {
@@ -143,7 +178,10 @@ type Handler interface {
 	// Serve processes one request and returns the response payload and
 	// the service time (processing plus any upstream round trips). The
 	// payload may be a buffer the handler reuses: it need only stay valid
-	// until the next RoundTrip on the fabric (see RoundTrip).
+	// until the next RoundTrip on the fabric (see RoundTrip). Serve never
+	// keeps req.Payload, nor anything that points into it, after it
+	// returns: the sender may rebuild its next request in the same
+	// buffer.
 	Serve(req Request) (resp []byte, elapsed time.Duration, err error)
 }
 
@@ -209,8 +247,10 @@ type Fabric struct {
 	endpoints map[netip.Addr]*Endpoint
 	now       time.Time
 	// routes memoises router.Route for the experiment opened by
-	// BeginExperiment; routesLive is false outside one (see route).
-	routes     map[routeKey]Route
+	// BeginExperiment, as indices into memo, whose storage the next
+	// experiment reuses; routesLive is false outside one (see route).
+	routes     map[routeKey]int
+	memo       []Route
 	routesLive bool
 	// resetHooks run at each BeginExperiment, clearing per-experiment
 	// state (resolver caches, query-ID counters) in attached services.
@@ -230,7 +270,7 @@ func New(rng *stats.RNG, router Router) *Fabric {
 		rng:          rng,
 		router:       router,
 		endpoints:    make(map[netip.Addr]*Endpoint),
-		routes:       make(map[routeKey]Route),
+		routes:       make(map[routeKey]int),
 		now:          time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC),
 		ProbeTimeout: time.Second,
 		MaxTTL:       30,
@@ -260,18 +300,18 @@ type routeKey struct{ src, dst netip.Addr }
 // Route a pure function of the pair there — it draws nothing from the
 // experiment stream, and the clock and every client's location and radio
 // technology are fixed until the next BeginExperiment. Outside an
-// experiment every call reaches the router. Memoised routes share their
-// Segments slice; callers only read it.
+// experiment every call reaches the router.
 func (f *Fabric) route(src, dst netip.Addr) (Route, error) {
 	key := routeKey{src, dst}
 	if f.routesLive {
-		if r, ok := f.routes[key]; ok {
-			return r, nil
+		if i, ok := f.routes[key]; ok {
+			return f.memo[i], nil
 		}
 	}
 	r, err := f.router.Route(src, dst)
 	if err == nil && f.routesLive {
-		f.routes[key] = r
+		f.routes[key] = len(f.memo)
+		f.memo = append(f.memo, r)
 	}
 	return r, err
 }
@@ -317,6 +357,7 @@ func (f *Fabric) Injector() Injector { return f.injector }
 func (f *Fabric) BeginExperiment(now time.Time, stream *stats.RNG) {
 	f.now = now
 	clear(f.routes)
+	f.memo = f.memo[:0]
 	f.routesLive = true
 	if stream != nil {
 		f.rng = stream
@@ -367,13 +408,15 @@ func (ep *Endpoint) SetPingPolicy(p PingPolicy) { ep.pingOK = p }
 // routeLatency samples one direction of the route, honoring loss and the
 // firewall. It returns the accumulated latency and whether the packet
 // survived to the final segment.
-func (f *Fabric) routeLatency(r Route) (time.Duration, bool) {
+func (f *Fabric) routeLatency(r *Route) (time.Duration, bool) {
 	var total time.Duration
-	for i, seg := range r.Segments {
+	segs := r.Segments()
+	for i := range segs {
+		seg := &segs[i]
 		if seg.Loss > 0 && f.rng.Bool(seg.Loss) {
 			return total, false
 		}
-		lat := seg.Latency.Sample(f.rng)
+		lat := seg.sample(f.rng)
 		if f.injector != nil {
 			adj, drop := f.injector.CrossSegment(seg.Label, f.now, lat)
 			if drop {
@@ -405,7 +448,7 @@ func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]
 	if err != nil {
 		return nil, f.ProbeTimeout, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
-	fwd, ok := f.routeLatency(route)
+	fwd, ok := f.routeLatency(&route)
 	if !ok {
 		return nil, f.ProbeTimeout, ErrTimeout
 	}
@@ -445,14 +488,14 @@ func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]
 		// A handler failure (REFUSED/SERVFAIL-style) still produces a
 		// datagram that crosses the return path at network speed; only
 		// genuine loss costs the prober its full timeout.
-		back, ok := f.routeLatency(route)
+		back, ok := f.routeLatency(&route)
 		if !ok {
 			return nil, f.ProbeTimeout, ErrTimeout
 		}
 		//lint:ignore errwrap the handler's own failure is the result here, not a fabric error to wrap
 		return nil, fwd + svc + back, err
 	}
-	back, ok := f.routeLatency(route)
+	back, ok := f.routeLatency(&route)
 	if !ok {
 		return nil, f.ProbeTimeout, ErrTimeout
 	}
@@ -469,7 +512,7 @@ func (f *Fabric) Ping(src, dst netip.Addr) (time.Duration, error) {
 	if err != nil {
 		return f.ProbeTimeout, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
-	fwd, ok := f.routeLatency(route)
+	fwd, ok := f.routeLatency(&route)
 	if !ok {
 		return f.ProbeTimeout, ErrTimeout
 	}
@@ -484,7 +527,7 @@ func (f *Fabric) Ping(src, dst netip.Addr) (time.Duration, error) {
 			return f.ProbeTimeout, ErrTimeout
 		}
 	}
-	back, ok := f.routeLatency(route)
+	back, ok := f.routeLatency(&route)
 	if !ok {
 		return f.ProbeTimeout, ErrTimeout
 	}
@@ -519,13 +562,15 @@ func (f *Fabric) Traceroute(src, dst netip.Addr) ([]Hop, error) {
 	}
 	var hops []Hop
 	var acc time.Duration
-	for i, seg := range route.Segments {
+	segs := route.Segments()
+	for i := range segs {
+		seg := &segs[i]
 		if i >= f.MaxTTL {
 			// TTL budget exhausted mid-path: the walk ends without ever
 			// eliciting the destination.
 			return hops, nil
 		}
-		lat := seg.Latency.Sample(f.rng)
+		lat := seg.sample(f.rng)
 		dropped := false
 		if f.injector != nil {
 			// Latency spikes shift traceroute RTTs; a segment drop loses

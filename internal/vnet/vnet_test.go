@@ -346,3 +346,55 @@ func TestRouteErrorPropagates(t *testing.T) {
 		t.Fatal("unroutable traceroute must error")
 	}
 }
+
+// shifted is how route latencies drew before Segment.Off: a boxed
+// distribution per segment that adds its offset to every sample of the
+// shared base (the stats.Shifted of earlier releases).
+type shifted struct {
+	base stats.Dist
+	off  time.Duration
+}
+
+func (s shifted) Sample(r *stats.RNG) time.Duration { return s.base.Sample(r) + s.off }
+func (s shifted) Median() time.Duration             { return s.base.Median() + s.off }
+
+// TestSegmentOffSamplesAsShifted holds a segment's Off to the shifted
+// distribution it replaced: on the same stream, a Latency plus Off draws
+// bit-identically to a shifted of the two, one segment at a time and
+// summed over a lossy route.
+func TestSegmentOffSamplesAsShifted(t *testing.T) {
+	bases := []stats.Dist{
+		stats.LogNormal{Med: 1200 * time.Microsecond, Sigma: 0.6, Floor: 200 * time.Microsecond},
+		stats.Normal{Mean: 30 * time.Millisecond, StdDev: 9 * time.Millisecond, Floor: time.Millisecond},
+		stats.Constant{V: 150 * time.Microsecond},
+	}
+	prop := func(seed uint64, offUS uint32, pick uint8) bool {
+		base, off := bases[int(pick)%len(bases)], time.Duration(offUS)*time.Microsecond
+		seg := Segment{Latency: base, Off: off}
+		old := shifted{base: base, off: off}
+		a, b := stats.NewRNG(seed), stats.NewRNG(seed)
+		for range 64 {
+			if seg.sample(a) != old.Sample(b) {
+				return false
+			}
+		}
+		withOff, asShifted := NewRoute(), NewRoute()
+		for i, base := range bases {
+			off := off * time.Duration(i+1)
+			withOff.Append(Segment{Latency: base, Off: off, Loss: 0.1})
+			asShifted.Append(Segment{Latency: shifted{base: base, off: off}, Loss: 0.1})
+		}
+		fa, fb := New(stats.NewRNG(seed), nil), New(stats.NewRNG(seed), nil)
+		for range 64 {
+			la, oka := fa.routeLatency(&withOff)
+			lb, okb := fb.routeLatency(&asShifted)
+			if la != lb || oka != okb {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

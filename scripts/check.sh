@@ -46,8 +46,8 @@ go vet ./...
 echo "==> curtainlint ./..."
 go run ./cmd/curtainlint ./...
 
-echo "==> hot-path zero-alloc proof (testing.AllocsPerRun, Decoder table hits included) and Parse / Decoder.Parse allocation budgets (CNAME + 2xA reply: <= 8 / warm Decoder <= 2)"
-go test -count=1 -run '^(TestHotPathAllocs|TestParseAllocBudget$|TestDecoderAllocBudget$)' ./internal/dnswire/
+echo "==> hot-path zero-alloc proof (testing.AllocsPerRun, Decoder table hits included), Parse allocation budget (CNAME + 2xA reply: <= 8) and Decoder.ParseInto of it into a warm Scratch (0)"
+go test -count=1 -run '^(TestHotPathAllocs|TestParseAllocBudget$|TestScratchParseAllocs$)' ./internal/dnswire/
 
 echo "==> serving hot-path zero-alloc proof (dispatch, servfail, batch read loop)"
 go test -count=1 -run '^TestHotPathAllocs' ./internal/dnsserver/
@@ -58,8 +58,8 @@ go test -count=1 -run '^TestHotPathAllocs' ./internal/dataset/
 echo "==> curtainbin scan allocation budget (Scan of 640 paper-campaign records: <= 8 allocations per record, dropped records not pinned)"
 go test -count=1 -run '^TestScanAllocBudget$' ./internal/dataset/
 
-echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt: <= 1,250)"
-go test -count=1 -run '^TestExperimentAllocBudget$' ./internal/measure/
+echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt: <= 197; every route shape sim.World.Route builds: 0)"
+go test -count=1 -run '^(TestExperimentAllocBudget|TestRouteShapesAllocateNothing)$' ./internal/measure/ ./internal/sim/
 
 echo "==> segment round-trip allocation budget (Marshal+UnmarshalExperiments of a 64-record lease: no per-call reader or compressor, <= 12 allocations per record)"
 go test -count=1 -run '^TestSegmentRoundTripAllocBudget$' ./internal/dataset/
