@@ -91,10 +91,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, p Profile, seed uint64) (*Network
 		pingOutside:   make(map[netip.Addr]bool),
 	}
 	n.ownPrefixes = append(n.ownPrefixes, n.clientPool.Prefix())
-	n.coreBase = stats.LogNormal{
-		Med:   time.Duration(p.CoreMs * float64(time.Millisecond)),
-		Sigma: 0.35, Floor: 500 * time.Microsecond,
-	}
+	n.coreBase = stats.NewLogNormal(time.Duration(p.CoreMs*float64(time.Millisecond)), 0.35, 500*time.Microsecond)
 
 	// Egress points spread across the country's cities.
 	for i := 0; i < p.EgressCount; i++ {
@@ -167,10 +164,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, p Profile, seed uint64) (*Network
 	// paper's ~80% hit rate (Fig 7).
 	n.Engine.BackgroundQPS = 0.0536
 	if p.InternalHopMs > 0 {
-		n.Engine.InternalHop = stats.LogNormal{
-			Med:   time.Duration(p.InternalHopMs * float64(time.Millisecond)),
-			Sigma: 0.3, Floor: 100 * time.Microsecond,
-		}
+		n.Engine.InternalHop = stats.NewLogNormal(time.Duration(p.InternalHopMs*float64(time.Millisecond)), 0.3, 100*time.Microsecond)
 	}
 	for i := 0; i < p.ClientFacingCount; i++ {
 		addr := cfPool.Next()
@@ -453,6 +447,12 @@ func (n *Network) OwnsAddr(addr netip.Addr) bool {
 	}
 	return false
 }
+
+// Prefixes returns the carrier's address space: the client pool, each
+// egress's NAT /24 and router /32, the external resolvers' /24s and the
+// client-facing resolvers' /24. Every client and external resolver
+// address lies inside it. The slice is shared; callers only read it.
+func (n *Network) Prefixes() []netip.Prefix { return n.ownPrefixes }
 
 // IsExternalResolver reports whether addr is one of the carrier's
 // external-facing resolvers.

@@ -23,11 +23,11 @@ func WANSegment(label string, a, b geo.Point, hop netip.Addr) vnet.Segment {
 // hop's latency depends on its length, the segment's Off carries the
 // propagation delay.
 var (
-	intraBase  stats.Dist = stats.LogNormal{Med: 800 * time.Microsecond, Sigma: 0.4, Floor: 200 * time.Microsecond}
+	intraBase  stats.Dist = stats.NewLogNormal(800*time.Microsecond, 0.4, 200*time.Microsecond)
 	borderHop  stats.Dist = stats.Constant{V: 150 * time.Microsecond} // egress or ingress router
 	transitHop stats.Dist = stats.Constant{V: 400 * time.Microsecond}
 	blockedHop stats.Dist = stats.Constant{V: time.Millisecond} // the core hop no inbound packet survives
-	wanBase    stats.Dist = stats.LogNormal{Med: 1200 * time.Microsecond, Sigma: 0.6, Floor: 200 * time.Microsecond}
+	wanBase    stats.Dist = stats.NewLogNormal(1200*time.Microsecond, 0.6, 200*time.Microsecond)
 )
 
 // radioSegment is the client's access hop: one-way radio latency for the

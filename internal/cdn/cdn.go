@@ -65,11 +65,6 @@ type Provider struct {
 	// SecondaryProb is the chance a query is load-balanced to the
 	// second-nearest mapped cluster instead of the primary.
 	SecondaryProb float64
-	// RemapEpoch is how often the provider re-derives its mapping for
-	// prefixes it cannot localize (cellular resolvers): production mapping
-	// systems continuously re-measure and re-assign. Localized prefixes
-	// (public DNS clusters) keep stable, measured mappings.
-	RemapEpoch time.Duration
 	// MapPrefixBits is the aggregation granularity of the replica
 	// mapping: 24 reproduces the paper's observed behaviour (§5.1);
 	// 32 maps each resolver IP independently and 16 aggregates whole
@@ -87,9 +82,10 @@ type Provider struct {
 	// guessCities holds the candidate cities of a wrong geolocation guess
 	// per country code ("" = the whole database), shared by all providers.
 	guessCities map[string][]geo.City
-	// mapped memoises mappedClusters for one experiment: the mapping is a
-	// pure function of its key and the world's structure. Cleared by the
-	// fabric's experiment reset and whenever a hint is registered.
+	// mapped memoises mappedClusters for the world's life: the mapping is
+	// a pure function of its key, the hints and the locator, whose answers
+	// are fixed once the world is built. Registering a hint clears it, so
+	// it holds at most one entry per (domain, prefix) ever asked about.
 	mapped map[mappingKey][2]int
 	// dec parses Serve's queries into in; resp is the answer, built in
 	// place, whose records keep their array from one answer to the next,
@@ -110,7 +106,6 @@ type cnameTarget struct {
 type mappingKey struct {
 	domain string
 	prefix netip.Prefix
-	epoch  uint64
 }
 
 // Domain is one measured hostname hosted on a provider.
@@ -230,7 +225,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 			ReplicasPerAnswer: spec.perAnswer,
 			SecondaryProb:     0.10,
 			MapPrefixBits:     mapBits,
-			Processing:        stats.LogNormal{Med: 2 * time.Millisecond, Sigma: 0.4, Floor: 500 * time.Microsecond},
+			Processing:        stats.NewLogNormal(2*time.Millisecond, 0.4, 500*time.Microsecond),
 			locator:           locator,
 			domains:           map[string]cnameTarget{},
 			egressHint:        map[netip.Prefix]geo.Point{},
@@ -238,7 +233,6 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 			guessCities:       guessCities,
 			mapped:            map[mappingKey][2]int{},
 		}
-		f.OnExperimentReset(func() { clear(p.mapped) })
 		cities := append(append([]geo.City{}, us[:spec.usCities]...), kr[:spec.krCities]...)
 		for ci, city := range cities {
 			pool := vnet.NewPool(fmt.Sprintf("23.%d.%d.0/24", spec.basePrefix+pi, ci))
@@ -250,7 +244,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, locator Locator, cfg Config) (*CD
 				ep := f.AddEndpoint(fmt.Sprintf("%s/%s/replica%d", spec.name, city.Name, r), city.Loc, 20940+uint32(pi), addr)
 				ep.Handle(80, &replicaHTTP{
 					provider: spec.name, city: city.Name,
-					processing: stats.LogNormal{Med: 9 * time.Millisecond, Sigma: 0.5, Floor: 2 * time.Millisecond},
+					processing: stats.NewLogNormal(9*time.Millisecond, 0.5, 2*time.Millisecond),
 				})
 			}
 			p.Clusters = append(p.Clusters, cl)
@@ -330,14 +324,11 @@ func (p *Provider) mapKey(domain string, prefix netip.Prefix) uint64 {
 	return (h ^ uint64(byte(prefix.Bits()))) * prime
 }
 
-// anchor decides where the provider believes a resolver prefix is.
-// Unlocated (cellular) prefixes are re-guessed every remap epoch.
-func (p *Provider) anchor(prefix netip.Prefix, key, epoch uint64) geo.Point {
+// anchor decides where the provider believes a resolver prefix is. An
+// unlocated (cellular) prefix gets one guess, fixed by its key.
+func (p *Provider) anchor(prefix netip.Prefix, key uint64) geo.Point {
 	if loc, ok := p.locator.ResolverLocation(prefix); ok {
 		return loc
-	}
-	if p.RemapEpoch > 0 {
-		key = mixKey(key, epoch)
 	}
 	hint, hasHint := p.egressHint[vnet.Slash24(prefix.Addr())]
 	// Derive a stable pseudo-random draw from the key.
@@ -351,25 +342,14 @@ func (p *Provider) anchor(prefix netip.Prefix, key, epoch uint64) geo.Point {
 	return cities[int((key>>20)%uint64(len(cities)))].Loc
 }
 
-func mixKey(a, b uint64) uint64 {
-	z := a*0x9E3779B97F4A7C15 + b
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // mappedClusters returns the primary and secondary cluster indices for a
-// (domain, resolver /24) pair at a point in time. domain must already be
-// lower-case.
-func (p *Provider) mappedClusters(domain string, prefix netip.Prefix, now time.Time) (int, int) {
+// (domain, resolver /24) pair. domain must already be lower-case.
+func (p *Provider) mappedClusters(domain string, prefix netip.Prefix) (int, int) {
 	mk := mappingKey{domain: domain, prefix: prefix}
-	if p.RemapEpoch > 0 {
-		mk.epoch = uint64(now.UnixNano() / int64(p.RemapEpoch))
-	}
 	if m, ok := p.mapped[mk]; ok {
 		return m[0], m[1]
 	}
-	a := p.anchor(prefix, p.mapKey(domain, prefix), mk.epoch)
+	a := p.anchor(prefix, p.mapKey(domain, prefix))
 	best, second := -1, -1
 	bestD, secondD := math.Inf(1), math.Inf(1)
 	for i, cl := range p.Clusters {
@@ -395,8 +375,8 @@ func (p *Provider) mappedClusters(domain string, prefix netip.Prefix, now time.T
 // start. Load balancing draws from rng — the serving fabric's active
 // experiment stream — so the choice is independent of global query
 // ordering.
-func (p *Provider) appendReplicas(rrs []dnswire.Record, rng *stats.RNG, domain string, name dnswire.Name, src netip.Addr, now time.Time) []dnswire.Record {
-	primary, secondary := p.mappedClusters(domain, p.mapPrefix(src), now)
+func (p *Provider) appendReplicas(rrs []dnswire.Record, rng *stats.RNG, domain string, name dnswire.Name, src netip.Addr) []dnswire.Record {
+	primary, secondary := p.mappedClusters(domain, p.mapPrefix(src))
 	idx := primary
 	if rng.Bool(p.SecondaryProb) {
 		idx = secondary
@@ -419,7 +399,7 @@ func (p *Provider) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 		return nil, 0, err
 	}
 	rng := req.Fabric.RNG()
-	resp := p.answer(rng, req.Src, query, req.Time)
+	resp := p.answer(rng, req.Src, query)
 	out, err := p.enc.Encode(resp)
 	if err != nil {
 		return nil, 0, err
@@ -433,7 +413,7 @@ func (p *Provider) Serve(req vnet.Request) ([]byte, time.Duration, error) {
 
 // answer builds the reply to query in the provider's own Message, valid
 // until the next answer.
-func (p *Provider) answer(rng *stats.RNG, src netip.Addr, query *dnswire.Message, now time.Time) *dnswire.Message {
+func (p *Provider) answer(rng *stats.RNG, src netip.Addr, query *dnswire.Message) *dnswire.Message {
 	resp := &p.resp
 	resp.SetReply(query)
 	resp.Header.Authoritative = true
@@ -458,11 +438,11 @@ func (p *Provider) answer(rng *stats.RNG, src netip.Addr, query *dnswire.Message
 		resp.Answers = append(resp.Answers, dnswire.Record{
 			Name: q.Name, Class: dnswire.ClassIN, TTL: p.TTL, Data: cname.rdata,
 		})
-		resp.Answers = p.appendReplicas(resp.Answers, rng, lower, cname.name, mapSrc, now)
+		resp.Answers = p.appendReplicas(resp.Answers, rng, lower, cname.name, mapSrc)
 		return resp
 	}
 	if q.Name.HasSuffix(p.Zone) {
-		resp.Answers = p.appendReplicas(resp.Answers, rng, lower, q.Name, mapSrc, now)
+		resp.Answers = p.appendReplicas(resp.Answers, rng, lower, q.Name, mapSrc)
 		return resp
 	}
 	resp.Header.RCode = dnswire.RCodeRefused

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"cellcurtain/internal/dnswire"
 	"cellcurtain/internal/geo"
@@ -131,9 +130,8 @@ func TestMappingStableWithinSlash24(t *testing.T) {
 	domain := "m.facebook.com"
 	a1 := netip.MustParseAddr("66.10.3.4")
 	a2 := netip.MustParseAddr("66.10.3.200") // same /24
-	t0 := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	p1, s1 := p.mappedClusters(domain, vnet.Slash24(a1), t0)
-	p2, s2 := p.mappedClusters(domain, vnet.Slash24(a2), t0)
+	p1, s1 := p.mappedClusters(domain, vnet.Slash24(a1))
+	p2, s2 := p.mappedClusters(domain, vnet.Slash24(a2))
 	if p1 != p2 || s1 != s2 {
 		t.Fatal("mapping must be identical within a /24")
 	}
@@ -147,9 +145,8 @@ func TestMappingIndependentAcrossSlash24(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		a := netip.AddrFrom4([4]byte{66, 10, byte(i), 4})
 		b := netip.AddrFrom4([4]byte{66, 11, byte(i), 4})
-		t0 := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-		pa, _ := p.mappedClusters(domain, vnet.Slash24(a), t0)
-		pb, _ := p.mappedClusters(domain, vnet.Slash24(b), t0)
+		pa, _ := p.mappedClusters(domain, vnet.Slash24(a))
+		pb, _ := p.mappedClusters(domain, vnet.Slash24(b))
 		if pa != pb {
 			differ++
 		}
@@ -165,7 +162,7 @@ func TestLocatedResolverGetsNearbyCluster(t *testing.T) {
 	seattle, _ := geo.CityByName("seattle")
 	resolverAddr := netip.MustParseAddr("173.194.7.1")
 	loc.known[vnet.Slash24(resolverAddr)] = seattle.Loc
-	primary, _ := p.mappedClusters("m.facebook.com", vnet.Slash24(resolverAddr), time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC))
+	primary, _ := p.mappedClusters("m.facebook.com", vnet.Slash24(resolverAddr))
 	got := p.Clusters[primary].City
 	if d := geo.DistanceKm(seattle.Loc, got.Loc); d > 400 {
 		t.Fatalf("located resolver mapped to %s (%.0f km away)", got.Name, d)
@@ -183,7 +180,7 @@ func TestEgressHintImprovesGuess(t *testing.T) {
 	for i := 0; i < n; i++ {
 		prefix := vnet.Slash24(netip.AddrFrom4([4]byte{67, byte(i / 256), byte(i % 256), 1}))
 		c.RegisterEgressHint(prefix, chicago.Loc, "US")
-		primary, _ := p.mappedClusters("m.facebook.com", prefix, time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC))
+		primary, _ := p.mappedClusters("m.facebook.com", prefix)
 		if p.Clusters[primary].City.Name == "chicago" {
 			good++
 		}
@@ -201,7 +198,7 @@ func TestKoreanPrefixStaysInCountry(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		prefix := vnet.Slash24(netip.AddrFrom4([4]byte{101, 10, byte(i), 1}))
 		c.RegisterEgressHint(prefix, seoul.Loc, "KR")
-		primary, _ := p.mappedClusters("m.facebook.com", prefix, time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC))
+		primary, _ := p.mappedClusters("m.facebook.com", prefix)
 		if p.Clusters[primary].City.Country != "KR" {
 			t.Fatalf("KR resolver mapped to %s cluster", p.Clusters[primary].City.Name)
 		}

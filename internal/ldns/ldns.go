@@ -204,7 +204,7 @@ func NewEngine(carrier string, reg *zone.Registry, externals []External, pairing
 		Externals:  externals,
 		Pairing:    pairing,
 		HitPrior:   0.8,
-		Processing: stats.LogNormal{Med: 1200 * time.Microsecond, Sigma: 0.4, Floor: 300 * time.Microsecond},
+		Processing: stats.NewLogNormal(1200*time.Microsecond, 0.4, 300*time.Microsecond),
 		Clients:    clients,
 		caches:     caches,
 	}

@@ -131,8 +131,8 @@ func Build(f *vnet.Fabric, reg *zone.Registry, egress EgressInfo, spec Spec) (*S
 		HitPrior:        0.92,
 		ChurnEpoch:      36 * time.Hour,
 		NearestProbs:    []float64{0.70, 0.22, 0.08},
-		PeeringOverhead: stats.LogNormal{Med: 4 * time.Millisecond, Sigma: 0.5, Floor: time.Millisecond},
-		Processing:      stats.LogNormal{Med: 800 * time.Microsecond, Sigma: 0.3, Floor: 200 * time.Microsecond},
+		PeeringOverhead: stats.NewLogNormal(4*time.Millisecond, 0.5, time.Millisecond),
+		Processing:      stats.NewLogNormal(800*time.Microsecond, 0.3, 200*time.Microsecond),
 		registry:        reg,
 		egress:          egress,
 		ranked:          map[geo.Point][]int{},

@@ -57,17 +57,17 @@ func model(t Tech, rtt, promotion stats.Dist) Model {
 // model table. Medians chosen to reproduce Fig 3's band ordering:
 // LTE < HSPA+ < HSPA/HSDPA/HSUPA < UMTS/eHRPD/EVDO < EDGE < GPRS < 1xRTT.
 var models = map[Tech]Model{
-	LTE:   model(LTE, stats.LogNormal{Med: 34 * time.Millisecond, Sigma: 0.18, Floor: 15 * time.Millisecond}, stats.Normal{Mean: 260 * time.Millisecond, StdDev: 60 * time.Millisecond, Floor: 100 * time.Millisecond}),
-	HSPAP: model(HSPAP, stats.LogNormal{Med: 55 * time.Millisecond, Sigma: 0.35, Floor: 25 * time.Millisecond}, stats.Normal{Mean: 600 * time.Millisecond, StdDev: 150 * time.Millisecond, Floor: 200 * time.Millisecond}),
-	HSPA:  model(HSPA, stats.LogNormal{Med: 70 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
-	HSDPA: model(HSDPA, stats.LogNormal{Med: 75 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
-	HSUPA: model(HSUPA, stats.LogNormal{Med: 72 * time.Millisecond, Sigma: 0.40, Floor: 30 * time.Millisecond}, stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
-	UMTS:  model(UMTS, stats.LogNormal{Med: 95 * time.Millisecond, Sigma: 0.45, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1200 * time.Millisecond, StdDev: 300 * time.Millisecond, Floor: 400 * time.Millisecond}),
-	EHRPD: model(EHRPD, stats.LogNormal{Med: 88 * time.Millisecond, Sigma: 0.40, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}),
-	EVDOA: model(EVDOA, stats.LogNormal{Med: 92 * time.Millisecond, Sigma: 0.45, Floor: 40 * time.Millisecond}, stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}),
-	EDGE:  model(EDGE, stats.LogNormal{Med: 400 * time.Millisecond, Sigma: 0.45, Floor: 150 * time.Millisecond}, stats.Normal{Mean: 1500 * time.Millisecond, StdDev: 400 * time.Millisecond, Floor: 500 * time.Millisecond}),
-	GPRS:  model(GPRS, stats.LogNormal{Med: 600 * time.Millisecond, Sigma: 0.50, Floor: 250 * time.Millisecond}, stats.Normal{Mean: 2000 * time.Millisecond, StdDev: 500 * time.Millisecond, Floor: 700 * time.Millisecond}),
-	OneX:  model(OneX, stats.LogNormal{Med: 900 * time.Millisecond, Sigma: 0.40, Floor: 400 * time.Millisecond}, stats.Normal{Mean: 2500 * time.Millisecond, StdDev: 600 * time.Millisecond, Floor: 900 * time.Millisecond}),
+	LTE:   model(LTE, stats.NewLogNormal(34*time.Millisecond, 0.18, 15*time.Millisecond), stats.Normal{Mean: 260 * time.Millisecond, StdDev: 60 * time.Millisecond, Floor: 100 * time.Millisecond}),
+	HSPAP: model(HSPAP, stats.NewLogNormal(55*time.Millisecond, 0.35, 25*time.Millisecond), stats.Normal{Mean: 600 * time.Millisecond, StdDev: 150 * time.Millisecond, Floor: 200 * time.Millisecond}),
+	HSPA:  model(HSPA, stats.NewLogNormal(70*time.Millisecond, 0.40, 30*time.Millisecond), stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
+	HSDPA: model(HSDPA, stats.NewLogNormal(75*time.Millisecond, 0.40, 30*time.Millisecond), stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
+	HSUPA: model(HSUPA, stats.NewLogNormal(72*time.Millisecond, 0.40, 30*time.Millisecond), stats.Normal{Mean: 800 * time.Millisecond, StdDev: 200 * time.Millisecond, Floor: 250 * time.Millisecond}),
+	UMTS:  model(UMTS, stats.NewLogNormal(95*time.Millisecond, 0.45, 40*time.Millisecond), stats.Normal{Mean: 1200 * time.Millisecond, StdDev: 300 * time.Millisecond, Floor: 400 * time.Millisecond}),
+	EHRPD: model(EHRPD, stats.NewLogNormal(88*time.Millisecond, 0.40, 40*time.Millisecond), stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}),
+	EVDOA: model(EVDOA, stats.NewLogNormal(92*time.Millisecond, 0.45, 40*time.Millisecond), stats.Normal{Mean: 1000 * time.Millisecond, StdDev: 250 * time.Millisecond, Floor: 300 * time.Millisecond}),
+	EDGE:  model(EDGE, stats.NewLogNormal(400*time.Millisecond, 0.45, 150*time.Millisecond), stats.Normal{Mean: 1500 * time.Millisecond, StdDev: 400 * time.Millisecond, Floor: 500 * time.Millisecond}),
+	GPRS:  model(GPRS, stats.NewLogNormal(600*time.Millisecond, 0.50, 250*time.Millisecond), stats.Normal{Mean: 2000 * time.Millisecond, StdDev: 500 * time.Millisecond, Floor: 700 * time.Millisecond}),
+	OneX:  model(OneX, stats.NewLogNormal(900*time.Millisecond, 0.40, 400*time.Millisecond), stats.Normal{Mean: 2500 * time.Millisecond, StdDev: 600 * time.Millisecond, Floor: 900 * time.Millisecond}),
 }
 
 // Lookup returns the model for a technology.

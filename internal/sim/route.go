@@ -24,8 +24,8 @@ import (
 func (w *World) Route(src, dst netip.Addr) (vnet.Route, error) {
 	now := w.Fabric.Now()
 
-	// Cellular client sources.
-	for _, cn := range w.Carriers {
+	if cn := w.owners.owner(src); cn != nil {
+		// Cellular client sources.
 		if c, ok := cn.ClientByAddr(src); ok {
 			dstLoc, err := w.destinationLoc(dst, c.NATAddrAt(now))
 			if err != nil {
@@ -48,9 +48,7 @@ func (w *World) Route(src, dst netip.Addr) (vnet.Route, error) {
 			}
 			return r, nil
 		}
-	}
-	// Carrier external resolver sources.
-	for _, cn := range w.Carriers {
+		// Carrier external resolver sources.
 		if cn.IsExternalResolver(src) {
 			dstLoc, err := w.destinationLoc(dst, src)
 			if err != nil {
@@ -67,10 +65,8 @@ func (w *World) Route(src, dst netip.Addr) (vnet.Route, error) {
 	if err != nil {
 		return vnet.Route{}, err
 	}
-	for _, cn := range w.Carriers {
-		if cn.OwnsAddr(dst) {
-			return cn.RouteInbound(srcLoc, dst), nil
-		}
+	if cn := w.owners.owner(dst); cn != nil {
+		return cn.RouteInbound(srcLoc, dst), nil
 	}
 	dstLoc, err := w.destinationLoc(dst, src)
 	if err != nil {
@@ -82,8 +78,8 @@ func (w *World) Route(src, dst netip.Addr) (vnet.Route, error) {
 // The peering penalties of anycast routes out of a cellular carrier,
 // boxed once so a route shares them.
 var (
-	peeringUS stats.Dist = stats.LogNormal{Med: 8 * time.Millisecond, Sigma: 0.3, Floor: 2 * time.Millisecond}
-	peeringKR stats.Dist = stats.LogNormal{Med: 14 * time.Millisecond, Sigma: 0.3, Floor: 2 * time.Millisecond}
+	peeringUS stats.Dist = stats.NewLogNormal(8*time.Millisecond, 0.3, 2*time.Millisecond)
+	peeringKR stats.Dist = stats.NewLogNormal(14*time.Millisecond, 0.3, 2*time.Millisecond)
 )
 
 // isVIP reports whether dst is a public DNS anycast VIP.
@@ -119,10 +115,8 @@ func (w *World) destinationLoc(dst netip.Addr, observedSrc netip.Addr) (geo.Poin
 	}
 	// Carrier-owned destinations without endpoints (NAT space, egress
 	// routers) still need a nominal location for path construction.
-	for _, cn := range w.Carriers {
-		if cn.OwnsAddr(dst) {
-			return cn.Egresses[0].City.Loc, nil
-		}
+	if cn := w.owners.owner(dst); cn != nil {
+		return cn.Egresses[0].City.Loc, nil
 	}
 	return geo.Point{}, fmt.Errorf("sim: unroutable destination %s", dst)
 }

@@ -62,6 +62,9 @@ type World struct {
 
 	cfg    Config
 	byName map[string]*carrier.Network
+	// owners finds the carrier, if any, whose address space holds an
+	// address: the router asks it for every source and destination.
+	owners ownerIndex
 	// public lists the anycast services the router and the CDN locator
 	// consult on every call.
 	public    []*publicdns.Service
@@ -96,7 +99,7 @@ func New(cfg Config) (*World, error) {
 	w.UniversityAddr = netip.MustParseAddr("129.105.100.10")
 	w.WhoamiAddr = netip.MustParseAddr("129.105.100.53")
 	w.Fabric.AddEndpoint("university", w.UniversityLoc, 103, w.UniversityAddr)
-	w.Whoami = adns.New(stats.LogNormal{Med: 1500 * time.Microsecond, Sigma: 0.3, Floor: 400 * time.Microsecond}, rng.Fork(2))
+	w.Whoami = adns.New(stats.NewLogNormal(1500*time.Microsecond, 0.3, 400*time.Microsecond), rng.Fork(2))
 	whoamiEP := w.Fabric.AddEndpoint("whoami-adns", w.UniversityLoc, 103, w.WhoamiAddr)
 	whoamiEP.Handle(53, w.Whoami)
 	w.Registry.Delegate(adns.Zone, w.WhoamiAddr)
@@ -116,6 +119,9 @@ func New(cfg Config) (*World, error) {
 		for _, eg := range cn.Egresses {
 			w.egressOf[eg.NATPool.Prefix()] = egressRef{carrier: p.Name, index: eg.Index, loc: eg.City.Loc}
 		}
+	}
+	if w.owners, err = newOwnerIndex(w.Carriers); err != nil {
+		return nil, fmt.Errorf("sim: indexing carrier address space: %w", err)
 	}
 
 	// CDN providers (the locator method below answers their localization

@@ -27,30 +27,38 @@ func (c Constant) Median() time.Duration { return c.V }
 // LogNormal is a log-normal latency distribution parameterized by its
 // median and a shape factor sigma (the standard deviation of the
 // underlying normal). Larger sigma produces the heavier tails seen in
-// cellular resolution-time CDFs.
+// cellular resolution-time CDFs. Build one with NewLogNormal.
 type LogNormal struct {
-	Med   time.Duration
-	Sigma float64
-	// Floor, if non-zero, lower-bounds every sample (e.g. speed-of-light).
-	Floor time.Duration
+	med   time.Duration
+	sigma float64
+	// floor, if non-zero, lower-bounds every sample (e.g. speed-of-light).
+	floor time.Duration
+	// mu is log(med), the mean of the underlying normal, taken once here
+	// rather than on every draw.
+	mu float64
+}
+
+// NewLogNormal returns the log-normal distribution with median med and
+// shape sigma whose samples never fall below floor (0 = unbounded).
+func NewLogNormal(med time.Duration, sigma float64, floor time.Duration) LogNormal {
+	return LogNormal{med: med, sigma: sigma, floor: floor, mu: math.Log(float64(med))}
 }
 
 // Sample implements Dist.
 func (l LogNormal) Sample(r *RNG) time.Duration {
-	mu := math.Log(float64(l.Med))
-	v := time.Duration(math.Exp(mu + l.Sigma*r.NormFloat64()))
-	if v < l.Floor {
-		v = l.Floor
+	v := time.Duration(math.Exp(l.mu + l.sigma*r.NormFloat64()))
+	if v < l.floor {
+		v = l.floor
 	}
 	return v
 }
 
 // Median implements Dist.
 func (l LogNormal) Median() time.Duration {
-	if l.Med < l.Floor {
-		return l.Floor
+	if l.med < l.floor {
+		return l.floor
 	}
-	return l.Med
+	return l.med
 }
 
 // Normal is a (truncated-at-Floor) normal distribution.

@@ -193,7 +193,7 @@ func TestConstantDist(t *testing.T) {
 }
 
 func TestLogNormalMedian(t *testing.T) {
-	d := LogNormal{Med: 40 * time.Millisecond, Sigma: 0.3}
+	d := NewLogNormal(40*time.Millisecond, 0.3, 0)
 	r := NewRNG(23)
 	var s Sample
 	for i := 0; i < 50000; i++ {
@@ -209,7 +209,7 @@ func TestLogNormalMedian(t *testing.T) {
 }
 
 func TestLogNormalFloor(t *testing.T) {
-	d := LogNormal{Med: 2 * time.Millisecond, Sigma: 2.0, Floor: time.Millisecond}
+	d := NewLogNormal(2*time.Millisecond, 2.0, time.Millisecond)
 	r := NewRNG(29)
 	for i := 0; i < 10000; i++ {
 		if v := d.Sample(r); v < time.Millisecond {

@@ -256,7 +256,7 @@ func TestInjectorDerivationDoesNotPerturbDraws(t *testing.T) {
 	// Installing an injector must not change any non-fault draw: the
 	// fault stream is derived without consuming generator state.
 	run := func(withInjector bool) time.Duration {
-		route := NewRoute(Segment{Label: "radio", Latency: stats.LogNormal{Med: 20 * time.Millisecond, Sigma: 0.4}})
+		route := NewRoute(Segment{Label: "radio", Latency: stats.NewLogNormal(20*time.Millisecond, 0.4, 0)})
 		f := New(stats.NewRNG(3), flatRouter(route))
 		ep := f.AddEndpoint("server", geo.Point{}, 64500, serverAddr)
 		ep.Handle(53, HandlerFunc(func(Request) ([]byte, time.Duration, error) {

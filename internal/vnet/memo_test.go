@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cellcurtain/internal/geo"
+	"cellcurtain/internal/raceflag"
 	"cellcurtain/internal/stats"
 )
 
@@ -139,6 +140,30 @@ func TestRouteMemoOffForClockSteppedUse(t *testing.T) {
 		if got := pingMs(t, f); got != 2*(10+i) {
 			t.Fatalf("step %d: rtt = %d ms, want %d", i, got, 2*(10+i))
 		}
+	}
+}
+
+// TestRouteOutsideExperimentAllocatesNothing holds the clock-stepped
+// path to the memo's zero allocations: with the memo off, the route the
+// router returns lives in the caller's frame, not on the heap.
+func TestRouteOutsideExperimentAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets run without -race")
+	}
+	hop := NewRoute(Segment{Label: "hop", Latency: stats.Constant{V: time.Millisecond}})
+	f := New(stats.NewRNG(1), RouterFunc(func(src, dst netip.Addr) (Route, error) { return hop, nil }))
+	f.AddEndpoint("server", geo.Point{}, 64500, serverAddr)
+	n := testing.AllocsPerRun(100, func() {
+		f.SetNow(f.Now().Add(time.Minute))
+		if _, err := f.Ping(clientAddr, serverAddr); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := f.RoundTrip(clientAddr, serverAddr, 53, nil); err != ErrRefused {
+			t.Fatalf("err = %v, want ErrRefused", err)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("%.1f allocations per clock-stepped Ping and RoundTrip, want 0", n)
 	}
 }
 

@@ -300,20 +300,33 @@ type routeKey struct{ src, dst netip.Addr }
 // Route a pure function of the pair there — it draws nothing from the
 // experiment stream, and the clock and every client's location and radio
 // technology are fixed until the next BeginExperiment. Outside an
-// experiment every call reaches the router.
-func (f *Fabric) route(src, dst netip.Addr) (Route, error) {
-	key := routeKey{src, dst}
-	if f.routesLive {
-		if i, ok := f.routes[key]; ok {
-			return f.memo[i], nil
+// experiment every call reaches the router and the route is written to
+// spare, the caller's own storage.
+//
+// The route is handed out by pointer, not copied: inside an experiment it
+// points into the memo, whose entries are never written again until the
+// next BeginExperiment (an append that moves the memo leaves the old
+// array, and a caller's pointer into it, as they were). Callers only
+// read it.
+func (f *Fabric) route(src, dst netip.Addr, spare *Route) (*Route, error) {
+	if !f.routesLive {
+		var err error
+		if *spare, err = f.router.Route(src, dst); err != nil {
+			return nil, err
 		}
+		return spare, nil
+	}
+	key := routeKey{src, dst}
+	if i, ok := f.routes[key]; ok {
+		return &f.memo[i], nil
 	}
 	r, err := f.router.Route(src, dst)
-	if err == nil && f.routesLive {
-		f.routes[key] = len(f.memo)
-		f.memo = append(f.memo, r)
+	if err != nil {
+		return nil, err
 	}
-	return r, err
+	f.routes[key] = len(f.memo)
+	f.memo = append(f.memo, r)
+	return &f.memo[len(f.memo)-1], nil
 }
 
 // InvalidateRoutes ends route memoisation until the next BeginExperiment.
@@ -444,11 +457,12 @@ func (f *Fabric) routeLatency(r *Route) (time.Duration, bool) {
 // them. A caller that needs them longer copies them; every caller in the
 // simulation parses them at once.
 func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]byte, time.Duration, error) {
-	route, err := f.route(src, dst)
+	var spare Route
+	route, err := f.route(src, dst, &spare)
 	if err != nil {
 		return nil, f.ProbeTimeout, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
-	fwd, ok := f.routeLatency(&route)
+	fwd, ok := f.routeLatency(route)
 	if !ok {
 		return nil, f.ProbeTimeout, ErrTimeout
 	}
@@ -488,14 +502,14 @@ func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]
 		// A handler failure (REFUSED/SERVFAIL-style) still produces a
 		// datagram that crosses the return path at network speed; only
 		// genuine loss costs the prober its full timeout.
-		back, ok := f.routeLatency(&route)
+		back, ok := f.routeLatency(route)
 		if !ok {
 			return nil, f.ProbeTimeout, ErrTimeout
 		}
 		//lint:ignore errwrap the handler's own failure is the result here, not a fabric error to wrap
 		return nil, fwd + svc + back, err
 	}
-	back, ok := f.routeLatency(&route)
+	back, ok := f.routeLatency(route)
 	if !ok {
 		return nil, f.ProbeTimeout, ErrTimeout
 	}
@@ -508,11 +522,12 @@ func (f *Fabric) RoundTrip(src, dst netip.Addr, port uint16, payload []byte) ([]
 // ErrNoRoute (with the same ProbeTimeout RTT) so world-configuration bugs
 // stay distinguishable from lossy paths.
 func (f *Fabric) Ping(src, dst netip.Addr) (time.Duration, error) {
-	route, err := f.route(src, dst)
+	var spare Route
+	route, err := f.route(src, dst, &spare)
 	if err != nil {
 		return f.ProbeTimeout, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
 	}
-	fwd, ok := f.routeLatency(&route)
+	fwd, ok := f.routeLatency(route)
 	if !ok {
 		return f.ProbeTimeout, ErrTimeout
 	}
@@ -527,14 +542,14 @@ func (f *Fabric) Ping(src, dst netip.Addr) (time.Duration, error) {
 			return f.ProbeTimeout, ErrTimeout
 		}
 	}
-	back, ok := f.routeLatency(&route)
+	back, ok := f.routeLatency(route)
 	if !ok {
 		return f.ProbeTimeout, ErrTimeout
 	}
 	return fwd + back, nil
 }
 
-func effectiveSrc(src netip.Addr, route Route) netip.Addr {
+func effectiveSrc(src netip.Addr, route *Route) netip.Addr {
 	if route.NATAddr.IsValid() {
 		return route.NATAddr
 	}
@@ -556,7 +571,8 @@ func (h Hop) Responded() bool { return h.Addr.IsValid() }
 // walk stops at a firewall block, exactly as the paper's probes behaved
 // inside cellular carriers (§4.2, §4.4).
 func (f *Fabric) Traceroute(src, dst netip.Addr) ([]Hop, error) {
-	route, err := f.route(src, dst)
+	var spare Route
+	route, err := f.route(src, dst, &spare)
 	if err != nil {
 		return nil, ErrNoRoute
 	}

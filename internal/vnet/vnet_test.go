@@ -364,7 +364,7 @@ func (s shifted) Median() time.Duration             { return s.base.Median() + s
 // summed over a lossy route.
 func TestSegmentOffSamplesAsShifted(t *testing.T) {
 	bases := []stats.Dist{
-		stats.LogNormal{Med: 1200 * time.Microsecond, Sigma: 0.6, Floor: 200 * time.Microsecond},
+		stats.NewLogNormal(1200*time.Microsecond, 0.6, 200*time.Microsecond),
 		stats.Normal{Mean: 30 * time.Millisecond, StdDev: 9 * time.Millisecond, Floor: time.Millisecond},
 		stats.Constant{V: 150 * time.Microsecond},
 	}

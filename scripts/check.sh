@@ -58,8 +58,9 @@ go test -count=1 -run '^TestHotPathAllocs' ./internal/dataset/
 echo "==> curtainbin scan allocation budget (Scan of 640 paper-campaign records: <= 8 allocations per record, dropped records not pinned)"
 go test -count=1 -run '^TestScanAllocBudget$' ./internal/dataset/
 
-echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt: <= 197; every route shape sim.World.Route builds: 0)"
-go test -count=1 -run '^(TestExperimentAllocBudget|TestRouteShapesAllocateNothing)$' ./internal/measure/ ./internal/sim/
+echo "==> experiment allocation budget (testing.AllocsPerRun over one measure.Runner.RunAt: <= 197; every route shape sim.World.Route builds: 0; a clock-stepped route outside an experiment: 0), the carrier owner index against OwnsAddr, LogNormal draws bit-identical to the per-draw log(median) formula, and the CDN mapping memo against a fresh world"
+go test -count=1 -run '^(TestExperimentAllocBudget|TestRouteShapesAllocateNothing|TestRouteOutsideExperimentAllocatesNothing|TestOwnerIndexMatchesOwnsAddr|TestOwnerIndexPlacesEveryClientAndExternal|TestOverlappingCarrierPrefixesFailToBuild|TestLogNormalSamplesAsBefore|TestMappingMemoLivesForTheWorld)$' \
+	./internal/measure/ ./internal/sim/ ./internal/vnet/ ./internal/cdn/
 
 echo "==> segment round-trip allocation budget (Marshal+UnmarshalExperiments of a 64-record lease: no per-call reader or compressor, <= 12 allocations per record)"
 go test -count=1 -run '^TestSegmentRoundTripAllocBudget$' ./internal/dataset/
