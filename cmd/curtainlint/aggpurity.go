@@ -32,11 +32,9 @@ import (
 //     feeding a sort (append of the key to a slice), and pure scalar
 //     reductions over integers/booleans, which are order-exact.
 var analyzerAggPurity = &Analyzer{
-	Name:     "aggpurity",
-	Doc:      "aggregators must not retain scanned records or touch package state in Observe; their query methods iterate maps via sorted keys",
-	Severity: "error",
-	URL:      "DESIGN.md#11-static-analysis-v2",
-	Run:      runAggPurity,
+	Name: "aggpurity",
+	Doc:  "aggregators must not retain scanned records or touch package state in Observe; their query methods iterate maps via sorted keys",
+	Run:  runAggPurity,
 }
 
 // aggType is one aggregator-shaped named type: its feed method, and

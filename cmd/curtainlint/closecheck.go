@@ -9,9 +9,7 @@ var analyzerCloseCheck = &Analyzer{
 	Name: "closecheck",
 	Doc: "Close() errors must be checked (or explicitly discarded), and a " +
 		"conn/file opened in a function must be closed there unless it escapes",
-	Severity: "warning",
-	URL:      "DESIGN.md#6-static-analysis--determinism-policy",
-	Run:      runCloseCheck,
+	Run: runCloseCheck,
 }
 
 func runCloseCheck(pass *Pass) {

@@ -36,10 +36,8 @@ var analyzerDeterminism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, the global math/rand source, and " +
 		"map-iteration-ordered output in the simulation/analysis packages",
-	Severity: "error",
-	URL:      "DESIGN.md#6-static-analysis--determinism-policy",
-	Dirs:     determinismDirs,
-	Run:      runDeterminism,
+	Dirs: determinismDirs,
+	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) {

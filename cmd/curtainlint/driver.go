@@ -46,12 +46,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Severity is "error" (breaks the invariants the reproduction depends
-	// on) or "warning" (hygiene). Both fail the run; the JSON output
-	// carries the distinction.
-	Severity string
-	// URL points at the analyzer's contract documentation.
-	URL string
 	// Dirs restricts the analyzer to these module-relative package dirs;
 	// nil means every package.
 	Dirs []string
@@ -406,8 +400,8 @@ func filterIgnored(findings []Finding, directives []ignoreDirective) []Finding {
 }
 
 // sortFindings orders findings by (file, line, analyzer, column) — the
-// documented JSON order; analyzer before column so two analyzers
-// flagging one line always serialize the same way.
+// documented output order; analyzer before column so two analyzers
+// flagging one line always print the same way.
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

@@ -13,9 +13,7 @@ var analyzerErrWrap = &Analyzer{
 		"errors.Is/As through the wrap; and a function that wraps some of " +
 		"its error returns must not hand others back bare, stripped of the " +
 		"context its siblings add",
-	Severity: "warning",
-	URL:      "DESIGN.md#6-static-analysis--determinism-policy",
-	Run:      runErrWrap,
+	Run: runErrWrap,
 }
 
 func runErrWrap(pass *Pass) {

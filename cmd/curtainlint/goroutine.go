@@ -23,9 +23,7 @@ var analyzerGoroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "go statements need a visible join path; no time.After in loops or " +
 		"time.Tick anywhere; no mutex held across network I/O",
-	Severity: "error",
-	URL:      "DESIGN.md#11-static-analysis-v2",
-	Run:      runGoroutine,
+	Run: runGoroutine,
 }
 
 func runGoroutine(pass *Pass) {

@@ -27,11 +27,9 @@ import (
 // inserts are allowed (bucket reuse after clear() is alloc-free in
 // steady state). The AllocsPerRun tests keep both boundaries honest.
 var analyzerHotPath = &Analyzer{
-	Name:     "hotpath",
-	Doc:      "functions annotated //lint:hotpath must not allocate: no make/new, escaping literals, string conversions, boxing, or fmt",
-	Severity: "error",
-	URL:      "DESIGN.md#11-static-analysis-v2",
-	Run:      runHotPath,
+	Name: "hotpath",
+	Doc:  "functions annotated //lint:hotpath must not allocate: no make/new, escaping literals, string conversions, boxing, or fmt",
+	Run:  runHotPath,
 }
 
 const hotpathDirective = "lint:hotpath"

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	curtainlint [-json] [-analyzers a,b] [-list] [packages]
+//	curtainlint [-analyzers a,b] [-list] [packages]
 //
 // Packages default to ./... relative to the working directory; _test.go
 // files are not linted. The exit status is 0 when clean, 1 when findings
@@ -19,17 +19,13 @@
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // The reason is mandatory; naming an unknown analyzer is itself a
-// finding, so stale suppressions surface instead of rotting.
+// finding, so stale suppressions surface instead of rotting. Findings
+// print one a line, sorted by (file, line, analyzer, column):
 //
-// JSON output is an array sorted by (file, line, analyzer, column):
-//
-//	{"file","line","col","analyzer","severity","doc","url","message"}
-//
-// where severity, doc and url come from the analyzer registry.
+//	file:line:col: [analyzer] message
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -56,7 +52,6 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("curtainlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
@@ -64,7 +59,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	if *list {
 		for _, a := range allAnalyzers {
-			fmt.Fprintf(stdout, "%-12s %-8s %s\n", a.Name, a.Severity, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -106,61 +101,14 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	sortFindings(findings)
 
-	printFindings(stdout, stderr, findings, *jsonOut, cwd)
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relTo(cwd, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "curtainlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// printFindings renders findings as text or JSON. The JSON schema joins
-// each finding with its analyzer's severity, doc line and contract URL.
-func printFindings(stdout, stderr *os.File, findings []Finding, asJSON bool, cwd string) {
-	if !asJSON {
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relTo(cwd, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
-		}
-		return
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range allAnalyzers {
-		byName[a.Name] = a
-	}
-	type jsonFinding struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Severity string `json:"severity"`
-		Doc      string `json:"doc"`
-		URL      string `json:"url,omitempty"`
-		Message  string `json:"message"`
-	}
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		jf := jsonFinding{
-			File:     relTo(cwd, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Col:      f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Severity: "error",
-			Message:  f.Message,
-		}
-		if a, ok := byName[f.Analyzer]; ok {
-			jf.Severity = a.Severity
-			jf.Doc = a.Doc
-			jf.URL = a.URL
-		} else if f.Analyzer == "directive" {
-			jf.Doc = "malformed //lint:ignore suppression"
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(stderr, "curtainlint:", err)
-	}
 }
 
 // selectAnalyzers resolves the -analyzers flag against the registry.

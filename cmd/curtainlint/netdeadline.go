@@ -27,10 +27,8 @@ var analyzerNetDeadline = &Analyzer{
 	Name: "netdeadline",
 	Doc: "every conn Read/Write in the socket-facing packages must have a " +
 		"Set{Read,Write,}Deadline call reachable in the same function",
-	Severity: "error",
-	URL:      "DESIGN.md#6-static-analysis--determinism-policy",
-	Dirs:     netDeadlineDirs,
-	Run:      runNetDeadline,
+	Dirs: netDeadlineDirs,
+	Run:  runNetDeadline,
 }
 
 func runNetDeadline(pass *Pass) {

@@ -18,18 +18,13 @@ import (
 	"time"
 
 	"cellcurtain/internal/sigdrain"
-	"cellcurtain/internal/sockopt"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
 	name := flag.String("name", "replica0.local", "replica identity reported in responses")
 	delay := flag.Duration("delay", 0, "artificial processing delay (testing)")
-	shards := flag.Int("shards", 1, "SO_REUSEPORT accept loops on the listen port (Linux; >1 needs kernel support)")
 	flag.Parse()
-	if *shards < 1 {
-		*shards = 1
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -58,26 +53,17 @@ func main() {
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	// With -shards > 1, N SO_REUSEPORT listeners share the port and the
-	// kernel spreads incoming connections across their accept loops; one
-	// http.Server serves them all, so Shutdown drains every listener.
-	errCh := make(chan error, *shards)
-	addr := *listen
-	for i := 0; i < *shards; i++ {
-		ln, err := sockopt.ListenTCP(addr, *shards > 1)
-		if err != nil {
-			log.Fatalf("replicad: shard %d: %v", i, err)
-		}
-		if i == 0 {
-			addr = ln.Addr().String() // pin ":0" to the resolved port for the remaining shards
-		}
-		go func(ln net.Listener) {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				errCh <- err
-			}
-		}(ln)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatalf("replicad: %v", err)
 	}
-	log.Printf("replicad: %s serving on %s (%d shard(s))", *name, addr, *shards)
+	errCh := make(chan error, 1)
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			errCh <- err
+		}
+	}()
+	log.Printf("replicad: %s serving on %s", *name, ln.Addr())
 
 	sigdrain.Run("replicad", errCh, func() error {
 		draining.Store(true) // flip /healthz to 503 before closing listeners

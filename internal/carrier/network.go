@@ -83,7 +83,7 @@ func Build(f *vnet.Fabric, reg *zone.Registry, p Profile, seed uint64) (*Network
 	n := &Network{
 		Profile:       p,
 		fabric:        f,
-		rng:           stats.NewRNG(seed ^ hash64(p.Name)),
+		rng:           stats.NewRNG(seed ^ stats.HashString(p.Name)),
 		clientPool:    vnet.NewPool(fmt.Sprintf("10.%d.0.0/16", p.ClientNetOctet)),
 		clientsByAddr: make(map[netip.Addr]*Client),
 		extIndex:      make(map[netip.Addr]int),
@@ -210,7 +210,7 @@ func (n *Network) pairing() ldns.Pairing {
 			Scope:      n.anycastScope,
 			Spill:      n.allExternals(),
 			SpillProb:  n.spill(),
-			Seed:       hash64(p.Name),
+			Seed:       stats.HashString(p.Name),
 		}
 	default: // StylePool
 		if p.RegionalScope {
@@ -220,14 +220,14 @@ func (n *Network) pairing() ldns.Pairing {
 				Scope:      n.anycastScope,
 				Spill:      n.allExternals(),
 				SpillProb:  n.spill(),
-				Seed:       hash64(p.Name),
+				Seed:       stats.HashString(p.Name),
 			}
 		}
 		return ldns.EpochPairing{
 			Epoch:        p.PairEpoch,
 			StickModal:   stickFor(p.Consistency, float64(p.ExternalCount)),
 			NumExternals: p.ExternalCount,
-			Seed:         hash64(p.Name),
+			Seed:         stats.HashString(p.Name),
 		}
 	}
 }
@@ -278,13 +278,13 @@ func (n *Network) calibrateAnycastStick() float64 {
 	measure := func(stick float64) float64 {
 		pairing := ldns.EpochPairing{
 			Epoch: n.PairEpoch, StickModal: stick,
-			Scope: n.anycastScope, Seed: hash64(n.Name),
+			Scope: n.anycastScope, Seed: stats.HashString(n.Name),
 			Spill: n.allExternals(), SpillProb: n.spill(),
 		}
 		base := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
 		var total float64
 		for ci := range rankings {
-			key := hash64(n.Name) ^ uint64(ci)*0x9E37
+			key := stats.HashString(n.Name) ^ uint64(ci)*0x9E37
 			counts := map[int]int{}
 			const epochs = 300
 			for e := 0; e < epochs; e++ {
@@ -330,15 +330,6 @@ func stickFor(consistency, n float64) float64 {
 	return s
 }
 
-func hash64(s string) uint64 {
-	var h uint64 = 0xCBF29CE484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001B3
-	}
-	return h
-}
-
 // rankEgresses fills ranked with the carrier's egress indices, nearest to
 // p first and equidistant ones in index order, and dist with their
 // distances. Both must come in empty; their capacity is reused
@@ -364,7 +355,7 @@ func (n *Network) rankEgresses(p geo.Point, ranked []int, dist []float64) ([]int
 // re-filled once per experiment without growing the heap.
 func (n *Network) fillClient(c *Client, id string, home geo.Point, addr netip.Addr) {
 	c.ID = id
-	c.Key = hash64(id) ^ hash64(n.Name)
+	c.Key = stats.HashString(id) ^ stats.HashString(n.Name)
 	c.Home = home
 	c.Addr = addr
 	c.Loc = home
@@ -509,7 +500,7 @@ func (c *Client) EgressAt(now time.Time) int {
 // its nearest egress with probability egressDwell, otherwise on the second
 // or third nearest (tunneling re-routes).
 func egressPick(key uint64, ranked []int, epoch uint64) int {
-	h := mix64(key^hash64("egress"), epoch)
+	h := stats.Mix(key^stats.HashString("egress"), epoch)
 	draw := float64(h%1e6) / 1e6
 	rank := 0
 	switch {
@@ -533,7 +524,7 @@ func (c *Client) NATAddrAt(now time.Time) netip.Addr {
 	n := c.net
 	eg := n.Egresses[c.EgressAt(now)]
 	epoch := uint64(now.UnixNano() / int64(n.NATChurnEpoch))
-	h := mix64(c.Key^hash64("nat"), epoch)
+	h := stats.Mix(c.Key^stats.HashString("nat"), epoch)
 	return eg.NATPool.At(int(h % uint64(eg.NATPool.Size())))
 }
 
@@ -543,13 +534,6 @@ func (n *Network) RadioFamily() []radio.Tech {
 		return radio.CDMAFamily()
 	}
 	return radio.GSMFamily()
-}
-
-func mix64(a, b uint64) uint64 {
-	z := a*0x9E3779B97F4A7C15 + b
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }
 
 // egressDwell is the probability that a stationary client is routed to

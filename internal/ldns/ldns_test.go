@@ -288,23 +288,6 @@ func TestInternalHopCharged(t *testing.T) {
 	}
 }
 
-func TestCacheBasics(t *testing.T) {
-	c := NewCache()
-	if c.Live("a.example", baseTime) {
-		t.Fatal("empty cache can't hit")
-	}
-	c.Store("A.Example", baseTime.Add(30*time.Second))
-	if !c.Live("a.example", baseTime.Add(29*time.Second)) {
-		t.Fatal("case-insensitive live lookup failed")
-	}
-	if c.Live("a.example", baseTime.Add(30*time.Second)) {
-		t.Fatal("expired entry must not hit")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
 func TestMultiQuestionFormErr(t *testing.T) {
 	w := buildWorld(t, 1, FixedPairing{Map: []int{0}}, 5*time.Millisecond)
 	q := dnswire.NewQuery(9, "a.static.example.net", dnswire.TypeA)

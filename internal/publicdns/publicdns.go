@@ -7,7 +7,9 @@
 // Anycast plus widespread tunneling makes the VIP→cluster mapping drift
 // over time (Fig 12); upstream queries to authoritative servers originate
 // from rotating addresses inside the serving cluster's /24, which is why
-// clients observe many resolver IPs but few /24s (Table 5).
+// clients observe many resolver IPs but few /24s (Table 5). A service
+// resolves through ldns.Recursor, the recursion the carrier LDNS runs,
+// with one cache per cluster.
 package publicdns
 
 import (
@@ -16,8 +18,8 @@ import (
 	"sort"
 	"time"
 
-	"cellcurtain/internal/dnswire"
 	"cellcurtain/internal/geo"
+	"cellcurtain/internal/ldns"
 	"cellcurtain/internal/stats"
 	"cellcurtain/internal/vnet"
 	"cellcurtain/internal/zone"
@@ -37,57 +39,28 @@ type Cluster struct {
 // nothing better than a default site).
 type EgressInfo func(src netip.Addr) (loc geo.Point, key uint64, ok bool)
 
-// Service is one public DNS operator.
+// Service is one public DNS operator. Its Recursor keeps one cache per
+// cluster; upstream queries leave from an address in the serving
+// cluster's /24.
 type Service struct {
+	ldns.Recursor
 	Name string
 	VIP  netip.Addr
 	// Clusters are the service's sites.
 	Clusters []Cluster
-	// HitPrior is the cache-warmth prior; public resolvers serve a huge
-	// population, so popular names are nearly always warm.
-	HitPrior float64
 	// ChurnEpoch is how often the anycast/tunnel mapping may shift.
 	ChurnEpoch time.Duration
 	// NearestProbs are the probabilities of being routed to the 1st, 2nd,
 	// 3rd... nearest cluster; they must sum to <= 1 (remainder goes to
 	// the last listed rank).
 	NearestProbs []float64
-	// PeeringOverhead is extra one-way latency for leaving the cellular
-	// carrier into the public resolver's network.
-	PeeringOverhead stats.Dist
-	// Processing is per-query compute time.
-	Processing stats.Dist
 
-	registry *zone.Registry
-	egress   EgressInfo
-	caches   []*cacheShard
+	egress EgressInfo
 	// ranked memoises rankedClusters per client location for the life of
 	// the service: Clusters is fixed once Build returns, and the egress
 	// locations clients emerge from are a small fixed set.
 	ranked map[geo.Point][]int
 	seed   uint64
-	nextID uint16
-	// dec parses client queries into in and upstream answers into ans;
-	// upq is the upstream query, which query encodes, and resp the reply
-	// to the client, which reply encodes. The fabric runs one handler at
-	// a time, a caller parses what a round trip returns before its next
-	// one and no handler keeps a request's payload (vnet.Handler), so one
-	// of each serves the VIP.
-	dec          dnswire.Decoder
-	in, ans      dnswire.Scratch
-	upq, resp    dnswire.Message
-	query, reply dnswire.Encoder
-}
-
-type cacheShard struct{ entries map[string]time.Time }
-
-func (c *cacheShard) live(name dnswire.Name, now time.Time) bool {
-	e, ok := c.entries[string(name)]
-	return ok && now.Before(e)
-}
-
-func (c *cacheShard) store(name dnswire.Name, expiry time.Time) {
-	c.entries[string(name)] = expiry
 }
 
 // Spec configures one service.
@@ -126,18 +99,19 @@ func Build(f *vnet.Fabric, reg *zone.Registry, egress EgressInfo, spec Spec) (*S
 	}
 	cities := append(append([]geo.City{}, us[:spec.USCities]...), kr[:spec.KRSites]...)
 	s := &Service{
-		Name:            spec.Name,
-		VIP:             netip.MustParseAddr(spec.VIP),
-		HitPrior:        0.92,
-		ChurnEpoch:      36 * time.Hour,
-		NearestProbs:    []float64{0.70, 0.22, 0.08},
-		PeeringOverhead: stats.NewLogNormal(4*time.Millisecond, 0.5, time.Millisecond),
-		Processing:      stats.NewLogNormal(800*time.Microsecond, 0.3, 200*time.Microsecond),
-		registry:        reg,
-		egress:          egress,
-		ranked:          map[geo.Point][]int{},
-		seed:            spec.Seed,
+		Recursor:     ldns.NewRecursor(reg, len(cities)),
+		Name:         spec.Name,
+		VIP:          netip.MustParseAddr(spec.VIP),
+		ChurnEpoch:   36 * time.Hour,
+		NearestProbs: []float64{0.70, 0.22, 0.08},
+		egress:       egress,
+		ranked:       map[geo.Point][]int{},
+		seed:         spec.Seed,
 	}
+	// Public resolvers serve a huge population, so popular names are
+	// nearly always warm.
+	s.HitPrior = 0.92
+	s.Processing = stats.NewLogNormal(800*time.Microsecond, 0.3, 200*time.Microsecond)
 	for i, city := range cities {
 		pool := vnet.NewPool(fmt.Sprintf("%d.%d.%d.0/24", spec.FirstOctet, spec.SecondOctet, i))
 		cl := Cluster{City: city, Pool: pool}
@@ -147,7 +121,6 @@ func Build(f *vnet.Fabric, reg *zone.Registry, egress EgressInfo, spec Spec) (*S
 			f.AddEndpoint(fmt.Sprintf("%s/%s/src%d", spec.Name, city.Name, j), city.Loc, 15169, addr)
 		}
 		s.Clusters = append(s.Clusters, cl)
-		s.caches = append(s.caches, &cacheShard{entries: map[string]time.Time{}})
 	}
 	// The VIP endpoint carries the resolver service; its observed
 	// location varies per client, which the router handles through
@@ -156,16 +129,6 @@ func Build(f *vnet.Fabric, reg *zone.Registry, egress EgressInfo, spec Spec) (*S
 	ep.Handle(53, s)
 	f.OnExperimentReset(s.Reset)
 	return s, nil
-}
-
-// Reset clears the per-experiment mutable state (cluster caches and the
-// upstream query-ID counter); registered as a fabric experiment-reset
-// hook. Population-level warmth is modeled by HitPrior.
-func (s *Service) Reset() {
-	for _, c := range s.caches {
-		clear(c.entries)
-	}
-	s.nextID = 0
 }
 
 // ClusterFor returns the cluster index serving a given source address at
@@ -182,7 +145,7 @@ func (s *Service) ClusterFor(src netip.Addr, now time.Time) int {
 	}
 	ranked := s.rankedClusters(loc)
 	epoch := uint64(now.UnixNano() / int64(s.ChurnEpoch))
-	h := mix(key^s.seed, epoch)
+	h := stats.Mix(key^s.seed, epoch)
 	draw := float64(h%1e6) / 1e6
 	var cum float64
 	for rank, p := range s.NearestProbs {
@@ -244,84 +207,15 @@ func (s *Service) ClusterOf(addr netip.Addr) int {
 	return -1
 }
 
-// Serve implements vnet.Handler for the VIP.
+// Serve implements vnet.Handler for the VIP. Upstream queries originate
+// from a varying address within the serving cluster's /24 (Table 5: many
+// resolver IPs, few /24s). A uniform draw from the experiment stream
+// preserves that diversity without the execution-order dependence of a
+// rotation counter.
 func (s *Service) Serve(req vnet.Request) ([]byte, time.Duration, error) {
-	query, err := s.dec.ParseInto(req.Payload, &s.in)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, elapsed := s.resolve(req.Fabric, query, req.Src, req.Time)
-	out, err := s.reply.Encode(resp)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, elapsed, nil
-}
-
-// resolve answers one client query in the service's own reply Message,
-// valid until the next resolve.
-func (s *Service) resolve(f *vnet.Fabric, query *dnswire.Message, src netip.Addr, now time.Time) (*dnswire.Message, time.Duration) {
-	rng := f.RNG()
-	elapsed := s.Processing.Sample(rng)
-	reply := &s.resp
-	reply.SetReply(query)
-	reply.Header.RecursionAvailable = true
-	if len(query.Questions) != 1 {
-		reply.Header.RCode = dnswire.RCodeFormErr
-		return reply, elapsed
-	}
-	q := query.Questions[0]
-	authority, ok := s.registry.Authority(q.Name)
-	if !ok {
-		reply.Header.RCode = dnswire.RCodeNXDomain
-		return reply, elapsed
-	}
-	ci := s.ClusterFor(src, now)
-	cl := s.Clusters[ci]
-	// Upstream queries originate from a varying address within the
-	// serving cluster's /24 (Table 5: many resolver IPs, few /24s). A
-	// uniform draw from the experiment stream preserves that diversity
-	// without the execution-order dependence of a rotation counter.
-	srcAddr := cl.Sources[rng.Intn(len(cl.Sources))]
-
-	s.nextID++
-	s.upq.SetQuestion(s.nextID, q.Name, q.Type)
-	s.upq.Header.RecursionDesired = false
-	payload, err := s.query.Encode(&s.upq)
-	if err != nil {
-		reply.Header.RCode = dnswire.RCodeServFail
-		return reply, elapsed
-	}
-	raw, upRTT, err := f.RoundTrip(srcAddr, authority, 53, payload)
-	if err != nil {
-		reply.Header.RCode = dnswire.RCodeServFail
-		return reply, elapsed + f.ProbeTimeout
-	}
-	ans, err := s.dec.ParseInto(raw, &s.ans)
-	if err != nil {
-		reply.Header.RCode = dnswire.RCodeServFail
-		return reply, elapsed
-	}
-	ttl := time.Duration(ans.MinAnswerTTL()) * time.Second
-	cache := s.caches[ci]
-	switch {
-	case ttl == 0 || len(ans.Answers) == 0:
-		elapsed += upRTT
-	case cache.live(q.Name, now):
-	case rng.Bool(s.HitPrior):
-		cache.store(q.Name, now.Add(time.Duration(rng.Float64()*float64(ttl))))
-	default:
-		elapsed += upRTT
-		cache.store(q.Name, now.Add(ttl))
-	}
-	reply.Header.RCode = ans.Header.RCode
-	reply.Answers = ans.Answers
-	return reply, elapsed
-}
-
-func mix(a, b uint64) uint64 {
-	z := a*0x9E3779B97F4A7C15 + b
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return s.Recursor.Serve(req, nil, func() (netip.Addr, int) {
+		ci := s.ClusterFor(req.Src, req.Time)
+		sources := s.Clusters[ci].Sources
+		return sources[req.Fabric.RNG().Intn(len(sources))], ci
+	})
 }

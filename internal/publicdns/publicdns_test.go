@@ -153,9 +153,6 @@ func TestUpstreamSourceRotationWithinSlash24(t *testing.T) {
 	seen := map[netip.Addr]bool{}
 	var auth seenAuth
 	// Replace the authority with one that records sources.
-	reg := zone.NewRegistry()
-	reg.Delegate("static.example.net", authAddr)
-	s.registry = reg
 	ep, _ := f.Endpoint(authAddr)
 	ep.Handle(53, &auth)
 	for i := 0; i < 12; i++ {

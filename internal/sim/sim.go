@@ -215,7 +215,7 @@ func (w *World) egressInfo(src netip.Addr) (geo.Point, uint64, bool) {
 	if !ok {
 		return geo.Point{}, 0, false
 	}
-	return ref.loc, hashStr(ref.carrier) ^ (uint64(ref.index)+1)*0x9E3779B97F4A7C15, true
+	return ref.loc, stats.HashString(ref.carrier) ^ (uint64(ref.index)+1)*0x9E3779B97F4A7C15, true
 }
 
 // ResolverLocation implements cdn.Locator: CDNs can localize public DNS
@@ -239,13 +239,4 @@ func (w *World) ResolverLocation(prefix netip.Prefix) (geo.Point, bool) {
 		return ref.loc, true
 	}
 	return geo.Point{}, false
-}
-
-func hashStr(s string) uint64 {
-	var h uint64 = 0xCBF29CE484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001B3
-	}
-	return h
 }

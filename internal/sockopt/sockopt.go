@@ -1,9 +1,9 @@
-// Package sockopt provides listeners with SO_REUSEPORT, the kernel
-// feature behind listener sharding (ROADMAP item 2): N sockets bound to
-// the same address each get their own receive queue, and the kernel
-// load-balances incoming packets (or connections) across them by flow
-// hash. Each shard then runs its own read loop without contending on a
-// shared socket lock.
+// Package sockopt provides UDP listeners with SO_REUSEPORT, the kernel
+// feature behind dnsserver's listener sharding: N sockets bound to the
+// same address each get their own receive queue, and the kernel
+// load-balances incoming packets across them by flow hash. Each shard
+// then runs its own read loop without contending on a shared socket
+// lock.
 //
 // SO_REUSEPORT is Linux-specific here (sockopt_linux.go); on other
 // platforms ReusePortAvailable is false and requesting a reuse-port
@@ -43,21 +43,4 @@ func ListenUDP(addr string, reusePort bool) (*net.UDPConn, error) {
 		return nil, fmt.Errorf("sockopt: listen udp %s: unexpected conn type %T", addr, pc)
 	}
 	return uc, nil
-}
-
-// ListenTCP binds a TCP listener on addr, with SO_REUSEPORT when
-// requested (used by replicad to shard its HTTP accept loop).
-func ListenTCP(addr string, reusePort bool) (net.Listener, error) {
-	lc := net.ListenConfig{}
-	if reusePort {
-		if !ReusePortAvailable {
-			return nil, fmt.Errorf("sockopt: listen tcp %s: %w", addr, ErrUnsupported)
-		}
-		lc.Control = reusePortControl
-	}
-	ln, err := lc.Listen(context.Background(), "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("sockopt: listen tcp %s: %w", addr, err)
-	}
-	return ln, nil
 }

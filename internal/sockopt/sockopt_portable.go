@@ -9,7 +9,7 @@ import "syscall"
 const ReusePortAvailable = false
 
 // reusePortControl is never reached on non-Linux platforms: ListenUDP
-// and ListenTCP fail with ErrUnsupported before consulting it.
+// fails with ErrUnsupported before consulting it.
 func reusePortControl(network, address string, c syscall.RawConn) error {
 	return ErrUnsupported
 }

@@ -46,10 +46,12 @@ func (r *RNG) Fork(label uint64) *RNG {
 	return NewRNG(r.s[0] ^ rotl(r.s[2], 17) ^ (label * 0xd1342543de82ef95))
 }
 
-// streamMix folds one label into a running stream key. It is a splitmix64
-// finalizer over the combined value, so swapping, duplicating or reordering
-// labels yields unrelated keys (Stream(s, a, b) != Stream(s, b, a)).
-func streamMix(key, label uint64) uint64 {
+// Mix folds one label into a running key. It is a splitmix64 finalizer
+// over the combined value, so swapping, duplicating or reordering labels
+// yields unrelated keys (Stream(s, a, b) != Stream(s, b, a)). It derives
+// RNG streams here and every hash-based deterministic choice elsewhere
+// (pairing epochs, anycast churn, egress and NAT picks).
+func Mix(key, label uint64) uint64 {
 	z := key*0x9e3779b97f4a7c15 + label
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -62,9 +64,9 @@ func streamMix(key, label uint64) uint64 {
 // Stream(seed, clientKey, seq) a pure function of the experiment's
 // identity — the basis for order-invariant parallel campaign execution.
 func Stream(seed uint64, labels ...uint64) *RNG {
-	key := streamMix(0x4375727461696e21, seed) // "Curtain!" domain tag
+	key := Mix(0x4375727461696e21, seed) // "Curtain!" domain tag
 	for _, l := range labels {
-		key = streamMix(key, l)
+		key = Mix(key, l)
 	}
 	return NewRNG(key)
 }
@@ -75,7 +77,7 @@ func Stream(seed uint64, labels ...uint64) *RNG {
 func (r *RNG) Derive(labels ...uint64) *RNG {
 	key := r.s[0] ^ rotl(r.s[2], 17)
 	for _, l := range labels {
-		key = streamMix(key, l)
+		key = Mix(key, l)
 	}
 	return NewRNG(key)
 }

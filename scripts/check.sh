@@ -93,6 +93,9 @@ go run ./cmd/curtain exp -id AVAIL -faults resolver-outage -days 2 -scale 0.05 >
 echo "==> pinned campaign digests (paper + resolver-outage bytes == constants recorded before memoisation)"
 go test -count=1 -run '^TestPinned' ./internal/trace/
 
+echo "==> pinned campaign digests under GOAMD64=v3 (the compiler may fuse x*y + z into one FMA there: the recorded bytes must not depend on it)"
+GOAMD64=v3 go test -count=1 -run '^TestPinned' ./internal/trace/
+
 echo "==> kill-and-resume invariance (abort + resume -> byte-identical dataset)"
 go test -race -count=1 -run '^TestKillResumeInvariance$' ./internal/trace/
 
